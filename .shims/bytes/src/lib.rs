@@ -84,6 +84,18 @@ pub trait BufMut {
     }
 }
 
+impl Buf for &[u8] {
+    fn remaining(&self) -> usize {
+        self.len()
+    }
+    fn chunk(&self) -> &[u8] {
+        self
+    }
+    fn advance(&mut self, cnt: usize) {
+        *self = &self[cnt..];
+    }
+}
+
 impl BufMut for Vec<u8> {
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);

@@ -21,19 +21,27 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use xorp_event::EventLoop;
+use xorp_net::Ipv4Net;
 use xorp_profiler::tracing::{self as xtrace, SpanRecorder, TraceContext};
 use xorp_profiler::PointHandle;
 use xorp_xrl::AtomValue;
 
 use crate::xrl_ifaces::BulkRouteSink;
 
-/// One buffered route row: direction, encoded atoms, profiling payload,
-/// and the ambient trace context at push time (sampled routes only).
+/// One buffered route row: direction, prefix, encoded atoms, and the
+/// ambient trace context at push time (sampled routes only).
 struct Row {
     add: bool,
+    net: Ipv4Net,
     atoms: Vec<AtomValue>,
-    payload: String,
     trace: Option<TraceContext>,
+}
+
+/// The profiling payload of one route op (`add 10.0.1.0/24`).  Built only
+/// inside a profiling point's `record(|| ..)`, so a dormant point never
+/// pays for the `format!`.
+pub(crate) fn op_payload(add: bool, net: Ipv4Net) -> String {
+    format!("{} {net}", if add { "add" } else { "del" })
 }
 
 struct Inner {
@@ -93,13 +101,13 @@ impl RouteBatcher {
 
     /// Buffer one route row; flush if the batch is full, otherwise make
     /// sure a flush is scheduled.
-    pub fn push(&self, el: &mut EventLoop, add: bool, atoms: Vec<AtomValue>, payload: String) {
+    pub fn push(&self, el: &mut EventLoop, add: bool, net: Ipv4Net, atoms: Vec<AtomValue>) {
         let (full, arm) = {
             let mut b = self.inner.borrow_mut();
             b.pending.push(Row {
                 add,
+                net,
                 atoms,
-                payload,
                 trace: xtrace::current(),
             });
             let full = b.pending.len() >= b.batch_size;
@@ -179,7 +187,7 @@ impl RouteBatcher {
             });
             let mut encoded = Vec::with_capacity(run.len());
             for row in run.drain(..) {
-                sent_point.record(|| row.payload.clone());
+                sent_point.record(|| op_payload(row.add, row.net));
                 encoded.push(AtomValue::List(row.atoms));
             }
             sink.send(el, add, encoded);

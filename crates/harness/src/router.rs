@@ -53,7 +53,7 @@ use xorp_xrl::{
     TypedResponder, XrlError, XrlRouter,
 };
 
-use crate::batch::RouteBatcher;
+use crate::batch::{op_payload, RouteBatcher};
 use crate::process::Process;
 use crate::workload::BackboneRoute;
 use crate::xrl_ifaces::{self, BulkRouteSink, RouteWire};
@@ -615,17 +615,16 @@ impl BgpFactory {
                     let trace_prev = xtrace::current()
                         .map(|ctx| xtrace::set_current(Some(fanout_rec.instant(ctx, "fanout"))));
                     let net = op.net();
-                    let (add, row, what) = match &op {
+                    let (add, row) = match &op {
                         RouteOp::Add { route, .. } | RouteOp::Replace { new: route, .. } => {
-                            (true, xrl_ifaces::add_row(net, route), "add")
+                            (true, xrl_ifaces::add_row(net, route))
                         }
                         RouteOp::Delete { old, .. } => {
-                            (false, xrl_ifaces::delete_row(net, Some(old.proto)), "del")
+                            (false, xrl_ifaces::delete_row(net, Some(old.proto)))
                         }
                     };
-                    let payload = format!("{what} {net}");
-                    queued_rib.record(|| payload.clone());
-                    batcher.push(el, add, row, payload);
+                    queued_rib.record(|| op_payload(add, net));
+                    batcher.push(el, add, net, row);
                     if let Some(prev) = trace_prev {
                         xtrace::set_current(prev);
                     }
@@ -885,15 +884,14 @@ impl MultiProcessRouter {
             let sink: RedistSink<Ipv4Addr> = match batcher.clone() {
                 Some(batcher) => Rc::new(move |el, op| {
                     let net = op.net();
-                    let (add, row, what) = match &op {
+                    let (add, row) = match &op {
                         RouteOp::Add { route, .. } | RouteOp::Replace { new: route, .. } => {
-                            (true, xrl_ifaces::add_row(net, route), "add")
+                            (true, xrl_ifaces::add_row(net, route))
                         }
-                        RouteOp::Delete { .. } => (false, xrl_ifaces::delete_row(net, None), "del"),
+                        RouteOp::Delete { .. } => (false, xrl_ifaces::delete_row(net, None)),
                     };
-                    let payload = format!("{what} {net}");
-                    queued_fea.record(|| payload.clone());
-                    batcher.push(el, add, row, payload);
+                    queued_fea.record(|| op_payload(add, net));
+                    batcher.push(el, add, net, row);
                 }),
                 None => Rc::new(move |el, op| {
                     let net = op.net();

@@ -105,13 +105,13 @@ const KIND_REQUEST_V2_TRACED: u8 = KIND_REQUEST_V2 | KIND_TRACED;
 /// High bit of the kind byte: priority delivery.
 const KIND_PRIORITY: u8 = 0x80;
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+fn put_str(buf: &mut impl BufMut, s: &str) {
     debug_assert!(s.len() <= u16::MAX as usize);
     buf.put_u16(s.len() as u16);
     buf.put_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String, XrlError> {
+fn get_str(buf: &mut impl Buf) -> Result<String, XrlError> {
     if buf.remaining() < 2 {
         return Err(XrlError::BadFrame("truncated string length".into()));
     }
@@ -119,11 +119,17 @@ fn get_str(buf: &mut Bytes) -> Result<String, XrlError> {
     if buf.remaining() < len {
         return Err(XrlError::BadFrame("truncated string".into()));
     }
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec()).map_err(|_| XrlError::BadFrame("non-UTF8 string".into()))
+    String::from_utf8(get_vec(buf, len)).map_err(|_| XrlError::BadFrame("non-UTF8 string".into()))
 }
 
-fn put_value(buf: &mut BytesMut, v: &AtomValue) {
+/// Copy the next `len` bytes (already bounds-checked) out of `buf`.
+fn get_vec(buf: &mut impl Buf, len: usize) -> Vec<u8> {
+    let mut bytes = vec![0u8; len];
+    buf.copy_to_slice(&mut bytes);
+    bytes
+}
+
+fn put_value(buf: &mut impl BufMut, v: &AtomValue) {
     buf.put_u8(type_code(v.atom_type()));
     match v {
         AtomValue::I32(x) => buf.put_i32(*x),
@@ -182,11 +188,11 @@ fn type_code(t: AtomType) -> u8 {
 /// adversarial frame trying to exhaust the decoder's stack.
 const MAX_LIST_DEPTH: u32 = 16;
 
-fn get_value(buf: &mut Bytes) -> Result<AtomValue, XrlError> {
+fn get_value(buf: &mut impl Buf) -> Result<AtomValue, XrlError> {
     get_value_depth(buf, 0)
 }
 
-fn get_value_depth(buf: &mut Bytes, depth: u32) -> Result<AtomValue, XrlError> {
+fn get_value_depth(buf: &mut impl Buf, depth: u32) -> Result<AtomValue, XrlError> {
     let short = || XrlError::BadFrame("truncated value".into());
     if buf.remaining() < 1 {
         return Err(short());
@@ -224,9 +230,8 @@ fn get_value_depth(buf: &mut Bytes, depth: u32) -> Result<AtomValue, XrlError> {
             need!(4);
             let len = buf.get_u32() as usize;
             need!(len);
-            let bytes = buf.copy_to_bytes(len);
             AtomValue::Text(
-                String::from_utf8(bytes.to_vec())
+                String::from_utf8(get_vec(buf, len))
                     .map_err(|_| XrlError::BadFrame("non-UTF8 text".into()))?,
             )
         }
@@ -272,7 +277,7 @@ fn get_value_depth(buf: &mut Bytes, depth: u32) -> Result<AtomValue, XrlError> {
             need!(4);
             let len = buf.get_u32() as usize;
             need!(len);
-            AtomValue::Binary(buf.copy_to_bytes(len).to_vec())
+            AtomValue::Binary(get_vec(buf, len))
         }
         13 => {
             if depth >= MAX_LIST_DEPTH {
@@ -292,7 +297,7 @@ fn get_value_depth(buf: &mut Bytes, depth: u32) -> Result<AtomValue, XrlError> {
     })
 }
 
-fn put_args(buf: &mut BytesMut, args: &XrlArgs) {
+fn put_args(buf: &mut impl BufMut, args: &XrlArgs) {
     buf.put_u16(args.len() as u16);
     for atom in args.atoms() {
         put_str(buf, &atom.name);
@@ -300,7 +305,7 @@ fn put_args(buf: &mut BytesMut, args: &XrlArgs) {
     }
 }
 
-fn get_args(buf: &mut Bytes) -> Result<XrlArgs, XrlError> {
+fn get_args(buf: &mut impl Buf) -> Result<XrlArgs, XrlError> {
     if buf.remaining() < 2 {
         return Err(XrlError::BadFrame("truncated arg count".into()));
     }
@@ -317,7 +322,7 @@ fn get_args(buf: &mut Bytes) -> Result<XrlArgs, XrlError> {
 /// Encode an argument block positionally: values only, no names.  Any
 /// names the atoms carry are dropped — the signature both sides agreed on
 /// at negotiation time defines the order.
-fn put_args_positional(buf: &mut BytesMut, args: &XrlArgs) {
+fn put_args_positional(buf: &mut impl BufMut, args: &XrlArgs) {
     buf.put_u16(args.len() as u16);
     for atom in args.atoms() {
         put_value(buf, &atom.value);
@@ -325,7 +330,7 @@ fn put_args_positional(buf: &mut BytesMut, args: &XrlArgs) {
 }
 
 /// Decode a positional argument block into unnamed atoms.
-fn get_args_positional(buf: &mut Bytes) -> Result<XrlArgs, XrlError> {
+fn get_args_positional(buf: &mut impl Buf) -> Result<XrlArgs, XrlError> {
     if buf.remaining() < 2 {
         return Err(XrlError::BadFrame("truncated arg count".into()));
     }
@@ -386,7 +391,28 @@ impl Frame {
 
     /// Encode this frame, including the length header.
     pub fn encode(&self) -> BytesMut {
-        let mut body = BytesMut::with_capacity(128);
+        let mut out = BytesMut::with_capacity(128);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append this frame, length header included, to `out` — the TCP
+    /// family's per-connection out-buffer, where a turn's frames pile up
+    /// for one `write`.  The header is written as a placeholder and
+    /// patched once the body's length is known, so the body is encoded in
+    /// place rather than staged in a buffer of its own.
+    pub fn encode_into<B>(&self, out: &mut B)
+    where
+        B: BufMut + std::ops::DerefMut<Target = [u8]>,
+    {
+        let start = out.len();
+        out.put_u32(0);
+        self.encode_body(out);
+        let len = (out.len() - start - 4) as u32;
+        out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+    }
+
+    fn encode_body(&self, body: &mut impl BufMut) {
         let pri = |p: &bool| if *p { KIND_PRIORITY } else { 0 };
         match self {
             Frame::Request {
@@ -408,10 +434,10 @@ impl Frame {
                     body.put_u8(kind | pri(priority));
                     body.put_u64(*seq);
                     body.put_u64(*sender);
-                    put_str(&mut body, target);
+                    put_str(body, target);
                     body.put_slice(key);
                     body.put_u32(*id);
-                    put_args_positional(&mut body, args);
+                    put_args_positional(body, args);
                     if let Some(t) = trace {
                         body.put_u64(t.trace_id);
                         body.put_u32(t.parent_span);
@@ -421,10 +447,10 @@ impl Frame {
                     body.put_u8(KIND_REQUEST | pri(priority));
                     body.put_u64(*seq);
                     body.put_u64(*sender);
-                    put_str(&mut body, target);
+                    put_str(body, target);
                     body.put_slice(key);
-                    put_str(&mut body, path);
-                    put_args(&mut body, args);
+                    put_str(body, path);
+                    put_args(body, args);
                 }
             },
             Frame::Response {
@@ -437,13 +463,13 @@ impl Frame {
                 match result {
                     Ok(args) => {
                         body.put_u8(0);
-                        put_str(&mut body, "");
-                        put_args(&mut body, args);
+                        put_str(body, "");
+                        put_args(body, args);
                     }
                     Err(e) => {
                         body.put_u8(e.code());
-                        put_str(&mut body, &e.to_string());
-                        put_args(&mut body, &XrlArgs::new());
+                        put_str(body, &e.to_string());
+                        put_args(body, &XrlArgs::new());
                     }
                 }
             }
@@ -452,15 +478,21 @@ impl Frame {
                 body.put_u32(*signal);
             }
         }
-        let mut out = BytesMut::with_capacity(body.len() + 4);
-        out.put_u32(body.len() as u32);
-        out.extend_from_slice(&body);
-        out
     }
 
     /// Decode a frame body (the bytes after the u32 length header).
-    pub fn decode(body: Bytes) -> Result<Frame, XrlError> {
-        let mut buf = body;
+    pub fn decode(mut body: Bytes) -> Result<Frame, XrlError> {
+        Frame::decode_from(&mut body)
+    }
+
+    /// [`Frame::decode`] over a borrowed body — what the TCP reader uses
+    /// on the slices its [`FrameDecoder`] yields, so a frame costs no
+    /// body allocation of its own.
+    pub fn decode_slice(mut body: &[u8]) -> Result<Frame, XrlError> {
+        Frame::decode_from(&mut body)
+    }
+
+    fn decode_from(buf: &mut impl Buf) -> Result<Frame, XrlError> {
         if buf.remaining() < 1 {
             return Err(XrlError::BadFrame("empty frame".into()));
         }
@@ -473,14 +505,14 @@ impl Frame {
                 }
                 let seq = buf.get_u64();
                 let sender = buf.get_u64();
-                let target = get_str(&mut buf)?;
+                let target = get_str(buf)?;
                 if buf.remaining() < 16 {
                     return Err(XrlError::BadFrame("truncated key".into()));
                 }
                 let mut key = [0u8; 16];
                 buf.copy_to_slice(&mut key);
-                let path = get_str(&mut buf)?;
-                let args = get_args(&mut buf)?;
+                let path = get_str(buf)?;
+                let args = get_args(buf)?;
                 Ok(Frame::Request {
                     seq,
                     sender,
@@ -499,14 +531,14 @@ impl Frame {
                 }
                 let seq = buf.get_u64();
                 let sender = buf.get_u64();
-                let target = get_str(&mut buf)?;
+                let target = get_str(buf)?;
                 if buf.remaining() < 20 {
                     return Err(XrlError::BadFrame("truncated key".into()));
                 }
                 let mut key = [0u8; 16];
                 buf.copy_to_slice(&mut key);
                 let method_id = buf.get_u32();
-                let args = get_args_positional(&mut buf)?;
+                let args = get_args_positional(buf)?;
                 let trace = if kind_v2 == KIND_REQUEST_V2_TRACED {
                     if buf.remaining() < 12 {
                         return Err(XrlError::BadFrame("truncated trace trailer".into()));
@@ -536,8 +568,8 @@ impl Frame {
                 }
                 let seq = buf.get_u64();
                 let code = buf.get_u8();
-                let msg = get_str(&mut buf)?;
-                let args = get_args(&mut buf)?;
+                let msg = get_str(buf)?;
+                let args = get_args(buf)?;
                 let result = if code == 0 {
                     Ok(args)
                 } else {
@@ -562,20 +594,119 @@ impl Frame {
     }
 }
 
+/// Largest frame body either stream reader accepts; a longer length header
+/// is a corrupt or hostile stream and is rejected before any allocation.
+pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
+
+fn frame_too_large() -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, "frame too large")
+}
+
 /// Read one length-prefixed frame from a blocking reader.
 pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Bytes> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_be_bytes(len_buf) as usize;
-    if len > 64 * 1024 * 1024 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "frame too large",
-        ));
+    if len > MAX_FRAME_LEN {
+        return Err(frame_too_large());
     }
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
     Ok(Bytes::from(body))
+}
+
+/// Incremental stream decoder: one reusable buffer that takes whatever a
+/// `read` returns and yields every complete frame body it holds, however
+/// the stream was chunked.  [`read_frame`] costs two `read_exact`s and a
+/// `Vec` per frame; this costs one `read` per *buffer-full* of frames and
+/// no per-frame allocation — bodies are borrowed straight from the buffer.
+///
+/// The buffer grows only for a single frame larger than its capacity (and
+/// only after the length header passed the [`MAX_FRAME_LEN`] check), and
+/// shrinks back once that frame is consumed.
+pub struct FrameDecoder {
+    buf: Vec<u8>,
+    /// Steady-state size of `buf`.
+    capacity: usize,
+    /// `buf[start..end]` holds bytes read but not yet yielded.
+    start: usize,
+    end: usize,
+}
+
+impl FrameDecoder {
+    /// A decoder whose buffer holds `capacity` bytes between reads.
+    pub fn with_capacity(capacity: usize) -> FrameDecoder {
+        let capacity = capacity.max(4);
+        FrameDecoder {
+            buf: vec![0u8; capacity],
+            capacity,
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// Current size of the internal buffer: the construction capacity,
+    /// except while a single larger frame is in flight.
+    pub fn buffer_len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Body length announced by the pending header, once all four header
+    /// bytes are in.
+    fn pending_len(&self) -> std::io::Result<Option<usize>> {
+        let Some(header) = self.buf[self.start..self.end].first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = u32::from_be_bytes(*header) as usize;
+        if len > MAX_FRAME_LEN {
+            return Err(frame_too_large());
+        }
+        Ok(Some(len))
+    }
+
+    /// Issue exactly one `read` into the buffer's free space; returns the
+    /// byte count (`0` is end of stream).  Call after [`next_frame`]
+    /// returned `None`: whatever partial frame is left is first moved to
+    /// the front, so the read has the rest of the buffer to fill.
+    ///
+    /// [`next_frame`]: FrameDecoder::next_frame
+    pub fn fill(&mut self, r: &mut impl std::io::Read) -> std::io::Result<usize> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        let wanted = match self.pending_len()? {
+            Some(len) => 4 + len,
+            None => 4,
+        };
+        if wanted > self.buf.len() {
+            // One frame larger than the buffer: make room for exactly it.
+            self.buf.resize(wanted, 0);
+        } else if self.end == 0 && self.buf.len() > self.capacity {
+            // The oversized frame is gone; give its memory back.
+            self.buf.truncate(self.capacity);
+            self.buf.shrink_to_fit();
+        }
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// The next complete frame body (the bytes after the length header),
+    /// or `None` when the buffer holds only a partial frame.  Fails — with
+    /// nothing allocated — on a length header above [`MAX_FRAME_LEN`].
+    pub fn next_frame(&mut self) -> std::io::Result<Option<&[u8]>> {
+        let Some(len) = self.pending_len()? else {
+            return Ok(None);
+        };
+        let body = self.start + 4;
+        if self.end - body < len {
+            return Ok(None);
+        }
+        self.start = body + len;
+        Ok(Some(&self.buf[body..body + len]))
+    }
 }
 
 #[cfg(test)]

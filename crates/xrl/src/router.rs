@@ -59,8 +59,8 @@ use crate::fault::{FaultAction, FaultConfig, FaultPlan};
 use crate::finder::{Endpoint, Finder, LifetimeEvent, ResolveEntry};
 use crate::marshal::Frame;
 use crate::transport::{
-    spawn_tcp_listener, spawn_tcp_reader, spawn_udp, SharedStream, TcpReplyTransport, TcpTransport,
-    Transport, UdpTransport,
+    flush_dirty, spawn_tcp_listener, spawn_tcp_reader, spawn_udp, SharedTcpMetrics, TcpConn,
+    TcpMetrics, Transport, UdpTransport,
 };
 use crate::xrl::Xrl;
 use crate::XrlResult;
@@ -193,32 +193,14 @@ impl RetryPolicy {
 }
 
 /// How a reply travels back to the caller.
-pub enum ReplyPath {
+pub(crate) enum ReplyPath {
     /// Caller is on this same loop; complete through the local router.
     Local,
-    /// Write a response frame on this TCP connection.
-    Tcp(SharedStream),
-    /// Send a response datagram to `peer`.
-    Udp {
-        /// The receiver's bound socket.
-        socket: Arc<UdpSocket>,
-        /// Where the request came from.
-        peer: SocketAddr,
-    },
-}
-
-/// The transport a reply (or cached-response replay) should travel on.
-fn reply_transport(path: &ReplyPath) -> Option<Rc<dyn Transport>> {
-    match path {
-        ReplyPath::Local => None,
-        ReplyPath::Tcp(stream) => Some(Rc::new(TcpReplyTransport {
-            stream: stream.clone(),
-        })),
-        ReplyPath::Udp { socket, peer } => Some(Rc::new(UdpTransport {
-            socket: socket.clone(),
-            peer: *peer,
-        })),
-    }
+    /// Buffer a response frame on the connection the request arrived on.
+    Tcp(Arc<TcpConn>),
+    /// Send a response datagram from the receiver's bound socket to where
+    /// the request came from.
+    Udp(UdpTransport),
 }
 
 /// Capability to answer one in-flight XRL.  Handlers may reply immediately
@@ -267,18 +249,7 @@ impl Responder {
         }
         match path {
             ReplyPath::Local => router.complete(el, seq, result),
-            remote => {
-                let transport = reply_transport(&remote).expect("remote reply path");
-                let _ = router.transport_write(
-                    el,
-                    transport,
-                    &Frame::Response {
-                        seq,
-                        result,
-                        priority,
-                    },
-                );
-            }
+            remote => router.write_response(el, &remote, seq, result, priority),
         }
     }
 
@@ -307,6 +278,11 @@ struct Pending {
     timer: Option<TimerHandle>,
     /// Retransmission copy of the request frame (remote vias only).
     frame: Option<Frame>,
+    /// The TCP connection the request was last written to: when that
+    /// connection dies, this is how [`XrlRouter::connection_closed`] finds
+    /// the requests that died with it (and not ones already moved to its
+    /// replacement).
+    conn: Option<Arc<TcpConn>>,
     /// Lane this entry is charged against in the overload accounting, when
     /// a [`QueuePolicy`] was active at send time and the send was data
     /// priority.  Priority and intra sends are never charged.  `Rc<str>`
@@ -338,7 +314,9 @@ enum DedupState {
 
 /// Fallback dedup retention when no [`RetryPolicy`] is configured: with no
 /// retransmissions possible from well-behaved senders, entries only need to
-/// outlive transit reordering.  Kept generous anyway — the cache is tiny.
+/// outlive transit reordering.  Kept generous to cover senders running the
+/// default policy — which is not free: eviction is by age alone, so at
+/// batch 1 a receiver holds 30 s × ~25k identities/s.
 const DEDUP_DEFAULT_WINDOW: Duration = Duration::from_secs(30);
 
 /// One registered method on a target: its interned slot is its index in
@@ -370,7 +348,7 @@ struct UdpPeerQueue {
 struct TcpState {
     listen_addr: Option<SocketAddr>,
     stop: Arc<AtomicBool>,
-    conns: HashMap<SocketAddr, SharedStream>,
+    conns: HashMap<SocketAddr, Arc<TcpConn>>,
 }
 
 struct UdpState {
@@ -431,6 +409,9 @@ struct RouterInner {
     shut_down: bool,
     /// Observability hooks, attached by [`XrlRouter::set_metrics`].
     metrics: Option<XrlMetrics>,
+    /// The TCP family's per-syscall histograms, shared with its listener
+    /// and reader threads (which start before a registry is attached).
+    tcp_metrics: SharedTcpMetrics,
 }
 
 /// The router's registry handles.  The `pending` gauge is maintained even
@@ -547,6 +528,7 @@ impl XrlRouter {
                 kill_handler: None,
                 shut_down: false,
                 metrics: None,
+                tcp_metrics: SharedTcpMetrics::default(),
             })),
         };
         el.set_slot::<XrlRouter>(router.clone());
@@ -567,11 +549,18 @@ impl XrlRouter {
     /// Attach a metrics registry.  The router reports outstanding requests
     /// (`xrl.pending`), charged lane depth (`xrl.lane_depth`), watermark
     /// crossings (`xrl.xoff_total`/`xrl.xon_total`), hard-cap sheds
-    /// (`xrl.shed_total`) and retransmissions (`xrl.retransmit_total`).
+    /// (`xrl.shed_total`), retransmissions (`xrl.retransmit_total`) and
+    /// the TCP family's frames per syscall (`xrl.frames_per_read`,
+    /// `xrl.frames_per_write`; the first registry attached keeps those).
     /// Scope the registry per process (`metrics.scoped("bgp")`) to keep
     /// routers apart.
     pub fn set_metrics(&self, metrics: &Metrics) {
-        self.inner.borrow_mut().metrics = Some(XrlMetrics {
+        let mut inner = self.inner.borrow_mut();
+        let _ = inner.tcp_metrics.set(TcpMetrics {
+            frames_per_read: metrics.histogram("xrl.frames_per_read"),
+            frames_per_write: metrics.histogram("xrl.frames_per_write"),
+        });
+        inner.metrics = Some(XrlMetrics {
             pending: metrics.gauge("xrl.pending"),
             lane_depth: metrics.gauge("xrl.lane_depth"),
             xoff: metrics.counter("xrl.xoff_total"),
@@ -807,8 +796,12 @@ impl XrlRouter {
             return Ok(t.listen_addr.expect("listener up"));
         }
         let stop = Arc::new(AtomicBool::new(false));
-        let addr = spawn_tcp_listener(inner.sender.clone(), stop.clone())
-            .map_err(|e| XrlError::Transport(format!("tcp listen: {e}")))?;
+        let addr = spawn_tcp_listener(
+            inner.sender.clone(),
+            stop.clone(),
+            inner.tcp_metrics.clone(),
+        )
+        .map_err(|e| XrlError::Transport(format!("tcp listen: {e}")))?;
         inner.tcp = Some(TcpState {
             listen_addr: Some(addr),
             stop,
@@ -1160,6 +1153,7 @@ impl XrlRouter {
                     attempt: 1,
                     timer: None,
                     frame: None,
+                    conn: None,
                     counted_lane: counted_lane.clone(),
                     priority,
                 },
@@ -1212,15 +1206,8 @@ impl XrlRouter {
                     priority,
                     trace: None,
                 };
-                match self.tcp_stream(addr) {
-                    Ok(stream) => {
-                        let transport: Rc<dyn Transport> =
-                            Rc::new(TcpTransport { stream, peer: addr });
-                        match self.transport_write(el, transport, &frame) {
-                            Ok(()) => self.arm_retry(el, seq, frame),
-                            Err(e) => self.write_failed(el, seq, Some(addr), frame, e),
-                        }
-                    }
+                match self.tcp_send(el, seq, addr, &frame) {
+                    Ok(()) => self.arm_retry(el, seq, frame),
                     Err(e) => self.write_failed(el, seq, Some(addr), frame, e),
                 }
             }
@@ -1408,6 +1395,7 @@ impl XrlRouter {
                     attempt: 1,
                     timer: None,
                     frame: None,
+                    conn: None,
                     counted_lane: counted_lane.clone(),
                     priority,
                 },
@@ -1457,15 +1445,8 @@ impl XrlRouter {
                     priority,
                     trace,
                 };
-                match self.tcp_stream(addr) {
-                    Ok(stream) => {
-                        let transport: Rc<dyn Transport> =
-                            Rc::new(TcpTransport { stream, peer: addr });
-                        match self.transport_write(el, transport, &frame) {
-                            Ok(()) => self.arm_retry(el, seq, frame),
-                            Err(e) => self.write_failed(el, seq, Some(addr), frame, e),
-                        }
-                    }
+                match self.tcp_send(el, seq, addr, &frame) {
+                    Ok(()) => self.arm_retry(el, seq, frame),
                     Err(e) => self.write_failed(el, seq, Some(addr), frame, e),
                 }
             }
@@ -1526,18 +1507,21 @@ impl XrlRouter {
     /// A dropped frame reports `Ok`: silent loss is precisely the failure
     /// mode being modelled, and the retry machinery (not the caller) is
     /// responsible for noticing.
-    fn transport_write(
+    fn transport_write<T: Transport>(
         &self,
         el: &mut EventLoop,
-        transport: Rc<dyn Transport>,
+        transport: &T,
         frame: &Frame,
     ) -> Result<(), XrlError> {
-        let actions = {
+        let decided = {
             let mut inner = self.inner.borrow_mut();
-            match inner.fault.as_mut() {
-                None => return transport.send_frame(frame),
-                Some(plan) => plan.decide(&transport.lane()),
-            }
+            inner
+                .fault
+                .as_mut()
+                .map(|plan| plan.decide(&transport.lane()))
+        };
+        let Some(actions) = decided else {
+            return transport.send_frame(el, frame);
         };
         let dropped = actions.contains(&FaultAction::Drop);
         let duplicate = actions.contains(&FaultAction::Duplicate);
@@ -1551,9 +1535,9 @@ impl XrlRouter {
         if !dropped {
             match delay {
                 None => {
-                    result = transport.send_frame(frame);
+                    result = transport.send_frame(el, frame);
                     if duplicate {
-                        let _ = transport.send_frame(frame);
+                        let _ = transport.send_frame(el, frame);
                     }
                 }
                 Some(d) => {
@@ -1561,24 +1545,63 @@ impl XrlRouter {
                     // anything sent meanwhile); a duplicate, if any, still
                     // goes now.
                     if duplicate {
-                        result = transport.send_frame(frame);
+                        result = transport.send_frame(el, frame);
                     }
                     let t = transport.clone();
                     let f = frame.clone();
-                    el.after(d, move |_el| {
-                        let _ = t.send_frame(&f);
+                    el.after(d, move |el| {
+                        let _ = t.send_frame(el, &f);
                     });
                 }
             }
         }
         if disconnect {
-            transport.sever();
+            transport.sever(el);
         }
         result
     }
 
+    /// Write the response to request `seq` back along `path`.  A lost
+    /// response is the requester's retry machinery's to notice.
+    fn write_response(
+        &self,
+        el: &mut EventLoop,
+        path: &ReplyPath,
+        seq: u64,
+        result: XrlResult,
+        priority: bool,
+    ) {
+        let frame = Frame::Response {
+            seq,
+            result,
+            priority,
+        };
+        let _ = match path {
+            ReplyPath::Local => Ok(()),
+            ReplyPath::Tcp(conn) => self.transport_write(el, conn, &frame),
+            ReplyPath::Udp(peer) => self.transport_write(el, peer, &frame),
+        };
+    }
+
+    /// Write request `seq`'s frame on the connection to `addr`, recording
+    /// the connection in the pending entry first: a frame lost with the
+    /// connection's out-buffer must be found by `connection_closed`.
+    fn tcp_send(
+        &self,
+        el: &mut EventLoop,
+        seq: u64,
+        addr: SocketAddr,
+        frame: &Frame,
+    ) -> Result<(), XrlError> {
+        let conn = self.tcp_conn(addr)?;
+        if let Some(p) = self.inner.borrow_mut().pending.get_mut(&seq) {
+            p.conn = Some(conn.clone());
+        }
+        self.transport_write(el, &conn, frame)
+    }
+
     /// Reuse or establish the TCP connection to `addr`.
-    fn tcp_stream(&self, addr: SocketAddr) -> Result<SharedStream, XrlError> {
+    fn tcp_conn(&self, addr: SocketAddr) -> Result<Arc<TcpConn>, XrlError> {
         let existing = {
             let inner = self.inner.borrow();
             let tcp = inner
@@ -1593,16 +1616,15 @@ impl XrlRouter {
                 let raw = TcpStream::connect(addr)
                     .map_err(|e| XrlError::Transport(format!("connect {addr}: {e}")))?;
                 let _ = raw.set_nodelay(true);
-                let sender = self.inner.borrow().sender.clone();
-                let shared = spawn_tcp_reader(raw, sender);
                 let mut inner = self.inner.borrow_mut();
+                let conn = spawn_tcp_reader(raw, inner.sender.clone(), inner.tcp_metrics.clone());
                 inner
                     .tcp
                     .as_mut()
                     .expect("tcp enabled")
                     .conns
-                    .insert(addr, shared.clone());
-                Ok(shared)
+                    .insert(addr, conn.clone());
+                Ok(conn)
             }
         }
     }
@@ -1636,8 +1658,7 @@ impl XrlRouter {
                 udp.socket.clone()
             }
         };
-        let transport: Rc<dyn Transport> = Rc::new(UdpTransport { socket, peer: addr });
-        self.transport_write(el, transport, &frame)
+        self.transport_write(el, &UdpTransport { socket, peer: addr }, &frame)
     }
 
     /// Arm the timeout for a just-sent (or just-queued) remote request,
@@ -1713,20 +1734,17 @@ impl XrlRouter {
                 }
                 let written = match via {
                     Via::Intra => Ok(()),
-                    Via::Tcp(addr) => self.tcp_stream(addr).and_then(|stream| {
-                        let t: Rc<dyn Transport> = Rc::new(TcpTransport { stream, peer: addr });
-                        self.transport_write(el, t, &frame)
-                    }),
+                    Via::Tcp(addr) => self.tcp_send(el, seq, addr, &frame),
                     Via::Udp(addr) => {
                         // Retransmit directly: the in-flight slot for this
                         // peer is already ours.
                         let socket = self.inner.borrow().udp.as_ref().map(|u| u.socket.clone());
                         match socket {
-                            Some(socket) => {
-                                let t: Rc<dyn Transport> =
-                                    Rc::new(UdpTransport { socket, peer: addr });
-                                self.transport_write(el, t, &frame)
-                            }
+                            Some(socket) => self.transport_write(
+                                el,
+                                &UdpTransport { socket, peer: addr },
+                                &frame,
+                            ),
                             None => Err(XrlError::Transport("udp family not enabled".into())),
                         }
                     }
@@ -1832,12 +1850,26 @@ impl XrlRouter {
 
     // ----- incoming ----------------------------------------------------------
 
-    /// Entry point for frames posted by transport reader threads.
+    /// Entry point for single frames posted by transport reader threads
+    /// (UDP datagrams, TCP priority frames).
     pub(crate) fn incoming_frame(el: &mut EventLoop, frame: Frame, reply: ReplyPath) {
-        let router = match el.slot::<XrlRouter>() {
-            Some(r) => r.clone(),
-            None => return,
-        };
+        if let Some(router) = el.slot::<XrlRouter>().cloned() {
+            router.handle_frame(el, frame, reply);
+        }
+    }
+
+    /// Entry point for a TCP reader's batch of bulk frames: one loop event
+    /// that runs every frame to completion, in arrival order, exactly as
+    /// if each had been posted alone.
+    pub(crate) fn incoming_batch(el: &mut EventLoop, frames: Vec<Frame>, conn: Arc<TcpConn>) {
+        if let Some(router) = el.slot::<XrlRouter>().cloned() {
+            for frame in frames {
+                router.handle_frame(el, frame, ReplyPath::Tcp(conn.clone()));
+            }
+        }
+    }
+
+    fn handle_frame(&self, el: &mut EventLoop, frame: Frame, reply: ReplyPath) {
         match frame {
             Frame::Request {
                 seq,
@@ -1849,11 +1881,11 @@ impl XrlRouter {
                 method_id,
                 priority,
                 trace,
-            } => router.dispatch(
+            } => self.dispatch(
                 el, seq, sender, &target, key, &path, args, method_id, reply, priority, trace,
             ),
-            Frame::Response { seq, result, .. } => router.complete(el, seq, result),
-            Frame::Kill { signal } => router.handle_kill(el, signal),
+            Frame::Response { seq, result, .. } => self.complete(el, seq, result),
+            Frame::Kill { signal } => self.handle_kill(el, signal),
         }
     }
 
@@ -1919,17 +1951,7 @@ impl XrlRouter {
             if let Some(result) = cached {
                 // Retransmission of an already-answered request: replay the
                 // cached response, don't re-run the handler.
-                if let Some(transport) = reply_transport(&reply) {
-                    let _ = self.transport_write(
-                        el,
-                        transport,
-                        &Frame::Response {
-                            seq,
-                            result,
-                            priority,
-                        },
-                    );
-                }
+                self.write_response(el, &reply, seq, result, priority);
                 return;
             }
         }
@@ -2041,8 +2063,7 @@ impl XrlRouter {
                 }
             }
         };
-        let transport: Rc<dyn Transport> = Rc::new(UdpTransport { socket, peer });
-        let _ = self.transport_write(el, transport, &frame);
+        let _ = self.transport_write(el, &UdpTransport { socket, peer }, &frame);
     }
 
     fn handle_kill(&self, el: &mut EventLoop, signal: u32) {
@@ -2067,12 +2088,8 @@ impl XrlRouter {
                     return Ok(());
                 }
                 Endpoint::Tcp(addr) => {
-                    let stream = self.tcp_stream(*addr)?;
-                    let t: Rc<dyn Transport> = Rc::new(TcpTransport {
-                        stream,
-                        peer: *addr,
-                    });
-                    return self.transport_write(el, t, &Frame::Kill { signal });
+                    let conn = self.tcp_conn(*addr)?;
+                    return self.transport_write(el, &conn, &Frame::Kill { signal });
                 }
                 Endpoint::Udp(addr) => {
                     let socket = {
@@ -2084,11 +2101,11 @@ impl XrlRouter {
                             .socket
                             .clone()
                     };
-                    let t: Rc<dyn Transport> = Rc::new(UdpTransport {
+                    let peer = UdpTransport {
                         socket,
                         peer: *addr,
-                    });
-                    return self.transport_write(el, t, &Frame::Kill { signal });
+                    };
+                    return self.transport_write(el, &peer, &Frame::Kill { signal });
                 }
                 Endpoint::Intra { .. } => {}
             }
@@ -2100,8 +2117,9 @@ impl XrlRouter {
 
     /// A TCP connection died: retry requests in flight on it (when a
     /// [`RetryPolicy`] allows — reconnecting transparently), else fail
-    /// them.
-    pub(crate) fn connection_closed(el: &mut EventLoop, stream: &SharedStream) {
+    /// them.  Reached from the connection's reader thread (EOF, reset) and
+    /// from a failed flush; whichever comes second finds nothing to do.
+    pub(crate) fn connection_closed(el: &mut EventLoop, conn: &Arc<TcpConn>) {
         let router = match el.slot::<XrlRouter>() {
             Some(r) => r.clone(),
             None => return,
@@ -2109,22 +2127,14 @@ impl XrlRouter {
         let (affected, retry_enabled) = {
             let mut inner = router.inner.borrow_mut();
             let retry_enabled = inner.retry.is_some();
-            let Some(tcp) = inner.tcp.as_mut() else {
-                return;
-            };
-            let dead: Vec<SocketAddr> = tcp
-                .conns
-                .iter()
-                .filter(|(_, s)| Arc::ptr_eq(s, stream))
-                .map(|(a, _)| *a)
-                .collect();
-            for a in &dead {
-                tcp.conns.remove(a);
+            if let Some(tcp) = inner.tcp.as_mut() {
+                // Evict it, unless a send already did and reconnected.
+                tcp.conns.retain(|_, c| !Arc::ptr_eq(c, conn));
             }
             let affected: Vec<(u64, bool)> = inner
                 .pending
                 .iter()
-                .filter(|(_, p)| matches!(p.via, Via::Tcp(a) if dead.contains(&a)))
+                .filter(|(_, p)| p.conn.as_ref().is_some_and(|c| Arc::ptr_eq(c, conn)))
                 .map(|(seq, p)| (*seq, p.frame.is_some()))
                 .collect();
             (affected, retry_enabled)
@@ -2133,7 +2143,7 @@ impl XrlRouter {
             if retry_enabled && has_frame {
                 // The dead connection is already evicted; each request's
                 // armed backoff timer will retransmit over a fresh one
-                // (tcp_stream reconnects on demand).  Retransmitting the
+                // (`tcp_conn` reconnects on demand).  Retransmitting the
                 // whole herd *here* would roll the fault dice for every
                 // pending request at once and cascade.
                 let unarmed = router
@@ -2284,13 +2294,17 @@ impl XrlRouter {
             self.fail_pending(el, seq, XrlError::TargetDied);
         }
 
+        // Frames buffered by the final turn (a reply sent just before the
+        // loop stopped) leave before the sockets close.
+        flush_dirty(el);
+
         // Stop transports.  The accept thread polls its stop flag, so no
         // wake-up connection is needed.
         let mut inner = self.inner.borrow_mut();
         if let Some(tcp) = inner.tcp.take() {
             tcp.stop.store(true, Ordering::SeqCst);
-            for (_, conn) in tcp.conns {
-                let _ = conn.lock().shutdown(std::net::Shutdown::Both);
+            for conn in tcp.conns.values() {
+                conn.close();
             }
         }
         if let Some(udp) = inner.udp.take() {

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use xorp_profiler::tracing::TraceContext;
-use xorp_xrl::marshal::Frame;
+use xorp_xrl::marshal::{read_frame, Frame, FrameDecoder, MAX_FRAME_LEN};
 use xorp_xrl::{AtomValue, Xrl, XrlArgs, XrlAtom};
 
 fn arb_trace() -> impl Strategy<Value = Option<TraceContext>> {
@@ -214,4 +214,120 @@ proptest! {
             prop_assert!(Frame::decode(bytes::Bytes::copy_from_slice(&body[..cut])).is_err());
         }
     }
+}
+
+/// A reader that hands out its bytes in pre-decided chunk sizes (cycled),
+/// never more than asked for — every way a socket can fragment a stream.
+struct Chunked {
+    data: Vec<u8>,
+    pos: usize,
+    sizes: Vec<usize>,
+    turn: usize,
+}
+
+impl std::io::Read for Chunked {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let size = self.sizes[self.turn % self.sizes.len()];
+        self.turn += 1;
+        let n = size.min(buf.len()).min(self.data.len() - self.pos);
+        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// Drain a stream through the incremental decoder: every body it yields,
+/// and how the stream ended.
+fn decode_stream(decoder: &mut FrameDecoder, r: &mut impl std::io::Read) -> (Vec<Vec<u8>>, bool) {
+    let mut bodies = Vec::new();
+    loop {
+        loop {
+            match decoder.next_frame() {
+                Ok(Some(body)) => bodies.push(body.to_vec()),
+                Ok(None) => break,
+                Err(_) => return (bodies, false),
+            }
+        }
+        match decoder.fill(r) {
+            Ok(0) => return (bodies, true),
+            Ok(_) => {}
+            Err(_) => return (bodies, false),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// However the stream is chunked — 1-byte reads, reads that end inside
+    /// a length header, a frame several times the decoder's buffer — the
+    /// incremental decoder yields exactly the bodies `read_frame` yields
+    /// on the same bytes, and sees a clean end of stream.
+    #[test]
+    fn incremental_decoder_matches_read_frame(
+        bodies in proptest::collection::vec(
+            prop_oneof![
+                8 => proptest::collection::vec(any::<u8>(), 0..120),
+                1 => proptest::collection::vec(any::<u8>(), 600..2000),
+            ],
+            0..12,
+        ),
+        sizes in proptest::collection::vec(
+            prop_oneof![3 => 1usize..4, 2 => 1usize..64, 1 => 64usize..4096],
+            1..8,
+        ),
+        capacity in 4usize..512,
+    ) {
+        let mut stream = Vec::new();
+        for b in &bodies {
+            stream.extend_from_slice(&(b.len() as u32).to_be_bytes());
+            stream.extend_from_slice(b);
+        }
+        let mut cursor = std::io::Cursor::new(stream.clone());
+        let mut expected = Vec::new();
+        while let Ok(body) = read_frame(&mut cursor) {
+            expected.push(body.to_vec());
+        }
+        prop_assert_eq!(&expected, &bodies);
+
+        let mut decoder = FrameDecoder::with_capacity(capacity);
+        let mut r = Chunked { data: stream, pos: 0, sizes, turn: 0 };
+        let (got, clean_eof) = decode_stream(&mut decoder, &mut r);
+        prop_assert!(clean_eof);
+        prop_assert_eq!(got, expected);
+    }
+}
+
+/// A length header above the 64 MiB cap fails the stream on the header
+/// alone: the decoder's buffer is exactly as small as it was built, and
+/// the frames ahead of the bad header were still delivered.
+#[test]
+fn oversized_length_header_rejected_without_allocating() {
+    let good = Frame::Kill { signal: 9 }.encode().to_vec();
+    let mut stream = good.clone();
+    stream.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_be_bytes());
+    stream.extend_from_slice(&[0u8; 32]);
+
+    let mut decoder = FrameDecoder::with_capacity(64);
+    let mut r = Chunked {
+        data: stream.clone(),
+        pos: 0,
+        sizes: vec![7],
+        turn: 0,
+    };
+    let (got, clean_eof) = decode_stream(&mut decoder, &mut r);
+    assert_eq!(got, vec![good[4..].to_vec()]);
+    assert!(!clean_eof, "the oversized header must fail the stream");
+    assert_eq!(decoder.buffer_len(), 64, "rejected before any growth");
+    // The blocking reader draws the same line.
+    let mut cursor = std::io::Cursor::new(stream);
+    assert!(read_frame(&mut cursor).is_ok());
+    assert!(read_frame(&mut cursor).is_err());
+
+    // At the cap itself the header is accepted (and only then is room
+    // made): the decoder asks for more bytes instead of failing.
+    let mut at_cap = FrameDecoder::with_capacity(64);
+    let mut header = std::io::Cursor::new((MAX_FRAME_LEN as u32).to_be_bytes().to_vec());
+    assert_eq!(at_cap.fill(&mut header).unwrap(), 4);
+    assert!(matches!(at_cap.next_frame(), Ok(None)));
 }

@@ -1,0 +1,462 @@
+//! The TCP family's batching contract, checked from outside.  A raw socket
+//! stands in for the peer, so every byte on the wire is visible; the
+//! router's loop runs on a virtual clock and is stepped one event at a
+//! time, so every turn is visible too — and no timer can fire unless the
+//! test advances time.  Cross-thread progress (a reader thread having
+//! decoded what was written) is awaited on the transport's own
+//! `xrl.frames_per_read` histogram, never slept for.
+
+use std::cell::RefCell;
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
+use std::rc::Rc;
+use std::time::{Duration, Instant};
+
+use xorp_event::{EventLoop, Time};
+use xorp_profiler::{MetricValue, Metrics};
+use xorp_xrl::finder::Endpoint;
+use xorp_xrl::marshal::{read_frame, Frame};
+use xorp_xrl::{FaultConfig, Finder, RetryPolicy, Xrl, XrlArgs, XrlError, XrlResult, XrlRouter};
+
+const TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Spin (running no loop) until another thread has made `cond` true.
+fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + TIMEOUT;
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
+}
+
+/// `(count, sum)` of a histogram: syscalls made, frames they carried.
+fn histogram(metrics: &Metrics, name: &str) -> (u64, u64) {
+    match metrics.get(name) {
+        Some(MetricValue::Histogram(h)) => (h.count, h.sum),
+        other => panic!("{name}: {other:?}"),
+    }
+}
+
+fn gauge(metrics: &Metrics, name: &str) -> i64 {
+    match metrics.get(name) {
+        Some(MetricValue::Gauge { value, .. }) => value,
+        other => panic!("{name}: {other:?}"),
+    }
+}
+
+fn note_frame(key: [u8; 16], seq: u64, i: u32, priority: bool) -> Vec<u8> {
+    Frame::Request {
+        seq,
+        sender: 4242,
+        target: "sink-0".into(),
+        key,
+        path: "sink/1.0/note".into(),
+        args: XrlArgs::new().add_u32("i", i),
+        method_id: None,
+        priority,
+        trace: None,
+    }
+    .encode()
+    .to_vec()
+}
+
+/// A router whose `sink/1.0/note` handler logs its argument, fed by a raw
+/// socket the test writes encoded frames into.
+struct Receiving {
+    el: EventLoop,
+    metrics: Metrics,
+    log: Rc<RefCell<Vec<u32>>>,
+    key: [u8; 16],
+    wire: TcpStream,
+}
+
+fn receiving() -> Receiving {
+    let finder = Finder::new();
+    let mut el = EventLoop::new_virtual();
+    let metrics = Metrics::new();
+    let router = XrlRouter::new(&mut el, finder.clone());
+    let addr = router.enable_tcp().unwrap();
+    router.set_metrics(&metrics);
+    router.register_target("sink", "sink-0", true).unwrap();
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let l = log.clone();
+    router.add_fn("sink-0", "sink/1.0/note", move |_el, args| {
+        l.borrow_mut().push(args.get_u32("i")?);
+        Ok(XrlArgs::new())
+    });
+    let key = finder
+        .resolve("anonymous", "sink-0", "sink/1.0/note")
+        .unwrap()
+        .key;
+    let wire = TcpStream::connect(addr).unwrap();
+    // Registration made the Finder post cache invalidations; with those
+    // out of the way, every event the tests step through is a frame's.
+    el.run_until_idle();
+    Receiving {
+        el,
+        metrics,
+        log,
+        key,
+        wire,
+    }
+}
+
+impl Receiving {
+    /// Write `bytes` in one `write` and wait until the reader thread has
+    /// decoded (and so posted) `total` frames in all.
+    fn feed(&mut self, bytes: &[u8], total: u64) {
+        self.wire.write_all(bytes).unwrap();
+        wait_until("the reader to decode the stream", || {
+            histogram(&self.metrics, "xrl.frames_per_read").1 == total
+        });
+    }
+}
+
+const PRIORITY_MARK: u32 = 1_000_000;
+
+/// Bulk frames keep their order through batching, priority frames keep
+/// theirs, and no loop event carries more than 64 frames.
+#[test]
+fn order_is_preserved_with_priority_frames_interleaved() {
+    let mut rx = receiving();
+    let mut stream = Vec::new();
+    let mut priorities = 0;
+    for i in 0..200u32 {
+        if [10, 100, 150].contains(&i) {
+            stream.extend(note_frame(
+                rx.key,
+                1000 + i as u64,
+                PRIORITY_MARK + priorities,
+                true,
+            ));
+            priorities += 1;
+        }
+        stream.extend(note_frame(rx.key, i as u64, i, false));
+    }
+    rx.feed(&stream, 203);
+
+    let mut largest_event = 0;
+    loop {
+        let before = rx.log.borrow().len();
+        if !rx.el.run_one() {
+            break;
+        }
+        largest_event = largest_event.max(rx.log.borrow().len() - before);
+    }
+    assert!(
+        largest_event <= 64,
+        "one event ran {largest_event} frames; the batch cap is 64"
+    );
+    let log = rx.log.borrow();
+    let (pri, bulk): (Vec<u32>, Vec<u32>) = log.iter().partition(|&&i| i >= PRIORITY_MARK);
+    assert_eq!(bulk, (0..200).collect::<Vec<_>>());
+    assert_eq!(pri, (0..3).map(|p| PRIORITY_MARK + p).collect::<Vec<_>>());
+    // Everything was posted before the loop ran, so the priority lane
+    // drained first: the keepalives overtook the whole backlog.
+    assert!(
+        log[..3].iter().all(|&i| i >= PRIORITY_MARK),
+        "{:?}",
+        &log[..8]
+    );
+}
+
+/// A priority frame that arrives while the loop is inside a bulk batch is
+/// handled as soon as that batch ends — ahead of every batch still queued.
+#[test]
+fn priority_frame_waits_behind_at_most_one_batch() {
+    let mut rx = receiving();
+    let mut stream = Vec::new();
+    for i in 0..200u32 {
+        stream.extend(note_frame(rx.key, i as u64, i, false));
+    }
+    rx.feed(&stream, 200);
+
+    // The loop takes the first batch...
+    assert!(rx.el.run_one());
+    let first_batch = rx.log.borrow().len();
+    assert!(
+        (1..=64).contains(&first_batch),
+        "first batch ran {first_batch}"
+    );
+    // ...and while it was "inside" it, a keepalive arrived.
+    let keepalive = note_frame(rx.key, 9999, PRIORITY_MARK, true);
+    rx.feed(&keepalive, 201);
+    while rx.log.borrow().last() != Some(&PRIORITY_MARK) {
+        assert!(rx.el.run_one(), "keepalive never ran");
+    }
+    assert_eq!(
+        rx.log.borrow().len(),
+        first_batch + 1,
+        "bulk frames ran between the batch in progress and the keepalive"
+    );
+    rx.el.run_until_idle();
+    assert_eq!(rx.log.borrow().len(), 201);
+}
+
+/// A router whose only peer is a raw listener registered with the Finder
+/// by hand: what the router writes, the test reads byte for byte.
+struct Sending {
+    el: EventLoop,
+    router: XrlRouter,
+    metrics: Metrics,
+    listener: TcpListener,
+    results: Rc<RefCell<Vec<(u32, XrlResult)>>>,
+}
+
+fn sending(retry: Option<RetryPolicy>) -> Sending {
+    let finder = Finder::new();
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let endpoint = Endpoint::Tcp(listener.local_addr().unwrap());
+    finder
+        .register("peer", "peer-0", vec![endpoint], true)
+        .unwrap();
+    let mut el = EventLoop::new_virtual();
+    let metrics = Metrics::new();
+    el.set_metrics(&metrics);
+    let router = XrlRouter::new(&mut el, finder);
+    router.enable_tcp().unwrap();
+    router.set_metrics(&metrics);
+    router.set_retry_policy(retry);
+    router.register_target("me", "me-0", true).unwrap();
+    el.run_until_idle(); // the Finder's cache invalidations (see `receiving`)
+    Sending {
+        el,
+        router,
+        metrics,
+        listener,
+        results: Rc::new(RefCell::new(Vec::new())),
+    }
+}
+
+impl Sending {
+    fn send(&mut self, i: u32, priority: bool) {
+        let xrl: Xrl = format!("finder://peer/peer/1.0/poke?i:u32={i}")
+            .parse()
+            .unwrap();
+        let results = self.results.clone();
+        let cb = Box::new(move |_el: &mut EventLoop, r: XrlResult| {
+            results.borrow_mut().push((i, r));
+        });
+        if priority {
+            self.router.send_priority(&mut self.el, xrl, cb);
+        } else {
+            self.router.send(&mut self.el, xrl, cb);
+        }
+    }
+
+    fn accept(&self) -> TcpStream {
+        let (stream, _) = self.listener.accept().unwrap();
+        stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+        stream
+    }
+
+    fn writes(&self) -> (u64, u64) {
+        histogram(&self.metrics, "xrl.frames_per_write")
+    }
+}
+
+/// Read one request off the wire: `(seq, i, priority)`.
+fn read_poke(wire: &mut TcpStream) -> (u64, u32, bool) {
+    match Frame::decode(read_frame(wire).unwrap()).unwrap() {
+        Frame::Request {
+            seq,
+            args,
+            priority,
+            ..
+        } => (seq, args.get_u32("i").unwrap(), priority),
+        other => panic!("expected a request, read {other:?}"),
+    }
+}
+
+/// One request on an idle connection: nothing is written inside the send,
+/// exactly one loop event later it is on the wire, and that event was not
+/// a timer — virtual time never moved and nothing else is runnable.
+#[test]
+fn lone_request_is_written_in_the_same_turn_with_no_timer() {
+    let mut tx = sending(None);
+    tx.send(7, false);
+    assert_eq!(tx.writes(), (0, 0), "written before the turn ended");
+    assert!(tx.el.run_one(), "the turn's flush was not scheduled");
+    assert_eq!(tx.writes(), (1, 1));
+    // (Held open to the end: its close would post an event of its own.)
+    let mut wire = tx.accept();
+    assert_eq!(read_poke(&mut wire).1, 7);
+    assert!(!tx.el.run_one(), "something beyond the flush was runnable");
+    assert_eq!(tx.el.now(), Time::ZERO);
+}
+
+/// A turn's frames leave in FIFO order in one write; a priority frame
+/// flushes at once, carrying the bulk frames queued ahead of it.
+#[test]
+fn one_write_per_turn_and_priority_flushes_immediately() {
+    let mut tx = sending(None);
+    tx.send(0, false);
+    tx.send(1, false);
+    tx.send(2, true);
+    assert_eq!(tx.writes(), (1, 3), "the priority frame did not flush");
+    tx.send(3, false);
+    tx.send(4, false);
+    assert_eq!(tx.writes(), (1, 3));
+    assert!(tx.el.run_one());
+    assert_eq!(
+        tx.writes(),
+        (2, 5),
+        "the turn's tail did not share one write"
+    );
+
+    let mut wire = tx.accept();
+    let seen: Vec<(u32, bool)> = (0..5)
+        .map(|_| read_poke(&mut wire))
+        .map(|(_, i, p)| (i, p))
+        .collect();
+    assert_eq!(
+        seen,
+        vec![(0, false), (1, false), (2, true), (3, false), (4, false)]
+    );
+}
+
+/// Put one request in flight, then reset the connection under it and
+/// buffer five more behind the dead socket without running the loop.
+/// (The listener stays open, so a retransmission can reconnect.)
+fn sever_with_frames_buffered(tx: &mut Sending) {
+    tx.send(0, false);
+    tx.el.run_until_idle();
+    assert_eq!(tx.writes(), (1, 1));
+    // Closing with the request unread makes the kernel reset the
+    // connection instead of closing it gracefully.
+    drop(tx.accept());
+    // The reader thread noticing (its close event sits queued, the loop
+    // is not running) means the reset has landed: writes now fail.
+    wait_until("the reset to reach the sender", || {
+        gauge(&tx.metrics, "event.bulk_depth") >= 1
+    });
+    for i in 1..=5 {
+        tx.send(i, false);
+    }
+    assert_eq!(
+        tx.writes(),
+        (1, 1),
+        "buffered frames must wait for the flush"
+    );
+    assert_eq!(tx.router.pending_len(), 6);
+}
+
+/// Without a retry policy, a failed flush fails everything outstanding on
+/// the connection with `TargetDied` — through `connection_closed`, within
+/// the turn, while the reader thread's own close event is still queued.
+#[test]
+fn failed_flush_fails_pending_requests_without_retry() {
+    let mut tx = sending(None);
+    sever_with_frames_buffered(&mut tx);
+    assert!(tx.el.run_one()); // the flush: fails, schedules the close
+    assert!(tx.el.run_one()); // connection_closed
+    assert!(
+        gauge(&tx.metrics, "event.bulk_depth") >= 1,
+        "the reader's close event ran first; the flush path went untested"
+    );
+    let mut failed: Vec<u32> = tx
+        .results
+        .borrow()
+        .iter()
+        .map(|(i, r)| {
+            assert_eq!(r, &Err(XrlError::TargetDied), "request {i}");
+            *i
+        })
+        .collect();
+    failed.sort_unstable();
+    assert_eq!(failed, (0..=5).collect::<Vec<_>>());
+    assert_eq!(tx.router.pending_len(), 0);
+    // The reader's late close finds nothing left to do.
+    tx.el.run_until_idle();
+    assert_eq!(tx.results.borrow().len(), 6);
+}
+
+/// With a retry policy the same failure costs nothing but time: requests
+/// stay pending on their armed timers and are retransmitted — same
+/// sequence numbers — over a fresh connection.
+#[test]
+fn failed_flush_leaves_pending_requests_to_their_retry_timers() {
+    let mut tx = sending(Some(RetryPolicy {
+        max_attempts: 4,
+        base_timeout: Duration::from_millis(50),
+        max_timeout: Duration::from_millis(200),
+    }));
+    sever_with_frames_buffered(&mut tx);
+    tx.el.run_until_idle();
+    assert!(tx.results.borrow().is_empty(), "{:?}", tx.results.borrow());
+    assert_eq!(tx.router.pending_len(), 6);
+
+    // Virtual time reaches the first backoff: every request is
+    // retransmitted, reconnecting on demand.
+    tx.el.run_for(Duration::from_millis(60));
+    let mut wire = tx.accept();
+    let mut pokes: Vec<(u64, u32, bool)> = (0..6).map(|_| read_poke(&mut wire)).collect();
+    pokes.sort_unstable();
+    assert_eq!(
+        pokes.iter().map(|p| p.1).collect::<Vec<_>>(),
+        (0..=5).collect::<Vec<_>>()
+    );
+    let mut replies = Vec::new();
+    for (seq, _, _) in &pokes {
+        let reply = Frame::Response {
+            seq: *seq,
+            result: Ok(XrlArgs::new()),
+            priority: false,
+        };
+        replies.extend_from_slice(&reply.encode());
+    }
+    wire.write_all(&replies).unwrap();
+    wait_until("the replies to be decoded", || {
+        histogram(&tx.metrics, "xrl.frames_per_read").1 >= 6
+    });
+    tx.el.run_until_idle();
+    assert_eq!(tx.results.borrow().len(), 6);
+    assert!(tx.results.borrow().iter().all(|(_, r)| r.is_ok()));
+    assert_eq!(tx.router.pending_len(), 0);
+}
+
+/// The `Disconnect` fault acts per frame, before buffering: the frame it
+/// rode on (and everything buffered ahead of it) is written, the peer sees
+/// the connection end, the reply already owed still gets back, and the
+/// next send reconnects.
+#[test]
+fn disconnect_fault_delivers_then_severs() {
+    let mut tx = sending(Some(RetryPolicy::default()));
+    tx.router.set_fault_plan(FaultConfig {
+        seed: 1,
+        drop: 0.0,
+        duplicate: 0.0,
+        delay: 0.0,
+        delay_ms: (0, 0),
+        disconnect: 1.0,
+    });
+    tx.send(0, false);
+    tx.el.run_until_idle();
+    tx.send(1, false);
+    tx.el.run_until_idle();
+
+    // Each request severed the connection it travelled on, so each got a
+    // connection of its own: one frame, then end of stream.
+    let mut first = tx.accept();
+    let (seq, i, _) = read_poke(&mut first);
+    assert_eq!(i, 0);
+    assert!(
+        read_frame(&mut first).is_err(),
+        "the peer never saw the sever"
+    );
+    let mut second = tx.accept();
+    assert_eq!(read_poke(&mut second).1, 1);
+
+    // The severed side still hears the reply to what it delivered.
+    let reply = Frame::Response {
+        seq,
+        result: Ok(XrlArgs::new()),
+        priority: false,
+    };
+    first.write_all(&reply.encode()).unwrap();
+    wait_until("the reply to be decoded", || {
+        histogram(&tx.metrics, "xrl.frames_per_read").1 >= 1
+    });
+    tx.el.run_until_idle();
+    assert_eq!(*tx.results.borrow(), vec![(0, Ok(XrlArgs::new()))]);
+}
