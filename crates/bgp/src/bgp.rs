@@ -21,7 +21,7 @@ use crate::decision::DecisionStage;
 use crate::deletion::{DeletionStage, DeletionTableSource};
 use crate::fanout::{dump_transform, FanoutQueue, ReaderId};
 use crate::filter::FilterStage;
-use crate::nexthop::{NexthopResolver, NexthopService};
+use crate::nexthop::{NexthopResolver, NexthopService, RangeCache};
 use crate::peer_in::{PeerIn, PeerTableSource};
 use crate::peer_out::{PeerOut, UpdateWriter};
 use crate::{BgpRoute, PeerId};
@@ -112,6 +112,9 @@ where
 {
     config: BgpConfig,
     service: Rc<dyn NexthopService<A>>,
+    /// RIB answers about nexthop ranges, shared by every peering's
+    /// resolver stage.
+    nexthop_cache: Rc<RefCell<RangeCache<A>>>,
     decision: Rc<RefCell<DecisionStage<A>>>,
     fanout: Rc<RefCell<FanoutQueue<A>>>,
     peers: HashMap<PeerId, PeerBranch<A>>,
@@ -138,6 +141,7 @@ where
         BgpProcess {
             config,
             service,
+            nexthop_cache: Rc::new(RefCell::new(RangeCache::new())),
             decision,
             fanout,
             peers: HashMap::new(),
@@ -277,7 +281,11 @@ where
         // ---- input branch: PeerIn → [Damping] → ImportFilter → Resolver
         let peer_in = stage_ref(PeerIn::new(peer, self.config.local_as));
         let import = stage_ref(FilterStage::new(format!("import[{}]", peer.0), cfg.import));
-        let resolver = stage_ref(NexthopResolver::new(peer, self.service.clone()));
+        let resolver = stage_ref(NexthopResolver::new(
+            peer,
+            self.service.clone(),
+            self.nexthop_cache.clone(),
+        ));
         NexthopResolver::attach(&resolver);
         import.borrow_mut().set_downstream(resolver.clone());
         resolver.borrow_mut().set_downstream(self.decision.clone());

@@ -12,6 +12,12 @@
 //! resolver caches them in a balanced tree ([`RangeCache`]) of
 //! non-overlapping ranges, and the RIB sends invalidation messages when a
 //! handed-out range changes.
+//!
+//! There is one resolver stage per peering but one answer cache per
+//! process (as XORP's `NextHopResolver` has): an answer is about the RIB,
+//! not about the peer that happened to ask, so a peering whose nexthop
+//! falls in a range another peering already learned resolves at once
+//! instead of parking its routes for a round trip.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -119,7 +125,8 @@ struct Held<A: Addr> {
 pub struct NexthopResolver<A: Addr> {
     peer: PeerId,
     service: Rc<dyn NexthopService<A>>,
-    cache: RangeCache<A>,
+    /// The process-wide answer cache, shared with every other resolver.
+    cache: Rc<RefCell<RangeCache<A>>>,
     held: BTreeMap<Prefix<A>, Held<A>>,
     by_nexthop: BTreeMap<A, BTreeSet<Prefix<A>>>,
     pending_requests: BTreeSet<A>,
@@ -129,12 +136,17 @@ pub struct NexthopResolver<A: Addr> {
 }
 
 impl<A: Addr> NexthopResolver<A> {
-    /// Build a resolver for `peer` backed by `service`.
-    pub fn new(peer: PeerId, service: Rc<dyn NexthopService<A>>) -> Self {
+    /// Build a resolver for `peer` backed by `service`, caching answers in
+    /// `cache` (one per process; see the module docs).
+    pub fn new(
+        peer: PeerId,
+        service: Rc<dyn NexthopService<A>>,
+        cache: Rc<RefCell<RangeCache<A>>>,
+    ) -> Self {
         NexthopResolver {
             peer,
             service,
-            cache: RangeCache::new(),
+            cache,
             held: BTreeMap::new(),
             by_nexthop: BTreeMap::new(),
             pending_requests: BTreeSet::new(),
@@ -173,7 +185,7 @@ impl<A: Addr> NexthopResolver<A> {
 
     /// Cached answer ranges.
     pub fn cache_len(&self) -> usize {
-        self.cache.len()
+        self.cache.borrow().len()
     }
 
     fn view(&self, net: &Prefix<A>) -> Option<BgpRoute<A>> {
@@ -199,7 +211,8 @@ impl<A: Addr> NexthopResolver<A> {
     /// Re-derive a held route's state from the cache; requests resolution
     /// when unknown.  Returns whether a request must be issued for `nh`.
     fn classify(&mut self, nh: A) -> (HeldState, bool) {
-        match self.cache.lookup(nh) {
+        let cached = self.cache.borrow().lookup(nh);
+        match cached {
             Some(Some(m)) => (HeldState::Resolved(m), false),
             Some(None) => (HeldState::Unreachable, false),
             None => (HeldState::Waiting, self.pending_requests.insert(nh)),
@@ -229,7 +242,7 @@ impl<A: Addr> NexthopResolver<A> {
     ) {
         let (diffs, downstream, origin) = {
             let mut s = me.borrow_mut();
-            s.cache.insert(ans.valid, ans.metric);
+            s.cache.borrow_mut().insert(ans.valid, ans.metric);
             s.pending_requests
                 .retain(|nh| !ans.valid.contains_addr(*nh));
             let affected: Vec<Prefix<A>> = s
@@ -280,8 +293,8 @@ impl<A: Addr> NexthopResolver<A> {
     /// fresh answer arrives.
     pub fn invalidate(el: &mut EventLoop, me: &Rc<RefCell<NexthopResolver<A>>>, range: Prefix<A>) {
         let requests: Vec<A> = {
-            let mut s = me.borrow_mut();
-            s.cache.remove_overlapping(&range);
+            let s = me.borrow();
+            s.cache.borrow_mut().remove_overlapping(&range);
             s.by_nexthop
                 .keys()
                 .filter(|nh| range.contains_addr(**nh))
@@ -537,7 +550,11 @@ mod tests {
     fn rig(entries: &[(&str, Option<u32>)]) -> Rig {
         let el = EventLoop::new_virtual();
         let service = TestService::new(entries);
-        let resolver = stage_ref(NexthopResolver::new(PeerId(1), service.clone()));
+        let resolver = stage_ref(NexthopResolver::new(
+            PeerId(1),
+            service.clone(),
+            Rc::new(RefCell::new(RangeCache::new())),
+        ));
         NexthopResolver::attach(&resolver);
         let cache = stage_ref(CacheStage::new("nh-out"));
         let sink = stage_ref(SinkStage::new());
@@ -603,6 +620,37 @@ mod tests {
         r.send(add(route("20.0.0.0/8", "192.168.200.200")));
         assert_eq!(r.service.requests.get(), 1); // cache hit
         assert_eq!(r.sink.borrow().table.len(), 2);
+    }
+
+    /// The answer cache belongs to the process, not the peering: a second
+    /// peering whose nexthop lies in a range the first already learned
+    /// passes its routes straight through — no request, and nothing parked
+    /// that a withdrawal could overtake before the RIB replies.
+    #[test]
+    fn second_peering_resolves_from_the_shared_cache() {
+        let mut r = rig(&[("192.168.0.0/16", Some(7))]);
+        r.send(add(route("10.0.0.0/8", "192.168.1.1")));
+        assert_eq!(r.service.requests.get(), 1);
+
+        let cache = r.resolver.borrow().cache.clone();
+        let other = stage_ref(NexthopResolver::new(PeerId(2), r.service.clone(), cache));
+        NexthopResolver::attach(&other);
+        let sink = stage_ref(SinkStage::new());
+        other.borrow_mut().set_downstream(sink.clone());
+        // Were it to ask, the answer would not come.
+        r.service.defer.set(true);
+        let op = add(route("20.0.0.0/8", "192.168.200.200"));
+        NexthopResolver::route_op_rc(&mut r.el, &other, OriginId(2), op);
+        assert_eq!(r.service.requests.get(), 1);
+        assert_eq!(other.borrow().waiting_count(), 0);
+        assert_eq!(
+            sink.borrow().table[&"20.0.0.0/8".parse().unwrap()].metric,
+            7
+        );
+
+        // An invalidation through either peering evicts it for both.
+        NexthopResolver::invalidate(&mut r.el, &other, "192.168.0.0/16".parse().unwrap());
+        assert_eq!(r.resolver.borrow().cache_len(), 0);
     }
 
     #[test]

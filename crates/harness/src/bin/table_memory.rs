@@ -113,6 +113,18 @@ fn main() {
         bgp.best_count(),
         rib.route_count()
     );
+    // The RIB row is everything that grows with the table: the origin
+    // tables (the only copy of each route) plus what the stages below
+    // them index it with.
+    let origin_mb = rib.origin_bytes() as f64 / 1e6;
+    println!(
+        "rib = origin tables {:.1} MB + stage indexes {:.1} MB \
+         (ExtInt internal mirror and per-nexthop prefix sets, Register prefix set; \
+         {:.0} B/route)",
+        origin_mb,
+        rib_mb - origin_mb,
+        (rib_mb - origin_mb) * 1e6 / rib.route_count() as f64
+    );
     // The fanout stage after the shadow-table removal: its heap cost is
     // queue + reader bookkeeping only.  The per-route mirror it used to
     // keep (a BTreeMap<Prefix, BgpRoute> of every best route) would cost

@@ -55,6 +55,24 @@ impl<T: HeapSize> HeapSize for std::sync::Arc<T> {
     }
 }
 
+impl<T: HeapSize> HeapSize for std::collections::BTreeSet<T> {
+    /// The standard B-tree does not expose its nodes, so this is a model
+    /// of it: leaves of 11 keys plus a 16-byte header, charged as
+    /// two-thirds full (where random insertion settles; in-order insertion
+    /// leaves them half full), and one internal node of twelve child
+    /// pointers per seven leaves.
+    fn heap_size(&self) -> usize {
+        const KEYS: usize = 11;
+        const FILL: usize = KEYS * 2 / 3;
+        let leaf = KEYS * std::mem::size_of::<T>() + 16;
+        let leaves = self.len().div_ceil(FILL);
+        let internal = leaves / FILL;
+        leaves * leaf
+            + internal * (leaf + (KEYS + 1) * std::mem::size_of::<usize>())
+            + self.iter().map(HeapSize::heap_size).sum::<usize>()
+    }
+}
+
 macro_rules! zero_heap {
     ($($t:ty),* $(,)?) => {
         $(impl HeapSize for $t {

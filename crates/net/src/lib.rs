@@ -15,11 +15,14 @@
 //!   and the trie is mutated underneath them (§5.3).
 //! * [`HeapSize`] — byte accounting used to reproduce the paper's memory
 //!   footprint claims (§5).
+//! * [`FxHashMap`] / [`FxHashSet`] — hash collections for keys the program
+//!   mints itself, where SipHash's collision defence buys nothing.
 
 pub mod addr;
 pub mod aspath;
 pub mod attrs;
 pub mod error;
+pub mod fxhash;
 pub mod heapsize;
 pub mod patricia;
 pub mod prefix;
@@ -29,6 +32,7 @@ pub use addr::{Addr, Mac};
 pub use aspath::{AsNum, AsPath, AsPathSegment};
 pub use attrs::{Community, MedMetric, Origin, PathAttributes};
 pub use error::NetError;
+pub use fxhash::{FxHashMap, FxHashSet};
 pub use heapsize::HeapSize;
 pub use patricia::{IterHandle, PatriciaTrie};
 pub use prefix::{Ipv4Net, Ipv6Net, Prefix};

@@ -16,15 +16,20 @@
 //! ```
 //!
 //! * [`OriginTable`] — the only stages that store routes; one per protocol.
+//!   Every stage below answers `lookup_route` by asking upstream, so a
+//!   route is fetched from here, never copied along the way.
 //! * [`MergeStage`] — stateless pairwise arbitration on administrative
 //!   distance ("this single metric allows more distributed
 //!   decision-making, which we prefer").
 //! * [`ExtIntStage`] — composes external (EGP) routes with internal (IGP)
-//!   routes, resolving external nexthops against the internal table.
+//!   routes.  Resolution state is per *nexthop* (its egress interface and
+//!   the prefixes using it), not per route; the one table it keeps is the
+//!   merged internal side, O(IGP routes), for longest-match resolution.
 //! * [`RedistStage`] — programmable policy filters redistributing a route
 //!   subset to other protocols (§5.2, §8.3).
 //! * [`RegisterStage`] — interest registration with
-//!   largest-enclosing-non-overlaid-subnet answers (§5.2.1, Figure 8).
+//!   largest-enclosing-non-overlaid-subnet answers (§5.2.1, Figure 8),
+//!   computed over a payload-free trie of the final table's prefixes.
 //!
 //! [`Rib`] wires the network together and is the façade a RIB "process"
 //! exposes over XRLs.

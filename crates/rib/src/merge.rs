@@ -12,10 +12,8 @@
 //! "calls upstream through the pipeline" discipline of §5.1.  This is what
 //! lets the paper claim routes live only in origin stages.
 
-use std::collections::HashSet;
-
 use xorp_event::EventLoop;
-use xorp_net::{Addr, Prefix};
+use xorp_net::{Addr, FxHashSet, Prefix};
 use xorp_stages::{OriginId, RouteOp, Stage, StageRef};
 
 use crate::{better, RibRoute};
@@ -26,10 +24,10 @@ pub struct MergeStage<A: Addr> {
     /// Side A upstream and the origin ids that arrive through it.  Side A
     /// wins ties.
     a: StageRef<A, RibRoute<A>>,
-    a_origins: HashSet<OriginId>,
+    a_origins: FxHashSet<OriginId>,
     /// Side B upstream.
     b: StageRef<A, RibRoute<A>>,
-    b_origins: HashSet<OriginId>,
+    b_origins: FxHashSet<OriginId>,
     downstream: Option<StageRef<A, RibRoute<A>>>,
 }
 

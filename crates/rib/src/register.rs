@@ -12,12 +12,18 @@
 //! On any route change overlapping a handed-out range, the stage sends the
 //! client a "cache invalidated" message for that subnet; the client
 //! re-queries.
+//!
+//! Figure 8 is a question about which prefixes exist, not about their
+//! routes, so the stage keeps only the *geometry* of the final table: a
+//! payload-free trie of its prefixes.  The route that goes with a matched
+//! prefix is fetched by one exact `lookup_route` upstream, where the
+//! origin tables hold it.
 
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use xorp_event::EventLoop;
-use xorp_net::{Addr, PatriciaTrie, Prefix};
+use xorp_net::{Addr, HeapSize, PatriciaTrie, Prefix};
 use xorp_stages::{OriginId, RouteOp, Stage, StageRef};
 
 use crate::RibRoute;
@@ -74,10 +80,12 @@ struct Registration<A: Addr> {
     valid: Prefix<A>,
 }
 
-/// Pass-through stage answering interest registrations from a mirror of
-/// the final route stream.
+/// Pass-through stage answering interest registrations and longest-match
+/// queries against the final table.
 pub struct RegisterStage<A: Addr> {
-    mirror: PatriciaTrie<A, RibRoute<A>>,
+    /// The prefixes of the final table, nothing else.
+    prefixes: PatriciaTrie<A, ()>,
+    upstream: Option<StageRef<A, RibRoute<A>>>,
     downstream: Option<StageRef<A, RibRoute<A>>>,
     registrations: Vec<Registration<A>>,
     invalidation_cbs: HashMap<u32, InvalidationCb<A>>,
@@ -93,7 +101,8 @@ impl<A: Addr> RegisterStage<A> {
     /// An empty register stage.
     pub fn new() -> Self {
         RegisterStage {
-            mirror: PatriciaTrie::new(),
+            prefixes: PatriciaTrie::new(),
+            upstream: None,
             downstream: None,
             registrations: Vec::new(),
             invalidation_cbs: HashMap::new(),
@@ -105,6 +114,11 @@ impl<A: Addr> RegisterStage<A> {
         self.downstream = Some(s);
     }
 
+    /// Plumb the upstream neighbor (where routes are fetched from).
+    pub fn set_upstream(&mut self, s: StageRef<A, RibRoute<A>>) {
+        self.upstream = Some(s);
+    }
+
     /// Install the invalidation callback for a client.
     pub fn set_invalidation_cb(&mut self, client: u32, cb: InvalidationCb<A>) {
         self.invalidation_cbs.insert(client, cb);
@@ -114,11 +128,11 @@ impl<A: Addr> RegisterStage<A> {
     /// route and the range the answer covers; the registration stays
     /// active until invalidated or dropped.
     pub fn register_interest(&mut self, client: u32, addr: A) -> RegisterAnswer<A> {
-        let (matched, valid) = covering_answer(&self.mirror, addr);
+        let (matched, valid) = covering_answer(&self.prefixes, addr);
         self.registrations.push(Registration { client, valid });
         RegisterAnswer {
             valid,
-            route: matched.map(|(_, r)| r),
+            route: matched.and_then(|(net, ())| self.lookup_route(&net)),
         }
     }
 
@@ -135,21 +149,16 @@ impl<A: Addr> RegisterStage<A> {
         self.registrations.len()
     }
 
-    /// Longest-match query against the final (mirrored) table — the RIB's
-    /// general route query, used for reverse-path lookups etc.
+    /// Longest-match query against the final table — the RIB's general
+    /// route query, used for reverse-path lookups etc.
     pub fn longest_match(&self, addr: A) -> Option<(Prefix<A>, RibRoute<A>)> {
-        self.mirror.longest_match(addr).map(|(p, r)| (p, r.clone()))
+        let (net, ()) = self.prefixes.longest_match(addr)?;
+        Some((net, self.lookup_route(&net)?))
     }
 
-    /// Number of routes in the mirrored final table.
+    /// Number of routes in the final table.
     pub fn route_count(&self) -> usize {
-        self.mirror.len()
-    }
-
-    /// Heap bytes of the mirror (memory accounting).
-    pub fn mirror_bytes(&self) -> usize {
-        use xorp_net::HeapSize;
-        self.mirror.heap_size()
+        self.prefixes.len()
     }
 
     fn invalidate_overlapping(&mut self, el: &mut EventLoop, net: Prefix<A>) {
@@ -171,6 +180,13 @@ impl<A: Addr> RegisterStage<A> {
     }
 }
 
+impl<A: Addr> HeapSize for RegisterStage<A> {
+    /// The prefix set; registrations are per client, not per route.
+    fn heap_size(&self) -> usize {
+        self.prefixes.heap_size()
+    }
+}
+
 impl<A: Addr> Stage<A, RibRoute<A>> for RegisterStage<A> {
     fn name(&self) -> String {
         "register".into()
@@ -178,12 +194,14 @@ impl<A: Addr> Stage<A, RibRoute<A>> for RegisterStage<A> {
 
     fn route_op(&mut self, el: &mut EventLoop, origin: OriginId, op: RouteOp<A, RibRoute<A>>) {
         let net = op.net();
+        // A replace leaves the set of prefixes as it was.
         match &op {
-            RouteOp::Add { route, .. } | RouteOp::Replace { new: route, .. } => {
-                self.mirror.insert(net, route.clone());
+            RouteOp::Add { .. } => {
+                self.prefixes.insert(net, ());
             }
+            RouteOp::Replace { .. } => {}
             RouteOp::Delete { .. } => {
-                self.mirror.remove(&net);
+                self.prefixes.remove(&net);
             }
         }
         // "Should the situation change at any later stage, the RIB will
@@ -195,7 +213,7 @@ impl<A: Addr> Stage<A, RibRoute<A>> for RegisterStage<A> {
     }
 
     fn lookup_route(&self, net: &Prefix<A>) -> Option<RibRoute<A>> {
-        self.mirror.get(net).cloned()
+        self.upstream.as_ref()?.borrow().lookup_route(net)
     }
 
     fn push(&mut self, el: &mut EventLoop) {
@@ -212,10 +230,12 @@ impl<A: Addr> Stage<A, RibRoute<A>> for RegisterStage<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::origin::OriginTable;
     use std::cell::RefCell;
     use std::net::{IpAddr, Ipv4Addr};
     use std::sync::Arc;
     use xorp_net::{PathAttributes, ProtocolId};
+    use xorp_stages::stage_ref;
 
     fn route(net: &str) -> RibRoute<Ipv4Addr> {
         RibRoute::new(
@@ -317,116 +337,112 @@ mod tests {
         }
     }
 
+    /// A register stage fed by an origin table — which is also where it
+    /// fetches routes from, since it holds none itself.
+    #[allow(clippy::type_complexity)]
+    fn fed_stage() -> (
+        Rc<RefCell<OriginTable<Ipv4Addr>>>,
+        Rc<RefCell<RegisterStage<Ipv4Addr>>>,
+    ) {
+        let origin = stage_ref(OriginTable::new(ProtocolId::Static, OriginId(0)));
+        let stage = stage_ref(RegisterStage::new());
+        origin.borrow_mut().set_downstream(stage.clone());
+        stage.borrow_mut().set_upstream(origin.clone());
+        (origin, stage)
+    }
+
     #[test]
     fn stage_registration_and_invalidation() {
         let mut el = EventLoop::new_virtual();
-        let mut stage: RegisterStage<Ipv4Addr> = RegisterStage::new();
+        let (origin, stage) = fed_stage();
         for net in ["128.16.0.0/16", "128.16.0.0/18"] {
-            let r = route(net);
-            stage.route_op(
-                &mut el,
-                OriginId(0),
-                RouteOp::Add {
-                    net: r.net,
-                    route: r,
-                },
-            );
+            origin.borrow_mut().add_route(&mut el, route(net));
         }
         #[allow(clippy::type_complexity)]
         let fired: Rc<RefCell<Vec<(u32, Prefix<Ipv4Addr>)>>> = Rc::new(RefCell::new(vec![]));
         let f = fired.clone();
-        stage.set_invalidation_cb(
+        stage.borrow_mut().set_invalidation_cb(
             7,
             Rc::new(move |_el, client, valid| {
                 f.borrow_mut().push((client, valid));
             }),
         );
 
-        let ans = stage.register_interest(7, a("128.16.32.1"));
+        let ans = stage.borrow_mut().register_interest(7, a("128.16.32.1"));
         assert_eq!(ans.valid, p("128.16.0.0/18"));
         assert!(ans.route.is_some());
-        assert_eq!(stage.registration_count(), 1);
+        assert_eq!(stage.borrow().registration_count(), 1);
 
         // An unrelated change does not invalidate.
-        let r = route("10.0.0.0/8");
-        stage.route_op(
-            &mut el,
-            OriginId(0),
-            RouteOp::Add {
-                net: r.net,
-                route: r,
-            },
-        );
+        origin.borrow_mut().add_route(&mut el, route("10.0.0.0/8"));
         assert!(fired.borrow().is_empty());
 
         // A more specific route inside the valid range invalidates.
-        let r = route("128.16.32.0/24");
-        stage.route_op(
-            &mut el,
-            OriginId(0),
-            RouteOp::Add {
-                net: r.net,
-                route: r,
-            },
-        );
+        origin
+            .borrow_mut()
+            .add_route(&mut el, route("128.16.32.0/24"));
         assert_eq!(fired.borrow().len(), 1);
         assert_eq!(fired.borrow()[0], (7, p("128.16.0.0/18")));
-        assert_eq!(stage.registration_count(), 0);
+        assert_eq!(stage.borrow().registration_count(), 0);
 
         // Re-query: the answer now reflects the new route.
-        let ans = stage.register_interest(7, a("128.16.32.1"));
+        let ans = stage.borrow_mut().register_interest(7, a("128.16.32.1"));
         assert_eq!(ans.route.unwrap().net, p("128.16.32.0/24"));
     }
 
     #[test]
     fn deregister() {
         let mut el = EventLoop::new_virtual();
-        let mut stage: RegisterStage<Ipv4Addr> = RegisterStage::new();
-        let r = route("10.0.0.0/8");
-        stage.route_op(
-            &mut el,
-            OriginId(0),
-            RouteOp::Add {
-                net: r.net,
-                route: r,
-            },
-        );
-        let ans = stage.register_interest(1, a("10.1.1.1"));
-        assert!(stage.deregister_interest(1, &ans.valid));
-        assert!(!stage.deregister_interest(1, &ans.valid));
+        let (origin, stage) = fed_stage();
+        origin.borrow_mut().add_route(&mut el, route("10.0.0.0/8"));
+        let ans = stage.borrow_mut().register_interest(1, a("10.1.1.1"));
+        assert!(stage.borrow_mut().deregister_interest(1, &ans.valid));
+        assert!(!stage.borrow_mut().deregister_interest(1, &ans.valid));
         // No callback after deregistration.
         let fired = Rc::new(RefCell::new(0));
         let f = fired.clone();
-        stage.set_invalidation_cb(1, Rc::new(move |_el, _, _| *f.borrow_mut() += 1));
-        let r = route("10.1.0.0/16");
-        stage.route_op(
-            &mut el,
-            OriginId(0),
-            RouteOp::Add {
-                net: r.net,
-                route: r,
-            },
-        );
+        stage
+            .borrow_mut()
+            .set_invalidation_cb(1, Rc::new(move |_el, _, _| *f.borrow_mut() += 1));
+        origin.borrow_mut().add_route(&mut el, route("10.1.0.0/16"));
         assert_eq!(*fired.borrow(), 0);
     }
 
     #[test]
     fn mirror_tracks_stream() {
         let mut el = EventLoop::new_virtual();
-        let mut stage: RegisterStage<Ipv4Addr> = RegisterStage::new();
+        let (origin, stage) = fed_stage();
         let r = route("10.0.0.0/8");
-        stage.route_op(
-            &mut el,
-            OriginId(0),
-            RouteOp::Add {
-                net: r.net,
-                route: r.clone(),
-            },
-        );
-        assert_eq!(stage.route_count(), 1);
-        assert!(stage.longest_match(a("10.1.1.1")).is_some());
-        stage.route_op(&mut el, OriginId(0), RouteOp::Delete { net: r.net, old: r });
-        assert_eq!(stage.route_count(), 0);
-        assert!(stage.longest_match(a("10.1.1.1")).is_none());
+        origin.borrow_mut().add_route(&mut el, r.clone());
+        assert_eq!(stage.borrow().route_count(), 1);
+        assert!(stage.borrow().longest_match(a("10.1.1.1")).is_some());
+        origin.borrow_mut().delete_route(&mut el, r.net);
+        assert_eq!(stage.borrow().route_count(), 0);
+        assert!(stage.borrow().longest_match(a("10.1.1.1")).is_none());
+    }
+
+    /// The stage stores prefixes, not routes: a reintroduced payload (a
+    /// per-route copy of the table) fails here.
+    #[test]
+    fn memory_budget_register_payload_is_empty() {
+        fn payload_size<A: Addr, T>(_: &PatriciaTrie<A, T>) -> usize {
+            std::mem::size_of::<T>()
+        }
+        let stage: RegisterStage<Ipv4Addr> = RegisterStage::new();
+        assert_eq!(payload_size(&stage.prefixes), 0);
+    }
+
+    /// A replace keeps the prefix; the fetched route is the new one.
+    #[test]
+    fn replace_keeps_prefix_and_serves_new_route() {
+        let mut el = EventLoop::new_virtual();
+        let (origin, stage) = fed_stage();
+        origin.borrow_mut().add_route(&mut el, route("10.0.0.0/8"));
+        let mut changed = route("10.0.0.0/8");
+        changed.metric = 9;
+        origin.borrow_mut().add_route(&mut el, changed.clone());
+        assert_eq!(stage.borrow().route_count(), 1);
+        let (net, got) = stage.borrow().longest_match(a("10.1.1.1")).unwrap();
+        assert_eq!((net, got), (p("10.0.0.0/8"), changed));
     }
 }

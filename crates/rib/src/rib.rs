@@ -2,11 +2,10 @@
 //! operations a RIB "process" serves over XRLs.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use xorp_event::EventLoop;
-use xorp_net::{Addr, Prefix, ProtocolId, RouteEntry};
+use xorp_net::{Addr, FxHashMap, HeapSize, Prefix, ProtocolId, RouteEntry};
 use xorp_policy::PolicyTarget;
 use xorp_profiler::{Counter, Histogram, Metrics};
 use xorp_stages::{stage_ref, CacheStage, DumpSource, FnStage, OriginId, RouteOp, Stage};
@@ -56,7 +55,7 @@ pub struct Rib<A: Addr>
 where
     RouteEntry<A>: PolicyTarget,
 {
-    origins: HashMap<ProtocolId, Rc<RefCell<OriginTable<A>>>>,
+    origins: FxHashMap<ProtocolId, Rc<RefCell<OriginTable<A>>>>,
     int_chain: Chain<A>,
     ext_chain: Chain<A>,
     extint: Rc<RefCell<ExtIntStage<A>>>,
@@ -101,9 +100,10 @@ where
         };
         redist.borrow_mut().set_upstream(extint.clone());
         redist.borrow_mut().set_downstream(register.clone());
+        register.borrow_mut().set_upstream(redist.clone());
 
         Rib {
-            origins: HashMap::new(),
+            origins: FxHashMap::default(),
             int_chain: Chain::default(),
             ext_chain: Chain::default(),
             extint,
@@ -176,6 +176,12 @@ where
             }
         }
         chain.origins.push(oid);
+        if external {
+            // The stage fetches original external routes from whatever
+            // now heads that side.
+            let head = chain.head.clone().expect("head set just above");
+            self.extint.borrow_mut().set_ext_upstream(head);
+        }
         self.origins.insert(proto, origin);
     }
 
@@ -291,15 +297,10 @@ where
 
     /// Signal a batch boundary through the network.
     pub fn push(&mut self, el: &mut EventLoop) {
-        // Push propagates from every origin head; pushing the chains' heads
-        // reaches everything downstream exactly once per chain.
-        if let Some(h) = &self.int_chain.head {
-            h.borrow_mut().push(el);
-        } else if let Some(h) = &self.ext_chain.head {
-            h.borrow_mut().push(el);
-        } else {
-            self.extint.borrow_mut().push(el);
-        }
+        // Origin tables and merges only relay a push, and both sides meet
+        // at the ExtInt stage: start there, with neither chain borrowed,
+        // so its deferred re-resolution can look routes up on them.
+        self.extint.borrow_mut().push(el);
     }
 
     /// Longest-prefix match against the final (post-arbitration) table.
@@ -389,16 +390,22 @@ where
             .unwrap_or_default()
     }
 
-    /// Total heap bytes attributable to the RIB's structures: origin
-    /// tables + the ExtInt internal mirror + the register mirror.  This is
-    /// the number compared against the paper's "60 MB for the RIB".
+    /// Total heap bytes of every structure the RIB holds that grows with
+    /// the table: the origin tables (the only place routes are stored),
+    /// the ExtInt stage's internal mirror and per-nexthop index, and the
+    /// Register stage's prefix set.  This is the number compared against
+    /// the paper's "60 MB for the RIB".
     pub fn memory_bytes(&self) -> usize {
-        let origins: usize = self
-            .origins
+        self.origin_bytes() + self.extint.borrow().heap_size() + self.register.borrow().heap_size()
+    }
+
+    /// The origin tables' share of [`Rib::memory_bytes`]; the rest is what
+    /// the stages downstream of them add.
+    pub fn origin_bytes(&self) -> usize {
+        self.origins
             .values()
             .map(|o| o.borrow().memory_bytes())
-            .sum();
-        origins + self.extint.borrow().mirror_bytes() + self.register.borrow().mirror_bytes()
+            .sum()
     }
 
     /// Routes currently held back by the ExtInt stage as unresolvable.
@@ -896,5 +903,142 @@ mod tests {
         assert!(rib.lookup_exact(&p("203.0.113.0/24")).is_none());
         assert_eq!(rib.unresolved_count(), 1);
         assert!(rib.consistency_violations().is_empty());
+    }
+
+    // ----- one table: routes live only in the origin stages --------------
+
+    /// The external route for a prefix exists only in its origin table;
+    /// arbitration against an internal route for the same prefix must
+    /// still flip — both ways — as the internal side changes.
+    #[test]
+    fn arbitration_flips_with_external_route_only_upstream() {
+        let mut el = EventLoop::new_virtual();
+        let (mut rib, log) = recording_rib();
+        rib.add_route(
+            &mut el,
+            route("192.168.0.0/16", "0.0.0.0", ProtocolId::Connected),
+        );
+        rib.add_route(
+            &mut el,
+            route("10.0.0.0/8", "192.168.1.1", ProtocolId::Ebgp),
+        );
+        let winner = |rib: &Rib<Ipv4Addr>| rib.lookup_exact(&p("10.0.0.0/8")).unwrap().proto;
+        assert_eq!(winner(&rib), ProtocolId::Ebgp);
+
+        // A worse internal route (RIP, 120 > 20) changes nothing downstream.
+        log.borrow_mut().clear();
+        rib.add_route(&mut el, route("10.0.0.0/8", "192.0.2.1", ProtocolId::Rip));
+        assert_eq!(winner(&rib), ProtocolId::Ebgp);
+        assert!(log.borrow().is_empty(), "{:?}", log.borrow());
+
+        // A better one (static, 1 < 20) takes over, and hands back.
+        rib.add_route(
+            &mut el,
+            route("10.0.0.0/8", "192.0.2.2", ProtocolId::Static),
+        );
+        assert_eq!(winner(&rib), ProtocolId::Static);
+        rib.delete_route(&mut el, ProtocolId::Static, p("10.0.0.0/8"));
+        assert_eq!(winner(&rib), ProtocolId::Ebgp);
+        assert_eq!(
+            *log.borrow(),
+            [
+                "replace 10.0.0.0/8 Static Some(\"eth0\")",
+                "replace 10.0.0.0/8 Ebgp Some(\"eth0\")"
+            ]
+        );
+
+        // The external route goes: the remaining internal one surfaces.
+        rib.delete_route(&mut el, ProtocolId::Ebgp, p("10.0.0.0/8"));
+        assert_eq!(winner(&rib), ProtocolId::Rip);
+        assert_eq!(rib.route_count(), 2);
+        assert!(rib.consistency_violations().is_empty());
+    }
+
+    /// Adding a second external protocol splices a merge above the ExtInt
+    /// stage; the stage's handle on the external side must follow, or
+    /// eBGP routes announced before the splice stop answering lookups and
+    /// stop re-resolving.
+    #[test]
+    fn merge_splice_keeps_external_upstream() {
+        let mut el = EventLoop::new_virtual();
+        let mut rib: Rib<Ipv4Addr> = Rib::new(true);
+        let connected = route("192.168.0.0/16", "0.0.0.0", ProtocolId::Connected);
+        rib.add_route(&mut el, connected.clone());
+        for i in 0..4u8 {
+            rib.add_route(
+                &mut el,
+                route(&format!("10.{i}.0.0/16"), "192.168.0.9", ProtocolId::Ebgp),
+            );
+        }
+        rib.add_route(
+            &mut el,
+            route("10.0.0.0/16", "192.168.0.7", ProtocolId::Ibgp),
+        );
+        rib.add_route(
+            &mut el,
+            route("10.9.0.0/16", "192.168.0.7", ProtocolId::Ibgp),
+        );
+        // eBGP (20) beats iBGP (200) where both exist; both still answer.
+        assert_eq!(
+            rib.lookup_exact(&p("10.0.0.0/16")).unwrap().proto,
+            ProtocolId::Ebgp
+        );
+        assert_eq!(
+            rib.longest_match(a("10.3.1.1")).unwrap().1.proto,
+            ProtocolId::Ebgp
+        );
+        assert_eq!(
+            rib.lookup_exact(&p("10.9.0.0/16")).unwrap().proto,
+            ProtocolId::Ibgp
+        );
+        assert_eq!(rib.route_count(), 6);
+
+        // Re-resolution fetches originals through the merge.
+        rib.delete_route(&mut el, ProtocolId::Connected, p("192.168.0.0/16"));
+        assert_eq!(rib.route_count(), 0);
+        assert_eq!(rib.unresolved_count(), 5);
+        rib.add_route(&mut el, connected);
+        assert_eq!(rib.route_count(), 6);
+        assert_eq!(
+            rib.lookup_exact(&p("10.2.0.0/16"))
+                .unwrap()
+                .ifname
+                .as_deref(),
+            Some("eth0")
+        );
+        assert!(rib.consistency_violations().is_empty());
+    }
+
+    /// What the RIB holds beyond its origin tables is an index, not a copy
+    /// of the table: a prefix set plus a per-nexthop prefix set.  A
+    /// reintroduced per-route copy (a `RibRoute` is 64 bytes before its
+    /// trie node or map entry) cannot fit under this bound, which leaves
+    /// room for `Vec` capacity doubling in the prefix trie.
+    #[test]
+    fn memory_budget_beyond_origin_tables() {
+        const ROUTES: u32 = 20_000;
+        let mut el = EventLoop::new_virtual();
+        let mut rib: Rib<Ipv4Addr> = Rib::new(false);
+        rib.add_route(
+            &mut el,
+            route("192.168.0.0/16", "0.0.0.0", ProtocolId::Connected),
+        );
+        let attrs = Arc::new(PathAttributes::new(IpAddr::V4(a("192.168.1.1"))));
+        for i in 0..ROUTES {
+            let net = Prefix::new(Ipv4Addr::from((10 << 24) | (i << 8)), 24).unwrap();
+            rib.add_route(
+                &mut el,
+                RibRoute::new(net, attrs.clone(), 0, ProtocolId::Ebgp),
+            );
+        }
+        assert_eq!(rib.route_count(), ROUTES as usize + 1);
+        let beyond = rib.memory_bytes() - rib.origin_bytes();
+        let per_route = beyond / ROUTES as usize;
+        println!(
+            "rib beyond origin tables: {beyond} B = {per_route} B/route \
+             (origin tables {} B/route)",
+            rib.origin_bytes() / ROUTES as usize
+        );
+        assert!(per_route <= 120, "{per_route} B/route beyond origin tables");
     }
 }

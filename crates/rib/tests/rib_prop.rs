@@ -5,7 +5,10 @@
 //!   with zero consistency violations from the cache stage;
 //! * the §5.2.1 covering-answer invariants hold for arbitrary tables:
 //!   answers never overlap, every address in the range longest-matches the
-//!   reported route, and ranges are maximal.
+//!   reported route, and ranges are maximal;
+//! * seeded churn over two internal and two external protocols whose
+//!   nexthops gain and lose resolution, fed per-route and through
+//!   `apply_batch`, ends in the table a flat model predicts.
 
 use std::collections::BTreeMap;
 use std::net::{IpAddr, Ipv4Addr};
@@ -166,5 +169,183 @@ proptest! {
                 prop_assert!(a == b || !a.overlaps(b), "{} overlaps {}", a, b);
             }
         }
+    }
+}
+
+// ----- seeded model test: arbitration + resolvability -----------------------
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use xorp_rib::BatchOp;
+
+/// Two protocols per side, so both chains carry a merge.
+const MODEL_PROTOS: [ProtocolId; 4] = [
+    ProtocolId::Static,
+    ProtocolId::Rip,
+    ProtocolId::Ebgp,
+    ProtocolId::Ibgp,
+];
+
+/// External nexthops; each sits inside some of [`int_nets`].
+const NEXTHOPS: [Ipv4Addr; 3] = [
+    Ipv4Addr::new(192, 168, 1, 1),
+    Ipv4Addr::new(192, 168, 200, 1),
+    Ipv4Addr::new(172, 16, 0, 1),
+];
+
+/// Internal prefixes: covering routes for the nexthops at two depths, plus
+/// two that collide with external prefixes.
+fn int_nets() -> Vec<Net> {
+    [
+        "192.168.0.0/16",
+        "192.168.1.0/24",
+        "172.16.0.0/12",
+        "10.0.0.0/16",
+        "10.1.0.0/16",
+    ]
+    .iter()
+    .map(|s| s.parse().unwrap())
+    .collect()
+}
+
+fn ext_nets() -> Vec<Net> {
+    (0..6u8)
+        .map(|i| Prefix::new(Ipv4Addr::new(10, i, 0, 0), 16).unwrap())
+        .collect()
+}
+
+fn model_route(rng: &mut StdRng) -> RouteEntry<Ipv4Addr> {
+    let proto = MODEL_PROTOS[rng.gen_range(0..4usize)];
+    let external = xorp_rib::is_external(proto);
+    let nets = if external { ext_nets() } else { int_nets() };
+    let net = nets[rng.gen_range(0..nets.len())];
+    let nexthop = if external {
+        NEXTHOPS[rng.gen_range(0..3usize)]
+    } else {
+        Ipv4Addr::UNSPECIFIED
+    };
+    // A varying metric makes a re-add a replace rather than a no-op.
+    let metric = rng.gen_range(0..3u32);
+    let mut r = RouteEntry::new(
+        net,
+        Arc::new(PathAttributes::new(IpAddr::V4(nexthop))),
+        metric,
+        proto,
+    );
+    if !external {
+        r.ifname = Some(format!("{proto}:{net}").into());
+    }
+    r
+}
+
+/// What the staged network should hold: per side the lowest admin distance
+/// wins a prefix; the external winner counts only while the internal
+/// winners' table longest-matches its nexthop, and carries that match's
+/// interface; internal wins ties between the sides.  Returns the table and
+/// how many external winners are held back as unresolvable.
+fn model_table(
+    held: &BTreeMap<(ProtocolId, Net), RouteEntry<Ipv4Addr>>,
+) -> (BTreeMap<Net, RouteEntry<Ipv4Addr>>, usize) {
+    let side = |external: bool| {
+        let mut best: BTreeMap<Net, RouteEntry<Ipv4Addr>> = BTreeMap::new();
+        for r in held
+            .values()
+            .filter(|r| xorp_rib::is_external(r.proto) == external)
+        {
+            match best.get(&r.net) {
+                Some(b) if b.admin_distance <= r.admin_distance => {}
+                _ => {
+                    best.insert(r.net, r.clone());
+                }
+            }
+        }
+        best
+    };
+    let (int, ext) = (side(false), side(true));
+    let mut table = int.clone();
+    let mut unresolved = 0;
+    for (net, mut r) in ext {
+        let IpAddr::V4(nh) = r.nexthop() else {
+            unreachable!()
+        };
+        let Some(via) = int
+            .values()
+            .filter(|i| i.net.contains_addr(nh))
+            .max_by_key(|i| i.net.len())
+        else {
+            unresolved += 1;
+            continue;
+        };
+        r.ifname = via.ifname.clone();
+        match table.get(&net) {
+            Some(i) if i.admin_distance <= r.admin_distance => {}
+            _ => {
+                table.insert(net, r);
+            }
+        }
+    }
+    (table, unresolved)
+}
+
+fn assert_matches_model(
+    rib: &Rib<Ipv4Addr>,
+    held: &BTreeMap<(ProtocolId, Net), RouteEntry<Ipv4Addr>>,
+    what: &str,
+) {
+    let (want, unresolved) = model_table(held);
+    assert!(
+        rib.consistency_violations().is_empty(),
+        "{what}: {:?}",
+        rib.consistency_violations()
+    );
+    assert_eq!(rib.route_count(), want.len(), "{what}: route count");
+    for net in int_nets().into_iter().chain(ext_nets()) {
+        assert_eq!(
+            rib.lookup_exact(&net).as_ref(),
+            want.get(&net),
+            "{what}: {net}"
+        );
+    }
+    assert_eq!(rib.unresolved_count(), unresolved, "{what}: held back");
+}
+
+#[test]
+fn seeded_churn_matches_model_per_route_and_batched() {
+    for seed in 0..200u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut el = EventLoop::new_virtual();
+        let mut per_route: Rib<Ipv4Addr> = Rib::new(true);
+        let mut batched: Rib<Ipv4Addr> = Rib::new(true);
+        let mut held: BTreeMap<(ProtocolId, Net), RouteEntry<Ipv4Addr>> = BTreeMap::new();
+
+        let mut pending: Vec<BatchOp<Ipv4Addr>> = Vec::new();
+        for step in 0..150 {
+            let r = model_route(&mut rng);
+            let op = if rng.gen_bool(0.6) {
+                held.insert((r.proto, r.net), r.clone());
+                BatchOp::Add(r)
+            } else {
+                held.remove(&(r.proto, r.net));
+                BatchOp::Delete {
+                    proto: r.proto,
+                    net: r.net,
+                }
+            };
+            match op.clone() {
+                BatchOp::Add(r) => per_route.add_route(&mut el, r),
+                BatchOp::Delete { proto, net } => {
+                    per_route.delete_route(&mut el, proto, net);
+                }
+            }
+            pending.push(op);
+            // Frames of uneven size, so internal and external ops share
+            // batches in every mix; the model is checked at each boundary.
+            if rng.gen_range(0..8u32) == 0 || step == 149 {
+                batched.apply_batch(&mut el, std::mem::take(&mut pending));
+                assert_matches_model(&per_route, &held, &format!("seed {seed} per-route"));
+                assert_matches_model(&batched, &held, &format!("seed {seed} batched"));
+            }
+        }
+        el.run_until_idle();
     }
 }
