@@ -24,7 +24,7 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use xorp_event::EventLoop;
-use xorp_net::{Addr, HeapSize, Prefix};
+use xorp_net::{release_drained, Addr, HeapSize, Prefix};
 use xorp_profiler::tracing::{self as xtrace, TraceContext};
 use xorp_profiler::{Gauge, Histogram, Metrics};
 use xorp_stages::{DumpStage, OriginId, RouteOp, Stage, StageRef};
@@ -416,6 +416,7 @@ impl<A: Addr> FanoutQueue<A> {
                 break;
             }
         }
+        release_drained(&mut self.queue);
     }
 }
 
@@ -966,6 +967,49 @@ mod tests {
             .borrow_mut()
             .remove_reader(ReaderId::Peer(PeerId(2)));
         assert_eq!(rig.fanout.borrow().queue_len(), 0);
+    }
+
+    /// One preload's holdback does not stay resident: queue 50,000 entries
+    /// behind a gated reader, open the gate, drain — the buffer is given
+    /// back, the reader saw every entry in arrival order, and the
+    /// coalescer batches the next arrivals as before.
+    #[test]
+    fn drained_backlog_releases_its_buffer() {
+        let slot = std::mem::size_of::<(u64, RouteOp<Ipv4Addr, R>)>();
+        let mut rig = rig(&[]);
+        rig.fanout.borrow_mut().set_coalesce(64);
+        let gate = Rc::new(Cell::new(false));
+        rig.fanout
+            .borrow_mut()
+            .set_reader_gate(ReaderId::Rib, gate.clone());
+        let nets: Vec<String> = (0..50_000u32)
+            .map(|i| format!("10.{}.{}.0/24", i >> 8, i & 255))
+            .collect();
+        for net in &nets {
+            rig.send(add(route(net, 1)));
+        }
+        assert_eq!(rig.fanout.borrow().queue_len(), 50_000);
+        assert!(rig.fanout.borrow().heap_size() >= 50_000 * slot);
+
+        gate.set(true);
+        rig.fanout.borrow_mut().pump(&mut rig.el);
+        assert_eq!(rig.fanout.borrow().queue_len(), 0);
+        assert!(rig.fanout.borrow().heap_size() <= 2_048 * slot);
+        {
+            let rib = rig.outs[&ReaderId::Rib].borrow();
+            assert_eq!(rib.log.len(), nets.len());
+            assert!(rib
+                .log
+                .iter()
+                .zip(&nets)
+                .all(|((_, op), net)| op.net() == net.parse().unwrap()));
+        }
+
+        for i in 0..64u8 {
+            assert_eq!(rig.table_len(ReaderId::Rib), 50_000, "held below threshold");
+            rig.send(add(route(&format!("172.16.{i}.0/24"), 1)));
+        }
+        assert_eq!(rig.table_len(ReaderId::Rib), 50_064);
     }
 
     #[test]

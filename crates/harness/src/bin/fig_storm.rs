@@ -1,21 +1,18 @@
 //! The churn-storm overload experiment: flap a backbone table through a
-//! slow RIB twice — once with XRL backpressure (watermarks + hard cap),
-//! once with the legacy unbounded queues — and compare what the router
-//! does with the excess.  With backpressure the outstanding-request
-//! queue stays bounded near the Xoff watermark, keepalive probes stay
-//! fast on the priority lane, nothing is shed, and no process is
-//! falsely restarted; without it the pending map grows with the whole
-//! storm.  Both runs must converge exactly: flow control, not loss.
+//! slow RIB and report what the router does with the excess.  The
+//! outstanding-request queue stays bounded near the Xoff watermark, the
+//! backlog waits in the fanout queue, keepalive probes stay fast on the
+//! priority lane, nothing is shed, and no process is falsely restarted.
+//! The run must converge exactly: flow control, not loss.
 //!
-//! With `--check`, asserts all of the above (bounded depth under the
-//! cap, unbounded growth past it when disabled, during-storm probe
-//! latency within 2× steady state plus a small absolute floor, zero
-//! shed, zero restarts).
+//! With `--check`, asserts all of the above (peak outstanding under the
+//! cap, during-storm probe latency within 2× steady state plus a small
+//! absolute floor, zero shed, zero restarts, exact convergence).
 //!
 //! Usage: `fig-storm [--routes N] [--rounds N] [--quick] [--check]`
 //! (default 100000 routes x 1 flap round; --quick/--check 2000 x 2)
 
-use xorp_harness::figures::{storm_experiment, StormOutcome};
+use xorp_harness::figures::storm_experiment;
 use xorp_xrl::QueuePolicy;
 
 fn main() {
@@ -32,89 +29,50 @@ fn main() {
     let routes = int("--routes", if quick { 2_000 } else { 100_000 });
     let rounds = int("--rounds", if quick { 2 } else { 1 }) as u32;
 
+    // Tighter than the default so a 2,000-route storm is many windows deep.
     let policy = QueuePolicy {
         high_watermark: 64,
         low_watermark: 16,
         hard_cap: 512,
     };
 
-    let on = storm_experiment(routes, rounds, Some(policy));
-    println!("{}\n", on.report);
-    let off = storm_experiment(routes, rounds, None);
-    println!("{}\n", off.report);
+    let storm = storm_experiment(routes, rounds, policy);
+    println!("{}", storm.report);
 
-    let row = |label: &str, a: String, b: String| {
-        println!("{label:<34} {a:>16} {b:>16}");
-    };
-    row("", "backpressure".into(), "no cap".into());
-    row(
-        "peak outstanding XRLs",
-        on.peak_outstanding.to_string(),
-        off.peak_outstanding.to_string(),
+    // Flow control, not loss: the run must deliver the exact table.
+    assert!(storm.converged, "storm did not converge");
+    assert_eq!(
+        storm.shed, 0,
+        "backpressure must hold frames, never shed them"
     );
-    row(
-        "peak fanout holdback (routes)",
-        on.peak_fanout_queue.to_string(),
-        off.peak_fanout_queue.to_string(),
-    );
-    let mib =
-        |o: &StormOutcome| format!("{:.1} MiB", o.peak_memory_bytes as f64 / (1024.0 * 1024.0));
-    row("peak BGP memory proxy", mib(&on), mib(&off));
-    let ms = |v: f64| format!("{v:.2} ms");
-    row(
-        "max probe during storm",
-        ms(on.storm_probe_max_ms),
-        ms(off.storm_probe_max_ms),
-    );
-    row(
-        "shed / restarts",
-        format!("{} / {}", on.shed, on.restarts),
-        format!("{} / {}", off.shed, off.restarts),
-    );
-    row(
-        "converged",
-        on.converged.to_string(),
-        off.converged.to_string(),
-    );
-
-    // Flow control, not loss: both runs must deliver the exact table.
-    assert!(on.converged, "storm with backpressure did not converge");
-    assert!(off.converged, "storm without backpressure did not converge");
-    assert_eq!(on.shed, 0, "backpressure must hold frames, never shed them");
 
     if check {
         // Bounded: the pending queue never exceeds the hard cap (it should
         // in fact hover near the Xoff watermark plus in-flight slack).
         assert!(
-            on.peak_outstanding <= policy.hard_cap,
+            storm.peak_outstanding <= policy.hard_cap,
             "outstanding XRLs ({}) exceeded the hard cap ({})",
-            on.peak_outstanding,
+            storm.peak_outstanding,
             policy.hard_cap
-        );
-        // Unbounded without the cap: the same storm blows well past it.
-        assert!(
-            off.peak_outstanding > policy.hard_cap,
-            "cap-disabled run stayed at {} outstanding — storm too small to demonstrate growth",
-            off.peak_outstanding
         );
         // Busy is not dead: probes ride the priority lane, the supervisor
         // never fires.  Allow 2x steady state with a 50 ms floor so
         // scheduler noise on a sub-millisecond baseline doesn't flake.
-        let bound = (2.0 * on.steady_probe_ms).max(50.0);
+        let bound = (2.0 * storm.steady_probe_ms).max(50.0);
         assert!(
-            on.storm_probe_max_ms <= bound,
+            storm.storm_probe_max_ms <= bound,
             "probe latency during storm ({:.2} ms) exceeded bound ({:.2} ms)",
-            on.storm_probe_max_ms,
+            storm.storm_probe_max_ms,
             bound
         );
-        assert_eq!(on.restarts, 0, "saturated process was falsely restarted");
+        assert_eq!(storm.restarts, 0, "saturated process was falsely restarted");
         assert!(
-            !on.degraded,
+            !storm.degraded,
             "storm escalated to Degraded inside its budget"
         );
         println!(
-            "\ncheck passed: bounded {} <= cap {} (unbounded peak {}), storm probe {:.2} ms <= {:.2} ms, 0 shed, 0 restarts",
-            on.peak_outstanding, policy.hard_cap, off.peak_outstanding, on.storm_probe_max_ms, bound
+            "\ncheck passed: bounded {} <= cap {}, storm probe {:.2} ms <= {:.2} ms, 0 shed, 0 restarts",
+            storm.peak_outstanding, policy.hard_cap, storm.storm_probe_max_ms, bound
         );
     }
 }

@@ -42,10 +42,12 @@
 //!
 //! ## Backpressure
 //!
-//! `--xrl-queue-cap N` bounds every per-peer XRL send queue at N frames
-//! (shedding beyond it), with Xoff/Xon watermarks defaulting to N/4 and
-//! N/16; `--xoff-watermark HIGH:LOW` overrides them.  Crossing the high
-//! watermark pauses the congested pipeline reader until the lane drains:
+//! Every per-peer XRL send queue is bounded (2048 frames, Xoff at 512,
+//! Xon at 128 unless tuned): crossing the high watermark pauses the
+//! congested pipeline reader until the lane drains, and sends beyond the
+//! cap are shed.  `--xrl-queue-cap N` tunes the cap, moving the Xoff/Xon
+//! watermarks to N/4 and N/16; `--xoff-watermark HIGH:LOW` sets them
+//! directly:
 //!
 //! ```sh
 //! xorp-router --example-config --xrl-queue-cap 2048
@@ -181,11 +183,11 @@ fn parse_batch_flags(args: &[String]) -> (usize, u64) {
     )
 }
 
-/// Parse `--xrl-queue-cap N` and `--xoff-watermark HIGH:LOW` into a
-/// [`QueuePolicy`].  Either flag alone enables overload control: the cap
-/// defaults to [`QueuePolicy::default`]'s, the watermarks to cap/4 and
-/// cap/16.
-fn parse_overload_flags(args: &[String]) -> Option<QueuePolicy> {
+/// Parse `--xrl-queue-cap N` and `--xoff-watermark HIGH:LOW` into the
+/// router's [`QueuePolicy`]: [`QueuePolicy::default`] with neither flag; a
+/// given cap moves the watermarks to cap/4 and cap/16 unless they are
+/// given too.
+fn parse_overload_flags(args: &[String]) -> QueuePolicy {
     let value_of = |flag: &str| -> Option<&str> {
         args.iter()
             .position(|a| a == flag)
@@ -206,17 +208,14 @@ fn parse_overload_flags(args: &[String]) -> Option<QueuePolicy> {
                 std::process::exit(2);
             })
     });
-    if cap.is_none() && marks.is_none() {
-        return None;
-    }
     let hard_cap = cap.unwrap_or(QueuePolicy::default().hard_cap).max(1);
     let (high_watermark, low_watermark) =
         marks.unwrap_or(((hard_cap / 4).max(1), (hard_cap / 16).max(1)));
-    Some(QueuePolicy {
+    QueuePolicy {
         high_watermark,
         low_watermark,
         hard_cap,
-    })
+    }
 }
 
 /// Parse the supervision knobs into a [`SupervisorConfig`].  `--supervise`
@@ -387,10 +386,10 @@ fn main() {
         println!("batched route pipeline on: batch-size={batch_size} flush-ms={batch_flush_ms}");
     }
     let overload = parse_overload_flags(&args);
-    if let Some(p) = &overload {
+    if overload != QueuePolicy::default() {
         println!(
-            "xrl backpressure on: hard-cap={} xoff at {} / xon at {}",
-            p.hard_cap, p.high_watermark, p.low_watermark
+            "xrl backpressure tuned: hard-cap={} xoff at {} / xon at {}",
+            overload.hard_cap, overload.high_watermark, overload.low_watermark
         );
     }
     let router = MultiProcessRouter::new(RouterOptions {

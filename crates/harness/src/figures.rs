@@ -261,10 +261,9 @@ pub struct StormOutcome {
     /// (timeouts are clamped to the 2 s probe deadline).
     pub storm_probe_max_ms: f64,
     /// Peak outstanding XRLs on the BGP router's pending map — the
-    /// quantity the hard cap bounds, unbounded when the cap is off.
+    /// quantity the hard cap bounds.
     pub peak_outstanding: usize,
-    /// Peak depth charged to the BGP→RIB lane (0 without a policy:
-    /// lane accounting only runs under one).
+    /// Peak depth charged to the BGP→RIB lane.
     pub peak_lane_depth: usize,
     /// Peak routes held back in the fanout while the RIB reader was
     /// gated off — where backpressure moves the overload.
@@ -287,22 +286,16 @@ pub struct StormOutcome {
 
 /// The overload claim measured: flap a full backbone table through a
 /// deliberately slow RIB (every route ack held 2 ms) and watch what the
-/// XRL plane does with the excess.  With a [`QueuePolicy`] the BGP→RIB
-/// lane raises Xoff at its high watermark, the fanout reader gates off,
-/// and the outstanding-request queue stays bounded while supervision
-/// keepalives keep landing on the priority lane — busy is never
-/// classified as dead.  Without a policy the pending map grows with the
-/// whole storm.  Either way the table must converge exactly: this is
-/// flow control, not loss.
+/// XRL plane does with the excess.  The BGP→RIB lane raises Xoff at
+/// `policy`'s high watermark, the fanout reader gates off, and the
+/// outstanding-request queue stays bounded while supervision keepalives
+/// keep landing on the priority lane — busy is never classified as dead.
+/// The table must converge exactly: this is flow control, not loss.
 ///
 /// `routes` prefixes are flapped (announce + withdraw) `rounds` times
 /// and then re-announced, so the storm is `(2*rounds + 1) * routes`
 /// updates and the converged table is `routes + 1` (connected).
-pub fn storm_experiment(
-    routes: usize,
-    rounds: u32,
-    policy: Option<xorp_xrl::QueuePolicy>,
-) -> StormOutcome {
+pub fn storm_experiment(routes: usize, rounds: u32, policy: xorp_xrl::QueuePolicy) -> StormOutcome {
     use xorp_rtrmgr::{SupervisedState, SupervisorConfig};
 
     // Fast keepalives so a false restart would show up quickly; an
@@ -467,15 +460,8 @@ pub fn storm_experiment(
 
     let storm_probe_max_ms = storm_probes.iter().cloned().fold(0.0, f64::max);
     let updates = routes * (2 * rounds as usize + 1);
-    let mode = match policy {
-        Some(p) => format!(
-            "backpressure on: xoff {} / xon {} / cap {}",
-            p.high_watermark, p.low_watermark, p.hard_cap
-        ),
-        None => "backpressure off".to_string(),
-    };
     let report = format!(
-        "Churn storm ({mode}): {routes} routes x {rounds} flap rounds = {updates} updates, RIB ack +2 ms\n\
+        "Churn storm (xoff {} / xon {} / cap {}): {routes} routes x {rounds} flap rounds = {updates} updates, RIB ack +2 ms\n\
          peak outstanding XRLs:          {}\n\
          peak BGP->RIB lane depth:       {}\n\
          peak fanout holdback (routes):  {}\n\
@@ -486,6 +472,9 @@ pub fn storm_experiment(
          supervised restarts:            {restarts}\n\
          degraded:                       {degraded}\n\
          converged exactly:              {converged} ({:.1} s, {:.0} updates/s)",
+        policy.high_watermark,
+        policy.low_watermark,
+        policy.hard_cap,
         peak_outstanding,
         peak_lane_depth,
         peak_fanout_queue,

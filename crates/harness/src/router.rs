@@ -121,11 +121,11 @@ pub struct RouterOptions {
     /// on event-loop idle instead, so a lone route still leaves in the
     /// same loop iteration (preserving the Fig-10 latency shape).
     pub batch_flush_ms: u64,
-    /// Bound every process's per-lane XRL send queue: crossing the high
-    /// watermark pauses the congested pipeline reader (Xoff) until the
-    /// lane drains below the low watermark (Xon); the hard cap sheds
-    /// frames outright.  `None` (the default) keeps queues unbounded.
-    pub overload: Option<QueuePolicy>,
+    /// Bounds on every process's per-lane XRL send queue: crossing the
+    /// high watermark pauses the congested pipeline reader (Xoff) until
+    /// the lane drains below the low watermark (Xon); the hard cap sheds
+    /// frames outright.
+    pub overload: QueuePolicy,
     /// Artificial service delay, per route XRL, in the RIB's handlers —
     /// models a busy RIB for the overload experiments.  `0` replies
     /// inline.
@@ -150,7 +150,7 @@ impl Default for RouterOptions {
             supervision: None,
             batch_size: 1,
             batch_flush_ms: 0,
-            overload: None,
+            overload: QueuePolicy::default(),
             rib_delay_ms: 0,
             wire_v1_only: None,
         }
@@ -1407,9 +1407,7 @@ impl MultiProcessRouter {
     }
 
     /// Total outstanding XRL requests on the BGP router's pending map,
-    /// regardless of lane or policy.  This is the quantity that grows
-    /// without bound when backpressure is disabled (lane accounting only
-    /// runs under a policy, so the storm comparison uses this instead).
+    /// regardless of lane: charged data sends plus priority probes.
     pub fn bgp_outstanding_xrls(&self) -> usize {
         let guard = self.bgp.lock();
         match guard.as_ref() {
@@ -1447,9 +1445,25 @@ impl MultiProcessRouter {
         }
     }
 
+    /// Heap bytes the fanout stage holds (its queue buffer by capacity,
+    /// reader bookkeeping, in-flight dump state): what a drained backlog
+    /// must have given back.
+    pub fn bgp_fanout_memory_bytes(&self) -> usize {
+        let guard = self.bgp.lock();
+        match guard.as_ref() {
+            Some(bgp) => bgp
+                .call(|el| {
+                    el.slot::<BgpSlot>()
+                        .map(|s| s.0.borrow().fanout_memory_bytes())
+                        .unwrap_or(0)
+                })
+                .unwrap_or(0),
+            None => 0,
+        }
+    }
+
     /// BGP process heap proxy: route storage, fanout holdback, and the
     /// XRL layer's retained frames (retransmission copies + UDP parking).
-    /// The last term is where an uncapped storm's backlog actually lives.
     pub fn bgp_memory_bytes(&self) -> usize {
         let guard = self.bgp.lock();
         match guard.as_ref() {

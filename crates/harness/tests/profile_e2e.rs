@@ -215,11 +215,11 @@ fn profile_target_serves_records_and_metrics_over_xrl() {
 fn profile_target_answers_while_data_lane_xoffed() {
     const ROUTES: usize = 3000;
     let router = MultiProcessRouter::new(RouterOptions {
-        overload: Some(QueuePolicy {
+        overload: QueuePolicy {
             high_watermark: 16,
             low_watermark: 4,
             hard_cap: 8192,
-        }),
+        },
         // Each route ack held 2 ms: a few thousand routes keep the lane
         // congested for seconds — plenty to query through the storm.
         rib_delay_ms: 2,

@@ -213,11 +213,11 @@ fn restart_budget_exhaustion_degrades_and_flushes() {
 fn saturated_bgp_is_probed_alive_and_never_restarted() {
     let router = MultiProcessRouter::new(RouterOptions {
         supervision: Some(test_supervision(300, 5, Duration::from_secs(30))),
-        overload: Some(QueuePolicy {
+        overload: QueuePolicy {
             high_watermark: 16,
             low_watermark: 4,
             hard_cap: 1024,
-        }),
+        },
         // Each route ack is held 2 ms: ~16 outstanding per 2 ms of drain
         // means seconds of sustained congestion for a few thousand routes.
         rib_delay_ms: 2,

@@ -10,7 +10,9 @@ use xorp_harness::router::{MultiProcessRouter, RouterOptions};
 use xorp_harness::stats::{covered_hops, end_to_end_ns, stitch_spans};
 use xorp_harness::workload::{backbone_table, WorkloadConfig};
 use xorp_profiler::tracing::Span;
+use xorp_profiler::MetricValue;
 use xorp_rtrmgr::SupervisorConfig;
+use xorp_xrl::QueuePolicy;
 
 /// The tentpole chain: a sampled UPDATE's trace must cover every hop
 /// from BGP ingress to FEA install, with monotone parent/child stamps.
@@ -95,6 +97,65 @@ fn sampled_update_traces_cover_the_full_chain() {
         }
     }
 
+    router.stop();
+}
+
+/// Backpressure must not cost a route its trace.  With watermarks this
+/// tight both lanes are in Xoff most of the time, so nearly every route
+/// waits in the fanout queue and again in the RIB's redistribution
+/// backlog; each of those parks it with its context, and every sampled
+/// UPDATE's trace still ends at the FEA.
+#[test]
+fn traces_survive_congested_lanes() {
+    let router = MultiProcessRouter::new(RouterOptions {
+        overload: QueuePolicy {
+            high_watermark: 4,
+            low_watermark: 1,
+            hard_cap: 4096,
+        },
+        ..Default::default()
+    });
+    router.tracer.set_sampling(1);
+
+    // One route per UPDATE: a trace has no sibling route to reach the
+    // FEA in its place.
+    let routes = 512;
+    let table = backbone_table(&WorkloadConfig {
+        routes,
+        ..Default::default()
+    });
+    for chunk in table.chunks(1) {
+        router.feed_backbone(1, chunk);
+    }
+    assert!(
+        router.wait_for(Duration::from_secs(60), || {
+            router.fea_route_count() == routes + 1
+        }),
+        "workload never converged: fea={}",
+        router.fea_route_count()
+    );
+    for lane in ["bgp.xrl.xoff_total", "rib.xrl.xoff_total"] {
+        match router.metrics.get(lane) {
+            Some(MetricValue::Counter(n)) => assert!(n > 0, "{lane}: lane never congested"),
+            other => panic!("{lane}: {other:?}"),
+        }
+    }
+
+    let mut all: Vec<Span> = Vec::new();
+    for p in ["bgp", "rib", "fea"] {
+        all.extend(router.tracer.snapshot(p));
+    }
+    let views = stitch_spans(all);
+    let roots: Vec<u64> = views
+        .iter()
+        .filter(|v| v.is_root())
+        .map(|v| v.trace_id)
+        .collect();
+    assert_eq!(roots.len(), routes, "one trace per UPDATE");
+    for id in roots {
+        let hops = covered_hops(&views, id);
+        assert!(hops.contains("fea"), "trace {id} stopped at {hops:?}");
+    }
     router.stop();
 }
 

@@ -7,6 +7,19 @@
 //! excluding the value's own inline size (use [`HeapSize::total_size`] for
 //! inline + heap).
 
+/// Give a holdback queue's buffer back once its backlog has drained.
+///
+/// A `VecDeque` never shrinks by itself, so one full-table backlog would
+/// otherwise stay resident for the life of the process.  Call after
+/// popping: a buffer above 1024 slots that is less than a quarter full is
+/// cut to twice its length, which leaves room to grow again without
+/// reallocating on every push and costs amortised O(1) per pop.
+pub fn release_drained<T>(queue: &mut std::collections::VecDeque<T>) {
+    if queue.capacity() > 1024 && queue.len() < queue.capacity() / 4 {
+        queue.shrink_to(2 * queue.len());
+    }
+}
+
 /// Estimate of the heap bytes owned by a value.
 pub trait HeapSize {
     /// Bytes on the heap reachable from (and owned by) `self`.

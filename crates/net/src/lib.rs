@@ -33,7 +33,7 @@ pub use aspath::{AsNum, AsPath, AsPathSegment};
 pub use attrs::{Community, MedMetric, Origin, PathAttributes};
 pub use error::NetError;
 pub use fxhash::{FxHashMap, FxHashSet};
-pub use heapsize::HeapSize;
+pub use heapsize::{release_drained, HeapSize};
 pub use patricia::{IterHandle, PatriciaTrie};
 pub use prefix::{Ipv4Net, Ipv6Net, Prefix};
 pub use route::{AdminDistance, ProtocolId, RouteEntry};

@@ -16,8 +16,9 @@ use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
 use xorp_event::{EventLoop, SliceResult};
-use xorp_net::{Addr, Prefix, ProtocolId};
+use xorp_net::{release_drained, Addr, Prefix, ProtocolId};
 use xorp_policy::{FilterBank, PolicyTarget};
+use xorp_profiler::tracing::{self as xtrace, TraceContext};
 use xorp_stages::{DumpSource, OriginId, RouteOp, Stage, StageRef, DUMP_SLICE_SIZE};
 
 use crate::RibRoute;
@@ -43,14 +44,16 @@ pub struct RedistWatcher<A: Addr> {
     delivered: BTreeSet<Prefix<A>>,
     /// Flow control (XRL backpressure): while the cell reads `false`,
     /// deliveries are parked in the backlog instead of hitting the sink,
-    /// and replayed in order on resume.  The policy/delivered bookkeeping
+    /// and replayed in order on resume, each under the trace context it
+    /// was parked with (a sampled route must not lose its trace to a
+    /// congested lane).  The policy/delivered bookkeeping
     /// runs either way, so the watcher's view stays consistent across the
     /// pause.  The cell is shared ([`RedistStage::watcher_flow`]) so a
     /// congestion callback can flip it synchronously from inside the send
     /// path — overshoot past an Xoff is bounded at the watermark, exactly
     /// like a sender-side flow gate.
     flow: Rc<Cell<bool>>,
-    backlog: VecDeque<RedistOp<A>>,
+    backlog: VecDeque<(RedistOp<A>, Option<TraceContext>)>,
 }
 
 impl<A: Addr> RedistWatcher<A> {
@@ -75,10 +78,14 @@ impl<A: Addr> RedistWatcher<A> {
     /// Deliver now, or park while paused.
     fn emit(&mut self, el: &mut EventLoop, op: RedistOp<A>) {
         if !self.flow.get() {
-            self.backlog.push_back(op);
+            self.park(op);
         } else {
             (self.sink)(el, op);
         }
+    }
+
+    fn park(&mut self, op: RedistOp<A>) {
+        self.backlog.push_back((op, xtrace::current()));
     }
 
     fn wants_proto(&self, proto: ProtocolId) -> bool {
@@ -207,7 +214,7 @@ where
                         w.delivered.insert(net);
                         let op = RouteOp::Add { net, route: copy };
                         if !w.flow.get() {
-                            w.backlog.push_back(op);
+                            w.park(op);
                         } else {
                             out.push((w.sink.clone(), op));
                         }
@@ -250,19 +257,22 @@ where
             return;
         }
         loop {
-            let (sink, op) = {
+            let (sink, op, trace) = {
                 let Some(w) = self.watchers.get_mut(name) else {
                     return;
                 };
                 if !w.flow.get() {
                     return; // re-congested mid-replay: keep the rest parked
                 }
-                match w.backlog.pop_front() {
-                    Some(op) => (w.sink.clone(), op),
-                    None => return,
-                }
+                let Some((op, trace)) = w.backlog.pop_front() else {
+                    return;
+                };
+                release_drained(&mut w.backlog);
+                (w.sink.clone(), op, trace)
             };
+            let prev = xtrace::set_current(trace);
             sink(el, op);
+            xtrace::set_current(prev);
         }
     }
 
@@ -559,6 +569,66 @@ mod tests {
         assert!(matches!(seen[1], RouteOp::Add { .. }));
         assert_eq!(seen[1].net(), "20.0.0.0/8".parse().unwrap());
         assert!(matches!(seen[2], RouteOp::Delete { .. }));
+    }
+
+    /// A sampled route parked behind a congested lane keeps its trace:
+    /// the replay re-establishes the context each op was parked under,
+    /// and nothing leaks into the ops around it.
+    #[test]
+    fn parked_ops_replay_under_their_own_trace_context() {
+        let mut el = EventLoop::new_virtual();
+        let mut stage = RedistStage::new();
+        let contexts = Rc::new(RefCell::new(Vec::new()));
+        let c = contexts.clone();
+        stage.add_watcher(RedistWatcher::new(
+            "w",
+            None,
+            FilterBank::accept_by_default(),
+            Rc::new(move |_el, _op| c.borrow_mut().push(xtrace::current())),
+        ));
+        stage.set_watcher_flow(&mut el, "w", false);
+        let sampled = TraceContext {
+            trace_id: 7,
+            parent_span: 3,
+        };
+        for (net, ctx) in [
+            ("10.0.0.0/8", None),
+            ("20.0.0.0/8", Some(sampled)),
+            ("30.0.0.0/8", None),
+        ] {
+            let prev = xtrace::set_current(ctx);
+            stage.route_op(&mut el, OriginId(0), add(route(net, ProtocolId::Rip, 1)));
+            xtrace::set_current(prev);
+        }
+        stage.set_watcher_flow(&mut el, "w", true);
+        assert_eq!(*contexts.borrow(), [None, Some(sampled), None]);
+        assert_eq!(xtrace::current(), None);
+    }
+
+    /// One table-sized backlog does not stay resident: park 50,000 ops
+    /// behind a paused watcher, resume, and the buffer is given back — with
+    /// every op replayed in arrival order.
+    #[test]
+    fn drained_backlog_releases_its_buffer() {
+        let mut el = EventLoop::new_virtual();
+        let mut stage = RedistStage::new();
+        let seen = collect_watcher(&mut stage, "w", None, FilterBank::accept_by_default());
+        stage.set_watcher_flow(&mut el, "w", false);
+        let nets: Vec<String> = (0..50_000u32)
+            .map(|i| format!("10.{}.{}.0/24", i >> 8, i & 255))
+            .collect();
+        for net in &nets {
+            stage.route_op(&mut el, OriginId(0), add(route(net, ProtocolId::Rip, 1)));
+        }
+        assert!(stage.watchers["w"].backlog.capacity() >= 50_000);
+
+        stage.set_watcher_flow(&mut el, "w", true);
+        assert!(stage.watchers["w"].backlog.capacity() <= 2_048);
+        let seen = seen.borrow();
+        assert_eq!(seen.len(), nets.len());
+        assert!(seen.iter().zip(&nets).all(|(op, net)| {
+            matches!(op, RouteOp::Add { .. }) && op.net() == net.parse().unwrap()
+        }));
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use idl::{sig_hash, Interface, MethodSig, RetTuple, TypedResponder};
 pub use proxy::{ArgConstraint, MethodPolicy, XrlProxy};
 pub use router::{
     CongestionSignal, InternedCall, QueuePolicy, Responder, ResponseCb, RetryPolicy, TransportPref,
-    XrlRouter,
+    XrlRouter, SEQ_MAY_RECUR,
 };
 pub use xrl::{Xrl, XrlPath};
 

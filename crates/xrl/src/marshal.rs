@@ -45,7 +45,9 @@ use crate::error::XrlError;
 pub enum Frame {
     /// A method invocation.
     Request {
-        /// Correlation id, chosen by the sender.
+        /// Correlation id, chosen by the sender and echoed verbatim by the
+        /// response.  Its top bit is [`crate::SEQ_MAY_RECUR`]: set when the
+        /// sender may transmit this request more than once.
         seq: u64,
         /// The sending router's id.  Together with `seq` this identifies a
         /// request end-to-end, so receivers can deduplicate retransmissions

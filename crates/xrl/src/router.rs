@@ -23,20 +23,30 @@
 //!   retransmits it — same sequence number — with exponential backoff until
 //!   a response arrives or the attempt budget is spent
 //!   ([`XrlError::Timeout`]);
-//! * receivers deduplicate requests on `(sender, seq)`: a retransmission of
-//!   a request whose handler already ran gets the *cached* response
-//!   replayed instead of a second dispatch;
+//! * receivers deduplicate requests on `(sender, seq)` — but only requests
+//!   that can recur: a sender that can emit a second copy (it has a
+//!   [`RetryPolicy`] or a [`FaultPlan`]) sets [`SEQ_MAY_RECUR`], the top
+//!   bit of `seq`, and datagrams can duplicate on their own.  For those, a
+//!   retransmission of a request whose handler already ran gets the
+//!   *cached* response replayed instead of a second dispatch; a TCP request
+//!   without the bit is dispatched as it arrives and costs the receiver no
+//!   identity;
 //! * duplicate responses are dropped by the existing correlation map (the
 //!   pending entry is gone after the first).
 //!
 //! # Overload control
 //!
-//! A router with a [`QueuePolicy`] bounds what used to grow silently: the
-//! `pending` map entries (and, for UDP, the unpipelined per-peer queues)
-//! charged to each transport lane.  Crossing the high watermark emits a
-//! per-lane [`CongestionSignal::Xoff`] through the callback installed with
+//! Every router bounds, per transport lane, what it holds for requests in
+//! flight: the `pending` map entries (and, for UDP, the unpipelined
+//! per-peer queues) charged to the lane, under its [`QueuePolicy`]
+//! ([`QueuePolicy::default`] unless [`XrlRouter::set_overload_policy`]
+//! retunes it).  Crossing the high watermark emits a per-lane
+//! [`CongestionSignal::Xoff`] through the callback installed with
 //! [`XrlRouter::set_congestion_cb`]; draining below the low watermark emits
-//! [`CongestionSignal::Xon`].  Past the hard cap, data sends fail fast with
+//! [`CongestionSignal::Xon`].  A producer that heeds the signals keeps its
+//! backlog in its own queue (BGP's fanout, the RIB's redistribution
+//! watcher), so the XRL plane holds a window of requests, not a table of
+//! them.  Past the hard cap, data sends fail fast with
 //! [`XrlError::Overloaded`] instead of queueing.  Control traffic uses
 //! [`XrlRouter::send_priority`], which bypasses all of it — a keepalive
 //! answers even when every data lane is parked.
@@ -283,11 +293,10 @@ struct Pending {
     /// the requests that died with it (and not ones already moved to its
     /// replacement).
     conn: Option<Arc<TcpConn>>,
-    /// Lane this entry is charged against in the overload accounting, when
-    /// a [`QueuePolicy`] was active at send time and the send was data
-    /// priority.  Priority and intra sends are never charged.  `Rc<str>`
-    /// so interned senders share one precomputed label per lane instead of
-    /// allocating a fresh `String` per route.
+    /// Lane this entry is charged against in the overload accounting:
+    /// every remote data-priority send.  Priority and intra sends are
+    /// never charged.  `Rc<str>` so interned senders share one precomputed
+    /// label per lane instead of allocating a fresh `String` per route.
     counted_lane: Option<Rc<str>>,
     /// Sent via [`XrlRouter::send_priority`]: over UDP it never owned the
     /// unpipelined per-peer slot, so completion must not pump the queue.
@@ -312,11 +321,22 @@ enum DedupState {
     Done(XrlResult),
 }
 
-/// Fallback dedup retention when no [`RetryPolicy`] is configured: with no
-/// retransmissions possible from well-behaved senders, entries only need to
-/// outlive transit reordering.  Kept generous to cover senders running the
-/// default policy — which is not free: eviction is by age alone, so at
-/// batch 1 a receiver holds 30 s × ~25k identities/s.
+/// Top bit of a request's `seq`: set by a sender that can put a second
+/// copy of the request on the wire — it has a [`RetryPolicy`] (timeout
+/// retransmission) or a [`FaultPlan`] (injected duplicates) when the number
+/// is allocated.  Part of the wire contract: a receiver keeps a dedup
+/// identity for a TCP request only when the bit is set.  The frame layout
+/// is unchanged (`seq` stays an opaque u64 that responses echo verbatim),
+/// and a sender with neither policy emits the same bytes it always did.
+pub const SEQ_MAY_RECUR: u64 = 1 << 63;
+
+/// How long a receiver with no [`RetryPolicy`] of its own remembers a
+/// request identity: long enough for a sender running the default policy.
+/// Who pays, and when: only receivers of requests that can recur (UDP, or
+/// [`SEQ_MAY_RECUR`] set) — about 120 B per identity, evicted by age alone,
+/// so a lossy or retrying batch-1 feed at ~80k requests/s holds ~2.4M
+/// identities here.  `xrl.dedup_entries` shows it.  Requests over TCP from
+/// a sender with neither a retry policy nor a fault plan cost nothing.
 const DEDUP_DEFAULT_WINDOW: Duration = Duration::from_secs(30);
 
 /// One registered method on a target: its interned slot is its index in
@@ -364,7 +384,8 @@ struct RouterInner {
     sender: EventSender,
     targets: HashMap<String, Target>,
     primary_class: Option<String>,
-    next_seq: u64,
+    /// Next unallocated request number; handed out by [`RouterInner::next_seq`].
+    seq_counter: u64,
     pending: HashMap<u64, Pending>,
     /// Resolve cache keyed by `(target, method path)` — a tuple, not a
     /// joined string, so a target name containing the old `|` separator
@@ -382,12 +403,12 @@ struct RouterInner {
     udp: Option<UdpState>,
     fault: Option<FaultPlan>,
     retry: Option<RetryPolicy>,
-    /// Per-lane queue bounds; `None` preserves the legacy unbounded
-    /// behaviour.
-    overload: Option<QueuePolicy>,
-    /// Overload accounting per transport lane (only maintained while an
-    /// overload policy is set).
-    lane_load: HashMap<String, LaneLoad>,
+    /// Per-lane queue bounds.
+    overload: QueuePolicy,
+    /// Overload accounting per transport lane.  Keyed by the label the
+    /// charged `Pending` entries share, looked up by `&str`: a lane's key
+    /// is allocated once, when the lane is first charged.
+    lane_load: HashMap<Rc<str>, LaneLoad>,
     /// Receives Xoff/Xon as lanes cross their watermarks.
     #[allow(clippy::type_complexity)]
     congestion_cb: Option<Rc<dyn Fn(&mut EventLoop, &CongestionSignal)>>,
@@ -414,17 +435,18 @@ struct RouterInner {
     tcp_metrics: SharedTcpMetrics,
 }
 
-/// The router's registry handles.  The `pending` gauge is maintained even
-/// without a [`QueuePolicy`] — an *unbounded* run's peak outstanding count
-/// is exactly what an observer needs to see to know a cap is missing.
+/// The router's registry handles.
 #[derive(Clone)]
 struct XrlMetrics {
-    /// `xrl.pending` — outstanding requests (gauge tracks the peak).
+    /// `xrl.pending` — outstanding requests of every kind, charged or not
+    /// (gauge tracks the peak).
     pending: Gauge,
-    /// `xrl.lane_depth` — per-lane charged depth, across all lanes
-    /// (only maintained while an overload policy is set, like the
-    /// accounting it mirrors).
+    /// `xrl.lane_depth` — per-lane charged depth, across all lanes.
     lane_depth: Gauge,
+    /// `xrl.dedup_entries` — request identities the receiver side
+    /// remembers (gauge tracks the peak): the cache that grows with
+    /// traffic when senders retry.
+    dedup_entries: Gauge,
     /// `xrl.xoff_total` / `xrl.xon_total` — watermark crossings.
     xoff: Counter,
     xon: Counter,
@@ -485,6 +507,79 @@ impl InternedCall {
     }
 }
 
+impl RouterInner {
+    /// Allocate a request sequence number, marked [`SEQ_MAY_RECUR`] iff
+    /// this router can put the request on the wire twice.
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq_counter;
+        self.seq_counter += 1;
+        if self.retry.is_some() || self.fault.is_some() {
+            seq | SEQ_MAY_RECUR
+        } else {
+            seq
+        }
+    }
+
+    /// The state half of [`XrlRouter::admit`]: charge the lane, or hand
+    /// `cb` back when it is at its hard cap; on success the request's
+    /// `seq` and the `Xoff` to emit if this send crossed the high
+    /// watermark.
+    fn admit(
+        &mut self,
+        via: Via,
+        lane: Option<Rc<str>>,
+        priority: bool,
+        cb: ResponseCb,
+    ) -> Result<(u64, Option<CongestionSignal>), ResponseCb> {
+        let counted_lane = lane.filter(|_| !priority);
+        let mut xoff = None;
+        if let Some(lane) = &counted_lane {
+            let load = match self.lane_load.get_mut(lane.as_ref()) {
+                Some(load) => load,
+                None => self.lane_load.entry(lane.clone()).or_default(),
+            };
+            if load.depth >= self.overload.hard_cap {
+                self.shed += 1;
+                if let Some(m) = &self.metrics {
+                    m.shed.inc();
+                }
+                return Err(cb);
+            }
+            load.depth += 1;
+            if let Some(m) = &self.metrics {
+                m.lane_depth.set(load.depth as i64);
+            }
+            if !load.xoff && load.depth >= self.overload.high_watermark {
+                load.xoff = true;
+                if let Some(m) = &self.metrics {
+                    m.xoff.inc();
+                }
+                xoff = Some(CongestionSignal::Xoff {
+                    lane: lane.to_string(),
+                });
+            }
+        }
+        let seq = self.next_seq();
+        self.pending.insert(
+            seq,
+            Pending {
+                cb,
+                via,
+                attempt: 1,
+                timer: None,
+                frame: None,
+                conn: None,
+                counted_lane,
+                priority,
+            },
+        );
+        if let Some(m) = &self.metrics {
+            m.pending.set(self.pending.len() as i64);
+        }
+        Ok((seq, xoff))
+    }
+}
+
 static NEXT_ROUTER_ID: AtomicU64 = AtomicU64::new(1);
 
 /// The per-loop XRL dispatcher.  Clone-cheap handle.
@@ -508,7 +603,7 @@ impl XrlRouter {
                 sender,
                 targets: HashMap::new(),
                 primary_class: None,
-                next_seq: 1,
+                seq_counter: 1,
                 pending: HashMap::new(),
                 resolve_cache: HashMap::new(),
                 cache_generation: 1,
@@ -517,7 +612,7 @@ impl XrlRouter {
                 udp: None,
                 fault: None,
                 retry: None,
-                overload: None,
+                overload: QueuePolicy::default(),
                 lane_load: HashMap::new(),
                 congestion_cb: None,
                 shed: 0,
@@ -547,7 +642,8 @@ impl XrlRouter {
     }
 
     /// Attach a metrics registry.  The router reports outstanding requests
-    /// (`xrl.pending`), charged lane depth (`xrl.lane_depth`), watermark
+    /// (`xrl.pending`), charged lane depth (`xrl.lane_depth`), remembered
+    /// request identities (`xrl.dedup_entries`), watermark
     /// crossings (`xrl.xoff_total`/`xrl.xon_total`), hard-cap sheds
     /// (`xrl.shed_total`), retransmissions (`xrl.retransmit_total`) and
     /// the TCP family's frames per syscall (`xrl.frames_per_read`,
@@ -563,6 +659,7 @@ impl XrlRouter {
         inner.metrics = Some(XrlMetrics {
             pending: metrics.gauge("xrl.pending"),
             lane_depth: metrics.gauge("xrl.lane_depth"),
+            dedup_entries: metrics.gauge("xrl.dedup_entries"),
             xoff: metrics.counter("xrl.xoff_total"),
             xon: metrics.counter("xrl.xon_total"),
             shed: metrics.counter("xrl.shed_total"),
@@ -604,15 +701,12 @@ impl XrlRouter {
 
     // ----- overload control -------------------------------------------------
 
-    /// Bound every transport lane's outstanding-request queue.  `None` (the
-    /// default) restores the legacy unbounded behaviour and resets all
-    /// accounting — no `Xon` is emitted for lanes that were congested.
-    pub fn set_overload_policy(&self, policy: Option<QueuePolicy>) {
-        let mut inner = self.inner.borrow_mut();
-        inner.overload = policy;
-        if policy.is_none() {
-            inner.lane_load.clear();
-        }
+    /// Retune the bounds on every transport lane's outstanding-request
+    /// queue ([`QueuePolicy::default`] until called).  Accounting carries
+    /// over: a lane already in Xoff emits its `Xon` once it drains to the
+    /// new low watermark.
+    pub fn set_overload_policy(&self, policy: QueuePolicy) {
+        self.inner.borrow_mut().overload = policy;
     }
 
     /// Install the callback that receives [`CongestionSignal`]s as lanes
@@ -624,8 +718,7 @@ impl XrlRouter {
         self.inner.borrow_mut().congestion_cb = Some(Rc::new(cb));
     }
 
-    /// Outstanding data-priority requests charged to `lane`
-    /// (diagnostic; 0 when no overload policy is set).
+    /// Outstanding data-priority requests charged to `lane` (diagnostic).
     pub fn lane_depth(&self, lane: &str) -> usize {
         self.inner
             .borrow()
@@ -642,7 +735,7 @@ impl XrlRouter {
             .lane_load
             .iter()
             .filter(|(_, l)| l.xoff)
-            .map(|(k, _)| k.clone())
+            .map(|(k, _)| k.to_string())
             .collect()
     }
 
@@ -665,9 +758,8 @@ impl XrlRouter {
     /// Approximate bytes held by the XRL layer for in-flight traffic:
     /// per-request bookkeeping (`Pending`, excluding callback captures),
     /// frames retained for retransmission, and frames parked in UDP
-    /// per-peer queues.  This is the queue memory the hard cap bounds —
-    /// without a cap it grows with every un-acked send.  Walks the maps,
-    /// so sample it sparsely.
+    /// per-peer queues.  This is the queue memory the hard cap bounds.
+    /// Walks the maps, so sample it sparsely.
     pub fn retained_frame_bytes(&self) -> usize {
         let inner = self.inner.borrow();
         let pending: usize = inner
@@ -719,33 +811,32 @@ impl XrlRouter {
             .or_else(|| udp.map(|a| format!("udp:{a}")))
     }
 
-    /// Charge one outstanding request to `lane`, emitting `Xoff` when the
-    /// high watermark is crossed.
-    fn note_lane_enqueue(&self, el: &mut EventLoop, lane: &str) {
-        let signal = {
-            let inner = &mut *self.inner.borrow_mut();
-            let Some(policy) = inner.overload else {
-                return;
-            };
-            let load = inner.lane_load.entry(lane.to_string()).or_default();
-            load.depth += 1;
-            if let Some(m) = &inner.metrics {
-                m.lane_depth.set(load.depth as i64);
+    /// Admit one request and register it as pending: the one place a send
+    /// is charged to its lane, shed at the hard cap, and given its sequence
+    /// number.  `lane` is the transport lane the request will travel
+    /// (`None` for intra dispatch); priority and intra sends pass
+    /// uncharged.  Returns the request's `seq`, or `None` after failing
+    /// `cb` with [`XrlError::Overloaded`].  A send that crosses the high
+    /// watermark emits `Xoff` once its entry is in place.
+    fn admit(
+        &self,
+        el: &mut EventLoop,
+        via: Via,
+        lane: Option<Rc<str>>,
+        priority: bool,
+        cb: ResponseCb,
+    ) -> Option<u64> {
+        let outcome = self.inner.borrow_mut().admit(via, lane, priority, cb);
+        match outcome {
+            Ok((seq, None)) => Some(seq),
+            Ok((seq, Some(xoff))) => {
+                self.emit_congestion(el, xoff);
+                Some(seq)
             }
-            if !load.xoff && load.depth >= policy.high_watermark {
-                load.xoff = true;
-                if let Some(m) = &inner.metrics {
-                    m.xoff.inc();
-                }
-                Some(CongestionSignal::Xoff {
-                    lane: lane.to_string(),
-                })
-            } else {
+            Err(cb) => {
+                cb(el, Err(XrlError::Overloaded));
                 None
             }
-        };
-        if let Some(sig) = signal {
-            self.emit_congestion(el, sig);
         }
     }
 
@@ -754,7 +845,7 @@ impl XrlRouter {
     fn note_lane_dequeue(&self, el: &mut EventLoop, lane: &str) {
         let signal = {
             let inner = &mut *self.inner.borrow_mut();
-            let policy = inner.overload;
+            let low_watermark = inner.overload.low_watermark;
             let Some(load) = inner.lane_load.get_mut(lane) else {
                 return;
             };
@@ -762,17 +853,16 @@ impl XrlRouter {
             if let Some(m) = &inner.metrics {
                 m.lane_depth.set(load.depth as i64);
             }
-            match policy {
-                Some(p) if load.xoff && load.depth <= p.low_watermark => {
-                    load.xoff = false;
-                    if let Some(m) = &inner.metrics {
-                        m.xon.inc();
-                    }
-                    Some(CongestionSignal::Xon {
-                        lane: lane.to_string(),
-                    })
+            if load.xoff && load.depth <= low_watermark {
+                load.xoff = false;
+                if let Some(m) = &inner.metrics {
+                    m.xon.inc();
                 }
-                _ => None,
+                Some(CongestionSignal::Xon {
+                    lane: lane.to_string(),
+                })
+            } else {
+                None
             }
         };
         if let Some(sig) = signal {
@@ -1110,62 +1200,14 @@ impl XrlRouter {
             }
         };
 
-        // Overload control: charge data sends against their lane; shed at
-        // the hard cap instead of growing without bound.  Priority and
-        // intra sends pass untouched.
         let lane = match via {
             Via::Intra => None,
-            Via::Tcp(a) => Some(format!("tcp:{a}")),
-            Via::Udp(a) => Some(format!("udp:{a}")),
+            Via::Tcp(a) => Some(Rc::from(format!("tcp:{a}"))),
+            Via::Udp(a) => Some(Rc::from(format!("udp:{a}"))),
         };
-        let counted_lane = match (&lane, priority) {
-            (Some(lane), false) => {
-                let mut inner = self.inner.borrow_mut();
-                match inner.overload {
-                    Some(policy) => {
-                        let depth = inner.lane_load.get(lane).map(|l| l.depth).unwrap_or(0);
-                        if depth >= policy.hard_cap {
-                            inner.shed += 1;
-                            if let Some(m) = &inner.metrics {
-                                m.shed.inc();
-                            }
-                            drop(inner);
-                            cb(el, Err(XrlError::Overloaded));
-                            return;
-                        }
-                        Some(Rc::from(lane.as_str()))
-                    }
-                    None => None,
-                }
-            }
-            _ => None,
+        let Some(seq) = self.admit(el, via, lane, priority, cb) else {
+            return;
         };
-
-        let seq = {
-            let mut inner = self.inner.borrow_mut();
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            inner.pending.insert(
-                seq,
-                Pending {
-                    cb,
-                    via,
-                    attempt: 1,
-                    timer: None,
-                    frame: None,
-                    conn: None,
-                    counted_lane: counted_lane.clone(),
-                    priority,
-                },
-            );
-            if let Some(m) = &inner.metrics {
-                m.pending.set(inner.pending.len() as i64);
-            }
-            seq
-        };
-        if let Some(l) = &counted_lane {
-            self.note_lane_enqueue(el, l);
-        }
 
         match via {
             Via::Intra => {
@@ -1296,9 +1338,9 @@ impl XrlRouter {
             let (via, lane) = if intra {
                 (Via::Intra, None)
             } else if let Some(a) = tcp {
-                (Via::Tcp(a), Some(Rc::from(format!("tcp:{a}").as_str())))
+                (Via::Tcp(a), Some(Rc::from(format!("tcp:{a}"))))
             } else if let Some(a) = udp {
-                (Via::Udp(a), Some(Rc::from(format!("udp:{a}").as_str())))
+                (Via::Udp(a), Some(Rc::from(format!("udp:{a}"))))
             } else {
                 cb(
                     el,
@@ -1354,60 +1396,10 @@ impl XrlRouter {
             None
         };
 
-        // Overload control, identical to `send_inner` but with the lane
-        // label precomputed.
-        let counted_lane = match (&lane, priority) {
-            (Some(lane), false) => {
-                let mut inner = self.inner.borrow_mut();
-                match inner.overload {
-                    Some(policy) => {
-                        let depth = inner
-                            .lane_load
-                            .get(lane.as_ref())
-                            .map(|l| l.depth)
-                            .unwrap_or(0);
-                        if depth >= policy.hard_cap {
-                            inner.shed += 1;
-                            if let Some(m) = &inner.metrics {
-                                m.shed.inc();
-                            }
-                            drop(inner);
-                            cb(el, Err(XrlError::Overloaded));
-                            return;
-                        }
-                        Some(lane.clone())
-                    }
-                    None => None,
-                }
-            }
-            _ => None,
+        let Some(seq) = self.admit(el, via, lane, priority, cb) else {
+            return;
         };
-
-        let (seq, my_id) = {
-            let mut inner = self.inner.borrow_mut();
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            inner.pending.insert(
-                seq,
-                Pending {
-                    cb,
-                    via,
-                    attempt: 1,
-                    timer: None,
-                    frame: None,
-                    conn: None,
-                    counted_lane: counted_lane.clone(),
-                    priority,
-                },
-            );
-            if let Some(m) = &inner.metrics {
-                m.pending.set(inner.pending.len() as i64);
-            }
-            (seq, inner.router_id)
-        };
-        if let Some(l) = &counted_lane {
-            self.note_lane_enqueue(el, l);
-        }
+        let my_id = self.router_id();
 
         match via {
             Via::Intra => {
@@ -1911,11 +1903,13 @@ impl XrlRouter {
         priority: bool,
         trace: Option<TraceContext>,
     ) {
-        // Local dispatch can't be retransmitted; only remote requests carry
-        // a meaningful (sender, seq) identity.
+        // Only a request that can arrive twice takes a (sender, seq)
+        // identity: a datagram (the network duplicates those by itself) or
+        // one whose sender marked it as possibly retransmitted.
         let origin = match reply {
             ReplyPath::Local => None,
-            _ => Some((sender_id, seq)),
+            ReplyPath::Udp(_) => Some((sender_id, seq)),
+            ReplyPath::Tcp(_) => (seq & SEQ_MAY_RECUR != 0).then_some((sender_id, seq)),
         };
         if let Some(dedup_key) = origin {
             let now = el.now();
@@ -1943,6 +1937,9 @@ impl XrlRouter {
                             if let Some((old, _)) = inner.dedup_order.pop_front() {
                                 inner.dedup.remove(&old);
                             }
+                        }
+                        if let Some(m) = &inner.metrics {
+                            m.dedup_entries.set(inner.dedup.len() as i64);
                         }
                         None
                     }

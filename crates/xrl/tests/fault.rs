@@ -15,7 +15,9 @@ use std::time::Duration;
 use proptest::prelude::*;
 use xorp_event::{EventLoop, EventSender};
 use xorp_xrl::router::TransportPref;
-use xorp_xrl::{FaultConfig, FaultPlan, Finder, RetryPolicy, Xrl, XrlError, XrlRouter};
+use xorp_xrl::{
+    FaultConfig, FaultPlan, Finder, QueuePolicy, RetryPolicy, Xrl, XrlError, XrlRouter,
+};
 
 /// Distinct lane seeds per test so parallel tests never share streams.
 static NEXT_CLASS: AtomicU64 = AtomicU64::new(0);
@@ -84,6 +86,11 @@ fn run_exchange_linger(
     let router = XrlRouter::new(&mut el, finder);
     router.set_fault_plan(config);
     router.set_retry_policy(Some(retry));
+    // These tests burst all `n` sends at once and are about dedup, not queues.
+    router.set_overload_policy(QueuePolicy {
+        hard_cap: n as usize,
+        ..QueuePolicy::default()
+    });
     router.enable_tcp().unwrap();
     router
         .register_target("fault-sender", &format!("{class}-sender"), true)

@@ -126,11 +126,11 @@ fn watermarks_shed_and_priority_on_a_stalled_lane() {
     let me = format!("{class}-sender");
     router.register_target("ovl-sender", &me, true).unwrap();
     add_keepalive_responder(&router, &me);
-    router.set_overload_policy(Some(QueuePolicy {
+    router.set_overload_policy(QueuePolicy {
         high_watermark: 8,
         low_watermark: 3,
         hard_cap: 12,
-    }));
+    });
     let signals: Rc<RefCell<Vec<CongestionSignal>>> = Rc::new(RefCell::new(Vec::new()));
     let s = signals.clone();
     router.set_congestion_cb(move |_el, sig| s.borrow_mut().push(sig.clone()));
@@ -214,6 +214,63 @@ fn watermarks_shed_and_priority_on_a_stalled_lane() {
         ],
         "one Xoff, one Xon — no whipsaw inside the hysteresis band"
     );
+
+    receiver.stop();
+    rthread.join().unwrap();
+}
+
+/// A router nobody configured still bounds its lanes: the default policy
+/// charges every data send from the first one, raises Xoff at its high
+/// watermark and sheds at its hard cap, on a lane label that matches
+/// `lane_of` — through the string-keyed and the interned send path alike,
+/// which share one lane.
+#[test]
+fn lane_accounting_is_on_and_bounded_by_default() {
+    let class = format!("ovl{}", NEXT_CLASS.fetch_add(1, Ordering::SeqCst));
+    let finder = Finder::new();
+    let (receiver, rthread) = spawn_stashing_receiver(finder.clone(), &class, false);
+
+    let mut el = EventLoop::new();
+    let router = XrlRouter::new(&mut el, finder);
+    router.enable_tcp().unwrap();
+    let signals: Rc<RefCell<Vec<CongestionSignal>>> = Rc::new(RefCell::new(Vec::new()));
+    let s = signals.clone();
+    router.set_congestion_cb(move |_el, sig| s.borrow_mut().push(sig.clone()));
+
+    let policy = QueuePolicy::default();
+    let path = format!("{class}/1.0/hold");
+    let interned = router.intern(&class, &path, 0, &[]);
+    let results: Rc<RefCell<Vec<XrlResult>>> = Rc::new(RefCell::new(Vec::new()));
+    for i in 0..=policy.hard_cap {
+        let r = results.clone();
+        let cb = Box::new(move |_el: &mut EventLoop, res| r.borrow_mut().push(res));
+        if i % 2 == 0 {
+            router.send(&mut el, hold_xrl(&class), cb);
+        } else {
+            router.send_interned(&mut el, &interned, Default::default(), false, cb);
+        }
+        if i == 0 {
+            let lane = router.lane_of(&class, &path).unwrap();
+            assert_eq!(router.lane_depth(&lane), 1, "charged from the first send");
+        }
+    }
+    let lane = router.lane_of(&class, &path).unwrap();
+    assert_eq!(router.lane_depth(&lane), policy.hard_cap);
+    assert_eq!(router.pending_len(), policy.hard_cap);
+    assert_eq!(router.shed_count(), 1);
+    assert!(matches!(results.borrow()[..], [Err(XrlError::Overloaded)]));
+    assert_eq!(
+        signals.borrow().clone(),
+        vec![CongestionSignal::Xoff { lane: lane.clone() }]
+    );
+
+    release_stash(&receiver);
+    run_until(&mut el, "drain", || {
+        results.borrow().len() == policy.hard_cap + 1
+    });
+    assert_eq!(router.lane_depth(&lane), 0);
+    assert_eq!(router.pending_len(), 0);
+    assert_eq!(signals.borrow().len(), 2, "one Xoff, one Xon");
 
     receiver.stop();
     rthread.join().unwrap();

@@ -16,7 +16,9 @@ use xorp_event::{EventLoop, Time};
 use xorp_profiler::{MetricValue, Metrics};
 use xorp_xrl::finder::Endpoint;
 use xorp_xrl::marshal::{read_frame, Frame};
-use xorp_xrl::{FaultConfig, Finder, RetryPolicy, Xrl, XrlArgs, XrlError, XrlResult, XrlRouter};
+use xorp_xrl::{
+    FaultConfig, Finder, RetryPolicy, Xrl, XrlArgs, XrlError, XrlResult, XrlRouter, SEQ_MAY_RECUR,
+};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -191,6 +193,43 @@ fn priority_frame_waits_behind_at_most_one_batch() {
     );
     rx.el.run_until_idle();
     assert_eq!(rx.log.borrow().len(), 201);
+}
+
+/// The next frame on the wire, which must be a successful response.
+fn read_ok_response(wire: &mut TcpStream) -> u64 {
+    wire.set_read_timeout(Some(TIMEOUT)).unwrap();
+    match Frame::decode(read_frame(wire).unwrap()).unwrap() {
+        Frame::Response {
+            seq, result: Ok(_), ..
+        } => seq,
+        other => panic!("expected an ok response, read {other:?}"),
+    }
+}
+
+/// The `seq` bit is the wire contract for dedup.  A replayed request that
+/// carries [`SEQ_MAY_RECUR`] runs its handler once and has the cached
+/// response replayed; without the bit the sender has promised never to
+/// send a second copy, so each arrival is a request of its own.
+#[test]
+fn dedup_only_when_flagged_replay_from_a_raw_peer() {
+    let mut rx = receiving();
+    let flagged = note_frame(rx.key, SEQ_MAY_RECUR | 7, 70, false);
+    rx.feed(&[flagged.clone(), flagged].concat(), 2);
+    rx.el.run_until_idle();
+    assert_eq!(*rx.log.borrow(), [70]);
+    for _ in 0..2 {
+        assert_eq!(read_ok_response(&mut rx.wire), SEQ_MAY_RECUR | 7);
+    }
+    assert_eq!(gauge(&rx.metrics, "xrl.dedup_entries"), 1);
+
+    let plain = note_frame(rx.key, 8, 80, false);
+    rx.feed(&[plain.clone(), plain].concat(), 4);
+    rx.el.run_until_idle();
+    assert_eq!(*rx.log.borrow(), [70, 80, 80]);
+    for _ in 0..2 {
+        assert_eq!(read_ok_response(&mut rx.wire), 8);
+    }
+    assert_eq!(gauge(&rx.metrics, "xrl.dedup_entries"), 1);
 }
 
 /// A router whose only peer is a raw listener registered with the Finder

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use xorp_event::{EventLoop, EventSender};
 use xorp_xrl::marshal::Frame;
-use xorp_xrl::{xrl_interface, AtomValue, Finder, XrlArgs, XrlRouter};
+use xorp_xrl::{xrl_interface, AtomValue, Finder, XrlArgs, XrlRouter, SEQ_MAY_RECUR};
 
 // ---- golden fixtures ----------------------------------------------------
 
@@ -93,6 +93,29 @@ fn golden_v2_frame_encoding_is_stable() {
     let bytes = from_hex(V2_ADD_ROUTE_HEX);
     let decoded = Frame::decode(bytes::Bytes::copy_from_slice(&bytes[4..])).unwrap();
     assert_eq!(decoded, frame);
+}
+
+/// The may-recur mark rides the existing 8-byte `seq` field: on both wires
+/// a flagged request round-trips and differs from the golden (unflagged)
+/// frame in exactly one bit — the top bit of `seq`'s first byte, right
+/// after the length prefix and the kind byte.
+#[test]
+fn flagged_seq_round_trips_and_moves_no_other_byte() {
+    for (frame, golden) in [
+        (v1_add_route_frame(), V1_ADD_ROUTE_HEX),
+        (v2_add_route_frame(), V2_ADD_ROUTE_HEX),
+    ] {
+        let mut flagged = frame;
+        if let Frame::Request { seq, .. } = &mut flagged {
+            *seq |= SEQ_MAY_RECUR;
+        }
+        let bytes = flagged.encode();
+        let decoded = Frame::decode(bytes::Bytes::copy_from_slice(&bytes[4..])).unwrap();
+        assert_eq!(decoded, flagged);
+        let mut expected = from_hex(golden);
+        expected[5] |= 0x80;
+        assert_eq!(bytes[..], expected[..]);
+    }
 }
 
 /// The headline saving the fixtures also document: dropping the path and
