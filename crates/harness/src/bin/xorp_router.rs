@@ -158,31 +158,6 @@ fn parse_fault_flags(args: &[String]) -> Option<FaultConfig> {
     any.then_some(config)
 }
 
-/// Parse `--batch-size N` and `--batch-flush-ms N` (defaults 1 and 0 —
-/// the per-route pipeline with no timer).
-fn parse_batch_flags(args: &[String]) -> (usize, u64) {
-    let value_of = |flag: &str| -> Option<&str> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(|s| s.as_str())
-    };
-    let int = |flag: &str, default: u64| -> u64 {
-        value_of(flag)
-            .map(|v| {
-                v.parse().unwrap_or_else(|_| {
-                    eprintln!("{flag} expects an integer, got {v:?}");
-                    std::process::exit(2);
-                })
-            })
-            .unwrap_or(default)
-    };
-    (
-        int("--batch-size", 1).max(1) as usize,
-        int("--batch-flush-ms", 0),
-    )
-}
-
 /// Parse `--xrl-queue-cap N` and `--xoff-watermark HIGH:LOW` into the
 /// router's [`QueuePolicy`]: [`QueuePolicy::default`] with neither flag; a
 /// given cap moves the watermarks to cap/4 and cap/16 unless they are
@@ -381,7 +356,7 @@ fn main() {
             cfg.grace_period.as_millis()
         );
     }
-    let (batch_size, batch_flush_ms) = parse_batch_flags(&args);
+    let (batch_size, batch_flush_ms) = xorp_harness::figargs::parse_batch();
     if batch_size > 1 {
         println!("batched route pipeline on: batch-size={batch_size} flush-ms={batch_flush_ms}");
     }

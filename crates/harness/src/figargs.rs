@@ -26,20 +26,35 @@ pub fn parse(default_routes: usize) -> (u32, usize) {
 
 /// Parse the batched-pipeline knobs: `--batch-size N` (default 1 —
 /// per-route XRLs) and `--batch-flush-ms N` (default 0 — flush on loop
-/// idle).
+/// idle).  A bad value exits with a message.  A batch is one XRL frame,
+/// whose row count the wire holds in 16 bits, so a size above 65,535 is
+/// refused rather than cut short.
 pub fn parse_batch() -> (usize, u64) {
     let args: Vec<String> = std::env::args().collect();
+    let fail = |msg: String| -> ! {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    };
     let int = |flag: &str, default: u64| -> u64 {
-        args.iter()
+        match args
+            .iter()
             .position(|a| a == flag)
             .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        {
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|_| fail(format!("{flag} expects an integer, got {v:?}"))),
+            None => default,
+        }
     };
-    (
-        int("--batch-size", 1).max(1) as usize,
-        int("--batch-flush-ms", 0),
-    )
+    let size = int("--batch-size", 1).max(1);
+    if size > u16::MAX as u64 {
+        fail(format!(
+            "--batch-size {size} exceeds {}, the most rows one XRL frame can carry",
+            u16::MAX
+        ));
+    }
+    (size as usize, int("--batch-flush-ms", 0))
 }
 
 /// Print the per-probe kernel-latency series (the scatter in the

@@ -203,3 +203,66 @@ impl BulkRouteSink {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+    use std::time::Duration;
+
+    use xorp_xrl::finder::Endpoint;
+    use xorp_xrl::marshal::{read_frame, Frame};
+    use xorp_xrl::{sig_hash, AtomType, Finder, XrlRouter};
+
+    use super::*;
+
+    /// `rib/1.0/add_route`'s signature hash, written out by hand.  Both
+    /// ends of the BGP→RIB hop compute it from the declaration above; if it
+    /// moved, every peer built before the move would fall back to v1.
+    const ADD_ROUTE_SIG: u64 = 4_517_232_572_969_457_889;
+
+    #[test]
+    fn rib_add_route_signature_is_pinned() {
+        let hand = sig_hash(
+            "add_route",
+            &[
+                ("net", AtomType::Ipv4Net),
+                ("nexthop", AtomType::Ipv4),
+                ("ifname", AtomType::Text),
+                ("metric", AtomType::U32),
+                ("proto", AtomType::Text),
+            ],
+            &[],
+        );
+        assert_eq!(hand, ADD_ROUTE_SIG);
+
+        // A peer advertising the hand-written hash gets a positional v2
+        // frame from the generated stub: stub and literal agree.
+        let finder = Finder::new();
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let endpoint = Endpoint::Tcp(listener.local_addr().unwrap());
+        finder
+            .register("rib", "rib-0", vec![endpoint], true)
+            .unwrap();
+        finder.advertise_sig("rib-0", "rib/1.0/add_route", 7, hand);
+        let mut el = EventLoop::new_virtual();
+        let router = XrlRouter::new(&mut el, finder);
+        router.enable_tcp().unwrap();
+        rib::Client::new(&router, "rib").add_route(
+            &mut el,
+            "10.0.0.0/8".parse().unwrap(),
+            Ipv4Addr::new(192, 168, 0, 1),
+            "eth0".into(),
+            1,
+            "ebgp".into(),
+            |_el, _r| {},
+        );
+        el.run_until_idle();
+        let (mut wire, _) = listener.accept().unwrap();
+        wire.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        match Frame::decode(read_frame(&mut wire).unwrap()).unwrap() {
+            Frame::Request { method_id, .. } => assert_eq!(method_id, Some(7)),
+            other => panic!("expected a request, read {other:?}"),
+        }
+    }
+}

@@ -5,142 +5,23 @@
 //! code generation, and basic error checking." (§6.1)
 //!
 //! Rather than an external compiler, interfaces are declared in code with
-//! [`Interface`]; the declaration drives argument checking on both the
-//! client side (composing calls) and the server side (wrapping handlers),
-//! which is the error-checking role XORP's IDL plays.
-//!
-//! The [`crate::xrl_interface!`] macro goes the rest of the way to XORP's
+//! the [`crate::xrl_interface!`] macro, which goes all the way to XORP's
 //! generated stubs: one signature block expands into a typed client
 //! ([`Client`](crate::xrl_interface!)-style struct with native-typed
 //! methods and async reply adapters), a server trait, and a dispatch
-//! wrapper that decodes arguments before the implementation runs.  The
-//! same declaration supplies the signature hash that negotiates the
-//! positional wire-v2 encoding (see [`crate::marshal`]) and the interned
-//! call sites that keep the per-route path off the string allocator.
+//! wrapper that decodes arguments — rejecting missing or mistyped ones —
+//! before the implementation runs, which is the error-checking role
+//! XORP's IDL plays.  The same declaration supplies the signature hash
+//! ([`sig_hash`]) that negotiates the positional wire-v2 encoding (see
+//! [`crate::marshal`]) and the interned call sites that keep the
+//! per-route path off the string allocator.
 
 use std::marker::PhantomData;
 
 use crate::atom::{AtomCodec, AtomType, XrlArgs, XrlAtom};
 use crate::error::XrlError;
-use crate::router::{Responder, XrlRouter};
-use crate::xrl::Xrl;
+use crate::router::Responder;
 use xorp_event::EventLoop;
-
-/// A method signature: named, typed arguments and return atoms.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MethodSig {
-    /// Method name.
-    pub name: String,
-    /// Required arguments, in order.
-    pub args: Vec<(String, AtomType)>,
-    /// Return atoms (documentation + response checking).
-    pub rets: Vec<(String, AtomType)>,
-}
-
-/// An XRL interface: a named, versioned group of related methods (§6.1).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Interface {
-    /// Interface name, e.g. `bgp`.
-    pub name: String,
-    /// Version, e.g. `1.0`.
-    pub version: String,
-    /// The methods.
-    pub methods: Vec<MethodSig>,
-}
-
-impl Interface {
-    /// Start an interface declaration.
-    pub fn new(name: impl Into<String>, version: impl Into<String>) -> Interface {
-        Interface {
-            name: name.into(),
-            version: version.into(),
-            methods: Vec::new(),
-        }
-    }
-
-    /// Declare a method (builder style).
-    pub fn method(
-        mut self,
-        name: &str,
-        args: &[(&str, AtomType)],
-        rets: &[(&str, AtomType)],
-    ) -> Interface {
-        self.methods.push(MethodSig {
-            name: name.to_string(),
-            args: args.iter().map(|(n, t)| (n.to_string(), *t)).collect(),
-            rets: rets.iter().map(|(n, t)| (n.to_string(), *t)).collect(),
-        });
-        self
-    }
-
-    /// Find a method signature.
-    pub fn find(&self, method: &str) -> Option<&MethodSig> {
-        self.methods.iter().find(|m| m.name == method)
-    }
-
-    /// The `iface/version/method` dispatch path for a method.
-    pub fn path(&self, method: &str) -> String {
-        format!("{}/{}/{}", self.name, self.version, method)
-    }
-
-    /// Check an argument list against a method signature: every declared
-    /// argument present with the right type.  Extra arguments are allowed
-    /// (forward compatibility), missing or mistyped ones are not.
-    pub fn check_args(&self, method: &str, args: &XrlArgs) -> Result<(), XrlError> {
-        let sig = self
-            .find(method)
-            .ok_or_else(|| XrlError::NoSuchMethod(format!("{}: {method}", self.name)))?;
-        for (name, ty) in &sig.args {
-            match args.find(name) {
-                Some(v) if v.atom_type() == *ty => {}
-                Some(v) => {
-                    return Err(XrlError::BadArgs(format!(
-                        "{method}: argument {name} should be {} but is {}",
-                        ty.tag(),
-                        v.atom_type().tag()
-                    )))
-                }
-                None => {
-                    return Err(XrlError::BadArgs(format!(
-                        "{method}: missing argument {name}:{}",
-                        ty.tag()
-                    )))
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Compose a validated generic XRL for `method` aimed at `target`.
-    pub fn xrl(&self, target: &str, method: &str, args: XrlArgs) -> Result<Xrl, XrlError> {
-        self.check_args(method, &args)?;
-        Ok(Xrl::generic(
-            target,
-            self.name.clone(),
-            self.version.clone(),
-            method,
-            args,
-        ))
-    }
-
-    /// Register a handler wrapped with server-side argument checking:
-    /// calls with missing or mistyped arguments are rejected before the
-    /// handler runs.
-    pub fn serve<F>(&self, router: &XrlRouter, instance: &str, method: &str, f: F)
-    where
-        F: Fn(&mut EventLoop, &XrlArgs, Responder) + 'static,
-    {
-        let iface = self.clone();
-        let method_name = method.to_string();
-        router.add_handler(instance, &self.path(method), move |el, args, responder| {
-            if let Err(e) = iface.check_args(&method_name, args) {
-                responder.reply(el, Err(e));
-                return;
-            }
-            f(el, args, responder);
-        });
-    }
-}
 
 /// Deterministic FNV-1a hash of a method signature: name, then each
 /// argument's `(name, type tag)`, then each return's.  Both sides of a
@@ -292,8 +173,6 @@ impl<R: RetTuple> TypedResponder<R> {
 ///   signature to the Finder and decodes arguments (rejecting mistyped or
 ///   missing ones with the method path in the error) before the trait
 ///   method runs.
-/// * `interface()` — the runtime [`Interface`] value, for checking and
-///   introspection.
 ///
 /// A stub that compiles cannot misname, mistype, or omit an argument: the
 /// declaration is the single source of truth for the client, the server,
@@ -315,18 +194,6 @@ macro_rules! xrl_interface {
             use super::*;
             use $crate::idl_support as __sup;
 
-            /// The runtime interface declaration.
-            pub fn interface() -> __sup::Interface {
-                __sup::Interface::new($iface, $ver)
-                    $(
-                        .method(
-                            stringify!($mname),
-                            &[$((stringify!($aname), <$aty as __sup::AtomCodec>::TYPE)),*],
-                            &[$($((stringify!($rname), <$rty as __sup::AtomCodec>::TYPE)),*)?],
-                        )
-                    )*
-            }
-
             $(
                 #[allow(non_upper_case_globals)]
                 const $mname: (&str, &[&str], &[&str]) = (
@@ -336,14 +203,19 @@ macro_rules! xrl_interface {
                 );
             )*
 
+            /// The signature hash of a declared method, straight from the
+            /// declaration's `(name, type)` lists.
             fn sig_of(method: &str) -> u64 {
-                let iface = interface();
-                let m = iface.find(method).expect("declared method");
-                let args: Vec<(&str, __sup::AtomType)> =
-                    m.args.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-                let rets: Vec<(&str, __sup::AtomType)> =
-                    m.rets.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-                __sup::sig_hash(method, &args, &rets)
+                match method {
+                    $(
+                        stringify!($mname) => __sup::sig_hash(
+                            method,
+                            &[$((stringify!($aname), <$aty as __sup::AtomCodec>::TYPE)),*],
+                            &[$($((stringify!($rname), <$rty as __sup::AtomCodec>::TYPE)),*)?],
+                        ),
+                    )*
+                    _ => unreachable!("{method} is not declared"),
+                }
             }
 
             /// Typed client stub.  Cheap to clone; all clones share the
@@ -493,66 +365,6 @@ macro_rules! xrl_interface {
 mod tests {
     use super::*;
 
-    fn bgp_iface() -> Interface {
-        Interface::new("bgp", "1.0")
-            .method("set_local_as", &[("as", AtomType::U32)], &[])
-            .method(
-                "add_peer",
-                &[("addr", AtomType::Ipv4), ("as", AtomType::U32)],
-                &[("ok", AtomType::Bool)],
-            )
-    }
-
-    #[test]
-    fn check_args_accepts_valid() {
-        let i = bgp_iface();
-        let args = XrlArgs::new().add_u32("as", 1777);
-        assert!(i.check_args("set_local_as", &args).is_ok());
-    }
-
-    #[test]
-    fn check_args_rejects_missing_and_mistyped() {
-        let i = bgp_iface();
-        assert!(matches!(
-            i.check_args("set_local_as", &XrlArgs::new()),
-            Err(XrlError::BadArgs(_))
-        ));
-        let wrong = XrlArgs::new().add_str("as", "1777");
-        assert!(matches!(
-            i.check_args("set_local_as", &wrong),
-            Err(XrlError::BadArgs(_))
-        ));
-        assert!(matches!(
-            i.check_args("no_such", &XrlArgs::new()),
-            Err(XrlError::NoSuchMethod(_))
-        ));
-    }
-
-    #[test]
-    fn extra_args_allowed() {
-        let i = bgp_iface();
-        let args = XrlArgs::new().add_u32("as", 1).add_str("note", "x");
-        assert!(i.check_args("set_local_as", &args).is_ok());
-    }
-
-    #[test]
-    fn xrl_composition() {
-        let i = bgp_iface();
-        let x = i
-            .xrl("bgp", "set_local_as", XrlArgs::new().add_u32("as", 1777))
-            .unwrap();
-        assert_eq!(
-            x.to_string(),
-            "finder://bgp/bgp/1.0/set_local_as?as:u32=1777"
-        );
-        assert!(i.xrl("bgp", "set_local_as", XrlArgs::new()).is_err());
-    }
-
-    #[test]
-    fn path_format() {
-        assert_eq!(bgp_iface().path("add_peer"), "bgp/1.0/add_peer");
-    }
-
     #[test]
     fn sig_hash_is_order_and_type_sensitive() {
         let base = sig_hash(
@@ -607,7 +419,7 @@ mod stub_tests {
     use crate::finder::Finder;
     use crate::router::XrlRouter;
     use crate::xrl::Xrl;
-    use crate::{AtomType, XrlArgs, XrlError};
+    use crate::{sig_hash, AtomType, XrlArgs, XrlError};
     use std::cell::RefCell;
     use std::net::Ipv4Addr;
     use std::rc::Rc;
@@ -679,20 +491,23 @@ mod stub_tests {
 
     #[test]
     fn interface_declaration_matches_macro_input() {
-        let iface = test_math::interface();
-        assert_eq!(iface.name, "test_math");
-        assert_eq!(iface.version, "1.0");
-        let add = iface.find("add").unwrap();
+        // The server advertises, under each method's `iface/version/name`
+        // path, the hash of exactly the names and types declared.
+        let mut el = EventLoop::new_virtual();
+        let (router, _) = setup(&mut el);
+        let advertised = |path: &str| {
+            let entry = router.finder().resolve("anonymous", "math", path).unwrap();
+            entry.sig_hash
+        };
+        let add = &[("a", AtomType::U32), ("b", AtomType::U32)];
         assert_eq!(
-            add.args,
-            vec![
-                ("a".to_string(), AtomType::U32),
-                ("b".to_string(), AtomType::U32)
-            ]
+            advertised("test_math/1.0/add"),
+            Some(sig_hash("add", add, &[("sum", AtomType::U32)]))
         );
-        assert_eq!(add.rets, vec![("sum".to_string(), AtomType::U32)]);
-        assert!(iface.find("ping").unwrap().args.is_empty());
-        assert!(iface.find("ping").unwrap().rets.is_empty());
+        assert_eq!(
+            advertised("test_math/1.0/ping"),
+            Some(sig_hash("ping", &[], &[]))
+        );
     }
 
     #[test]

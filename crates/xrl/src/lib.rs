@@ -34,7 +34,6 @@ pub mod idl;
 pub mod keepalive;
 pub mod marshal;
 pub mod profile;
-pub mod proxy;
 pub mod router;
 pub mod script;
 pub mod transport;
@@ -44,8 +43,7 @@ pub use atom::{AtomCodec, AtomType, AtomValue, XrlArgs, XrlAtom};
 pub use error::XrlError;
 pub use fault::{FaultAction, FaultConfig, FaultEvent, FaultPlan};
 pub use finder::{Finder, LifetimeEvent, ResolveEntry};
-pub use idl::{sig_hash, Interface, MethodSig, RetTuple, TypedResponder};
-pub use proxy::{ArgConstraint, MethodPolicy, XrlProxy};
+pub use idl::{sig_hash, RetTuple, TypedResponder};
 pub use router::{
     CongestionSignal, InternedCall, QueuePolicy, Responder, ResponseCb, RetryPolicy, TransportPref,
     XrlRouter, SEQ_MAY_RECUR,
@@ -63,7 +61,7 @@ pub type XrlResult = Result<XrlArgs, XrlError>;
 pub mod idl_support {
     pub use crate::atom::{AtomCodec, AtomType, AtomValue, XrlArgs, XrlAtom};
     pub use crate::error::XrlError;
-    pub use crate::idl::{sig_hash, Interface, RetTuple, TypedResponder};
+    pub use crate::idl::{sig_hash, RetTuple, TypedResponder};
     pub use crate::router::{InternedCall, Responder, XrlRouter};
     pub use std::rc::Rc;
     pub use xorp_event::EventLoop;

@@ -299,6 +299,29 @@ fn get_value_depth(buf: &mut impl Buf, depth: u32) -> Result<AtomValue, XrlError
     })
 }
 
+/// Reject an argument block the wire cannot count: more than `u16::MAX`
+/// atoms, list items at any depth, or bytes in an atom name.  The encoder
+/// writes those counts as `u16`, so a longer block would not fail — it
+/// would decode as a shorter one.  The send core checks every request and
+/// reply before it is charged or encoded.
+pub(crate) fn check_counts(args: &XrlArgs) -> Result<(), XrlError> {
+    const MAX: usize = u16::MAX as usize;
+    fn fits(v: &AtomValue) -> bool {
+        match v {
+            AtomValue::List(items) => items.len() <= MAX && items.iter().all(fits),
+            _ => true,
+        }
+    }
+    let atoms = args.atoms();
+    if atoms.len() <= MAX && atoms.iter().all(|a| a.name.len() <= MAX && fits(&a.value)) {
+        Ok(())
+    } else {
+        Err(XrlError::BadArgs(format!(
+            "argument block exceeds the wire's {MAX}-item count"
+        )))
+    }
+}
+
 fn put_args(buf: &mut impl BufMut, args: &XrlArgs) {
     buf.put_u16(args.len() as u16);
     for atom in args.atoms() {
@@ -500,7 +523,7 @@ impl Frame {
         }
         let kind = buf.get_u8();
         let priority = kind & KIND_PRIORITY != 0;
-        match kind & !KIND_PRIORITY {
+        let frame = match kind & !KIND_PRIORITY {
             KIND_REQUEST => {
                 if buf.remaining() < 16 {
                     return Err(XrlError::BadFrame("truncated request".into()));
@@ -515,7 +538,7 @@ impl Frame {
                 buf.copy_to_slice(&mut key);
                 let path = get_str(buf)?;
                 let args = get_args(buf)?;
-                Ok(Frame::Request {
+                Frame::Request {
                     seq,
                     sender,
                     target,
@@ -525,7 +548,7 @@ impl Frame {
                     method_id: None,
                     priority,
                     trace: None,
-                })
+                }
             }
             kind_v2 @ (KIND_REQUEST_V2 | KIND_REQUEST_V2_TRACED) => {
                 if buf.remaining() < 16 {
@@ -552,7 +575,7 @@ impl Frame {
                 } else {
                     None
                 };
-                Ok(Frame::Request {
+                Frame::Request {
                     seq,
                     sender,
                     target,
@@ -562,7 +585,7 @@ impl Frame {
                     method_id: Some(method_id),
                     priority,
                     trace,
-                })
+                }
             }
             KIND_RESPONSE => {
                 if buf.remaining() < 9 {
@@ -577,21 +600,29 @@ impl Frame {
                 } else {
                     Err(XrlError::from_code(code, msg))
                 };
-                Ok(Frame::Response {
+                Frame::Response {
                     seq,
                     result,
                     priority,
-                })
+                }
             }
             KIND_KILL => {
                 if buf.remaining() < 4 {
                     return Err(XrlError::BadFrame("truncated kill".into()));
                 }
-                Ok(Frame::Kill {
+                Frame::Kill {
                     signal: buf.get_u32(),
-                })
+                }
             }
-            k => Err(XrlError::BadFrame(format!("unknown frame kind {k}"))),
+            k => return Err(XrlError::BadFrame(format!("unknown frame kind {k}"))),
+        };
+        // A body is exactly one frame: bytes left over mean a count the
+        // sender wrapped, or a corrupt stream.
+        match buf.remaining() {
+            0 => Ok(frame),
+            n => Err(XrlError::BadFrame(format!(
+                "{n} bytes after the frame body"
+            ))),
         }
     }
 }
@@ -959,6 +990,50 @@ mod tests {
             priority: false,
             trace: None,
         });
+    }
+
+    /// The largest list the 16-bit count can describe comes back whole;
+    /// one item more is refused by the count check the send core runs.
+    #[test]
+    fn list_at_the_count_limit_roundtrips_exactly() {
+        let list = |n| XrlArgs::new().add_list("rows", vec![AtomValue::U32(7); n]);
+        roundtrip(Frame::Response {
+            seq: 1,
+            result: Ok(list(65_535)),
+            priority: false,
+        });
+        assert!(check_counts(&list(65_535)).is_ok());
+        assert!(matches!(
+            check_counts(&list(65_536)),
+            Err(XrlError::BadArgs(_))
+        ));
+    }
+
+    /// A body is exactly one frame: a byte left over is a wrapped count or
+    /// a corrupt stream, rejected by `decode` and by the stream decoder's
+    /// path alike.
+    #[test]
+    fn trailing_byte_after_a_frame_body_rejected() {
+        for frame in [
+            v2_add_route(),
+            Frame::Response {
+                seq: 3,
+                result: Ok(XrlArgs::new()),
+                priority: false,
+            },
+            Frame::Kill { signal: 15 },
+        ] {
+            let mut stream = frame.encode().to_vec();
+            stream.push(0);
+            let len = (stream.len() - 4) as u32;
+            stream[..4].copy_from_slice(&len.to_be_bytes());
+            assert!(Frame::decode(Bytes::copy_from_slice(&stream[4..])).is_err());
+
+            let mut decoder = FrameDecoder::with_capacity(1024);
+            decoder.fill(&mut std::io::Cursor::new(stream)).unwrap();
+            let body = decoder.next_frame().unwrap().expect("a whole frame");
+            assert!(Frame::decode_slice(body).is_err(), "{frame:?}");
+        }
     }
 
     #[test]

@@ -10,6 +10,16 @@
 //! decoded frames.  The router is a cheap `Rc` handle, stored in the loop's
 //! type slot so cross-thread closures can find it.
 //!
+//! # Sending
+//!
+//! An XRL has two faces, the textual form scripts call and the typed
+//! stubs the IDL generates (§6.1), and one way out.  A route (resolution,
+//! endpoint, lane label, negotiated encoding) comes from an
+//! [`InternedCall`]'s cache or from a per-call lookup in
+//! [`XrlRouter::send`]; one chooser picks the endpoint and one send core
+//! admits the request and emits it — a named v1 frame, or a positional v2
+//! frame when the caller's signature matches the target's.
+//!
 //! # Failure handling
 //!
 //! Remote transports can lose, duplicate, delay, or reorder frames — in
@@ -67,7 +77,7 @@ use crate::atom::XrlArgs;
 use crate::error::XrlError;
 use crate::fault::{FaultAction, FaultConfig, FaultPlan};
 use crate::finder::{Endpoint, Finder, LifetimeEvent, ResolveEntry};
-use crate::marshal::Frame;
+use crate::marshal::{check_counts, Frame};
 use crate::transport::{
     flush_dirty, spawn_tcp_listener, spawn_tcp_reader, spawn_udp, SharedTcpMetrics, TcpConn,
     TcpMetrics, Transport, UdpTransport,
@@ -425,8 +435,6 @@ struct RouterInner {
     watchdog: Option<TimerHandle>,
     #[allow(clippy::type_complexity)]
     lifetime_cbs: Vec<(u64, String, Rc<dyn Fn(&mut EventLoop, &LifetimeEvent)>)>,
-    #[allow(clippy::type_complexity)]
-    kill_handler: Option<Rc<dyn Fn(&mut EventLoop, u32)>>,
     shut_down: bool,
     /// Observability hooks, attached by [`XrlRouter::set_metrics`].
     metrics: Option<XrlMetrics>,
@@ -456,9 +464,12 @@ struct XrlMetrics {
     retransmit: Counter,
 }
 
-/// What an [`InternedCall`] remembers between sends: the resolution, the
-/// chosen transport, the precomputed lane label, and whether wire-v2 was
-/// negotiated.  Valid only while the router's cache generation matches.
+/// A resolved route to one target method: the resolution, the chosen
+/// transport, the precomputed lane label, and whether wire-v2 was
+/// negotiated.  [`XrlRouter::send_routed`] sends along one.  An
+/// [`InternedCall`] keeps its route between sends, valid only while the
+/// router's cache generation matches; a dynamic send builds a fresh one.
+#[derive(Clone)]
 struct InternedCached {
     instance: String,
     key: [u8; 16],
@@ -484,12 +495,13 @@ struct InternedInner {
 }
 
 /// A pre-resolved outgoing method path.  Created once per call site with
-/// [`XrlRouter::intern`]; [`XrlRouter::send_interned`] then skips the
-/// per-send path rendering, `(String, String)` cache-key allocation, and
-/// lane-label formatting that [`XrlRouter::send`] pays per route, and
-/// negotiates the positional wire-v2 encoding when the resolved target
-/// advertised a matching signature.  Self-invalidates when the router's
-/// resolve cache is flushed.
+/// [`XrlRouter::intern`].  Interned and dynamic sends share one send core
+/// and differ only in where the route comes from: [`XrlRouter::send`]
+/// renders the path, looks up the resolve cache and chooses an endpoint
+/// per call, while [`XrlRouter::send_interned`] reuses the route it cached
+/// and negotiates the positional wire-v2 encoding when the resolved
+/// target advertised a matching signature.  Self-invalidates when the
+/// router's resolve cache is flushed.
 #[derive(Clone)]
 pub struct InternedCall {
     inner: Rc<InternedInner>,
@@ -620,7 +632,6 @@ impl XrlRouter {
                 dedup_order: VecDeque::new(),
                 watchdog: None,
                 lifetime_cbs: Vec::new(),
-                kill_handler: None,
                 shut_down: false,
                 metrics: None,
                 tcp_metrics: SharedTcpMetrics::default(),
@@ -675,22 +686,11 @@ impl XrlRouter {
         self.inner.borrow_mut().fault = Some(FaultPlan::new(config));
     }
 
-    /// Remove and return the fault plan (with its accumulated trace).
-    pub fn take_fault_plan(&self) -> Option<FaultPlan> {
-        self.inner.borrow_mut().fault.take()
-    }
-
     /// Render the fault plan's decision trace, if a plan is installed.
     /// This is what tests dump on failure so a run is reproducible from the
     /// log alone.
     pub fn fault_report(&self) -> Option<String> {
         self.inner.borrow().fault.as_ref().map(|p| p.render_trace())
-    }
-
-    /// Counts of fault decisions so far: (delivered, dropped, duplicated,
-    /// delayed, disconnected).
-    pub fn fault_summary(&self) -> Option<(usize, usize, usize, usize, usize)> {
-        self.inner.borrow().fault.as_ref().map(|p| p.summary())
     }
 
     /// Configure request timeouts and retransmission.  `None` (the
@@ -726,17 +726,6 @@ impl XrlRouter {
             .get(lane)
             .map(|l| l.depth)
             .unwrap_or(0)
-    }
-
-    /// Lanes currently in the Xoff state.
-    pub fn congested_lanes(&self) -> Vec<String> {
-        self.inner
-            .borrow()
-            .lane_load
-            .iter()
-            .filter(|(_, l)| l.xoff)
-            .map(|(k, _)| k.to_string())
-            .collect()
     }
 
     /// Whether any lane is currently Xoff — what the keepalive responder
@@ -796,19 +785,48 @@ impl XrlRouter {
     /// [`CongestionSignal`]'s lane label back to the consumer it feeds.
     pub fn lane_of(&self, target: &str, path: &str) -> Option<String> {
         let entry = self.resolve_cached(target, path).ok()?;
+        let (_, lane) = self.choose(&entry, TransportPref::Auto).ok()?;
+        lane.map(|l| l.to_string())
+    }
+
+    /// Pick the endpoint `pref` allows among `entry`'s, with its lane label
+    /// (`None` for intra dispatch).  `Auto` takes intra dispatch when the
+    /// target is co-located, else TCP, else UDP; the forced preferences
+    /// take their own family or nothing.
+    fn choose(
+        &self,
+        entry: &ResolveEntry,
+        pref: TransportPref,
+    ) -> Result<(Via, Option<Rc<str>>), XrlError> {
         let my_id = self.inner.borrow().router_id;
-        let mut tcp = None;
-        let mut udp = None;
+        let (mut intra, mut tcp, mut udp) = (false, None, None);
         for ep in &entry.endpoints {
             match ep {
-                Endpoint::Intra { router_id } if *router_id == my_id => return None,
-                Endpoint::Tcp(a) => tcp = Some(*a),
-                Endpoint::Udp(a) => udp = Some(*a),
+                Endpoint::Intra { router_id } if *router_id == my_id => intra = true,
+                Endpoint::Tcp(a) => tcp = Some(Via::Tcp(*a)),
+                Endpoint::Udp(a) => udp = Some(Via::Udp(*a)),
                 Endpoint::Intra { .. } => {}
             }
         }
-        tcp.map(|a| format!("tcp:{a}"))
-            .or_else(|| udp.map(|a| format!("udp:{a}")))
+        let intra = intra.then_some(Via::Intra);
+        let via = match pref {
+            TransportPref::Auto => intra.or(tcp).or(udp),
+            TransportPref::Intra => intra,
+            TransportPref::Tcp => tcp,
+            TransportPref::Udp => udp,
+        }
+        .ok_or_else(|| {
+            XrlError::Transport(format!(
+                "no usable endpoint for {} via {pref:?}",
+                entry.instance
+            ))
+        })?;
+        let lane = match via {
+            Via::Intra => None,
+            Via::Tcp(a) => Some(Rc::from(format!("tcp:{a}"))),
+            Via::Udp(a) => Some(Rc::from(format!("udp:{a}"))),
+        };
+        Ok((via, lane))
     }
 
     /// Admit one request and register it as pending: the one place a send
@@ -1033,14 +1051,6 @@ impl XrlRouter {
         inner.cache_generation += 1;
     }
 
-    /// Handler for kill-family signals (default: stop the loop).
-    pub fn set_kill_handler<F>(&self, f: F)
-    where
-        F: Fn(&mut EventLoop, u32) + 'static,
-    {
-        self.inner.borrow_mut().kill_handler = Some(Rc::new(f));
-    }
-
     // ----- finder liveness --------------------------------------------------
 
     /// Start a watchdog that re-registers this router's targets and
@@ -1142,6 +1152,9 @@ impl XrlRouter {
         self.send_inner(el, xrl, TransportPref::Auto, true, cb);
     }
 
+    /// The dynamic half of sending: render the path, resolve it through
+    /// the cache, choose an endpoint under `pref`, and hand the route to
+    /// the send core as a named v1 request.
     fn send_inner(
         &self,
         el: &mut EventLoop,
@@ -1151,125 +1164,19 @@ impl XrlRouter {
         cb: ResponseCb,
     ) {
         let path = xrl.path.dotted();
-        let entry = match self.resolve_cached(xrl.target(), &path) {
-            Ok(e) => e,
-            Err(e) => {
-                cb(el, Err(e));
-                return;
-            }
-        };
-
-        // Pick an endpoint under the preference.
-        let my_id = self.inner.borrow().router_id;
-        let mut intra = None;
-        let mut tcp = None;
-        let mut udp = None;
-        for ep in &entry.endpoints {
-            match ep {
-                Endpoint::Intra { router_id } if *router_id == my_id => intra = Some(()),
-                Endpoint::Tcp(a) => tcp = Some(*a),
-                Endpoint::Udp(a) => udp = Some(*a),
-                Endpoint::Intra { .. } => {}
-            }
-        }
-        let chosen = match pref {
-            TransportPref::Auto => {
-                if intra.is_some() {
-                    Some(Via::Intra)
-                } else if let Some(a) = tcp {
-                    Some(Via::Tcp(a))
-                } else {
-                    udp.map(Via::Udp)
-                }
-            }
-            TransportPref::Intra => intra.map(|_| Via::Intra),
-            TransportPref::Tcp => tcp.map(Via::Tcp),
-            TransportPref::Udp => udp.map(Via::Udp),
-        };
-        let via = match chosen {
-            Some(v) => v,
-            None => {
-                cb(
-                    el,
-                    Err(XrlError::Transport(format!(
-                        "no usable endpoint for {} via {:?}",
-                        entry.instance, pref
-                    ))),
-                );
-                return;
-            }
-        };
-
-        let lane = match via {
-            Via::Intra => None,
-            Via::Tcp(a) => Some(Rc::from(format!("tcp:{a}"))),
-            Via::Udp(a) => Some(Rc::from(format!("udp:{a}"))),
-        };
-        let Some(seq) = self.admit(el, via, lane, priority, cb) else {
-            return;
-        };
-
-        match via {
-            Via::Intra => {
-                // Same loop: defer so the dispatch is its own event, exactly
-                // like a frame arriving from a transport.
-                let router = self.clone();
-                let instance = entry.instance.clone();
-                let key = entry.key;
-                let args = xrl.args;
-                // Intra-process calls have no wire to lose the ambient
-                // trace context on; carry it through the defer.
-                let trace = xtrace::current();
-                el.defer(move |el| {
-                    router.dispatch(
-                        el,
-                        seq,
-                        my_id,
-                        &instance,
-                        key,
-                        &path,
-                        args,
-                        None,
-                        ReplyPath::Local,
-                        priority,
-                        trace,
-                    );
-                });
-            }
-            Via::Tcp(addr) => {
-                let frame = Frame::Request {
-                    seq,
-                    sender: my_id,
-                    target: entry.instance.clone(),
-                    key: entry.key,
-                    path,
-                    args: xrl.args,
-                    method_id: None,
-                    priority,
-                    trace: None,
-                };
-                match self.tcp_send(el, seq, addr, &frame) {
-                    Ok(()) => self.arm_retry(el, seq, frame),
-                    Err(e) => self.write_failed(el, seq, Some(addr), frame, e),
-                }
-            }
-            Via::Udp(addr) => {
-                let frame = Frame::Request {
-                    seq,
-                    sender: my_id,
-                    target: entry.instance.clone(),
-                    key: entry.key,
-                    path,
-                    args: xrl.args,
-                    method_id: None,
-                    priority,
-                    trace: None,
-                };
-                match self.udp_send_or_queue(el, addr, frame.clone(), priority) {
-                    Ok(()) => self.arm_retry(el, seq, frame),
-                    Err(e) => self.write_failed(el, seq, None, frame, e),
-                }
-            }
+        let route = self.resolve_cached(xrl.target(), &path).and_then(|entry| {
+            let (via, lane) = self.choose(&entry, pref)?;
+            Ok(InternedCached {
+                instance: entry.instance,
+                key: entry.key,
+                via,
+                lane,
+                method_id: None,
+            })
+        });
+        match route {
+            Ok(route) => self.send_routed(el, route, path, xrl.args, priority, cb),
+            Err(e) => cb(el, Err(e)),
         }
     }
 
@@ -1297,171 +1204,139 @@ impl XrlRouter {
         }
     }
 
-    /// Dispatch through an [`InternedCall`]: the hot-path counterpart of
-    /// [`XrlRouter::send`].  After the first send (and after any cache
-    /// flush) the per-route cost is one array-indexed cache check — no
-    /// path rendering, no `(String, String)` resolve-cache key, no lane
-    /// label `format!`.  `args` is positional (built with
-    /// [`XrlArgs::push_value`] in signature order); when wire v2 was not
-    /// negotiated with the resolved peer the atoms are labeled from
-    /// `arg_names` and the frame goes out as v1 named.
+    /// Dispatch through an [`InternedCall`]: the same send core as
+    /// [`XrlRouter::send`], with the route taken from the call's cache
+    /// instead of resolved per send.  After the first send (and after any
+    /// cache flush) the per-route cost is one generation check and one
+    /// clone of the cached route — no path rendering, no
+    /// `(String, String)` resolve-cache key, no lane label `format!`.
+    /// `args` is positional (built with [`XrlArgs::push_value`] in
+    /// signature order); when wire v2 was not negotiated with the resolved
+    /// peer the atoms are labeled from `arg_names` and the frame goes out
+    /// as v1 named.
     pub fn send_interned(
         &self,
         el: &mut EventLoop,
         call: &InternedCall,
+        mut args: XrlArgs,
+        priority: bool,
+        cb: ResponseCb,
+    ) {
+        // Revalidate the interned route against the cache generation.
+        let inner = &call.inner;
+        let generation = self.inner.borrow().cache_generation;
+        if inner.generation.get() != generation || inner.cached.borrow().is_none() {
+            let route = self.resolve_cached(&inner.target, &inner.path);
+            match route.and_then(|entry| {
+                let (via, lane) = self.choose(&entry, TransportPref::Auto)?;
+                let v1_only = self.inner.borrow().wire_v1_only;
+                let negotiated = !v1_only && entry.sig_hash == Some(inner.sig_hash);
+                Ok(InternedCached {
+                    instance: entry.instance,
+                    key: entry.key,
+                    via,
+                    lane,
+                    method_id: entry.method_id.filter(|_| negotiated),
+                })
+            }) {
+                Ok(route) => *inner.cached.borrow_mut() = Some(route),
+                Err(e) => return cb(el, Err(e)),
+            }
+            inner.generation.set(generation);
+        }
+        let route = inner.cached.borrow().clone();
+        let route = route.expect("interned cache populated");
+
+        // v1 fallback: the peer never advertised our signature, so label
+        // the positional atoms with their names before the frame leaves.
+        // A v2 request is found by its method id and carries no path.
+        let path = match route.method_id {
+            Some(_) => String::new(),
+            None => {
+                args.label_names(inner.arg_names);
+                inner.path.clone()
+            }
+        };
+        self.send_routed(el, route, path, args, priority, cb);
+    }
+
+    /// The one send core, whichever way the route was found: admit the
+    /// request on the route's lane, then either defer an intra dispatch
+    /// or put one request frame on the wire.  An argument block the wire
+    /// cannot count fails with [`XrlError::BadArgs`] before it is charged.
+    fn send_routed(
+        &self,
+        el: &mut EventLoop,
+        route: InternedCached,
+        path: String,
         args: XrlArgs,
         priority: bool,
         cb: ResponseCb,
     ) {
-        // Revalidate the interned entry against the cache generation.
-        let generation = self.inner.borrow().cache_generation;
-        if call.inner.generation.get() != generation || call.inner.cached.borrow().is_none() {
-            let entry = match self.resolve_cached(&call.inner.target, &call.inner.path) {
-                Ok(e) => e,
-                Err(e) => {
-                    cb(el, Err(e));
-                    return;
-                }
-            };
-            let my_id = self.inner.borrow().router_id;
-            let mut intra = false;
-            let mut tcp = None;
-            let mut udp = None;
-            for ep in &entry.endpoints {
-                match ep {
-                    Endpoint::Intra { router_id } if *router_id == my_id => intra = true,
-                    Endpoint::Tcp(a) => tcp = Some(*a),
-                    Endpoint::Udp(a) => udp = Some(*a),
-                    Endpoint::Intra { .. } => {}
-                }
-            }
-            let (via, lane) = if intra {
-                (Via::Intra, None)
-            } else if let Some(a) = tcp {
-                (Via::Tcp(a), Some(Rc::from(format!("tcp:{a}"))))
-            } else if let Some(a) = udp {
-                (Via::Udp(a), Some(Rc::from(format!("udp:{a}"))))
-            } else {
-                cb(
-                    el,
-                    Err(XrlError::Transport(format!(
-                        "no usable endpoint for {}",
-                        entry.instance
-                    ))),
-                );
-                return;
-            };
-            let v1_only = self.inner.borrow().wire_v1_only;
-            let method_id = if !v1_only && entry.sig_hash == Some(call.inner.sig_hash) {
-                entry.method_id
-            } else {
-                None
-            };
-            *call.inner.cached.borrow_mut() = Some(InternedCached {
-                instance: entry.instance,
-                key: entry.key,
-                via,
-                lane,
-                method_id,
-            });
-            call.inner.generation.set(generation);
+        if let Err(e) = check_counts(&args) {
+            return cb(el, Err(e));
         }
-
-        let (instance, key, via, lane, method_id) = {
-            let cached = call.inner.cached.borrow();
-            let c = cached.as_ref().expect("interned cache populated");
-            (
-                c.instance.clone(),
-                c.key,
-                c.via,
-                c.lane.clone(),
-                c.method_id,
-            )
+        let InternedCached {
+            instance,
+            key,
+            via,
+            lane,
+            method_id,
+        } = route;
+        // The ambient trace context rides intra dispatch (no wire to lose
+        // it on) and v2 frames (as the trace trailer).  v1 peers never see
+        // it: the v1 wire has no trailer, so the context stops here rather
+        // than producing a flagged frame the peer can't parse.  Read
+        // before `admit`, which may run an Xoff callback.
+        let trace = match (via, method_id) {
+            (Via::Intra, _) | (_, Some(_)) => xtrace::current(),
+            _ => None,
         };
-
-        // v1 fallback: the peer never advertised our signature, so label
-        // the positional atoms with their names before the frame leaves.
-        let mut args = args;
-        if method_id.is_none() {
-            args.label_names(call.inner.arg_names);
-        }
-
-        // A sampled route's ambient context rides v2 frames as the trace
-        // trailer.  v1 peers never see it: the v1 wire has no trailer, so
-        // the context stops here rather than producing a flagged frame
-        // the peer can't parse.
-        let trace = if method_id.is_some() {
-            xtrace::current()
-        } else {
-            None
-        };
-
         let Some(seq) = self.admit(el, via, lane, priority, cb) else {
             return;
         };
-        let my_id = self.router_id();
-
-        match via {
-            Via::Intra => {
-                let router = self.clone();
-                let path = call.inner.path.clone();
-                let trace = xtrace::current();
-                el.defer(move |el| {
-                    router.dispatch(
-                        el,
-                        seq,
-                        my_id,
-                        &instance,
-                        key,
-                        &path,
-                        args,
-                        method_id,
-                        ReplyPath::Local,
-                        priority,
-                        trace,
-                    );
-                });
-            }
-            Via::Tcp(addr) => {
-                let frame = Frame::Request {
+        let sender = self.router_id();
+        let (Via::Tcp(addr) | Via::Udp(addr)) = via else {
+            // Same loop: defer so the dispatch is its own event, exactly
+            // like a frame arriving from a transport.
+            let router = self.clone();
+            el.defer(move |el| {
+                router.dispatch(
+                    el,
                     seq,
-                    sender: my_id,
-                    target: instance,
+                    sender,
+                    &instance,
                     key,
-                    path: match method_id {
-                        Some(_) => String::new(),
-                        None => call.inner.path.clone(),
-                    },
+                    &path,
                     args,
                     method_id,
+                    ReplyPath::Local,
                     priority,
                     trace,
-                };
-                match self.tcp_send(el, seq, addr, &frame) {
-                    Ok(()) => self.arm_retry(el, seq, frame),
-                    Err(e) => self.write_failed(el, seq, Some(addr), frame, e),
-                }
-            }
-            Via::Udp(addr) => {
-                let frame = Frame::Request {
-                    seq,
-                    sender: my_id,
-                    target: instance,
-                    key,
-                    path: match method_id {
-                        Some(_) => String::new(),
-                        None => call.inner.path.clone(),
-                    },
-                    args,
-                    method_id,
-                    priority,
-                    trace,
-                };
-                match self.udp_send_or_queue(el, addr, frame.clone(), priority) {
-                    Ok(()) => self.arm_retry(el, seq, frame),
-                    Err(e) => self.write_failed(el, seq, None, frame, e),
-                }
-            }
+                );
+            });
+            return;
+        };
+        let frame = Frame::Request {
+            seq,
+            sender,
+            target: instance,
+            key,
+            path,
+            args,
+            method_id,
+            priority,
+            trace,
+        };
+        // Only a TCP failure has a cached connection to evict.
+        let tcp = matches!(via, Via::Tcp(_)).then_some(addr);
+        let written = match tcp {
+            Some(addr) => self.tcp_send(el, seq, addr, &frame),
+            None => self.udp_send_or_queue(el, addr, frame.clone(), priority),
+        };
+        match written {
+            Ok(()) => self.arm_retry(el, seq, frame),
+            Err(e) => self.write_failed(el, seq, tcp, frame, e),
         }
     }
 
@@ -1554,7 +1429,8 @@ impl XrlRouter {
     }
 
     /// Write the response to request `seq` back along `path`.  A lost
-    /// response is the requester's retry machinery's to notice.
+    /// response is the requester's retry machinery's to notice; a reply
+    /// the wire cannot count goes back as the [`XrlError::BadArgs`] it is.
     fn write_response(
         &self,
         el: &mut EventLoop,
@@ -1565,7 +1441,7 @@ impl XrlRouter {
     ) {
         let frame = Frame::Response {
             seq,
-            result,
+            result: result.and_then(|args| check_counts(&args).map(|()| args)),
             priority,
         };
         let _ = match path {
@@ -1619,6 +1495,14 @@ impl XrlRouter {
                 Ok(conn)
             }
         }
+    }
+
+    /// The UDP family's shared socket.
+    fn udp_socket(&self) -> Result<Arc<UdpSocket>, XrlError> {
+        let inner = self.inner.borrow();
+        let udp = inner.udp.as_ref();
+        udp.map(|u| u.socket.clone())
+            .ok_or_else(|| XrlError::Transport("udp family not enabled".into()))
     }
 
     /// UDP is deliberately unpipelined (§8.1): at most one outstanding
@@ -1727,19 +1611,11 @@ impl XrlRouter {
                 let written = match via {
                     Via::Intra => Ok(()),
                     Via::Tcp(addr) => self.tcp_send(el, seq, addr, &frame),
-                    Via::Udp(addr) => {
-                        // Retransmit directly: the in-flight slot for this
-                        // peer is already ours.
-                        let socket = self.inner.borrow().udp.as_ref().map(|u| u.socket.clone());
-                        match socket {
-                            Some(socket) => self.transport_write(
-                                el,
-                                &UdpTransport { socket, peer: addr },
-                                &frame,
-                            ),
-                            None => Err(XrlError::Transport("udp family not enabled".into())),
-                        }
-                    }
+                    // Retransmit directly: the in-flight slot for this
+                    // peer is already ours.
+                    Via::Udp(peer) => self.udp_socket().and_then(|socket| {
+                        self.transport_write(el, &UdpTransport { socket, peer }, &frame)
+                    }),
                 };
                 match written {
                     Ok(()) => self.arm_timeout(el, seq, policy),
@@ -1877,7 +1753,7 @@ impl XrlRouter {
                 el, seq, sender, &target, key, &path, args, method_id, reply, priority, trace,
             ),
             Frame::Response { seq, result, .. } => self.complete(el, seq, result),
-            Frame::Kill { signal } => self.handle_kill(el, signal),
+            Frame::Kill { .. } => el.stop(),
         }
     }
 
@@ -2063,53 +1939,26 @@ impl XrlRouter {
         let _ = self.transport_write(el, &UdpTransport { socket, peer }, &frame);
     }
 
-    fn handle_kill(&self, el: &mut EventLoop, signal: u32) {
-        let handler = self.inner.borrow().kill_handler.clone();
-        match handler {
-            Some(h) => h(el, signal),
-            None => el.stop(),
-        }
-    }
-
     /// Deliver a kill-family signal to `target` (§6.3's "kill protocol
     /// family, which is capable of sending just one message type — a UNIX
-    /// signal — to components within a host").
+    /// signal — to components within a host").  The receiving loop stops.
     pub fn send_kill(&self, el: &mut EventLoop, target: &str, signal: u32) -> Result<(), XrlError> {
         let entry = self.resolve_cached(target, "!kill")?;
-        let my_id = self.inner.borrow().router_id;
-        for ep in &entry.endpoints {
-            match ep {
-                Endpoint::Intra { router_id } if *router_id == my_id => {
-                    let router = self.clone();
-                    el.defer(move |el| router.handle_kill(el, signal));
-                    return Ok(());
-                }
-                Endpoint::Tcp(addr) => {
-                    let conn = self.tcp_conn(*addr)?;
-                    return self.transport_write(el, &conn, &Frame::Kill { signal });
-                }
-                Endpoint::Udp(addr) => {
-                    let socket = {
-                        let inner = self.inner.borrow();
-                        inner
-                            .udp
-                            .as_ref()
-                            .ok_or_else(|| XrlError::Transport("udp family not enabled".into()))?
-                            .socket
-                            .clone()
-                    };
-                    let peer = UdpTransport {
-                        socket,
-                        peer: *addr,
-                    };
-                    return self.transport_write(el, &peer, &Frame::Kill { signal });
-                }
-                Endpoint::Intra { .. } => {}
+        let kill = Frame::Kill { signal };
+        match self.choose(&entry, TransportPref::Auto)?.0 {
+            Via::Intra => {
+                el.defer(|el| el.stop());
+                Ok(())
+            }
+            Via::Tcp(addr) => {
+                let conn = self.tcp_conn(addr)?;
+                self.transport_write(el, &conn, &kill)
+            }
+            Via::Udp(peer) => {
+                let socket = self.udp_socket()?;
+                self.transport_write(el, &UdpTransport { socket, peer }, &kill)
             }
         }
-        Err(XrlError::Transport(format!(
-            "no path to deliver kill to {target}"
-        )))
     }
 
     /// A TCP connection died: retry requests in flight on it (when a

@@ -473,3 +473,137 @@ fn deferred_reply_from_handler() {
     slow_sender.stop();
     t.join().unwrap();
 }
+
+/// `send_pref` across every preference and target shape: a co-located
+/// target (intra, TCP and UDP endpoints all this router's own), a
+/// TCP-only and a UDP-only raw peer.  A forced family is used exactly or
+/// the send fails naming the preference; `Auto` takes intra, else TCP,
+/// else UDP.  The family shows in the lane the request is charged to and
+/// in who reads it.  (Co-located × `Auto` is `intra_process_dispatch`.)
+#[test]
+fn send_pref_matrix() {
+    use std::cell::Cell;
+    use std::io::Write;
+    use std::net::{TcpListener, TcpStream, UdpSocket};
+    use std::rc::Rc;
+    use xorp_xrl::finder::Endpoint;
+    use xorp_xrl::marshal::{read_frame, Frame};
+    use TransportPref::{Auto, Intra, Tcp, Udp};
+
+    let finder = Finder::new();
+    let tcp_peer = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let udp_peer = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    udp_peer.set_read_timeout(Some(TIMEOUT)).unwrap();
+    let (tcp_addr, udp_addr) = (
+        tcp_peer.local_addr().unwrap(),
+        udp_peer.local_addr().unwrap(),
+    );
+    finder
+        .register("tonly", "tonly-0", vec![Endpoint::Tcp(tcp_addr)], true)
+        .unwrap();
+    finder
+        .register("uonly", "uonly-0", vec![Endpoint::Udp(udp_addr)], true)
+        .unwrap();
+    let (mut el, router) = sender_process(finder);
+    let (own_tcp, own_udp) = (router.enable_tcp().unwrap(), router.enable_udp().unwrap());
+    router.register_target("local", "local-0", true).unwrap();
+    let hits = Rc::new(Cell::new(0));
+    let h = hits.clone();
+    router.add_fn("local-0", "local/1.0/hit", move |_el, _args| {
+        h.set(h.get() + 1);
+        Ok(XrlArgs::new())
+    });
+    let mut tcp_wire: Option<TcpStream> = None;
+    let reply = |seq| {
+        Frame::Response {
+            seq,
+            result: Ok(XrlArgs::new()),
+            priority: false,
+        }
+        .encode()
+    };
+
+    for (target, pref, family) in [
+        ("local", Intra, Some(Intra)),
+        ("local", Tcp, Some(Tcp)),
+        ("local", Udp, Some(Udp)),
+        ("tonly", Auto, Some(Tcp)),
+        ("tonly", Intra, None),
+        ("tonly", Tcp, Some(Tcp)),
+        ("tonly", Udp, None),
+        ("uonly", Auto, Some(Udp)),
+        ("uonly", Intra, None),
+        ("uonly", Tcp, None),
+        ("uonly", Udp, Some(Udp)),
+    ] {
+        let cell = format!("{target} × {pref:?}");
+        let (tx, rx) = mpsc::channel();
+        let xrl = Xrl::generic(target, target, "1.0", "hit", XrlArgs::new());
+        router.send_pref(
+            &mut el,
+            xrl,
+            pref,
+            Box::new(move |_el, r| tx.send(r).unwrap()),
+        );
+        let Some(family) = family else {
+            match rx.try_recv() {
+                Ok(Err(XrlError::Transport(m))) => {
+                    assert!(m.contains(&format!("via {pref:?}")), "{cell}: {m}")
+                }
+                other => panic!("{cell}: expected no usable endpoint, got {other:?}"),
+            }
+            continue;
+        };
+        let lane = match (target, family) {
+            ("local", Tcp) => Some(format!("tcp:{own_tcp}")),
+            ("local", Udp) => Some(format!("udp:{own_udp}")),
+            ("tonly", _) => Some(format!("tcp:{tcp_addr}")),
+            ("uonly", _) => Some(format!("udp:{udp_addr}")),
+            _ => None,
+        };
+        for other in [format!("tcp:{own_tcp}"), format!("udp:{own_udp}")] {
+            let want = usize::from(lane.as_ref() == Some(&other));
+            assert_eq!(router.lane_depth(&other), want, "{cell}: lane {other}");
+        }
+        if let Some(lane) = &lane {
+            assert_eq!(router.lane_depth(lane), 1, "{cell}: lane {lane}");
+        }
+        let before = hits.get();
+        el.run_until_idle();
+        match target {
+            "tonly" => {
+                let wire = tcp_wire.get_or_insert_with(|| {
+                    let (s, _) = tcp_peer.accept().unwrap();
+                    s.set_read_timeout(Some(TIMEOUT)).unwrap();
+                    s
+                });
+                let Frame::Request { seq, .. } = Frame::decode(read_frame(wire).unwrap()).unwrap()
+                else {
+                    panic!("{cell}: expected a request");
+                };
+                wire.write_all(&reply(seq)).unwrap();
+            }
+            "uonly" => {
+                let mut buf = [0u8; 512];
+                let (n, from) = udp_peer.recv_from(&mut buf).unwrap();
+                let body = bytes::Bytes::copy_from_slice(&buf[4..n]);
+                let Frame::Request { seq, .. } = Frame::decode(body).unwrap() else {
+                    panic!("{cell}: expected a request");
+                };
+                udp_peer.send_to(&reply(seq), from).unwrap();
+            }
+            _ => {}
+        }
+        let deadline = std::time::Instant::now() + TIMEOUT;
+        let result = loop {
+            if let Ok(r) = rx.try_recv() {
+                break r;
+            }
+            assert!(std::time::Instant::now() < deadline, "{cell}: no reply");
+            el.run_for(Duration::from_millis(1));
+        };
+        assert!(result.is_ok(), "{cell}: {result:?}");
+        let ran_here = usize::from(target == "local");
+        assert_eq!(hits.get() - before, ran_here, "{cell}: handler runs");
+    }
+}

@@ -17,7 +17,8 @@ use xorp_profiler::{MetricValue, Metrics};
 use xorp_xrl::finder::Endpoint;
 use xorp_xrl::marshal::{read_frame, Frame};
 use xorp_xrl::{
-    FaultConfig, Finder, RetryPolicy, Xrl, XrlArgs, XrlError, XrlResult, XrlRouter, SEQ_MAY_RECUR,
+    AtomValue, FaultConfig, Finder, RetryPolicy, Xrl, XrlArgs, XrlError, XrlResult, XrlRouter,
+    SEQ_MAY_RECUR,
 };
 
 const TIMEOUT: Duration = Duration::from_secs(10);
@@ -498,4 +499,133 @@ fn disconnect_fault_delivers_then_severs() {
     });
     tx.el.run_until_idle();
     assert_eq!(*tx.results.borrow(), vec![(0, Ok(XrlArgs::new()))]);
+}
+
+/// The argument block of a `poke` call: named, as a dynamic send and an
+/// unsigned interned call both carry it.
+fn poke_args(i: u32) -> XrlArgs {
+    XrlArgs::new().add_u32("i", i)
+}
+
+/// Interned and dynamic sends are one request on the wire.  An interned
+/// call whose signature the peer never advertised takes the v1 named
+/// encoding, and then its frame is the dynamic send's byte for byte —
+/// except `seq` — charged to the same lane.
+#[test]
+fn interned_and_dynamic_sends_put_the_same_frame_on_the_same_lane() {
+    let mut tx = sending(None);
+    let lane = format!("tcp:{}", tx.listener.local_addr().unwrap());
+    assert_eq!(
+        tx.router.lane_of("peer", "peer/1.0/poke").as_deref(),
+        Some(lane.as_str())
+    );
+    tx.send(7, false);
+    let call = tx.router.intern("peer", "peer/1.0/poke", 0, &[]);
+    tx.router
+        .send_interned(&mut tx.el, &call, poke_args(7), false, Box::new(|_, _| {}));
+    assert_eq!(tx.router.lane_depth(&lane), 2, "both sends on one lane");
+    tx.el.run_until_idle();
+
+    let mut wire = tx.accept();
+    let dynamic = read_frame(&mut wire).unwrap();
+    let interned = read_frame(&mut wire).unwrap();
+    assert_eq!(dynamic.len(), interned.len());
+    // Body: kind byte, then the u64 seq, then everything else.
+    assert_eq!(dynamic[0], interned[0]);
+    assert_ne!(dynamic[1..9], interned[1..9], "two requests, two seqs");
+    assert_eq!(dynamic[9..], interned[9..]);
+}
+
+/// `lane_of` names no lane for a co-located target (intra dispatch is
+/// never queued), and the kill family reaches a UDP-only target over UDP.
+#[test]
+fn colocated_target_has_no_lane_and_kill_reaches_a_udp_only_target() {
+    let mut tx = sending(None);
+    assert_eq!(tx.router.lane_of("me", "me/1.0/anything"), None);
+    assert!(tx.router.lane_of("peer", "peer/1.0/poke").is_some());
+
+    let socket = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    socket.set_read_timeout(Some(TIMEOUT)).unwrap();
+    let finder = tx.router.finder();
+    let endpoint = Endpoint::Udp(socket.local_addr().unwrap());
+    finder
+        .register("udponly", "udponly-0", vec![endpoint], true)
+        .unwrap();
+    tx.router.enable_udp().unwrap();
+    tx.el.run_until_idle();
+    tx.router.send_kill(&mut tx.el, "udponly", 15).unwrap();
+
+    let mut datagram = [0u8; 64];
+    let (n, _) = socket.recv_from(&mut datagram).unwrap();
+    let body = bytes::Bytes::copy_from_slice(&datagram[4..n]);
+    assert_eq!(Frame::decode(body).unwrap(), Frame::Kill { signal: 15 });
+}
+
+/// The wire counts list items in 16 bits.  A request whose block it
+/// cannot count fails `BadArgs` in the send itself — through either
+/// face — before it is charged to a lane or written, so no handler can
+/// ever see a truncated copy.
+#[test]
+fn an_uncountable_request_fails_before_it_is_charged() {
+    let mut tx = sending(None);
+    let lane = format!("tcp:{}", tx.listener.local_addr().unwrap());
+    let rows = || XrlArgs::new().add_list("rows", vec![AtomValue::U32(0); 65_536]);
+    let results = tx.results.clone();
+    let xrl = Xrl::generic("peer", "peer", "1.0", "poke", rows());
+    tx.router.send(
+        &mut tx.el,
+        xrl,
+        Box::new(move |_, r| results.borrow_mut().push((0, r))),
+    );
+    let results = tx.results.clone();
+    let call = tx.router.intern("peer", "peer/1.0/poke", 0, &[]);
+    tx.router.send_interned(
+        &mut tx.el,
+        &call,
+        rows(),
+        false,
+        Box::new(move |_, r| results.borrow_mut().push((1, r))),
+    );
+    let results = tx.results.borrow().clone();
+    assert_eq!(results.len(), 2, "both sends failed synchronously");
+    for (_, r) in results {
+        assert!(matches!(r, Err(XrlError::BadArgs(_))), "{r:?}");
+    }
+    assert_eq!(tx.router.lane_depth(&lane), 0);
+    assert_eq!(tx.router.pending_len(), 0);
+    tx.el.run_until_idle();
+    assert_eq!(tx.writes(), (0, 0), "an uncountable frame reached the wire");
+}
+
+/// A reply the wire cannot count goes back as `BadArgs`, not as a
+/// shorter list.
+#[test]
+fn an_uncountable_reply_is_sent_as_bad_args() {
+    let mut rx = receiving();
+    let router = rx.el.slot::<XrlRouter>().unwrap().clone();
+    router.add_fn("sink-0", "sink/1.0/flood", |_el, _args| {
+        Ok(XrlArgs::new().add_list("rows", vec![AtomValue::U32(0); 65_536]))
+    });
+    let request = Frame::Request {
+        seq: 5,
+        sender: 4242,
+        target: "sink-0".into(),
+        key: rx.key,
+        path: "sink/1.0/flood".into(),
+        args: XrlArgs::new(),
+        method_id: None,
+        priority: false,
+        trace: None,
+    };
+    rx.feed(&request.encode(), 1);
+    rx.el.run_until_idle();
+    rx.wire.set_read_timeout(Some(TIMEOUT)).unwrap();
+    match Frame::decode(read_frame(&mut rx.wire).unwrap()).unwrap() {
+        Frame::Response {
+            seq: 5,
+            result: Err(XrlError::BadArgs(_)),
+            ..
+        } => {}
+        other => panic!("expected a BadArgs response, read {other:?}"),
+    }
 }
