@@ -129,7 +129,10 @@ pub struct NexthopResolver<A: Addr> {
     cache: Rc<RefCell<RangeCache<A>>>,
     held: BTreeMap<Prefix<A>, Held<A>>,
     by_nexthop: BTreeMap<A, BTreeSet<Prefix<A>>>,
-    pending_requests: BTreeSet<A>,
+    /// Nexthops with a query out, each marked `true` once an invalidation
+    /// of its range has run since the query was sent: the answer may have
+    /// been worked out before that change, so it is asked again, not cached.
+    pending_requests: BTreeMap<A, bool>,
     downstream: Option<StageRef<A, BgpRoute<A>>>,
     /// Weak self-handle for async callbacks; set by [`NexthopResolver::attach`].
     me: Option<Weak<RefCell<NexthopResolver<A>>>>,
@@ -149,7 +152,7 @@ impl<A: Addr> NexthopResolver<A> {
             cache,
             held: BTreeMap::new(),
             by_nexthop: BTreeMap::new(),
-            pending_requests: BTreeSet::new(),
+            pending_requests: BTreeMap::new(),
             downstream: None,
             me: None,
         }
@@ -215,7 +218,13 @@ impl<A: Addr> NexthopResolver<A> {
         match cached {
             Some(Some(m)) => (HeldState::Resolved(m), false),
             Some(None) => (HeldState::Unreachable, false),
-            None => (HeldState::Waiting, self.pending_requests.insert(nh)),
+            None => {
+                let request = !self.pending_requests.contains_key(&nh);
+                if request {
+                    self.pending_requests.insert(nh, false);
+                }
+                (HeldState::Waiting, request)
+            }
         }
     }
 
@@ -227,24 +236,43 @@ impl<A: Addr> NexthopResolver<A> {
             nh,
             Box::new(move |el, ans| {
                 if let Some(rc) = weak.upgrade() {
-                    NexthopResolver::on_answer(el, &rc, ans);
+                    NexthopResolver::on_answer(el, &rc, nh, ans);
                 }
             }),
         );
     }
 
-    /// An asynchronous answer arrived: cache it and re-evaluate every held
-    /// route whose nexthop the answer covers.
+    /// The asynchronous answer to the query for `asked` arrived: cache it
+    /// and re-evaluate every held route whose nexthop the answer covers.
+    /// If an invalidation of `asked` ran while the query was out, the
+    /// answer may predate the change it reported, and the RIB has dropped
+    /// that registration, so a cached copy would never be invalidated: it
+    /// is dropped instead, and asked again while a route still needs it.
     pub fn on_answer(
         el: &mut EventLoop,
         me: &Rc<RefCell<NexthopResolver<A>>>,
+        asked: A,
         ans: RibNexthopAnswer<A>,
     ) {
+        let stale = me.borrow_mut().pending_requests.remove(&asked) == Some(true);
+        if stale {
+            let requery = {
+                let mut s = me.borrow_mut();
+                let wanted =
+                    s.by_nexthop.contains_key(&asked) && s.cache.borrow().lookup(asked).is_none();
+                if wanted {
+                    s.pending_requests.insert(asked, false);
+                }
+                wanted
+            };
+            if requery {
+                Self::issue_request(el, me, asked);
+            }
+            return;
+        }
         let (diffs, downstream, origin) = {
             let mut s = me.borrow_mut();
             s.cache.borrow_mut().insert(ans.valid, ans.metric);
-            s.pending_requests
-                .retain(|nh| !ans.valid.contains_addr(*nh));
             let affected: Vec<Prefix<A>> = s
                 .by_nexthop
                 .iter()
@@ -290,24 +318,32 @@ impl<A: Addr> NexthopResolver<A> {
 
     /// The RIB invalidated a handed-out range: evict it and re-query for
     /// every nexthop inside.  Routes keep their last annotation until the
-    /// fresh answer arrives.
+    /// fresh answer arrives.  A query already out for a nexthop inside is
+    /// marked stale rather than sent twice: the loop may run this before
+    /// an answer the RIB worked out ahead of the change.
     pub fn invalidate(el: &mut EventLoop, me: &Rc<RefCell<NexthopResolver<A>>>, range: Prefix<A>) {
         let requests: Vec<A> = {
-            let s = me.borrow();
+            let mut s = me.borrow_mut();
             s.cache.borrow_mut().remove_overlapping(&range);
-            s.by_nexthop
+            for (_, stale) in s
+                .pending_requests
+                .iter_mut()
+                .filter(|(nh, _)| range.contains_addr(**nh))
+            {
+                *stale = true;
+            }
+            let requests: Vec<A> = s
+                .by_nexthop
                 .keys()
                 .filter(|nh| range.contains_addr(**nh))
-                .filter(|nh| !s.pending_requests.contains(nh))
+                .filter(|nh| !s.pending_requests.contains_key(nh))
                 .copied()
-                .collect()
-        };
-        {
-            let mut s = me.borrow_mut();
+                .collect();
             for nh in &requests {
-                s.pending_requests.insert(*nh);
+                s.pending_requests.insert(*nh, false);
             }
-        }
+            requests
+        };
         for nh in requests {
             Self::issue_request(el, me, nh);
         }
@@ -514,10 +550,19 @@ mod tests {
             }
         }
 
-        fn release_all(&self, el: &mut EventLoop) {
+        /// Work out every parked answer from the table as it stands now,
+        /// for delivery later: an answer in flight while the RIB changes.
+        fn take_answers(&self) -> Vec<(AnswerCb<Ipv4Addr>, RibNexthopAnswer<Ipv4Addr>)> {
             let parked: Vec<_> = self.parked.borrow_mut().drain(..).collect();
-            for (addr, cb) in parked {
-                cb(el, self.answer_for(addr));
+            parked
+                .into_iter()
+                .map(|(addr, cb)| (cb, self.answer_for(addr)))
+                .collect()
+        }
+
+        fn release_all(&self, el: &mut EventLoop) {
+            for (cb, ans) in self.take_answers() {
+                cb(el, ans);
             }
         }
     }
@@ -690,6 +735,82 @@ mod tests {
             50
         );
         assert!(r.cache.borrow().violations().is_empty());
+    }
+
+    /// A process's loop may run an XRL response and a request from the
+    /// same peer in either order, so the RIB's invalidation of a range can
+    /// reach the resolver before an answer the RIB worked out ahead of the
+    /// change.  The RIB answers (metric 5), changes (metric 50) and
+    /// invalidates the range; the answer is delivered after the
+    /// invalidation (overtaken) or before it (in order).  Either way the
+    /// cache ends on the RIB's current answer, and the overtaken order
+    /// costs at most one extra query.
+    #[test]
+    fn answer_overtaking_an_invalidation_converges_to_the_rib() {
+        let range: Prefix<Ipv4Addr> = "192.168.0.0/16".parse().unwrap();
+        let nh: Ipv4Addr = "192.168.1.1".parse().unwrap();
+        let mut queries = Vec::new();
+        for overtaken in [false, true] {
+            let mut r = rig(&[("192.168.0.0/16", Some(5))]);
+            r.service.defer.set(true);
+            r.send(add(route("10.0.0.0/8", "192.168.1.1")));
+            let service = r.service.clone();
+            let answers = service.take_answers();
+            service.answers.borrow_mut().insert(range, Some(50));
+            if overtaken {
+                NexthopResolver::invalidate(&mut r.el, &r.resolver, range);
+            }
+            for (cb, ans) in answers {
+                assert_eq!(ans.metric, Some(5));
+                cb(&mut r.el, ans);
+            }
+            if !overtaken {
+                NexthopResolver::invalidate(&mut r.el, &r.resolver, range);
+            }
+            service.release_all(&mut r.el); // the re-query
+            assert_eq!(
+                r.resolver.borrow().cache.borrow().lookup(nh),
+                Some(Some(50))
+            );
+            assert_eq!(
+                r.sink.borrow().table[&"10.0.0.0/8".parse().unwrap()].metric,
+                50
+            );
+            assert!(r.service.parked.borrow().is_empty());
+            assert!(r.cache.borrow().violations().is_empty());
+            queries.push(r.service.requests.get());
+        }
+        assert!(
+            queries[1] <= queries[0] + 1,
+            "in order {} queries, overtaken {}",
+            queries[0],
+            queries[1]
+        );
+    }
+
+    /// The same overtaken answer after its only route was withdrawn: the
+    /// shared cache must not keep it for the next peering to find, and no
+    /// route needs it asked again.
+    #[test]
+    fn overtaken_answer_for_a_withdrawn_route_is_dropped() {
+        let range: Prefix<Ipv4Addr> = "192.168.0.0/16".parse().unwrap();
+        let mut r = rig(&[("192.168.0.0/16", Some(5))]);
+        r.service.defer.set(true);
+        let rt = route("10.0.0.0/8", "192.168.1.1");
+        r.send(add(rt.clone()));
+        r.send(RouteOp::Delete {
+            net: rt.net,
+            old: rt,
+        });
+        let service = r.service.clone();
+        let answers = service.take_answers();
+        service.answers.borrow_mut().insert(range, Some(50));
+        NexthopResolver::invalidate(&mut r.el, &r.resolver, range);
+        for (cb, ans) in answers {
+            cb(&mut r.el, ans);
+        }
+        assert_eq!(r.resolver.borrow().cache_len(), 0);
+        assert_eq!(r.service.requests.get(), 1);
     }
 
     #[test]

@@ -23,6 +23,10 @@ type LocalEvent = Box<dyn FnOnce(&mut EventLoop)>;
 /// A callback posted from another thread (I/O reader threads, other
 /// "processes").
 type RemoteEvent = Box<dyn FnOnce(&mut EventLoop) + Send>;
+/// A cross-thread lane beside the bulk channel: a plain shared deque.
+/// Senders push here and wake the loop with a no-op marker on the bulk
+/// channel, so the blocking receives need only watch one channel.
+type Lane = Arc<Mutex<VecDeque<RemoteEvent>>>;
 
 /// Handle for cancelling a timer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,11 +63,13 @@ impl Ord for TimerEntry {
 /// Cross-thread handle for posting events into a loop.
 ///
 /// This is how I/O reader threads and other router processes inject work:
-/// the closure runs on the loop's thread, to completion, in arrival order.
+/// the closure runs on the loop's thread, to completion, in arrival order
+/// within its lane.
 #[derive(Clone)]
 pub struct EventSender {
     tx: Sender<RemoteEvent>,
-    pri: Arc<Mutex<VecDeque<RemoteEvent>>>,
+    pri: Lane,
+    completion: Lane,
     metrics: Arc<OnceLock<LoopMetrics>>,
     /// Bulk-lane depth, counted from loop birth — the gauge attached
     /// later by `set_metrics` mirrors this, so posts made before the
@@ -75,15 +81,7 @@ impl EventSender {
     /// Post a closure to run on the loop thread.  Returns `false` if the
     /// loop has been dropped.
     pub fn post<F: FnOnce(&mut EventLoop) + Send + 'static>(&self, f: F) -> bool {
-        // Count BEFORE the send: once the event is in the channel the loop
-        // may consume (and decrement) it immediately, and a decrement that
-        // lands first would swing the depth negative.
-        note_bulk_change(&self.depth, &self.metrics, 1);
-        let ok = self.tx.send(Box::new(f)).is_ok();
-        if !ok {
-            note_bulk_change(&self.depth, &self.metrics, -1);
-        }
-        ok
+        self.send_bulk(Box::new(f))
     }
 
     /// Post a closure on the priority lane: it runs before anything still
@@ -95,16 +93,45 @@ impl EventSender {
     pub fn post_priority<F: FnOnce(&mut EventLoop) + Send + 'static>(&self, f: F) -> bool {
         // Push before the wakeup: once a blocked loop receives the no-op
         // marker on the bulk channel, the lane already holds the event.
-        let depth = {
-            let mut lane = self.pri.lock();
-            lane.push_back(Box::new(f));
-            lane.len()
-        };
-        if let Some(m) = self.metrics.get() {
-            m.pri_depth.set(depth as i64);
+        push_lane(&self.pri, Box::new(f), &self.metrics, |m| &m.pri_depth);
+        self.send_bulk(Box::new(|_| {}))
+    }
+
+    /// Post a closure on the completion lane — the lane XRL transports
+    /// post responses on.  While both hold work the loop alternates one
+    /// completion with one bulk event, so work already in flight finishes
+    /// (and a sender's window reopens) without waiting behind every input
+    /// queued ahead of it, and neither lane waits behind more than one
+    /// item of the other.  Priority events still run first; ordering
+    /// within the lane is arrival order, but not across the two lanes, in
+    /// either direction: a bulk event can also run before a completion
+    /// posted ahead of it, when older completions outnumber the bulk
+    /// events queued ahead of it.
+    pub fn post_completion<F: FnOnce(&mut EventLoop) + Send + 'static>(&self, f: F) -> bool {
+        // One wakeup per empty → non-empty transition is enough: the loop
+        // blocks only after finding every lane empty, so a lane that was
+        // already non-empty will be drained without another marker.
+        if !push_lane(&self.completion, Box::new(f), &self.metrics, |m| {
+            &m.completion_depth
+        }) {
+            return true;
         }
+        let ok = self.send_bulk(Box::new(|_| {}));
+        if !ok {
+            // The loop is gone: empty the lane so the next post tries the
+            // channel again and reports it.
+            self.completion.lock().clear();
+        }
+        ok
+    }
+
+    /// Put one event on the bulk channel.
+    fn send_bulk(&self, f: RemoteEvent) -> bool {
+        // Count BEFORE the send: once the event is in the channel the loop
+        // may consume (and decrement) it immediately, and a decrement that
+        // lands first would swing the depth negative.
         note_bulk_change(&self.depth, &self.metrics, 1);
-        let ok = self.tx.send(Box::new(|_| {})).is_ok();
+        let ok = self.tx.send(f).is_ok();
         if !ok {
             note_bulk_change(&self.depth, &self.metrics, -1);
         }
@@ -129,10 +156,14 @@ pub struct EventLoop {
     seq: u64,
     rx: Receiver<RemoteEvent>,
     tx: Sender<RemoteEvent>,
-    /// Cross-thread priority lane, drained ahead of `rx`.  A plain shared
-    /// deque: senders push here and then post a no-op wakeup on `rx`, so
-    /// the blocking receives below need only watch one channel.
-    pri: Arc<Mutex<VecDeque<RemoteEvent>>>,
+    /// Cross-thread priority lane, drained ahead of `rx`.
+    pri: Lane,
+    /// Cross-thread completion lane, alternating with `rx` (see
+    /// [`EventSender::post_completion`]).
+    completion: Lane,
+    /// The completion lane, not `rx`, ran the last of the two lanes'
+    /// items: the next turn tries `rx` first.
+    completion_ran_last: bool,
     local: VecDeque<LocalEvent>,
     background: VecDeque<BackgroundTask>,
     cancelled_bg: HashSet<u64>,
@@ -150,7 +181,41 @@ pub struct EventLoop {
 struct LoopMetrics {
     bulk_depth: Gauge,
     pri_depth: Gauge,
+    completion_depth: Gauge,
     timer_slack_us: Histogram,
+}
+
+/// Append `f` to a shared lane and mirror its depth into the lane's
+/// gauge.  Returns whether the lane was empty before.
+fn push_lane(
+    lane: &Lane,
+    f: RemoteEvent,
+    metrics: &OnceLock<LoopMetrics>,
+    gauge: fn(&LoopMetrics) -> &Gauge,
+) -> bool {
+    let depth = {
+        let mut lane = lane.lock();
+        lane.push_back(f);
+        lane.len()
+    };
+    if let Some(m) = metrics.get() {
+        gauge(m).set(depth as i64);
+    }
+    depth == 1
+}
+
+/// Take the oldest event off a shared lane, mirroring its new depth.
+fn pop_lane(
+    lane: &Lane,
+    metrics: &OnceLock<LoopMetrics>,
+    gauge: fn(&LoopMetrics) -> &Gauge,
+) -> Option<RemoteEvent> {
+    let mut lane = lane.lock();
+    let f = lane.pop_front()?;
+    if let Some(m) = metrics.get() {
+        gauge(m).set(lane.len() as i64);
+    }
+    Some(f)
 }
 
 /// Apply a bulk-lane depth change to the always-present counter and
@@ -192,7 +257,9 @@ impl EventLoop {
             seq: 0,
             rx,
             tx,
-            pri: Arc::new(Mutex::new(VecDeque::new())),
+            pri: Lane::default(),
+            completion: Lane::default(),
+            completion_ran_last: false,
             local: VecDeque::new(),
             background: VecDeque::new(),
             cancelled_bg: HashSet::new(),
@@ -203,14 +270,16 @@ impl EventLoop {
         }
     }
 
-    /// Attach a metrics registry: the loop reports its bulk/priority lane
-    /// depths as gauges (`event.bulk_depth`, `event.pri_depth`) and timer
-    /// firing slack as a histogram (`event.timer_slack_us`).  First call
-    /// wins; later calls are ignored.
+    /// Attach a metrics registry: the loop reports its bulk, priority and
+    /// completion lane depths as gauges (`event.bulk_depth`,
+    /// `event.pri_depth`, `event.completion_depth`) and timer firing slack
+    /// as a histogram (`event.timer_slack_us`).  First call wins; later
+    /// calls are ignored.
     pub fn set_metrics(&mut self, metrics: &Metrics) {
         let _ = self.metrics.set(LoopMetrics {
             bulk_depth: metrics.gauge("event.bulk_depth"),
             pri_depth: metrics.gauge("event.pri_depth"),
+            completion_depth: metrics.gauge("event.completion_depth"),
             timer_slack_us: metrics.histogram("event.timer_slack_us"),
         });
         // Seed the gauge with whatever was already queued before the
@@ -238,6 +307,7 @@ impl EventLoop {
         EventSender {
             tx: self.tx.clone(),
             pri: self.pri.clone(),
+            completion: self.completion.clone(),
             metrics: self.metrics.clone(),
             depth: self.depth.clone(),
         }
@@ -387,6 +457,13 @@ impl EventLoop {
     /// Process at most one pending item (event, due timer, or background
     /// slice).  Returns `true` if anything ran.  Never blocks and never
     /// advances virtual time.
+    ///
+    /// Lane order: deferred local events, then the priority lane, then the
+    /// completion and bulk lanes alternating while both hold work (one
+    /// item each, completion first unless it ran last), then due timers,
+    /// then background slices.  Arrival order holds within each lane; an
+    /// item of either of the two alternating lanes may run before one the
+    /// other lane received earlier.
     pub fn run_one(&mut self) -> bool {
         // Local (deferred) events first: they were queued by callbacks that
         // ran before anything currently in the remote queue was accepted.
@@ -394,34 +471,48 @@ impl EventLoop {
             f(self);
             return true;
         }
-        // Priority lane drains ahead of the bulk lane: control traffic
-        // posted by reader threads must not wait behind a data backlog.
-        let pri = {
-            let mut lane = self.pri.lock();
-            let f = lane.pop_front();
-            if f.is_some() {
-                if let Some(m) = self.metrics.get() {
-                    m.pri_depth.set(lane.len() as i64);
-                }
-            }
-            f
-        };
-        if let Some(f) = pri {
+        // Priority lane drains ahead of the others: control traffic posted
+        // by reader threads must not wait behind a data backlog.
+        if let Some(f) = pop_lane(&self.pri, &self.metrics, |m| &m.pri_depth) {
             f(self);
+            return true;
+        }
+        // Completions finish work already in flight; bulk events start new
+        // work.  Alternating bounds each lane's wait to one item of the
+        // other however deep either grows.
+        let completion_first = !self.completion_ran_last;
+        if completion_first && self.run_completion() {
             return true;
         }
         match self.rx.try_recv() {
             Ok(f) => {
-                note_bulk_change(&self.depth, &self.metrics, -1);
-                f(self);
+                self.run_bulk(f);
                 return true;
             }
             Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => {}
+        }
+        if !completion_first && self.run_completion() {
+            return true;
         }
         if self.fire_due_timer() {
             return true;
         }
         self.run_background_slice()
+    }
+
+    fn run_completion(&mut self) -> bool {
+        let Some(f) = pop_lane(&self.completion, &self.metrics, |m| &m.completion_depth) else {
+            return false;
+        };
+        self.completion_ran_last = true;
+        f(self);
+        true
+    }
+
+    fn run_bulk(&mut self, f: RemoteEvent) {
+        note_bulk_change(&self.depth, &self.metrics, -1);
+        self.completion_ran_last = false;
+        f(self);
     }
 
     fn fire_due_timer(&mut self) -> bool {
@@ -537,8 +628,7 @@ impl EventLoop {
                     let dur = wait_until - now;
                     match self.rx.recv_timeout(dur) {
                         Ok(f) => {
-                            note_bulk_change(&self.depth, &self.metrics, -1);
-                            f(self);
+                            self.run_bulk(f);
                             n += 1;
                         }
                         Err(_) => { /* timeout or disconnect: loop re-checks */ }
@@ -569,13 +659,11 @@ impl EventLoop {
                     Some(d) => self.vnow = self.vnow.max(d),
                     None => {
                         // A virtual loop with no timers can only be woken by
-                        // a remote event; block for one.  Priority posts
-                        // also wake this via their bulk-lane marker.
+                        // a remote event; block for one.  Priority and
+                        // completion posts also wake this via their
+                        // bulk-lane marker.
                         match self.rx.recv() {
-                            Ok(f) => {
-                                note_bulk_change(&self.depth, &self.metrics, -1);
-                                f(self)
-                            }
+                            Ok(f) => self.run_bulk(f),
                             Err(_) => return,
                         }
                     }
@@ -586,8 +674,7 @@ impl EventLoop {
                         .map(|d| d - self.now())
                         .unwrap_or(Duration::from_millis(100));
                     if let Ok(f) = self.rx.recv_timeout(wait.max(Duration::from_micros(1))) {
-                        note_bulk_change(&self.depth, &self.metrics, -1);
-                        f(self)
+                        self.run_bulk(f)
                     }
                 }
             }
@@ -639,6 +726,155 @@ mod tests {
         });
         el.run_until_idle();
         assert_eq!(*log.borrow(), vec![99, 0, 1, 2]);
+    }
+
+    type Log = Rc<RefCell<Vec<String>>>;
+
+    /// A postable closure that appends `tag` to the loop's [`Log`] slot.
+    fn logs(tag: impl Into<String>) -> impl FnOnce(&mut EventLoop) + Send {
+        let tag = tag.into();
+        move |el| el.slot::<Log>().unwrap().borrow_mut().push(tag)
+    }
+
+    fn logged_loop() -> (EventLoop, Log) {
+        let mut el = EventLoop::new_virtual();
+        let log = Log::default();
+        el.set_slot(log.clone());
+        (el, log)
+    }
+
+    #[test]
+    fn completion_overtakes_a_bulk_backlog() {
+        let (mut el, log) = logged_loop();
+        let sender = el.sender();
+        for i in 0..100 {
+            sender.post(logs(format!("b{i}")));
+        }
+        sender.post_completion(logs("c"));
+        let mut items = 0;
+        while !log.borrow().iter().any(|t| t == "c") {
+            assert!(el.run_one(), "the completion never ran");
+            items += 1;
+        }
+        assert!(items <= 2, "the completion ran as item {items}");
+        el.run_until_idle();
+        assert_eq!(log.borrow().len(), 101);
+    }
+
+    #[test]
+    fn completions_and_bulk_alternate_while_both_hold_work() {
+        let (mut el, log) = logged_loop();
+        let sender = el.sender();
+        for i in 0..50 {
+            sender.post(logs(format!("b{i}")));
+        }
+        for i in 0..50 {
+            sender.post_completion(logs(format!("c{i}")));
+        }
+        el.run_until_idle();
+        let expected: Vec<String> = (0..50)
+            .flat_map(|i| [format!("c{i}"), format!("b{i}")])
+            .collect();
+        assert_eq!(*log.borrow(), expected);
+
+        // Uneven lanes: strict alternation while both hold work, then the
+        // longer lane alone — never two of one lane while the other waits.
+        log.borrow_mut().clear();
+        for i in 0..3 {
+            sender.post(logs(format!("b{i}")));
+        }
+        for i in 0..6 {
+            sender.post_completion(logs(format!("c{i}")));
+        }
+        el.run_until_idle();
+        assert_eq!(
+            *log.borrow(),
+            ["c0", "b0", "c1", "b1", "c2", "b2", "c3", "c4", "c5"]
+        );
+    }
+
+    #[test]
+    fn local_then_priority_then_alternating_lanes_in_arrival_order() {
+        let (mut el, log) = logged_loop();
+        let sender = el.sender();
+        sender.post(logs("b0"));
+        sender.post(logs("b1"));
+        sender.post_completion(|el| {
+            logs("c0")(el);
+            // Deferred by a completion: runs before either lane moves on.
+            el.defer(logs("d"));
+        });
+        sender.post_completion(logs("c1"));
+        sender.post_priority(logs("p0"));
+        sender.post_priority(logs("p1"));
+        el.defer(logs("l0"));
+        el.run_until_idle();
+        assert_eq!(
+            *log.borrow(),
+            ["l0", "p0", "p1", "c0", "d", "b0", "c1", "b1"]
+        );
+    }
+
+    #[test]
+    fn blocked_real_loop_wakes_for_completions_from_another_thread() {
+        fn wait_for(what: &str, cond: impl Fn() -> bool) {
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while !cond() {
+                assert!(Instant::now() < deadline, "timed out waiting for {what}");
+                std::thread::yield_now();
+            }
+        }
+        let mut el = EventLoop::new();
+        let metrics = Metrics::new();
+        el.set_metrics(&metrics);
+        // A loop that missed its wakeup would sleep until this fires.
+        el.after(Duration::from_secs(30), |el| el.stop());
+        let sender = el.sender();
+        let ran = Arc::new(AtomicUsize::new(0));
+        let r = ran.clone();
+        let poster = std::thread::spawn(move || {
+            let count = |r: &Arc<AtomicUsize>| {
+                let r = r.clone();
+                move |_: &mut EventLoop| {
+                    r.fetch_add(1, Ordering::SeqCst);
+                }
+            };
+            // An empty lane: the post wakes the blocked loop.
+            std::thread::sleep(Duration::from_millis(20));
+            sender.post_completion(count(&r));
+            wait_for("the first completion", || r.load(Ordering::SeqCst) == 1);
+
+            // Two posts while the loop is busy: the second finds the lane
+            // non-empty and adds no marker, yet still runs.
+            let (inside_tx, inside_rx) = std::sync::mpsc::channel();
+            let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+            sender.post(move |_| {
+                inside_tx.send(()).unwrap();
+                gate_rx.recv().unwrap();
+            });
+            inside_rx.recv().unwrap();
+            sender.post_completion(count(&r));
+            sender.post_completion(count(&r));
+            let bulk_depth = match metrics.get("event.bulk_depth") {
+                Some(xorp_profiler::MetricValue::Gauge { value, .. }) => value,
+                other => panic!("bulk_depth: {other:?}"),
+            };
+            assert_eq!(bulk_depth, 1, "one marker for two completions");
+            gate_tx.send(()).unwrap();
+            wait_for("both completions", || r.load(Ordering::SeqCst) == 3);
+
+            // Blocked again: the last completion stops the loop.
+            std::thread::sleep(Duration::from_millis(20));
+            sender.post_completion(|el| el.stop());
+        });
+        let start = Instant::now();
+        el.run();
+        poster.join().unwrap();
+        assert_eq!(ran.load(Ordering::SeqCst), 3);
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "a completion waited for the timer instead of waking the loop"
+        );
     }
 
     #[test]
@@ -935,20 +1171,32 @@ mod tests {
             sender.post(|_| {});
         }
         sender.post_priority(|_| {});
-        // Depth gauges track the posts (the priority marker rides the bulk
-        // lane too, hence 4).
+        sender.post_completion(|_| {});
+        sender.post_completion(|_| {});
+        // Depth gauges track the posts (the priority marker and the
+        // completion lane's one wakeup ride the bulk lane too, hence 5).
         match metrics.get("event.bulk_depth") {
-            Some(MetricValue::Gauge { max, .. }) => assert_eq!(max, 4),
+            Some(MetricValue::Gauge { max, .. }) => assert_eq!(max, 5),
             other => panic!("bulk_depth: {other:?}"),
         }
         match metrics.get("event.pri_depth") {
             Some(MetricValue::Gauge { max, .. }) => assert_eq!(max, 1),
             other => panic!("pri_depth: {other:?}"),
         }
+        match metrics.get("event.completion_depth") {
+            Some(MetricValue::Gauge { max, .. }) => assert_eq!(max, 2),
+            other => panic!("completion_depth: {other:?}"),
+        }
         el.run_until_idle();
-        match metrics.get("event.pri_depth") {
-            Some(MetricValue::Gauge { value, .. }) => assert_eq!(value, 0),
-            other => panic!("pri_depth: {other:?}"),
+        for lane in [
+            "event.pri_depth",
+            "event.completion_depth",
+            "event.bulk_depth",
+        ] {
+            match metrics.get(lane) {
+                Some(MetricValue::Gauge { value, .. }) => assert_eq!(value, 0, "{lane}"),
+                other => panic!("{lane}: {other:?}"),
+            }
         }
         // A timer whose deadline (t=1s) is already 2s in the past when it
         // fires shows 2s of slack.

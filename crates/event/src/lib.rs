@@ -12,7 +12,9 @@
 //! * Instead of `select(2)` on file descriptors, I/O readiness arrives as
 //!   closures posted from reader threads through a cross-thread channel
 //!   ([`EventSender`]).  The loop itself stays single-threaded; callbacks
-//!   still run to completion in arrival order.
+//!   still run to completion, in arrival order within each of the three
+//!   cross-thread lanes (priority, completion, bulk — see
+//!   [`EventLoop::run_one`] for how they interleave).
 //! * The clock is pluggable: [`EventLoop::new`] uses the wall clock, while
 //!   [`EventLoop::new_virtual`] runs in virtual time, jumping straight to
 //!   the next timer deadline when idle.  Virtual time lets the Figure 13

@@ -174,6 +174,7 @@ fn main() {
                 "rib.xrl.pending",
                 "rib.batch_size",
                 "fea.event.bulk_depth",
+                "bgp.event.completion_depth",
             ] {
                 assert!(
                     metrics.iter().any(|m| m.name == name),

@@ -174,6 +174,7 @@ fn profile_target_serves_records_and_metrics_over_xrl() {
         "bgp.xrl.pending",
         "bgp.fanout.queue_len",
         "bgp.event.bulk_depth",
+        "bgp.event.completion_depth",
         "rib.xrl.pending",
         "rib.batch_size",
         "fea.event.bulk_depth",

@@ -11,11 +11,14 @@
 ///
 /// A `VecDeque` never shrinks by itself, so one full-table backlog would
 /// otherwise stay resident for the life of the process.  Call after
-/// popping: a buffer above 1024 slots that is less than a quarter full is
-/// cut to twice its length, which leaves room to grow again without
-/// reallocating on every push and costs amortised O(1) per pop.
+/// popping: a buffer of more than 32 KiB that is less than a quarter full
+/// is cut to twice its length, which leaves room to grow again without
+/// reallocating on every push and costs amortised O(1) per pop.  The floor
+/// is in bytes, not slots, so a drained buffer keeps at most 32 KiB
+/// whatever its element size.
 pub fn release_drained<T>(queue: &mut std::collections::VecDeque<T>) {
-    if queue.capacity() > 1024 && queue.len() < queue.capacity() / 4 {
+    let bytes = queue.capacity() * std::mem::size_of::<T>();
+    if bytes > 32 * 1024 && queue.len() < queue.capacity() / 4 {
         queue.shrink_to(2 * queue.len());
     }
 }
@@ -148,5 +151,26 @@ mod tests {
         let o: Option<Box<u64>> = Some(Box::new(7));
         assert_eq!(o.heap_size(), 8);
         assert_eq!(None::<Box<u64>>.heap_size(), 0);
+    }
+
+    /// However the pops are grouped between calls, a drained buffer of
+    /// large slots ends within the byte floor, not a slot count.
+    #[test]
+    fn drained_buffer_keeps_at_most_the_byte_floor() {
+        for step in [1, 7, 300, 5_000] {
+            let mut q: std::collections::VecDeque<[u8; 112]> =
+                std::iter::repeat([0; 112]).take(20_000).collect();
+            while !q.is_empty() {
+                for _ in 0..step.min(q.len()) {
+                    q.pop_front();
+                }
+                release_drained(&mut q);
+            }
+            assert!(
+                q.capacity() * 112 <= 32 * 1024,
+                "step {step}: {}",
+                q.capacity()
+            );
+        }
     }
 }

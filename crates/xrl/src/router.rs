@@ -396,7 +396,7 @@ struct RouterInner {
     primary_class: Option<String>,
     /// Next unallocated request number; handed out by [`RouterInner::next_seq`].
     seq_counter: u64,
-    pending: HashMap<u64, Pending>,
+    pending: xorp_net::FxHashMap<u64, Pending>,
     /// Resolve cache keyed by `(target, method path)` — a tuple, not a
     /// joined string, so a target name containing the old `|` separator
     /// cannot alias another entry.
@@ -418,7 +418,7 @@ struct RouterInner {
     /// Overload accounting per transport lane.  Keyed by the label the
     /// charged `Pending` entries share, looked up by `&str`: a lane's key
     /// is allocated once, when the lane is first charged.
-    lane_load: HashMap<Rc<str>, LaneLoad>,
+    lane_load: xorp_net::FxHashMap<Rc<str>, LaneLoad>,
     /// Receives Xoff/Xon as lanes cross their watermarks.
     #[allow(clippy::type_complexity)]
     congestion_cb: Option<Rc<dyn Fn(&mut EventLoop, &CongestionSignal)>>,
@@ -616,7 +616,7 @@ impl XrlRouter {
                 targets: HashMap::new(),
                 primary_class: None,
                 seq_counter: 1,
-                pending: HashMap::new(),
+                pending: Default::default(),
                 resolve_cache: HashMap::new(),
                 cache_generation: 1,
                 wire_v1_only: false,
@@ -625,7 +625,7 @@ impl XrlRouter {
                 fault: None,
                 retry: None,
                 overload: QueuePolicy::default(),
-                lane_load: HashMap::new(),
+                lane_load: Default::default(),
                 congestion_cb: None,
                 shed: 0,
                 dedup: HashMap::new(),
@@ -1726,7 +1726,7 @@ impl XrlRouter {
         }
     }
 
-    /// Entry point for a TCP reader's batch of bulk frames: one loop event
+    /// Entry point for a TCP reader's batch of frames: one loop event
     /// that runs every frame to completion, in arrival order, exactly as
     /// if each had been posted alone.
     pub(crate) fn incoming_batch(el: &mut EventLoop, frames: Vec<Frame>, conn: Arc<TcpConn>) {

@@ -18,12 +18,27 @@
 //!
 //! * **Reads.**  Each `xrl-tcp-read` thread issues one `read` into a
 //!   reusable [`FrameDecoder`] buffer, decodes every complete frame it
-//!   now holds, and posts the bulk frames to the loop as *one* event of at
-//!   most `MAX_FRAME_BATCH` (64) frames.  The batch runs to completion
-//!   through the same per-frame logic a lone frame gets, each request
-//!   under its own trace context.  Priority frames are posted singly on the loop's
-//!   priority lane, so a keepalive waits behind at most the one batch the
-//!   loop is already running.
+//!   now holds, and posts them to the loop in events of at most
+//!   `MAX_FRAME_BATCH` (64) frames: the responses as one batch on the
+//!   loop's *completion* lane, the requests as another on the bulk lane.
+//!   A batch runs to completion through the same per-frame logic a lone
+//!   frame gets, each request under its own trace context.  The loop
+//!   alternates completion and bulk events while both hold work, so a
+//!   response — the thing that reopens a bounded sender's window — waits
+//!   behind at most one bulk batch, not behind every request queued
+//!   ahead of it.  The price is that a connection's responses and
+//!   requests no longer run in their joint arrival order, in either
+//!   direction: a response may run before a request that arrived earlier,
+//!   and a request before a response that arrived earlier (when older
+//!   responses outnumber the bulk events ahead of the request).  Order
+//!   within the responses and within the requests holds.  A handler that
+//!   cares must not rely on it — the nexthop resolver re-asks any answer
+//!   an invalidation of its range overtook.  The
+//!   reader's final `connection_closed` rides the completion lane too, so
+//!   it runs after every response the reader posted.  UDP responses take
+//!   the completion lane as well.  Priority frames are posted singly on
+//!   the loop's priority lane, so a keepalive waits behind at most the one
+//!   batch the loop is already running.
 //! * **Writes.**  The loop thread appends encoded frames to the
 //!   connection's out-buffer (`TcpConn`); the first frame of a turn
 //!   schedules one deferred flush (`flush_dirty`) that drains every
@@ -160,30 +175,46 @@ pub(crate) fn spawn_tcp_reader(
             while matches!(decoder.fill(&mut read_half), Ok(n) if n > 0)
                 && post_decoded(&mut decoder, &conn, &sender)
             {}
-            // Tell the loop so pending callbacks can fail over.
-            sender.post(move |el| XrlRouter::connection_closed(el, &conn));
+            // Tell the loop so pending callbacks can fail over.  On the
+            // completion lane, behind every response this reader posted:
+            // a request that was answered never fails `TargetDied`.
+            sender.post_completion(move |el| XrlRouter::connection_closed(el, &conn));
         })
         .expect("spawn tcp reader");
     conn
 }
 
-/// Decode every complete frame `decoder` holds and post them to the loop:
-/// bulk frames in arrival order as events of at most `MAX_FRAME_BATCH`,
+/// Decode every complete frame `decoder` holds and post them to the loop
+/// in events of at most `MAX_FRAME_BATCH` frames: responses on the
+/// completion lane, requests on the bulk lane, each in arrival order, and
 /// priority frames singly on the priority lane (this is where a keepalive
 /// passes a route-storm backlog).  Returns `false` when the stream is
 /// corrupt or the loop is gone.
 fn post_decoded(decoder: &mut FrameDecoder, conn: &Arc<TcpConn>, sender: &EventSender) -> bool {
     let mut decoded = 0u64;
-    let mut batch = Vec::new();
-    let post_batch = |batch: &mut Vec<Frame>| {
+    let mut responses = Vec::new();
+    let mut requests = Vec::new();
+    let post_batch = |batch: &mut Vec<Frame>, completion: bool| {
         let frames = std::mem::take(batch);
         let conn = conn.clone();
-        sender.post(move |el| XrlRouter::incoming_batch(el, frames, conn))
+        let run = move |el: &mut EventLoop| XrlRouter::incoming_batch(el, frames, conn);
+        if completion {
+            sender.post_completion(run)
+        } else {
+            sender.post(run)
+        }
     };
     let alive = loop {
         let frame = match decoder.next_frame() {
             Ok(Some(body)) => Frame::decode_slice(body),
-            Ok(None) => break batch.is_empty() || post_batch(&mut batch),
+            // Responses first: the wakeup marker their post may add then
+            // sits ahead of the requests, so on a loop with nothing else
+            // queued this read's responses run first, whichever lane ran
+            // last.
+            Ok(None) => {
+                break (responses.is_empty() || post_batch(&mut responses, true))
+                    && (requests.is_empty() || post_batch(&mut requests, false))
+            }
             Err(_) => break false,
         };
         decoded += 1;
@@ -193,8 +224,14 @@ fn post_decoded(decoder: &mut FrameDecoder, conn: &Arc<TcpConn>, sender: &EventS
                 sender.post_priority(move |el| XrlRouter::incoming_frame(el, frame, reply))
             }
             Ok(frame) => {
+                let completion = matches!(frame, Frame::Response { .. });
+                let batch = if completion {
+                    &mut responses
+                } else {
+                    &mut requests
+                };
                 batch.push(frame);
-                batch.len() < MAX_FRAME_BATCH || post_batch(&mut batch)
+                batch.len() < MAX_FRAME_BATCH || post_batch(batch, completion)
             }
             Err(_) => true, // skip malformed frame, keep the connection
         };
@@ -336,12 +373,16 @@ pub(crate) fn spawn_udp(
                             socket: reader.clone(),
                             peer,
                         });
-                        let posted = if frame.is_priority() {
-                            sender.post_priority(move |el| {
-                                XrlRouter::incoming_frame(el, frame, reply)
-                            })
+                        let priority = frame.is_priority();
+                        let completion = matches!(frame, Frame::Response { .. });
+                        let run =
+                            move |el: &mut EventLoop| XrlRouter::incoming_frame(el, frame, reply);
+                        let posted = if priority {
+                            sender.post_priority(run)
+                        } else if completion {
+                            sender.post_completion(run)
                         } else {
-                            sender.post(move |el| XrlRouter::incoming_frame(el, frame, reply))
+                            sender.post(run)
                         };
                         if !posted {
                             return;

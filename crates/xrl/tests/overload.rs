@@ -8,11 +8,12 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use xorp_event::{EventLoop, EventSender};
+use xorp_profiler::{MetricValue, Metrics};
 use xorp_xrl::keepalive::{add_keepalive_responder, probe_liveness};
 use xorp_xrl::router::TransportPref;
 use xorp_xrl::{
@@ -274,6 +275,89 @@ fn lane_accounting_is_on_and_bounded_by_default() {
 
     receiver.stop();
     rthread.join().unwrap();
+}
+
+/// Completions before new work: a sender whose lane is in Xoff and whose
+/// own loop holds thousands of queued ordinary events hears `Xon` as soon
+/// as the receiver answers, while most of that backlog is still queued —
+/// the responses do not wait behind it, so the window turns over.
+#[test]
+fn xon_arrives_while_a_deep_input_backlog_is_still_queued() {
+    const BACKLOG: usize = 2_000;
+    let class = format!("ovl{}", NEXT_CLASS.fetch_add(1, Ordering::SeqCst));
+    let finder = Finder::new();
+    let (receiver, rthread) = spawn_stashing_receiver(finder.clone(), &class, false);
+
+    let mut el = EventLoop::new();
+    let metrics = Metrics::new();
+    let router = XrlRouter::new(&mut el, finder);
+    router.enable_tcp().unwrap();
+    router.set_metrics(&metrics);
+    router.set_overload_policy(QueuePolicy {
+        high_watermark: 8,
+        low_watermark: 3,
+        hard_cap: 12,
+    });
+    // Bulk events still queued on the sender's loop, read when Xon fires.
+    let queued = Arc::new(AtomicUsize::new(0));
+    let xon_with_queued: Rc<RefCell<Option<usize>>> = Rc::default();
+    let (q, x) = (queued.clone(), xon_with_queued.clone());
+    router.set_congestion_cb(move |_el, sig| {
+        if matches!(sig, CongestionSignal::Xon { .. }) {
+            *x.borrow_mut() = Some(q.load(Ordering::SeqCst));
+        }
+    });
+    let results: Rc<RefCell<Vec<XrlResult>>> = Rc::new(RefCell::new(Vec::new()));
+    for _ in 0..12 {
+        let r = results.clone();
+        router.send(
+            &mut el,
+            hold_xrl(&class),
+            Box::new(move |_el, res| r.borrow_mut().push(res)),
+        );
+    }
+    assert!(router.any_lane_congested(), "the lane is in Xoff");
+    el.run_until_idle(); // the turn's flush puts the requests on the wire
+
+    let input = el.sender();
+    for _ in 0..BACKLOG {
+        queued.fetch_add(1, Ordering::SeqCst);
+        let q = queued.clone();
+        input.post(move |_| {
+            q.fetch_sub(1, Ordering::SeqCst);
+        });
+    }
+    release_stash(&receiver);
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while frames_read(&metrics) < 12 {
+        assert!(std::time::Instant::now() < deadline, "no answers arrived");
+        std::thread::yield_now();
+    }
+    // Every answer is now queued behind the backlog, or beside it.
+    assert_eq!(queued.load(Ordering::SeqCst), BACKLOG);
+    while xon_with_queued.borrow().is_none() {
+        assert!(el.run_one(), "the answers never completed");
+    }
+    let still_queued = xon_with_queued.borrow().unwrap();
+    assert!(
+        still_queued >= BACKLOG / 2,
+        "Xon arrived with only {still_queued} of {BACKLOG} queued events left"
+    );
+    run_until(&mut el, "drain", || results.borrow().len() == 12);
+    assert!(results.borrow().iter().all(|r| r.is_ok()));
+    el.run_until_idle();
+    assert_eq!(queued.load(Ordering::SeqCst), 0);
+
+    receiver.stop();
+    rthread.join().unwrap();
+}
+
+/// Frames the router's TCP readers have decoded so far.
+fn frames_read(metrics: &Metrics) -> u64 {
+    match metrics.get("xrl.frames_per_read") {
+        Some(MetricValue::Histogram(h)) => h.sum,
+        _ => 0,
+    }
 }
 
 /// Satellite regression: a black-holed UDP peer used to leave its

@@ -8,7 +8,7 @@
 
 use std::cell::RefCell;
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -499,6 +499,148 @@ fn disconnect_fault_delivers_then_severs() {
     });
     tx.el.run_until_idle();
     assert_eq!(*tx.results.borrow(), vec![(0, Ok(XrlArgs::new()))]);
+}
+
+/// The reordering the completion lane allows, pinned.  In one write the
+/// peer sends three requests and then the answers to two of the router's
+/// three outstanding requests, then closes its sending half.  Both
+/// answers complete before the first request dispatches, though they
+/// arrived after it; the requests dispatch in arrival order, and
+/// the close runs after every answer the reader delivered: the answered
+/// requests end `Ok`, and only the unanswered one fails `TargetDied`.
+#[test]
+fn responses_overtake_earlier_requests_and_the_close_waits_for_them() {
+    let mut tx = sending(None);
+    // Per dispatched request: its `i`, and how many of the router's own
+    // requests had completed successfully when it ran.
+    let dispatched: Rc<RefCell<Vec<(u32, usize)>>> = Rc::default();
+    let (log, results) = (dispatched.clone(), tx.results.clone());
+    tx.router.add_fn("me-0", "me/1.0/note", move |_el, args| {
+        let answered = results.borrow().iter().filter(|(_, r)| r.is_ok()).count();
+        log.borrow_mut().push((args.get_u32("i")?, answered));
+        Ok(XrlArgs::new())
+    });
+    let finder = tx.router.finder();
+    let key = finder
+        .resolve("anonymous", "me-0", "me/1.0/note")
+        .unwrap()
+        .key;
+    tx.el.run_until_idle();
+    for i in 0..3 {
+        tx.send(i, false);
+    }
+    tx.el.run_until_idle();
+    let mut wire = tx.accept();
+    let pokes: Vec<u64> = (0..3).map(|_| read_poke(&mut wire).0).collect();
+
+    let mut stream = Vec::new();
+    for i in 0..3u32 {
+        let request = Frame::Request {
+            seq: 100 + u64::from(i),
+            sender: 4242,
+            target: "me-0".into(),
+            key,
+            path: "me/1.0/note".into(),
+            args: XrlArgs::new().add_u32("i", i),
+            method_id: None,
+            priority: false,
+            trace: None,
+        };
+        stream.extend_from_slice(&request.encode());
+    }
+    for &seq in &pokes[..2] {
+        let reply = Frame::Response {
+            seq,
+            result: Ok(XrlArgs::new()),
+            priority: false,
+        };
+        stream.extend_from_slice(&reply.encode());
+    }
+    wire.write_all(&stream).unwrap();
+    wire.shutdown(Shutdown::Write).unwrap();
+    wait_until("the reader to decode the stream", || {
+        histogram(&tx.metrics, "xrl.frames_per_read").1 == 5
+    });
+
+    let deadline = Instant::now() + TIMEOUT;
+    while tx.results.borrow().len() < 3 || dispatched.borrow().len() < 3 {
+        assert!(Instant::now() < deadline, "timed out stepping the loop");
+        if !tx.el.run_one() {
+            std::thread::yield_now(); // the close may still be on its way
+        }
+    }
+    let dispatched = dispatched.borrow();
+    assert_eq!(
+        dispatched.iter().map(|d| d.0).collect::<Vec<_>>(),
+        [0, 1, 2],
+        "requests dispatch in arrival order"
+    );
+    assert_eq!(
+        dispatched[0].1, 2,
+        "both answers complete before the first request dispatches"
+    );
+    let mut results = tx.results.borrow().clone();
+    results.sort_by_key(|(i, _)| *i);
+    assert_eq!(
+        results,
+        [
+            (0, Ok(XrlArgs::new())),
+            (1, Ok(XrlArgs::new())),
+            (2, Err(XrlError::TargetDied))
+        ]
+    );
+    // The peer still hears the answers to its requests, in order.
+    tx.el.run_until_idle();
+    let replies: Vec<u64> = (0..3).map(|_| read_ok_response(&mut wire)).collect();
+    assert_eq!(replies, [100, 101, 102]);
+}
+
+/// The close waits behind every answer however many batches they fill:
+/// the peer answers all but the last of 130 requests (three completion
+/// batches) and closes before the loop has run any of them.  Only the
+/// unanswered request fails.
+#[test]
+fn close_runs_after_every_answer_its_reader_delivered() {
+    const SENT: u32 = 130;
+    let mut tx = sending(None);
+    for i in 0..SENT {
+        tx.send(i, false);
+    }
+    tx.el.run_until_idle();
+    let mut wire = tx.accept();
+    let mut answers = Vec::new();
+    for _ in 1..SENT {
+        let reply = Frame::Response {
+            seq: read_poke(&mut wire).0,
+            result: Ok(XrlArgs::new()),
+            priority: false,
+        };
+        answers.extend_from_slice(&reply.encode());
+    }
+    wire.write_all(&answers).unwrap();
+    wire.shutdown(Shutdown::Write).unwrap();
+    // Three answer batches, the close and the lane's wakeup marker.
+    wait_until("the reader to post the answers and the close", || {
+        gauge(&tx.metrics, "event.completion_depth") + gauge(&tx.metrics, "event.bulk_depth") >= 5
+    });
+    let deadline = Instant::now() + TIMEOUT;
+    while tx.results.borrow().len() < SENT as usize {
+        assert!(Instant::now() < deadline, "timed out stepping the loop");
+        if !tx.el.run_one() {
+            std::thread::yield_now();
+        }
+    }
+    let failed: Vec<u32> = tx
+        .results
+        .borrow()
+        .iter()
+        .filter(|(_, r)| r.is_err())
+        .map(|(i, r)| {
+            assert_eq!(r, &Err(XrlError::TargetDied));
+            *i
+        })
+        .collect();
+    assert_eq!(failed, [SENT - 1]);
 }
 
 /// The argument block of a `poke` call: named, as a dynamic send and an
