@@ -774,6 +774,53 @@ mod tests {
         assert_eq!(rig.fanout.borrow().max_queue_len, 100);
     }
 
+    /// The registry's `fanout.queue_len` is a read path for the queue, so
+    /// it must equal `queue_len()` after every kind of change: a coalesced
+    /// push (no pump), a pump past a gated reader, a pump that drains, and
+    /// the removal of the reader pinning a backlog.
+    #[test]
+    fn queue_len_gauge_equals_the_queue_after_every_change() {
+        use xorp_profiler::MetricValue;
+
+        let mut rig = rig(&[1]);
+        let metrics = Metrics::new();
+        let peer = ReaderId::Peer(PeerId(1));
+        let gate = Rc::new(Cell::new(false));
+        {
+            let mut f = rig.fanout.borrow_mut();
+            f.set_metrics(&metrics);
+            f.set_coalesce(100);
+            f.set_reader_gate(peer, gate.clone());
+        }
+        let check = |rig: &Rig, expect: usize| {
+            let gauge = match metrics.get("fanout.queue_len") {
+                Some(MetricValue::Gauge { value, .. }) => value,
+                other => panic!("fanout.queue_len: {other:?}"),
+            };
+            assert_eq!(rig.fanout.borrow().queue_len(), expect);
+            assert_eq!(gauge, expect as i64);
+        };
+        let f = rig.fanout.clone();
+
+        for i in 0..3u8 {
+            rig.send(add(route(&format!("10.{i}.0.0/16"), 2)));
+        }
+        check(&rig, 3);
+        f.borrow_mut().pump(&mut rig.el);
+        check(&rig, 3);
+        gate.set(true);
+        f.borrow_mut().pump(&mut rig.el);
+        check(&rig, 0);
+        gate.set(false);
+        for i in 3..5u8 {
+            rig.send(add(route(&format!("10.{i}.0.0/16"), 2)));
+        }
+        f.borrow_mut().pump(&mut rig.el);
+        check(&rig, 2);
+        f.borrow_mut().remove_reader(peer);
+        check(&rig, 0);
+    }
+
     #[test]
     fn replace_across_sources_splits_per_reader() {
         let mut rig = rig(&[1, 2, 3]);

@@ -1,16 +1,15 @@
-//! Sender-side coalescing of route XRLs into vectorized frames.
+//! A hop's route output, per-route or coalesced into vectorized frames.
 //!
-//! A [`RouteBatcher`] sits between a route-emitting stage (BGP's RIB
-//! output, the RIB's FEA output) and the XRL router.  Instead of one
-//! `add_route` call per route it buffers rows and ships them as
+//! A [`RouteOutput`] sits between a route-emitting stage (BGP's RIB
+//! output, the RIB's FEA output) and the XRL router.  At batch size 1 it
+//! sends each op at once as one `add_route` / `delete_route` call.  Above
+//! 1 it is a [`RouteBatcher`], which buffers rows and ships them as
 //! `add_routes` / `delete_routes` frames, flushing when
 //!
-//! - the buffer reaches `batch_size` rows (size-based flush),
-//! - the configured `flush_ms` timer expires (time-based flush), or —
-//!   with `flush_ms == 0` — the event loop goes idle (a deferred flush
-//!   runs after all currently queued events), so a *single* route still
-//!   leaves in the same loop iteration and keeps the Fig-10 latency
-//!   shape.
+//! - the buffer reaches `batch_size` rows (size-based flush), or
+//! - the event loop goes idle (a deferred flush runs after all currently
+//!   queued events), so a *single* route still leaves in the same loop
+//!   iteration and keeps the Fig-10 latency shape.
 //!
 //! Ordering is preserved: rows are buffered in arrival order and a flush
 //! emits one frame per run of consecutive same-direction rows, so an
@@ -18,15 +17,15 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::Duration;
 
 use xorp_event::EventLoop;
 use xorp_net::Ipv4Net;
 use xorp_profiler::tracing::{self as xtrace, SpanRecorder, TraceContext};
 use xorp_profiler::PointHandle;
+use xorp_stages::RouteOp;
 use xorp_xrl::AtomValue;
 
-use crate::xrl_ifaces::BulkRouteSink;
+use crate::xrl_ifaces::{BulkRouteSink, WireOp};
 
 /// One buffered route row: direction, prefix, encoded atoms, and the
 /// ambient trace context at push time (sampled routes only).
@@ -40,8 +39,70 @@ struct Row {
 /// The profiling payload of one route op (`add 10.0.1.0/24`).  Built only
 /// inside a profiling point's `record(|| ..)`, so a dormant point never
 /// pays for the `format!`.
-pub(crate) fn op_payload(add: bool, net: Ipv4Net) -> String {
+fn op_payload(add: bool, net: Ipv4Net) -> String {
     format!("{} {net}", if add { "add" } else { "del" })
+}
+
+/// One hop's route output: the single place the per-route or batched
+/// choice is made.
+#[derive(Clone)]
+pub struct RouteOutput {
+    sink: BulkRouteSink,
+    /// Stamped per op on entry (points 2 and 5).
+    queued: PointHandle,
+    /// Stamped per op as it is sent (points 3 and 6).
+    sent: PointHandle,
+    /// Present above batch size 1.
+    batcher: Option<RouteBatcher>,
+}
+
+impl RouteOutput {
+    /// An output over `sink`: per-route at `batch_size` 1, otherwise a
+    /// [`RouteBatcher`] whose frames record `batch` spans with `tracer`.
+    pub fn new(
+        sink: BulkRouteSink,
+        batch_size: usize,
+        queued: PointHandle,
+        sent: PointHandle,
+        tracer: SpanRecorder,
+    ) -> RouteOutput {
+        let batcher = (batch_size > 1).then(|| {
+            let b = RouteBatcher::new(sink.clone(), batch_size, sent.clone());
+            b.set_tracer(tracer);
+            b
+        });
+        RouteOutput {
+            sink,
+            queued,
+            sent,
+            batcher,
+        }
+    }
+
+    /// Send or buffer one op.  Per-route, the op leaves in this turn.
+    pub fn push(&self, el: &mut EventLoop, op: &WireOp) {
+        let net = op.net();
+        let add = !matches!(op, RouteOp::Delete { .. });
+        self.queued.record(|| op_payload(add, net));
+        match &self.batcher {
+            Some(batcher) => batcher.push(el, add, net, self.sink.row(op)),
+            None => {
+                // Stamp before the send: once the frame is on the wire the
+                // peer's reader thread may stamp its arrival point first,
+                // breaking pipeline monotonicity.
+                self.sent.record(|| op_payload(add, net));
+                self.sink.send_one(el, op);
+            }
+        }
+    }
+
+    /// Close or open the batcher's backpressure gate.  Per-route output
+    /// has nothing to hold: the fanout or watcher upstream stops instead.
+    pub fn set_gate(&self, el: &mut EventLoop, closed: bool) {
+        if let Some(batcher) = &self.batcher {
+            batcher.set_gate(el, closed);
+        }
+    }
 }
 
 struct Inner {
@@ -49,14 +110,11 @@ struct Inner {
     /// through (an interned stub of the destination interface).
     sink: BulkRouteSink,
     batch_size: usize,
-    /// `None` flushes on idle (deferred); `Some(d)` arms a timer.
-    flush_after: Option<Duration>,
     /// Profiling point stamped per row when its frame is sent.  A
     /// pre-resolved handle: dormant stamping costs one relaxed load.
     sent_point: PointHandle,
     pending: Vec<Row>,
-    /// A flush is already scheduled (timer or deferral) — don't stack
-    /// another one per row.
+    /// A flush is already deferred — don't stack another one per row.
     scheduled: bool,
     /// Backpressure gate: while closed (`true`), flushes hold and rows
     /// accumulate; reopening flushes immediately.
@@ -74,17 +132,11 @@ pub struct RouteBatcher {
 }
 
 impl RouteBatcher {
-    pub fn new(
-        sink: BulkRouteSink,
-        batch_size: usize,
-        flush_ms: u64,
-        sent_point: PointHandle,
-    ) -> RouteBatcher {
+    pub fn new(sink: BulkRouteSink, batch_size: usize, sent_point: PointHandle) -> RouteBatcher {
         RouteBatcher {
             inner: Rc::new(RefCell::new(Inner {
                 sink,
                 batch_size: batch_size.max(1),
-                flush_after: (flush_ms > 0).then(|| Duration::from_millis(flush_ms)),
                 sent_point,
                 pending: Vec::new(),
                 scheduled: false,
@@ -100,7 +152,7 @@ impl RouteBatcher {
     }
 
     /// Buffer one route row; flush if the batch is full, otherwise make
-    /// sure a flush is scheduled.
+    /// sure a flush is deferred to loop idle.
     pub fn push(&self, el: &mut EventLoop, add: bool, net: Ipv4Net, atoms: Vec<AtomValue>) {
         let (full, arm) = {
             let mut b = self.inner.borrow_mut();
@@ -121,13 +173,7 @@ impl RouteBatcher {
             self.flush(el);
         } else if arm {
             let me = self.clone();
-            let after = self.inner.borrow().flush_after;
-            match after {
-                Some(d) => {
-                    el.after(d, move |el| me.flush(el));
-                }
-                None => el.defer(move |el| me.flush(el)),
-            }
+            el.defer(move |el| me.flush(el));
         }
     }
 

@@ -6,16 +6,14 @@
 //!
 //! Usage: `fig09 [--transaction N] [--quick]`
 
+use xorp_harness::figargs::flag_value;
 use xorp_harness::figures::xrl_throughput;
 use xorp_xrl::router::TransportPref;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let transaction: u32 = args
-        .iter()
-        .position(|a| a == "--transaction")
-        .and_then(|i| args.get(i + 1))
+    let transaction: u32 = flag_value(&args, "--transaction")
         .and_then(|v| v.parse().ok())
         .unwrap_or(if quick { 2_000 } else { 10_000 });
 

@@ -1,14 +1,14 @@
 //! Figure 11: route-propagation latency with a full backbone table,
 //! probes on the SAME peering that supplied the table.
 //!
-//! Usage: `fig11 [--routes N] [--probes N] [--batch-size N]
-//! [--batch-flush-ms N]` (default 146515 routes, per-route XRLs)
+//! Usage: `fig11 [--routes N] [--probes N] [--batch-size N]` (default
+//! 146515 routes, per-route XRLs)
 
 use xorp_harness::figures::latency_experiment_opts;
 
 fn main() {
     let (probes, routes) = xorp_harness::figargs::parse(xorp_harness::workload::PAPER_TABLE_SIZE);
-    let (batch_size, batch_flush_ms) = xorp_harness::figargs::parse_batch();
+    let batch_size = xorp_harness::figargs::parse_batch();
     let out = latency_experiment_opts(
         &format!(
             "Figure 11: route propagation latency (ms), {routes} initial routes, \
@@ -18,7 +18,6 @@ fn main() {
         false,
         probes,
         batch_size,
-        batch_flush_ms,
     );
     println!("{}", out.report);
     println!("preload throughput: {:.0} routes/s", out.preload_rps);

@@ -2,14 +2,14 @@
 //! probes on a DIFFERENT peering — "which exercises different code-paths"
 //! (the alternatives comparison in the decision process).
 //!
-//! Usage: `fig12 [--routes N] [--probes N] [--batch-size N]
-//! [--batch-flush-ms N]` (default 146515 routes, per-route XRLs)
+//! Usage: `fig12 [--routes N] [--probes N] [--batch-size N]` (default
+//! 146515 routes, per-route XRLs)
 
 use xorp_harness::figures::latency_experiment_opts;
 
 fn main() {
     let (probes, routes) = xorp_harness::figargs::parse(xorp_harness::workload::PAPER_TABLE_SIZE);
-    let (batch_size, batch_flush_ms) = xorp_harness::figargs::parse_batch();
+    let batch_size = xorp_harness::figargs::parse_batch();
     let out = latency_experiment_opts(
         &format!(
             "Figure 12: route propagation latency (ms), {routes} initial routes, \
@@ -19,7 +19,6 @@ fn main() {
         true,
         probes,
         batch_size,
-        batch_flush_ms,
     );
     println!("{}", out.report);
     println!("preload throughput: {:.0} routes/s", out.preload_rps);

@@ -5,14 +5,12 @@
 //!
 //! Runs in virtual time: 300 modeled seconds complete in milliseconds.
 
+use xorp_harness::figargs::flag_value;
 use xorp_harness::figures::route_flow_models;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let count: u32 = args
-        .iter()
-        .position(|a| a == "--routes")
-        .and_then(|i| args.get(i + 1))
+    let count: u32 = flag_value(&args, "--routes")
         .and_then(|v| v.parse().ok())
         .unwrap_or(255);
 

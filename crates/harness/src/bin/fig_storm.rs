@@ -12,6 +12,7 @@
 //! Usage: `fig-storm [--routes N] [--rounds N] [--quick] [--check]`
 //! (default 100000 routes x 1 flap round; --quick/--check 2000 x 2)
 
+use xorp_harness::figargs::flag_value;
 use xorp_harness::figures::storm_experiment;
 use xorp_xrl::QueuePolicy;
 
@@ -20,9 +21,7 @@ fn main() {
     let check = args.iter().any(|a| a == "--check");
     let quick = check || args.iter().any(|a| a == "--quick");
     let int = |flag: &str, default: usize| -> usize {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
+        flag_value(&args, flag)
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
     };

@@ -22,6 +22,7 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
+use xorp_harness::figargs::flag_value;
 use xorp_harness::router::{MultiProcessRouter, RouterOptions};
 use xorp_harness::stats::{
     covered_hops, end_to_end_ns, format_trace_report, percentile, stitch_spans,
@@ -57,9 +58,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let check = args.iter().any(|a| a == "--check");
     let int = |flag: &str, default: usize| -> usize {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
+        flag_value(&args, flag)
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
     };

@@ -14,6 +14,7 @@ use xorp_bgp::bgp::UpdateIn;
 use xorp_bgp::nexthop::{AnswerCb, NexthopService, RibNexthopAnswer};
 use xorp_bgp::{BgpConfig, BgpProcess, PeerConfig, PeerId};
 use xorp_event::EventLoop;
+use xorp_harness::figargs::flag_value;
 use xorp_harness::workload::{backbone_table, WorkloadConfig, PAPER_TABLE_SIZE};
 use xorp_net::{AsNum, Prefix, ProtocolId, RouteEntry};
 use xorp_rib::Rib;
@@ -37,10 +38,7 @@ impl NexthopService<Ipv4Addr> for Flat {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let routes: usize = args
-        .iter()
-        .position(|a| a == "--routes")
-        .and_then(|i| args.get(i + 1))
+    let routes: usize = flag_value(&args, "--routes")
         .and_then(|v| v.parse().ok())
         .unwrap_or(PAPER_TABLE_SIZE);
 

@@ -57,6 +57,7 @@
 use std::net::IpAddr;
 use std::time::Duration;
 
+use xorp_harness::figargs::{flag_value, parse_batch};
 use xorp_harness::router::{MultiProcessRouter, PeerPolicy, RouterOptions};
 use xorp_harness::workload::{backbone_table, WorkloadConfig};
 use xorp_rtrmgr::template::standard_template;
@@ -94,21 +95,15 @@ protocols {
 /// Parse `--flag value` pairs of the fault knobs into a [`FaultConfig`].
 /// Returns `None` when no fault flag is present.
 fn parse_fault_flags(args: &[String]) -> Option<FaultConfig> {
-    let value_of = |flag: &str| -> Option<&str> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(|s| s.as_str())
-    };
     let rate = |flag: &str| -> Option<f64> {
-        value_of(flag).map(|v| {
+        flag_value(args, flag).map(|v| {
             v.parse().unwrap_or_else(|_| {
                 eprintln!("{flag} expects a probability, got {v:?}");
                 std::process::exit(2);
             })
         })
     };
-    let seed: u64 = value_of("--fault-seed")
+    let seed: u64 = flag_value(args, "--fault-seed")
         .map(|v| {
             v.parse().unwrap_or_else(|_| {
                 eprintln!("--fault-seed expects an integer, got {v:?}");
@@ -140,7 +135,7 @@ fn parse_fault_flags(args: &[String]) -> Option<FaultConfig> {
         }
         any = true;
     }
-    if let Some(v) = value_of("--fault-delay-ms") {
+    if let Some(v) = flag_value(args, "--fault-delay-ms") {
         let (lo, hi) = v
             .split_once(':')
             .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
@@ -163,19 +158,13 @@ fn parse_fault_flags(args: &[String]) -> Option<FaultConfig> {
 /// given cap moves the watermarks to cap/4 and cap/16 unless they are
 /// given too.
 fn parse_overload_flags(args: &[String]) -> QueuePolicy {
-    let value_of = |flag: &str| -> Option<&str> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(|s| s.as_str())
-    };
-    let cap: Option<usize> = value_of("--xrl-queue-cap").map(|v| {
+    let cap: Option<usize> = flag_value(args, "--xrl-queue-cap").map(|v| {
         v.parse().unwrap_or_else(|_| {
             eprintln!("--xrl-queue-cap expects an integer, got {v:?}");
             std::process::exit(2);
         })
     });
-    let marks: Option<(usize, usize)> = value_of("--xoff-watermark").map(|v| {
+    let marks: Option<(usize, usize)> = flag_value(args, "--xoff-watermark").map(|v| {
         v.split_once(':')
             .and_then(|(h, l)| Some((h.parse().ok()?, l.parse().ok()?)))
             .unwrap_or_else(|| {
@@ -196,14 +185,8 @@ fn parse_overload_flags(args: &[String]) -> QueuePolicy {
 /// Parse the supervision knobs into a [`SupervisorConfig`].  `--supervise`
 /// alone enables the defaults; any tuning flag also implies supervision.
 fn parse_supervision_flags(args: &[String]) -> Option<SupervisorConfig> {
-    let value_of = |flag: &str| -> Option<&str> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(|s| s.as_str())
-    };
     let millis = |flag: &str| -> Option<Duration> {
-        value_of(flag).map(|v| {
+        flag_value(args, flag).map(|v| {
             Duration::from_millis(v.parse().unwrap_or_else(|_| {
                 eprintln!("{flag} expects milliseconds, got {v:?}");
                 std::process::exit(2);
@@ -211,7 +194,7 @@ fn parse_supervision_flags(args: &[String]) -> Option<SupervisorConfig> {
         })
     };
     let count = |flag: &str| -> Option<u32> {
-        value_of(flag).map(|v| {
+        flag_value(args, flag).map(|v| {
             v.parse().unwrap_or_else(|_| {
                 eprintln!("{flag} expects an integer, got {v:?}");
                 std::process::exit(2);
@@ -228,7 +211,7 @@ fn parse_supervision_flags(args: &[String]) -> Option<SupervisorConfig> {
         config.miss_threshold = n;
         any = true;
     }
-    if let Some(v) = value_of("--backoff-ms") {
+    if let Some(v) = flag_value(args, "--backoff-ms") {
         let (lo, hi): (u64, u64) = v
             .split_once(':')
             .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
@@ -306,22 +289,23 @@ fn main() {
                 .collect()
         })
         .unwrap_or_default();
+    // Policies compile here, before any process spawns: a bad one is a
+    // configuration error, not a crash on the BGP thread.
     let peer_policies: std::collections::HashMap<u32, PeerPolicy> = bgp_node
         .map(|b| {
             b.children_named("peer")
                 .enumerate()
                 .map(|(i, p)| {
-                    (
-                        i as u32 + 1,
-                        PeerPolicy {
-                            import: p.attr("import").and_then(|v| v.as_str()).map(String::from),
-                            export: p.attr("export").and_then(|v| v.as_str()).map(String::from),
-                            damping: p
-                                .attr("damping")
-                                .map(|v| v == &xorp_rtrmgr::ConfigValue::Bool(true))
-                                .unwrap_or(false),
-                        },
+                    let policy = PeerPolicy::compile(
+                        p.attr("import").and_then(|v| v.as_str()),
+                        p.attr("export").and_then(|v| v.as_str()),
+                        p.attr("damping") == Some(&xorp_rtrmgr::ConfigValue::Bool(true)),
                     )
+                    .unwrap_or_else(|e| {
+                        eprintln!("peer {}: {e}", p.key.as_deref().unwrap_or("?"));
+                        std::process::exit(1);
+                    });
+                    (i as u32 + 1, policy)
                 })
                 .collect()
         })
@@ -356,9 +340,9 @@ fn main() {
             cfg.grace_period.as_millis()
         );
     }
-    let (batch_size, batch_flush_ms) = xorp_harness::figargs::parse_batch();
+    let batch_size = parse_batch();
     if batch_size > 1 {
-        println!("batched route pipeline on: batch-size={batch_size} flush-ms={batch_flush_ms}");
+        println!("batched route pipeline on: batch-size={batch_size}");
     }
     let overload = parse_overload_flags(&args);
     if overload != QueuePolicy::default() {
@@ -376,7 +360,6 @@ fn main() {
         retry: None, // defaults to RetryPolicy::default() when fault is set
         supervision,
         batch_size,
-        batch_flush_ms,
         overload,
         rib_delay_ms: 0,
         down_peers: vec![],

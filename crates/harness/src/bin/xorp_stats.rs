@@ -27,6 +27,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
+use xorp_harness::figargs::flag_value;
 use xorp_harness::router::{MultiProcessRouter, RouterOptions};
 use xorp_harness::stats::{
     format_metrics_table_with_rates, format_points_table, format_trace_report, metric_rates,
@@ -66,9 +67,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let check = args.iter().any(|a| a == "--check");
     let int = |flag: &str, default: usize| -> usize {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
+        flag_value(&args, flag)
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
     };
@@ -76,12 +75,7 @@ fn main() {
     let interval_ms = int("--interval-ms", 0) as u64;
     let iterations = int("--iterations", if interval_ms > 0 { 3 } else { 1 });
     let trace_every = int("--trace-every", 0) as u64;
-    let target = args
-        .iter()
-        .position(|a| a == "--target")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "bgp".to_string());
+    let target = flag_value(&args, "--target").unwrap_or("bgp").to_string();
 
     // ---- the observed router --------------------------------------------
     let router = MultiProcessRouter::new(RouterOptions::default());

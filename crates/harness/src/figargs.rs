@@ -1,20 +1,22 @@
-//! Tiny shared CLI parsing for the figure binaries.
+//! Tiny shared CLI parsing for the figure binaries and `xorp-router`.
+
+/// The value after `flag` in `args` (`--flag value`), if the flag is given.
+pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .map(|s| s.as_str())
+}
 
 /// Parse `--probes N` (default 255) and `--routes N` (default
 /// `default_routes`) plus `--quick` (64 probes, 10k routes).
 pub fn parse(default_routes: usize) -> (u32, usize) {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let probes = args
-        .iter()
-        .position(|a| a == "--probes")
-        .and_then(|i| args.get(i + 1))
+    let probes = flag_value(&args, "--probes")
         .and_then(|v| v.parse().ok())
         .unwrap_or(if quick { 64 } else { 255 });
-    let routes = args
-        .iter()
-        .position(|a| a == "--routes")
-        .and_then(|i| args.get(i + 1))
+    let routes = flag_value(&args, "--routes")
         .and_then(|v| v.parse().ok())
         .unwrap_or(if quick {
             default_routes.min(10_000)
@@ -24,37 +26,30 @@ pub fn parse(default_routes: usize) -> (u32, usize) {
     (probes, routes)
 }
 
-/// Parse the batched-pipeline knobs: `--batch-size N` (default 1 —
-/// per-route XRLs) and `--batch-flush-ms N` (default 0 — flush on loop
-/// idle).  A bad value exits with a message.  A batch is one XRL frame,
-/// whose row count the wire holds in 16 bits, so a size above 65,535 is
-/// refused rather than cut short.
-pub fn parse_batch() -> (usize, u64) {
+/// Parse the batched-pipeline knob `--batch-size N` (default 1 —
+/// per-route XRLs).  A bad value exits with a message.  A batch is one
+/// XRL frame, whose row count the wire holds in 16 bits, so a size above
+/// 65,535 is refused rather than cut short.
+pub fn parse_batch() -> usize {
     let args: Vec<String> = std::env::args().collect();
     let fail = |msg: String| -> ! {
         eprintln!("{msg}");
         std::process::exit(2);
     };
-    let int = |flag: &str, default: u64| -> u64 {
-        match args
-            .iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-        {
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| fail(format!("{flag} expects an integer, got {v:?}"))),
-            None => default,
-        }
+    let size: u64 = match flag_value(&args, "--batch-size") {
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| fail(format!("--batch-size expects an integer, got {v:?}"))),
+        None => 1,
     };
-    let size = int("--batch-size", 1).max(1);
+    let size = size.max(1);
     if size > u16::MAX as u64 {
         fail(format!(
             "--batch-size {size} exceeds {}, the most rows one XRL frame can carry",
             u16::MAX
         ));
     }
-    (size as usize, int("--batch-flush-ms", 0))
+    size as usize
 }
 
 /// Print the per-probe kernel-latency series (the scatter in the

@@ -8,28 +8,30 @@ use crate::router::{MultiProcessRouter, RouterOptions};
 use crate::stats::{format_latency_table, latency_rows};
 use crate::workload::{backbone_table, test_route, WorkloadConfig};
 
-/// High-water mark of a gauge in the router's shared registry (0 when the
-/// metric was never registered).
-fn gauge_max(router: &MultiProcessRouter, name: &str) -> usize {
+/// High-water mark of a gauge in the router's shared registry.  Panics
+/// when `name` is not a registered gauge: a misspelt name must not read 0.
+pub fn gauge_max(router: &MultiProcessRouter, name: &str) -> usize {
     match router.metrics.get(name) {
         Some(MetricValue::Gauge { max, .. }) => max.max(0) as usize,
-        _ => 0,
+        other => panic!("{name} is not a gauge: {other:?}"),
     }
 }
 
-/// Live value of a gauge in the shared registry.
-fn gauge_value(router: &MultiProcessRouter, name: &str) -> i64 {
+/// Live value of a gauge in the shared registry (panics like
+/// [`gauge_max`]).
+pub fn gauge_value(router: &MultiProcessRouter, name: &str) -> i64 {
     match router.metrics.get(name) {
         Some(MetricValue::Gauge { value, .. }) => value,
-        _ => 0,
+        other => panic!("{name} is not a gauge: {other:?}"),
     }
 }
 
-/// Current value of a counter in the shared registry.
-fn counter_value(router: &MultiProcessRouter, name: &str) -> u64 {
+/// Current value of a counter in the shared registry (panics like
+/// [`gauge_max`]).
+pub fn counter_value(router: &MultiProcessRouter, name: &str) -> u64 {
     match router.metrics.get(name) {
         Some(MetricValue::Counter(v)) => v,
-        _ => 0,
+        other => panic!("{name} is not a counter: {other:?}"),
     }
 }
 
@@ -56,25 +58,22 @@ pub fn latency_experiment(
     different_peering: bool,
     test_routes: u32,
 ) -> (String, Vec<f64>) {
-    let out = latency_experiment_opts(title, initial, different_peering, test_routes, 1, 0);
+    let out = latency_experiment_opts(title, initial, different_peering, test_routes, 1);
     (out.report, out.series)
 }
 
-/// [`latency_experiment`] with the batched-pipeline knobs exposed:
+/// [`latency_experiment`] with the batched-pipeline knob exposed:
 /// `batch_size` routes per `add_routes`/`delete_routes` XRL frame
-/// (1 = per-route `add_route` calls), `batch_flush_ms` for time-based
-/// partial flushes (0 = flush on loop idle).
+/// (1 = per-route `add_route` calls).
 pub fn latency_experiment_opts(
     title: &str,
     initial: usize,
     different_peering: bool,
     test_routes: u32,
     batch_size: usize,
-    batch_flush_ms: u64,
 ) -> LatencyOutcome {
     let router = MultiProcessRouter::new(RouterOptions {
         batch_size,
-        batch_flush_ms,
         ..RouterOptions::default()
     });
 
@@ -376,8 +375,8 @@ pub fn storm_experiment(routes: usize, rounds: u32, policy: xorp_xrl::QueuePolic
                     "  [feed  {:>5.1}s] chunk={} fanout={} out={} restarts={} state={:?}",
                     start.elapsed().as_secs_f64(),
                     chunk_i,
-                    router.bgp_fanout_queue_len(),
-                    router.bgp_outstanding_xrls(),
+                    gauge_value(&router, "bgp.fanout.queue_len"),
+                    gauge_value(&router, "bgp.xrl.pending"),
                     router.supervised_restarts(),
                     router.supervisor_state("bgp"),
                 );
@@ -409,12 +408,12 @@ pub fn storm_experiment(routes: usize, rounds: u32, policy: xorp_xrl::QueuePolic
                 router.bgp_route_count(),
                 router.rib_route_count(),
                 router.fea_route_count(),
-                router.bgp_fanout_queue_len(),
-                router.bgp_outstanding_xrls(),
-                router.rib_outstanding_xrls(),
+                gauge_value(&router, "bgp.fanout.queue_len"),
+                gauge_value(&router, "bgp.xrl.pending"),
+                gauge_value(&router, "rib.xrl.pending"),
                 router.rib_fea_backlog(),
-                router.bgp_shed_count(),
-                router.rib_shed_count(),
+                counter_value(&router, "bgp.xrl.shed_total"),
+                counter_value(&router, "rib.xrl.shed_total"),
                 router.supervised_restarts(),
                 router.supervisor_state("bgp"),
             );
@@ -434,12 +433,14 @@ pub fn storm_experiment(routes: usize, rounds: u32, policy: xorp_xrl::QueuePolic
         }
         // The counts pass through `target` between flap rounds, so require
         // an empty pipeline twice, 50 ms apart, before calling it done.
+        // The queue gauges are exact once the pipeline is idle: each is
+        // written wherever its queue changes.
         let done = router.fea_route_count() == target
             && router.rib_route_count() == target
-            && router.bgp_fanout_queue_len() == 0
-            && router.bgp_outstanding_xrls() == 0
+            && gauge_value(&router, "bgp.fanout.queue_len") == 0
+            && gauge_value(&router, "bgp.xrl.pending") == 0
             && router.rib_fea_backlog() == 0
-            && router.rib_outstanding_xrls() == 0;
+            && gauge_value(&router, "rib.xrl.pending") == 0;
         if done && settled {
             converged = true;
             break;

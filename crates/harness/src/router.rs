@@ -25,7 +25,6 @@
 //! §4.1 policy, as does every death when supervision is off.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -42,10 +41,8 @@ use xorp_net::{Ipv4Net, PathAttributes, ProtocolId, RouteEntry};
 use xorp_policy::FilterBank;
 use xorp_profiler::tracing::{self as xtrace, ActiveSpan, SpanRecorder, TraceContext, Tracer};
 use xorp_profiler::{points, Metrics, PointHandle, Profiler};
-use xorp_rib::redist::RedistSink;
 use xorp_rib::{BatchOp, RedistWatcher, Rib};
 use xorp_rtrmgr::{FlightReport, SupervisedState, Supervisor, SupervisorConfig, SupervisorVerdict};
-use xorp_stages::RouteOp;
 use xorp_xrl::keepalive;
 use xorp_xrl::profile::add_profile_responder;
 use xorp_xrl::{
@@ -53,7 +50,7 @@ use xorp_xrl::{
     TypedResponder, XrlError, XrlRouter,
 };
 
-use crate::batch::{op_payload, RouteBatcher};
+use crate::batch::RouteOutput;
 use crate::process::Process;
 use crate::workload::BackboneRoute;
 use crate::xrl_ifaces::{self, BulkRouteSink, RouteWire};
@@ -78,15 +75,43 @@ type SharedBgp = Arc<Mutex<Option<Process>>>;
 type ReplayLog = Arc<Mutex<Vec<(u32, UpdateIn<Ipv4Addr>)>>>;
 
 /// Per-peer policy knobs (sourced from the rtrmgr config in
-/// `xorp-router`).
-#[derive(Debug, Clone, Default)]
+/// `xorp-router`), compiled once before any process spawns, so a bad
+/// policy is a configuration error and a supervised respawn reuses the
+/// banks.
+#[derive(Clone, Default)]
 pub struct PeerPolicy {
-    /// Import policy source text (the §8.3 stack language).
-    pub import: Option<String>,
-    /// Export policy source text.
-    pub export: Option<String>,
+    /// Import filters (the §8.3 stack language).
+    pub import: Option<FilterBank>,
+    /// Export filters.
+    pub export: Option<FilterBank>,
     /// Enable route-flap damping with default parameters.
     pub damping: bool,
+}
+
+impl PeerPolicy {
+    /// Compile a peer's import and export policy sources.  The error
+    /// names the policy and carries the compiler's message.
+    pub fn compile(
+        import: Option<&str>,
+        export: Option<&str>,
+        damping: bool,
+    ) -> Result<PeerPolicy, String> {
+        let bank = |name: &str, src: Option<&str>| {
+            src.map(|src| {
+                let mut filters = FilterBank::accept_by_default();
+                filters
+                    .push_source(name, src)
+                    .map(|()| filters)
+                    .map_err(|e| format!("{name} {e}"))
+            })
+            .transpose()
+        };
+        Ok(PeerPolicy {
+            import: bank("import", import)?,
+            export: bank("export", export)?,
+            damping,
+        })
+    }
 }
 
 /// Construction options.
@@ -114,13 +139,10 @@ pub struct RouterOptions {
     /// `None` keeps the PR-1 behaviour (death flushes immediately).
     pub supervision: Option<SupervisorConfig>,
     /// Batch up to this many routes into one `add_routes`/`delete_routes`
-    /// XRL on the BGP→RIB and RIB→FEA hops.  `1` (the default) keeps the
-    /// per-route `add_route`/`delete_route` path verbatim.
+    /// XRL on the BGP→RIB and RIB→FEA hops; partial batches flush on
+    /// event-loop idle.  `1` (the default) keeps the per-route
+    /// `add_route`/`delete_route` path verbatim.
     pub batch_size: usize,
-    /// Time-based flush for partial batches, in milliseconds.  `0` flushes
-    /// on event-loop idle instead, so a lone route still leaves in the
-    /// same loop iteration (preserving the Fig-10 latency shape).
-    pub batch_flush_ms: u64,
     /// Bounds on every process's per-lane XRL send queue: crossing the
     /// high watermark pauses the congested pipeline reader (Xoff) until
     /// the lane drains below the low watermark (Xon); the hard cap sheds
@@ -149,7 +171,6 @@ impl Default for RouterOptions {
             retry: None,
             supervision: None,
             batch_size: 1,
-            batch_flush_ms: 0,
             overload: QueuePolicy::default(),
             rib_delay_ms: 0,
             wire_v1_only: None,
@@ -189,35 +210,11 @@ pub struct MultiProcessRouter {
 
 /// BGP's nexthop service backed by the RIB's interest-registration XRL
 /// (§5.1.1: "The Nexthop Resolver stages talk asynchronously to the RIB").
-/// The typed stub is built lazily on first resolve (the loop's XRL router
-/// isn't in its slot yet when the service is constructed) and reused for
-/// every query after.
-struct XrlNexthopService {
-    client: RefCell<Option<xrl_ifaces::rib::Client>>,
-}
-
-impl XrlNexthopService {
-    fn new() -> XrlNexthopService {
-        XrlNexthopService {
-            client: RefCell::new(None),
-        }
-    }
-}
+struct XrlNexthopService(xrl_ifaces::rib::Client);
 
 impl NexthopService<Ipv4Addr> for XrlNexthopService {
     fn resolve_nexthop(&self, el: &mut EventLoop, addr: Ipv4Addr, cb: AnswerCb<Ipv4Addr>) {
-        let client = {
-            let mut slot = self.client.borrow_mut();
-            if slot.is_none() {
-                let router = el
-                    .slot::<XrlRouter>()
-                    .expect("xrl router on bgp loop")
-                    .clone();
-                *slot = Some(xrl_ifaces::rib::Client::new(&router, "rib"));
-            }
-            slot.as_ref().unwrap().clone()
-        };
-        client.register_interest(el, addr, move |el, result| {
+        self.0.register_interest(el, addr, move |el, result| {
             let ans = match result {
                 Ok((valid, reachable, metric)) => RibNexthopAnswer {
                     valid,
@@ -533,158 +530,157 @@ impl xrl_ifaces::rib::Server for RibServer {
     }
 }
 
-/// Everything needed to (re)spawn the BGP process — the supervisor's
-/// respawn action runs on the rtrmgr loop thread, so this is `Send + Sync`.
-struct BgpFactory {
+/// What every process of the router shares: the broker, the three
+/// observability sinks, and the options.  `Clone + Send`, so the
+/// supervisor's respawn on the rtrmgr thread wires BGP exactly as the
+/// first spawn did.
+#[derive(Clone)]
+struct Wiring {
     finder: Finder,
     profiler: Profiler,
     tracer: Tracer,
-    /// Scoped (`bgp.`) view of the shared registry.  Registration is
+    /// The shared registry: unscoped in the router's copy, the process's
+    /// own `name.` view in the copy its setup receives.  Registration is
     /// idempotent, so a respawned process reattaches to the same slots.
     metrics: Metrics,
-    local_as: u32,
-    peers: Vec<(u32, u32)>,
-    down_peers: Vec<u32>,
-    peer_policies: HashMap<u32, PeerPolicy>,
-    consistency_check: bool,
-    knobs: Arc<dyn Fn(&XrlRouter) + Send + Sync>,
+    options: Arc<RouterOptions>,
+}
+
+/// Spawn one router process.  The prologue every process shares runs
+/// first: the XRL knobs, the scoped registry on router and loop, and the
+/// `name` target with its keepalive and profile responders.  `setup` then
+/// runs on the loop thread, after registration, with the scoped wiring.
+fn spawn_process(
+    name: &'static str,
+    wiring: &Wiring,
+    setup: impl FnOnce(&mut EventLoop, &XrlRouter, &Wiring) + Send + 'static,
+) -> Process {
+    let w = Wiring {
+        metrics: wiring.metrics.scoped(name),
+        ..wiring.clone()
+    };
+    Process::spawn(name, wiring.finder.clone(), move |el, router| {
+        // Every process gets the same fault plan and retry policy; fault
+        // decision streams still diverge per lane (peer address).  A lossy
+        // plan without retries just hangs callers.
+        let o = &w.options;
+        if let Some(cfg) = &o.fault {
+            router.set_fault_plan(cfg.clone());
+        }
+        router.set_retry_policy(
+            o.retry
+                .or_else(|| o.fault.as_ref().map(|_| RetryPolicy::default())),
+        );
+        router.set_overload_policy(o.overload);
+        router.set_wire_v1_only(o.wire_v1_only == Some(name));
+        router.set_metrics(&w.metrics);
+        el.set_metrics(&w.metrics);
+        let instance = format!("{name}-0");
+        router
+            .register_target(name, &instance, true)
+            .expect("a fresh router registers its one target");
+        keepalive::add_keepalive_responder(router, &instance);
+        add_profile_responder(router, &instance, &w.profiler, &w.metrics, &w.tracer);
+        setup(el, router, &w);
+    })
+}
+
+/// Backpressure for one hop: when the lane to `target`'s route methods
+/// crosses a watermark, flip `flow` at once — on Xoff always, on Xon too
+/// when `sync_xon` — so an Xoff raised by a send stops the drain in
+/// progress at its next entry.  `then(el, ready)` runs deferred, because
+/// the signal fires inside the send path, which may already hold the
+/// process borrow.
+fn on_congestion(
+    router: &XrlRouter,
+    target: &'static str,
+    flow: Rc<Cell<bool>>,
+    sync_xon: bool,
+    then: impl Fn(&mut EventLoop, bool) + 'static,
+) {
+    let lane_router = router.clone();
+    let path = format!("{target}/1.0/add_route");
+    let then = Rc::new(then);
+    router.set_congestion_cb(move |el, sig| {
+        if lane_router.lane_of(target, &path).as_deref() != Some(sig.lane()) {
+            return;
+        }
+        let ready = matches!(sig, CongestionSignal::Xon { .. });
+        if sync_xon || !ready {
+            flow.set(ready);
+        }
+        let then = then.clone();
+        el.defer(move |el| then(el, ready));
+    });
+}
+
+/// Everything needed to (re)spawn the BGP process — the supervisor's
+/// respawn action runs on the rtrmgr loop thread, so this is `Send + Sync`.
+#[derive(Clone)]
+struct BgpFactory {
+    wiring: Wiring,
     replay: ReplayLog,
     crash_on_spawn: Arc<AtomicU32>,
-    batch_size: usize,
-    batch_flush_ms: u64,
-    wire_v1_only: bool,
 }
 
 impl BgpFactory {
     fn spawn(&self) -> Process {
-        let profiler = self.profiler.clone();
-        let tracer = self.tracer.clone();
-        let metrics = self.metrics.clone();
-        let peers = self.peers.clone();
-        let down_peers = self.down_peers.clone();
-        let peer_policies = self.peer_policies.clone();
-        let local_as = self.local_as;
-        let check = self.consistency_check;
-        let knobs = self.knobs.clone();
-        let replay = self.replay.clone();
-        let crash_on_spawn = self.crash_on_spawn.clone();
-        let batch_size = self.batch_size;
-        let batch_flush_ms = self.batch_flush_ms;
-        let wire_v1_only = self.wire_v1_only;
-        Process::spawn("bgp", self.finder.clone(), move |el, router| {
-            knobs(router);
-            router.set_wire_v1_only(wire_v1_only);
-            router.set_metrics(&metrics);
-            el.set_metrics(&metrics);
+        let (replay, crash_on_spawn) = (self.replay.clone(), self.crash_on_spawn.clone());
+        spawn_process("bgp", &self.wiring, move |el, router, w| {
+            let o = &w.options;
             let config = BgpConfig {
-                local_as: xorp_net::AsNum(local_as),
+                local_as: xorp_net::AsNum(o.local_as),
                 router_id: "10.255.0.1".parse().unwrap(),
                 local_addr: IpAddr::V4("192.168.0.1".parse().unwrap()),
                 hold_time: 90,
             };
-            let mut bgp = BgpProcess::new(config, Rc::new(XrlNexthopService::new()));
-            bgp.set_profiler(profiler.clone());
-            bgp.set_tracer(tracer.recorder("bgp"));
-            bgp.set_metrics(&metrics);
+            let rib = xrl_ifaces::rib::Client::new(router, "rib");
+            let mut bgp = BgpProcess::new(config, Rc::new(XrlNexthopService(rib.clone())));
+            bgp.set_profiler(w.profiler.clone());
+            bgp.set_tracer(w.tracer.recorder("bgp"));
+            bgp.set_metrics(&w.metrics);
 
             // Best routes → RIB over typed `rib/1.0` stubs (points 2 and
             // 3).  The client interns every method once; per-route sends
-            // do no path hashing and negotiate the positional wire.
-            let queued_rib = profiler.point(points::QUEUED_FOR_RIB);
-            let sent_rib = profiler.point(points::SENT_TO_RIB);
-            let rib_client = xrl_ifaces::rib::Client::new(router, "rib");
-            let batcher = (batch_size > 1).then(|| {
-                let b = RouteBatcher::new(
-                    BulkRouteSink::rib(&rib_client),
-                    batch_size,
-                    batch_flush_ms,
-                    sent_rib.clone(),
-                );
-                b.set_tracer(tracer.recorder("bgp"));
-                b
-            });
+            // do no path hashing and negotiate the positional wire.  The
+            // fanout coalesces as many deliveries as one frame carries.
+            let out = RouteOutput::new(
+                BulkRouteSink::Rib(rib),
+                o.batch_size,
+                w.profiler.point(points::QUEUED_FOR_RIB),
+                w.profiler.point(points::SENT_TO_RIB),
+                w.tracer.recorder("bgp"),
+            );
+            bgp.set_coalesce(o.batch_size);
             // Fanout delivery re-establishes a sampled route's context;
-            // stamp the hop and thread the child context into the batcher
-            // (or straight onto the per-route wire).
-            let fanout_rec = tracer.recorder("bgp");
-            if let Some(batcher) = batcher.clone() {
-                // Batched pipeline: coalesce fanout pumps, then ship
-                // vectorized add_routes/delete_routes frames.
-                bgp.set_coalesce(batch_size);
-                bgp.set_rib_output(el, move |el, _origin, op| {
-                    let trace_prev = xtrace::current()
-                        .map(|ctx| xtrace::set_current(Some(fanout_rec.instant(ctx, "fanout"))));
-                    let net = op.net();
-                    let (add, row) = match &op {
-                        RouteOp::Add { route, .. } | RouteOp::Replace { new: route, .. } => {
-                            (true, xrl_ifaces::add_row(net, route))
-                        }
-                        RouteOp::Delete { old, .. } => {
-                            (false, xrl_ifaces::delete_row(net, Some(old.proto)))
-                        }
-                    };
-                    queued_rib.record(|| op_payload(add, net));
-                    batcher.push(el, add, net, row);
-                    if let Some(prev) = trace_prev {
-                        xtrace::set_current(prev);
-                    }
-                });
-            } else {
-                bgp.set_rib_output(el, move |el, _origin, op| {
-                    let trace_prev = xtrace::current()
-                        .map(|ctx| xtrace::set_current(Some(fanout_rec.instant(ctx, "fanout"))));
-                    let net = op.net();
-                    match &op {
-                        RouteOp::Add { route, .. } | RouteOp::Replace { new: route, .. } => {
-                            let w = RouteWire::from_entry(net, route);
-                            queued_rib.record(|| format!("add {net}"));
-                            // Stamp before the send: once the frame is on the
-                            // wire the peer's reader thread may stamp its
-                            // arrival point first, breaking pipeline
-                            // monotonicity.
-                            sent_rib.record(|| format!("add {net}"));
-                            rib_client.add_route(
-                                el,
-                                w.net,
-                                w.nexthop,
-                                w.ifname,
-                                w.metric,
-                                w.proto.name(),
-                                |_el, _res| {},
-                            );
-                        }
-                        RouteOp::Delete { old, .. } => {
-                            queued_rib.record(|| format!("del {net}"));
-                            sent_rib.record(|| format!("del {net}"));
-                            rib_client.delete_route(el, net, old.proto.name(), |_el, _res| {});
-                        }
-                    }
-                    if let Some(prev) = trace_prev {
-                        xtrace::set_current(prev);
-                    }
-                });
-            }
+            // stamp the hop and thread the child context into the output.
+            let fanout_rec = w.tracer.recorder("bgp");
+            let rib_out = out.clone();
+            bgp.set_rib_output(el, move |el, _origin, op| {
+                let trace_prev = xtrace::current()
+                    .map(|ctx| xtrace::set_current(Some(fanout_rec.instant(ctx, "fanout"))));
+                rib_out.push(el, &op);
+                if let Some(prev) = trace_prev {
+                    xtrace::set_current(prev);
+                }
+            });
 
-            for (id, asn) in peers {
+            for &(id, asn) in &o.peers {
                 let mut cfg = PeerConfig::simple(PeerId(id), xorp_net::AsNum(asn));
-                cfg.consistency_check = check;
-                if let Some(policy) = peer_policies.get(&id) {
-                    if let Some(src) = &policy.import {
-                        let mut bank = xorp_policy::FilterBank::accept_by_default();
-                        bank.push_source("import", src).expect("bad import policy");
-                        cfg.import = bank;
+                cfg.consistency_check = o.consistency_check;
+                if let Some(policy) = o.peer_policies.get(&id) {
+                    if let Some(bank) = &policy.import {
+                        cfg.import = bank.clone();
                     }
-                    if let Some(src) = &policy.export {
-                        let mut bank = xorp_policy::FilterBank::accept_by_default();
-                        bank.push_source("export", src).expect("bad export policy");
-                        cfg.export = bank;
+                    if let Some(bank) = &policy.export {
+                        cfg.export = bank.clone();
                     }
                     if policy.damping {
                         cfg.damping = Some(xorp_bgp::DampingConfig::default());
                     }
                 }
                 bgp.add_peer(el, cfg, Some(Rc::new(|_el, _update| {})));
-                if !down_peers.contains(&id) {
+                if !o.down_peers.contains(&id) {
                     bgp.peering_up(el, PeerId(id));
                 }
             }
@@ -696,37 +692,17 @@ impl BgpFactory {
             // watermark, stop pulling best-path deliveries out of the
             // fanout (whose queue coalesces per prefix, so holdback
             // memory is bounded by table size, not churn rate) and hold
-            // batched flushes; Xon resumes the reader and ships what
-            // accumulated.  Handling is deferred because the signal
-            // fires inside the send path, which may already hold the
-            // process borrow.
+            // batched flushes; Xon ships what the output held, then
+            // resumes the reader.
             let flow_gate = Rc::new(Cell::new(true));
             bgp.borrow_mut()
                 .set_reader_gate(ReaderId::Rib, flow_gate.clone());
             let b = bgp.clone();
-            let lane_router = router.clone();
-            let gate = batcher.clone();
-            router.set_congestion_cb(move |el, sig| {
-                if lane_router.lane_of("rib", "rib/1.0/add_route").as_deref() != Some(sig.lane()) {
-                    return;
-                }
-                let ready = matches!(sig, CongestionSignal::Xon { .. });
-                // The gate flips synchronously so an Xoff raised by a send
-                // stops the in-progress fanout drain at the next entry.
-                flow_gate.set(ready);
-                let b = b.clone();
-                let gate = gate.clone();
-                el.defer(move |el| {
-                    if let Some(gate) = &gate {
-                        gate.set_gate(el, !ready);
-                    }
-                    b.borrow_mut().set_reader_flow(el, ReaderId::Rib, ready);
-                });
+            on_congestion(router, "rib", flow_gate, true, move |el, ready| {
+                out.set_gate(el, !ready);
+                b.borrow_mut().set_reader_flow(el, ReaderId::Rib, ready);
             });
 
-            router.register_target("bgp", "bgp-0", true).unwrap();
-            keepalive::add_keepalive_responder(router, "bgp-0");
-            add_profile_responder(router, "bgp-0", &profiler, &metrics, &tracer);
             xrl_ifaces::bgp::register(router, "bgp-0", BgpServer { bgp: bgp.clone() });
 
             // A restarted BGP re-learns its table from its peers, which
@@ -748,87 +724,54 @@ impl BgpFactory {
     }
 }
 
+/// Read process state on its own loop: `f` runs against the loop's `S`
+/// slot.  The default value when the process or the slot is gone.
+fn read<S: 'static, R: Default + Send + 'static>(
+    process: Option<&Process>,
+    f: impl FnOnce(&S) -> R + Send + 'static,
+) -> R {
+    process
+        .and_then(|p| p.call(move |el| el.slot::<S>().map(f)).ok().flatten())
+        .unwrap_or_default()
+}
+
 impl MultiProcessRouter {
     /// Spawn the three processes and wire them together.  A connected
     /// route `192.168.0.0/16 dev eth0` is pre-installed so BGP nexthops in
     /// that range resolve (the paper likewise keeps one route installed to
     /// stabilize RIB interactions).
     pub fn new(options: RouterOptions) -> MultiProcessRouter {
-        let finder = Finder::new();
-        let profiler = Profiler::new();
-        let metrics = Metrics::new();
-        let tracer = Tracer::new();
-
-        // Every process gets the same fault plan and retry policy; fault
-        // decision streams still diverge per lane (peer address).
-        let fault = options.fault.clone();
-        let retry = options
-            .retry
-            .or_else(|| fault.as_ref().map(|_| RetryPolicy::default()));
-        let overload = options.overload;
-        let apply_knobs: Arc<dyn Fn(&XrlRouter) + Send + Sync> =
-            Arc::new(move |router: &XrlRouter| {
-                if let Some(cfg) = &fault {
-                    router.set_fault_plan(cfg.clone());
-                }
-                router.set_retry_policy(retry);
-                router.set_overload_policy(overload);
-            });
-        let supervision = options.supervision;
+        let wiring = Wiring {
+            finder: Finder::new(),
+            profiler: Profiler::new(),
+            tracer: Tracer::new(),
+            metrics: Metrics::new(),
+            options: Arc::new(options),
+        };
 
         // ---- FEA process ----------------------------------------------------
-        let fea_profiler = profiler.clone();
-        let fea_tracer = tracer.clone();
-        let fea_metrics = metrics.scoped("fea");
-        let knobs = apply_knobs.clone();
-        let fea_v1_only = options.wire_v1_only == Some("fea");
-        let fea = Process::spawn("fea", finder.clone(), move |el, router| {
-            knobs(router);
-            router.set_wire_v1_only(fea_v1_only);
-            router.set_metrics(&fea_metrics);
-            el.set_metrics(&fea_metrics);
+        let fea = spawn_process("fea", &wiring, |el, router, w| {
             let mut fea = Fea::new();
             fea.configure_interface(test_iface("eth0", "192.168.0.1", 16));
-            fea.set_profiler(fea_profiler.clone());
+            fea.set_profiler(w.profiler.clone());
             let fea = Rc::new(RefCell::new(fea));
             el.set_slot(FeaSlot(fea.clone()));
-
-            router.register_target("fea", "fea-0", true).unwrap();
-            keepalive::add_keepalive_responder(router, "fea-0");
-            add_profile_responder(router, "fea-0", &fea_profiler, &fea_metrics, &fea_tracer);
             xrl_ifaces::fea::register(
                 router,
                 "fea-0",
                 FeaServer {
-                    fea: fea.clone(),
-                    fea_in: fea_profiler.point(points::FEA_IN),
-                    recorder: fea_tracer.recorder("fea"),
+                    fea,
+                    fea_in: w.profiler.point(points::FEA_IN),
+                    recorder: w.tracer.recorder("fea"),
                 },
             );
         });
 
         // ---- RIB process ----------------------------------------------------
-        let rib_profiler = profiler.clone();
-        let rib_tracer = tracer.clone();
-        let rib_metrics = metrics.scoped("rib");
-        let check = options.consistency_check;
-        let knobs = apply_knobs.clone();
-        let grace = supervision.map(|cfg| cfg.grace_period);
-        let batch_size = options.batch_size;
-        let batch_flush_ms = options.batch_flush_ms;
-        let rib_delay = options.rib_delay_ms;
-        let rib_v1_only = options.wire_v1_only == Some("rib");
-        let rib = Process::spawn("rib", finder.clone(), move |el, router| {
-            knobs(router);
-            router.set_wire_v1_only(rib_v1_only);
-            router.set_metrics(&rib_metrics);
-            el.set_metrics(&rib_metrics);
-            // Busy-RIB model for the overload experiments: route XRLs are
-            // applied on arrival but acknowledged only after `delay`, so
-            // the sender sees a slow consumer and its lane backs up.
-            let delay = (rib_delay > 0).then(|| Duration::from_millis(rib_delay));
-            let rib = Rc::new(RefCell::new(Rib::<Ipv4Addr>::new(check)));
-            rib.borrow_mut().set_metrics(&rib_metrics);
+        let rib = spawn_process("rib", &wiring, |el, router, w| {
+            let o = &w.options;
+            let rib = Rc::new(RefCell::new(Rib::<Ipv4Addr>::new(o.consistency_check)));
+            rib.borrow_mut().set_metrics(&w.metrics);
             el.set_slot(RibSlot(rib.clone()));
 
             // §4.1: "if a routing protocol dies, the RIB will deregister all
@@ -837,29 +780,26 @@ impl MultiProcessRouter {
             // supervision the policy relaxes to graceful restart: mark the
             // routes stale and give the restarted process `grace` to
             // re-advertise before sweeping the remainder.
+            let grace = o.supervision.map(|cfg| cfg.grace_period);
             let r = rib.clone();
-            match grace {
-                None => {
-                    router.watch_class("bgp", move |el, ev| {
-                        if !ev.up {
-                            r.borrow_mut().clear_protocol(el, ProtocolId::Ebgp);
-                        }
-                    });
+            router.watch_class("bgp", move |el, ev| {
+                if ev.up {
+                    return;
                 }
-                Some(grace) => {
-                    router.watch_class("bgp", move |el, ev| {
-                        if !ev.up {
-                            let marked = r.borrow_mut().mark_protocol_stale(ProtocolId::Ebgp);
-                            if marked > 0 {
-                                let r2 = r.clone();
-                                el.after(grace, move |el| {
-                                    r2.borrow_mut().sweep_stale(el, ProtocolId::Ebgp);
-                                });
-                            }
+                match grace {
+                    None => {
+                        r.borrow_mut().clear_protocol(el, ProtocolId::Ebgp);
+                    }
+                    Some(grace) => {
+                        if r.borrow_mut().mark_protocol_stale(ProtocolId::Ebgp) > 0 {
+                            let r2 = r.clone();
+                            el.after(grace, move |el| {
+                                r2.borrow_mut().sweep_stale(el, ProtocolId::Ebgp);
+                            });
                         }
-                    });
+                    }
                 }
-            }
+            });
 
             // Output: install into the FEA over XRLs (points 5 and 6).
             // The stream is delivered through a redistribution watcher
@@ -868,86 +808,35 @@ impl MultiProcessRouter {
             // consumer for the Xoff, the RIB would pump its own lane
             // through the hard cap and silently shed installs, leaving
             // the FIB permanently short of the RIB.
-            let queued_fea = rib_profiler.point(points::QUEUED_FOR_FEA);
-            let sent_fea = rib_profiler.point(points::SENT_TO_FEA);
-            let fea_client = xrl_ifaces::fea::Client::new(router, "fea");
-            let batcher = (batch_size > 1).then(|| {
-                let b = RouteBatcher::new(
-                    BulkRouteSink::fea(&fea_client),
-                    batch_size,
-                    batch_flush_ms,
-                    sent_fea.clone(),
-                );
-                b.set_tracer(rib_tracer.recorder("rib"));
-                b
-            });
-            let sink: RedistSink<Ipv4Addr> = match batcher.clone() {
-                Some(batcher) => Rc::new(move |el, op| {
-                    let net = op.net();
-                    let (add, row) = match &op {
-                        RouteOp::Add { route, .. } | RouteOp::Replace { new: route, .. } => {
-                            (true, xrl_ifaces::add_row(net, route))
-                        }
-                        RouteOp::Delete { .. } => (false, xrl_ifaces::delete_row(net, None)),
-                    };
-                    queued_fea.record(|| op_payload(add, net));
-                    batcher.push(el, add, net, row);
-                }),
-                None => Rc::new(move |el, op| {
-                    let net = op.net();
-                    match &op {
-                        RouteOp::Add { route, .. } | RouteOp::Replace { new: route, .. } => {
-                            let w = RouteWire::from_entry(net, route);
-                            queued_fea.record(|| format!("add {net}"));
-                            // Stamp before the send (see the RIB-ward path
-                            // above).
-                            sent_fea.record(|| format!("add {net}"));
-                            fea_client.add_route(
-                                el,
-                                w.net,
-                                w.nexthop,
-                                w.ifname,
-                                w.metric,
-                                |_el, _r| {},
-                            );
-                        }
-                        RouteOp::Delete { .. } => {
-                            queued_fea.record(|| format!("del {net}"));
-                            sent_fea.record(|| format!("del {net}"));
-                            fea_client.delete_route(el, net, |_el, _r| {});
-                        }
-                    }
-                }),
-            };
+            let out = RouteOutput::new(
+                BulkRouteSink::Fea(xrl_ifaces::fea::Client::new(router, "fea")),
+                o.batch_size,
+                w.profiler.point(points::QUEUED_FOR_FEA),
+                w.profiler.point(points::SENT_TO_FEA),
+                w.tracer.recorder("rib"),
+            );
+            let fea_out = out.clone();
             rib.borrow_mut().add_redist_watcher(
                 el,
-                RedistWatcher::new("fea", None, FilterBank::accept_by_default(), sink),
+                RedistWatcher::new(
+                    "fea",
+                    None,
+                    FilterBank::accept_by_default(),
+                    Rc::new(move |el, op| fea_out.push(el, &op)),
+                ),
             );
             // A congested FEA lane parks the redistribution stream.  The
             // watcher's flow cell flips synchronously inside the send path
             // (overshoot is bounded at the watermark); the backlog replay
-            // and the batched-flush gate run deferred, once the loop is
-            // back at its top.
+            // and then the batched-flush gate run deferred.
             let flow = rib
                 .borrow()
                 .redist_watcher_flow("fea")
                 .expect("fea watcher just added");
-            let lane_router = router.clone();
-            let gate = batcher.clone();
             let r = rib.clone();
-            router.set_congestion_cb(move |el, sig| {
-                if lane_router.lane_of("fea", "fea/1.0/add_route").as_deref() != Some(sig.lane()) {
-                    return;
-                }
-                let ready = matches!(sig, CongestionSignal::Xon { .. });
-                if !ready {
-                    flow.set(false);
-                }
-                let r = r.clone();
-                el.defer(move |el| r.borrow_mut().set_redist_watcher_flow(el, "fea", ready));
-                if let Some(gate) = gate.clone() {
-                    el.defer(move |el| gate.set_gate(el, !ready));
-                }
+            on_congestion(router, "fea", flow, false, move |el, ready| {
+                r.borrow_mut().set_redist_watcher_flow(el, "fea", ready);
+                out.set_gate(el, !ready);
             });
 
             // Pre-install the connected route BGP nexthops resolve via.
@@ -973,17 +862,18 @@ impl MultiProcessRouter {
                 }),
             );
 
-            router.register_target("rib", "rib-0", true).unwrap();
-            keepalive::add_keepalive_responder(router, "rib-0");
-            add_profile_responder(router, "rib-0", &rib_profiler, &rib_metrics, &rib_tracer);
+            // Busy-RIB model for the overload experiments: route XRLs are
+            // applied on arrival but acknowledged only after `delay`, so
+            // the sender sees a slow consumer and its lane backs up.
+            let delay = (o.rib_delay_ms > 0).then(|| Duration::from_millis(o.rib_delay_ms));
             xrl_ifaces::rib::register(
                 router,
                 "rib-0",
                 RibServer {
-                    rib: rib.clone(),
-                    rib_in: rib_profiler.point(points::RIB_IN),
+                    rib,
+                    rib_in: w.profiler.point(points::RIB_IN),
                     delay,
-                    recorder: rib_tracer.recorder("rib"),
+                    recorder: w.tracer.recorder("rib"),
                 },
             );
         });
@@ -991,52 +881,32 @@ impl MultiProcessRouter {
         // ---- BGP process ----------------------------------------------------
         let replay: ReplayLog = Arc::new(Mutex::new(Vec::new()));
         let crash_on_spawn = Arc::new(AtomicU32::new(0));
-        let factory = Arc::new(BgpFactory {
-            finder: finder.clone(),
-            profiler: profiler.clone(),
-            tracer: tracer.clone(),
-            metrics: metrics.scoped("bgp"),
-            local_as: options.local_as,
-            peers: options.peers.clone(),
-            down_peers: options.down_peers.clone(),
-            peer_policies: options.peer_policies.clone(),
-            consistency_check: options.consistency_check,
-            knobs: apply_knobs.clone(),
+        let factory = BgpFactory {
+            wiring: wiring.clone(),
             replay: replay.clone(),
             crash_on_spawn: crash_on_spawn.clone(),
-            batch_size: options.batch_size,
-            batch_flush_ms: options.batch_flush_ms,
-            wire_v1_only: options.wire_v1_only == Some("bgp"),
-        });
+        };
         let bgp: SharedBgp = Arc::new(Mutex::new(Some(factory.spawn())));
 
         // ---- supervisor (rtrmgr) process ------------------------------------
         let restarts = Arc::new(AtomicU32::new(0));
         let flights: Arc<Mutex<Vec<FlightReport>>> = Arc::new(Mutex::new(Vec::new()));
-        let sup_state = supervision.map(|cfg| {
+        let sup_state = wiring.options.supervision.map(|cfg| {
             let mut sup = Supervisor::new(cfg);
             sup.manage("bgp");
-            sup.set_metrics(&metrics.scoped("rtrmgr"));
+            sup.set_metrics(&wiring.metrics.scoped("rtrmgr"));
             Arc::new(Mutex::new(sup))
         });
         let supervisor = sup_state.as_ref().map(|sup| {
             let cfg = *sup.lock().config();
             let sup = sup.clone();
-            let knobs = apply_knobs.clone();
-            let factory = factory.clone();
             let shared = bgp.clone();
             let restarts = restarts.clone();
-            let sup_profiler = profiler.clone();
-            let sup_tracer = tracer.clone();
-            let sup_metrics = metrics.scoped("rtrmgr");
             // The flight recorder reads the whole registry (unscoped): a
             // post-mortem filters to the dead process's prefix itself.
-            let flight_metrics = metrics.clone();
+            let flight_metrics = wiring.metrics.clone();
             let flights = flights.clone();
-            Process::spawn("rtrmgr", finder.clone(), move |el, router| {
-                knobs(router);
-                router.set_metrics(&sup_metrics);
-                el.set_metrics(&sup_metrics);
+            spawn_process("rtrmgr", &wiring, move |el, router, w| {
                 // Probes run on a short leash: a hung component must
                 // classify as a miss within roughly one keepalive
                 // interval, not wait out the data-plane retry policy.
@@ -1045,15 +915,12 @@ impl MultiProcessRouter {
                     base_timeout: (cfg.keepalive_interval / 4).max(Duration::from_millis(5)),
                     max_timeout: (cfg.keepalive_interval / 2).max(Duration::from_millis(10)),
                 }));
-                router.register_target("rtrmgr", "rtrmgr-0", true).unwrap();
-                keepalive::add_keepalive_responder(router, "rtrmgr-0");
-                add_profile_responder(router, "rtrmgr-0", &sup_profiler, &sup_metrics, &sup_tracer);
 
                 // Probe round-trip latency, µs (§3.1 liveness telemetry).
-                let probe_latency = sup_metrics.histogram("probe_latency_us");
+                let probe_latency = w.metrics.histogram("probe_latency_us");
                 let rib_client = xrl_ifaces::rib::Client::new(router, "rib");
                 let probe_router = router.clone();
-                let flight_tracer = sup_tracer.clone();
+                let flight_tracer = w.tracer.clone();
                 el.every(cfg.keepalive_interval, move |el| {
                     let now = Duration::from_nanos(el.now().as_nanos());
                     // Respawns due now, in dependency order.  Only the BGP
@@ -1103,25 +970,19 @@ impl MultiProcessRouter {
                                 // process was doing — its span ring and
                                 // metrics outlive it in the shared
                                 // registries.
-                                match &verdict {
+                                let reason = match &verdict {
                                     SupervisorVerdict::RestartScheduled { .. } => {
-                                        flights.lock().push(FlightReport::capture(
-                                            "bgp",
-                                            "crash classified, restart scheduled",
-                                            &flight_tracer,
-                                            &flight_metrics,
-                                        ));
+                                        "crash classified, restart scheduled"
                                     }
-                                    SupervisorVerdict::Degraded => {
-                                        flights.lock().push(FlightReport::capture(
-                                            "bgp",
-                                            "restart budget spent, degraded",
-                                            &flight_tracer,
-                                            &flight_metrics,
-                                        ));
-                                    }
-                                    SupervisorVerdict::None => {}
-                                }
+                                    SupervisorVerdict::Degraded => "restart budget spent, degraded",
+                                    SupervisorVerdict::None => return,
+                                };
+                                flights.lock().push(FlightReport::capture(
+                                    "bgp",
+                                    reason,
+                                    &flight_tracer,
+                                    &flight_metrics,
+                                ));
                                 if verdict == SupervisorVerdict::Degraded {
                                     // Budget spent: permanent death.  Flush the
                                     // protocol's routes now — the grace window
@@ -1140,10 +1001,10 @@ impl MultiProcessRouter {
         });
 
         MultiProcessRouter {
-            profiler,
-            metrics,
-            tracer,
-            finder,
+            profiler: wiring.profiler,
+            metrics: wiring.metrics,
+            tracer: wiring.tracer,
+            finder: wiring.finder,
             bgp,
             _rib: rib,
             _fea: fea,
@@ -1268,48 +1129,28 @@ impl MultiProcessRouter {
 
     /// Routes currently in the FEA's FIB (cross-thread query).
     pub fn fea_route_count(&self) -> usize {
-        self._fea
-            .call(|el| {
-                el.slot::<FeaSlot>()
-                    .map(|s| s.0.borrow().route_count4())
-                    .unwrap_or(0)
-            })
-            .unwrap_or(0)
+        read(Some(&self._fea), |s: &FeaSlot| s.0.borrow().route_count4())
     }
 
     /// Routes currently in the RIB's final table.
     pub fn rib_route_count(&self) -> usize {
-        self._rib
-            .call(|el| {
-                el.slot::<RibSlot>()
-                    .map(|s| s.0.borrow().route_count())
-                    .unwrap_or(0)
-            })
-            .unwrap_or(0)
+        read(Some(&self._rib), |s: &RibSlot| s.0.borrow().route_count())
     }
 
     /// FEA installs parked in the RIB's redistribution watcher while the
     /// RIB→FEA lane is congested (backpressure observability).
     pub fn rib_fea_backlog(&self) -> usize {
-        self._rib
-            .call(|el| {
-                el.slot::<RibSlot>()
-                    .map(|s| s.0.borrow().redist_watcher_backlog("fea"))
-                    .unwrap_or(0)
-            })
-            .unwrap_or(0)
+        read(Some(&self._rib), |s: &RibSlot| {
+            s.0.borrow().redist_watcher_backlog("fea")
+        })
     }
 
     /// EBGP routes in the RIB still marked stale (graceful-restart
     /// observability).
     pub fn rib_stale_count(&self) -> usize {
-        self._rib
-            .call(|el| {
-                el.slot::<RibSlot>()
-                    .map(|s| s.0.borrow().stale_count(ProtocolId::Ebgp))
-                    .unwrap_or(0)
-            })
-            .unwrap_or(0)
+        read(Some(&self._rib), |s: &RibSlot| {
+            s.0.borrow().stale_count(ProtocolId::Ebgp)
+        })
     }
 
     /// Bring a configured-but-down peering up (runs on the BGP loop).  The
@@ -1326,162 +1167,49 @@ impl MultiProcessRouter {
 
     /// Is a background dump still walking toward `peer`'s export branch?
     pub fn bgp_dump_in_flight(&self, peer: u32) -> bool {
-        let guard = self.bgp.lock();
-        match guard.as_ref() {
-            Some(bgp) => bgp
-                .call(move |el| {
-                    el.slot::<BgpSlot>()
-                        .map(|s| s.0.borrow().dump_in_flight(PeerId(peer)))
-                        .unwrap_or(false)
-                })
-                .unwrap_or(false),
-            None => false,
-        }
+        read(self.bgp.lock().as_ref(), move |s: &BgpSlot| {
+            s.0.borrow().dump_in_flight(PeerId(peer))
+        })
     }
 
     /// Routes a peering has announced to its neighbor so far (dump
     /// progress observability).
     pub fn bgp_announced_count(&self, peer: u32) -> usize {
-        let guard = self.bgp.lock();
-        match guard.as_ref() {
-            Some(bgp) => bgp
-                .call(move |el| {
-                    el.slot::<BgpSlot>()
-                        .map(|s| s.0.borrow().announced_count(PeerId(peer)))
-                        .unwrap_or(0)
-                })
-                .unwrap_or(0),
-            None => 0,
-        }
+        read(self.bgp.lock().as_ref(), move |s: &BgpSlot| {
+            s.0.borrow().announced_count(PeerId(peer))
+        })
     }
 
     /// BGP PeerIn route count across peers.
     pub fn bgp_route_count(&self) -> usize {
-        let guard = self.bgp.lock();
-        match guard.as_ref() {
-            Some(bgp) => bgp
-                .call(|el| {
-                    el.slot::<BgpSlot>()
-                        .map(|s| s.0.borrow().route_count())
-                        .unwrap_or(0)
-                })
-                .unwrap_or(0),
-            None => 0,
-        }
+        read(self.bgp.lock().as_ref(), |s: &BgpSlot| {
+            s.0.borrow().route_count()
+        })
     }
 
     /// Whether any lane on the BGP process's XRL router is currently
     /// above its high watermark (an Xoff is in force).
     pub fn bgp_congested(&self) -> bool {
-        let guard = self.bgp.lock();
-        match guard.as_ref() {
-            Some(bgp) => bgp
-                .call(|el| {
-                    el.slot::<XrlRouter>()
-                        .map(|r| r.any_lane_congested())
-                        .unwrap_or(false)
-                })
-                .unwrap_or(false),
-            None => false,
-        }
-    }
-
-    /// Outstanding requests charged to the BGP→RIB lane (the storm
-    /// experiment's bounded quantity).
-    pub fn bgp_rib_lane_depth(&self) -> usize {
-        let guard = self.bgp.lock();
-        match guard.as_ref() {
-            Some(bgp) => bgp
-                .call(|el| {
-                    el.slot::<XrlRouter>()
-                        .map(|r| {
-                            r.lane_of("rib", "rib/1.0/add_route")
-                                .map(|lane| r.lane_depth(&lane))
-                                .unwrap_or(0)
-                        })
-                        .unwrap_or(0)
-                })
-                .unwrap_or(0),
-            None => 0,
-        }
-    }
-
-    /// Total outstanding XRL requests on the BGP router's pending map,
-    /// regardless of lane: charged data sends plus priority probes.
-    pub fn bgp_outstanding_xrls(&self) -> usize {
-        let guard = self.bgp.lock();
-        match guard.as_ref() {
-            Some(bgp) => bgp
-                .call(|el| el.slot::<XrlRouter>().map(|r| r.pending_len()).unwrap_or(0))
-                .unwrap_or(0),
-            None => 0,
-        }
-    }
-
-    /// Frames the BGP router shed at a lane's hard cap.
-    pub fn bgp_shed_count(&self) -> u64 {
-        let guard = self.bgp.lock();
-        match guard.as_ref() {
-            Some(bgp) => bgp
-                .call(|el| el.slot::<XrlRouter>().map(|r| r.shed_count()).unwrap_or(0))
-                .unwrap_or(0),
-            None => 0,
-        }
-    }
-
-    /// Routes held back in the fanout while a reader is paused (the
-    /// app-layer queue backpressure moves the overload into).
-    pub fn bgp_fanout_queue_len(&self) -> usize {
-        let guard = self.bgp.lock();
-        match guard.as_ref() {
-            Some(bgp) => bgp
-                .call(|el| {
-                    el.slot::<BgpSlot>()
-                        .map(|s| s.0.borrow().fanout_queue_len())
-                        .unwrap_or(0)
-                })
-                .unwrap_or(0),
-            None => 0,
-        }
+        read(self.bgp.lock().as_ref(), |r: &XrlRouter| {
+            r.any_lane_congested()
+        })
     }
 
     /// Heap bytes the fanout stage holds (its queue buffer by capacity,
     /// reader bookkeeping, in-flight dump state): what a drained backlog
     /// must have given back.
     pub fn bgp_fanout_memory_bytes(&self) -> usize {
-        let guard = self.bgp.lock();
-        match guard.as_ref() {
-            Some(bgp) => bgp
-                .call(|el| {
-                    el.slot::<BgpSlot>()
-                        .map(|s| s.0.borrow().fanout_memory_bytes())
-                        .unwrap_or(0)
-                })
-                .unwrap_or(0),
-            None => 0,
-        }
+        read(self.bgp.lock().as_ref(), |s: &BgpSlot| {
+            s.0.borrow().fanout_memory_bytes()
+        })
     }
 
     /// BGP process heap proxy: route storage, fanout holdback, and the
     /// XRL layer's retained frames (retransmission copies + UDP parking).
     pub fn bgp_memory_bytes(&self) -> usize {
-        let guard = self.bgp.lock();
-        match guard.as_ref() {
-            Some(bgp) => bgp
-                .call(|el| {
-                    let routes = el
-                        .slot::<BgpSlot>()
-                        .map(|s| s.0.borrow().memory_bytes())
-                        .unwrap_or(0);
-                    let xrl = el
-                        .slot::<XrlRouter>()
-                        .map(|r| r.retained_frame_bytes())
-                        .unwrap_or(0);
-                    routes + xrl
-                })
-                .unwrap_or(0),
-            None => 0,
-        }
+        let bgp = self.bgp.lock();
+        read(bgp.as_ref(), |s: &BgpSlot| s.0.borrow().memory_bytes())
+            + read(bgp.as_ref(), |r: &XrlRouter| r.retained_frame_bytes())
     }
 
     /// Round-trip a supervision keepalive to the BGP process over the
@@ -1504,30 +1232,11 @@ impl MultiProcessRouter {
         rx.recv_timeout(timeout).ok()
     }
 
-    /// Frames the RIB's XRL router shed at a lane's hard cap (its lane
-    /// to the FEA is policed by the same policy as BGP's lane to it).
-    pub fn rib_shed_count(&self) -> u64 {
-        self._rib
-            .call(|el| el.slot::<XrlRouter>().map(|r| r.shed_count()).unwrap_or(0))
-            .unwrap_or(0)
-    }
-
-    /// Outstanding XRLs on the RIB's pending map (RIB→FEA in flight).
-    pub fn rib_outstanding_xrls(&self) -> usize {
-        self._rib
-            .call(|el| el.slot::<XrlRouter>().map(|r| r.pending_len()).unwrap_or(0))
-            .unwrap_or(0)
-    }
-
     /// Consistency violations from the RIB's cache stage, if enabled.
     pub fn rib_violations(&self) -> Vec<String> {
-        self._rib
-            .call(|el| {
-                el.slot::<RibSlot>()
-                    .map(|s| s.0.borrow().consistency_violations())
-                    .unwrap_or_default()
-            })
-            .unwrap_or_default()
+        read(Some(&self._rib), |s: &RibSlot| {
+            s.0.borrow().consistency_violations()
+        })
     }
 
     /// Spin until `pred()` or timeout; returns success.

@@ -12,10 +12,10 @@
 //! copy of these helpers.
 
 use std::net::{IpAddr, Ipv4Addr};
-use std::rc::Rc;
 
 use xorp_event::EventLoop;
 use xorp_net::{Ipv4Net, ProtocolId, RouteEntry};
+use xorp_stages::RouteOp;
 use xorp_xrl::{xrl_interface, AtomValue, XrlError};
 
 xrl_interface! {
@@ -161,45 +161,70 @@ pub fn decode_delete_rows(rows: &[AtomValue]) -> Result<Vec<(Ipv4Net, ProtocolId
         .collect()
 }
 
-/// A direction-agnostic handle on one target's vectorized route methods,
-/// so the [`crate::batch::RouteBatcher`] works over either typed stub
-/// (BGP→RIB and RIB→FEA) without knowing which interface it feeds.
+/// One hop's route methods behind one handle: the single place that
+/// knows which methods each hop calls, per route and vectorized, and
+/// whether its deletions name the protocol (the RIB keys by it; the FEA
+/// does not), so [`crate::batch::RouteOutput`] works over either stub.
 #[derive(Clone)]
-pub struct BulkRouteSink {
-    add: RowSender,
-    del: RowSender,
+pub enum BulkRouteSink {
+    /// BGP→RIB over `rib/1.0`.
+    Rib(rib::Client),
+    /// RIB→FEA over `fea/1.0`.
+    Fea(fea::Client),
 }
 
-/// One direction of a sink: ship a vector of packed route rows.
-type RowSender = Rc<dyn Fn(&mut EventLoop, Vec<AtomValue>)>;
+/// A route op as both hops carry it.
+pub type WireOp = RouteOp<Ipv4Addr, RouteEntry<Ipv4Addr>>;
 
 impl BulkRouteSink {
-    /// Wrap a RIB client's `add_routes`/`delete_routes`.
-    pub fn rib(client: &rib::Client) -> BulkRouteSink {
-        let a = client.clone();
-        let d = client.clone();
-        BulkRouteSink {
-            add: Rc::new(move |el, rows| a.add_routes(el, rows, |_el, _r| {})),
-            del: Rc::new(move |el, rows| d.delete_routes(el, rows, |_el, _r| {})),
+    /// Send one op as this hop's per-route `add_route`/`delete_route`.
+    pub fn send_one(&self, el: &mut EventLoop, op: &WireOp) {
+        let net = op.net();
+        match op {
+            RouteOp::Add { route, .. } | RouteOp::Replace { new: route, .. } => {
+                let w = RouteWire::from_entry(net, route);
+                match self {
+                    Self::Rib(c) => c.add_route(
+                        el,
+                        net,
+                        w.nexthop,
+                        w.ifname,
+                        w.metric,
+                        w.proto.name(),
+                        |_el, _r| {},
+                    ),
+                    Self::Fea(c) => {
+                        c.add_route(el, net, w.nexthop, w.ifname, w.metric, |_el, _r| {})
+                    }
+                }
+            }
+            RouteOp::Delete { old, .. } => match self {
+                Self::Rib(c) => c.delete_route(el, net, old.proto.name(), |_el, _r| {}),
+                Self::Fea(c) => c.delete_route(el, net, |_el, _r| {}),
+            },
         }
     }
 
-    /// Wrap a FEA client's `add_routes`/`delete_routes`.
-    pub fn fea(client: &fea::Client) -> BulkRouteSink {
-        let a = client.clone();
-        let d = client.clone();
-        BulkRouteSink {
-            add: Rc::new(move |el, rows| a.add_routes(el, rows, |_el, _r| {})),
-            del: Rc::new(move |el, rows| d.delete_routes(el, rows, |_el, _r| {})),
+    /// Encode one op as a row of this hop's vectorized frames.
+    pub fn row(&self, op: &WireOp) -> Vec<AtomValue> {
+        match op {
+            RouteOp::Add { net, route }
+            | RouteOp::Replace {
+                net, new: route, ..
+            } => add_row(*net, route),
+            RouteOp::Delete { net, old } => {
+                delete_row(*net, matches!(self, Self::Rib(_)).then_some(old.proto))
+            }
         }
     }
 
     /// Ship one same-direction run of encoded rows.
     pub fn send(&self, el: &mut EventLoop, add: bool, rows: Vec<AtomValue>) {
-        if add {
-            (self.add)(el, rows)
-        } else {
-            (self.del)(el, rows)
+        match (self, add) {
+            (Self::Rib(c), true) => c.add_routes(el, rows, |_el, _r| {}),
+            (Self::Rib(c), false) => c.delete_routes(el, rows, |_el, _r| {}),
+            (Self::Fea(c), true) => c.add_routes(el, rows, |_el, _r| {}),
+            (Self::Fea(c), false) => c.delete_routes(el, rows, |_el, _r| {}),
         }
     }
 }

@@ -9,33 +9,12 @@
 
 use std::time::Duration;
 
+use xorp_harness::figures::{counter_value, gauge_max, gauge_value};
 use xorp_harness::{backbone_table, MultiProcessRouter, RouterOptions, WorkloadConfig};
-use xorp_profiler::MetricValue;
 use xorp_xrl::QueuePolicy;
 
 const ROUTES: usize = 20_000;
 const TIMEOUT: Duration = Duration::from_secs(120);
-
-fn gauge_max(router: &MultiProcessRouter, name: &str) -> i64 {
-    match router.metrics.get(name) {
-        Some(MetricValue::Gauge { max, .. }) => max,
-        other => panic!("{name}: {other:?}"),
-    }
-}
-
-fn gauge_value(router: &MultiProcessRouter, name: &str) -> i64 {
-    match router.metrics.get(name) {
-        Some(MetricValue::Gauge { value, .. }) => value,
-        other => panic!("{name}: {other:?}"),
-    }
-}
-
-fn counter(router: &MultiProcessRouter, name: &str) -> u64 {
-    match router.metrics.get(name) {
-        Some(MetricValue::Counter(v)) => v,
-        other => panic!("{name}: {other:?}"),
-    }
-}
 
 #[test]
 fn default_router_holds_a_window_of_xrls_not_a_table() {
@@ -58,7 +37,7 @@ fn default_router_holds_a_window_of_xrls_not_a_table() {
     );
     assert_eq!(router.rib_route_count(), ROUTES + 1);
     // 20,000 routes are ~40 windows: the excess waited in the fanout.
-    let high_watermark = QueuePolicy::default().high_watermark as i64;
+    let high_watermark = QueuePolicy::default().high_watermark;
     assert!(gauge_max(&router, "bgp.fanout.queue_len") > high_watermark);
 
     for batch in table.chunks(64) {
@@ -66,7 +45,7 @@ fn default_router_holds_a_window_of_xrls_not_a_table() {
     }
     assert!(
         router.wait_for(TIMEOUT, || router.fea_route_count() == 1
-            && router.bgp_fanout_queue_len() == 0),
+            && gauge_value(&router, "bgp.fanout.queue_len") == 0),
         "withdraw half: fea={} rib={} bgp={}",
         router.fea_route_count(),
         router.rib_route_count(),
@@ -83,7 +62,10 @@ fn default_router_holds_a_window_of_xrls_not_a_table() {
         );
     }
     for process in ["bgp", "rib", "fea"] {
-        assert_eq!(counter(&router, &format!("{process}.xrl.shed_total")), 0);
+        assert_eq!(
+            counter_value(&router, &format!("{process}.xrl.shed_total")),
+            0
+        );
         assert_eq!(
             gauge_max(&router, &format!("{process}.xrl.dedup_entries")),
             0,

@@ -11,6 +11,7 @@
 
 use std::time::Duration;
 
+use xorp_harness::figures::counter_value;
 use xorp_harness::router::{MultiProcessRouter, RouterOptions};
 use xorp_harness::workload::{backbone_table, WorkloadConfig};
 use xorp_rtrmgr::{SupervisedState, SupervisorConfig};
@@ -276,10 +277,10 @@ fn saturated_bgp_is_probed_alive_and_never_restarted() {
         "storm did not converge: rib={} fea={} shed={}",
         router.rib_route_count(),
         router.fea_route_count(),
-        router.bgp_shed_count()
+        counter_value(&router, "bgp.xrl.shed_total")
     );
     assert_eq!(
-        router.bgp_shed_count(),
+        counter_value(&router, "bgp.xrl.shed_total"),
         0,
         "data frames must be held back, never shed"
     );
