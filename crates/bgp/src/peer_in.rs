@@ -5,7 +5,7 @@
 //! alternative routes via calls upstream through the pipeline."
 
 use xorp_event::EventLoop;
-use xorp_net::{Addr, HeapSize, IterHandle, PatriciaTrie, Prefix};
+use xorp_net::{Addr, IterHandle, PatriciaTrie, Prefix};
 use xorp_stages::{OriginId, RouteOp, Stage, StageRef};
 
 use crate::{BgpRoute, PeerId};
@@ -60,9 +60,10 @@ impl<A: Addr> PeerIn<A> {
         self.routes.is_empty()
     }
 
-    /// Heap bytes of this peer's table.
+    /// Heap bytes of this peer's table.  The routes of one UPDATE share
+    /// one attribute block, and the table charges each block once.
     pub fn memory_bytes(&self) -> usize {
-        self.routes.heap_size()
+        xorp_net::route_table_bytes(&self.routes)
     }
 
     /// Ingest an announcement from the wire.  Returns false if the route

@@ -63,9 +63,9 @@ impl<T: HeapSize> HeapSize for Box<T> {
 }
 
 impl<T: HeapSize> HeapSize for std::sync::Arc<T> {
-    /// Arc contents are charged in full to each handle; callers that share
-    /// attribute blocks (as BGP's PeerIn tables do) should divide by the
-    /// observed sharing factor or count unique blocks instead.
+    /// Arc contents are charged in full to each handle.  A table whose
+    /// routes share attribute blocks is measured with
+    /// [`crate::route_table_bytes`], which charges each distinct block once.
     fn heap_size(&self) -> usize {
         std::mem::size_of::<T>() + (**self).heap_size() + 2 * std::mem::size_of::<usize>()
     }

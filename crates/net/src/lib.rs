@@ -36,4 +36,4 @@ pub use fxhash::{FxHashMap, FxHashSet};
 pub use heapsize::{release_drained, HeapSize};
 pub use patricia::{IterHandle, PatriciaTrie};
 pub use prefix::{Ipv4Net, Ipv6Net, Prefix};
-pub use route::{AdminDistance, ProtocolId, RouteEntry};
+pub use route::{route_table_bytes, AdminDistance, ProtocolId, RouteEntry};

@@ -1,11 +1,13 @@
 //! The route record exchanged between routing stages and processes.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::addr::Addr;
 use crate::attrs::PathAttributes;
 use crate::heapsize::HeapSize;
+use crate::patricia::PatriciaTrie;
 use crate::prefix::Prefix;
 
 /// Identifies which protocol (or origin table) produced a route.
@@ -148,10 +150,24 @@ impl<A: Addr> RouteEntry<A> {
 
 impl<A: Addr> HeapSize for RouteEntry<A> {
     fn heap_size(&self) -> usize {
-        // Attribute blocks are shared; charge the Arc handle here and let
-        // table-level accounting decide whether to de-duplicate.
+        // A lone route owns its block; a table of routes that share blocks
+        // is measured with `route_table_bytes` instead.
         self.attrs.heap_size() + self.ifname.as_ref().map_or(0, |s| s.len())
     }
+}
+
+/// Heap bytes of a table of routes under the one accounting rule for
+/// shared blocks: each route is charged its own heap, and each distinct
+/// attribute block once per table, counted by pointer, however many routes
+/// hold a handle to it.
+pub fn route_table_bytes<A: Addr>(routes: &PatriciaTrie<A, RouteEntry<A>>) -> usize {
+    let mut blocks = BTreeSet::new();
+    let repeats: usize = routes
+        .iter()
+        .filter(|(_, r)| !blocks.insert(Arc::as_ptr(&r.attrs)))
+        .map(|(_, r)| r.attrs.heap_size())
+        .sum();
+    routes.heap_size() - repeats
 }
 
 #[cfg(test)]
@@ -204,5 +220,19 @@ mod tests {
             .clone()
             .with_attrs(PathAttributes::new(IpAddr::V4(Ipv4Addr::new(10, 0, 0, 2))));
         assert_eq!(r2.nexthop(), IpAddr::V4(Ipv4Addr::new(10, 0, 0, 2)));
+    }
+
+    #[test]
+    fn a_table_charges_each_shared_block_once() {
+        let shared = route("10.0.0.0/8").attrs;
+        let (mut sharing, mut copying) = (PatriciaTrie::new(), PatriciaTrie::new());
+        for net in ["10.0.0.0/8", "11.0.0.0/8", "12.0.0.0/8"] {
+            let own = route(net);
+            copying.insert(own.net, own.clone());
+            sharing.insert(own.net, RouteEntry { attrs: shared.clone(), ..own });
+        }
+        let block = shared.heap_size();
+        assert_eq!(route_table_bytes(&copying), copying.heap_size());
+        assert_eq!(route_table_bytes(&sharing), sharing.heap_size() - 2 * block);
     }
 }

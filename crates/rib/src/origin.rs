@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use xorp_event::EventLoop;
-use xorp_net::{Addr, HeapSize, IterHandle, PatriciaTrie, Prefix, ProtocolId};
+use xorp_net::{Addr, IterHandle, PatriciaTrie, Prefix, ProtocolId};
 use xorp_stages::{DumpSource, OriginId, RouteOp, Stage, StageRef};
 
 use crate::RibRoute;
@@ -154,9 +154,11 @@ impl<A: Addr> OriginTable<A> {
         self.routes.iter_release(h)
     }
 
-    /// Heap bytes attributable to this table (memory-accounting).
+    /// Heap bytes attributable to this table (memory-accounting).  Each
+    /// distinct attribute block is charged once, however many of the
+    /// table's routes share it.
     pub fn memory_bytes(&self) -> usize {
-        self.routes.heap_size()
+        xorp_net::route_table_bytes(&self.routes)
     }
 
     fn emit(&mut self, el: &mut EventLoop, op: RouteOp<A, RibRoute<A>>) {
