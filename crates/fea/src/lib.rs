@@ -20,6 +20,7 @@
 use std::collections::HashMap;
 use std::net::IpAddr;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use xorp_event::EventLoop;
 use xorp_net::{Addr, HeapSize, Ipv4Net, Mac, PatriciaTrie, Prefix};
@@ -29,7 +30,7 @@ pub mod iface;
 
 pub use iface::{IfaceConfig, Interface};
 
-/// One installed forwarding entry.
+/// A forwarding entry as a client asks for it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FibEntry<A: Addr> {
     /// Destination subnet.
@@ -42,9 +43,24 @@ pub struct FibEntry<A: Addr> {
     pub metric: u32,
 }
 
-impl<A: Addr> HeapSize for FibEntry<A> {
+/// One installed forwarding entry.  Its interface name is the interface
+/// table's own, shared by every route out of that interface.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FibRoute<A: Addr> {
+    /// Destination subnet.
+    pub net: Prefix<A>,
+    /// Nexthop router (unspecified for directly connected).
+    pub nexthop: IpAddr,
+    /// Egress interface.
+    pub ifname: Arc<str>,
+    /// Metric (diagnostic; the FIB itself forwards on longest match).
+    pub metric: u32,
+}
+
+impl<A: Addr> HeapSize for FibRoute<A> {
+    /// Nothing: the name belongs to the interface table.
     fn heap_size(&self) -> usize {
-        self.ifname.capacity()
+        0
     }
 }
 
@@ -56,9 +72,10 @@ pub type PacketRx = Rc<dyn Fn(&mut EventLoop, &str, IpAddr, &[u8])>;
 
 /// The simulated forwarding engine.
 pub struct Fea {
-    interfaces: HashMap<String, Interface>,
-    fib4: PatriciaTrie<std::net::Ipv4Addr, FibEntry<std::net::Ipv4Addr>>,
-    fib6: PatriciaTrie<std::net::Ipv6Addr, FibEntry<std::net::Ipv6Addr>>,
+    /// Keyed by the one copy of each name that FIB routes share.
+    interfaces: HashMap<Arc<str>, Interface>,
+    fib4: PatriciaTrie<std::net::Ipv4Addr, FibRoute<std::net::Ipv4Addr>>,
+    fib6: PatriciaTrie<std::net::Ipv6Addr, FibRoute<std::net::Ipv6Addr>>,
     kernel_point: Option<PointHandle>,
     /// The harness wire: where sent packets go.
     wire: Option<PacketTx>,
@@ -107,9 +124,9 @@ impl Fea {
 
     /// Create or reconfigure an interface.
     pub fn configure_interface(&mut self, cfg: IfaceConfig) -> &Interface {
-        let name = cfg.name.clone();
-        let iface = Interface::new(cfg);
-        self.interfaces.insert(name.clone(), iface);
+        let name: Arc<str> = cfg.name.as_str().into();
+        // Reconfiguring keeps the existing key, which routes already share.
+        self.interfaces.insert(name.clone(), Interface::new(cfg));
         &self.interfaces[&name]
     }
 
@@ -124,7 +141,7 @@ impl Fea {
             let dead4: Vec<Ipv4Net> = self
                 .fib4
                 .iter()
-                .filter(|(_, e)| e.ifname == name)
+                .filter(|(_, e)| &*e.ifname == name)
                 .map(|(n, _)| n)
                 .collect();
             for net in dead4 {
@@ -134,7 +151,7 @@ impl Fea {
             let dead6: Vec<Prefix<std::net::Ipv6Addr>> = self
                 .fib6
                 .iter()
-                .filter(|(_, e)| e.ifname == name)
+                .filter(|(_, e)| &*e.ifname == name)
                 .map(|(n, _)| n)
                 .collect();
             for net in dead6 {
@@ -159,21 +176,29 @@ impl Fea {
 
     // ---- FIB (the "kernel" boundary) ---------------------------------------
 
+    /// The installed form of `entry`, holding its interface's own name, or
+    /// `None` when that interface is unknown or down.
+    fn route<A: Addr>(&self, entry: FibEntry<A>) -> Option<FibRoute<A>> {
+        let (ifname, iface) = self.interfaces.get_key_value(entry.ifname.as_str())?;
+        iface.enabled.then(|| FibRoute {
+            net: entry.net,
+            nexthop: entry.nexthop,
+            ifname: ifname.clone(),
+            metric: entry.metric,
+        })
+    }
+
     /// Install (or replace) an IPv4 route — the §8.2 "entering the kernel"
     /// moment.
     pub fn add_route4(&mut self, entry: FibEntry<std::net::Ipv4Addr>) -> bool {
-        if !self
-            .interfaces
-            .get(&entry.ifname)
-            .is_some_and(|i| i.enabled)
-        {
+        let Some(route) = self.route(entry) else {
             return false;
-        }
+        };
         if let Some(h) = &self.kernel_point {
-            h.record(|| format!("add {}", entry.net));
+            h.record(|| format!("add {}", route.net));
         }
         self.installs += 1;
-        self.fib4.insert(entry.net, entry);
+        self.fib4.insert(route.net, route);
         true
     }
 
@@ -191,18 +216,14 @@ impl Fea {
 
     /// Install an IPv6 route.
     pub fn add_route6(&mut self, entry: FibEntry<std::net::Ipv6Addr>) -> bool {
-        if !self
-            .interfaces
-            .get(&entry.ifname)
-            .is_some_and(|i| i.enabled)
-        {
+        let Some(route) = self.route(entry) else {
             return false;
-        }
+        };
         if let Some(h) = &self.kernel_point {
-            h.record(|| format!("add {}", entry.net));
+            h.record(|| format!("add {}", route.net));
         }
         self.installs += 1;
-        self.fib6.insert(entry.net, entry);
+        self.fib6.insert(route.net, route);
         true
     }
 
@@ -216,12 +237,12 @@ impl Fea {
     }
 
     /// Forwarding decision: longest-prefix match.
-    pub fn lookup4(&self, dst: std::net::Ipv4Addr) -> Option<&FibEntry<std::net::Ipv4Addr>> {
+    pub fn lookup4(&self, dst: std::net::Ipv4Addr) -> Option<&FibRoute<std::net::Ipv4Addr>> {
         self.fib4.longest_match(dst).map(|(_, e)| e)
     }
 
     /// IPv6 forwarding decision.
-    pub fn lookup6(&self, dst: std::net::Ipv6Addr) -> Option<&FibEntry<std::net::Ipv6Addr>> {
+    pub fn lookup6(&self, dst: std::net::Ipv6Addr) -> Option<&FibRoute<std::net::Ipv6Addr>> {
         self.fib6.longest_match(dst).map(|(_, e)| e)
     }
 
@@ -332,18 +353,18 @@ mod tests {
         assert!(f.add_route4(entry("10.1.0.0/16", "eth1")));
         assert_eq!(f.route_count4(), 2);
         assert_eq!(
-            f.lookup4("10.1.2.3".parse().unwrap()).unwrap().ifname,
+            &*f.lookup4("10.1.2.3".parse().unwrap()).unwrap().ifname,
             "eth1"
         );
         assert_eq!(
-            f.lookup4("10.9.9.9".parse().unwrap()).unwrap().ifname,
+            &*f.lookup4("10.9.9.9".parse().unwrap()).unwrap().ifname,
             "eth0"
         );
         assert!(f.lookup4("192.168.1.1".parse().unwrap()).is_none());
         assert!(f.delete_route4(&"10.1.0.0/16".parse().unwrap()));
         assert!(!f.delete_route4(&"10.1.0.0/16".parse().unwrap()));
         assert_eq!(
-            f.lookup4("10.1.2.3".parse().unwrap()).unwrap().ifname,
+            &*f.lookup4("10.1.2.3".parse().unwrap()).unwrap().ifname,
             "eth0"
         );
     }
@@ -361,6 +382,48 @@ mod tests {
         assert!(!f.add_route4(entry("10.1.0.0/16", "eth1")));
         f.set_interface_enabled("eth1", true);
         assert!(f.add_route4(entry("10.1.0.0/16", "eth1")));
+    }
+
+    fn entry6(net: &str, ifname: &str) -> FibEntry<std::net::Ipv6Addr> {
+        FibEntry {
+            net: net.parse().unwrap(),
+            nexthop: "fe80::1".parse().unwrap(),
+            ifname: ifname.to_string(),
+            metric: 1,
+        }
+    }
+
+    /// Every route out of an interface holds the interface table's own
+    /// name; an unknown or disabled interface is still refused, and
+    /// disabling one still flushes its routes in both families.
+    #[test]
+    fn routes_share_their_interface_name_and_leave_with_it() {
+        let mut f = fea();
+        for i in 0..4u8 {
+            assert!(f.add_route4(entry(&format!("10.{i}.0.0/16"), "eth0")));
+        }
+        assert!(f.add_route4(entry("11.0.0.0/8", "eth1")));
+        assert!(f.add_route6(entry6("2001:db8::/32", "eth0")));
+        assert!(f.add_route6(entry6("2001:db9::/32", "eth1")));
+        // Reconfiguring the interface keeps the name routes hold.
+        f.configure_interface(test_iface("eth0", "10.0.0.2", 24));
+        let (name, _) = f.interfaces.get_key_value("eth0").unwrap();
+        let eth0 = |ifname: &Arc<str>| Arc::ptr_eq(ifname, name);
+        assert_eq!(f.fib4.iter().filter(|(_, r)| eth0(&r.ifname)).count(), 4);
+        assert!(eth0(
+            &f.lookup6("2001:db8::1".parse().unwrap()).unwrap().ifname
+        ));
+
+        assert!(!f.add_route4(entry("12.0.0.0/8", "eth9")));
+        assert!(!f.add_route6(entry6("2001:dba::/32", "eth9")));
+        f.set_interface_enabled("eth0", false);
+        assert!(!f.add_route4(entry("12.0.0.0/8", "eth0")));
+        assert!(!f.add_route6(entry6("2001:dba::/32", "eth0")));
+        assert_eq!(f.route_count4(), 1);
+        assert!(f.lookup6("2001:db8::1".parse().unwrap()).is_none());
+        let v6 = f.lookup6("2001:db9::1".parse().unwrap()).unwrap();
+        assert_eq!(&*v6.ifname, "eth1");
+        assert_eq!(f.removals, 5);
     }
 
     #[test]

@@ -2,8 +2,11 @@
 //! table of about 150,000 routes requires about 120 MB for BGP and 60 MB
 //! for the RIB, which is simply not a problem on any recent hardware."
 //!
-//! Builds a single-loop BGP process and RIB holding the synthetic backbone
-//! table and reports measured bytes.
+//! Builds a single-loop BGP process, RIB and FEA holding the synthetic
+//! backbone table and reports measured bytes.  The RIB and the FIB are
+//! loaded the way the router's RIB and FEA processes load them: the RIB
+//! builds each route from its wire form with the router's own constructor,
+//! and the FEA installs through `Fea::add_route4`.
 //!
 //! Usage: `table-memory [--routes N]`
 
@@ -14,9 +17,11 @@ use xorp_bgp::bgp::UpdateIn;
 use xorp_bgp::nexthop::{AnswerCb, NexthopService, RibNexthopAnswer};
 use xorp_bgp::{BgpConfig, BgpProcess, PeerConfig, PeerId};
 use xorp_event::EventLoop;
+use xorp_fea::{test_iface, Fea, FibEntry};
 use xorp_harness::figargs::flag_value;
 use xorp_harness::workload::{backbone_table, WorkloadConfig, PAPER_TABLE_SIZE};
-use xorp_net::{AsNum, Prefix, ProtocolId, RouteEntry};
+use xorp_harness::xrl_ifaces::RouteWire;
+use xorp_net::{AsNum, AttrBlocks, Prefix, ProtocolId};
 use xorp_rib::Rib;
 
 struct Flat;
@@ -63,18 +68,19 @@ fn main() {
     bgp.add_peer(&mut el, PeerConfig::simple(PeerId(1), AsNum(65001)), None);
     bgp.peering_up(&mut el, PeerId(1));
 
-    // ---- RIB holding the same table ------------------------------------
+    // ---- RIB and FEA holding the same table ----------------------------
     let mut rib: Rib<Ipv4Addr> = Rib::new(false);
-    {
-        let mut conn = RouteEntry::new(
-            "192.168.0.0/16".parse().unwrap(),
-            xorp_net::PathAttributes::new(IpAddr::V4("192.168.0.1".parse().unwrap())).shared(),
-            1,
-            ProtocolId::Connected,
-        );
-        conn.ifname = Some("eth0".into());
-        rib.add_route(&mut el, conn);
-    }
+    let mut blocks = AttrBlocks::default();
+    let connected = RouteWire {
+        net: "192.168.0.0/16".parse().unwrap(),
+        nexthop: "192.168.0.1".parse().unwrap(),
+        ifname: "eth0".into(),
+        metric: 1,
+        proto: ProtocolId::Connected,
+    };
+    rib.add_route(&mut el, connected.into_rib_route(&mut blocks));
+    let mut fea = Fea::new();
+    fea.configure_interface(test_iface("eth0", "192.168.0.1", 16));
 
     eprintln!("loading...");
     for batch in table.chunks(64) {
@@ -89,15 +95,31 @@ fn main() {
         );
         el.run_until_idle();
     }
+    // What BGP sends over rib/1.0 for a best route: nexthop, no interface.
     for r in &table {
-        let mut route = RouteEntry::new(r.net, r.attrs.clone(), 0, ProtocolId::Ebgp);
-        route.ifname = Some("eth0".into());
-        rib.add_route(&mut el, route);
+        let IpAddr::V4(nexthop) = r.attrs.nexthop else {
+            unreachable!("the backbone table is IPv4")
+        };
+        let wire = RouteWire {
+            net: r.net,
+            nexthop,
+            ifname: String::new(),
+            metric: 0,
+            proto: ProtocolId::Ebgp,
+        };
+        rib.add_route(&mut el, wire.into_rib_route(&mut blocks));
+        fea.add_route4(FibEntry {
+            net: r.net,
+            nexthop: IpAddr::V4(nexthop),
+            ifname: "eth0".into(),
+            metric: 0,
+        });
     }
     el.run_until_idle();
 
     let bgp_mb = bgp.memory_bytes() as f64 / 1e6;
     let rib_mb = rib.memory_bytes() as f64 / 1e6;
+    let fea_mb = fea.memory_bytes() as f64 / 1e6;
     println!("Memory footprint at {} routes (§5.1 claim)", routes);
     println!(
         "{:<12} {:>14} {:>18}",
@@ -105,11 +127,13 @@ fn main() {
     );
     println!("{:<12} {:>14.1} {:>18}", "BGP", bgp_mb, 120);
     println!("{:<12} {:>14.1} {:>18}", "RIB", rib_mb, 60);
+    println!("{:<12} {:>14.1} {:>18}", "FEA", fea_mb, "-");
     println!(
-        "\nbgp stored routes: {}   bgp best routes: {}   rib routes: {}",
+        "\nbgp stored routes: {}   bgp best routes: {}   rib routes: {}   fib routes: {}",
         bgp.route_count(),
         bgp.best_count(),
-        rib.route_count()
+        rib.route_count(),
+        fea.route_count4()
     );
     // The RIB row is everything that grows with the table: the origin
     // tables (the only copy of each route) plus what the stages below
@@ -140,7 +164,8 @@ fn main() {
     println!(
         "\nThe paper's point — that a full table's memory cost 'is simply not\n\
          a problem on any recent hardware' — holds a fortiori: shared\n\
-         attribute blocks (Arc) keep the Rust tables well under the 2004\n\
-         C++ numbers."
+         attribute blocks (Arc; one per UPDATE in BGP, one per nexthop in\n\
+         the RIB) and one interface name per interface in the FIB keep the\n\
+         Rust tables well under the 2004 C++ numbers."
     );
 }

@@ -37,7 +37,7 @@ use xorp_bgp::nexthop::{AnswerCb, NexthopService, RibNexthopAnswer};
 use xorp_bgp::{BgpConfig, BgpProcess, PeerConfig, PeerId, ReaderId};
 use xorp_event::EventLoop;
 use xorp_fea::{test_iface, Fea, FibEntry};
-use xorp_net::{Ipv4Net, PathAttributes, ProtocolId, RouteEntry};
+use xorp_net::{AttrBlocks, Ipv4Net, PathAttributes, ProtocolId};
 use xorp_policy::FilterBank;
 use xorp_profiler::tracing::{self as xtrace, ActiveSpan, SpanRecorder, TraceContext, Tracer};
 use xorp_profiler::{points, Metrics, PointHandle, Profiler};
@@ -363,6 +363,8 @@ struct RibServer {
     rib_in: PointHandle,
     delay: Option<Duration>,
     recorder: SpanRecorder,
+    /// The one attribute block per nexthop the RIB's routes share.
+    blocks: RefCell<AttrBlocks>,
 }
 
 /// An open `rib` span plus the ambient context it displaced.
@@ -399,16 +401,6 @@ impl RibServer {
             None => responder.reply(el, reply),
         }
     }
-
-    fn entry(w: RouteWire) -> RouteEntry<Ipv4Addr> {
-        let mut attrs = PathAttributes::new(IpAddr::V4(w.nexthop));
-        attrs.ebgp = w.proto == ProtocolId::Ebgp;
-        let mut route = RouteEntry::new(w.net, Arc::new(attrs), w.metric, w.proto);
-        if !w.ifname.is_empty() {
-            route.ifname = Some(w.ifname.as_str().into());
-        }
-        route
-    }
 }
 
 impl xrl_ifaces::rib::Server for RibServer {
@@ -424,13 +416,14 @@ impl xrl_ifaces::rib::Server for RibServer {
     ) {
         self.rib_in.record(|| format!("add {net}"));
         let proto = ProtocolId::from_name(&proto).unwrap_or(ProtocolId::Ebgp);
-        let route = Self::entry(RouteWire {
+        let route = RouteWire {
             net,
             nexthop,
             ifname,
             metric,
             proto,
-        });
+        }
+        .into_rib_route(&mut self.blocks.borrow_mut());
         let traced = self.begin_span();
         self.rib.borrow_mut().add_route(el, route);
         self.end_span(traced);
@@ -469,7 +462,9 @@ impl xrl_ifaces::rib::Server for RibServer {
         let mut ops = Vec::with_capacity(parsed.len());
         for w in parsed {
             self.rib_in.record(|| format!("add {}", w.net));
-            ops.push(BatchOp::Add(Self::entry(w)));
+            ops.push(BatchOp::Add(
+                w.into_rib_route(&mut self.blocks.borrow_mut()),
+            ));
         }
         let traced = self.begin_span();
         let n = self.rib.borrow_mut().apply_batch(el, ops);
@@ -840,18 +835,16 @@ impl MultiProcessRouter {
             });
 
             // Pre-install the connected route BGP nexthops resolve via.
-            {
-                let mut attrs = PathAttributes::new(IpAddr::V4("192.168.0.1".parse().unwrap()));
-                attrs.ebgp = false;
-                let mut route = RouteEntry::new(
-                    "192.168.0.0/16".parse().unwrap(),
-                    Arc::new(attrs),
-                    1,
-                    ProtocolId::Connected,
-                );
-                route.ifname = Some("eth0".into());
-                rib.borrow_mut().add_route(el, route);
-            }
+            let mut blocks = AttrBlocks::default();
+            let connected = RouteWire {
+                net: "192.168.0.0/16".parse().unwrap(),
+                nexthop: Ipv4Addr::new(192, 168, 0, 1),
+                ifname: "eth0".into(),
+                metric: 1,
+                proto: ProtocolId::Connected,
+            };
+            rib.borrow_mut()
+                .add_route(el, connected.into_rib_route(&mut blocks));
 
             // Invalidation: tell BGP its cached answers died (§5.2.1).
             let bgp_client = xrl_ifaces::bgp::Client::new(router, "bgp");
@@ -874,6 +867,7 @@ impl MultiProcessRouter {
                     rib_in: w.profiler.point(points::RIB_IN),
                     delay,
                     recorder: w.tracer.recorder("rib"),
+                    blocks: RefCell::new(blocks),
                 },
             );
         });
@@ -1267,3 +1261,6 @@ impl MultiProcessRouter {
         self._fea.stop();
     }
 }
+
+#[cfg(test)]
+mod tests;

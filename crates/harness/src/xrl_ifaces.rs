@@ -14,7 +14,7 @@
 use std::net::{IpAddr, Ipv4Addr};
 
 use xorp_event::EventLoop;
-use xorp_net::{Ipv4Net, ProtocolId, RouteEntry};
+use xorp_net::{AttrBlocks, Ipv4Net, ProtocolId, RouteEntry};
 use xorp_stages::RouteOp;
 use xorp_xrl::{xrl_interface, AtomValue, XrlError};
 
@@ -79,6 +79,18 @@ impl RouteWire {
             metric: route.metric,
             proto: route.proto,
         }
+    }
+
+    /// Build the RIB's route from its wire form.  Its attribute block holds
+    /// only the nexthop and the EBGP bit, so every route that agrees on
+    /// both gets the one block `blocks` keeps for the pair.
+    pub fn into_rib_route(self, blocks: &mut AttrBlocks) -> RouteEntry<Ipv4Addr> {
+        let attrs = blocks.get(IpAddr::V4(self.nexthop), self.proto == ProtocolId::Ebgp);
+        let mut route = RouteEntry::new(self.net, attrs, self.metric, self.proto);
+        if !self.ifname.is_empty() {
+            route.ifname = Some(self.ifname.into());
+        }
+        route
     }
 }
 

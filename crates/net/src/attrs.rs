@@ -6,10 +6,16 @@
 //! mechanism that keeps the staged design's memory overhead to the "slightly
 //! greater memory usage" the paper concedes (§5.1) rather than a full copy
 //! per stage.
+//!
+//! The RIB shares its blocks too.  A route reaches it over `rib/1.0` with
+//! only a nexthop and a protocol, so its block holds two facts, and an
+//! [`AttrBlocks`] interner hands every route with the same pair the same
+//! block.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::net::IpAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use crate::aspath::AsPath;
 use crate::heapsize::HeapSize;
@@ -150,6 +156,40 @@ impl HeapSize for PathAttributes {
     }
 }
 
+/// One shared attribute block per `(nexthop, ebgp)` pair, for a table whose
+/// routes carry nothing else in their block.
+///
+/// The map holds weak handles, so it never keeps a block alive: a block is
+/// dropped with its last route.  Dead entries are pruned when the map
+/// reaches twice the number of live entries seen at the last prune, which
+/// is amortised O(1) per call and bounds the map at twice the peak number
+/// of live blocks, plus one.  The map is ordered, not hashed, because the
+/// nexthops are chosen by a peer.
+#[derive(Default)]
+pub struct AttrBlocks {
+    blocks: BTreeMap<(IpAddr, bool), Weak<PathAttributes>>,
+    live_at_prune: usize,
+}
+
+impl AttrBlocks {
+    /// The live block for `(nexthop, ebgp)`, or a new one.
+    pub fn get(&mut self, nexthop: IpAddr, ebgp: bool) -> Arc<PathAttributes> {
+        if let Some(block) = self.blocks.get(&(nexthop, ebgp)).and_then(Weak::upgrade) {
+            return block;
+        }
+        let block = Arc::new(PathAttributes {
+            ebgp,
+            ..PathAttributes::new(nexthop)
+        });
+        self.blocks.insert((nexthop, ebgp), Arc::downgrade(&block));
+        if self.blocks.len() > 2 * self.live_at_prune {
+            self.blocks.retain(|_, b| b.strong_count() > 0);
+            self.live_at_prune = self.blocks.len();
+        }
+        block
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,6 +235,33 @@ mod tests {
         assert_eq!(Origin::from_u8(2), Some(Origin::Incomplete));
         assert_eq!(Origin::from_u8(3), None);
         assert!(Origin::Igp < Origin::Incomplete);
+    }
+
+    #[test]
+    fn equal_pairs_share_one_block() {
+        let mut blocks = AttrBlocks::default();
+        let nh = IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1));
+        let a = blocks.get(nh, true);
+        assert!(Arc::ptr_eq(&a, &blocks.get(nh, true)));
+        let ibgp = blocks.get(nh, false);
+        assert!(!Arc::ptr_eq(&a, &ibgp));
+        assert_eq!((a.nexthop, a.ebgp, ibgp.ebgp), (nh, true, false));
+        // A block dropped with its last holder is rebuilt, equal, on demand.
+        drop(a);
+        assert_eq!(*blocks.get(nh, true), *blocks.get(nh, true));
+    }
+
+    #[test]
+    fn churn_keeps_the_interner_within_twice_the_peak_live_blocks() {
+        let mut blocks = AttrBlocks::default();
+        let mut alive = std::collections::VecDeque::new();
+        for i in 0..100_000u32 {
+            if alive.len() == 100 {
+                alive.pop_front();
+            }
+            alive.push_back(blocks.get(IpAddr::V4(Ipv4Addr::from(i)), i % 2 == 0));
+            assert!(blocks.blocks.len() <= 201, "{i}: {}", blocks.blocks.len());
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   (the paper achieves the same effect with C++ templates, §4).
 //! * [`Prefix`] — a network prefix (address + mask length) with the subnet
 //!   arithmetic the RIB's interest-registration machinery needs (§5.2.1).
-//! * [`AsPath`], [`PathAttributes`] — BGP path attributes.
+//! * [`AsPath`], [`PathAttributes`] — BGP path attributes; [`AttrBlocks`]
+//!   hands out one shared block per nexthop.
 //! * [`RouteEntry`] — the route record that flows between routing stages.
 //! * [`PatriciaTrie`] — a binary radix trie over prefixes with *safe
 //!   iterators*: iterators that remain valid while background tasks pause
@@ -30,7 +31,7 @@ pub mod route;
 
 pub use addr::{Addr, Mac};
 pub use aspath::{AsNum, AsPath, AsPathSegment};
-pub use attrs::{Community, MedMetric, Origin, PathAttributes};
+pub use attrs::{AttrBlocks, Community, MedMetric, Origin, PathAttributes};
 pub use error::NetError;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use heapsize::{release_drained, HeapSize};

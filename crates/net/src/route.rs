@@ -229,7 +229,13 @@ mod tests {
         for net in ["10.0.0.0/8", "11.0.0.0/8", "12.0.0.0/8"] {
             let own = route(net);
             copying.insert(own.net, own.clone());
-            sharing.insert(own.net, RouteEntry { attrs: shared.clone(), ..own });
+            sharing.insert(
+                own.net,
+                RouteEntry {
+                    attrs: shared.clone(),
+                    ..own
+                },
+            );
         }
         let block = shared.heap_size();
         assert_eq!(route_table_bytes(&copying), copying.heap_size());
