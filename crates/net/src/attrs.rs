@@ -159,8 +159,9 @@ impl HeapSize for PathAttributes {
 /// One shared attribute block per `(nexthop, ebgp)` pair, for a table whose
 /// routes carry nothing else in their block.
 ///
-/// The map holds weak handles, so it never keeps a block alive: a block is
-/// dropped with its last route.  Dead entries are pruned when the map
+/// The map holds weak handles, so it never keeps a block alive, but a dead
+/// entry keeps the block's allocation until it is pruned.  Dead entries
+/// are pruned when the map
 /// reaches twice the number of live entries seen at the last prune, which
 /// is amortised O(1) per call and bounds the map at twice the peak number
 /// of live blocks, plus one.  The map is ordered, not hashed, because the
