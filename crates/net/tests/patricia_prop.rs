@@ -1,7 +1,12 @@
 //! Property tests: the Patricia trie against a `BTreeMap` reference model,
 //! including safe-iterator validity under interleaved mutation.
+//!
+//! Each model test runs twice: over prefixes drawn from the whole address
+//! space, and over prefixes clustered in a few /16 blocks, which share the
+//! trie's jump-index slots and so exercise its upkeep on every insert and
+//! remove.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
@@ -14,6 +19,25 @@ fn arb_prefix() -> impl Strategy<Value = Net> {
     (any::<u32>(), 0u8..=32).prop_map(|(bits, len)| Prefix::new(Ipv4Addr::from(bits), len).unwrap())
 }
 
+/// The /16 blocks `clustered_prefix` draws from: two neighbours, a third in
+/// the same /8 and a fourth in another /8.
+const BLOCKS: [u32; 4] = [0x0a01, 0x0a02, 0x0a81, 0xc0a8];
+
+fn in_block(block: usize, low: u16, len: u8) -> Net {
+    Prefix::new(Ipv4Addr::from(BLOCKS[block] << 16 | u32::from(low)), len).unwrap()
+}
+
+/// More-specifics (/16–/32) inside the `BLOCKS`, plus covering prefixes
+/// (/0–/16) of them, so nodes of length ≤ 16 keep taking over and handing
+/// back the jump slots above routes that stay.
+fn clustered_prefix() -> impl Strategy<Value = Net> {
+    prop_oneof![
+        3 => (0..BLOCKS.len(), any::<u16>(), 16u8..=32)
+            .prop_map(|(b, low, len)| in_block(b, low, len)),
+        1 => (0..BLOCKS.len(), 0u8..=16).prop_map(|(b, len)| in_block(b, 0, len)),
+    ]
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Insert(Net, u32),
@@ -21,11 +45,15 @@ enum Op {
     Lookup(u32),
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
+/// Mutations and lookups over one prefix distribution; a lookup address
+/// lies inside a prefix drawn from it.
+fn arb_op<S: Strategy<Value = Net> + 'static>(prefix: impl Fn() -> S) -> impl Strategy<Value = Op> {
     prop_oneof![
-        3 => (arb_prefix(), any::<u32>()).prop_map(|(p, v)| Op::Insert(p, v)),
-        2 => arb_prefix().prop_map(Op::Remove),
-        1 => any::<u32>().prop_map(Op::Lookup),
+        3 => (prefix(), any::<u32>()).prop_map(|(p, v)| Op::Insert(p, v)),
+        2 => prefix().prop_map(Op::Remove),
+        1 => (prefix(), any::<u32>()).prop_map(|(p, host)| {
+            Op::Lookup(u32::from(p.addr()) | host.checked_shr(p.len().into()).unwrap_or(0))
+        }),
     ]
 }
 
@@ -38,149 +66,203 @@ fn model_longest_match(model: &BTreeMap<Net, u32>, addr: Ipv4Addr) -> Option<(Ne
         .map(|(p, v)| (*p, *v))
 }
 
+fn items(trie: &PatriciaTrie<Ipv4Addr, u32>) -> Vec<(Net, u32)> {
+    trie.iter().map(|(p, v)| (p, *v)).collect()
+}
+
+fn model_items(model: &BTreeMap<Net, u32>) -> Vec<(Net, u32)> {
+    model.iter().map(|(p, v)| (*p, *v)).collect()
+}
+
+fn trie_of(entries: &BTreeMap<Net, u32>) -> PatriciaTrie<Ipv4Addr, u32> {
+    let mut trie = PatriciaTrie::new();
+    for (p, v) in entries {
+        trie.insert(*p, *v);
+    }
+    trie
+}
+
+/// Insert/remove/lookup agree with a BTreeMap model, and full iteration
+/// yields the model's sorted key order.
+fn check_trie_matches_model(ops: Vec<Op>) {
+    let mut trie: PatriciaTrie<Ipv4Addr, u32> = PatriciaTrie::new();
+    let mut model: BTreeMap<Net, u32> = BTreeMap::new();
+
+    for op in ops {
+        match op {
+            Op::Insert(p, v) => {
+                assert_eq!(trie.insert(p, v), model.insert(p, v));
+            }
+            Op::Remove(p) => {
+                assert_eq!(trie.remove(&p), model.remove(&p));
+            }
+            Op::Lookup(addr_bits) => {
+                let addr = Ipv4Addr::from(addr_bits);
+                let got = trie.longest_match(addr).map(|(p, v)| (p, *v));
+                assert_eq!(got, model_longest_match(&model, addr));
+            }
+        }
+        assert_eq!(trie.len(), model.len());
+    }
+    assert_eq!(items(&trie), model_items(&model));
+}
+
+/// Subtree iteration equals model filtering.
+fn check_subtree_matches_model(entries: BTreeMap<Net, u32>, root: Net) {
+    let trie = trie_of(&entries);
+    let got: Vec<Net> = trie.iter_subtree(&root).map(|(p, _)| p).collect();
+    let want: Vec<Net> = entries
+        .keys()
+        .filter(|p| root.contains(p))
+        .copied()
+        .collect();
+    assert_eq!(got, want);
+}
+
+/// best_covering returns the most specific strict ancestor.
+fn check_covering_matches_model(entries: BTreeMap<Net, u32>, query: Net) {
+    let trie = trie_of(&entries);
+    let got = trie.best_covering(&query).map(|(p, _)| p);
+    let want = entries
+        .keys()
+        .filter(|p| p.contains(&query) && p.len() < query.len())
+        .max_by_key(|p| p.len())
+        .copied();
+    assert_eq!(got, want);
+}
+
+/// A safe iterator interleaved with arbitrary mutation:
+/// - never yields a route that was deleted before being yielded and not
+///   re-inserted,
+/// - yields every route that was present at iterator creation and never
+///   touched,
+/// - yields keys in strictly increasing order,
+/// - and deferred deletion leaves the trie equal to the model at the end.
+fn check_safe_iter_under_mutation(initial: BTreeMap<Net, u32>, ops: Vec<Op>, step: usize) {
+    let mut trie = trie_of(&initial);
+    let mut model = initial.clone();
+    let untouched: BTreeSet<Net> = {
+        let mut s: BTreeSet<Net> = initial.keys().copied().collect();
+        for op in &ops {
+            match op {
+                Op::Insert(p, _) | Op::Remove(p) => {
+                    s.remove(p);
+                }
+                Op::Lookup(_) => {}
+            }
+        }
+        s
+    };
+    let apply =
+        |trie: &mut PatriciaTrie<Ipv4Addr, u32>, model: &mut BTreeMap<Net, u32>, op: Op| match op {
+            Op::Insert(p, v) => {
+                trie.insert(p, v);
+                model.insert(p, v);
+            }
+            Op::Remove(p) => {
+                trie.remove(&p);
+                model.remove(&p);
+            }
+            Op::Lookup(_) => {}
+        };
+
+    let mut h = trie.iter_handle();
+    let mut yielded: Vec<Net> = Vec::new();
+    let mut op_iter = ops.into_iter();
+    'walk: loop {
+        // Advance `step` positions, then apply one mutation.
+        for _ in 0..step {
+            match trie.iter_next(&mut h) {
+                Some((p, _)) => yielded.push(p),
+                None => break 'walk,
+            }
+        }
+        if let Some(op) = op_iter.next() {
+            apply(&mut trie, &mut model, op);
+        }
+    }
+    trie.iter_release(h);
+
+    // Drain remaining mutations so trie == model at the end.
+    for op in op_iter {
+        apply(&mut trie, &mut model, op);
+    }
+
+    // Strictly increasing yield order (never revisits, never goes back).
+    for w in yielded.windows(2) {
+        assert!(w[0] < w[1], "yield order violated: {} then {}", w[0], w[1]);
+    }
+    // Every untouched initial route was yielded.
+    for p in &untouched {
+        assert!(yielded.contains(p), "untouched route {} skipped", p);
+    }
+    // Final state equals model.
+    assert_eq!(items(&trie), model_items(&model));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Insert/remove/lookup agree with a BTreeMap model, and full iteration
-    /// yields the model's sorted key order.
     #[test]
-    fn trie_matches_model(ops in proptest::collection::vec(arb_op(), 1..200)) {
-        let mut trie: PatriciaTrie<Ipv4Addr, u32> = PatriciaTrie::new();
-        let mut model: BTreeMap<Net, u32> = BTreeMap::new();
-
-        for op in ops {
-            match op {
-                Op::Insert(p, v) => {
-                    prop_assert_eq!(trie.insert(p, v), model.insert(p, v));
-                }
-                Op::Remove(p) => {
-                    prop_assert_eq!(trie.remove(&p), model.remove(&p));
-                }
-                Op::Lookup(addr_bits) => {
-                    let addr = Ipv4Addr::from(addr_bits);
-                    let got = trie.longest_match(addr).map(|(p, v)| (p, *v));
-                    prop_assert_eq!(got, model_longest_match(&model, addr));
-                }
-            }
-            prop_assert_eq!(trie.len(), model.len());
-        }
-
-        let trie_items: Vec<(Net, u32)> = trie.iter().map(|(p, v)| (p, *v)).collect();
-        let model_items: Vec<(Net, u32)> = model.iter().map(|(p, v)| (*p, *v)).collect();
-        prop_assert_eq!(trie_items, model_items);
+    fn trie_matches_model(ops in proptest::collection::vec(arb_op(arb_prefix), 1..200)) {
+        check_trie_matches_model(ops);
     }
 
-    /// Subtree iteration equals model filtering.
+    #[test]
+    fn trie_matches_model_in_shared_blocks(
+        ops in proptest::collection::vec(arb_op(clustered_prefix), 1..200),
+    ) {
+        check_trie_matches_model(ops);
+    }
+
     #[test]
     fn subtree_matches_model(
         entries in proptest::collection::btree_map(arb_prefix(), any::<u32>(), 0..60),
         root in arb_prefix(),
     ) {
-        let mut trie: PatriciaTrie<Ipv4Addr, u32> = PatriciaTrie::new();
-        for (p, v) in &entries {
-            trie.insert(*p, *v);
-        }
-        let got: Vec<Net> = trie.iter_subtree(&root).map(|(p, _)| p).collect();
-        let want: Vec<Net> = entries.keys().filter(|p| root.contains(p)).copied().collect();
-        prop_assert_eq!(got, want);
+        check_subtree_matches_model(entries, root);
     }
 
-    /// best_covering returns the most specific strict ancestor.
+    #[test]
+    fn subtree_matches_model_in_shared_blocks(
+        entries in proptest::collection::btree_map(clustered_prefix(), any::<u32>(), 0..60),
+        root in clustered_prefix(),
+    ) {
+        check_subtree_matches_model(entries, root);
+    }
+
     #[test]
     fn covering_matches_model(
         entries in proptest::collection::btree_map(arb_prefix(), any::<u32>(), 0..60),
         query in arb_prefix(),
     ) {
-        let mut trie: PatriciaTrie<Ipv4Addr, u32> = PatriciaTrie::new();
-        for (p, v) in &entries {
-            trie.insert(*p, *v);
-        }
-        let got = trie.best_covering(&query).map(|(p, _)| p);
-        let want = entries
-            .keys()
-            .filter(|p| p.contains(&query) && p.len() < query.len())
-            .max_by_key(|p| p.len())
-            .copied();
-        prop_assert_eq!(got, want);
+        check_covering_matches_model(entries, query);
     }
 
-    /// A safe iterator interleaved with arbitrary mutation:
-    /// - never yields a route that was deleted before being yielded and not
-    ///   re-inserted,
-    /// - yields every route that was present at iterator creation and never
-    ///   touched,
-    /// - yields keys in strictly increasing order,
-    /// - and deferred deletion leaves the trie equal to the model at the end.
+    #[test]
+    fn covering_matches_model_in_shared_blocks(
+        entries in proptest::collection::btree_map(clustered_prefix(), any::<u32>(), 0..60),
+        query in clustered_prefix(),
+    ) {
+        check_covering_matches_model(entries, query);
+    }
+
     #[test]
     fn safe_iter_under_mutation(
         initial in proptest::collection::btree_map(arb_prefix(), any::<u32>(), 1..40),
-        ops in proptest::collection::vec(arb_op(), 0..80),
+        ops in proptest::collection::vec(arb_op(arb_prefix), 0..80),
         step in 1usize..5,
     ) {
-        let mut trie: PatriciaTrie<Ipv4Addr, u32> = PatriciaTrie::new();
-        let mut model: BTreeMap<Net, u32> = BTreeMap::new();
-        for (p, v) in &initial {
-            trie.insert(*p, *v);
-            model.insert(*p, *v);
-        }
-        let untouched: std::collections::BTreeSet<Net> = {
-            let mut s: std::collections::BTreeSet<Net> =
-                initial.keys().copied().collect();
-            for op in &ops {
-                match op {
-                    Op::Insert(p, _) | Op::Remove(p) => { s.remove(p); }
-                    Op::Lookup(_) => {}
-                }
-            }
-            s
-        };
+        check_safe_iter_under_mutation(initial, ops, step);
+    }
 
-        let mut h = trie.iter_handle();
-        let mut yielded: Vec<Net> = Vec::new();
-        let mut op_iter = ops.into_iter();
-        loop {
-            // Advance `step` positions, then apply one mutation.
-            let mut done = false;
-            for _ in 0..step {
-                match trie.iter_next(&mut h) {
-                    Some((p, _)) => yielded.push(p),
-                    None => { done = true; break; }
-                }
-            }
-            if done {
-                break;
-            }
-            if let Some(op) = op_iter.next() {
-                match op {
-                    Op::Insert(p, v) => { trie.insert(p, v); model.insert(p, v); }
-                    Op::Remove(p) => { trie.remove(&p); model.remove(&p); }
-                    Op::Lookup(_) => {}
-                }
-            }
-        }
-        trie.iter_release(h);
-
-        // Drain remaining mutations so trie == model at the end.
-        for op in op_iter {
-            match op {
-                Op::Insert(p, v) => { trie.insert(p, v); model.insert(p, v); }
-                Op::Remove(p) => { trie.remove(&p); model.remove(&p); }
-                Op::Lookup(_) => {}
-            }
-        }
-
-        // Strictly increasing yield order (never revisits, never goes back).
-        for w in yielded.windows(2) {
-            prop_assert!(w[0] < w[1], "yield order violated: {} then {}", w[0], w[1]);
-        }
-        // Every untouched initial route was yielded.
-        for p in &untouched {
-            prop_assert!(yielded.contains(p), "untouched route {} skipped", p);
-        }
-        // Final state equals model.
-        let trie_items: Vec<(Net, u32)> = trie.iter().map(|(p, v)| (p, *v)).collect();
-        let model_items: Vec<(Net, u32)> = model.iter().map(|(p, v)| (*p, *v)).collect();
-        prop_assert_eq!(trie_items, model_items);
+    #[test]
+    fn safe_iter_under_mutation_in_shared_blocks(
+        initial in proptest::collection::btree_map(clustered_prefix(), any::<u32>(), 1..40),
+        ops in proptest::collection::vec(arb_op(clustered_prefix), 0..80),
+        step in 1usize..5,
+    ) {
+        check_safe_iter_under_mutation(initial, ops, step);
     }
 
     /// Prefix arithmetic invariants used by the trie.
