@@ -82,6 +82,40 @@ pub struct UpdateIn<A: Addr> {
 
 type Deletions<A> = Rc<RefCell<VecDeque<Rc<RefCell<DeletionStage<A>>>>>>;
 
+/// A branch's deletion stages with the stages they splice between.
+struct DeletionChain<A: Addr>
+where
+    BgpRoute<A>: PolicyTarget,
+{
+    peer_in: Rc<RefCell<PeerIn<A>>>,
+    deletions: Deletions<A>,
+    fixed_head: StageRef<A, BgpRoute<A>>,
+    /// The stage below the chain whose lookups relay up into it, if any.
+    lookup_tail: Option<Rc<RefCell<FilterStage<A>>>>,
+}
+
+impl<A: Addr> DeletionChain<A>
+where
+    BgpRoute<A>: PolicyTarget,
+{
+    /// Plumb the chain both ways after a splice or an unsplice: route ops
+    /// flow PeerIn → newest … oldest deletion stage → fixed head, and
+    /// lookups relay back up the same path, so a route still waiting to be
+    /// deleted "will still be returned by lookup_route".
+    fn plumb(&self) {
+        let mut upper: StageRef<A, BgpRoute<A>> = self.peer_in.clone();
+        for del in self.deletions.borrow().iter() {
+            upper.borrow_mut().set_downstream(del.clone());
+            del.borrow_mut().set_upstream(upper.clone());
+            upper = del.clone();
+        }
+        upper.borrow_mut().set_downstream(self.fixed_head.clone());
+        if let Some(tail) = &self.lookup_tail {
+            tail.borrow_mut().set_upstream(upper);
+        }
+    }
+}
+
 struct PeerBranch<A: Addr> {
     ebgp: bool,
     peer_as: AsNum,
@@ -288,6 +322,7 @@ where
         ));
         NexthopResolver::attach(&resolver);
         import.borrow_mut().set_downstream(resolver.clone());
+        resolver.borrow_mut().set_upstream(import.clone());
         resolver.borrow_mut().set_downstream(self.decision.clone());
 
         let damping = cfg.damping.map(|dc| {
@@ -427,42 +462,27 @@ where
             .borrow_mut()
             .extend_dumps(|| Box::new(DeletionTableSource::new(del.clone())));
 
-        // Splice: PeerIn → del → (previous head of the deletion chain, or
-        // the fixed chain).
-        let downstream: StageRef<A, BgpRoute<A>> = match branch.deletions.borrow().front() {
-            Some(front) => front.clone(),
-            None => branch.fixed_head.clone(),
-        };
-        del.borrow_mut().set_downstream(downstream);
-        del.borrow_mut().set_upstream(branch.peer_in.clone());
-        branch.peer_in.borrow_mut().set_downstream(del.clone());
+        // Splice it in directly after the PeerIn (Figure 6), and splice it
+        // out again once drained.
         branch.deletions.borrow_mut().push_front(del.clone());
-
-        // Unplumb once drained.
-        let deletions = branch.deletions.clone();
-        let peer_in = branch.peer_in.clone();
-        let fixed_head = branch.fixed_head.clone();
+        let chain = DeletionChain {
+            peer_in: branch.peer_in.clone(),
+            deletions: branch.deletions.clone(),
+            fixed_head: branch.fixed_head.clone(),
+            // With damping, the fixed head answers lookups from what it
+            // forwarded; without, the import filter relays them.
+            lookup_tail: branch.damping.is_none().then(|| branch.import.clone()),
+        };
+        chain.plumb();
         let del_weak = Rc::downgrade(&del);
         del.borrow_mut().on_drained(move |_el| {
-            let Some(del) = del_weak.upgrade() else {
-                return;
-            };
-            let mut chain = deletions.borrow_mut();
-            let Some(pos) = chain.iter().position(|d| Rc::ptr_eq(d, &del)) else {
-                return;
-            };
-            // Upstream neighbor (closer to PeerIn) re-plumbs around us.
-            let downstream: StageRef<A, BgpRoute<A>> = if pos + 1 < chain.len() {
-                chain[pos + 1].clone()
-            } else {
-                fixed_head.clone()
-            };
-            if pos == 0 {
-                peer_in.borrow_mut().set_downstream(downstream);
-            } else {
-                chain[pos - 1].borrow_mut().set_downstream(downstream);
+            if let Some(del) = del_weak.upgrade() {
+                chain
+                    .deletions
+                    .borrow_mut()
+                    .retain(|d| !Rc::ptr_eq(d, &del));
+                chain.plumb();
             }
-            chain.remove(pos);
         });
         DeletionStage::start(el, del);
     }
@@ -664,17 +684,25 @@ where
         out
     }
 
-    /// Heap bytes attributable to BGP's structures: PeerIn tables (where
-    /// routes live — the only per-route storage) plus the fanout's queue
-    /// and transient dump state.  Compared against the paper's "120 MB
-    /// for BGP".
+    /// Heap bytes attributable to BGP's structures: the PeerIn tables
+    /// (where routes live), each resolver's per-nexthop prefix sets, and
+    /// the fanout's queue and transient dump state.  Compared against the
+    /// paper's "120 MB for BGP".  Not charged: routes parked in deletion
+    /// stages, each PeerOut's set of announced prefixes, and the shared
+    /// nexthop answer cache (one entry per answered range).
     pub fn memory_bytes(&self) -> usize {
-        let peer_tables: usize = self
+        let resolvers: usize = self
             .peers
             .values()
-            .map(|b| b.peer_in.borrow().memory_bytes())
+            .map(|b| b.resolver.borrow().heap_size())
             .sum();
-        peer_tables + self.fanout.borrow().heap_size()
+        self.peer_table_bytes() + resolvers + self.fanout.borrow().heap_size()
+    }
+
+    /// Heap bytes of the PeerIn tables alone: the one copy of each route.
+    pub fn peer_table_bytes(&self) -> usize {
+        let tables = self.peers.values();
+        tables.map(|b| b.peer_in.borrow().memory_bytes()).sum()
     }
 
     /// Heap bytes of the fanout stage alone (queue + reader bookkeeping +

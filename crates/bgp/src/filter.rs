@@ -202,6 +202,11 @@ where
     }
 
     fn lookup_route(&self, net: &Prefix<A>) -> Option<BgpRoute<A>> {
+        // A prefix not yet reconciled after a bank swap: downstream holds
+        // the old bank's view.
+        if let Some(view) = self.transition.get(net) {
+            return view.clone();
+        }
         self.upstream
             .as_ref()
             .and_then(|u| u.borrow().lookup_route(net))

@@ -18,14 +18,30 @@
 //! not about the peer that happened to ask, so a peering whose nexthop
 //! falls in a range another peering already learned resolves at once
 //! instead of parking its routes for a round trip.
+//!
+//! The stage stores no route ("routes are stored only in the Peer In
+//! stages"), only state **per nexthop**: the answer its routes were last
+//! sent downstream under, whether a query is out, and the prefixes using
+//! it.  A route's downstream form is the route its op carries, annotated
+//! from its nexthop's entry.  When an answer changes an entry, the stage
+//! walks its prefixes, fetching each route with one `lookup_route` through
+//! the import filter, as its own `lookup_route` does.  An invalidation
+//! keeps each nexthop's last answer until the fresh one arrives, for the
+//! routes it has and for any that arrive meanwhile.
+//!
+//! That relay trusts upstream to hold what this stage has been sent, so
+//! the stage handles each op as it arrives: every stage above it forwards
+//! a change in the same call that records it, and upstream is never ahead.
+//! Only a query waits for a deferred event, because the caller holds this
+//! stage's borrow and a service may answer at once.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::{Rc, Weak};
 
 use xorp_event::EventLoop;
-use xorp_net::{Addr, Prefix};
-use xorp_profiler::tracing as xtrace;
+use xorp_net::{Addr, HeapSize, Prefix};
+use xorp_profiler::tracing::{self as xtrace, TraceContext};
 use xorp_stages::{OriginId, RouteOp, Stage, StageRef};
 
 use crate::{BgpRoute, PeerId};
@@ -103,23 +119,32 @@ impl<A: Addr> RangeCache<A> {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HeldState {
-    /// Metric known; annotated route is downstream.
-    Resolved(u32),
-    /// Nexthop unreachable; route withheld.
-    Unreachable,
-    /// Waiting for a RIB answer; route queued.
-    Waiting,
+/// An answer in [`RangeCache::lookup`]'s form: `Some(Some(m))` resolved at
+/// metric m (routes annotated downstream), `Some(None)` unreachable
+/// (routes withheld), `None` waiting (routes queued).
+type Answer = Option<Option<u32>>;
+
+/// `route` as downstream sees it under `answer`.
+fn annotate<A: Addr>(answer: Answer, mut route: BgpRoute<A>) -> Option<BgpRoute<A>> {
+    route.metric = answer.flatten()?;
+    Some(route)
 }
 
-struct Held<A: Addr> {
-    route: BgpRoute<A>,
-    state: HeldState,
-    /// Ambient trace context the route arrived under, re-established
-    /// when an asynchronous answer releases it downstream.
-    trace: Option<xtrace::TraceContext>,
+/// The state shared by every route of one peering naming one nexthop.
+struct Nexthop<A: Addr> {
+    /// What this nexthop's routes were last sent downstream under.
+    answer: Answer,
+    /// `Some` while a query is out; `Some(true)` once an invalidation of
+    /// its range has run since it was sent: the answer may have been worked
+    /// out before that change, so it is asked again, not cached.
+    query: Option<bool>,
+    /// Prefixes whose route uses this nexthop.
+    nets: BTreeSet<Prefix<A>>,
 }
+
+/// One route's form downstream before and after a change, and the trace
+/// context it was parked under.
+type Diff<A> = (Prefix<A>, [Option<BgpRoute<A>>; 2], Option<TraceContext>);
 
 /// The per-peer nexthop resolver stage.
 pub struct NexthopResolver<A: Addr> {
@@ -127,12 +152,13 @@ pub struct NexthopResolver<A: Addr> {
     service: Rc<dyn NexthopService<A>>,
     /// The process-wide answer cache, shared with every other resolver.
     cache: Rc<RefCell<RangeCache<A>>>,
-    held: BTreeMap<Prefix<A>, Held<A>>,
-    by_nexthop: BTreeMap<A, BTreeSet<Prefix<A>>>,
-    /// Nexthops with a query out, each marked `true` once an invalidation
-    /// of its range has run since the query was sent: the answer may have
-    /// been worked out before that change, so it is asked again, not cached.
-    pending_requests: BTreeMap<A, bool>,
+    /// Ordered, so the nexthops inside a range are one range scan.  An
+    /// entry lives while it has prefixes or a query is out.
+    nexthops: BTreeMap<A, Nexthop<A>>,
+    /// The ambient trace context of each sampled route still waiting.
+    traces: BTreeMap<Prefix<A>, TraceContext>,
+    /// The import filter: where routes are fetched from.
+    upstream: Option<StageRef<A, BgpRoute<A>>>,
     downstream: Option<StageRef<A, BgpRoute<A>>>,
     /// Weak self-handle for async callbacks; set by [`NexthopResolver::attach`].
     me: Option<Weak<RefCell<NexthopResolver<A>>>>,
@@ -150,9 +176,9 @@ impl<A: Addr> NexthopResolver<A> {
             peer,
             service,
             cache,
-            held: BTreeMap::new(),
-            by_nexthop: BTreeMap::new(),
-            pending_requests: BTreeMap::new(),
+            nexthops: BTreeMap::new(),
+            traces: BTreeMap::new(),
+            upstream: None,
             downstream: None,
             me: None,
         }
@@ -170,20 +196,25 @@ impl<A: Addr> NexthopResolver<A> {
         self.downstream = Some(s);
     }
 
-    /// Routes currently queued waiting for answers.
-    pub fn waiting_count(&self) -> usize {
-        self.held
-            .values()
-            .filter(|h| h.state == HeldState::Waiting)
-            .count()
+    /// Plumb the upstream neighbor, the import filter routes come from.
+    pub fn set_upstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
+        self.upstream = Some(s);
     }
 
-    /// Routes withheld because their nexthop is unreachable.
+    /// Routes currently queued waiting for answers.
+    pub fn waiting_count(&self) -> usize {
+        self.count(None)
+    }
+
+    /// Routes withheld because their nexthop is unreachable (not counting
+    /// those whose nexthop is of the other address family).
     pub fn unreachable_count(&self) -> usize {
-        self.held
-            .values()
-            .filter(|h| h.state == HeldState::Unreachable)
-            .count()
+        self.count(Some(None))
+    }
+
+    fn count(&self, answer: Answer) -> usize {
+        let with = self.nexthops.values().filter(|n| n.answer == answer);
+        with.map(|n| n.nets.len()).sum()
     }
 
     /// Cached answer ranges.
@@ -191,44 +222,64 @@ impl<A: Addr> NexthopResolver<A> {
         self.cache.borrow().len()
     }
 
-    fn view(&self, net: &Prefix<A>) -> Option<BgpRoute<A>> {
-        self.held.get(net).and_then(|h| match h.state {
-            HeldState::Resolved(m) => Some(annotate(&h.route, m)),
-            _ => None,
-        })
+    /// Record that `net`'s route uses `nh`, making the nexthop's entry
+    /// from the shared cache if it is new.  Returns the answer the route
+    /// takes, and whether a query must go out for `nh`.
+    fn index(&mut self, net: Prefix<A>, nh: A) -> (Answer, bool) {
+        let cache = &self.cache;
+        let mut ask = false;
+        let entry = self.nexthops.entry(nh).or_insert_with(|| {
+            let answer = cache.borrow().lookup(nh);
+            ask = answer.is_none();
+            Nexthop {
+                answer,
+                query: ask.then_some(false),
+                nets: BTreeSet::new(),
+            }
+        });
+        entry.nets.insert(net);
+        (entry.answer, ask)
     }
 
-    fn index(&mut self, nh: A, net: Prefix<A>) {
-        self.by_nexthop.entry(nh).or_default().insert(net);
+    /// Forget that `route` (for `net`) uses its nexthop.  Returns the form
+    /// downstream was sent.
+    fn unindex(&mut self, net: Prefix<A>, route: BgpRoute<A>) -> Option<BgpRoute<A>> {
+        let nh = A::from_ipaddr(route.nexthop())?;
+        let entry = self.nexthops.get_mut(&nh)?;
+        entry.nets.remove(&net);
+        let sent = annotate(entry.answer, route);
+        self.prune(nh);
+        sent
     }
 
-    fn unindex(&mut self, nh: A, net: &Prefix<A>) {
-        if let Some(set) = self.by_nexthop.get_mut(&nh) {
-            set.remove(net);
-            if set.is_empty() {
-                self.by_nexthop.remove(&nh);
+    /// Drop `nh`'s entry once nothing needs it.
+    fn prune(&mut self, nh: A) {
+        let idle = |n: &Nexthop<A>| n.nets.is_empty() && n.query.is_none();
+        if self.nexthops.get(&nh).is_some_and(idle) {
+            self.nexthops.remove(&nh);
+        }
+    }
+
+    /// Record `now` as `nh`'s answer.  If it moved, walk the nexthop's
+    /// prefixes, fetching each route upstream, and collect the changes.
+    fn settle(&mut self, nh: A, now: Answer, diffs: &mut Vec<Diff<A>>) {
+        let (Some(entry), Some(upstream)) = (self.nexthops.get_mut(&nh), &self.upstream) else {
+            return;
+        };
+        let was = std::mem::replace(&mut entry.answer, now);
+        if was == now {
+            return;
+        }
+        for net in &entry.nets {
+            if let Some(route) = upstream.borrow().lookup_route(net) {
+                let forms = [annotate(was, route.clone()), annotate(now, route)];
+                diffs.push((*net, forms, self.traces.remove(net)));
             }
         }
     }
 
-    /// Re-derive a held route's state from the cache; requests resolution
-    /// when unknown.  Returns whether a request must be issued for `nh`.
-    fn classify(&mut self, nh: A) -> (HeldState, bool) {
-        let cached = self.cache.borrow().lookup(nh);
-        match cached {
-            Some(Some(m)) => (HeldState::Resolved(m), false),
-            Some(None) => (HeldState::Unreachable, false),
-            None => {
-                let request = !self.pending_requests.contains_key(&nh);
-                if request {
-                    self.pending_requests.insert(nh, false);
-                }
-                (HeldState::Waiting, request)
-            }
-        }
-    }
-
-    fn issue_request(el: &mut EventLoop, me: &Rc<RefCell<NexthopResolver<A>>>, nh: A) {
+    /// Send the query for `nh`; its answer comes back to `on_answer`.
+    fn ask(el: &mut EventLoop, me: &Rc<RefCell<NexthopResolver<A>>>, nh: A) {
         let weak = Rc::downgrade(me);
         let service = me.borrow().service.clone();
         service.resolve_nexthop(
@@ -243,67 +294,49 @@ impl<A: Addr> NexthopResolver<A> {
     }
 
     /// The asynchronous answer to the query for `asked` arrived: cache it
-    /// and re-evaluate every held route whose nexthop the answer covers.
-    /// If an invalidation of `asked` ran while the query was out, the
-    /// answer may predate the change it reported, and the RIB has dropped
-    /// that registration, so a cached copy would never be invalidated: it
-    /// is dropped instead, and asked again while a route still needs it.
+    /// and settle every nexthop it covers.  If an invalidation of `asked`
+    /// ran while the query was out, the answer may predate the change it
+    /// reported, and the RIB has dropped that registration, so a cached
+    /// copy would never be invalidated: it is dropped instead, and `asked`
+    /// settles from a fresher answer another query has cached meanwhile,
+    /// or is asked again while a route still needs it.
     pub fn on_answer(
         el: &mut EventLoop,
         me: &Rc<RefCell<NexthopResolver<A>>>,
         asked: A,
         ans: RibNexthopAnswer<A>,
     ) {
-        let stale = me.borrow_mut().pending_requests.remove(&asked) == Some(true);
-        if stale {
-            let requery = {
-                let mut s = me.borrow_mut();
-                let wanted =
-                    s.by_nexthop.contains_key(&asked) && s.cache.borrow().lookup(asked).is_none();
-                if wanted {
-                    s.pending_requests.insert(asked, false);
-                }
-                wanted
-            };
-            if requery {
-                Self::issue_request(el, me, asked);
-            }
-            return;
-        }
-        let (diffs, downstream, origin) = {
+        let (diffs, requery, downstream, origin) = {
             let mut s = me.borrow_mut();
-            s.cache.borrow_mut().insert(ans.valid, ans.metric);
-            let affected: Vec<Prefix<A>> = s
-                .by_nexthop
-                .iter()
-                .filter(|(nh, _)| ans.valid.contains_addr(**nh))
-                .flat_map(|(_, nets)| nets.iter().copied())
-                .collect();
-            let mut diffs = Vec::new();
-            for net in affected {
-                let before = s.view(&net);
-                let nh = s
-                    .held
-                    .get(&net)
-                    .and_then(|h| A::from_ipaddr(h.route.nexthop()));
-                if let Some(nh) = nh {
-                    let (state, _) = s.classify(nh);
-                    if let Some(h) = s.held.get_mut(&net) {
-                        h.state = state;
-                    }
-                }
-                let after = s.view(&net);
-                if before != after {
-                    let trace = s.held.get(&net).and_then(|h| h.trace);
-                    diffs.push((net, before, after, trace));
+            let stale = s.nexthops.get_mut(&asked).and_then(|n| n.query.take()) == Some(true);
+            let covered = if stale {
+                Prefix::host(asked)
+            } else {
+                s.cache.borrow_mut().insert(ans.valid, ans.metric);
+                ans.valid
+            };
+            let inside = s.nexthops.range(covered.first_addr()..=covered.last_addr());
+            let inside: Vec<A> = inside.map(|(nh, _)| *nh).collect();
+            let (mut diffs, mut requery) = (Vec::new(), false);
+            for nh in inside {
+                let cached = s.cache.borrow().lookup(nh);
+                if cached.is_some() {
+                    s.settle(nh, cached, &mut diffs);
+                } else if let Some(n) = s.nexthops.get_mut(&nh).filter(|n| !n.nets.is_empty()) {
+                    // Only a stale answer leaves its nexthop uncovered.
+                    (n.query, requery) = (Some(false), true);
                 }
             }
-            (diffs, s.downstream.clone(), OriginId(s.peer.0))
+            s.prune(asked);
+            (diffs, requery, s.downstream.clone(), s.peer.into())
         };
+        if requery {
+            Self::ask(el, me, asked);
+        }
         if let Some(d) = downstream {
-            for (net, before, after, trace) in diffs {
-                // The answer callback runs with no ambient context; the
-                // held route remembered the one it arrived under.
+            for (net, [before, after], trace) in diffs {
+                // The answer callback runs with no ambient context; a
+                // parked sampled route remembered the one it arrived under.
                 let prev = xtrace::set_current(trace);
                 emit_diff(el, &d, origin, net, before, after);
                 xtrace::set_current(prev);
@@ -317,100 +350,41 @@ impl<A: Addr> NexthopResolver<A> {
     }
 
     /// The RIB invalidated a handed-out range: evict it and re-query for
-    /// every nexthop inside.  Routes keep their last annotation until the
-    /// fresh answer arrives.  A query already out for a nexthop inside is
-    /// marked stale rather than sent twice: the loop may run this before
-    /// an answer the RIB worked out ahead of the change.
+    /// every nexthop inside.  Each keeps its last answer until the fresh
+    /// one arrives.  A query already out for a nexthop inside is marked
+    /// stale rather than sent twice: the loop may run this before an
+    /// answer the RIB worked out ahead of the change.
     pub fn invalidate(el: &mut EventLoop, me: &Rc<RefCell<NexthopResolver<A>>>, range: Prefix<A>) {
-        let requests: Vec<A> = {
+        let asks: Vec<A> = {
             let mut s = me.borrow_mut();
             s.cache.borrow_mut().remove_overlapping(&range);
-            for (_, stale) in s
-                .pending_requests
-                .iter_mut()
-                .filter(|(nh, _)| range.contains_addr(**nh))
-            {
-                *stale = true;
-            }
-            let requests: Vec<A> = s
-                .by_nexthop
-                .keys()
-                .filter(|nh| range.contains_addr(**nh))
-                .filter(|nh| !s.pending_requests.contains_key(nh))
-                .copied()
-                .collect();
-            for nh in &requests {
-                s.pending_requests.insert(*nh, false);
-            }
-            requests
-        };
-        for nh in requests {
-            Self::issue_request(el, me, nh);
-        }
-    }
-
-    /// Stage-entry point used by the pipeline plumbing: the shared-handle
-    /// version of `route_op` that can issue async requests.
-    pub fn route_op_rc(
-        el: &mut EventLoop,
-        me: &Rc<RefCell<NexthopResolver<A>>>,
-        origin: OriginId,
-        op: RouteOp<A, BgpRoute<A>>,
-    ) {
-        let net = op.net();
-        let (diff, downstream, request) = {
-            let mut s = me.borrow_mut();
-            let before = s.view(&net);
-            // Remove the old record.
-            if let Some(old) = s.held.remove(&net) {
-                if let Some(nh) = A::from_ipaddr(old.route.nexthop()) {
-                    s.unindex(nh, &net);
+            let mut asks = Vec::new();
+            for (nh, n) in s.nexthops.range_mut(range.first_addr()..=range.last_addr()) {
+                match &mut n.query {
+                    Some(stale) => *stale = true,
+                    None => {
+                        n.query = Some(false);
+                        asks.push(*nh);
+                    }
                 }
             }
-            let mut request = None;
-            if let Some(new) = op.new_route().cloned() {
-                let state = match A::from_ipaddr(new.nexthop()) {
-                    None => HeldState::Unreachable, // family mismatch
-                    Some(nh) => {
-                        s.index(nh, net);
-                        let (state, need_request) = s.classify(nh);
-                        if need_request {
-                            request = Some(nh);
-                        }
-                        state
-                    }
-                };
-                s.held.insert(
-                    net,
-                    Held {
-                        route: new,
-                        state,
-                        trace: xtrace::current(),
-                    },
-                );
-            }
-            let after = s.view(&net);
-            (
-                (before != after).then_some((before, after)),
-                s.downstream.clone(),
-                request,
-            )
+            asks
         };
-        if let Some((before, after)) = diff {
-            if let Some(d) = &downstream {
-                emit_diff(el, d, origin, net, before, after);
-            }
-        }
-        if let Some(nh) = request {
-            Self::issue_request(el, me, nh);
+        for nh in asks {
+            Self::ask(el, me, nh);
         }
     }
 }
 
-fn annotate<A: Addr>(route: &BgpRoute<A>, metric: u32) -> BgpRoute<A> {
-    let mut r = route.clone();
-    r.metric = metric;
-    r
+impl<A: Addr> HeapSize for NexthopResolver<A> {
+    /// The per-nexthop entries and prefix sets, and the parked routes'
+    /// trace contexts.  The shared answer cache is not charged.
+    fn heap_size(&self) -> usize {
+        let entry = std::mem::size_of::<(A, Nexthop<A>)>();
+        let trace = std::mem::size_of::<(Prefix<A>, TraceContext)>();
+        let sets: usize = self.nexthops.values().map(|n| n.nets.heap_size()).sum();
+        self.nexthops.len() * entry + sets + self.traces.len() * trace
+    }
 }
 
 fn emit_diff<A: Addr>(
@@ -421,19 +395,13 @@ fn emit_diff<A: Addr>(
     before: Option<BgpRoute<A>>,
     after: Option<BgpRoute<A>>,
 ) {
-    match (before, after) {
-        (None, Some(new)) => d
-            .borrow_mut()
-            .route_op(el, origin, RouteOp::Add { net, route: new }),
-        (Some(old), None) => d
-            .borrow_mut()
-            .route_op(el, origin, RouteOp::Delete { net, old }),
-        (Some(old), Some(new)) if old != new => {
-            d.borrow_mut()
-                .route_op(el, origin, RouteOp::Replace { net, old, new })
-        }
-        _ => {}
-    }
+    let op = match (before, after) {
+        (None, Some(route)) => RouteOp::Add { net, route },
+        (Some(old), None) => RouteOp::Delete { net, old },
+        (Some(old), Some(new)) if old != new => RouteOp::Replace { net, old, new },
+        _ => return,
+    };
+    d.borrow_mut().route_op(el, origin, op);
 }
 
 impl<A: Addr> Stage<A, BgpRoute<A>> for NexthopResolver<A> {
@@ -441,47 +409,50 @@ impl<A: Addr> Stage<A, BgpRoute<A>> for NexthopResolver<A> {
         format!("nexthop-resolver[{}]", self.peer.0)
     }
 
+    /// Re-index `op`'s prefix and send downstream the change in its form.
     fn route_op(&mut self, el: &mut EventLoop, origin: OriginId, op: RouteOp<A, BgpRoute<A>>) {
-        // Re-enter through the shared handle so async requests can be
-        // issued; `attach` must have been called.
-        let me = self
-            .me
-            .as_ref()
-            .and_then(Weak::upgrade)
-            .expect("NexthopResolver::attach not called");
-        // We are inside a borrow_mut made by the caller; to avoid a double
-        // borrow, defer to the event loop (still the same logical event —
-        // a deferred closure runs before any queued external event only if
-        // queued first; acceptable and keeps the one-borrow discipline).
-        // The deferral would strip a sampled route of its ambient trace
-        // context, so carry it across explicitly.
-        let trace = xtrace::current();
-        el.defer(move |el| {
-            let op = op;
-            let prev = xtrace::set_current(trace);
-            NexthopResolver::route_op_rc(el, &me, origin, op);
-            xtrace::set_current(prev);
+        let net = op.net();
+        let (old, new) = match op {
+            RouteOp::Add { route, .. } => (None, Some(route)),
+            RouteOp::Replace { old, new, .. } => (Some(old), Some(new)),
+            RouteOp::Delete { old, .. } => (Some(old), None),
+        };
+        let before = old.and_then(|r| self.unindex(net, r));
+        self.traces.remove(&net);
+        let mut ask = None;
+        // A nexthop of the other family never resolves: withheld.
+        let after = new.and_then(|r| {
+            let nh = A::from_ipaddr(r.nexthop())?;
+            let (answer, new_query) = self.index(net, nh);
+            ask = new_query.then_some(nh);
+            if let (None, Some(trace)) = (answer, xtrace::current()) {
+                self.traces.insert(net, trace);
+            }
+            annotate(answer, r)
         });
+        if let Some(d) = &self.downstream {
+            emit_diff(el, d, origin, net, before, after);
+        }
+        // The caller holds this stage's borrow and a service may answer at
+        // once, so the query goes out from a deferred event.
+        if let Some(nh) = ask {
+            let me = self.me.as_ref().and_then(Weak::upgrade);
+            let me = me.expect("NexthopResolver::attach not called");
+            el.defer(move |el| NexthopResolver::ask(el, &me, nh));
+        }
     }
 
+    /// Upstream's route, annotated from its nexthop's entry.
     fn lookup_route(&self, net: &Prefix<A>) -> Option<BgpRoute<A>> {
-        self.view(net)
+        let route = self.upstream.as_ref()?.borrow().lookup_route(net)?;
+        let nh = A::from_ipaddr(route.nexthop())?;
+        annotate(self.nexthops.get(&nh)?.answer, route)
     }
 
     fn push(&mut self, el: &mut EventLoop) {
-        // Deferred like route_op, so a push never overtakes the ops that
-        // preceded it in the same batch.
-        let me = self
-            .me
-            .as_ref()
-            .and_then(Weak::upgrade)
-            .expect("NexthopResolver::attach not called");
-        el.defer(move |el| {
-            let d = me.borrow().downstream.clone();
-            if let Some(d) = d {
-                d.borrow_mut().push(el);
-            }
-        });
+        if let Some(d) = &self.downstream {
+            d.borrow_mut().push(el);
+        }
     }
 
     fn set_downstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
@@ -578,9 +549,13 @@ mod tests {
         }
     }
 
+    /// The resolver stores no routes, so the rig feeds it the way the
+    /// pipeline does: each op lands in an upstream table first, which the
+    /// resolver fetches routes from.
     struct Rig {
         el: EventLoop,
         service: Rc<TestService>,
+        upstream: Rc<RefCell<SinkStage<Ipv4Addr, R>>>,
         resolver: Rc<RefCell<NexthopResolver<Ipv4Addr>>>,
         cache: Rc<RefCell<CacheStage<Ipv4Addr, R>>>,
         sink: Rc<RefCell<SinkStage<Ipv4Addr, R>>>,
@@ -588,7 +563,13 @@ mod tests {
 
     impl Rig {
         fn send(&mut self, op: RouteOp<Ipv4Addr, R>) {
-            NexthopResolver::route_op_rc(&mut self.el, &self.resolver, OriginId(1), op);
+            self.upstream
+                .borrow_mut()
+                .route_op(&mut self.el, OriginId(1), op.clone());
+            self.resolver
+                .borrow_mut()
+                .route_op(&mut self.el, OriginId(1), op);
+            self.el.run_until_idle();
         }
     }
 
@@ -601,6 +582,8 @@ mod tests {
             Rc::new(RefCell::new(RangeCache::new())),
         ));
         NexthopResolver::attach(&resolver);
+        let upstream = stage_ref(SinkStage::new());
+        resolver.borrow_mut().set_upstream(upstream.clone());
         let cache = stage_ref(CacheStage::new("nh-out"));
         let sink = stage_ref(SinkStage::new());
         cache.borrow_mut().set_downstream(sink.clone());
@@ -608,6 +591,7 @@ mod tests {
         Rig {
             el,
             service,
+            upstream,
             resolver,
             cache,
             sink,
@@ -685,7 +669,8 @@ mod tests {
         // Were it to ask, the answer would not come.
         r.service.defer.set(true);
         let op = add(route("20.0.0.0/8", "192.168.200.200"));
-        NexthopResolver::route_op_rc(&mut r.el, &other, OriginId(2), op);
+        other.borrow_mut().route_op(&mut r.el, OriginId(2), op);
+        r.el.run_until_idle();
         assert_eq!(r.service.requests.get(), 1);
         assert_eq!(other.borrow().waiting_count(), 0);
         assert_eq!(

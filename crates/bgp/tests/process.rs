@@ -579,3 +579,104 @@ fn late_peer_attach_during_deletion_drain() {
     ];
     assert_eq!(table.keys().copied().collect::<Vec<_>>(), want);
 }
+
+/// A route parked in a deletion stage is still downstream until the drain
+/// deletes it, so it "will still be returned by lookup_route": lookups
+/// through the branch relay into the deletion chain, not to the PeerIn
+/// that handed its table over — here across two chained stages.
+#[test]
+fn lookup_at_the_branch_head_sees_routes_waiting_in_the_drain() {
+    let mut r = router(&[(1, 65001)]);
+    r.recv(
+        1,
+        update("192.168.1.1", &[65001], &["10.0.0.0/8", "20.0.0.0/8"]),
+    );
+    let nets: Vec<Net> = ["10.0.0.0/8", "20.0.0.0/8"]
+        .iter()
+        .map(|n| n.parse().unwrap())
+        .collect();
+    let visible = |r: &Router| {
+        nets.iter()
+            .filter(|n| r.bgp.best_route(n).is_some())
+            .count()
+    };
+
+    r.bgp.peering_down(&mut r.el, PeerId(1));
+    assert_eq!(visible(&r), 2);
+    // The peering returns with one route and drops again before the drain
+    // ran: one route now waits in each of two chained deletion stages.
+    r.bgp.peering_up(&mut r.el, PeerId(1));
+    r.bgp.apply_update(
+        &mut r.el,
+        PeerId(1),
+        update("192.168.1.1", &[65001], &["20.0.0.0/8"]),
+    );
+    r.bgp.peering_down(&mut r.el, PeerId(1));
+    assert_eq!(r.bgp.deletion_stage_count(PeerId(1)), 2);
+    assert_eq!(visible(&r), 2);
+
+    r.el.run_until_idle();
+    assert_eq!(visible(&r), 0);
+    assert!(r.rib.borrow().is_empty());
+    r.assert_consistent();
+}
+
+/// Until the background reconciliation reaches a prefix, downstream holds
+/// what the old import policy produced, so a lookup through the branch
+/// answers with that view, not the new bank's.
+#[test]
+fn lookup_during_refilter_returns_the_old_view() {
+    let mut r = router(&[(1, 65001)]);
+    r.recv(1, update("192.168.1.1", &[65001], &["10.0.0.0/8"]));
+    let net: Net = "10.0.0.0/8".parse().unwrap();
+    let mut bank = FilterBank::accept_by_default();
+    bank.push_source("tag", "add-tag 9; accept;").unwrap();
+    r.bgp.refilter_peer(&mut r.el, PeerId(1), bank);
+
+    // No background slice has run: the old view stands.
+    let best = r.bgp.best_route(&net);
+    assert_eq!(best.as_ref(), r.rib.borrow().get(&net));
+    assert!(best.unwrap().attrs.tags.is_empty());
+
+    r.el.run_until_idle();
+    assert_eq!(r.rib.borrow()[&net].attrs.tags, vec![9]);
+    assert_eq!(r.bgp.best_route(&net).as_ref(), r.rib.borrow().get(&net));
+    r.assert_consistent();
+}
+
+/// BGP stores each route once, in its PeerIn; what else grows with the
+/// table is an index.  Between 10k and 20k routes from one peer, the
+/// process beyond its peer tables (each resolver's per-nexthop prefix
+/// sets, the fanout) grows by at most 24 B/route.  A per-route copy of
+/// the route anywhere that is charged breaks this.
+#[test]
+fn memory_budget_beyond_peer_tables() {
+    const UPDATES: u32 = 200;
+    const PER_UPDATE: u32 = 100;
+    let mut r = router(&[(1, 65001)]);
+    let beyond = |r: &Router| r.bgp.memory_bytes() - r.bgp.peer_table_bytes();
+    let mut at_half = 0;
+    for u in 0..UPDATES {
+        if u == UPDATES / 2 {
+            at_half = beyond(&r);
+        }
+        let nexthop = format!("192.168.{}.1", u % 4);
+        let nets: Vec<String> = (0..PER_UPDATE)
+            .map(|i| Ipv4Addr::from((10 << 24) | ((u * PER_UPDATE + i) << 8)))
+            .map(|a| format!("{a}/24"))
+            .collect();
+        let refs: Vec<&str> = nets.iter().map(|s| s.as_str()).collect();
+        r.recv(1, update(&nexthop, &[65001], &refs));
+    }
+    let routes = (UPDATES * PER_UPDATE) as usize;
+    assert_eq!(r.bgp.route_count(), routes);
+    let per_route = (beyond(&r) - at_half) / (routes / 2);
+    println!(
+        "bgp beyond peer tables: {at_half} B at {} routes, {} B at {routes}: \
+         {per_route} B/route (peer tables {} B/route)",
+        routes / 2,
+        beyond(&r),
+        r.bgp.peer_table_bytes() / routes
+    );
+    assert!(per_route <= 24, "{per_route} B/route beyond peer tables");
+}

@@ -135,6 +135,16 @@ fn main() {
         rib.route_count(),
         fea.route_count4()
     );
+    // Likewise the BGP row: the peer tables hold the one copy of each
+    // route; the resolvers index them by nexthop.
+    let peer_mb = bgp.peer_table_bytes() as f64 / 1e6;
+    println!(
+        "bgp = peer tables {:.1} MB + resolver indexes and fanout {:.1} MB \
+         (per-nexthop prefix sets; {:.0} B/route)",
+        peer_mb,
+        bgp_mb - peer_mb,
+        (bgp_mb - peer_mb) * 1e6 / bgp.route_count() as f64
+    );
     // The RIB row is everything that grows with the table: the origin
     // tables (the only copy of each route) plus what the stages below
     // them index it with.
