@@ -685,18 +685,22 @@ where
     }
 
     /// Heap bytes attributable to BGP's structures: the PeerIn tables
-    /// (where routes live), each resolver's per-nexthop prefix sets, and
-    /// the fanout's queue and transient dump state.  Compared against the
+    /// (where routes live), each resolver's per-nexthop prefix sets, each
+    /// PeerOut's unflushed batch (it keeps no per-route state), and the
+    /// fanout's queue and transient dump state.  Compared against the
     /// paper's "120 MB for BGP".  Not charged: routes parked in deletion
-    /// stages, each PeerOut's set of announced prefixes, and the shared
-    /// nexthop answer cache (one entry per answered range).
+    /// stages, and the shared nexthop answer cache (one entry per answered
+    /// range).
     pub fn memory_bytes(&self) -> usize {
-        let resolvers: usize = self
+        let branches: usize = self
             .peers
             .values()
-            .map(|b| b.resolver.borrow().heap_size())
+            .map(|b| {
+                b.resolver.borrow().heap_size()
+                    + b.peer_out.as_ref().map_or(0, |po| po.borrow().heap_size())
+            })
             .sum();
-        self.peer_table_bytes() + resolvers + self.fanout.borrow().heap_size()
+        self.peer_table_bytes() + branches + self.fanout.borrow().heap_size()
     }
 
     /// Heap bytes of the PeerIn tables alone: the one copy of each route.

@@ -10,14 +10,25 @@
 //!
 //! The transformed stream is handed to a writer callback as abstract
 //! [`UpdateOut`]s; the session layer batches them into wire UPDATEs.
+//!
+//! The stage keeps no per-route state.  Whether a prefix is announced to
+//! the peer is a function of the route the export filter last sent for it,
+//! and every replace or delete carries that route, so the stage re-runs
+//! the verdict on the old route instead of remembering it — the way the
+//! filter banks stay consistent ("routes are stored only in the Peer In
+//! stages").  That needs a consistent stream: it starts empty at
+//! `peering_up` (a background dump supplies the table) and every delete
+//! names what a prior add announced, which the optional cache stage in
+//! front of it checks.  What it does keep is a count of announced
+//! prefixes and the unflushed batch.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::net::IpAddr;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use xorp_event::EventLoop;
-use xorp_net::{Addr, AsNum, PathAttributes, Prefix};
+use xorp_net::{Addr, AsNum, HeapSize, PathAttributes, Prefix};
 use xorp_stages::{OriginId, RouteOp, Stage};
 
 use crate::{BgpRoute, PeerId};
@@ -50,9 +61,9 @@ pub struct PeerOut<A: Addr> {
     /// Our address on this session (nexthop-self rewriting).
     local_addr: IpAddr,
     writer: UpdateWriter<A>,
-    /// Prefixes currently announced to this peer (keeps withdraw/announce
-    /// symmetric when transforms drop routes).
-    announced: BTreeSet<Prefix<A>>,
+    /// Prefixes currently announced to this peer: a count, moved by the
+    /// same verdicts that decide each announce and withdraw.
+    announced: usize,
     /// Count of UPDATE-visible changes (diagnostics).
     pub updates_sent: u64,
     /// When set, changes buffer here and flush as grouped batches at the
@@ -77,7 +88,7 @@ impl<A: Addr> PeerOut<A> {
             ebgp_session,
             local_addr,
             writer,
-            announced: BTreeSet::new(),
+            announced: 0,
             updates_sent: 0,
             batch_writer: None,
             pending: Vec::new(),
@@ -126,26 +137,33 @@ impl<A: Addr> PeerOut<A> {
 
     /// Prefixes currently announced.
     pub fn announced_count(&self) -> usize {
-        self.announced.len()
+        self.announced
     }
 
     /// Forget announcement state without emitting withdrawals: the session
     /// dropped, so the remote peer's table is already gone.  Buffered
     /// batch output is dropped with it.
     pub fn reset(&mut self) {
-        self.announced.clear();
+        self.announced = 0;
         self.pending.clear();
+    }
+
+    /// Does `route` cross this session at all?  The verdict half of
+    /// [`PeerOut::transform`], and a function of the route alone.
+    fn advertises(&self, route: &BgpRoute<A>) -> bool {
+        if self.ebgp_session {
+            // NO_EXPORT: never crosses an EBGP boundary.
+            !route.attrs.no_export()
+        } else {
+            // IBGP full-mesh rule: routes learned over IBGP are not
+            // reflected to IBGP peers.
+            route.attrs.ebgp
+        }
     }
 
     /// Apply the outbound transform; `None` means "do not advertise".
     pub fn transform(&self, route: &BgpRoute<A>) -> Option<Arc<PathAttributes>> {
-        // NO_EXPORT: never crosses an EBGP boundary.
-        if self.ebgp_session && route.attrs.no_export() {
-            return None;
-        }
-        // IBGP full-mesh rule: routes learned over IBGP are not reflected
-        // to IBGP peers.
-        if !self.ebgp_session && !route.attrs.ebgp {
+        if !self.advertises(route) {
             return None;
         }
         let mut attrs = (*route.attrs).clone();
@@ -160,16 +178,11 @@ impl<A: Addr> PeerOut<A> {
         }
         Some(Arc::new(attrs))
     }
+}
 
-    fn announce(&mut self, el: &mut EventLoop, net: Prefix<A>, attrs: Arc<PathAttributes>) {
-        self.announced.insert(net);
-        self.emit(el, UpdateOut::Announce(net, attrs));
-    }
-
-    fn withdraw(&mut self, el: &mut EventLoop, net: Prefix<A>) {
-        if self.announced.remove(&net) {
-            self.emit(el, UpdateOut::Withdraw(net));
-        }
+impl<A: Addr> HeapSize for PeerOut<A> {
+    fn heap_size(&self) -> usize {
+        self.pending.capacity() * std::mem::size_of::<UpdateOut<A>>()
     }
 }
 
@@ -180,14 +193,19 @@ impl<A: Addr> Stage<A, BgpRoute<A>> for PeerOut<A> {
 
     fn route_op(&mut self, el: &mut EventLoop, _origin: OriginId, op: RouteOp<A, BgpRoute<A>>) {
         let net = op.net();
-        match op.new_route().map(|r| self.transform(r)) {
-            // Add/Replace with an advertisable result.
-            Some(Some(attrs)) => self.announce(el, net, attrs),
-            // Add/Replace transformed away: if we had announced it, take
-            // it back.
-            Some(None) => self.withdraw(el, net),
-            // Delete.
-            None => self.withdraw(el, net),
+        // The peer holds the prefix iff the route this op takes away
+        // crossed the session when it was sent.
+        let had = op.old_route().is_some_and(|r| self.advertises(r));
+        match op.new_route().and_then(|r| self.transform(r)) {
+            Some(attrs) => {
+                self.announced += usize::from(!had);
+                self.emit(el, UpdateOut::Announce(net, attrs));
+            }
+            None if had => {
+                self.announced = self.announced.saturating_sub(1);
+                self.emit(el, UpdateOut::Withdraw(net));
+            }
+            None => {}
         }
     }
 
@@ -201,15 +219,34 @@ impl<A: Addr> Stage<A, BgpRoute<A>> for PeerOut<A> {
     }
 }
 
+impl<A: Addr> UpdateOut<A> {
+    /// The prefix this change concerns.
+    pub fn net(&self) -> Prefix<A> {
+        match self {
+            UpdateOut::Withdraw(net) | UpdateOut::Announce(net, _) => *net,
+        }
+    }
+}
+
 /// Helper: collect a run of [`UpdateOut`]s into per-attribute batches, the
 /// way a session layer packs one UPDATE per shared attribute block.
+///
+/// A prefix changed more than once in the run is sent once, as its last
+/// change: a receiver applies a batch's withdrawals before its
+/// announcements, so an announce followed by a withdraw of the same
+/// prefix would otherwise leave it announced.
 #[allow(clippy::type_complexity)]
 pub fn batch_updates<A: Addr>(
     outs: &[UpdateOut<A>],
 ) -> (Vec<Prefix<A>>, Vec<(Arc<PathAttributes>, Vec<Prefix<A>>)>) {
+    let last: BTreeMap<Prefix<A>, usize> =
+        outs.iter().enumerate().map(|(i, o)| (o.net(), i)).collect();
     let mut withdrawn = Vec::new();
     let mut announced: Vec<(Arc<PathAttributes>, Vec<Prefix<A>>)> = Vec::new();
-    for out in outs {
+    for (i, out) in outs.iter().enumerate() {
+        if last[&out.net()] != i {
+            continue; // superseded later in the run
+        }
         match out {
             UpdateOut::Withdraw(net) => withdrawn.push(*net),
             UpdateOut::Announce(net, attrs) => {
@@ -359,6 +396,37 @@ mod tests {
         assert!(matches!(seen.borrow()[1], UpdateOut::Withdraw(_)));
     }
 
+    /// The stage remembers no prefix: a delete withdraws exactly when the
+    /// route it names crossed the session, and the count follows.
+    #[test]
+    fn delete_withdraws_what_the_old_route_announced() {
+        let (mut el, mut po, seen) = rig(true);
+        let clean = route("10.0.0.0/8", |_| {});
+        let tagged = route("11.0.0.0/8", |a| a.communities.push(Community::NO_EXPORT));
+        po.route_op(&mut el, OriginId(2), add(clean.clone()));
+        po.route_op(&mut el, OriginId(2), add(tagged.clone()));
+        assert_eq!(po.announced_count(), 1);
+        // Re-announcing an announced prefix is an implicit replace.
+        let again = route("10.0.0.0/8", |a| a.med = Some(5));
+        po.route_op(
+            &mut el,
+            OriginId(2),
+            RouteOp::Replace {
+                net: clean.net,
+                old: clean,
+                new: again.clone(),
+            },
+        );
+        assert_eq!(po.announced_count(), 1);
+        for r in [tagged, again] {
+            po.route_op(&mut el, OriginId(2), RouteOp::Delete { net: r.net, old: r });
+        }
+        assert_eq!(po.announced_count(), 0);
+        let seen = seen.borrow();
+        assert_eq!(seen.len(), 3);
+        assert_eq!(seen[2], UpdateOut::Withdraw("10.0.0.0/8".parse().unwrap()));
+    }
+
     #[test]
     fn batch_writer_flushes_on_limit_and_push() {
         let mut el = EventLoop::new_virtual();
@@ -411,5 +479,24 @@ mod tests {
         assert_eq!(announced.len(), 2);
         assert_eq!(announced[0].1.len(), 2);
         assert_eq!(announced[1].1.len(), 1);
+    }
+
+    /// Withdrawals go out ahead of announcements, so a prefix announced
+    /// and then withdrawn inside one batch must be sent as the withdrawal
+    /// alone — and one withdrawn, then announced, as the announcement.
+    #[test]
+    fn a_batch_sends_each_prefix_once_as_its_last_change() {
+        let attrs = PathAttributes::new(IpAddr::V4("10.0.0.1".parse().unwrap())).shared();
+        let (p, q): (Prefix<Ipv4Addr>, Prefix<Ipv4Addr>) =
+            ("10.0.0.0/8".parse().unwrap(), "11.0.0.0/8".parse().unwrap());
+        let outs = vec![
+            UpdateOut::Announce(p, attrs.clone()),
+            UpdateOut::Withdraw(q),
+            UpdateOut::Withdraw(p),
+            UpdateOut::Announce(q, attrs.clone()),
+        ];
+        let (withdrawn, announced) = batch_updates(&outs);
+        assert_eq!(withdrawn, vec![p]);
+        assert_eq!(announced, vec![(attrs, vec![q])]);
     }
 }

@@ -10,16 +10,29 @@
 //! it receive a policy-filtered copy of the stream.  Watchers are added and
 //! removed at runtime — one of the "dynamic stages inserted as different
 //! watchers register themselves with the RIB".
+//!
+//! A watcher keeps no per-route state.  Its policy is deterministic, so
+//! what it holds for a prefix is the filtered form of the route the stream
+//! last carried there, and every replace or delete carries that route: the
+//! watcher filters the old route as well as the new one and sends the
+//! difference, as BGP's filter banks do.  Its stream is therefore
+//! consistent on its own terms — a delete names the route an earlier add
+//! delivered, filtered — given a consistent stream in, which the RIB's
+//! optional cache stage just above checks.  A watcher that registers after
+//! routes flowed is brought up to date by a [`DumpStage`] spliced in front
+//! of it: the background dump that serves a BGP peer coming up (§5.3),
+//! with its transient sync set, which becomes a pass-through when the walk
+//! ends.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
-use xorp_event::{EventLoop, SliceResult};
-use xorp_net::{release_drained, Addr, Prefix, ProtocolId};
+use xorp_event::EventLoop;
+use xorp_net::{release_drained, Addr, HeapSize, Prefix, ProtocolId};
 use xorp_policy::{FilterBank, PolicyTarget};
 use xorp_profiler::tracing::{self as xtrace, TraceContext};
-use xorp_stages::{DumpSource, OriginId, RouteOp, Stage, StageRef, DUMP_SLICE_SIZE};
+use xorp_stages::{stage_ref, DumpSource, DumpStage, OriginId, RouteOp, Stage, StageRef};
 
 use crate::RibRoute;
 
@@ -29,7 +42,8 @@ pub type RedistSink<A> = Rc<dyn Fn(&mut EventLoop, RouteOp<A, RibRoute<A>>)>;
 /// A route operation as delivered to redistribution sinks.
 pub type RedistOp<A> = RouteOp<A, RibRoute<A>>;
 
-/// A redistribution subscription.
+/// A redistribution subscription: a terminal stage that filters the
+/// stream and hands the difference to its sink.
 pub struct RedistWatcher<A: Addr> {
     /// Subscription name (for removal).
     pub name: String,
@@ -39,24 +53,24 @@ pub struct RedistWatcher<A: Addr> {
     pub policy: FilterBank,
     /// Where the filtered stream goes.
     pub sink: RedistSink<A>,
-    /// Prefixes this watcher currently holds (maintains delete/add
-    /// symmetry when the policy verdict changes across a replace).
-    delivered: BTreeSet<Prefix<A>>,
     /// Flow control (XRL backpressure): while the cell reads `false`,
     /// deliveries are parked in the backlog instead of hitting the sink,
     /// and replayed in order on resume, each under the trace context it
     /// was parked with (a sampled route must not lose its trace to a
-    /// congested lane).  The policy/delivered bookkeeping
-    /// runs either way, so the watcher's view stays consistent across the
-    /// pause.  The cell is shared ([`RedistStage::watcher_flow`]) so a
-    /// congestion callback can flip it synchronously from inside the send
-    /// path — overshoot past an Xoff is bounded at the watermark, exactly
-    /// like a sender-side flow gate.
+    /// congested lane).  Filtering runs either way; a parked op is already
+    /// the difference the watcher will see.  The cell is shared
+    /// ([`RedistStage::watcher_flow`]) so a congestion callback can flip
+    /// it synchronously from inside the send path — overshoot past an
+    /// Xoff is bounded at the watermark, exactly like a sender-side flow
+    /// gate.
     flow: Rc<Cell<bool>>,
     backlog: VecDeque<(RedistOp<A>, Option<TraceContext>)>,
 }
 
-impl<A: Addr> RedistWatcher<A> {
+impl<A: Addr> RedistWatcher<A>
+where
+    RibRoute<A>: PolicyTarget,
+{
     /// Build a subscription.
     pub fn new(
         name: impl Into<String>,
@@ -69,49 +83,95 @@ impl<A: Addr> RedistWatcher<A> {
             from,
             policy,
             sink,
-            delivered: BTreeSet::new(),
             flow: Rc::new(Cell::new(true)),
             backlog: VecDeque::new(),
         }
     }
 
-    /// Deliver now, or park while paused.
-    fn emit(&mut self, el: &mut EventLoop, op: RedistOp<A>) {
-        if !self.flow.get() {
-            self.park(op);
-        } else {
-            (self.sink)(el, op);
-        }
+    /// The route as this watcher sees it, or `None` if it does not.
+    fn filter(&self, mut route: RibRoute<A>) -> Option<RibRoute<A>> {
+        let wanted = self
+            .from
+            .as_ref()
+            .map_or(true, |set| set.contains(&route.proto));
+        (wanted && self.policy.filter(&mut route)).then_some(route)
     }
 
-    fn park(&mut self, op: RedistOp<A>) {
-        self.backlog.push_back((op, xtrace::current()));
-    }
-
-    fn wants_proto(&self, proto: ProtocolId) -> bool {
-        self.from.as_ref().map_or(true, |set| set.contains(&proto))
-    }
-
-    /// Run the policy over a route copy; `Some(modified)` if accepted.
-    fn filter(&self, route: &RibRoute<A>) -> Option<RibRoute<A>>
-    where
-        RibRoute<A>: PolicyTarget,
-    {
-        if !self.wants_proto(route.proto) {
-            return None;
-        }
-        let mut copy = route.clone();
-        if self.policy.filter(&mut copy) {
-            Some(copy)
-        } else {
-            None
+    /// Resume delivery and replay the backlog in order, each op under the
+    /// trace context it was parked with.  The flow cell is re-checked
+    /// between sends: a delivery can re-congest the lane it feeds, and the
+    /// congestion callback flips the cell synchronously — the remainder
+    /// stays parked at the watermark instead of blowing through the hard
+    /// cap.  No borrow of the watcher is held across a send.
+    fn resume(me: &RefCell<Self>, el: &mut EventLoop) {
+        me.borrow().flow.set(true);
+        loop {
+            let (sink, op, trace) = {
+                let mut w = me.borrow_mut();
+                if !w.flow.get() {
+                    return;
+                }
+                let Some((op, trace)) = w.backlog.pop_front() else {
+                    return;
+                };
+                release_drained(&mut w.backlog);
+                (w.sink.clone(), op, trace)
+            };
+            let prev = xtrace::set_current(trace);
+            sink(el, op);
+            xtrace::set_current(prev);
         }
     }
 }
 
+impl<A: Addr> Stage<A, RibRoute<A>> for RedistWatcher<A>
+where
+    RibRoute<A>: PolicyTarget,
+{
+    fn name(&self) -> String {
+        format!("redist-watcher[{}]", self.name)
+    }
+
+    fn route_op(&mut self, el: &mut EventLoop, _origin: OriginId, op: RedistOp<A>) {
+        let (net, old, new) = match op {
+            RouteOp::Add { net, route } => (net, None, Some(route)),
+            RouteOp::Replace { net, old, new } => (net, Some(old), Some(new)),
+            RouteOp::Delete { net, old } => (net, Some(old), None),
+        };
+        // What the watcher holds is the old route, filtered.
+        let old = old.and_then(|r| self.filter(r));
+        let new = new.and_then(|r| self.filter(r));
+        let op = match (old, new) {
+            (None, Some(route)) => RouteOp::Add { net, route },
+            (Some(old), Some(new)) => RouteOp::Replace { net, old, new },
+            (Some(old), None) => RouteOp::Delete { net, old },
+            (None, None) => return,
+        };
+        if self.flow.get() {
+            (self.sink)(el, op);
+        } else {
+            self.backlog.push_back((op, xtrace::current()));
+        }
+    }
+
+    fn lookup_route(&self, _net: &Prefix<A>) -> Option<RibRoute<A>> {
+        None // terminal stage
+    }
+}
+
+/// The background dump bringing a late watcher up to date.
+type WatcherDump<A> = Rc<RefCell<DumpStage<A, RibRoute<A>>>>;
+
+/// One registered watcher, behind the dump bringing it up to date, if
+/// one is still walking.
+struct Tap<A: Addr> {
+    watcher: Rc<RefCell<RedistWatcher<A>>>,
+    dump: Option<WatcherDump<A>>,
+}
+
 /// Transparent stage with policy-filtered taps.
 pub struct RedistStage<A: Addr> {
-    watchers: HashMap<String, RedistWatcher<A>>,
+    watchers: HashMap<String, Tap<A>>,
     downstream: Option<StageRef<A, RibRoute<A>>>,
     upstream: Option<StageRef<A, RibRoute<A>>>,
 }
@@ -148,131 +208,86 @@ where
         self.upstream = Some(s);
     }
 
-    /// Add a watcher.  Existing routes are not replayed; callers wanting a
-    /// full feed add the watcher before protocols start (XORP's behaviour)
-    /// or use [`RedistStage::add_watcher_dumped`].
+    /// Add a watcher.  Existing routes are not replayed, and the watcher
+    /// must not be told of their later changes either: call this before
+    /// routes flow (XORP's behaviour), or use
+    /// [`RedistStage::add_watcher_dumped`].
     pub fn add_watcher(&mut self, w: RedistWatcher<A>) {
-        self.watchers.insert(w.name.clone(), w);
+        self.insert(w, None);
     }
 
     /// Add a watcher AND stream it the pre-existing table as a background
     /// dump (§5.3) — the late-subscriber path.  `sources` supply the
-    /// prefixes to visit (safe-iterator walks of the origin tables); each
-    /// prefix is looked up through the upstream stage so the dump carries
-    /// the *current* post-arbitration route, never a stale copy.
-    ///
-    /// The watcher's own `delivered` set doubles as the dump's sync set:
-    /// live ops tapped while the dump runs mark prefixes delivered (or
-    /// remove them), and the walk skips anything already marked — so the
-    /// watcher sees each prefix at most once during the dump, exactly the
-    /// intercept rules of `DumpStage`.
+    /// prefixes to visit (safe-iterator walks of the origin tables); a
+    /// [`DumpStage`] spliced in front of the watcher looks each one up
+    /// through the upstream stage, so the dump carries the *current*
+    /// post-arbitration route, never a stale copy, and its intercept
+    /// rules give the watcher each prefix at most once while live churn
+    /// overtakes the walk.  While the watcher is paused the walk is
+    /// suspended between slices.
     pub fn add_watcher_dumped(
+        &mut self,
         el: &mut EventLoop,
-        me: &Rc<RefCell<Self>>,
         w: RedistWatcher<A>,
-        mut sources: Vec<Box<dyn DumpSource<A>>>,
+        sources: Vec<Box<dyn DumpSource<A>>>,
     ) {
-        let name = w.name.clone();
-        let upstream = me.borrow().upstream.clone();
-        me.borrow_mut().add_watcher(w);
-        let Some(upstream) = upstream else {
-            return; // nothing to look routes up in: no dump possible
+        let Some(upstream) = self.upstream.clone().filter(|_| !sources.is_empty()) else {
+            // Nothing to look routes up in, or an empty table: the live
+            // stream is the whole feed.
+            return self.add_watcher(w);
         };
-        if sources.is_empty() {
-            return; // empty table: the live stream is the whole feed
+        let mut dump = DumpStage::new(format!("redist[{}]", w.name), upstream);
+        for src in sources {
+            dump.add_source(src);
         }
-        let me = Rc::downgrade(me);
-        el.spawn_background(move |el| {
-            let Some(stage) = me.upgrade() else {
-                return SliceResult::Done;
-            };
-            // Collect this slice's deliveries under the stage borrow, emit
-            // after releasing it (sinks may call back into the pipeline).
-            let mut out: Vec<(RedistSink<A>, RedistOp<A>)> = Vec::new();
-            {
-                let mut s = stage.borrow_mut();
-                let Some(w) = s.watchers.get_mut(&name) else {
-                    return SliceResult::Done; // watcher removed: abort walk
-                };
-                let mut visited = 0;
-                while visited < DUMP_SLICE_SIZE {
-                    let Some(src) = sources.first_mut() else {
-                        break;
-                    };
-                    let Some(net) = src.next_prefix() else {
-                        sources.remove(0);
-                        continue;
-                    };
-                    visited += 1;
-                    if w.delivered.contains(&net) {
-                        continue; // a live op beat the dump to it
-                    }
-                    let Some(route) = upstream.borrow().lookup_route(&net) else {
-                        continue; // died (or lost arbitration) before we got here
-                    };
-                    if let Some(copy) = w.filter(&route) {
-                        w.delivered.insert(net);
-                        let op = RouteOp::Add { net, route: copy };
-                        if !w.flow.get() {
-                            w.park(op);
-                        } else {
-                            out.push((w.sink.clone(), op));
-                        }
-                    }
-                }
-            }
-            for (sink, op) in out {
-                sink(el, op);
-            }
-            if sources.is_empty() {
-                SliceResult::Done
-            } else {
-                SliceResult::Continue
-            }
-        });
+        dump.passthrough(OriginId(0));
+        let dump = stage_ref(dump);
+        self.insert(w, Some(dump.clone()));
+        DumpStage::start(el, dump);
+    }
+
+    fn insert(&mut self, w: RedistWatcher<A>, dump: Option<WatcherDump<A>>) {
+        let name = w.name.clone();
+        let watcher = stage_ref(w);
+        if let Some(d) = &dump {
+            d.borrow_mut().set_downstream(watcher.clone());
+        }
+        if let Some(old) = self.watchers.insert(name, Tap { watcher, dump }) {
+            Self::abort(old);
+        }
+    }
+
+    fn abort(tap: Tap<A>) {
+        if let Some(d) = tap.dump {
+            d.borrow_mut().abort(); // its walk ends at the next slice
+        }
     }
 
     /// Remove a watcher by name.
     pub fn remove_watcher(&mut self, name: &str) -> bool {
-        self.watchers.remove(name).is_some()
+        self.watchers.remove(name).map(Self::abort).is_some()
     }
 
     /// Flow control for one watcher (XRL backpressure): `ready = false`
-    /// parks deliveries in the watcher's backlog; `ready = true` replays
-    /// the backlog in order and goes back to direct delivery.  Unknown
-    /// names are ignored.
-    ///
-    /// The replay re-checks the watcher's flow cell between sends: a
-    /// delivery can re-congest the lane it feeds, and the congestion
-    /// callback flips the shared cell synchronously — the remainder stays
-    /// parked at the watermark instead of blowing through the hard cap.
+    /// parks deliveries in the watcher's backlog and suspends its dump;
+    /// `ready = true` replays the backlog in order, goes back to direct
+    /// delivery and resumes the dump.  Unknown names are ignored.
     pub fn set_watcher_flow(&mut self, el: &mut EventLoop, name: &str, ready: bool) {
-        {
-            let Some(w) = self.watchers.get_mut(name) else {
-                return;
-            };
-            w.flow.set(ready);
-        }
+        let Some(tap) = self.watchers.get(name) else {
+            return;
+        };
         if !ready {
+            tap.watcher.borrow().flow.set(false);
+            if let Some(d) = &tap.dump {
+                d.borrow_mut().suspend();
+            }
             return;
         }
-        loop {
-            let (sink, op, trace) = {
-                let Some(w) = self.watchers.get_mut(name) else {
-                    return;
-                };
-                if !w.flow.get() {
-                    return; // re-congested mid-replay: keep the rest parked
-                }
-                let Some((op, trace)) = w.backlog.pop_front() else {
-                    return;
-                };
-                release_drained(&mut w.backlog);
-                (w.sink.clone(), op, trace)
-            };
-            let prev = xtrace::set_current(trace);
-            sink(el, op);
-            xtrace::set_current(prev);
+        RedistWatcher::resume(&tap.watcher, el);
+        // A replay that re-congested the lane leaves the walk parked.
+        let flowing = tap.watcher.borrow().flow.get();
+        if let Some(d) = tap.dump.as_ref().filter(|_| flowing) {
+            DumpStage::resume(el, d.clone());
         }
     }
 
@@ -281,12 +296,16 @@ where
     /// the next delivery) and pairs that with a deferred
     /// [`RedistStage::set_watcher_flow`] call for the replay on Xon.
     pub fn watcher_flow(&self, name: &str) -> Option<Rc<Cell<bool>>> {
-        self.watchers.get(name).map(|w| w.flow.clone())
+        self.watchers
+            .get(name)
+            .map(|t| t.watcher.borrow().flow.clone())
     }
 
     /// Parked deliveries for a paused watcher (diagnostic).
     pub fn watcher_backlog(&self, name: &str) -> usize {
-        self.watchers.get(name).map_or(0, |w| w.backlog.len())
+        self.watchers
+            .get(name)
+            .map_or(0, |t| t.watcher.borrow().backlog.len())
     }
 
     /// Number of registered watchers.
@@ -294,46 +313,32 @@ where
         self.watchers.len()
     }
 
-    fn tap(&mut self, el: &mut EventLoop, op: &RouteOp<A, RibRoute<A>>) {
-        let net = op.net();
-        for w in self.watchers.values_mut() {
-            let had = w.delivered.contains(&net);
-            let now = op.new_route().and_then(|r| w.filter(r));
-            let old_for_delete = |op: &RouteOp<A, RibRoute<A>>| match op {
-                RouteOp::Replace { old, .. } | RouteOp::Delete { old, .. } => old.clone(),
-                RouteOp::Add { route, .. } => route.clone(),
-            };
-            match (had, now) {
-                (false, Some(new)) => {
-                    w.delivered.insert(net);
-                    w.emit(el, RouteOp::Add { net, route: new });
-                }
-                (true, Some(new)) => {
-                    // The watcher saw a (filtered) old version; send a
-                    // replace carrying the *unfiltered* old route as
-                    // identity — watchers key on prefix.
-                    w.emit(
-                        el,
-                        RouteOp::Replace {
-                            net,
-                            old: old_for_delete(op),
-                            new,
-                        },
-                    );
-                }
-                (true, None) => {
-                    w.delivered.remove(&net);
-                    w.emit(
-                        el,
-                        RouteOp::Delete {
-                            net,
-                            old: old_for_delete(op),
-                        },
-                    );
-                }
-                (false, None) => {}
+    fn tap(&mut self, el: &mut EventLoop, origin: OriginId, op: &RedistOp<A>) {
+        for tap in self.watchers.values_mut() {
+            if tap.dump.as_ref().is_some_and(|d| d.borrow().is_done()) {
+                tap.dump = None; // the walk ended: deliver straight in
+            }
+            match &tap.dump {
+                Some(d) => d.borrow_mut().route_op(el, origin, op.clone()),
+                None => tap.watcher.borrow_mut().route_op(el, origin, op.clone()),
             }
         }
+    }
+}
+
+impl<A: Addr> HeapSize for RedistStage<A> {
+    /// What the watchers hold: parked ops and an in-flight dump's sync
+    /// set.  Neither grows with the table once a watcher is flowing.
+    fn heap_size(&self) -> usize {
+        let slot = std::mem::size_of::<(RedistOp<A>, Option<TraceContext>)>();
+        self.watchers
+            .values()
+            .map(|t| {
+                let dump = t.dump.as_ref().filter(|d| !d.borrow().is_done());
+                t.watcher.borrow().backlog.capacity() * slot
+                    + dump.map_or(0, |d| d.borrow().heap_size())
+            })
+            .sum()
     }
 }
 
@@ -346,7 +351,7 @@ where
     }
 
     fn route_op(&mut self, el: &mut EventLoop, origin: OriginId, op: RouteOp<A, RibRoute<A>>) {
-        self.tap(el, &op);
+        self.tap(el, origin, &op);
         if let Some(d) = &self.downstream {
             d.borrow_mut().route_op(el, origin, op);
         }
@@ -620,10 +625,12 @@ mod tests {
         for net in &nets {
             stage.route_op(&mut el, OriginId(0), add(route(net, ProtocolId::Rip, 1)));
         }
-        assert!(stage.watchers["w"].backlog.capacity() >= 50_000);
+        let capacity =
+            |stage: &RedistStage<Ipv4Addr>| stage.watchers["w"].watcher.borrow().backlog.capacity();
+        assert!(capacity(&stage) >= 50_000);
 
         stage.set_watcher_flow(&mut el, "w", true);
-        assert!(stage.watchers["w"].backlog.capacity() <= 2_048);
+        assert!(capacity(&stage) <= 2_048);
         let seen = seen.borrow();
         assert_eq!(seen.len(), nets.len());
         assert!(seen.iter().zip(&nets).all(|(op, net)| {
@@ -633,8 +640,8 @@ mod tests {
 
     #[test]
     fn bookkeeping_stays_consistent_across_pause() {
-        // A replace arriving while paused must still update the delivered
-        // set, so the post-resume stream carries the right op kinds.
+        // A replace arriving while paused is filtered as it arrives, so
+        // the post-resume stream carries the right op kinds.
         let mut el = EventLoop::new_virtual();
         let mut stage = RedistStage::new();
         let seen = collect_watcher(&mut stage, "w", None, FilterBank::accept_by_default());
@@ -661,6 +668,41 @@ mod tests {
             RouteOp::Replace { new: got, .. } => assert_eq!(got.metric, new.metric),
             other => panic!("expected replace, got {other:?}"),
         }
+    }
+
+    /// A paused watcher's dump waits between slices instead of parking
+    /// the whole table in the backlog, and picks up again on resume.
+    #[test]
+    fn paused_watcher_suspends_its_dump() {
+        let mut el = EventLoop::new_virtual();
+        let upstream = stage_ref(SinkStage::new());
+        let nets: Vec<Prefix<Ipv4Addr>> = (0..200u32)
+            .map(|i| format!("10.0.{i}.0/24").parse().unwrap())
+            .collect();
+        for net in &nets {
+            let r = route(&net.to_string(), ProtocolId::Rip, 1);
+            upstream.borrow_mut().route_op(&mut el, OriginId(0), add(r));
+        }
+        let mut stage = RedistStage::new();
+        stage.set_upstream(upstream);
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let sink = seen.clone();
+        let w = RedistWatcher::new(
+            "w",
+            None,
+            FilterBank::accept_by_default(),
+            Rc::new(move |_el, op| sink.borrow_mut().push(op)),
+        );
+        let source = Box::new(xorp_stages::VecSource::new(nets));
+        stage.add_watcher_dumped(&mut el, w, vec![source]);
+        stage.set_watcher_flow(&mut el, "w", false);
+        el.run_until_idle();
+        assert!(seen.borrow().is_empty());
+        assert_eq!(stage.watcher_backlog("w"), 0, "the walk waited");
+        stage.set_watcher_flow(&mut el, "w", true);
+        el.run_until_idle();
+        assert_eq!(seen.borrow().len(), 200);
+        assert_eq!(stage.heap_size(), 0, "a finished dump holds nothing");
     }
 
     #[test]

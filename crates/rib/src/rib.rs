@@ -346,7 +346,7 @@ where
             .filter(|o| !o.borrow().is_empty())
             .map(|o| Box::new(OriginTableSource::new(o.clone())) as Box<dyn DumpSource<A>>)
             .collect();
-        RedistStage::add_watcher_dumped(el, &self.redist, w, sources);
+        self.redist.borrow_mut().add_watcher_dumped(el, w, sources);
     }
 
     /// Remove a redistribution watcher.
@@ -392,11 +392,16 @@ where
 
     /// Total heap bytes of every structure the RIB holds that grows with
     /// the table: the origin tables (the only place routes are stored),
-    /// the ExtInt stage's internal mirror and per-nexthop index, and the
-    /// Register stage's prefix set.  This is the number compared against
-    /// the paper's "60 MB for the RIB".
+    /// the ExtInt stage's internal mirror and per-nexthop index, the
+    /// Register stage's prefix set, and what redistribution watchers hold
+    /// (parked ops and an in-flight dump's sync set; no per-route state).
+    /// This is the number compared against the paper's "60 MB for the
+    /// RIB".
     pub fn memory_bytes(&self) -> usize {
-        self.origin_bytes() + self.extint.borrow().heap_size() + self.register.borrow().heap_size()
+        self.origin_bytes()
+            + self.extint.borrow().heap_size()
+            + self.register.borrow().heap_size()
+            + self.redist.borrow().heap_size()
     }
 
     /// The origin tables' share of [`Rib::memory_bytes`]; the rest is what
@@ -1007,6 +1012,34 @@ mod tests {
             Some("eth0")
         );
         assert!(rib.consistency_violations().is_empty());
+    }
+
+    /// Redistribution watchers keep no per-route state: a watcher that has
+    /// seen 20,000 routes holds nothing, and a late one holds its dump's
+    /// sync set only while the walk runs.
+    #[test]
+    fn redist_watchers_hold_no_per_route_state() {
+        let mut el = EventLoop::new_virtual();
+        let mut rib: Rib<Ipv4Addr> = Rib::new(false);
+        let watcher = |name| {
+            let accept = xorp_policy::FilterBank::accept_by_default();
+            RedistWatcher::new(name, None, accept, Rc::new(|_el, _op| {}))
+        };
+        let held = |rib: &Rib<Ipv4Addr>| rib.redist.borrow().heap_size();
+        rib.add_redist_watcher(&mut el, watcher("early"));
+        for i in 0..20_000u32 {
+            let net = Prefix::new(Ipv4Addr::from((10 << 24) | (i << 8)), 24).unwrap();
+            rib.add_route(
+                &mut el,
+                route(&net.to_string(), "0.0.0.0", ProtocolId::Static),
+            );
+        }
+        assert_eq!(held(&rib), 0);
+        rib.add_redist_watcher(&mut el, watcher("late"));
+        el.run_one(); // one dump slice
+        assert!(held(&rib) > 0, "the walk's sync set is charged");
+        el.run_until_idle();
+        assert_eq!(held(&rib), 0);
     }
 
     /// What the RIB holds beyond its origin tables is an index, not a copy

@@ -102,6 +102,14 @@ impl<A: Addr, R> RouteOp<A, R> {
             RouteOp::Delete { .. } => None,
         }
     }
+
+    /// The route in effect before this operation, if any.
+    pub fn old_route(&self) -> Option<&R> {
+        match self {
+            RouteOp::Add { .. } => None,
+            RouteOp::Replace { old, .. } | RouteOp::Delete { old, .. } => Some(old),
+        }
+    }
 }
 
 /// A pluggable routing stage.
