@@ -153,7 +153,7 @@ where
     fanout: Rc<RefCell<FanoutQueue<A>>>,
     peers: HashMap<PeerId, PeerBranch<A>>,
     /// BGP_IN stamping handle: one relaxed load per route when the point
-    /// is dormant, instead of the profiler's global lock per stamp.
+    /// is dormant; an armed stamp takes only this point's ring lock.
     bgp_in: Option<PointHandle>,
     /// Trace ingress: sampled UPDATEs root a `bgp_in` span whose context
     /// rides ambiently through decision and fanout.

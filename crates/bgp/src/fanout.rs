@@ -316,41 +316,7 @@ impl<A: Addr> FanoutQueue<A> {
             }
         }
         for (id, reader) in &mut self.readers {
-            if reader.paused || reader.gated_off() {
-                continue;
-            }
-            let target = reader.target();
-            // Jump straight to this reader's position: seqs are contiguous
-            // (ascending by one, trimmed only at the front), so the cursor
-            // maps to an index.  Scanning from the front instead would cost
-            // O(backlog) per delivery once a gated reader pins the queue.
-            let start = self.queue.front().map_or(0, |(front, _)| {
-                reader.cursor.saturating_sub(*front) as usize
-            });
-            for (seq, op) in self.queue.iter().skip(start) {
-                debug_assert!(*seq >= reader.cursor);
-                if let Some(translated) = translate(*id, op) {
-                    let origin = op_origin(op);
-                    let trace = if self.trace_by_seq.is_empty() {
-                        None
-                    } else {
-                        self.trace_by_seq.get(seq).copied()
-                    };
-                    if let Some(ctx) = trace {
-                        let prev = xtrace::set_current(Some(ctx));
-                        target.borrow_mut().route_op(el, origin, translated);
-                        xtrace::set_current(prev);
-                    } else {
-                        target.borrow_mut().route_op(el, origin, translated);
-                    }
-                }
-                reader.cursor = *seq + 1;
-                // A delivery may have congested this reader's lane; stop
-                // pulling immediately, leaving the rest queued here.
-                if reader.gated_off() {
-                    break;
-                }
-            }
+            deliver(el, *id, reader, &self.queue, &self.trace_by_seq);
         }
         self.unpumped = 0;
         self.gc();
@@ -361,40 +327,10 @@ impl<A: Addr> FanoutQueue<A> {
     /// before-slice hook, guaranteeing upstream lookups made by the dump
     /// walk agree with what the reader has already consumed.
     pub fn pump_reader(&mut self, el: &mut EventLoop, id: ReaderId) {
-        {
-            let Some(reader) = self.readers.get_mut(&id) else {
-                return;
-            };
-            if reader.paused || reader.gated_off() {
-                return;
-            }
-            let target = reader.target();
-            let start = self.queue.front().map_or(0, |(front, _)| {
-                reader.cursor.saturating_sub(*front) as usize
-            });
-            for (seq, op) in self.queue.iter().skip(start) {
-                debug_assert!(*seq >= reader.cursor);
-                if let Some(translated) = translate(id, op) {
-                    let origin = op_origin(op);
-                    let trace = if self.trace_by_seq.is_empty() {
-                        None
-                    } else {
-                        self.trace_by_seq.get(seq).copied()
-                    };
-                    if let Some(ctx) = trace {
-                        let prev = xtrace::set_current(Some(ctx));
-                        target.borrow_mut().route_op(el, origin, translated);
-                        xtrace::set_current(prev);
-                    } else {
-                        target.borrow_mut().route_op(el, origin, translated);
-                    }
-                }
-                reader.cursor = *seq + 1;
-                if reader.gated_off() {
-                    break;
-                }
-            }
-        }
+        let Some(reader) = self.readers.get_mut(&id) else {
+            return;
+        };
+        deliver(el, id, reader, &self.queue, &self.trace_by_seq);
         self.gc();
         self.note_metrics();
     }
@@ -422,6 +358,53 @@ impl<A: Addr> FanoutQueue<A> {
 
 fn origin_of<A: Addr>(route: &BgpRoute<A>) -> OriginId {
     OriginId(route.source.unwrap_or(0))
+}
+
+/// Deliver `queue`'s entries from `reader`'s cursor on, each under the
+/// trace context it was pushed with, until the reader's gate closes.  A
+/// paused or gated-off reader gets nothing.
+fn deliver<A: Addr>(
+    el: &mut EventLoop,
+    id: ReaderId,
+    reader: &mut Reader<A>,
+    queue: &VecDeque<(u64, RouteOp<A, BgpRoute<A>>)>,
+    trace_by_seq: &HashMap<u64, TraceContext>,
+) {
+    if reader.paused || reader.gated_off() {
+        return;
+    }
+    let target = reader.target();
+    // Jump straight to this reader's position: seqs are contiguous
+    // (ascending by one, trimmed only at the front), so the cursor maps to
+    // an index.  Scanning from the front instead would cost O(backlog)
+    // per delivery once a gated reader pins the queue.
+    let start = queue.front().map_or(0, |(front, _)| {
+        reader.cursor.saturating_sub(*front) as usize
+    });
+    for (seq, op) in queue.iter().skip(start) {
+        debug_assert!(*seq >= reader.cursor);
+        if let Some(translated) = translate(id, op) {
+            let origin = op_origin(op);
+            let trace = if trace_by_seq.is_empty() {
+                None
+            } else {
+                trace_by_seq.get(seq).copied()
+            };
+            if let Some(ctx) = trace {
+                let prev = xtrace::set_current(Some(ctx));
+                target.borrow_mut().route_op(el, origin, translated);
+                xtrace::set_current(prev);
+            } else {
+                target.borrow_mut().route_op(el, origin, translated);
+            }
+        }
+        reader.cursor = *seq + 1;
+        // A delivery may have congested this reader's lane; stop pulling
+        // immediately, leaving the rest queued here.
+        if reader.gated_off() {
+            break;
+        }
+    }
 }
 
 fn op_origin<A: Addr>(op: &RouteOp<A, BgpRoute<A>>) -> OriginId {

@@ -17,42 +17,18 @@
 //! pair nests with monotone stamps, and p50/p99 end-to-end latencies are
 //! reported.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use xorp_harness::figargs::flag_value;
 use xorp_harness::router::{MultiProcessRouter, RouterOptions};
 use xorp_harness::stats::{
-    covered_hops, end_to_end_ns, format_trace_report, percentile, stitch_spans,
+    covered_hops, drain_pages, end_to_end_ns, format_trace_report, percentile, stitch_spans,
 };
 use xorp_harness::workload::{backbone_table, WorkloadConfig};
-use xorp_profiler::tracing::Span;
-use xorp_xrl::profile::decode_spans;
 use xorp_xrl::profile::profile::Client as ProfileClient;
-use xorp_xrl::{XrlError, XrlRouter};
-
-type Slot<T> = Rc<RefCell<Option<Result<T, XrlError>>>>;
-
-fn slot<T>() -> Slot<T> {
-    Rc::new(RefCell::new(None))
-}
-
-fn wait<T>(el: &mut xorp_event::EventLoop, slot: &Slot<T>, what: &str) -> T {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        if let Some(res) = slot.borrow_mut().take() {
-            return res.unwrap_or_else(|e| panic!("{what} failed: {e}"));
-        }
-        if Instant::now() > deadline {
-            panic!("{what} timed out");
-        }
-        if !el.run_one() {
-            el.run_for(Duration::from_millis(1));
-        }
-    }
-}
+use xorp_xrl::profile::{decode_spans, MAX_RECORDS_PER_SLICE};
+use xorp_xrl::XrlRouter;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -106,22 +82,16 @@ fn main() {
         .unwrap();
     let client = ProfileClient::new(&observer, "bgp");
 
-    let mut all: Vec<Span> = Vec::new();
+    let mut all = Vec::new();
     for process in ["bgp", "rib", "fea"] {
-        loop {
-            let r = slot();
-            let s = r.clone();
-            client.get_spans(&mut el, process.to_string(), 4096, move |_el, reply| {
-                *s.borrow_mut() = Some(reply);
-            });
-            let (rows, remaining, dropped) = wait(&mut el, &r, "profile get_spans");
-            let slice = decode_spans(&rows, remaining, dropped).expect("bad spans reply");
-            assert!(slice.spans.len() <= 4096, "span slice overflowed max");
-            all.extend(slice.spans);
-            if slice.remaining == 0 {
-                break;
-            }
-        }
+        let drained = drain_pages(
+            &mut el,
+            "profile get_spans",
+            MAX_RECORDS_PER_SLICE as u32,
+            |el, max, done| client.get_spans(el, process.to_string(), max, done),
+            decode_spans,
+        );
+        all.extend(drained.items);
     }
     let views = stitch_spans(all);
     print!(

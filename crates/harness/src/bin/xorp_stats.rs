@@ -23,45 +23,21 @@
 //! `get_records` slices, and the registry serving every process's
 //! queue-depth gauges.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use xorp_harness::figargs::flag_value;
 use xorp_harness::router::{MultiProcessRouter, RouterOptions};
 use xorp_harness::stats::{
-    format_metrics_table_with_rates, format_points_table, format_trace_report, metric_rates,
-    stitch_spans,
+    call, drain_pages, format_metrics_table_with_rates, format_points_table, format_trace_report,
+    metric_rates, stitch_spans,
 };
 use xorp_harness::workload::{backbone_table, WorkloadConfig};
-use xorp_profiler::tracing::Span;
 use xorp_xrl::profile::profile::Client as ProfileClient;
 use xorp_xrl::profile::{
-    decode_metrics, decode_points, decode_records, decode_spans, ROUTE_FLOW_ALIAS,
+    decode_metrics, decode_points, decode_records, decode_spans, MAX_RECORDS_PER_SLICE,
+    ROUTE_FLOW_ALIAS,
 };
-use xorp_xrl::{XrlError, XrlRouter};
-
-type Slot<T> = Rc<RefCell<Option<Result<T, XrlError>>>>;
-
-fn slot<T>() -> Slot<T> {
-    Rc::new(RefCell::new(None))
-}
-
-/// Spin the observer loop until a typed reply lands in `slot`.
-fn wait<T>(el: &mut xorp_event::EventLoop, slot: &Slot<T>, what: &str) -> T {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        if let Some(res) = slot.borrow_mut().take() {
-            return res.unwrap_or_else(|e| panic!("{what} failed: {e}"));
-        }
-        if Instant::now() > deadline {
-            panic!("{what} timed out");
-        }
-        if !el.run_one() {
-            el.run_for(Duration::from_millis(1));
-        }
-    }
-}
+use xorp_xrl::XrlRouter;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -92,12 +68,9 @@ fn main() {
 
     // Arm the route-flow points over the wire, then drive the workload so
     // there is something to see.
-    let r = slot();
-    let s = r.clone();
-    client.enable(&mut el, ROUTE_FLOW_ALIAS.to_string(), move |_el, reply| {
-        *s.borrow_mut() = Some(reply);
+    let (ok,) = call(&mut el, "profile enable", |el, done| {
+        client.enable(el, ROUTE_FLOW_ALIAS.to_string(), done)
     });
-    let (ok,) = wait(&mut el, &r, "profile enable");
     assert!(ok, "profile enable rejected the alias");
 
     let table = backbone_table(&WorkloadConfig {
@@ -120,12 +93,7 @@ fn main() {
         if iter > 0 {
             std::thread::sleep(Duration::from_millis(interval_ms));
         }
-        let r = slot();
-        let s = r.clone();
-        client.list(&mut el, move |_el, reply| {
-            *s.borrow_mut() = Some(reply);
-        });
-        let (rows,) = wait(&mut el, &r, "profile list");
+        let (rows,) = call(&mut el, "profile list", |el, done| client.list(el, done));
         let points = decode_points(&rows).expect("bad list reply");
         print!(
             "{}",
@@ -135,12 +103,9 @@ fn main() {
             )
         );
 
-        let r = slot();
-        let s = r.clone();
-        client.get_metrics(&mut el, move |_el, reply| {
-            *s.borrow_mut() = Some(reply);
+        let (rows,) = call(&mut el, "profile get_metrics", |el, done| {
+            client.get_metrics(el, done)
         });
-        let (rows,) = wait(&mut el, &r, "profile get_metrics");
         let metrics = decode_metrics(&rows).expect("bad metrics reply");
         let now = Instant::now();
         // A previous snapshot turns counters into per-second rates.
@@ -183,27 +148,15 @@ fn main() {
             assert!(bgpin.len > 0, "no records buffered at route_bgpin");
 
             // Drain it in bounded slices; stamps must be monotone.
-            let mut collected = Vec::new();
-            loop {
-                let r = slot();
-                let s = r.clone();
-                client.get_records(
-                    &mut el,
-                    "route_bgpin".to_string(),
-                    256,
-                    move |_el, reply| {
-                        *s.borrow_mut() = Some(reply);
-                    },
-                );
-                let (rows, remaining, dropped) = wait(&mut el, &r, "profile get_records");
-                let slice = decode_records(&rows, remaining, dropped).expect("bad records reply");
-                assert!(slice.records.len() <= 256, "slice overflowed max");
-                collected.extend(slice.records);
-                if slice.remaining == 0 {
-                    assert_eq!(slice.dropped, 0, "flood-dropped records in a small run");
-                    break;
-                }
-            }
+            let drained = drain_pages(
+                &mut el,
+                "profile get_records",
+                256,
+                |el, max, done| client.get_records(el, "route_bgpin".to_string(), max, done),
+                decode_records,
+            );
+            assert_eq!(drained.dropped, 0, "flood-dropped records in a small run");
+            let collected = drained.items;
             assert_eq!(collected.len(), routes, "lost records across slices");
             assert!(
                 collected.windows(2).all(|w| w[0].nanos <= w[1].nanos),
@@ -222,22 +175,16 @@ fn main() {
     // serve any process's span ring; we still ask over the real wire, in
     // bounded slices, like an external console would.
     if trace_every > 0 {
-        let mut all: Vec<Span> = Vec::new();
+        let mut all = Vec::new();
         for process in ["bgp", "rib", "fea"] {
-            loop {
-                let r = slot();
-                let s = r.clone();
-                client.get_spans(&mut el, process.to_string(), 4096, move |_el, reply| {
-                    *s.borrow_mut() = Some(reply);
-                });
-                let (rows, remaining, dropped) = wait(&mut el, &r, "profile get_spans");
-                let slice = decode_spans(&rows, remaining, dropped).expect("bad spans reply");
-                assert!(slice.spans.len() <= 4096, "span slice overflowed max");
-                all.extend(slice.spans);
-                if slice.remaining == 0 {
-                    break;
-                }
-            }
+            let drained = drain_pages(
+                &mut el,
+                "profile get_spans",
+                MAX_RECORDS_PER_SLICE as u32,
+                |el, max, done| client.get_spans(el, process.to_string(), max, done),
+                decode_spans,
+            );
+            all.extend(drained.items);
         }
         let views = stitch_spans(all);
         print!(

@@ -1,14 +1,81 @@
 //! Report formatting: the paper-style latency tables of Figures 10–12,
 //! plus the `xorp-stats` metrics and profiling-point tables, rate
 //! derivation between metric snapshots, and cross-process trace
-//! stitching (spans → causal trees → per-hop/total latency).
+//! stitching (spans → causal trees → per-hop/total latency).  Also the
+//! external observer's read path: one blocking `profile/1.0` call
+//! ([`call`]) and one read of a paginated ring to its end
+//! ([`drain_pages`]).
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::time::Duration;
+use std::rc::Rc;
+use std::time::{Duration, Instant};
 
+use xorp_event::EventLoop;
 use xorp_profiler::tracing::Span;
-use xorp_profiler::{points, LatencyStats, PointInfo, Profiler, Record};
-use xorp_xrl::profile::MetricRow;
+use xorp_profiler::{points, Drained, LatencyStats, PointInfo, Profiler, Record};
+use xorp_xrl::profile::{MetricRow, PageReply};
+use xorp_xrl::{AtomValue, XrlError};
+
+/// The reply callback a generated client stub takes, boxed.
+pub type Reply<T> = Box<dyn FnOnce(&mut EventLoop, Result<T, XrlError>)>;
+
+/// Make one XRL call with `send` and spin the observer's loop until its
+/// reply lands.  Panics naming `what` if the call fails or takes over
+/// 10 s.
+pub fn call<T: 'static>(
+    el: &mut EventLoop,
+    what: &str,
+    send: impl FnOnce(&mut EventLoop, Reply<T>),
+) -> T {
+    let slot: Rc<RefCell<Option<Result<T, XrlError>>>> = Rc::default();
+    let s = slot.clone();
+    send(
+        el,
+        Box::new(move |_el, reply| *s.borrow_mut() = Some(reply)),
+    );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        if let Some(res) = slot.borrow_mut().take() {
+            return res.unwrap_or_else(|e| panic!("{what} failed: {e}"));
+        }
+        if Instant::now() > deadline {
+            panic!("{what} timed out");
+        }
+        if !el.run_one() {
+            el.run_for(Duration::from_millis(1));
+        }
+    }
+}
+
+/// Read a clearing `get_records`/`get_spans` stream to its end: `fetch`
+/// asks for a page of at most `max` rows, until a page reports
+/// `remaining == 0`.  Returns every item, oldest first, with the
+/// evictions the pages reported.
+#[allow(clippy::type_complexity)]
+pub fn drain_pages<T>(
+    el: &mut EventLoop,
+    what: &str,
+    max: u32,
+    mut fetch: impl FnMut(&mut EventLoop, u32, Reply<PageReply>),
+    decode: fn(&[AtomValue], u32, u64) -> Result<Drained<T>, XrlError>,
+) -> Drained<T> {
+    let mut all = Drained::default();
+    loop {
+        let (rows, remaining, dropped) = call(el, what, |el, done| fetch(el, max, done));
+        let page =
+            decode(&rows, remaining, dropped).unwrap_or_else(|e| panic!("{what}: bad reply: {e}"));
+        assert!(
+            page.items.len() <= max as usize,
+            "{what}: page overflowed max"
+        );
+        all.items.extend(page.items);
+        all.dropped += page.dropped;
+        if page.remaining == 0 {
+            return all;
+        }
+    }
+}
 
 /// One row of the Figure 10–12 tables.
 #[derive(Debug, Clone)]
@@ -300,7 +367,7 @@ pub fn hop_stats(spans: &[Span]) -> Vec<HopStats> {
     let mut by_hop: BTreeMap<(String, String), Vec<u64>> = BTreeMap::new();
     for s in spans {
         by_hop
-            .entry((s.process.clone(), s.point.clone()))
+            .entry((s.process.to_string(), s.point.clone()))
             .or_default()
             .push(s.end_ns.saturating_sub(s.start_ns));
     }
@@ -369,7 +436,7 @@ mod tests {
         // timestamps are real but deltas are what we check structurally.
         for net in ["10.0.1.0/24", "10.0.2.0/24"] {
             for (point, _) in POINT_LABELS {
-                p.record(point, || format!("add {net}"));
+                p.point(point).record(|| format!("add {net}"));
             }
         }
         let rows = latency_rows(&p, "add");
@@ -395,10 +462,10 @@ mod tests {
         let p = Profiler::new();
         p.enable_route_flow();
         for (point, _) in POINT_LABELS {
-            p.record(point, || "add 10.0.1.0/24".to_string());
+            p.point(point).record(|| "add 10.0.1.0/24".to_string());
         }
         for (point, _) in POINT_LABELS {
-            p.record(point, || "del 10.0.1.0/24".to_string());
+            p.point(point).record(|| "del 10.0.1.0/24".to_string());
         }
         let adds = latency_rows(&p, "add");
         let dels = latency_rows(&p, "del");
@@ -411,7 +478,7 @@ mod tests {
         let p = Profiler::new();
         p.enable_route_flow();
         for (point, _) in POINT_LABELS {
-            p.record(point, || "add 10.0.1.0/24".to_string());
+            p.point(point).record(|| "add 10.0.1.0/24".to_string());
         }
         let table = format_latency_table("Figure 10", &latency_rows(&p, "add"));
         assert!(table.contains("Entering kernel"));
@@ -422,7 +489,8 @@ mod tests {
     fn missing_points_yield_none() {
         let p = Profiler::new();
         p.enable(points::BGP_IN);
-        p.record(points::BGP_IN, || "add 10.0.1.0/24".to_string());
+        p.point(points::BGP_IN)
+            .record(|| "add 10.0.1.0/24".to_string());
         let rows = latency_rows(&p, "add");
         assert!(rows[7].stats.is_none());
     }

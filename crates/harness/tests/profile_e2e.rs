@@ -10,39 +10,17 @@
 //! path — and that the stamps it returns stay monotone even under
 //! backpressure.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use xorp_harness::router::{MultiProcessRouter, RouterOptions};
+use xorp_harness::stats::{call, drain_pages};
 use xorp_harness::workload::{backbone_table, WorkloadConfig};
+use xorp_profiler::{Drained, Record};
 use xorp_xrl::profile::profile::Client as ProfileClient;
 use xorp_xrl::profile::{
     decode_metrics, decode_points, decode_records, MetricRow, ROUTE_FLOW_ALIAS,
 };
-use xorp_xrl::{QueuePolicy, XrlError, XrlRouter};
-
-type Slot<T> = Rc<RefCell<Option<Result<T, XrlError>>>>;
-
-fn slot<T>() -> Slot<T> {
-    Rc::new(RefCell::new(None))
-}
-
-/// Spin the observer loop until the typed reply lands.
-fn wait<T>(el: &mut xorp_event::EventLoop, slot: &Slot<T>, what: &str) -> T {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        if let Some(res) = slot.borrow_mut().take() {
-            return res.unwrap_or_else(|e| panic!("{what} failed: {e}"));
-        }
-        if Instant::now() > deadline {
-            panic!("{what} timed out");
-        }
-        if !el.run_one() {
-            el.run_for(Duration::from_millis(1));
-        }
-    }
-}
+use xorp_xrl::{QueuePolicy, XrlRouter};
 
 /// Build an observer loop + XRL router attached to the given router's
 /// Finder, over TCP like any external console.
@@ -57,15 +35,15 @@ fn observer(router: &MultiProcessRouter) -> (xorp_event::EventLoop, XrlRouter) {
 
 /// `enable`/`disable` one point (or alias) and return the `ok` flag.
 fn arm(el: &mut xorp_event::EventLoop, client: &ProfileClient, point: &str, on: bool) -> bool {
-    let r = slot();
-    let s = r.clone();
-    let cb = move |_el: &mut xorp_event::EventLoop, reply| *s.borrow_mut() = Some(reply);
-    if on {
-        client.enable(el, point.to_string(), cb);
-    } else {
-        client.disable(el, point.to_string(), cb);
-    }
-    wait(el, &r, "profile enable/disable").0
+    let point = point.to_string();
+    call(el, "profile enable/disable", |el, done| {
+        if on {
+            client.enable(el, point, done)
+        } else {
+            client.disable(el, point, done)
+        }
+    })
+    .0
 }
 
 /// Fetch and decode the point listing.
@@ -73,45 +51,33 @@ fn list_points(
     el: &mut xorp_event::EventLoop,
     client: &ProfileClient,
 ) -> Vec<xorp_profiler::PointInfo> {
-    let r = slot();
-    let s = r.clone();
-    client.list(el, move |_el, reply| *s.borrow_mut() = Some(reply));
-    let (rows,) = wait(el, &r, "profile list");
+    let (rows,) = call(el, "profile list", |el, done| client.list(el, done));
     decode_points(&rows).expect("bad list reply")
 }
 
 /// Fetch and decode the shared metrics registry.
 fn fetch_metrics(el: &mut xorp_event::EventLoop, client: &ProfileClient) -> Vec<MetricRow> {
-    let r = slot();
-    let s = r.clone();
-    client.get_metrics(el, move |_el, reply| *s.borrow_mut() = Some(reply));
-    let (rows,) = wait(el, &r, "profile get_metrics");
+    let (rows,) = call(el, "profile get_metrics", |el, done| {
+        client.get_metrics(el, done)
+    });
     decode_metrics(&rows).expect("bad metrics reply")
 }
 
-/// Drain every buffered record for `point` over the wire in bounded
-/// slices, returning (records, dropped).
+/// Drain every buffered record for `point` over the wire in pages of at
+/// most `max`.
 fn drain_records(
     el: &mut xorp_event::EventLoop,
     client: &ProfileClient,
     point: &str,
     max: u32,
-) -> (Vec<xorp_profiler::Record>, u64) {
-    let mut collected = Vec::new();
-    loop {
-        let r = slot();
-        let s = r.clone();
-        client.get_records(el, point.to_string(), max, move |_el, reply| {
-            *s.borrow_mut() = Some(reply)
-        });
-        let (rows, remaining, dropped) = wait(el, &r, "profile get_records");
-        let slice = decode_records(&rows, remaining, dropped).expect("bad records reply");
-        assert!(slice.records.len() <= max as usize, "slice overflowed max");
-        collected.extend(slice.records);
-        if slice.remaining == 0 {
-            return (collected, slice.dropped);
-        }
-    }
+) -> Drained<Record> {
+    drain_pages(
+        el,
+        "profile get_records",
+        max,
+        |el, max, done| client.get_records(el, point.to_string(), max, done),
+        decode_records,
+    )
 }
 
 /// Tentpole happy path: enable over the wire, run a workload, read the
@@ -155,7 +121,11 @@ fn profile_target_serves_records_and_metrics_over_xrl() {
     // Records drain in bounded slices, clear as they go, and each point's
     // stamps are monotone (stamped under the profiler lock).
     for point in ["route_bgpin", "route_ribin", "route_feain"] {
-        let (records, dropped) = drain_records(&mut el, &bgp, point, 128);
+        let Drained {
+            items: records,
+            dropped,
+            ..
+        } = drain_records(&mut el, &bgp, point, 128);
         assert_eq!(records.len(), ROUTES, "{point}: lost records");
         assert_eq!(dropped, 0, "{point}: dropped in a small run");
         assert!(
@@ -164,8 +134,11 @@ fn profile_target_serves_records_and_metrics_over_xrl() {
         );
     }
     // get_records clears: a second drain of the same point is empty.
-    let (again, _) = drain_records(&mut el, &bgp, "route_bgpin", 128);
-    assert!(again.is_empty(), "get_records did not clear the buffer");
+    let again = drain_records(&mut el, &bgp, "route_bgpin", 128);
+    assert!(
+        again.items.is_empty(),
+        "get_records did not clear the buffer"
+    );
 
     // The registry is process-shared: one target serves every process's
     // instrumentation, fully qualified, with sane values.
@@ -276,7 +249,7 @@ fn profile_target_answers_while_data_lane_xoffed() {
     // Stamps taken while the lane cycled Xoff/Xon are still monotone per
     // point, and the Xoff counter actually moved.
     for point in ["route_bgpin", "route_sent_rib", "route_ribin"] {
-        let (records, _) = drain_records(&mut el, &bgp, point, 512);
+        let records = drain_records(&mut el, &bgp, point, 512).items;
         assert!(!records.is_empty(), "{point}: no records under load");
         assert!(
             records.windows(2).all(|w| w[0].nanos <= w[1].nanos),

@@ -44,7 +44,7 @@ fn sampled_update_traces_cover_the_full_chain() {
     // xorp-stats/fig-trace); snapshot is non-destructive.
     let mut all: Vec<Span> = Vec::new();
     for p in ["bgp", "rib", "fea"] {
-        all.extend(router.tracer.snapshot(p));
+        all.extend(router.tracer.snapshot(p).0);
     }
     let views = stitch_spans(all);
     let roots: Vec<u64> = views
@@ -143,7 +143,7 @@ fn traces_survive_congested_lanes() {
 
     let mut all: Vec<Span> = Vec::new();
     for p in ["bgp", "rib", "fea"] {
-        all.extend(router.tracer.snapshot(p));
+        all.extend(router.tracer.snapshot(p).0);
     }
     let views = stitch_spans(all);
     let roots: Vec<u64> = views

@@ -8,21 +8,24 @@
 //!
 //! A [`Profiler`] is shared (cheaply clonable) across the router's
 //! processes so the harness can correlate one route's timestamps across BGP,
-//! the RIB, the FEA and the kernel boundary.  All timestamps come from a
-//! single epoch captured at construction, so cross-thread differences are
-//! meaningful.
+//! the RIB, the FEA and the kernel boundary.  Every timestamp, here and in
+//! [`tracing`]'s spans, comes from one process-wide clock ([`now_ns`]), so
+//! cross-thread differences are meaningful.
 //!
-//! Two properties matter in production, where the paper's external
-//! `xorp_profiler` program may leave points enabled indefinitely:
+//! The cross-process [`tracing`] spans are the same mechanism: both
+//! recorders store into the one bounded [`ring`], drained in pages by one
+//! [`Drained`] contract.  Two properties matter in production, where the
+//! paper's external `xorp_profiler` program may leave points enabled
+//! indefinitely:
 //!
-//! * **bounded memory** — each point stores its records in a ring buffer
-//!   ([`DEFAULT_POINT_CAPACITY`] by default); once full, the oldest record
-//!   is dropped and counted, and the drop count is surfaced next to the
-//!   records so a reader knows the window is partial;
-//! * **cheap when dormant** — the per-point enable flag is an
-//!   `Arc<AtomicBool>`; a [`PointHandle`] obtained once via
-//!   [`Profiler::point`] makes a disabled stamp cost one relaxed load, with
-//!   no clock read and no lock acquisition.
+//! * **bounded memory** — each point stores its records in a ring of
+//!   [`RING_CAPACITY`]; once full, the oldest record is dropped and
+//!   counted, and the drop count is surfaced next to the records so a
+//!   reader knows the window is partial;
+//! * **cheap when dormant** — a [`PointHandle`] obtained once via
+//!   [`Profiler::point`] holds its point, so a disabled stamp costs one
+//!   relaxed load, with no clock read and no lock; an enabled one takes
+//!   only its own point's ring lock.
 //!
 //! The standard route-flow profiling points of §8.2 are provided as
 //! constants; the figure-regeneration binaries enable exactly those.
@@ -30,19 +33,22 @@
 //! lives in the companion [`metrics`] registry rather than as timestamped
 //! records.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use parking_lot::Mutex;
 
 pub mod metrics;
+pub mod ring;
 pub mod tracing;
 
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricSample, MetricValue, Metrics,
 };
+use ring::Ring;
+pub use ring::{Drained, RING_CAPACITY};
 pub use tracing::{Span, SpanRecorder, TraceContext, Tracer};
 
 /// The eight §8.2 route-flow profiling points, in pipeline order.
@@ -77,91 +83,82 @@ pub mod points {
     ];
 }
 
-/// Default per-point ring-buffer capacity (records).
-pub const DEFAULT_POINT_CAPACITY: usize = 65_536;
-
 /// One timestamped record at a profiling point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
-    /// Nanoseconds since the profiler's epoch.
+    /// Nanoseconds since the process-wide epoch ([`now_ns`]).
     pub nanos: u64,
     /// Free-form payload, conventionally `"<op> <prefix>"`.
     pub payload: String,
 }
 
-struct PointState {
-    /// Shared with every [`PointHandle`] for this point — the only thing
-    /// a dormant stamp reads.
-    enabled: Arc<AtomicBool>,
-    records: VecDeque<Record>,
-    capacity: usize,
-    /// Records evicted from the front of the ring since the last
-    /// [`Profiler::take`]/full drain.
-    dropped: u64,
+fn epoch() -> &'static (Instant, u64) {
+    static EPOCH: OnceLock<(Instant, u64)> = OnceLock::new();
+    EPOCH.get_or_init(|| {
+        let wall_us = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map_or(0, |d| d.as_micros() as u64);
+        (Instant::now(), wall_us)
+    })
 }
 
-impl PointState {
-    fn new(capacity: usize) -> PointState {
-        PointState {
-            enabled: Arc::new(AtomicBool::new(false)),
-            records: VecDeque::new(),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, rec: Record) {
-        if self.records.len() >= self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(rec);
-    }
+/// The one clock every record and span is stamped with: nanoseconds since
+/// a process-wide epoch, so stamps from any thread, point or span compare
+/// directly.
+pub fn now_ns() -> u64 {
+    epoch().0.elapsed().as_nanos() as u64
 }
 
-struct Inner {
-    points: HashMap<String, PointState>,
-    default_capacity: usize,
+/// Wall-clock microseconds since the Unix epoch at the [`now_ns`] stamp
+/// `ns` — for human-readable reports, without a second clock read.
+pub fn wall_us(ns: u64) -> u64 {
+    epoch().1 + ns / 1_000
+}
+
+/// A profiling variable: its enable flag and its ring of records.
+struct Point {
+    /// The only thing a dormant stamp reads.
+    enabled: AtomicBool,
+    records: Ring<Record>,
 }
 
 /// A set of profiling variables shared across router processes.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Profiler {
-    epoch: Instant,
-    inner: Arc<Mutex<Inner>>,
+    points: Arc<Mutex<HashMap<String, Arc<Point>>>>,
 }
 
-/// Cheap per-point stamping handle (see [`Profiler::point`]).
+/// Cheap per-point stamping handle (see [`Profiler::point`]): it holds the
+/// point itself, so a stamp never takes the profiler's lock or looks up a
+/// name.
 ///
 /// The hot-path contract: when the point is disabled, [`PointHandle::record`]
 /// performs exactly one relaxed atomic load — no clock read, no payload
 /// formatting, no lock.
 #[derive(Clone)]
 pub struct PointHandle {
-    name: Arc<str>,
-    enabled: Arc<AtomicBool>,
-    profiler: Profiler,
+    point: Arc<Point>,
 }
 
 impl PointHandle {
     /// Store a record if the point is enabled; a no-op costing one relaxed
-    /// load otherwise.
+    /// load otherwise.  The stamp is read under the point's ring lock, so
+    /// a point's records are monotone even with concurrent stampers.
     #[inline]
     pub fn record(&self, payload: impl FnOnce() -> String) {
-        if !self.enabled.load(Ordering::Relaxed) {
+        if !self.point.enabled.load(Ordering::Relaxed) {
             return;
         }
-        self.profiler.record_enabled(&self.name, payload);
+        let payload = payload();
+        self.point.records.push_with(|| Record {
+            nanos: now_ns(),
+            payload,
+        });
     }
 
     /// Whether the point is currently enabled.
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// The point's name.
-    pub fn name(&self) -> &str {
-        &self.name
+        self.point.enabled.load(Ordering::Relaxed)
     }
 }
 
@@ -172,104 +169,51 @@ pub struct PointInfo {
     pub enabled: bool,
     /// Records currently buffered.
     pub len: usize,
-    /// Records evicted at the ring-buffer cap since the last full drain.
+    /// Records evicted at the ring cap since the last drain.
     pub dropped: u64,
-}
-
-/// Result of one bounded [`Profiler::drain`] slice.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Drained {
-    /// Oldest-first records removed by this slice.
-    pub records: Vec<Record>,
-    /// Records still buffered after this slice (paginate until 0).
-    pub remaining: usize,
-    /// Ring-buffer evictions since the previous drain: nonzero means the
-    /// record stream has a hole older than `records[0]`.  Reported on the
-    /// first slice of a paginated read only, then reset.
-    pub dropped: u64,
-}
-
-impl Default for Profiler {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Profiler {
-    /// A fresh profiler with all points disabled and the default
-    /// per-point ring capacity.
+    /// A fresh profiler with all points disabled.
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_POINT_CAPACITY)
+        Self::default()
     }
 
-    /// A profiler whose points each buffer at most `capacity` records.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Profiler {
-            epoch: Instant::now(),
-            inner: Arc::new(Mutex::new(Inner {
-                points: HashMap::new(),
-                default_capacity: capacity.max(1),
-            })),
-        }
+    /// `point`, created disabled if it does not exist.
+    fn entry(&self, point: &str) -> Arc<Point> {
+        self.points
+            .lock()
+            .entry(point.to_string())
+            .or_insert_with(|| {
+                Arc::new(Point {
+                    enabled: AtomicBool::new(false),
+                    records: Ring::new(RING_CAPACITY),
+                })
+            })
+            .clone()
     }
 
-    /// Change the ring capacity for every point (existing and future).
-    /// Shrinking evicts the oldest records, counting them as dropped.
-    pub fn set_capacity(&self, capacity: usize) {
-        let capacity = capacity.max(1);
-        let mut inner = self.inner.lock();
-        inner.default_capacity = capacity;
-        for p in inner.points.values_mut() {
-            p.capacity = capacity;
-            while p.records.len() > capacity {
-                p.records.pop_front();
-                p.dropped += 1;
-            }
-        }
-    }
-
-    /// The current per-point ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.inner.lock().default_capacity
+    fn find(&self, point: &str) -> Option<Arc<Point>> {
+        self.points.lock().get(point).cloned()
     }
 
     /// A stamping handle for `point` (creating the point, disabled, if it
-    /// does not exist).  Obtain once per site, then stamp through it: the
-    /// handle's dormant path never touches the profiler lock.
+    /// does not exist).  Obtain once per site, then stamp through it.
     pub fn point(&self, point: &str) -> PointHandle {
-        let enabled = {
-            let mut inner = self.inner.lock();
-            let cap = inner.default_capacity;
-            inner
-                .points
-                .entry(point.to_string())
-                .or_insert_with(|| PointState::new(cap))
-                .enabled
-                .clone()
-        };
         PointHandle {
-            name: Arc::from(point),
-            enabled,
-            profiler: self.clone(),
+            point: self.entry(point),
         }
     }
 
     /// Enable a profiling variable (records start being stored).
     /// This is what the external `xorp_profiler` program does via XRLs.
     pub fn enable(&self, point: &str) {
-        let mut inner = self.inner.lock();
-        let cap = inner.default_capacity;
-        inner
-            .points
-            .entry(point.to_string())
-            .or_insert_with(|| PointState::new(cap))
-            .enabled
-            .store(true, Ordering::Relaxed);
+        self.entry(point).enabled.store(true, Ordering::Relaxed);
     }
 
     /// Disable a profiling variable; existing records are retained.
     pub fn disable(&self, point: &str) {
-        if let Some(p) = self.inner.lock().points.get_mut(point) {
+        if let Some(p) = self.find(point) {
             p.enabled.store(false, Ordering::Relaxed);
         }
     }
@@ -283,118 +227,44 @@ impl Profiler {
 
     /// True if the point is currently enabled.
     pub fn is_enabled(&self, point: &str) -> bool {
-        self.inner
-            .lock()
-            .points
-            .get(point)
+        self.find(point)
             .is_some_and(|p| p.enabled.load(Ordering::Relaxed))
     }
 
-    /// Store a record at `point` if it is enabled.  The timestamp and the
-    /// payload closure are only evaluated when enabled, so a dormant point
-    /// costs the lock and a map probe — sites hot enough to care hold a
-    /// [`PointHandle`] instead, which skips even those.
-    pub fn record(&self, point: &str, payload: impl FnOnce() -> String) {
-        let mut inner = self.inner.lock();
-        if let Some(p) = inner.points.get_mut(point) {
-            if p.enabled.load(Ordering::Relaxed) {
-                // Stamp under the lock: records within a point are then
-                // monotone by construction, even with concurrent stampers.
-                let nanos = self.epoch.elapsed().as_nanos() as u64;
-                p.push(Record {
-                    nanos,
-                    payload: payload(),
-                });
-            }
-        }
-    }
-
-    /// Slow half of [`PointHandle::record`]: the handle already saw the
-    /// point enabled (re-checked under the lock — a racing disable wins).
-    fn record_enabled(&self, point: &str, payload: impl FnOnce() -> String) {
-        let mut inner = self.inner.lock();
-        if let Some(p) = inner.points.get_mut(point) {
-            if p.enabled.load(Ordering::Relaxed) {
-                let nanos = self.epoch.elapsed().as_nanos() as u64;
-                p.push(Record {
-                    nanos,
-                    payload: payload(),
-                });
-            }
-        }
-    }
-
-    /// Take (and clear) the records stored at `point`.  Resets the drop
-    /// counter: the caller consumed everything that remained.
+    /// Take (and clear) the records stored at `point`.
     pub fn take(&self, point: &str) -> Vec<Record> {
-        self.inner
-            .lock()
-            .points
-            .get_mut(point)
-            .map(|p| {
-                p.dropped = 0;
-                std::mem::take(&mut p.records).into_iter().collect()
-            })
-            .unwrap_or_default()
+        self.drain(point, usize::MAX).items
     }
 
     /// Remove and return up to `max` of the oldest records at `point` —
-    /// the bounded slice behind `profile/1.0/get_records`, sized so one
-    /// reply can never stall an event loop on a huge buffer.  The drop
-    /// counter is surfaced on the *first* slice of a paginated read and
-    /// reset immediately; re-reporting it on every page made accumulating
-    /// readers double-count the hole.
-    pub fn drain(&self, point: &str, max: usize) -> Drained {
-        let mut inner = self.inner.lock();
-        let Some(p) = inner.points.get_mut(point) else {
-            return Drained {
-                records: Vec::new(),
-                remaining: 0,
-                dropped: 0,
-            };
-        };
-        let n = max.min(p.records.len());
-        let records: Vec<Record> = p.records.drain(..n).collect();
-        let dropped = std::mem::take(&mut p.dropped);
-        Drained {
-            records,
-            remaining: p.records.len(),
-            dropped,
-        }
+    /// the bounded page behind `profile/1.0/get_records`.  Unknown points
+    /// drain empty.
+    pub fn drain(&self, point: &str, max: usize) -> Drained<Record> {
+        self.find(point)
+            .map_or_else(Drained::default, |p| p.records.drain(max))
     }
 
     /// Snapshot the records stored at `point` without clearing.
     pub fn snapshot(&self, point: &str) -> Vec<Record> {
-        self.inner
-            .lock()
-            .points
-            .get(point)
-            .map(|p| p.records.iter().cloned().collect())
-            .unwrap_or_default()
-    }
-
-    /// Records evicted at `point`'s ring cap since the last full drain.
-    pub fn dropped(&self, point: &str) -> u64 {
-        self.inner
-            .lock()
-            .points
-            .get(point)
-            .map(|p| p.dropped)
-            .unwrap_or(0)
+        self.find(point)
+            .map_or_else(Vec::new, |p| p.records.snapshot().0)
     }
 
     /// Every known point with its enablement and buffer state, sorted by
     /// name (the `profile/1.0/list` reply).
     pub fn list(&self) -> Vec<PointInfo> {
-        let inner = self.inner.lock();
-        let mut out: Vec<PointInfo> = inner
+        let mut out: Vec<PointInfo> = self
             .points
+            .lock()
             .iter()
-            .map(|(name, p)| PointInfo {
-                name: name.clone(),
-                enabled: p.enabled.load(Ordering::Relaxed),
-                len: p.records.len(),
-                dropped: p.dropped,
+            .map(|(name, p)| {
+                let (len, dropped) = p.records.len_and_dropped();
+                PointInfo {
+                    name: name.clone(),
+                    enabled: p.enabled.load(Ordering::Relaxed),
+                    len,
+                    dropped,
+                }
             })
             .collect();
         out.sort_by(|a, b| a.name.cmp(&b.name));
@@ -404,9 +274,8 @@ impl Profiler {
     /// Clear all records everywhere (points stay enabled; drop counters
     /// reset).
     pub fn clear(&self) {
-        for p in self.inner.lock().points.values_mut() {
+        for p in self.points.lock().values() {
             p.records.clear();
-            p.dropped = 0;
         }
     }
 }
@@ -456,16 +325,17 @@ mod tests {
     #[test]
     fn disabled_points_record_nothing() {
         let p = Profiler::new();
-        p.record("x", || "payload".into());
+        p.point("x").record(|| "payload".into());
         assert!(p.take("x").is_empty());
     }
 
     #[test]
     fn enabled_points_record() {
         let p = Profiler::new();
+        let h = p.point("x");
         p.enable("x");
-        p.record("x", || "add 10.0.1.0/24".into());
-        p.record("x", || "del 10.0.1.0/24".into());
+        h.record(|| "add 10.0.1.0/24".into());
+        h.record(|| "del 10.0.1.0/24".into());
         let recs = p.snapshot("x");
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].payload, "add 10.0.1.0/24");
@@ -478,10 +348,11 @@ mod tests {
     #[test]
     fn disable_stops_recording_keeps_records() {
         let p = Profiler::new();
+        let h = p.point("x");
         p.enable("x");
-        p.record("x", || "a".into());
+        h.record(|| "a".into());
         p.disable("x");
-        p.record("x", || "b".into());
+        h.record(|| "b".into());
         assert_eq!(p.snapshot("x").len(), 1);
         assert!(!p.is_enabled("x"));
     }
@@ -500,112 +371,10 @@ mod tests {
         let p = Profiler::new();
         let q = p.clone();
         p.enable("x");
-        q.record("x", || "via clone".into());
+        q.point("x").record(|| "via clone".into());
         assert_eq!(p.snapshot("x").len(), 1);
-    }
-
-    /// Regression for the unbounded-`Vec` bug: flooding a point far past
-    /// its capacity must cap the buffer at exactly the capacity, keep the
-    /// *newest* records, and count every eviction.
-    #[test]
-    fn flood_past_cap_is_bounded_with_accurate_drop_counter() {
-        let p = Profiler::with_capacity(100);
-        p.enable("x");
-        for i in 0..1000 {
-            p.record("x", || format!("r{i}"));
-        }
-        let recs = p.snapshot("x");
-        assert_eq!(recs.len(), 100, "ring must cap at capacity");
-        assert_eq!(p.dropped("x"), 900);
-        // The survivors are the newest 100, in order.
-        assert_eq!(recs[0].payload, "r900");
-        assert_eq!(recs[99].payload, "r999");
-        let info = &p.list()[0];
-        assert_eq!((info.len, info.dropped), (100, 900));
-        // A full drain surfaces and then resets the counter.
-        let d = p.drain("x", 1000);
-        assert_eq!((d.records.len(), d.remaining, d.dropped), (100, 0, 900));
-        assert_eq!(p.dropped("x"), 0);
-    }
-
-    #[test]
-    fn shrinking_capacity_evicts_oldest_and_counts() {
-        let p = Profiler::with_capacity(10);
-        p.enable("x");
-        for i in 0..10 {
-            p.record("x", || format!("r{i}"));
-        }
-        p.set_capacity(4);
-        let recs = p.snapshot("x");
-        assert_eq!(recs.len(), 4);
-        assert_eq!(recs[0].payload, "r6");
-        assert_eq!(p.dropped("x"), 6);
-    }
-
-    #[test]
-    fn drain_paginates_oldest_first() {
-        let p = Profiler::new();
-        p.enable("x");
-        for i in 0..10 {
-            p.record("x", || format!("r{i}"));
-        }
-        let a = p.drain("x", 4);
-        assert_eq!(a.records[0].payload, "r0");
-        assert_eq!((a.records.len(), a.remaining), (4, 6));
-        let b = p.drain("x", 4);
-        assert_eq!(b.records[0].payload, "r4");
-        assert_eq!((b.records.len(), b.remaining), (4, 2));
-        let c = p.drain("x", 4);
-        assert_eq!((c.records.len(), c.remaining), (2, 0));
-        assert!(p.drain("x", 4).records.is_empty());
-        // Unknown points drain empty rather than erroring.
-        assert_eq!(p.drain("nope", 4).remaining, 0);
-    }
-
-    /// Pagination edge: a slice that lands exactly on the ring boundary
-    /// must report `remaining == 0` on that slice — a reader paginating
-    /// "until remaining is 0" never fetches a spurious empty page.
-    #[test]
-    fn drain_slice_on_ring_boundary_reports_remaining_zero() {
-        let p = Profiler::new();
-        p.enable("x");
-        for i in 0..8 {
-            p.record("x", || format!("r{i}"));
-        }
-        let a = p.drain("x", 4);
-        assert_eq!((a.records.len(), a.remaining), (4, 4));
-        let b = p.drain("x", 4);
-        assert_eq!(
-            (b.records.len(), b.remaining),
-            (4, 0),
-            "exact-boundary slice must close the pagination"
-        );
-    }
-
-    /// `dropped` is a delta, reported on the first page of a paginated
-    /// read only: a reader summing `dropped` across pages must count each
-    /// eviction exactly once, even when later slices leave records behind.
-    #[test]
-    fn drain_reports_dropped_on_first_page_only() {
-        let p = Profiler::with_capacity(10);
-        p.enable("x");
-        for i in 0..25 {
-            p.record("x", || format!("r{i}"));
-        }
-        let a = p.drain("x", 4);
-        assert_eq!((a.records.len(), a.remaining, a.dropped), (4, 6, 15));
-        let b = p.drain("x", 4);
-        assert_eq!(
-            (b.records.len(), b.remaining, b.dropped),
-            (4, 2, 0),
-            "later pages must not re-report the first page's drop count"
-        );
-        // New evictions after the read surface on the next first page.
-        for i in 0..13 {
-            p.record("x", || format!("s{i}"));
-        }
-        let c = p.drain("x", 100);
-        assert_eq!((c.remaining, c.dropped), (0, 5));
+        // Unknown points read empty rather than erroring.
+        assert_eq!(p.drain("nope", 4), Drained::default());
     }
 
     #[test]
@@ -624,14 +393,15 @@ mod tests {
     }
 
     /// The hot-path contract, proven structurally: a dormant handle stamp
-    /// must not acquire the profiler lock.  The test *holds* the lock
-    /// while stamping — if the dormant path tried to lock, this would
-    /// deadlock (parking_lot mutexes are not reentrant).
+    /// must take neither the profiler's lock nor its point's ring lock.
+    /// The test *holds* both while stamping — if the dormant path tried to
+    /// lock, this would deadlock (parking_lot mutexes are not reentrant).
     #[test]
     fn dormant_handle_never_touches_the_lock() {
         let p = Profiler::new();
         let h = p.point("hot");
-        let _guard = p.inner.lock();
+        let _points = p.points.lock();
+        let _ring = h.point.records.hold();
         for _ in 0..1000 {
             h.record(|| unreachable!("dormant point evaluated its payload"));
         }
@@ -661,7 +431,7 @@ mod tests {
         );
 
         // For contrast (printed with --nocapture): the enabled path pays
-        // the payload, the clock, and the lock.
+        // the payload, the clock, and the point's lock.
         p.enable("hot");
         let start = Instant::now();
         for i in 0..N {
@@ -671,15 +441,123 @@ mod tests {
         eprintln!("stamp cost: dormant {per_op} ns/op, enabled {enabled_per_op} ns/op");
     }
 
+    /// A profiler whose enabled point "x" has a ring of `capacity`.
+    fn with_small_point(capacity: usize) -> Profiler {
+        let p = Profiler::new();
+        p.points.lock().insert(
+            "x".to_string(),
+            Arc::new(Point {
+                enabled: AtomicBool::new(true),
+                records: Ring::new(capacity),
+            }),
+        );
+        p
+    }
+
+    /// Regression for the unbounded-`Vec` bug: flooding a point far past
+    /// its capacity must cap the buffer at exactly the capacity, keep the
+    /// *newest* records, and count every eviction.
+    #[test]
+    fn flood_past_cap_is_bounded_with_accurate_drop_counter() {
+        let p = with_small_point(100);
+        let h = p.point("x");
+        for i in 0..1000 {
+            h.record(|| format!("r{i}"));
+        }
+        let recs = p.snapshot("x");
+        assert_eq!(recs.len(), 100, "ring must cap at capacity");
+        // The survivors are the newest 100, in order.
+        assert_eq!(recs[0].payload, "r900");
+        assert_eq!(recs[99].payload, "r999");
+        let info = &p.list()[0];
+        assert_eq!((info.len, info.dropped), (100, 900));
+        // A full drain surfaces and then resets the counter.
+        let d = p.drain("x", 1000);
+        assert_eq!((d.items.len(), d.remaining, d.dropped), (100, 0, 900));
+        assert_eq!(p.list()[0].dropped, 0);
+    }
+
+    #[test]
+    fn drain_paginates_oldest_first() {
+        let p = Profiler::new();
+        let h = p.point("x");
+        p.enable("x");
+        for i in 0..10 {
+            h.record(|| format!("r{i}"));
+        }
+        let a = p.drain("x", 4);
+        assert_eq!(a.items[0].payload, "r0");
+        assert_eq!((a.items.len(), a.remaining), (4, 6));
+        let b = p.drain("x", 4);
+        assert_eq!(b.items[0].payload, "r4");
+        assert_eq!((b.items.len(), b.remaining), (4, 2));
+        let c = p.drain("x", 4);
+        assert_eq!((c.items.len(), c.remaining), (2, 0));
+        assert!(p.drain("x", 4).items.is_empty());
+        // Unknown points drain empty rather than erroring.
+        assert_eq!(p.drain("nope", 4).remaining, 0);
+    }
+
+    /// Pagination edge: a slice that lands exactly on the ring boundary
+    /// must report `remaining == 0` on that slice — a reader paginating
+    /// "until remaining is 0" never fetches a spurious empty page.
+    #[test]
+    fn drain_slice_on_ring_boundary_reports_remaining_zero() {
+        let p = Profiler::new();
+        let h = p.point("x");
+        p.enable("x");
+        for i in 0..8 {
+            h.record(|| format!("r{i}"));
+        }
+        let a = p.drain("x", 4);
+        assert_eq!((a.items.len(), a.remaining), (4, 4));
+        let b = p.drain("x", 4);
+        assert_eq!(
+            (b.items.len(), b.remaining),
+            (4, 0),
+            "exact-boundary slice must close the pagination"
+        );
+    }
+
+    /// `dropped` is a delta, reported on the first page of a paginated
+    /// read only: a reader summing `dropped` across pages must count each
+    /// eviction exactly once, even when later slices leave records behind.
+    #[test]
+    fn drain_reports_dropped_on_first_page_only() {
+        let p = with_small_point(10);
+        let h = p.point("x");
+        for i in 0..25 {
+            h.record(|| format!("r{i}"));
+        }
+        let a = p.drain("x", 4);
+        assert_eq!((a.items.len(), a.remaining, a.dropped), (4, 6, 15));
+        let b = p.drain("x", 4);
+        assert_eq!(
+            (b.items.len(), b.remaining, b.dropped),
+            (4, 2, 0),
+            "later pages must not re-report the first page's drop count"
+        );
+        // New evictions after the read surface on the next first page.
+        for i in 0..13 {
+            h.record(|| format!("s{i}"));
+        }
+        let c = p.drain("x", 100);
+        assert_eq!((c.remaining, c.dropped), (0, 5));
+    }
+
+    /// Four threads flood one point past its ring: it stays at capacity,
+    /// counts every eviction, and its stamps stay monotone (each is read
+    /// under the ring's lock).
     #[test]
     fn concurrent_handle_stamps_stay_monotone_and_bounded() {
-        let p = Profiler::with_capacity(512);
+        const PER_THREAD: usize = RING_CAPACITY / 2;
+        let p = Profiler::new();
         p.enable("x");
         let threads: Vec<_> = (0..4)
             .map(|t| {
                 let h = p.point("x");
                 std::thread::spawn(move || {
-                    for i in 0..1000 {
+                    for i in 0..PER_THREAD {
                         h.record(|| format!("t{t} r{i}"));
                     }
                 })
@@ -688,9 +566,12 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
+        let info = &p.list()[0];
+        assert_eq!(
+            (info.len, info.dropped),
+            (RING_CAPACITY, (4 * PER_THREAD - RING_CAPACITY) as u64)
+        );
         let recs = p.snapshot("x");
-        assert_eq!(recs.len(), 512);
-        assert_eq!(p.dropped("x"), 4000 - 512);
         assert!(
             recs.windows(2).all(|w| w[0].nanos <= w[1].nanos),
             "records within a point must be monotone"

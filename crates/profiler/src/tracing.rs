@@ -11,34 +11,31 @@
 //! context set around a dispatched handler (or a replayed fanout entry)
 //! is exactly the causal parent of everything that handler does.
 //!
-//! Design constraints mirror the profiler's:
+//! Spans are the profiler's records under another name: each process's
+//! spans go to one bounded [`crate::ring`] (the one a [`SpanRecorder`]
+//! holds, so recording never looks up a name), drained in pages by
+//! `profile/1.0/get_spans` exactly as `get_records` drains a point, and
+//! stamped by the same process-wide clock ([`crate::now_ns`]), so spans
+//! from different threads and profiling records compare directly.
 //!
 //! * **cheap when dormant** — [`Tracer::sample`] with sampling off costs
 //!   exactly one relaxed atomic load, the same contract as
 //!   [`crate::PointHandle::record`];
-//! * **bounded memory** — spans land in a per-process ring
-//!   ([`DEFAULT_SPAN_CAPACITY`]) with a dropped counter, drained in
-//!   bounded slices by `profile/1.0/get_spans`;
 //! * **coalescing keeps causality** — when a batcher folds many traced
 //!   routes into one frame, one context becomes the frame's *carrier*
 //!   and every other contributor records a fan-in span whose
 //!   [`Span::link`] names the carrier trace, so a stitcher can join the
 //!   trees instead of losing the contributors.
-//!
-//! All monotonic stamps come from one epoch captured at construction, so
-//! spans from different threads are directly comparable — the same trick
-//! [`crate::Profiler`] uses.
 
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use parking_lot::Mutex;
 
-/// Default per-process span-ring capacity.
-pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
+use crate::ring::{Drained, Ring, RING_CAPACITY};
+use crate::{now_ns, wall_us};
 
 /// The causal identity a sampled route carries across processes: which
 /// end-to-end trace it belongs to and which span caused the current work.
@@ -61,25 +58,26 @@ pub struct Span {
     pub span_id: u32,
     /// The causing span, 0 for a trace root.
     pub parent_span: u32,
-    /// Process that recorded the span ("bgp", "rib", "fea", ...).
-    pub process: String,
+    /// Process that recorded the span ("bgp", "rib", "fea", ...), shared
+    /// with its recorder rather than copied per span.
+    pub process: Arc<str>,
     /// Hop name ("bgp_in", "fanout", "batch", "rib", "fea", "fan_in").
     pub point: String,
-    /// Wall-clock stamp (µs since the Unix epoch) taken at finish, for
+    /// Wall-clock stamp (µs since the Unix epoch) of `end_ns`, for
     /// human-readable reports.
     pub wall_us: u64,
-    /// Monotonic start, nanoseconds since the tracer's epoch.
+    /// Monotonic start ([`crate::now_ns`]).
     pub start_ns: u64,
-    /// Monotonic end, nanoseconds since the tracer's epoch.
+    /// Monotonic end ([`crate::now_ns`]).
     pub end_ns: u64,
     /// For `fan_in` spans: the trace id of the carrier frame this
     /// contributor was coalesced into; 0 otherwise.
     pub link: u64,
 }
 
-/// An open span: created by [`Tracer::begin`], closed by
-/// [`Tracer::finish`].  Carries the child [`TraceContext`] downstream
-/// work should propagate.
+/// An open span: created by [`SpanRecorder::begin`], closed by
+/// [`SpanRecorder::finish`].  Carries the child [`TraceContext`]
+/// downstream work should propagate.
 #[derive(Debug)]
 pub struct ActiveSpan {
     /// Context for work caused by this span (same trace, this span as
@@ -90,92 +88,43 @@ pub struct ActiveSpan {
     start_ns: u64,
 }
 
-/// Result of one bounded [`Tracer::drain`] slice, mirroring
-/// [`crate::Drained`].
+/// One page of [`Tracer::drain`]: the ring's [`Drained`], with its items
+/// named for what they are.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DrainedSpans {
-    /// Oldest-first spans removed by this slice.
+    /// Oldest-first spans removed by this page.
     pub spans: Vec<Span>,
-    /// Spans still buffered after this slice (paginate until 0).
+    /// Spans still buffered after this page (paginate until 0).
     pub remaining: usize,
-    /// Ring evictions since the previous drain; reported once (the first
-    /// page of a paginated read) and then reset.
+    /// Ring evictions since the previous drain (first page only).
     pub dropped: u64,
-}
-
-struct SpanRing {
-    spans: VecDeque<Span>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl SpanRing {
-    fn push(&mut self, span: Span) {
-        if self.spans.len() >= self.capacity {
-            self.spans.pop_front();
-            self.dropped += 1;
-        }
-        self.spans.push_back(span);
-    }
-}
-
-struct TracerInner {
-    rings: HashMap<String, SpanRing>,
-    capacity: usize,
 }
 
 /// The shared trace recorder: one per router, cloned into every process
 /// (like [`crate::Profiler`]), so spans survive the death of the process
 /// that recorded them — the supervisor's flight recorder reads a dead
 /// process's ring through its own clone.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Tracer {
-    epoch: Instant,
     /// Sample 1-in-N ingress events; 0 disables sampling entirely.  The
     /// only thing a dormant [`Tracer::sample`] reads.
     every: Arc<AtomicU64>,
     arrivals: Arc<AtomicU64>,
     next_trace: Arc<AtomicU64>,
     next_span: Arc<AtomicU32>,
-    inner: Arc<Mutex<TracerInner>>,
-}
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Self::new()
-    }
+    rings: Arc<Mutex<HashMap<String, Arc<Ring<Span>>>>>,
 }
 
 impl Tracer {
-    /// A fresh tracer with sampling off and the default ring capacity.
+    /// A fresh tracer with sampling off.
     pub fn new() -> Tracer {
-        Tracer::with_capacity(DEFAULT_SPAN_CAPACITY)
-    }
-
-    /// A tracer whose per-process rings hold at most `capacity` spans.
-    pub fn with_capacity(capacity: usize) -> Tracer {
-        Tracer {
-            epoch: Instant::now(),
-            every: Arc::new(AtomicU64::new(0)),
-            arrivals: Arc::new(AtomicU64::new(0)),
-            next_trace: Arc::new(AtomicU64::new(0)),
-            next_span: Arc::new(AtomicU32::new(0)),
-            inner: Arc::new(Mutex::new(TracerInner {
-                rings: HashMap::new(),
-                capacity: capacity.max(1),
-            })),
-        }
+        Tracer::default()
     }
 
     /// Sample 1 in `every` ingress events (1 = every event); 0 turns
     /// sampling off.
     pub fn set_sampling(&self, every: u64) {
         self.every.store(every, Ordering::Relaxed);
-    }
-
-    /// The current sampling rate (0 = off).
-    pub fn sampling_every(&self) -> u64 {
-        self.every.load(Ordering::Relaxed)
     }
 
     /// Sampling decision for one ingress event.  When sampling is off
@@ -202,158 +151,60 @@ impl Tracer {
         })
     }
 
-    /// Nanoseconds since the tracer's epoch (all spans share it).
+    /// The clock every span is stamped with ([`crate::now_ns`]).
     pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+        now_ns()
     }
 
-    /// Open a span under `ctx`.  The returned [`ActiveSpan::ctx`] is the
-    /// child context downstream work should carry.
-    pub fn begin(&self, ctx: TraceContext, point: &str) -> ActiveSpan {
-        let span_id = self.next_span.fetch_add(1, Ordering::Relaxed) + 1;
-        ActiveSpan {
-            ctx: TraceContext {
-                trace_id: ctx.trace_id,
-                parent_span: span_id,
-            },
-            parent_span: ctx.parent_span,
-            point: point.to_string(),
-            start_ns: self.now_ns(),
-        }
-    }
-
-    /// Close `span` and record it in `process`'s ring.
-    pub fn finish(&self, process: &str, span: ActiveSpan) {
-        let end_ns = self.now_ns();
-        self.push(
-            process,
-            Span {
-                trace_id: span.ctx.trace_id,
-                span_id: span.ctx.parent_span,
-                parent_span: span.parent_span,
-                process: process.to_string(),
-                point: span.point,
-                wall_us: wall_micros(),
-                start_ns: span.start_ns,
-                end_ns,
-                link: 0,
-            },
-        );
-    }
-
-    /// Record an instantaneous hop (begin and finish collapse into one
-    /// call) and return the child context.
-    pub fn instant(&self, process: &str, ctx: TraceContext, point: &str) -> TraceContext {
-        let span = self.begin(ctx, point);
-        let child = span.ctx;
-        self.finish(process, span);
-        child
-    }
-
-    /// Record that the route carrying `contributor` was coalesced into a
-    /// frame whose carrier trace is `carrier_trace`: a zero-length
-    /// `fan_in` span in the contributor's trace whose [`Span::link`]
-    /// names the carrier, so stitching can graft the contributor onto
-    /// the carrier's downstream tree instead of losing it.
-    pub fn fan_in(&self, process: &str, contributor: TraceContext, carrier_trace: u64) {
-        let now = self.now_ns();
-        let span_id = self.next_span.fetch_add(1, Ordering::Relaxed) + 1;
-        self.push(
-            process,
-            Span {
-                trace_id: contributor.trace_id,
-                span_id,
-                parent_span: contributor.parent_span,
-                process: process.to_string(),
-                point: "fan_in".to_string(),
-                wall_us: wall_micros(),
-                start_ns: now,
-                end_ns: now,
-                link: carrier_trace,
-            },
-        );
-    }
-
-    fn push(&self, process: &str, span: Span) {
-        let mut inner = self.inner.lock();
-        let cap = inner.capacity;
-        inner
-            .rings
-            .entry(process.to_string())
-            .or_insert_with(|| SpanRing {
-                spans: VecDeque::new(),
-                capacity: cap,
-                dropped: 0,
-            })
-            .push(span);
-    }
-
-    /// Remove and return up to `max` of the oldest spans recorded by
-    /// `process` — the bounded slice behind `profile/1.0/get_spans`.
-    /// `dropped` is reported on the first slice of a paginated read and
-    /// reset immediately, so accumulating readers never double-count.
-    pub fn drain(&self, process: &str, max: usize) -> DrainedSpans {
-        let mut inner = self.inner.lock();
-        let Some(ring) = inner.rings.get_mut(process) else {
-            return DrainedSpans {
-                spans: Vec::new(),
-                remaining: 0,
-                dropped: 0,
-            };
-        };
-        let n = max.min(ring.spans.len());
-        let spans: Vec<Span> = ring.spans.drain(..n).collect();
-        let dropped = std::mem::take(&mut ring.dropped);
-        DrainedSpans {
-            spans,
-            remaining: ring.spans.len(),
-            dropped,
-        }
-    }
-
-    /// Snapshot `process`'s spans without clearing — the flight
-    /// recorder's read, which must not disturb a concurrent stitcher.
-    pub fn snapshot(&self, process: &str) -> Vec<Span> {
-        self.inner
-            .lock()
-            .rings
-            .get(process)
-            .map(|r| r.spans.iter().cloned().collect())
-            .unwrap_or_default()
-    }
-
-    /// Spans evicted from `process`'s ring since the last drain.
-    pub fn dropped(&self, process: &str) -> u64 {
-        self.inner
-            .lock()
-            .rings
-            .get(process)
-            .map(|r| r.dropped)
-            .unwrap_or(0)
-    }
-
-    /// Every process that has recorded at least one span, sorted.
-    pub fn processes(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inner.lock().rings.keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// A recorder bound to one process name, for sites that stamp many
-    /// spans without re-threading the name.
+    /// A recorder for `process`, holding that process's ring.
     pub fn recorder(&self, process: &str) -> SpanRecorder {
+        let ring = self
+            .rings
+            .lock()
+            .entry(process.to_string())
+            .or_insert_with(|| Arc::new(Ring::new(RING_CAPACITY)))
+            .clone();
         SpanRecorder {
             tracer: self.clone(),
             process: Arc::from(process),
+            ring,
         }
+    }
+
+    fn ring(&self, process: &str) -> Option<Arc<Ring<Span>>> {
+        self.rings.lock().get(process).cloned()
+    }
+
+    /// Remove and return up to `max` of the oldest spans recorded by
+    /// `process` — the bounded page behind `profile/1.0/get_spans`.
+    /// Unknown processes drain empty.
+    pub fn drain(&self, process: &str, max: usize) -> DrainedSpans {
+        let page = self
+            .ring(process)
+            .map_or_else(Drained::default, |r| r.drain(max));
+        DrainedSpans {
+            spans: page.items,
+            remaining: page.remaining,
+            dropped: page.dropped,
+        }
+    }
+
+    /// `process`'s spans and the ring's eviction count, read together and
+    /// without clearing — the flight recorder's read, which must not
+    /// disturb a concurrent stitcher.
+    pub fn snapshot(&self, process: &str) -> (Vec<Span>, u64) {
+        self.ring(process)
+            .map_or_else(Default::default, |r| r.snapshot())
     }
 }
 
-/// A [`Tracer`] bound to one process name.
+/// A [`Tracer`] bound to one process: it holds that process's ring and
+/// name, so recording a span takes only the ring's lock.
 #[derive(Clone)]
 pub struct SpanRecorder {
     tracer: Tracer,
     process: Arc<str>,
+    ring: Arc<Ring<Span>>,
 }
 
 impl SpanRecorder {
@@ -363,43 +214,73 @@ impl SpanRecorder {
         self.tracer.sample()
     }
 
-    /// See [`Tracer::begin`].
+    fn next_span_id(&self) -> u32 {
+        self.tracer.next_span.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Open a span under `ctx`.  The returned [`ActiveSpan::ctx`] is the
+    /// child context downstream work should carry.
     pub fn begin(&self, ctx: TraceContext, point: &str) -> ActiveSpan {
-        self.tracer.begin(ctx, point)
+        ActiveSpan {
+            ctx: TraceContext {
+                trace_id: ctx.trace_id,
+                parent_span: self.next_span_id(),
+            },
+            parent_span: ctx.parent_span,
+            point: point.to_string(),
+            start_ns: now_ns(),
+        }
     }
 
-    /// See [`Tracer::finish`].
+    /// Close `span` into this process's ring.
     pub fn finish(&self, span: ActiveSpan) {
-        self.tracer.finish(&self.process, span)
+        self.ring.push_with(|| {
+            let end_ns = now_ns();
+            Span {
+                trace_id: span.ctx.trace_id,
+                span_id: span.ctx.parent_span,
+                parent_span: span.parent_span,
+                process: self.process.clone(),
+                point: span.point,
+                wall_us: wall_us(end_ns),
+                start_ns: span.start_ns,
+                end_ns,
+                link: 0,
+            }
+        });
     }
 
-    /// See [`Tracer::instant`].
+    /// Record an instantaneous hop (begin and finish collapse into one
+    /// call) and return the child context.
     pub fn instant(&self, ctx: TraceContext, point: &str) -> TraceContext {
-        self.tracer.instant(&self.process, ctx, point)
+        let span = self.begin(ctx, point);
+        let child = span.ctx;
+        self.finish(span);
+        child
     }
 
-    /// See [`Tracer::fan_in`].
+    /// Record that the route carrying `contributor` was coalesced into a
+    /// frame whose carrier trace is `carrier_trace`: a zero-length
+    /// `fan_in` span in the contributor's trace whose [`Span::link`]
+    /// names the carrier, so stitching can graft the contributor onto
+    /// the carrier's downstream tree instead of losing it.
     pub fn fan_in(&self, contributor: TraceContext, carrier_trace: u64) {
-        self.tracer
-            .fan_in(&self.process, contributor, carrier_trace)
+        let span_id = self.next_span_id();
+        self.ring.push_with(|| {
+            let now = now_ns();
+            Span {
+                trace_id: contributor.trace_id,
+                span_id,
+                parent_span: contributor.parent_span,
+                process: self.process.clone(),
+                point: "fan_in".to_string(),
+                wall_us: wall_us(now),
+                start_ns: now,
+                end_ns: now,
+                link: carrier_trace,
+            }
+        });
     }
-
-    /// The process name this recorder stamps under.
-    pub fn process(&self) -> &str {
-        &self.process
-    }
-
-    /// The underlying shared tracer.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-}
-
-fn wall_micros() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_micros() as u64)
-        .unwrap_or(0)
 }
 
 thread_local! {
@@ -430,6 +311,7 @@ pub fn set_current(ctx: Option<TraceContext>) -> Option<TraceContext> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn sampling_off_yields_nothing_and_counts_nothing() {
@@ -461,14 +343,18 @@ mod tests {
     }
 
     /// The dormant contract, proven the same way as the profiler's: hold
-    /// the tracer lock while sampling with sampling off — a lock
-    /// acquisition on the dormant path would deadlock.
+    /// the tracer's lock and a recorder's ring lock while sampling with
+    /// sampling off — a lock acquisition on the dormant path would
+    /// deadlock.
     #[test]
     fn dormant_sample_never_touches_the_lock() {
         let t = Tracer::new();
-        let _guard = t.inner.lock();
+        let rec = t.recorder("bgp");
+        let _rings = t.rings.lock();
+        let _ring = rec.ring.hold();
         for _ in 0..1000 {
             assert!(t.sample().is_none());
+            assert!(rec.sample().is_none());
         }
     }
 
@@ -493,34 +379,37 @@ mod tests {
     #[test]
     fn spans_nest_with_monotone_stamps() {
         let t = Tracer::new();
+        let (bgp_rec, rib_rec) = (t.recorder("bgp"), t.recorder("rib"));
         t.set_sampling(1);
         let root_ctx = t.sample().unwrap();
-        let root = t.begin(root_ctx, "bgp_in");
-        let child_ctx = root.ctx;
-        let child = t.begin(child_ctx, "rib");
-        t.finish("rib", child);
-        t.finish("bgp", root);
+        let root = bgp_rec.begin(root_ctx, "bgp_in");
+        let child = rib_rec.begin(root.ctx, "rib");
+        rib_rec.finish(child);
+        bgp_rec.finish(root);
 
-        let bgp = t.snapshot("bgp");
-        let rib = t.snapshot("rib");
+        let (bgp, _) = t.snapshot("bgp");
+        let (rib, _) = t.snapshot("rib");
         assert_eq!((bgp.len(), rib.len()), (1, 1));
         assert_eq!(bgp[0].point, "bgp_in");
+        assert_eq!(&*rib[0].process, "rib");
         assert_eq!(bgp[0].parent_span, 0);
         assert_eq!(rib[0].parent_span, bgp[0].span_id);
         assert_eq!(rib[0].trace_id, bgp[0].trace_id);
         assert!(bgp[0].start_ns <= rib[0].start_ns);
         assert!(rib[0].start_ns <= rib[0].end_ns);
         assert!(rib[0].end_ns <= bgp[0].end_ns);
+        assert_eq!(bgp[0].wall_us, wall_us(bgp[0].end_ns));
     }
 
     #[test]
     fn fan_in_links_contributor_to_carrier() {
         let t = Tracer::new();
+        let rec = t.recorder("bgp");
         t.set_sampling(1);
         let carrier = t.sample().unwrap();
         let contributor = t.sample().unwrap();
-        t.fan_in("bgp", contributor, carrier.trace_id);
-        let spans = t.snapshot("bgp");
+        rec.fan_in(contributor, carrier.trace_id);
+        let (spans, _) = t.snapshot("bgp");
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].trace_id, contributor.trace_id);
         assert_eq!(spans[0].link, carrier.trace_id);
@@ -528,26 +417,37 @@ mod tests {
         assert_eq!(spans[0].start_ns, spans[0].end_ns);
     }
 
+    /// A tracer whose "bgp" process has a ring of `capacity`.
+    fn with_small_bgp_ring(capacity: usize) -> Tracer {
+        let t = Tracer::new();
+        t.rings
+            .lock()
+            .insert("bgp".to_string(), Arc::new(Ring::new(capacity)));
+        t
+    }
+
     #[test]
     fn rings_are_bounded_per_process_with_drop_counters() {
-        let t = Tracer::with_capacity(8);
+        let t = with_small_bgp_ring(8);
+        let rec = t.recorder("bgp");
         t.set_sampling(1);
         for _ in 0..20 {
             let ctx = t.sample().unwrap();
-            t.instant("bgp", ctx, "bgp_in");
+            rec.instant(ctx, "bgp_in");
         }
-        assert_eq!(t.snapshot("bgp").len(), 8);
-        assert_eq!(t.dropped("bgp"), 12);
-        assert_eq!(t.snapshot("rib").len(), 0);
+        let (spans, dropped) = t.snapshot("bgp");
+        assert_eq!((spans.len(), dropped), (8, 12));
+        assert_eq!(t.snapshot("rib").0.len(), 0);
     }
 
     #[test]
     fn drain_paginates_and_reports_dropped_on_first_page_only() {
-        let t = Tracer::with_capacity(8);
+        let t = with_small_bgp_ring(8);
+        let rec = t.recorder("bgp");
         t.set_sampling(1);
         for _ in 0..12 {
             let ctx = t.sample().unwrap();
-            t.instant("bgp", ctx, "bgp_in");
+            rec.instant(ctx, "bgp_in");
         }
         let a = t.drain("bgp", 5);
         assert_eq!((a.spans.len(), a.remaining, a.dropped), (5, 3, 4));
@@ -584,15 +484,16 @@ mod tests {
         let u = t.clone();
         t.set_sampling(1);
         let ctx = u.sample().unwrap();
-        u.instant("bgp", ctx, "bgp_in");
-        t.instant("rib", ctx, "rib");
+        u.recorder("bgp").instant(ctx, "bgp_in");
+        t.recorder("rib").instant(ctx, "rib");
         let ids: Vec<u32> = ["bgp", "rib"]
             .iter()
-            .flat_map(|p| t.snapshot(p))
+            .flat_map(|p| t.snapshot(p).0)
             .map(|s| s.span_id)
             .collect();
         assert_eq!(ids.len(), 2);
         assert_ne!(ids[0], ids[1]);
-        assert_eq!(u.processes(), vec!["bgp".to_string(), "rib".to_string()]);
+        // Unknown processes read empty rather than erroring.
+        assert_eq!(u.drain("nope", 5).remaining, 0);
     }
 }

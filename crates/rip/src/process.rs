@@ -736,7 +736,7 @@ mod tests {
             neighbor(),
             response(&[("192.168.1.0/24", 3)]),
         );
-        let spans = tracer.snapshot("rip");
+        let (spans, _) = tracer.snapshot("rip");
         assert_eq!(spans.len(), 1, "1-in-2 sampling must root one span");
         assert_eq!(spans[0].point, "rip_in");
         assert_eq!(spans[0].parent_span, 0, "ingress span is a trace root");

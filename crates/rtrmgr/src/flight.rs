@@ -11,7 +11,7 @@
 //! tooling can inspect it; [`FlightReport::render`] is the human view.
 
 use xorp_profiler::tracing::{Span, Tracer};
-use xorp_profiler::{MetricSample, Metrics};
+use xorp_profiler::{now_ns, wall_us, MetricSample, Metrics};
 
 /// A post-mortem snapshot of one component at crash classification.
 #[derive(Clone, Debug)]
@@ -41,15 +41,13 @@ impl FlightReport {
         metrics: &Metrics,
     ) -> FlightReport {
         let prefix = format!("{process}.");
+        let (spans, spans_dropped) = tracer.snapshot(process);
         FlightReport {
             process: process.to_string(),
             reason: reason.to_string(),
-            at_wall_us: std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_micros() as u64)
-                .unwrap_or(0),
-            spans: tracer.snapshot(process),
-            spans_dropped: tracer.dropped(process),
+            at_wall_us: wall_us(now_ns()),
+            spans,
+            spans_dropped,
             metrics: metrics
                 .snapshot()
                 .into_iter()
@@ -104,8 +102,8 @@ mod tests {
             trace_id: 0xFEED,
             parent_span: 0,
         };
-        let span = tracer.begin(ctx, "bgp_in");
-        tracer.finish("bgp", span);
+        let bgp = tracer.recorder("bgp");
+        bgp.finish(bgp.begin(ctx, "bgp_in"));
 
         let report = FlightReport::capture("bgp", "crash classified", &tracer, &metrics);
         assert_eq!(report.process, "bgp");

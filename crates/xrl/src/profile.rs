@@ -25,14 +25,16 @@
 //! most [`MAX_RECORDS_PER_SLICE`] rows per call (the `remaining` count
 //! says whether to call again): a buffer that filled during a storm is
 //! collected in bounded slices, never as one reply that would stall the
-//! answering event loop and trip its keepalive.  Because the tracer is
+//! answering event loop and trip its keepalive.  Both are the same drain
+//! of the profiler crate's one ring, served by one paging path and
+//! decoded into its one page type, [`Drained`].  Because the tracer is
 //! shared router-wide, any process's responder can serve any process's
 //! span ring — `xorp-stats` asks each process for its own name, and the
 //! supervisor can read a dead process's spans through a survivor.
 
 use xorp_event::EventLoop;
 use xorp_profiler::tracing::Span;
-use xorp_profiler::{points, Metrics, PointInfo, Profiler, Record, Tracer};
+use xorp_profiler::{points, Drained, Metrics, PointInfo, Profiler, Record, Tracer};
 
 use crate::atom::AtomValue;
 use crate::error::XrlError;
@@ -43,8 +45,8 @@ use crate::xrl_interface;
 /// Pseudo-point expanding to all eight §8.2 route-flow points.
 pub const ROUTE_FLOW_ALIAS: &str = "route_flow";
 
-/// Upper bound on records per `get_records` reply, whatever `max` the
-/// caller asked for.
+/// Upper bound on rows per `get_records`/`get_spans` reply, whatever
+/// `max` the caller asked for.
 pub const MAX_RECORDS_PER_SLICE: usize = 4096;
 
 xrl_interface! {
@@ -114,17 +116,13 @@ impl profile::Server for ProfileServer {
         el: &mut EventLoop,
         point: String,
         max: u32,
-        responder: TypedResponder<(Vec<AtomValue>, u32, u64)>,
+        responder: TypedResponder<PageReply>,
     ) {
-        let drained = self
-            .profiler
-            .drain(&point, (max as usize).min(MAX_RECORDS_PER_SLICE));
-        let rows = drained
-            .records
-            .into_iter()
-            .map(|r| AtomValue::List(vec![AtomValue::U64(r.nanos), AtomValue::Text(r.payload)]))
-            .collect();
-        responder.ok(el, (rows, drained.remaining as u32, drained.dropped));
+        let d = self.profiler.drain(&point, slice_len(max));
+        let reply = page(d.items, d.remaining, d.dropped, |r| {
+            AtomValue::List(vec![AtomValue::U64(r.nanos), AtomValue::Text(r.payload)])
+        });
+        responder.ok(el, reply);
     }
 
     fn get_metrics(&self, el: &mut EventLoop, responder: TypedResponder<(Vec<AtomValue>,)>) {
@@ -149,30 +147,48 @@ impl profile::Server for ProfileServer {
         el: &mut EventLoop,
         process: String,
         max: u32,
-        responder: TypedResponder<(Vec<AtomValue>, u32, u64)>,
+        responder: TypedResponder<PageReply>,
     ) {
-        let drained = self
-            .tracer
-            .drain(&process, (max as usize).min(MAX_RECORDS_PER_SLICE));
-        let rows = drained
-            .spans
-            .into_iter()
-            .map(|s| {
-                AtomValue::List(vec![
-                    AtomValue::U64(s.trace_id),
-                    AtomValue::U32(s.span_id),
-                    AtomValue::U32(s.parent_span),
-                    AtomValue::Text(s.process),
-                    AtomValue::Text(s.point),
-                    AtomValue::U64(s.wall_us),
-                    AtomValue::U64(s.start_ns),
-                    AtomValue::U64(s.end_ns),
-                    AtomValue::U64(s.link),
-                ])
-            })
-            .collect();
-        responder.ok(el, (rows, drained.remaining as u32, drained.dropped));
+        let d = self.tracer.drain(&process, slice_len(max));
+        let reply = page(d.spans, d.remaining, d.dropped, |s| {
+            AtomValue::List(vec![
+                AtomValue::U64(s.trace_id),
+                AtomValue::U32(s.span_id),
+                AtomValue::U32(s.parent_span),
+                AtomValue::Text(s.process.to_string()),
+                AtomValue::Text(s.point),
+                AtomValue::U64(s.wall_us),
+                AtomValue::U64(s.start_ns),
+                AtomValue::U64(s.end_ns),
+                AtomValue::U64(s.link),
+            ])
+        });
+        responder.ok(el, reply);
     }
+}
+
+/// The page size a `get_records`/`get_spans` caller asking for `max`
+/// gets.
+fn slice_len(max: u32) -> usize {
+    (max as usize).min(MAX_RECORDS_PER_SLICE)
+}
+
+/// The parts of a `get_records`/`get_spans` reply: rows, `remaining`,
+/// `dropped`.
+pub type PageReply = (Vec<AtomValue>, u32, u64);
+
+/// One drained ring page as reply parts.
+fn page<T>(
+    items: Vec<T>,
+    remaining: usize,
+    dropped: u64,
+    row: impl Fn(T) -> AtomValue,
+) -> PageReply {
+    (
+        items.into_iter().map(row).collect(),
+        remaining as u32,
+        dropped,
+    )
 }
 
 /// Register the `profile/1.0` interface on a target instance, exporting
@@ -251,79 +267,61 @@ pub fn decode_points(rows: &[AtomValue]) -> Result<Vec<PointInfo>, XrlError> {
         .collect()
 }
 
-/// A decoded `get_records` reply.
-#[derive(Debug, Clone)]
-pub struct RecordsSlice {
-    pub records: Vec<Record>,
-    /// Records still buffered server-side; call again until 0.
-    pub remaining: u32,
-    /// Ring-buffer evictions at this point (the record stream has a hole
-    /// older than `records[0]` when nonzero).
-    pub dropped: u64,
-}
-
-/// Decode a `get_records` reply's parts into a [`RecordsSlice`].
-pub fn decode_records(
+/// Decode one `get_records`/`get_spans` reply into the ring page the
+/// server drained, each row through `item`.
+fn decode_page<T>(
     rows: &[AtomValue],
     remaining: u32,
     dropped: u64,
-) -> Result<RecordsSlice, XrlError> {
-    let records = rows
+    what: &str,
+    item: impl Fn(&[AtomValue]) -> Result<T, XrlError>,
+) -> Result<Drained<T>, XrlError> {
+    let items = rows
         .iter()
-        .map(|value| {
-            let row = row(value, "records")?;
-            Ok(Record {
-                nanos: row_u64(row, 0, "records")?,
-                payload: row_text(row, 1, "records")?,
-            })
-        })
+        .map(|value| item(row(value, what)?))
         .collect::<Result<Vec<_>, XrlError>>()?;
-    Ok(RecordsSlice {
-        records,
-        remaining,
+    Ok(Drained {
+        items,
+        remaining: remaining as usize,
         dropped,
     })
 }
 
-/// A decoded `get_spans` reply.
-#[derive(Debug, Clone)]
-pub struct SpansSlice {
-    pub spans: Vec<Span>,
-    /// Spans still buffered server-side; call again until 0.
-    pub remaining: u32,
-    /// Ring evictions since the previous drain (first page only).
-    pub dropped: u64,
+/// Decode a `get_records` reply's parts.  Row layout: `[nanos:u64,
+/// payload:txt]`.
+pub fn decode_records(
+    rows: &[AtomValue],
+    remaining: u32,
+    dropped: u64,
+) -> Result<Drained<Record>, XrlError> {
+    decode_page(rows, remaining, dropped, "records", |row| {
+        Ok(Record {
+            nanos: row_u64(row, 0, "records")?,
+            payload: row_text(row, 1, "records")?,
+        })
+    })
 }
 
-/// Decode a `get_spans` reply's parts into a [`SpansSlice`].  Row layout:
-/// `[trace_id:u64, span_id:u32, parent_span:u32, process:txt, point:txt,
-/// wall_us:u64, start_ns:u64, end_ns:u64, link:u64]`.
+/// Decode a `get_spans` reply's parts.  Row layout: `[trace_id:u64,
+/// span_id:u32, parent_span:u32, process:txt, point:txt, wall_us:u64,
+/// start_ns:u64, end_ns:u64, link:u64]`.
 pub fn decode_spans(
     rows: &[AtomValue],
     remaining: u32,
     dropped: u64,
-) -> Result<SpansSlice, XrlError> {
-    let spans = rows
-        .iter()
-        .map(|value| {
-            let row = row(value, "spans")?;
-            Ok(Span {
-                trace_id: row_u64(row, 0, "spans")?,
-                span_id: row_u32(row, 1, "spans")?,
-                parent_span: row_u32(row, 2, "spans")?,
-                process: row_text(row, 3, "spans")?,
-                point: row_text(row, 4, "spans")?,
-                wall_us: row_u64(row, 5, "spans")?,
-                start_ns: row_u64(row, 6, "spans")?,
-                end_ns: row_u64(row, 7, "spans")?,
-                link: row_u64(row, 8, "spans")?,
-            })
+) -> Result<Drained<Span>, XrlError> {
+    decode_page(rows, remaining, dropped, "spans", |row| {
+        Ok(Span {
+            trace_id: row_u64(row, 0, "spans")?,
+            span_id: row_u32(row, 1, "spans")?,
+            parent_span: row_u32(row, 2, "spans")?,
+            process: row_text(row, 3, "spans")?.into(),
+            point: row_text(row, 4, "spans")?,
+            wall_us: row_u64(row, 5, "spans")?,
+            start_ns: row_u64(row, 6, "spans")?,
+            end_ns: row_u64(row, 7, "spans")?,
+            link: row_u64(row, 8, "spans")?,
         })
-        .collect::<Result<Vec<_>, XrlError>>()?;
-    Ok(SpansSlice {
-        spans,
-        remaining,
-        dropped,
     })
 }
 
@@ -399,8 +397,9 @@ mod tests {
             assert!(profiler.is_enabled(pt));
         }
 
+        let bgp_in = profiler.point(points::BGP_IN);
         for i in 0..10 {
-            profiler.record(points::BGP_IN, || format!("add 10.0.{i}.0/24"));
+            bgp_in.record(|| format!("add 10.0.{i}.0/24"));
         }
 
         let r = slot();
@@ -422,8 +421,8 @@ mod tests {
         });
         let (rows, remaining, dropped) = wait(&mut el, r).unwrap();
         let a = decode_records(&rows, remaining, dropped).unwrap();
-        assert_eq!((a.records.len(), a.remaining, a.dropped), (6, 4, 0));
-        assert_eq!(a.records[0].payload, "add 10.0.0.0/24");
+        assert_eq!((a.items.len(), a.remaining, a.dropped), (6, 4, 0));
+        assert_eq!(a.items[0].payload, "add 10.0.0.0/24");
 
         let r = slot();
         let s = r.clone();
@@ -432,8 +431,8 @@ mod tests {
         });
         let (rows, remaining, dropped) = wait(&mut el, r).unwrap();
         let b = decode_records(&rows, remaining, dropped).unwrap();
-        assert_eq!((b.records.len(), b.remaining), (4, 0));
-        assert_eq!(b.records[0].payload, "add 10.0.6.0/24");
+        assert_eq!((b.items.len(), b.remaining), (4, 0));
+        assert_eq!(b.items[0].payload, "add 10.0.6.0/24");
 
         // Metrics export.
         let r = slot();
@@ -472,8 +471,9 @@ mod tests {
         add_profile_responder(&router, "prof-0", &profiler, &metrics, &tracer);
         let client = profile::Client::new(&router, "prof");
         profiler.enable("x");
+        let x = profiler.point("x");
         for i in 0..(MAX_RECORDS_PER_SLICE + 100) {
-            profiler.record("x", || format!("r{i}"));
+            x.record(|| format!("r{i}"));
         }
         // Asking for more than the slice cap still gets at most the cap.
         let r = slot();
@@ -483,7 +483,7 @@ mod tests {
         });
         let (rows, remaining, dropped) = wait(&mut el, r).unwrap();
         let sl = decode_records(&rows, remaining, dropped).unwrap();
-        assert_eq!(sl.records.len(), MAX_RECORDS_PER_SLICE);
+        assert_eq!(sl.items.len(), MAX_RECORDS_PER_SLICE);
         assert_eq!(sl.remaining, 100);
     }
 
@@ -500,10 +500,11 @@ mod tests {
         let client = profile::Client::new(&router, "prof");
 
         tracer.set_sampling(1);
+        let bgp = tracer.recorder("bgp");
         for _ in 0..10 {
             let ctx = tracer.sample().unwrap();
-            let child = tracer.instant("bgp", ctx, "bgp_in");
-            tracer.instant("bgp", child, "fanout");
+            let child = bgp.instant(ctx, "bgp_in");
+            bgp.instant(child, "fanout");
         }
 
         let fetch = |el: &mut EventLoop, max: u32| {
@@ -517,19 +518,19 @@ mod tests {
         };
 
         let a = fetch(&mut el, 12);
-        assert_eq!((a.spans.len(), a.remaining, a.dropped), (12, 8, 0));
-        assert_eq!(a.spans[0].point, "bgp_in");
-        assert_eq!(a.spans[0].process, "bgp");
-        assert_eq!(a.spans[0].parent_span, 0);
-        assert_eq!(a.spans[1].point, "fanout");
-        assert_eq!(a.spans[1].parent_span, a.spans[0].span_id);
-        assert_eq!(a.spans[1].trace_id, a.spans[0].trace_id);
+        assert_eq!((a.items.len(), a.remaining, a.dropped), (12, 8, 0));
+        assert_eq!(a.items[0].point, "bgp_in");
+        assert_eq!(&*a.items[0].process, "bgp");
+        assert_eq!(a.items[0].parent_span, 0);
+        assert_eq!(a.items[1].point, "fanout");
+        assert_eq!(a.items[1].parent_span, a.items[0].span_id);
+        assert_eq!(a.items[1].trace_id, a.items[0].trace_id);
 
         // Exact-boundary slice closes the pagination.
         let b = fetch(&mut el, 8);
-        assert_eq!((b.spans.len(), b.remaining), (8, 0));
+        assert_eq!((b.items.len(), b.remaining), (8, 0));
         // Unknown processes drain empty rather than erroring.
         let c = fetch(&mut el, 4);
-        assert_eq!((c.spans.len(), c.remaining), (0, 0));
+        assert_eq!((c.items.len(), c.remaining), (0, 0));
     }
 }
