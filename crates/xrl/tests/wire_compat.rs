@@ -3,7 +3,7 @@
 //! a v1-only peer and a v2-capable peer converse transparently over TCP
 //! in both directions.
 //!
-//! The fixtures are the contract: if either hex string changes, the wire
+//! The fixtures are the contract: if any hex string changes, the wire
 //! format changed and every deployed peer is affected — bump the
 //! negotiation, don't edit the constant.
 
@@ -12,6 +12,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use xorp_event::{EventLoop, EventSender};
+use xorp_net::ProtocolId;
 use xorp_xrl::marshal::Frame;
 use xorp_xrl::{xrl_interface, AtomValue, Finder, XrlArgs, XrlRouter, SEQ_MAY_RECUR};
 
@@ -74,6 +75,107 @@ fn v2_add_route_frame() -> Frame {
         args,
         priority: false,
         trace: None,
+    }
+}
+
+/// A v2 `rib/1.0/add_routes` frame of three `[net, nexthop, ifname,
+/// metric, proto]` rows: an empty `ifname` (a BGP route), a named one, and
+/// a protocol outside the fixed set.
+const V2_ADD_ROUTES_HEX: &str = "000000a1030000000000000001000000000000000200057269622d30424242424242424242424242424242420000000200010d00030d0005090a0000001807c0000202060000000002000000640600000004656267700d0005090a0100001807c0000203060000000465746830020000000106000000067374617469630d000509c00000000907000000000600000005c3a97468310200000007060000000670726f746f37";
+
+/// The BGP→RIB hop's v2 `delete_routes` frame: `[net, proto]` rows (the
+/// RIB keys its tables by protocol).
+const V2_RIB_DELETE_ROUTES_HEX: &str = "00000043030000000000000001000000000000000200057269622d30424242424242424242424242424242420000000300010d00010d0002090a00000018060000000465626770";
+
+/// The RIB→FEA hop's v2 `delete_routes` frame: bare `[net]` rows (the FIB
+/// keys by prefix alone).
+const V2_FEA_DELETE_ROUTES_HEX: &str = "00000043030000000000000001000000000000000200056665612d30424242424242424242424242424242420000000300010d00020d0001090a000000180d0001090a01000018";
+
+/// [`V2_ADD_ROUTES_HEX`]'s call on the v1 named wire.
+const V1_ADD_ROUTES_HEX: &str = "000000b9000000000000000001000000000000000200057269622d304242424242424242424242424242424200127269622f312e302f6164645f726f7574657300010006726f757465730d00030d0005090a0000001807c0000202060000000002000000640600000004656267700d0005090a0100001807c0000203060000000465746830020000000106000000067374617469630d000509c00000000907000000000600000005c3a97468310200000007060000000670726f746f37";
+
+/// One row per `(net, nexthop, ifname, metric, proto)`.
+fn add_rows() -> Vec<AtomValue> {
+    let row = |net: &str, nh: &str, ifname: &str, metric, proto: ProtocolId| {
+        AtomValue::List(vec![
+            AtomValue::Ipv4Net(net.parse().unwrap()),
+            AtomValue::Ipv4(nh.parse().unwrap()),
+            AtomValue::Text(ifname.into()),
+            AtomValue::U32(metric),
+            AtomValue::Text(proto.name()),
+        ])
+    };
+    vec![
+        row("10.0.0.0/24", "192.0.2.2", "", 100, ProtocolId::Ebgp),
+        row("10.1.0.0/24", "192.0.2.3", "eth0", 1, ProtocolId::Static),
+        row("192.0.0.0/9", "0.0.0.0", "éth1", 7, ProtocolId::Other(7)),
+    ]
+}
+
+/// A batched request carrying `rows` as its one `routes` argument: v2
+/// (positional, `method_id`) or v1 (named, addressed by `path`).
+fn rows_frame(target: &str, method: Result<u32, &str>, rows: Vec<AtomValue>) -> Frame {
+    let mut args = XrlArgs::new();
+    let (path, method_id) = match method {
+        Ok(id) => {
+            args.push_value(AtomValue::List(rows));
+            (String::new(), Some(id))
+        }
+        Err(path) => {
+            args = args.add_list("routes", rows);
+            (path.to_string(), None)
+        }
+    };
+    Frame::Request {
+        seq: 1,
+        sender: 2,
+        target: target.into(),
+        key: [0x42; 16],
+        path,
+        method_id,
+        args,
+        priority: false,
+        trace: None,
+    }
+}
+
+/// The batched fixtures, each with its frame.
+fn batched_fixtures() -> Vec<(&'static str, Frame)> {
+    let net = |s: &str| AtomValue::Ipv4Net(s.parse().unwrap());
+    let rib_delete = vec![AtomValue::List(vec![
+        net("10.0.0.0/24"),
+        AtomValue::Text(ProtocolId::Ebgp.name()),
+    ])];
+    let fea_delete = vec![
+        AtomValue::List(vec![net("10.0.0.0/24")]),
+        AtomValue::List(vec![net("10.1.0.0/24")]),
+    ];
+    vec![
+        (V2_ADD_ROUTES_HEX, rows_frame("rib-0", Ok(2), add_rows())),
+        (
+            V2_RIB_DELETE_ROUTES_HEX,
+            rows_frame("rib-0", Ok(3), rib_delete),
+        ),
+        (
+            V2_FEA_DELETE_ROUTES_HEX,
+            rows_frame("fea-0", Ok(3), fea_delete),
+        ),
+        (
+            V1_ADD_ROUTES_HEX,
+            rows_frame("rib-0", Err("rib/1.0/add_routes"), add_rows()),
+        ),
+    ]
+}
+
+/// The batched route frames are pinned byte for byte, both ways: the
+/// tree of atoms encodes to the fixture and the fixture decodes to it.
+#[test]
+fn golden_batched_route_frames_are_stable() {
+    for (hex, frame) in batched_fixtures() {
+        assert_eq!(to_hex(&frame.encode()), hex, "{frame:?}");
+        let bytes = from_hex(hex);
+        let decoded = Frame::decode(bytes::Bytes::copy_from_slice(&bytes[4..])).unwrap();
+        assert_eq!(decoded, frame);
     }
 }
 
