@@ -176,22 +176,30 @@ impl Fea {
 
     // ---- FIB (the "kernel" boundary) ---------------------------------------
 
-    /// The installed form of `entry`, holding its interface's own name, or
-    /// `None` when that interface is unknown or down.
-    fn route<A: Addr>(&self, entry: FibEntry<A>) -> Option<FibRoute<A>> {
-        let (ifname, iface) = self.interfaces.get_key_value(entry.ifname.as_str())?;
+    /// The installed form of a route out of `ifname`, holding the
+    /// interface's own name, or `None` when that interface is unknown or
+    /// down.
+    fn route<A: Addr>(
+        &self,
+        net: Prefix<A>,
+        nexthop: IpAddr,
+        ifname: &str,
+        metric: u32,
+    ) -> Option<FibRoute<A>> {
+        let (ifname, iface) = self.interfaces.get_key_value(ifname)?;
         iface.enabled.then(|| FibRoute {
-            net: entry.net,
-            nexthop: entry.nexthop,
+            net,
+            nexthop,
             ifname: ifname.clone(),
-            metric: entry.metric,
+            metric,
         })
     }
 
-    /// Install (or replace) an IPv4 route — the §8.2 "entering the kernel"
-    /// moment.
-    pub fn add_route4(&mut self, entry: FibEntry<std::net::Ipv4Addr>) -> bool {
-        let Some(route) = self.route(entry) else {
+    /// Install (or replace) an IPv4 route out of the interface named
+    /// `ifname` — the §8.2 "entering the kernel" moment.  The name is only
+    /// looked up: the route shares the interface table's copy.
+    pub fn install4(&mut self, net: Ipv4Net, nexthop: IpAddr, ifname: &str, metric: u32) -> bool {
+        let Some(route) = self.route(net, nexthop, ifname, metric) else {
             return false;
         };
         if let Some(h) = &self.kernel_point {
@@ -200,6 +208,11 @@ impl Fea {
         self.installs += 1;
         self.fib4.insert(route.net, route);
         true
+    }
+
+    /// [`Fea::install4`] for a client's [`FibEntry`].
+    pub fn add_route4(&mut self, entry: FibEntry<std::net::Ipv4Addr>) -> bool {
+        self.install4(entry.net, entry.nexthop, &entry.ifname, entry.metric)
     }
 
     /// Remove an IPv4 route.
@@ -216,7 +229,7 @@ impl Fea {
 
     /// Install an IPv6 route.
     pub fn add_route6(&mut self, entry: FibEntry<std::net::Ipv6Addr>) -> bool {
-        let Some(route) = self.route(entry) else {
+        let Some(route) = self.route(entry.net, entry.nexthop, &entry.ifname, entry.metric) else {
             return false;
         };
         if let Some(h) = &self.kernel_point {

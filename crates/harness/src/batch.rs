@@ -14,6 +14,10 @@
 //! Ordering is preserved: rows are buffered in arrival order and a flush
 //! emits one frame per run of consecutive same-direction rows, so an
 //! add/delete/add sequence can never be reordered into delete/add/add.
+//!
+//! Each op's row is encoded as it is buffered, straight into its run's
+//! list bytes ([`BulkRouteSink::write_row`]): a frame's rows are never an
+//! atom tree, and the writer keeps its buffer from frame to frame.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -23,16 +27,16 @@ use xorp_net::Ipv4Net;
 use xorp_profiler::tracing::{self as xtrace, SpanRecorder, TraceContext};
 use xorp_profiler::PointHandle;
 use xorp_stages::RouteOp;
-use xorp_xrl::AtomValue;
+use xorp_xrl::wire::MAX_ITEMS;
+use xorp_xrl::{ListWriter, WireList};
 
 use crate::xrl_ifaces::{BulkRouteSink, WireOp};
 
-/// One buffered route row: direction, prefix, encoded atoms, and the
-/// ambient trace context at push time (sampled routes only).
+/// One buffered op: direction, prefix, and the ambient trace context at
+/// push time (sampled routes only).  Its row is already in its run's list.
 struct Row {
     add: bool,
     net: Ipv4Net,
-    atoms: Vec<AtomValue>,
     trace: Option<TraceContext>,
 }
 
@@ -85,7 +89,7 @@ impl RouteOutput {
         let add = !matches!(op, RouteOp::Delete { .. });
         self.queued.record(|| op_payload(add, net));
         match &self.batcher {
-            Some(batcher) => batcher.push(el, add, net, self.sink.row(op)),
+            Some(batcher) => batcher.push(el, op),
             None => {
                 // Stamp before the send: once the frame is on the wire the
                 // peer's reader thread may stamp its arrival point first,
@@ -113,7 +117,12 @@ struct Inner {
     /// Profiling point stamped per row when its frame is sent.  A
     /// pre-resolved handle: dormant stamping costs one relaxed load.
     sent_point: PointHandle,
+    /// Ops waiting for a flush, in arrival order.
     pending: Vec<Row>,
+    /// Their rows: the same-direction runs closed so far, then `open`,
+    /// the run the next row of the same direction joins.
+    closed: Vec<(bool, WireList)>,
+    open: ListWriter,
     /// A flush is already deferred — don't stack another one per row.
     scheduled: bool,
     /// Backpressure gate: while closed (`true`), flushes hold and rows
@@ -139,6 +148,8 @@ impl RouteBatcher {
                 batch_size: batch_size.max(1),
                 sent_point,
                 pending: Vec::new(),
+                closed: Vec::new(),
+                open: ListWriter::default(),
                 scheduled: false,
                 gated: false,
                 tracer: None,
@@ -151,15 +162,24 @@ impl RouteBatcher {
         self.inner.borrow_mut().tracer = Some(recorder);
     }
 
-    /// Buffer one route row; flush if the batch is full, otherwise make
+    /// Buffer one op's row; flush if the batch is full, otherwise make
     /// sure a flush is deferred to loop idle.
-    pub fn push(&self, el: &mut EventLoop, add: bool, net: Ipv4Net, atoms: Vec<AtomValue>) {
+    pub fn push(&self, el: &mut EventLoop, op: &WireOp) {
+        let add = !matches!(op, RouteOp::Delete { .. });
         let (full, arm) = {
             let mut b = self.inner.borrow_mut();
+            let b = &mut *b;
+            // A row turning the direction closes the open run, as does a
+            // run at the most rows one frame can count.
+            if let Some(last) = b.pending.last() {
+                if last.add != add || b.open.len() == MAX_ITEMS {
+                    b.closed.push((last.add, b.open.take()));
+                }
+            }
+            b.sink.write_row(&mut b.open, op);
             b.pending.push(Row {
                 add,
-                net,
-                atoms,
+                net: op.net(),
                 trace: xtrace::current(),
             });
             let full = b.pending.len() >= b.batch_size;
@@ -189,24 +209,29 @@ impl RouteBatcher {
 
     /// Ship everything buffered, one frame per same-direction run.
     pub fn flush(&self, el: &mut EventLoop) {
-        let (rows, sink) = {
+        let (mut rows, runs, sink, sent_point, recorder) = {
             let mut b = self.inner.borrow_mut();
+            let b = &mut *b;
             b.scheduled = false;
-            if b.gated || b.pending.is_empty() {
+            let Some(last) = b.pending.last() else {
+                return;
+            };
+            if b.gated {
                 return;
             }
-            (std::mem::take(&mut b.pending), b.sink.clone())
+            b.closed.push((last.add, b.open.take()));
+            (
+                std::mem::take(&mut b.pending),
+                std::mem::take(&mut b.closed),
+                b.sink.clone(),
+                b.sent_point.clone(),
+                b.tracer.clone(),
+            )
         };
-        let (sent_point, recorder) = {
-            let b = self.inner.borrow();
-            (b.sent_point.clone(), b.tracer.clone())
-        };
-        let mut run: Vec<Row> = Vec::new();
-        let ship = |el: &mut EventLoop, run: &mut Vec<Row>| {
-            if run.is_empty() {
-                return;
-            }
-            let add = run[0].add;
+        let mut at = 0;
+        for (add, list) in runs {
+            let run = &rows[at..at + list.len()];
+            at += run.len();
             // The first traced row carries the frame's context; the other
             // traced rows coalesced into it record fan-in links so their
             // traces keep causality instead of dead-ending at the merge.
@@ -215,11 +240,9 @@ impl RouteBatcher {
             let prev = carrier.map(|ctx| {
                 let child = match &recorder {
                     Some(t) => {
-                        for r in run.iter() {
-                            if let Some(c) = r.trace {
-                                if c.trace_id != ctx.trace_id {
-                                    t.fan_in(c, ctx.trace_id);
-                                }
+                        for c in run.iter().filter_map(|r| r.trace) {
+                            if c.trace_id != ctx.trace_id {
+                                t.fan_in(c, ctx.trace_id);
                             }
                         }
                         let s = t.begin(ctx, "batch");
@@ -231,28 +254,24 @@ impl RouteBatcher {
                 };
                 xtrace::set_current(Some(child))
             });
-            let mut encoded = Vec::with_capacity(run.len());
-            for row in run.drain(..) {
+            for row in run {
                 sent_point.record(|| op_payload(row.add, row.net));
-                encoded.push(AtomValue::List(row.atoms));
             }
-            sink.send(el, add, encoded);
+            sink.send(el, add, list);
             if let Some(p) = prev {
                 xtrace::set_current(p);
             }
             if let (Some(s), Some(t)) = (span, &recorder) {
                 t.finish(s);
             }
-        };
-        for row in rows {
-            if let Some(last) = run.last() {
-                if last.add != row.add {
-                    ship(el, &mut run);
-                }
-            }
-            run.push(row);
         }
-        ship(el, &mut run);
+        // Hand the buffer back for the next batch unless a send refilled
+        // the batcher meanwhile.
+        rows.clear();
+        let mut b = self.inner.borrow_mut();
+        if b.pending.is_empty() {
+            b.pending = rows;
+        }
     }
 
     /// Rows currently buffered (test observability).

@@ -36,7 +36,7 @@ use xorp_bgp::bgp::UpdateIn;
 use xorp_bgp::nexthop::{AnswerCb, NexthopService, RibNexthopAnswer};
 use xorp_bgp::{BgpConfig, BgpProcess, PeerConfig, PeerId, ReaderId};
 use xorp_event::EventLoop;
-use xorp_fea::{test_iface, Fea, FibEntry};
+use xorp_fea::{test_iface, Fea};
 use xorp_net::{AttrBlocks, Ipv4Net, PathAttributes, ProtocolId};
 use xorp_policy::FilterBank;
 use xorp_profiler::tracing::{self as xtrace, ActiveSpan, SpanRecorder, TraceContext, Tracer};
@@ -46,14 +46,14 @@ use xorp_rtrmgr::{FlightReport, SupervisedState, Supervisor, SupervisorConfig, S
 use xorp_xrl::keepalive;
 use xorp_xrl::profile::add_profile_responder;
 use xorp_xrl::{
-    AtomValue, CongestionSignal, FaultConfig, Finder, QueuePolicy, RetTuple, RetryPolicy,
-    TypedResponder, XrlError, XrlRouter,
+    CongestionSignal, FaultConfig, Finder, QueuePolicy, RetTuple, RetryPolicy, TypedResponder,
+    WireList, XrlError, XrlRouter,
 };
 
 use crate::batch::RouteOutput;
 use crate::process::Process;
 use crate::workload::BackboneRoute;
-use crate::xrl_ifaces::{self, BulkRouteSink, RouteWire};
+use crate::xrl_ifaces::{self, BulkRouteSink, RouteRow, RouteWire};
 
 /// Loop-slot wrapper for the BGP process state.
 pub struct BgpSlot(pub Rc<RefCell<BgpProcess<Ipv4Addr>>>);
@@ -269,18 +269,11 @@ impl FeaServer {
         }
     }
 
-    fn install(&self, w: RouteWire) {
-        self.fea_in.record(|| format!("add {}", w.net));
-        self.fea.borrow_mut().add_route4(FibEntry {
-            net: w.net,
-            nexthop: IpAddr::V4(w.nexthop),
-            ifname: if w.ifname.is_empty() {
-                "eth0".to_string()
-            } else {
-                w.ifname
-            },
-            metric: w.metric,
-        }); // stamps KERNEL
+    fn install(&self, r: RouteRow<'_>) {
+        self.fea_in.record(|| format!("add {}", r.net));
+        let ifname = Some(r.ifname).filter(|n| !n.is_empty()).unwrap_or("eth0");
+        let mut fea = self.fea.borrow_mut();
+        fea.install4(r.net, IpAddr::V4(r.nexthop), ifname, r.metric); // stamps KERNEL
     }
 }
 
@@ -295,10 +288,10 @@ impl xrl_ifaces::fea::Server for FeaServer {
         responder: TypedResponder<()>,
     ) {
         self.trace_arrival();
-        self.install(RouteWire {
+        self.install(RouteRow {
             net,
             nexthop,
-            ifname,
+            ifname: &ifname,
             metric,
             proto: ProtocolId::Ebgp,
         });
@@ -312,41 +305,34 @@ impl xrl_ifaces::fea::Server for FeaServer {
     }
 
     // Vectorized twins of add_route/delete_route — N FIB edits per
-    // frame.  All rows are validated before any is applied.
-    fn add_routes(
-        &self,
-        el: &mut EventLoop,
-        routes: Vec<AtomValue>,
-        responder: TypedResponder<(u32,)>,
-    ) {
-        let parsed = match xrl_ifaces::decode_add_rows(&routes) {
-            Ok(p) => p,
+    // frame, read in place.  All rows are validated before any is applied.
+    fn add_routes(&self, el: &mut EventLoop, routes: WireList, responder: TypedResponder<(u32,)>) {
+        let rows = match xrl_ifaces::read_add_rows(&routes) {
+            Ok(rows) => rows,
             Err(e) => return responder.fail(el, e),
         };
         self.trace_arrival();
-        let n = parsed.len() as u32;
-        for w in parsed {
-            self.install(w);
+        for &row in &rows {
+            self.install(row);
         }
-        responder.ok(el, (n,));
+        responder.ok(el, (rows.len() as u32,));
     }
 
     fn delete_routes(
         &self,
         el: &mut EventLoop,
-        routes: Vec<AtomValue>,
+        routes: WireList,
         responder: TypedResponder<(u32,)>,
     ) {
-        let parsed = match xrl_ifaces::decode_delete_rows(&routes) {
-            Ok(p) => p,
+        let rows = match xrl_ifaces::read_delete_rows(&routes) {
+            Ok(rows) => rows,
             Err(e) => return responder.fail(el, e),
         };
-        let n = parsed.len() as u32;
-        for (net, _proto) in parsed {
+        for (net, _proto) in &rows {
             self.fea_in.record(|| format!("del {net}"));
-            self.fea.borrow_mut().delete_route4(&net);
+            self.fea.borrow_mut().delete_route4(net);
         }
-        responder.ok(el, (n,));
+        responder.ok(el, (rows.len() as u32,));
     }
 
     fn route_count(&self, el: &mut EventLoop, responder: TypedResponder<(u32,)>) {
@@ -388,6 +374,20 @@ impl RibServer {
             self.recorder.finish(span);
         }
     }
+
+    /// Apply one frame's ops and acknowledge them.
+    fn apply(
+        &self,
+        el: &mut EventLoop,
+        ops: Vec<BatchOp<Ipv4Addr>>,
+        responder: TypedResponder<(u32,)>,
+    ) {
+        let traced = self.begin_span();
+        let n = self.rib.borrow_mut().apply_batch(el, ops);
+        self.end_span(traced);
+        self.reply(el, responder, Ok((n as u32,)));
+    }
+
     fn reply<R: RetTuple>(
         &self,
         el: &mut EventLoop,
@@ -415,15 +415,18 @@ impl xrl_ifaces::rib::Server for RibServer {
         responder: TypedResponder<()>,
     ) {
         self.rib_in.record(|| format!("add {net}"));
-        let proto = ProtocolId::from_name(&proto).unwrap_or(ProtocolId::Ebgp);
-        let route = RouteWire {
+        let proto = match xrl_ifaces::protocol(&proto) {
+            Ok(proto) => proto,
+            Err(e) => return self.reply(el, responder, Err(e)),
+        };
+        let row = RouteRow {
             net,
             nexthop,
-            ifname,
+            ifname: &ifname,
             metric,
             proto,
-        }
-        .into_rib_route(&mut self.blocks.borrow_mut());
+        };
+        let route = row.into_rib_route(&mut self.blocks.borrow_mut());
         let traced = self.begin_span();
         self.rib.borrow_mut().add_route(el, route);
         self.end_span(traced);
@@ -438,59 +441,50 @@ impl xrl_ifaces::rib::Server for RibServer {
         responder: TypedResponder<()>,
     ) {
         self.rib_in.record(|| format!("del {net}"));
-        let proto = ProtocolId::from_name(&proto).unwrap_or(ProtocolId::Ebgp);
+        let proto = match xrl_ifaces::protocol(&proto) {
+            Ok(proto) => proto,
+            Err(e) => return self.reply(el, responder, Err(e)),
+        };
         let traced = self.begin_span();
         self.rib.borrow_mut().delete_route(el, proto, net);
         self.end_span(traced);
         self.reply(el, responder, Ok(()));
     }
 
-    // Vectorized twins: N routes per frame, applied through
-    // Rib::apply_batch (one resolve/redistribution pass).  Row
+    // Vectorized twins: N routes per frame, read in place and applied
+    // through Rib::apply_batch (one resolve/redistribution pass).  Row
     // validation is transactional — a malformed row rejects the whole
     // frame before any route is applied.
-    fn add_routes(
-        &self,
-        el: &mut EventLoop,
-        routes: Vec<AtomValue>,
-        responder: TypedResponder<(u32,)>,
-    ) {
-        let parsed = match xrl_ifaces::decode_add_rows(&routes) {
-            Ok(p) => p,
+    fn add_routes(&self, el: &mut EventLoop, routes: WireList, responder: TypedResponder<(u32,)>) {
+        let rows = match xrl_ifaces::read_add_rows(&routes) {
+            Ok(rows) => rows,
             Err(e) => return self.reply(el, responder, Err(e)),
         };
-        let mut ops = Vec::with_capacity(parsed.len());
-        for w in parsed {
-            self.rib_in.record(|| format!("add {}", w.net));
-            ops.push(BatchOp::Add(
-                w.into_rib_route(&mut self.blocks.borrow_mut()),
-            ));
-        }
-        let traced = self.begin_span();
-        let n = self.rib.borrow_mut().apply_batch(el, ops);
-        self.end_span(traced);
-        self.reply(el, responder, Ok((n as u32,)));
+        let mut blocks = self.blocks.borrow_mut();
+        let ops = rows.into_iter().map(|row| {
+            self.rib_in.record(|| format!("add {}", row.net));
+            BatchOp::Add(row.into_rib_route(&mut blocks))
+        });
+        let ops = ops.collect();
+        drop(blocks);
+        self.apply(el, ops, responder);
     }
 
     fn delete_routes(
         &self,
         el: &mut EventLoop,
-        routes: Vec<AtomValue>,
+        routes: WireList,
         responder: TypedResponder<(u32,)>,
     ) {
-        let parsed = match xrl_ifaces::decode_delete_rows(&routes) {
-            Ok(p) => p,
+        let rows = match xrl_ifaces::read_delete_rows(&routes) {
+            Ok(rows) => rows,
             Err(e) => return self.reply(el, responder, Err(e)),
         };
-        let mut ops = Vec::with_capacity(parsed.len());
-        for (net, proto) in parsed {
+        let ops = rows.into_iter().map(|(net, proto)| {
             self.rib_in.record(|| format!("del {net}"));
-            ops.push(BatchOp::Delete { proto, net });
-        }
-        let traced = self.begin_span();
-        let n = self.rib.borrow_mut().apply_batch(el, ops);
-        self.end_span(traced);
-        self.reply(el, responder, Ok((n as u32,)));
+            BatchOp::Delete { proto, net }
+        });
+        self.apply(el, ops.collect(), responder);
     }
 
     fn register_interest(
@@ -514,14 +508,14 @@ impl xrl_ifaces::rib::Server for RibServer {
     // Immediate flush of a protocol's routes — the supervisor's
     // permanent-death action when a restart budget is spent.
     fn flush_protocol(&self, el: &mut EventLoop, proto: String, responder: TypedResponder<()>) {
-        let proto = ProtocolId::from_name(&proto).unwrap_or(ProtocolId::Ebgp);
-        self.rib.borrow_mut().clear_protocol(el, proto);
-        responder.ok(el, ());
+        let proto = xrl_ifaces::protocol(&proto);
+        let flushed = proto.map(|p| self.rib.borrow_mut().clear_protocol(el, p));
+        responder.reply(el, flushed.map(|_| ()));
     }
 
     fn stale_count(&self, el: &mut EventLoop, proto: String, responder: TypedResponder<(u32,)>) {
-        let proto = ProtocolId::from_name(&proto).unwrap_or(ProtocolId::Ebgp);
-        responder.ok(el, (self.rib.borrow().stale_count(proto) as u32,));
+        let count = xrl_ifaces::protocol(&proto).map(|p| self.rib.borrow().stale_count(p));
+        responder.reply(el, count.map(|n| (n as u32,)));
     }
 }
 

@@ -2,14 +2,12 @@
 
 use super::*;
 use xorp_net::RouteEntry;
+use xorp_xrl::ListWriter;
 
-/// 1,000 routes over four nexthops, half through `add_route` and half
-/// through `add_routes` frames, leave the RIB holding four attribute
-/// blocks: one per nexthop, whichever method a route arrived by.
-#[test]
-fn rib_routes_share_one_block_per_nexthop_on_both_route_methods() {
-    let mut el = EventLoop::new_virtual();
-    let router = XrlRouter::new(&mut el, Finder::new());
+/// A RIB holding the connected route, served as `rib` on `el`'s router,
+/// and a client of it.
+fn rib_rig(el: &mut EventLoop) -> (Rc<RefCell<Rib<Ipv4Addr>>>, xrl_ifaces::rib::Client) {
+    let router = XrlRouter::new(el, Finder::new());
     router.register_target("rib", "rib-0", true).unwrap();
     let rib = Rc::new(RefCell::new(Rib::<Ipv4Addr>::new(false)));
     let mut blocks = AttrBlocks::default();
@@ -21,7 +19,7 @@ fn rib_routes_share_one_block_per_nexthop_on_both_route_methods() {
         proto: ProtocolId::Connected,
     };
     rib.borrow_mut()
-        .add_route(&mut el, connected.into_rib_route(&mut blocks));
+        .add_route(el, connected.into_rib_route(&mut blocks));
     xrl_ifaces::rib::register(
         &router,
         "rib-0",
@@ -33,10 +31,42 @@ fn rib_routes_share_one_block_per_nexthop_on_both_route_methods() {
             blocks: RefCell::new(blocks),
         },
     );
+    (rib, xrl_ifaces::rib::Client::new(&router, "rib"))
+}
 
-    let net = |i: u32| Ipv4Net::new(Ipv4Addr::from((10 << 24) | (i << 8)), 24).unwrap();
-    let nexthop = |i: u32| Ipv4Addr::new(192, 168, 1, 1 + (i % 4) as u8);
-    let client = xrl_ifaces::rib::Client::new(&router, "rib");
+fn net(i: u32) -> Ipv4Net {
+    Ipv4Net::new(Ipv4Addr::from((10 << 24) | (i << 8)), 24).unwrap()
+}
+
+fn nexthop(i: u32) -> Ipv4Addr {
+    Ipv4Addr::new(192, 168, 1, 1 + (i % 4) as u8)
+}
+
+fn route(i: u32, proto: ProtocolId) -> RouteEntry<Ipv4Addr> {
+    let attrs = PathAttributes::new(IpAddr::V4(nexthop(i))).shared();
+    RouteEntry::new(net(i), attrs, 0, proto)
+}
+
+/// The reply a call gets, once the loop has run it.
+fn reply<T: 'static>(
+    el: &mut EventLoop,
+    call: impl FnOnce(&mut EventLoop, Box<dyn FnOnce(&mut EventLoop, T)>),
+) -> T {
+    let slot = Rc::new(RefCell::new(None));
+    let s = slot.clone();
+    call(el, Box::new(move |_el, r| *s.borrow_mut() = Some(r)));
+    el.run_until_idle();
+    let got = slot.borrow_mut().take();
+    got.expect("no reply")
+}
+
+/// 1,000 routes over four nexthops, half through `add_route` and half
+/// through `add_routes` frames, leave the RIB holding four attribute
+/// blocks: one per nexthop, whichever method a route arrived by.
+#[test]
+fn rib_routes_share_one_block_per_nexthop_on_both_route_methods() {
+    let mut el = EventLoop::new_virtual();
+    let (rib, client) = rib_rig(&mut el);
     let acked = Rc::new(Cell::new(0u32));
     for i in 0..500 {
         let acked = acked.clone();
@@ -50,19 +80,13 @@ fn rib_routes_share_one_block_per_nexthop_on_both_route_methods() {
             move |_el, r| acked.set(acked.get() + u32::from(r.is_ok())),
         );
     }
+    let mut rows = ListWriter::default();
     for frame in (500..1000).collect::<Vec<u32>>().chunks(100) {
-        let rows = frame
-            .iter()
-            .map(|&i| {
-                let attrs = PathAttributes::new(IpAddr::V4(nexthop(i))).shared();
-                AtomValue::List(xrl_ifaces::add_row(
-                    net(i),
-                    &RouteEntry::new(net(i), attrs, 0, ProtocolId::Ebgp),
-                ))
-            })
-            .collect();
+        for &i in frame {
+            xrl_ifaces::write_add_row(&mut rows, net(i), &route(i, ProtocolId::Ebgp));
+        }
         let acked = acked.clone();
-        client.add_routes(&mut el, rows, move |_el, r| {
+        client.add_routes(&mut el, rows.take(), move |_el, r| {
             acked.set(acked.get() + r.map_or(0, |(n,)| n))
         });
     }
@@ -78,4 +102,99 @@ fn rib_routes_share_one_block_per_nexthop_on_both_route_methods() {
         }
     }
     assert_eq!(distinct.len(), 4);
+}
+
+/// A RIB holding one EBGP route, and its client.
+fn rib_with_an_ebgp_route(
+    el: &mut EventLoop,
+) -> (Rc<RefCell<Rib<Ipv4Addr>>>, xrl_ifaces::rib::Client) {
+    let (rib, client) = rib_rig(el);
+    rib.borrow_mut().add_route(el, route(1, ProtocolId::Ebgp));
+    el.run_until_idle();
+    (rib, client)
+}
+
+fn bad_args<T: std::fmt::Debug>(r: Result<T, XrlError>) -> bool {
+    matches!(r, Err(XrlError::BadArgs(ref m)) if m.contains("unknown protocol"))
+}
+
+#[test]
+fn add_route_rejects_an_unknown_protocol() {
+    let mut el = EventLoop::new_virtual();
+    let (rib, client) = rib_with_an_ebgp_route(&mut el);
+    let r = reply(&mut el, |el, cb| {
+        client.add_route(el, net(2), nexthop(2), String::new(), 0, "ebpg".into(), cb)
+    });
+    assert!(bad_args(r));
+    assert!(rib.borrow().lookup_exact(&net(2)).is_none());
+}
+
+#[test]
+fn delete_route_rejects_an_unknown_protocol() {
+    let mut el = EventLoop::new_virtual();
+    let (rib, client) = rib_with_an_ebgp_route(&mut el);
+    let r = reply(&mut el, |el, cb| {
+        client.delete_route(el, net(1), "ebpg".into(), cb)
+    });
+    assert!(bad_args(r));
+    assert!(rib.borrow().lookup_exact(&net(1)).is_some());
+}
+
+/// A mistyped supervisor flush must not wipe BGP's routes.
+#[test]
+fn flush_protocol_rejects_an_unknown_protocol() {
+    let mut el = EventLoop::new_virtual();
+    let (rib, client) = rib_with_an_ebgp_route(&mut el);
+    let r = reply(&mut el, |el, cb| {
+        client.flush_protocol(el, "ebpg".into(), cb)
+    });
+    assert!(bad_args(r));
+    assert!(rib.borrow().lookup_exact(&net(1)).is_some());
+    let r = reply(&mut el, |el, cb| {
+        client.flush_protocol(el, "ebgp".into(), cb)
+    });
+    assert!(r.is_ok());
+    assert!(rib.borrow().lookup_exact(&net(1)).is_none());
+}
+
+#[test]
+fn stale_count_rejects_an_unknown_protocol() {
+    let mut el = EventLoop::new_virtual();
+    let (_rib, client) = rib_with_an_ebgp_route(&mut el);
+    let r = reply(&mut el, |el, cb| client.stale_count(el, "ebpg".into(), cb));
+    assert!(bad_args(r));
+    let r = reply(&mut el, |el, cb| client.stale_count(el, "ebgp".into(), cb));
+    assert_eq!(r.unwrap(), (0,));
+}
+
+/// A row naming an unknown protocol rejects its whole frame: the good
+/// rows before it are not applied either.
+#[test]
+fn a_row_with_an_unknown_protocol_rejects_its_frame() {
+    let mut el = EventLoop::new_virtual();
+    let (rib, client) = rib_with_an_ebgp_route(&mut el);
+    let mut rows = ListWriter::default();
+    xrl_ifaces::write_add_row(&mut rows, net(2), &route(2, ProtocolId::Ebgp));
+    rows.list(|row| {
+        row.ipv4net(net(3))
+            .ipv4(nexthop(3))
+            .text("")
+            .u32(0)
+            .text("ebpg");
+    });
+    let r = reply(&mut el, |el, cb| client.add_routes(el, rows.take(), cb));
+    assert!(
+        matches!(r, Err(XrlError::BadArgs(ref m)) if m.starts_with("routes[1]: unknown protocol"))
+    );
+    assert!(rib.borrow().lookup_exact(&net(2)).is_none());
+
+    xrl_ifaces::write_delete_row(&mut rows, net(1), Some(ProtocolId::Ebgp));
+    rows.list(|row| {
+        row.ipv4net(net(1)).text("ebpg");
+    });
+    let r = reply(&mut el, |el, cb| client.delete_routes(el, rows.take(), cb));
+    assert!(
+        matches!(r, Err(XrlError::BadArgs(ref m)) if m.starts_with("routes[1]: unknown protocol"))
+    );
+    assert!(rib.borrow().lookup_exact(&net(1)).is_some());
 }

@@ -8,15 +8,23 @@
 //! place that knows how a route crosses the wire, both as the positional
 //! arguments of `add_route`/`delete_route` and as the row layout inside
 //! the vectorized `add_routes`/`delete_routes` frames.  BGP→RIB and
-//! RIB→FEA use the same encoding; previously each hop carried its own
-//! copy of these helpers.
+//! RIB→FEA use the same encoding.
+//!
+//! Route rows travel as bytes.  A sender writes each op's row straight
+//! into the frame's list ([`write_add_row`], [`write_delete_row`] on a
+//! [`ListWriter`]), and a receiver reads the rows in place from the
+//! [`WireList`] the frame decoded to ([`read_add_rows`],
+//! [`read_delete_rows`]), interface names borrowed from the frame: no row
+//! becomes an atom tree, a `Vec` or a `String` on either side.  The tree
+//! helpers ([`add_row`], [`decode_add_rows`], …) run the same writer and
+//! reader, so there is one row grammar.
 
 use std::net::{IpAddr, Ipv4Addr};
 
 use xorp_event::EventLoop;
 use xorp_net::{AttrBlocks, Ipv4Net, ProtocolId, RouteEntry};
 use xorp_stages::RouteOp;
-use xorp_xrl::{xrl_interface, AtomValue, XrlError};
+use xorp_xrl::{xrl_interface, AtomReader, AtomRef, AtomValue, ListWriter, WireList, XrlError};
 
 xrl_interface! {
     /// The RIB's route surface: per-route and vectorized edits, nexthop
@@ -25,8 +33,8 @@ xrl_interface! {
     pub interface rib("rib", "1.0") {
         fn add_route(net: Ipv4Net, nexthop: Ipv4Addr, ifname: String, metric: u32, proto: String);
         fn delete_route(net: Ipv4Net, proto: String);
-        fn add_routes(routes: Vec<AtomValue>) -> (count: u32);
-        fn delete_routes(routes: Vec<AtomValue>) -> (count: u32);
+        fn add_routes(routes: WireList) -> (count: u32);
+        fn delete_routes(routes: WireList) -> (count: u32);
         fn register_interest(addr: Ipv4Addr) -> (valid: Ipv4Net, reachable: bool, metric: u32);
         fn route_count() -> (count: u32);
         fn flush_protocol(proto: String);
@@ -40,8 +48,8 @@ xrl_interface! {
     pub interface fea("fea", "1.0") {
         fn add_route(net: Ipv4Net, nexthop: Ipv4Addr, ifname: String, metric: u32);
         fn delete_route(net: Ipv4Net);
-        fn add_routes(routes: Vec<AtomValue>) -> (count: u32);
-        fn delete_routes(routes: Vec<AtomValue>) -> (count: u32);
+        fn add_routes(routes: WireList) -> (count: u32);
+        fn delete_routes(routes: WireList) -> (count: u32);
         fn route_count() -> (count: u32);
     }
 }
@@ -56,7 +64,9 @@ xrl_interface! {
 }
 
 /// A route as it crosses the wire: the decoded form of one
-/// `add_route` argument set or one `add_routes` row.
+/// `add_route` argument set or one `add_routes` row, owning its
+/// interface name.  [`RouteRow`] is the borrowed twin the row reader
+/// yields.
 pub struct RouteWire {
     pub net: Ipv4Net,
     pub nexthop: Ipv4Addr,
@@ -71,19 +81,46 @@ impl RouteWire {
     pub fn from_entry(net: Ipv4Net, route: &RouteEntry<Ipv4Addr>) -> RouteWire {
         RouteWire {
             net,
-            nexthop: match route.nexthop() {
-                IpAddr::V4(a) => a,
-                IpAddr::V6(_) => Ipv4Addr::UNSPECIFIED,
-            },
+            nexthop: v4_nexthop(route),
             ifname: route.ifname.as_deref().unwrap_or("").to_string(),
             metric: route.metric,
             proto: route.proto,
         }
     }
 
-    /// Build the RIB's route from its wire form.  Its attribute block holds
-    /// only the nexthop and the EBGP bit, so every route that agrees on
-    /// both gets the one block `blocks` keeps for the pair.
+    /// The borrowed form.
+    pub fn row(&self) -> RouteRow<'_> {
+        RouteRow {
+            net: self.net,
+            nexthop: self.nexthop,
+            ifname: &self.ifname,
+            metric: self.metric,
+            proto: self.proto,
+        }
+    }
+
+    /// Build the RIB's route from its wire form (see
+    /// [`RouteRow::into_rib_route`]).
+    pub fn into_rib_route(self, blocks: &mut AttrBlocks) -> RouteEntry<Ipv4Addr> {
+        self.row().into_rib_route(blocks)
+    }
+}
+
+/// One route read in place from an `add_routes` row (or borrowed from a
+/// [`RouteWire`]): its interface name points into the frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RouteRow<'a> {
+    pub net: Ipv4Net,
+    pub nexthop: Ipv4Addr,
+    pub ifname: &'a str,
+    pub metric: u32,
+    pub proto: ProtocolId,
+}
+
+impl RouteRow<'_> {
+    /// Build the RIB's route.  Its attribute block holds only the nexthop
+    /// and the EBGP bit, so every route that agrees on both gets the one
+    /// block `blocks` keeps for the pair.
     pub fn into_rib_route(self, blocks: &mut AttrBlocks) -> RouteEntry<Ipv4Addr> {
         let attrs = blocks.get(IpAddr::V4(self.nexthop), self.proto == ProtocolId::Ebgp);
         let mut route = RouteEntry::new(self.net, attrs, self.metric, self.proto);
@@ -92,85 +129,162 @@ impl RouteWire {
         }
         route
     }
-}
 
-/// Encode a route into one batched-XRL row: `[net, nexthop, ifname,
-/// metric, proto]` — the positional twin of the `add_route` argument
-/// list.  FEA-side decoding ignores the trailing `proto`.
-pub fn add_row(net: Ipv4Net, route: &RouteEntry<Ipv4Addr>) -> Vec<AtomValue> {
-    let w = RouteWire::from_entry(net, route);
-    vec![
-        AtomValue::Ipv4Net(w.net),
-        AtomValue::Ipv4(w.nexthop),
-        AtomValue::Text(w.ifname),
-        AtomValue::U32(w.metric),
-        AtomValue::Text(w.proto.name()),
-    ]
-}
-
-/// Encode a deletion row: `[net]`, or `[net, proto]` when the receiver
-/// keys by protocol (the RIB does, the FEA does not).
-pub fn delete_row(net: Ipv4Net, proto: Option<ProtocolId>) -> Vec<AtomValue> {
-    match proto {
-        Some(p) => vec![AtomValue::Ipv4Net(net), AtomValue::Text(p.name())],
-        None => vec![AtomValue::Ipv4Net(net)],
+    /// The owned form.
+    pub fn to_wire(&self) -> RouteWire {
+        RouteWire {
+            net: self.net,
+            nexthop: self.nexthop,
+            ifname: self.ifname.to_string(),
+            metric: self.metric,
+            proto: self.proto,
+        }
     }
+}
+
+fn v4_nexthop(route: &RouteEntry<Ipv4Addr>) -> Ipv4Addr {
+    match route.nexthop() {
+        IpAddr::V4(a) => a,
+        IpAddr::V6(_) => Ipv4Addr::UNSPECIFIED,
+    }
+}
+
+/// The protocol a wire name denotes.  An unknown name is an error, never
+/// a default: a mistyped `flush_protocol` must not wipe another
+/// protocol's routes.
+pub fn protocol(name: &str) -> Result<ProtocolId, XrlError> {
+    proto_of(name).map_err(XrlError::BadArgs)
+}
+
+fn proto_of(name: &str) -> Result<ProtocolId, String> {
+    ProtocolId::from_name(name).ok_or_else(|| format!("unknown protocol {name:?}"))
+}
+
+/// Append a route's row to a batched frame's list: `[net, nexthop,
+/// ifname, metric, proto]`, the positional twin of the `add_route`
+/// argument list.  FEA-side reading ignores the trailing `proto`.
+pub fn write_add_row(rows: &mut ListWriter, net: Ipv4Net, route: &RouteEntry<Ipv4Addr>) {
+    rows.list(|row| {
+        row.ipv4net(net)
+            .ipv4(v4_nexthop(route))
+            .text(route.ifname.as_deref().unwrap_or(""))
+            .u32(route.metric)
+            .text_display(route.proto);
+    });
+}
+
+/// Append a deletion row: `[net]`, or `[net, proto]` when the receiver
+/// keys by protocol (the RIB does, the FEA does not).
+pub fn write_delete_row(rows: &mut ListWriter, net: Ipv4Net, proto: Option<ProtocolId>) {
+    rows.list(|row| {
+        row.ipv4net(net);
+        if let Some(p) = proto {
+            row.text_display(p);
+        }
+    });
+}
+
+/// The one row written by `write`, as a tree of atoms.
+fn row_atoms(write: impl FnOnce(&mut ListWriter)) -> Vec<AtomValue> {
+    let mut rows = ListWriter::default();
+    write(&mut rows);
+    match rows.take().to_atoms().ok().and_then(|mut r| r.pop()) {
+        Some(AtomValue::List(items)) => items,
+        _ => unreachable!("the writer wrote one list"),
+    }
+}
+
+/// [`write_add_row`]'s row as a tree of atoms.  No router path calls
+/// this: it serves callers that build argument trees by hand.
+pub fn add_row(net: Ipv4Net, route: &RouteEntry<Ipv4Addr>) -> Vec<AtomValue> {
+    row_atoms(|rows| write_add_row(rows, net, route))
+}
+
+/// [`write_delete_row`]'s row as a tree of atoms.  No router path calls
+/// this: it serves callers that build argument trees by hand.
+pub fn delete_row(net: Ipv4Net, proto: Option<ProtocolId>) -> Vec<AtomValue> {
+    row_atoms(|rows| write_delete_row(rows, net, proto))
 }
 
 fn row_err(i: usize, what: &str) -> XrlError {
     XrlError::BadArgs(format!("routes[{i}]: {what}"))
 }
 
-fn as_row(i: usize, value: &AtomValue) -> Result<&[AtomValue], XrlError> {
-    match value {
-        AtomValue::List(items) => Ok(items),
-        _ => Err(row_err(i, "row is not a list")),
+/// Read every row of `rows`, transactionally: the first bad row rejects
+/// the whole list, so a caller applies nothing from a frame it refuses.
+/// `row` reads one row's `arity` items off the cursor.
+fn read_rows<'a, T>(
+    rows: &'a WireList,
+    row: impl Fn(&mut AtomReader<'a>, u16) -> Result<T, String>,
+) -> Result<Vec<T>, XrlError> {
+    let mut r = rows.reader();
+    let mut out = Vec::with_capacity(rows.len());
+    for i in 0..rows.len() {
+        let arity = r
+            .enter_list()
+            .map_err(|_| row_err(i, "row is not a list"))?;
+        out.push(row(&mut r, arity).map_err(|what| row_err(i, &what))?);
     }
+    Ok(out)
 }
 
-/// Decode one `[net, nexthop, ifname, metric, proto]` row.
-pub fn decode_add_row(i: usize, value: &AtomValue) -> Result<RouteWire, XrlError> {
-    match as_row(i, value)? {
-        [AtomValue::Ipv4Net(net), AtomValue::Ipv4(nexthop), AtomValue::Text(ifname), AtomValue::U32(metric), AtomValue::Text(proto)] => {
-            Ok(RouteWire {
-                net: *net,
-                nexthop: *nexthop,
-                ifname: ifname.clone(),
-                metric: *metric,
-                proto: ProtocolId::from_name(proto).unwrap_or(ProtocolId::Ebgp),
-            })
+fn next<'a>(r: &mut AtomReader<'a>) -> Result<AtomRef<'a>, String> {
+    r.read().map_err(|e| e.to_string())
+}
+
+/// Read the `[net, nexthop, ifname, metric, proto]` rows of an
+/// `add_routes` frame in place.
+pub fn read_add_rows(rows: &WireList) -> Result<Vec<RouteRow<'_>>, XrlError> {
+    const SHAPE: &str = "expected [net, nexthop, ifname, metric, proto]";
+    read_rows(rows, |r, arity| {
+        if arity != 5 {
+            return Err(SHAPE.into());
         }
-        _ => Err(row_err(i, "expected [net, nexthop, ifname, metric, proto]")),
-    }
+        match [next(r)?, next(r)?, next(r)?, next(r)?, next(r)?] {
+            [AtomRef::Ipv4Net(net), AtomRef::Ipv4(nexthop), AtomRef::Text(ifname), AtomRef::U32(metric), AtomRef::Text(proto)] => {
+                Ok(RouteRow {
+                    net,
+                    nexthop,
+                    ifname,
+                    metric,
+                    proto: proto_of(proto)?,
+                })
+            }
+            _ => Err(SHAPE.into()),
+        }
+    })
 }
 
-/// Decode one `[net]` or `[net, proto]` deletion row.
-pub fn decode_delete_row(i: usize, value: &AtomValue) -> Result<(Ipv4Net, ProtocolId), XrlError> {
-    match as_row(i, value)? {
-        [AtomValue::Ipv4Net(net)] => Ok((*net, ProtocolId::Ebgp)),
-        [AtomValue::Ipv4Net(net), AtomValue::Text(proto)] => Ok((
-            *net,
-            ProtocolId::from_name(proto).unwrap_or(ProtocolId::Ebgp),
-        )),
-        _ => Err(row_err(i, "expected [net] or [net, proto]")),
-    }
+/// Read the `[net]` or `[net, proto]` rows of a `delete_routes` frame
+/// (a bare prefix names an EBGP route).
+pub fn read_delete_rows(rows: &WireList) -> Result<Vec<(Ipv4Net, ProtocolId)>, XrlError> {
+    const SHAPE: &str = "expected [net] or [net, proto]";
+    read_rows(rows, |r, arity| match arity {
+        1 => match next(r)? {
+            AtomRef::Ipv4Net(net) => Ok((net, ProtocolId::Ebgp)),
+            _ => Err(SHAPE.into()),
+        },
+        2 => match [next(r)?, next(r)?] {
+            [AtomRef::Ipv4Net(net), AtomRef::Text(proto)] => Ok((net, proto_of(proto)?)),
+            _ => Err(SHAPE.into()),
+        },
+        _ => Err(SHAPE.into()),
+    })
 }
 
-/// Decode every row of an `add_routes` frame, transactionally: one bad
-/// row rejects the whole frame before any route is applied.
+/// [`read_add_rows`] over rows given as a tree of atoms, which are
+/// encoded once and read by the same reader.
 pub fn decode_add_rows(rows: &[AtomValue]) -> Result<Vec<RouteWire>, XrlError> {
-    rows.iter()
-        .enumerate()
-        .map(|(i, v)| decode_add_row(i, v))
-        .collect()
+    let rows = WireList::from_atoms(rows)?;
+    Ok(read_add_rows(&rows)?
+        .iter()
+        .map(RouteRow::to_wire)
+        .collect())
 }
 
-/// Decode every row of a `delete_routes` frame, transactionally.
+/// [`read_delete_rows`] over rows given as a tree of atoms.
 pub fn decode_delete_rows(rows: &[AtomValue]) -> Result<Vec<(Ipv4Net, ProtocolId)>, XrlError> {
-    rows.iter()
-        .enumerate()
-        .map(|(i, v)| decode_delete_row(i, v))
-        .collect()
+    read_delete_rows(&WireList::from_atoms(rows)?)
 }
 
 /// One hop's route methods behind one handle: the single place that
@@ -217,21 +331,23 @@ impl BulkRouteSink {
         }
     }
 
-    /// Encode one op as a row of this hop's vectorized frames.
-    pub fn row(&self, op: &WireOp) -> Vec<AtomValue> {
+    /// Append one op's row to a run of this hop's vectorized frames.
+    pub fn write_row(&self, rows: &mut ListWriter, op: &WireOp) {
         match op {
             RouteOp::Add { net, route }
             | RouteOp::Replace {
                 net, new: route, ..
-            } => add_row(*net, route),
-            RouteOp::Delete { net, old } => {
-                delete_row(*net, matches!(self, Self::Rib(_)).then_some(old.proto))
-            }
+            } => write_add_row(rows, *net, route),
+            RouteOp::Delete { net, old } => write_delete_row(
+                rows,
+                *net,
+                matches!(self, Self::Rib(_)).then_some(old.proto),
+            ),
         }
     }
 
-    /// Ship one same-direction run of encoded rows.
-    pub fn send(&self, el: &mut EventLoop, add: bool, rows: Vec<AtomValue>) {
+    /// Ship one same-direction run of rows.
+    pub fn send(&self, el: &mut EventLoop, add: bool, rows: WireList) {
         match (self, add) {
             (Self::Rib(c), true) => c.add_routes(el, rows, |_el, _r| {}),
             (Self::Rib(c), false) => c.delete_routes(el, rows, |_el, _r| {}),
@@ -256,6 +372,67 @@ mod tests {
     /// ends of the BGP→RIB hop compute it from the declaration above; if it
     /// moved, every peer built before the move would fall back to v1.
     const ADD_ROUTE_SIG: u64 = 4_517_232_572_969_457_889;
+
+    /// `add_routes`' and `delete_routes`' hashes (both interfaces): the
+    /// rows argument is a `list` whatever form it travels in, so taking
+    /// it as a [`WireList`] moved neither hash.
+    const ROWS_SIGS: [(&str, u64); 2] = [
+        ("add_routes", 2_062_218_159_761_363_007),
+        ("delete_routes", 9_571_760_894_793_151_713),
+    ];
+
+    #[test]
+    fn batched_route_signatures_are_pinned() {
+        for (method, pinned) in ROWS_SIGS {
+            let hand = sig_hash(
+                method,
+                &[("routes", AtomType::List)],
+                &[("count", AtomType::U32)],
+            );
+            assert_eq!(hand, pinned, "{method}");
+        }
+        // Peers advertising the pinned hashes get positional frames from
+        // both generated stubs.
+        let finder = Finder::new();
+        let mut listeners = Vec::new();
+        for target in ["rib", "fea"] {
+            let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+            let endpoint = Endpoint::Tcp(listener.local_addr().unwrap());
+            let instance = format!("{target}-0");
+            finder
+                .register(target, &instance, vec![endpoint], true)
+                .unwrap();
+            for (id, (method, pinned)) in ROWS_SIGS.into_iter().enumerate() {
+                let path = format!("{target}/1.0/{method}");
+                finder.advertise_sig(&instance, &path, 20 + id as u32, pinned);
+            }
+            listeners.push(listener);
+        }
+        let mut el = EventLoop::new_virtual();
+        let router = XrlRouter::new(&mut el, finder);
+        router.enable_tcp().unwrap();
+        let net: Ipv4Net = "10.0.0.0/8".parse().unwrap();
+        let mut rows = ListWriter::default();
+        let rib = rib::Client::new(&router, "rib");
+        write_delete_row(&mut rows, net, Some(ProtocolId::Ebgp));
+        rib.add_routes(&mut el, rows.take(), |_el, _r| {});
+        rib.delete_routes(&mut el, rows.take(), |_el, _r| {});
+        let fea = fea::Client::new(&router, "fea");
+        fea.add_routes(&mut el, rows.take(), |_el, _r| {});
+        fea.delete_routes(&mut el, rows.take(), |_el, _r| {});
+        el.run_until_idle();
+        for listener in listeners {
+            let (mut wire, _) = listener.accept().unwrap();
+            wire.set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            for id in [20, 21] {
+                match Frame::decode(read_frame(&mut wire).unwrap()).unwrap() {
+                    Frame::Request { method_id, .. } => assert_eq!(method_id, Some(id)),
+                    other => panic!("expected a request, read {other:?}"),
+                }
+            }
+        }
+    }
 
     #[test]
     fn rib_add_route_signature_is_pinned() {

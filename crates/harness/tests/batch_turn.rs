@@ -22,12 +22,12 @@ use std::time::{Duration, Instant};
 use xorp_event::EventLoop;
 use xorp_harness::batch::{RouteBatcher, RouteOutput};
 use xorp_harness::xrl_ifaces::{self, BulkRouteSink, WireOp};
-use xorp_net::{Ipv4Net, PathAttributes, ProtocolId, RouteEntry};
+use xorp_net::{PathAttributes, ProtocolId, RouteEntry};
 use xorp_profiler::{points, MetricValue, Metrics, Profiler};
 use xorp_stages::RouteOp;
 use xorp_xrl::finder::Endpoint;
 use xorp_xrl::marshal::{read_frame, Frame};
-use xorp_xrl::{sig_hash, AtomType, AtomValue, Finder, XrlArgs, XrlRouter};
+use xorp_xrl::{sig_hash, AtomType, Finder, XrlArgs, XrlRouter};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -71,8 +71,7 @@ fn idle_flush_keeps_a_lone_route_in_its_turn_and_coalesces_a_frame_batch() {
     let b = batcher.clone();
     router.add_handler("mid-0", "mid/1.0/push", move |el, args, responder| {
         let i = args.get_u32("i").unwrap();
-        let net: Ipv4Net = format!("10.0.{i}.0/24").parse().unwrap();
-        b.push(el, true, net, vec![AtomValue::U32(i)]);
+        b.push(el, &add(&format!("10.0.{i}.0/24")));
         responder.ok(el);
     });
     let key = finder

@@ -36,15 +36,7 @@ pub enum ProtocolId {
 impl ProtocolId {
     /// Stable textual name, used in XRLs and the config language.
     pub fn name(&self) -> String {
-        match self {
-            ProtocolId::Connected => "connected".into(),
-            ProtocolId::Static => "static".into(),
-            ProtocolId::Rip => "rip".into(),
-            ProtocolId::Ebgp => "ebgp".into(),
-            ProtocolId::Ibgp => "ibgp".into(),
-            ProtocolId::Ospf => "ospf".into(),
-            ProtocolId::Other(n) => format!("proto{n}"),
-        }
+        self.to_string()
     }
 
     /// Parse the textual name produced by [`ProtocolId::name`].
@@ -64,9 +56,19 @@ impl ProtocolId {
     }
 }
 
+/// The stable name, written without allocating (route rows are encoded
+/// through this).
 impl fmt::Display for ProtocolId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())
+        f.write_str(match self {
+            ProtocolId::Connected => "connected",
+            ProtocolId::Static => "static",
+            ProtocolId::Rip => "rip",
+            ProtocolId::Ebgp => "ebgp",
+            ProtocolId::Ibgp => "ibgp",
+            ProtocolId::Ospf => "ospf",
+            ProtocolId::Other(n) => return write!(f, "proto{n}"),
+        })
     }
 }
 

@@ -15,6 +15,7 @@ use std::sync::Arc;
 use xorp_net::{Ipv4Net, Ipv6Net, Mac};
 
 use crate::error::XrlError;
+use crate::wire::WireList;
 
 /// The type tag of an atom.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,7 +80,7 @@ impl AtomType {
 }
 
 /// A typed value.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Eq)]
 pub enum AtomValue {
     I32(i32),
     U32(u32),
@@ -94,6 +95,35 @@ pub enum AtomValue {
     Mac(Mac),
     Binary(Vec<u8>),
     List(Vec<AtomValue>),
+    /// A list left in wire form, as decoded frames carry every list: the
+    /// same atom as the tree its bytes encode.
+    Wire(WireList),
+}
+
+impl PartialEq for AtomValue {
+    fn eq(&self, other: &Self) -> bool {
+        use AtomValue::*;
+        match (self, other) {
+            (I32(a), I32(b)) => a == b,
+            (U32(a), U32(b)) => a == b,
+            (I64(a), I64(b)) => a == b,
+            (U64(a), U64(b)) => a == b,
+            (Bool(a), Bool(b)) => a == b,
+            (Text(a), Text(b)) => a == b,
+            (Ipv4(a), Ipv4(b)) => a == b,
+            (Ipv6(a), Ipv6(b)) => a == b,
+            (Ipv4Net(a), Ipv4Net(b)) => a == b,
+            (Ipv6Net(a), Ipv6Net(b)) => a == b,
+            (Mac(a), Mac(b)) => a == b,
+            (Binary(a), Binary(b)) => a == b,
+            (List(a), List(b)) => a == b,
+            (Wire(a), Wire(b)) => a == b || a.to_atoms().ok() == b.to_atoms().ok(),
+            (Wire(w), List(items)) | (List(items), Wire(w)) => {
+                w.to_atoms().is_ok_and(|t| t == *items)
+            }
+            _ => false,
+        }
+    }
 }
 
 impl AtomValue {
@@ -112,7 +142,7 @@ impl AtomValue {
             AtomValue::Ipv6Net(_) => AtomType::Ipv6Net,
             AtomValue::Mac(_) => AtomType::Mac,
             AtomValue::Binary(_) => AtomType::Binary,
-            AtomValue::List(_) => AtomType::List,
+            AtomValue::List(_) | AtomValue::Wire(_) => AtomType::List,
         }
     }
 
@@ -131,6 +161,7 @@ impl AtomValue {
             AtomValue::Mac(_) => 6,
             AtomValue::Binary(b) => 4 + b.len(),
             AtomValue::List(items) => 2 + items.iter().map(|v| v.approx_wire_len()).sum::<usize>(),
+            AtomValue::Wire(list) => list.wire_len() - 1,
         }
     }
 
@@ -149,14 +180,8 @@ impl AtomValue {
             AtomValue::Ipv6Net(v) => escape(&v.to_string()),
             AtomValue::Mac(v) => escape(&v.to_string()),
             AtomValue::Binary(v) => v.iter().map(|b| format!("{b:02x}")).collect(),
-            AtomValue::List(v) => {
-                // List elements are comma-separated `type=value` pairs.
-                let parts: Vec<String> = v
-                    .iter()
-                    .map(|e| format!("{}={}", e.atom_type().tag(), e.render()))
-                    .collect();
-                escape(&parts.join(","))
-            }
+            AtomValue::List(v) => render_list(v),
+            AtomValue::Wire(list) => render_list(&list.to_atoms().unwrap_or_default()),
         }
     }
 
@@ -211,6 +236,15 @@ impl AtomValue {
             }
         })
     }
+}
+
+/// A list's textual form: comma-separated `type=value` pairs, escaped.
+fn render_list(items: &[AtomValue]) -> String {
+    let parts: Vec<String> = items
+        .iter()
+        .map(|e| format!("{}={}", e.atom_type().tag(), e.render()))
+        .collect();
+    escape(&parts.join(","))
 }
 
 /// A named, typed argument: `name:type=value`.
@@ -269,19 +303,15 @@ macro_rules! typed_accessors {
     ($get:ident, $add:ident, $variant:ident, $ty:ty) => {
         /// Fetch a required argument of this type by name.
         pub fn $get(&self, name: &str) -> Result<$ty, XrlError> {
-            match self.find(name) {
-                Some(AtomValue::$variant(v)) => Ok(v.clone()),
-                Some(other) => Err(XrlError::BadArgs(format!(
+            let value = self.find(name).ok_or_else(|| self.missing(name))?;
+            <$ty as AtomCodec>::from_atom(value).ok_or_else(|| {
+                XrlError::BadArgs(format!(
                     "{}{name}: expected {}, got {}",
                     self.ctx_prefix(),
                     stringify!($variant),
-                    other.atom_type().tag()
-                ))),
-                None => Err(XrlError::BadArgs(format!(
-                    "{}missing argument {name}",
-                    self.ctx_prefix()
-                ))),
-            }
+                    value.atom_type().tag()
+                ))
+            })
         }
 
         /// Append an argument of this type (builder style).
@@ -372,47 +402,58 @@ impl XrlArgs {
         self.atoms.iter().find(|a| a.name == name).map(|a| &a.value)
     }
 
-    /// Fetch argument `idx`/`name` as a native type.  Positional fast
-    /// path first: if the atom at `idx` is unnamed (a wire-v2 frame) it is
-    /// used directly; otherwise the lookup falls back to by-name search so
-    /// the same generated decoder accepts named v1 frames from old peers.
+    /// Where argument `idx`/`name` sits.  Positional fast path first: if
+    /// the atom at `idx` is unnamed (a wire-v2 frame) it is the one;
+    /// otherwise the lookup falls back to by-name search so the same
+    /// generated decoder accepts named v1 frames from old peers.
+    fn position(&self, idx: usize, name: &str) -> Option<usize> {
+        match self.atoms.get(idx) {
+            Some(a) if a.name.is_empty() => Some(idx),
+            _ => self.atoms.iter().position(|a| a.name == name),
+        }
+    }
+
+    fn missing(&self, name: &str) -> XrlError {
+        XrlError::BadArgs(format!("{}missing argument {name}", self.ctx_prefix()))
+    }
+
+    fn mismatch<T: AtomCodec>(&self, name: &str, got: AtomType) -> XrlError {
+        XrlError::BadArgs(format!(
+            "{}{name}: expected {}, got {}",
+            self.ctx_prefix(),
+            T::TYPE.tag(),
+            got.tag()
+        ))
+    }
+
+    /// Fetch argument `idx`/`name` as a native type: the unnamed atom at
+    /// `idx`, or else the atom named `name`.
     pub fn get_arg<T: AtomCodec>(&self, idx: usize, name: &str) -> Result<T, XrlError> {
-        let positional = self.atoms.get(idx).filter(|a| a.name.is_empty());
-        let value = match positional {
-            Some(a) => &a.value,
-            None => self.find(name).ok_or_else(|| {
-                XrlError::BadArgs(format!("{}missing argument {name}", self.ctx_prefix()))
-            })?,
-        };
-        T::from_atom(value).ok_or_else(|| {
-            XrlError::BadArgs(format!(
-                "{}{name}: expected {}, got {}",
-                self.ctx_prefix(),
-                T::TYPE.tag(),
-                value.atom_type().tag()
-            ))
-        })
+        let at = self.position(idx, name).ok_or_else(|| self.missing(name))?;
+        let value = &self.atoms[at].value;
+        T::from_atom(value).ok_or_else(|| self.mismatch::<T>(name, value.atom_type()))
     }
 
     /// Like [`XrlArgs::get_arg`] but `None` (not an error) when the
     /// argument is absent.  Generated stubs use it for trailing optional
     /// arguments.
     pub fn get_arg_opt<T: AtomCodec>(&self, idx: usize, name: &str) -> Result<Option<T>, XrlError> {
-        let positional = self.atoms.get(idx).filter(|a| a.name.is_empty());
-        let value = match positional {
-            Some(a) => &a.value,
-            None => match self.find(name) {
-                Some(v) => v,
-                None => return Ok(None),
-            },
-        };
-        T::from_atom(value).map(Some).ok_or_else(|| {
-            XrlError::BadArgs(format!(
-                "{}{name}: expected {}, got {}",
-                self.ctx_prefix(),
-                T::TYPE.tag(),
-                value.atom_type().tag()
-            ))
+        match self.position(idx, name) {
+            Some(_) => self.get_arg(idx, name).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// Like [`XrlArgs::get_arg`], but moves the value out of the block
+    /// instead of copying it: generated dispatch reads each argument once.
+    /// On a type mismatch the value stays where it was.
+    pub fn take_arg<T: AtomCodec>(&mut self, idx: usize, name: &str) -> Result<T, XrlError> {
+        let at = self.position(idx, name).ok_or_else(|| self.missing(name))?;
+        let value = std::mem::replace(&mut self.atoms[at].value, AtomValue::Bool(false));
+        T::take_atom(value).map_err(|value| {
+            let err = self.mismatch::<T>(name, value.atom_type());
+            self.atoms[at].value = value;
+            err
         })
     }
 
@@ -511,6 +552,11 @@ pub trait AtomCodec: Sized {
     fn into_atom(self) -> AtomValue;
     /// Decode from an atom value; `None` on a type mismatch.
     fn from_atom(value: &AtomValue) -> Option<Self>;
+    /// Decode by value, moving a string, buffer or list out instead of
+    /// copying it; the value comes back on a type mismatch.
+    fn take_atom(value: AtomValue) -> Result<Self, AtomValue> {
+        Self::from_atom(&value).ok_or(value)
+    }
 }
 
 macro_rules! atom_codec {
@@ -524,6 +570,12 @@ macro_rules! atom_codec {
                 match value {
                     AtomValue::$variant(v) => Some(v.clone()),
                     _ => None,
+                }
+            }
+            fn take_atom(value: AtomValue) -> Result<Self, AtomValue> {
+                match value {
+                    AtomValue::$variant(v) => Ok(v),
+                    other => Err(other),
                 }
             }
         }
@@ -542,7 +594,53 @@ atom_codec!(Ipv4Net, Ipv4Net);
 atom_codec!(Ipv6Net, Ipv6Net);
 atom_codec!(Mac, Mac);
 atom_codec!(Vec<u8>, Binary);
-atom_codec!(Vec<AtomValue>, List);
+
+/// A list as a tree: a list that arrived in wire form is materialized.
+impl AtomCodec for Vec<AtomValue> {
+    const TYPE: AtomType = AtomType::List;
+    fn into_atom(self) -> AtomValue {
+        AtomValue::List(self)
+    }
+    fn from_atom(value: &AtomValue) -> Option<Self> {
+        match value {
+            AtomValue::List(v) => Some(v.clone()),
+            AtomValue::Wire(w) => w.to_atoms().ok(),
+            _ => None,
+        }
+    }
+    fn take_atom(value: AtomValue) -> Result<Self, AtomValue> {
+        match value {
+            AtomValue::List(v) => Ok(v),
+            AtomValue::Wire(w) => w.to_atoms().map_err(|_| AtomValue::Wire(w)),
+            other => Err(other),
+        }
+    }
+}
+
+/// A list in wire form: a tree-form list (a textual XRL, hand-built
+/// arguments) is encoded once.
+impl AtomCodec for WireList {
+    const TYPE: AtomType = AtomType::List;
+    fn into_atom(self) -> AtomValue {
+        AtomValue::Wire(self)
+    }
+    fn from_atom(value: &AtomValue) -> Option<Self> {
+        match value {
+            AtomValue::Wire(w) => Some(w.clone()),
+            AtomValue::List(items) => WireList::from_atoms(items).ok(),
+            _ => None,
+        }
+    }
+    fn take_atom(value: AtomValue) -> Result<Self, AtomValue> {
+        match value {
+            AtomValue::Wire(w) => Ok(w),
+            AtomValue::List(items) => {
+                WireList::from_atoms(&items).map_err(|_| AtomValue::List(items))
+            }
+            other => Err(other),
+        }
+    }
+}
 
 /// Percent-escape characters reserved by the XRL grammar.
 pub(crate) fn escape(s: &str) -> String {

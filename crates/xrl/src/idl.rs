@@ -172,7 +172,8 @@ impl<R: RetTuple> TypedResponder<R> {
 ///   ([`crate::XrlRouter::add_handler_signed`]), which advertises the
 ///   signature to the Finder and decodes arguments (rejecting mistyped or
 ///   missing ones with the method path in the error) before the trait
-///   method runs.
+///   method runs.  Each argument is moved out of the request's block,
+///   not copied.
 ///
 /// A stub that compiles cannot misname, mistype, or omit an argument: the
 /// declaration is the single source of truth for the client, the server,
@@ -339,7 +340,7 @@ macro_rules! xrl_interface {
                                 let mut idx = 0usize;
                                 $(
                                     let $aname: $aty =
-                                        match args.get_arg(idx, stringify!($aname)) {
+                                        match args.take_arg(idx, stringify!($aname)) {
                                             Ok(v) => v,
                                             Err(e) => {
                                                 responder.fail(el, e);

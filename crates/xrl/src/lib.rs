@@ -37,6 +37,7 @@ pub mod profile;
 pub mod router;
 pub mod script;
 pub mod transport;
+pub mod wire;
 pub mod xrl;
 
 pub use atom::{AtomCodec, AtomType, AtomValue, XrlArgs, XrlAtom};
@@ -48,6 +49,7 @@ pub use router::{
     CongestionSignal, InternedCall, QueuePolicy, Responder, ResponseCb, RetryPolicy, TransportPref,
     XrlRouter, SEQ_MAY_RECUR,
 };
+pub use wire::{AtomReader, AtomRef, ListWriter, WireList};
 pub use xrl::{Xrl, XrlPath};
 
 /// Result of an XRL dispatch: the response atoms or a transport/dispatch

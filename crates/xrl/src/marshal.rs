@@ -28,6 +28,11 @@
 //! Senders fall back to v1 named frames for peers that never advertised a
 //! signature — mixed-version interop is transparent.
 //!
+//! Atoms are read by [`crate::wire::AtomReader`], the grammar's one
+//! reader, and a decoded frame keeps each list argument in wire form
+//! ([`crate::wire::WireList`]): checked as it is read, copied once, never
+//! built into a tree unless a consumer asks for one.
+//!
 //! The trace bit exists only on the v2 kind byte: a sampled route's
 //! [`TraceContext`] rides the frame as a fixed 12-byte trailer after the
 //! positional arguments.  v1 frames and unflagged v2 frames are
@@ -37,8 +42,9 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use xorp_profiler::tracing::TraceContext;
 
-use crate::atom::{AtomType, AtomValue, XrlArgs, XrlAtom};
+use crate::atom::{AtomValue, XrlArgs, XrlAtom};
 use crate::error::XrlError;
+use crate::wire::{fits, put_value, AtomReader, MAX_ITEMS};
 
 /// A decoded frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,13 +113,24 @@ const KIND_REQUEST_V2_TRACED: u8 = KIND_REQUEST_V2 | KIND_TRACED;
 /// High bit of the kind byte: priority delivery.
 const KIND_PRIORITY: u8 = 0x80;
 
+/// `s` cut at a char boundary to the most a `str` field holds.  Error
+/// text can outgrow it: it may quote a target or path a peer sent at the
+/// field's full length.
+fn fit_str(s: &str) -> &str {
+    let mut end = s.len().min(u16::MAX as usize);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    &s[..end]
+}
+
 fn put_str(buf: &mut impl BufMut, s: &str) {
     debug_assert!(s.len() <= u16::MAX as usize);
     buf.put_u16(s.len() as u16);
     buf.put_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut impl Buf) -> Result<String, XrlError> {
+fn get_str(buf: &mut &[u8]) -> Result<String, XrlError> {
     if buf.remaining() < 2 {
         return Err(XrlError::BadFrame("truncated string length".into()));
     }
@@ -121,182 +138,17 @@ fn get_str(buf: &mut impl Buf) -> Result<String, XrlError> {
     if buf.remaining() < len {
         return Err(XrlError::BadFrame("truncated string".into()));
     }
-    String::from_utf8(get_vec(buf, len)).map_err(|_| XrlError::BadFrame("non-UTF8 string".into()))
+    let (s, rest) = buf.split_at(len);
+    *buf = rest;
+    String::from_utf8(s.to_vec()).map_err(|_| XrlError::BadFrame("non-UTF8 string".into()))
 }
 
-/// Copy the next `len` bytes (already bounds-checked) out of `buf`.
-fn get_vec(buf: &mut impl Buf, len: usize) -> Vec<u8> {
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    bytes
-}
-
-fn put_value(buf: &mut impl BufMut, v: &AtomValue) {
-    buf.put_u8(type_code(v.atom_type()));
-    match v {
-        AtomValue::I32(x) => buf.put_i32(*x),
-        AtomValue::U32(x) => buf.put_u32(*x),
-        AtomValue::I64(x) => buf.put_i64(*x),
-        AtomValue::U64(x) => buf.put_u64(*x),
-        AtomValue::Bool(x) => buf.put_u8(*x as u8),
-        AtomValue::Text(x) => {
-            buf.put_u32(x.len() as u32);
-            buf.put_slice(x.as_bytes());
-        }
-        AtomValue::Ipv4(x) => buf.put_slice(&x.octets()),
-        AtomValue::Ipv6(x) => buf.put_slice(&x.octets()),
-        AtomValue::Ipv4Net(x) => {
-            buf.put_slice(&x.addr().octets());
-            buf.put_u8(x.len());
-        }
-        AtomValue::Ipv6Net(x) => {
-            buf.put_slice(&x.addr().octets());
-            buf.put_u8(x.len());
-        }
-        AtomValue::Mac(x) => buf.put_slice(&x.0),
-        AtomValue::Binary(x) => {
-            buf.put_u32(x.len() as u32);
-            buf.put_slice(x);
-        }
-        AtomValue::List(items) => {
-            buf.put_u16(items.len() as u16);
-            for item in items {
-                put_value(buf, item);
-            }
-        }
-    }
-}
-
-fn type_code(t: AtomType) -> u8 {
-    match t {
-        AtomType::I32 => 1,
-        AtomType::U32 => 2,
-        AtomType::I64 => 3,
-        AtomType::U64 => 4,
-        AtomType::Bool => 5,
-        AtomType::Text => 6,
-        AtomType::Ipv4 => 7,
-        AtomType::Ipv6 => 8,
-        AtomType::Ipv4Net => 9,
-        AtomType::Ipv6Net => 10,
-        AtomType::Mac => 11,
-        AtomType::Binary => 12,
-        AtomType::List => 13,
-    }
-}
-
-/// Maximum list nesting a decoded frame may carry.  Batched route frames
-/// use two levels (rows inside a batch); anything deeper than this is an
-/// adversarial frame trying to exhaust the decoder's stack.
-const MAX_LIST_DEPTH: u32 = 16;
-
-fn get_value(buf: &mut impl Buf) -> Result<AtomValue, XrlError> {
-    get_value_depth(buf, 0)
-}
-
-fn get_value_depth(buf: &mut impl Buf, depth: u32) -> Result<AtomValue, XrlError> {
-    let short = || XrlError::BadFrame("truncated value".into());
-    if buf.remaining() < 1 {
-        return Err(short());
-    }
-    let code = buf.get_u8();
-    macro_rules! need {
-        ($n:expr) => {
-            if buf.remaining() < $n {
-                return Err(short());
-            }
-        };
-    }
-    Ok(match code {
-        1 => {
-            need!(4);
-            AtomValue::I32(buf.get_i32())
-        }
-        2 => {
-            need!(4);
-            AtomValue::U32(buf.get_u32())
-        }
-        3 => {
-            need!(8);
-            AtomValue::I64(buf.get_i64())
-        }
-        4 => {
-            need!(8);
-            AtomValue::U64(buf.get_u64())
-        }
-        5 => {
-            need!(1);
-            AtomValue::Bool(buf.get_u8() != 0)
-        }
-        6 => {
-            need!(4);
-            let len = buf.get_u32() as usize;
-            need!(len);
-            AtomValue::Text(
-                String::from_utf8(get_vec(buf, len))
-                    .map_err(|_| XrlError::BadFrame("non-UTF8 text".into()))?,
-            )
-        }
-        7 => {
-            need!(4);
-            let mut o = [0u8; 4];
-            buf.copy_to_slice(&mut o);
-            AtomValue::Ipv4(o.into())
-        }
-        8 => {
-            need!(16);
-            let mut o = [0u8; 16];
-            buf.copy_to_slice(&mut o);
-            AtomValue::Ipv6(o.into())
-        }
-        9 => {
-            need!(5);
-            let mut o = [0u8; 4];
-            buf.copy_to_slice(&mut o);
-            let len = buf.get_u8();
-            AtomValue::Ipv4Net(
-                xorp_net::Prefix::new(o.into(), len)
-                    .map_err(|e| XrlError::BadFrame(e.to_string()))?,
-            )
-        }
-        10 => {
-            need!(17);
-            let mut o = [0u8; 16];
-            buf.copy_to_slice(&mut o);
-            let len = buf.get_u8();
-            AtomValue::Ipv6Net(
-                xorp_net::Prefix::new(o.into(), len)
-                    .map_err(|e| XrlError::BadFrame(e.to_string()))?,
-            )
-        }
-        11 => {
-            need!(6);
-            let mut o = [0u8; 6];
-            buf.copy_to_slice(&mut o);
-            AtomValue::Mac(xorp_net::Mac(o))
-        }
-        12 => {
-            need!(4);
-            let len = buf.get_u32() as usize;
-            need!(len);
-            AtomValue::Binary(get_vec(buf, len))
-        }
-        13 => {
-            if depth >= MAX_LIST_DEPTH {
-                return Err(XrlError::BadFrame(format!(
-                    "list nesting exceeds {MAX_LIST_DEPTH}"
-                )));
-            }
-            need!(2);
-            let count = buf.get_u16() as usize;
-            let mut items = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                items.push(get_value_depth(buf, depth + 1)?);
-            }
-            AtomValue::List(items)
-        }
-        other => return Err(XrlError::BadFrame(format!("unknown type code {other}"))),
-    })
+/// Read one top-level atom off `buf`.  Lists stay in wire form.
+fn get_value(buf: &mut &[u8]) -> Result<AtomValue, XrlError> {
+    let mut r = AtomReader::new(buf);
+    let value = r.read()?.to_value();
+    *buf = r.rest();
+    Ok(value)
 }
 
 /// Reject an argument block the wire cannot count: more than `u16::MAX`
@@ -305,13 +157,7 @@ fn get_value_depth(buf: &mut impl Buf, depth: u32) -> Result<AtomValue, XrlError
 /// would decode as a shorter one.  The send core checks every request and
 /// reply before it is charged or encoded.
 pub(crate) fn check_counts(args: &XrlArgs) -> Result<(), XrlError> {
-    const MAX: usize = u16::MAX as usize;
-    fn fits(v: &AtomValue) -> bool {
-        match v {
-            AtomValue::List(items) => items.len() <= MAX && items.iter().all(fits),
-            _ => true,
-        }
-    }
+    const MAX: usize = MAX_ITEMS;
     let atoms = args.atoms();
     if atoms.len() <= MAX && atoms.iter().all(|a| a.name.len() <= MAX && fits(&a.value)) {
         Ok(())
@@ -330,7 +176,7 @@ fn put_args(buf: &mut impl BufMut, args: &XrlArgs) {
     }
 }
 
-fn get_args(buf: &mut impl Buf) -> Result<XrlArgs, XrlError> {
+fn get_args(buf: &mut &[u8]) -> Result<XrlArgs, XrlError> {
     if buf.remaining() < 2 {
         return Err(XrlError::BadFrame("truncated arg count".into()));
     }
@@ -355,7 +201,7 @@ fn put_args_positional(buf: &mut impl BufMut, args: &XrlArgs) {
 }
 
 /// Decode a positional argument block into unnamed atoms.
-fn get_args_positional(buf: &mut impl Buf) -> Result<XrlArgs, XrlError> {
+fn get_args_positional(buf: &mut &[u8]) -> Result<XrlArgs, XrlError> {
     if buf.remaining() < 2 {
         return Err(XrlError::BadFrame("truncated arg count".into()));
     }
@@ -414,9 +260,10 @@ impl Frame {
         }
     }
 
-    /// Encode this frame, including the length header.
+    /// Encode this frame, including the length header, into a buffer
+    /// sized for it up front.
     pub fn encode(&self) -> BytesMut {
-        let mut out = BytesMut::with_capacity(128);
+        let mut out = BytesMut::with_capacity(self.approx_wire_len());
         self.encode_into(&mut out);
         out
     }
@@ -493,7 +340,7 @@ impl Frame {
                     }
                     Err(e) => {
                         body.put_u8(e.code());
-                        put_str(body, &e.to_string());
+                        put_str(body, fit_str(&e.to_string()));
                         put_args(body, &XrlArgs::new());
                     }
                 }
@@ -506,8 +353,8 @@ impl Frame {
     }
 
     /// Decode a frame body (the bytes after the u32 length header).
-    pub fn decode(mut body: Bytes) -> Result<Frame, XrlError> {
-        Frame::decode_from(&mut body)
+    pub fn decode(body: Bytes) -> Result<Frame, XrlError> {
+        Frame::decode_from(&mut &body[..])
     }
 
     /// [`Frame::decode`] over a borrowed body — what the TCP reader uses
@@ -517,7 +364,7 @@ impl Frame {
         Frame::decode_from(&mut body)
     }
 
-    fn decode_from(buf: &mut impl Buf) -> Result<Frame, XrlError> {
+    fn decode_from(buf: &mut &[u8]) -> Result<Frame, XrlError> {
         if buf.remaining() < 1 {
             return Err(XrlError::BadFrame("empty frame".into()));
         }

@@ -89,8 +89,8 @@ use crate::XrlResult;
 /// arrives.
 pub type ResponseCb = Box<dyn FnOnce(&mut EventLoop, XrlResult)>;
 
-/// Handler for an incoming XRL method.
-pub type Handler = Rc<dyn Fn(&mut EventLoop, &XrlArgs, Responder)>;
+/// Handler for an incoming XRL method; generated decoders move arguments out.
+pub type Handler = Rc<dyn Fn(&mut EventLoop, &mut XrlArgs, Responder)>;
 
 /// Transport preference for an outgoing XRL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -979,7 +979,7 @@ impl XrlRouter {
     /// Attach a handler for `iface/version/method` on a registered target.
     pub fn add_handler<F>(&self, instance: &str, path: &str, f: F)
     where
-        F: Fn(&mut EventLoop, &XrlArgs, Responder) + 'static,
+        F: Fn(&mut EventLoop, &mut XrlArgs, Responder) + 'static,
     {
         self.add_handler_inner(instance, path, Rc::new(f), None);
     }
@@ -990,7 +990,7 @@ impl XrlRouter {
     /// the same signature can switch to positional wire-v2 frames.
     pub fn add_handler_signed<F>(&self, instance: &str, path: &str, sig_hash: u64, f: F)
     where
-        F: Fn(&mut EventLoop, &XrlArgs, Responder) + 'static,
+        F: Fn(&mut EventLoop, &mut XrlArgs, Responder) + 'static,
     {
         self.add_handler_inner(instance, path, Rc::new(f), Some(sig_hash));
     }
@@ -1874,7 +1874,7 @@ impl XrlRouter {
                 // inherits the caller's causality, then the previous
                 // ambient context is restored.
                 let prev = xtrace::set_current(trace);
-                h(el, &args, responder);
+                h(el, &mut args, responder);
                 xtrace::set_current(prev);
             }
             Err(e) => responder.reply(el, Err(e)),

@@ -771,3 +771,40 @@ fn an_uncountable_reply_is_sent_as_bad_args() {
         other => panic!("expected a BadArgs response, read {other:?}"),
     }
 }
+
+/// A request naming a target as long as the wire's `str` field allows
+/// draws an error whose text is longer still ("no such method: no such
+/// target: …").  The reply carries that text cut at a char boundary, so
+/// the receiver neither panics nor sends a string length that wrapped.
+#[test]
+fn a_target_at_the_wire_limit_gets_a_no_such_method_reply() {
+    let mut rx = receiving();
+    // The two-byte 'é' straddles the field's last byte once the 32-byte
+    // prefix is in front of it.
+    let target = format!("{}é{}", "t".repeat(65_502), "t".repeat(20));
+    let request = Frame::Request {
+        seq: 6,
+        sender: 4242,
+        target,
+        key: rx.key,
+        path: "sink/1.0/note".into(),
+        args: XrlArgs::new(),
+        method_id: None,
+        priority: false,
+        trace: None,
+    };
+    rx.feed(&request.encode(), 1);
+    rx.el.run_until_idle();
+    rx.wire.set_read_timeout(Some(TIMEOUT)).unwrap();
+    match Frame::decode(read_frame(&mut rx.wire).unwrap()).unwrap() {
+        Frame::Response {
+            seq: 6,
+            result: Err(XrlError::NoSuchMethod(msg)),
+            ..
+        } => {
+            assert_eq!(msg.len(), 65_534, "cut before the 2-byte 'é'");
+            assert!(msg.starts_with("no such method: no such target: ttt"));
+        }
+        other => panic!("expected a NoSuchMethod response, read {other:?}"),
+    }
+}
