@@ -373,6 +373,25 @@ mod tests {
     /// moved, every peer built before the move would fall back to v1.
     const ADD_ROUTE_SIG: u64 = 4_517_232_572_969_457_889;
 
+    /// Every element of a batch must be a list: anything else rejects
+    /// the whole batch, naming the row.
+    #[test]
+    fn a_row_that_is_not_a_list_rejects_its_frame() {
+        let net: Ipv4Net = "10.0.0.0/8".parse().unwrap();
+        let mut rows = ListWriter::default();
+        write_delete_row(&mut rows, net, None);
+        rows.u32(2);
+        let rows = rows.take();
+        for err in [
+            read_delete_rows(&rows).unwrap_err(),
+            read_add_rows(&rows).unwrap_err(),
+        ] {
+            assert!(matches!(err, XrlError::BadArgs(_)), "{err:?}");
+        }
+        let err = read_delete_rows(&rows).unwrap_err().to_string();
+        assert!(err.contains("routes[1]: row is not a list"), "{err}");
+    }
+
     /// `add_routes`' and `delete_routes`' hashes (both interfaces): the
     /// rows argument is a `list` whatever form it travels in, so taking
     /// it as a [`WireList`] moved neither hash.

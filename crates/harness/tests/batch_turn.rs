@@ -27,7 +27,7 @@ use xorp_profiler::{points, MetricValue, Metrics, Profiler};
 use xorp_stages::RouteOp;
 use xorp_xrl::finder::Endpoint;
 use xorp_xrl::marshal::{read_frame, Frame};
-use xorp_xrl::{sig_hash, AtomType, Finder, XrlArgs, XrlRouter};
+use xorp_xrl::{sig_hash, AtomType, AtomValue, Finder, XrlArgs, XrlRouter};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -44,7 +44,7 @@ fn read_add_routes(wire: &mut TcpStream) -> usize {
     match Frame::decode(read_frame(wire).unwrap()).unwrap() {
         Frame::Request { path, args, .. } => {
             assert_eq!(path, "rib/1.0/add_routes");
-            args.get_rows("routes").unwrap().len()
+            args.get_list("routes").unwrap().len()
         }
         other => panic!("expected a request, read {other:?}"),
     }
@@ -273,7 +273,10 @@ fn a_delete_names_its_protocol_on_the_rib_hop_only() {
 
     let names =
         |args: &XrlArgs| -> Vec<String> { args.atoms().iter().map(|a| a.name.clone()).collect() };
-    let row_len = |args: &XrlArgs| args.get_rows("routes").unwrap()[0].len();
+    let row_len = |args: &XrlArgs| match &args.get_list("routes").unwrap()[0] {
+        AtomValue::List(row) => row.len(),
+        other => panic!("a row that is not a list: {other:?}"),
+    };
     let mut rib_wire = accept(&rib);
     let (path, _, args) = request(&mut rib_wire);
     assert_eq!(path, "rib/1.0/delete_route");

@@ -3,9 +3,10 @@
 //! A counting global allocator watches one hop's codec end to end: the
 //! sender writes the frame's rows straight into a list (with a writer
 //! reused from frame to frame, as the batcher's is), the frame is
-//! encoded, decoded, and its rows are read in place.  A 256-row frame
-//! must allocate exactly as often as a 16-row one, at each hop and in
-//! each direction.
+//! encoded into an out-buffer that is also reused (as a TCP connection's
+//! is), decoded, and its rows are read in place.  A 256-row frame must
+//! allocate exactly as often as a 16-row one, at each hop and in each
+//! direction.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::{IpAddr, Ipv4Addr};
@@ -68,8 +69,10 @@ fn carry(
     hop: Hop,
     add: bool,
     rows: &mut ListWriter,
+    wire: &mut Vec<u8>,
     routes: &[RouteEntry<Ipv4Addr>],
 ) -> (usize, usize) {
+    wire.clear();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for route in routes {
         if add {
@@ -81,7 +84,7 @@ fn carry(
     }
     let mut args = XrlArgs::new();
     args.push_value(AtomValue::Wire(rows.take()));
-    let bytes = Frame::Request {
+    Frame::Request {
         seq: 1,
         sender: 2,
         target: "rib-0".into(),
@@ -92,8 +95,8 @@ fn carry(
         priority: false,
         trace: None,
     }
-    .encode();
-    let Ok(Frame::Request { mut args, .. }) = Frame::decode_slice(&bytes[4..]) else {
+    .encode_into(wire);
+    let Ok(Frame::Request { mut args, .. }) = Frame::decode_slice(&wire[4..]) else {
         panic!("the frame did not decode");
     };
     let list: WireList = args.take_arg(0, "routes").unwrap();
@@ -102,7 +105,7 @@ fn carry(
     } else {
         xrl_ifaces::read_delete_rows(&list).unwrap().len()
     };
-    drop((args, list, bytes));
+    drop((args, list));
     (ALLOCATIONS.load(Ordering::Relaxed) - before, read)
 }
 
@@ -111,10 +114,10 @@ fn a_batched_frame_allocates_per_frame_not_per_row() {
     for hop in [Hop::Rib, Hop::Fea] {
         for add in [true, false] {
             let (small, large) = (routes(hop, 16), routes(hop, 256));
-            let mut rows = ListWriter::default();
-            carry(hop, add, &mut rows, &large); // the writer's buffer grows once
-            let (at_16, read_16) = carry(hop, add, &mut rows, &small);
-            let (at_256, read_256) = carry(hop, add, &mut rows, &large);
+            let (mut rows, mut wire) = (ListWriter::default(), Vec::new());
+            carry(hop, add, &mut rows, &mut wire, &large); // the buffers grow once
+            let (at_16, read_16) = carry(hop, add, &mut rows, &mut wire, &small);
+            let (at_256, read_256) = carry(hop, add, &mut rows, &mut wire, &large);
             assert_eq!((read_16, read_256), (16, 256));
             assert_eq!(
                 at_16,

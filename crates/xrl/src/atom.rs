@@ -304,14 +304,8 @@ macro_rules! typed_accessors {
         /// Fetch a required argument of this type by name.
         pub fn $get(&self, name: &str) -> Result<$ty, XrlError> {
             let value = self.find(name).ok_or_else(|| self.missing(name))?;
-            <$ty as AtomCodec>::from_atom(value).ok_or_else(|| {
-                XrlError::BadArgs(format!(
-                    "{}{name}: expected {}, got {}",
-                    self.ctx_prefix(),
-                    stringify!($variant),
-                    value.atom_type().tag()
-                ))
-            })
+            <$ty as AtomCodec>::from_atom(value)
+                .ok_or_else(|| self.mismatch::<$ty>(name, value.atom_type()))
         }
 
         /// Append an argument of this type (builder style).
@@ -476,35 +470,6 @@ impl XrlArgs {
         self.add_text(name, v.to_string())
     }
 
-    /// Append a batch argument: `rows` become a list atom whose elements
-    /// are themselves lists, one per row.  The vectorized
-    /// `rib/1.0/add_routes` / `delete_routes` frames carry their routes
-    /// this way.
-    pub fn add_rows(self, name: &str, rows: Vec<Vec<AtomValue>>) -> Self {
-        self.add_list(name, rows.into_iter().map(AtomValue::List).collect())
-    }
-
-    /// Fetch a batch argument written by [`XrlArgs::add_rows`].  Every
-    /// element must itself be a list; anything else rejects the whole
-    /// batch (decode is transactional — no partial application).
-    pub fn get_rows(&self, name: &str) -> Result<Vec<Vec<AtomValue>>, XrlError> {
-        let outer = self.get_list(name)?;
-        let mut rows = Vec::with_capacity(outer.len());
-        for (i, e) in outer.into_iter().enumerate() {
-            match e {
-                AtomValue::List(row) => rows.push(row),
-                other => {
-                    return Err(XrlError::BadArgs(format!(
-                        "{}{name}[{i}]: expected list row, got {}",
-                        self.ctx_prefix(),
-                        other.atom_type().tag()
-                    )))
-                }
-            }
-        }
-        Ok(rows)
-    }
-
     /// Render in textual XRL form: `a:u32=1&b:txt=hi`.
     pub fn render(&self) -> String {
         let parts: Vec<String> = self.atoms.iter().map(|a| a.to_string()).collect();
@@ -554,9 +519,7 @@ pub trait AtomCodec: Sized {
     fn from_atom(value: &AtomValue) -> Option<Self>;
     /// Decode by value, moving a string, buffer or list out instead of
     /// copying it; the value comes back on a type mismatch.
-    fn take_atom(value: AtomValue) -> Result<Self, AtomValue> {
-        Self::from_atom(&value).ok_or(value)
-    }
+    fn take_atom(value: AtomValue) -> Result<Self, AtomValue>;
 }
 
 macro_rules! atom_codec {

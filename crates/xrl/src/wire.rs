@@ -29,7 +29,7 @@ use crate::error::XrlError;
 /// Maximum list nesting a decoded frame may carry.  Batched route frames
 /// use two levels (rows inside a batch); anything deeper than this is an
 /// adversarial frame trying to exhaust the decoder's stack.
-pub(crate) const MAX_LIST_DEPTH: u32 = 16;
+const MAX_LIST_DEPTH: u32 = 16;
 
 /// The most items a list (or atoms an argument block) can hold: the wire
 /// counts them in 16 bits.
@@ -38,7 +38,7 @@ pub const MAX_ITEMS: usize = u16::MAX as usize;
 const TEXT: u8 = 6;
 const LIST: u8 = 13;
 
-pub(crate) fn type_code(t: AtomType) -> u8 {
+fn type_code(t: AtomType) -> u8 {
     match t {
         AtomType::I32 => 1,
         AtomType::U32 => 2,
@@ -129,7 +129,7 @@ pub enum AtomRef<'a> {
 
 impl AtomRef<'_> {
     /// The owned atom.  A list stays in wire form: one copy of its bytes.
-    pub fn to_value(self) -> AtomValue {
+    pub(crate) fn to_value(self) -> AtomValue {
         match self {
             AtomRef::I32(v) => AtomValue::I32(v),
             AtomRef::U32(v) => AtomValue::U32(v),
@@ -298,7 +298,7 @@ impl WireList {
     }
 
     /// Bytes the list occupies inside a frame (type byte and count too).
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         3 + self.items.len()
     }
 
@@ -340,8 +340,9 @@ impl fmt::Debug for WireList {
 
 /// Appends a list's items straight into wire bytes, one typed item at a
 /// time; a nested list is written in place and its count patched once its
-/// items are in.  [`ListWriter::take`] hands out the list and keeps the
-/// buffer, so a writer reused frame after frame stops allocating.
+/// items are in.  [`ListWriter::take`] copies the list out and keeps the
+/// buffer, so a writer reused frame after frame allocates only the lists
+/// it hands out.
 #[derive(Debug, Default)]
 pub struct ListWriter {
     buf: Vec<u8>,
@@ -418,7 +419,7 @@ impl ListWriter {
     }
 
     /// Append any atom.
-    pub fn value(&mut self, v: &AtomValue) -> &mut Self {
+    pub(crate) fn value(&mut self, v: &AtomValue) -> &mut Self {
         self.count += 1;
         put_value(&mut self.buf, v);
         self
