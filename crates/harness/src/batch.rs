@@ -240,9 +240,11 @@ impl RouteBatcher {
             let prev = carrier.map(|ctx| {
                 let child = match &recorder {
                     Some(t) => {
-                        for c in run.iter().filter_map(|r| r.trace) {
-                            if c.trace_id != ctx.trace_id {
-                                t.fan_in(c, ctx.trace_id);
+                        for r in run.iter() {
+                            if let Some(c) = r.trace {
+                                if c.trace_id != ctx.trace_id {
+                                    t.fan_in(c, ctx.trace_id);
+                                }
                             }
                         }
                         let s = t.begin(ctx, "batch");
