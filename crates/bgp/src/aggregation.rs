@@ -133,14 +133,8 @@ impl<A: xorp_net::Addr> AggregationStage<A> {
         if let Some(state) = self.aggregates.get_mut(&net) {
             state.emitted = after.clone();
         }
-        let origin: OriginId = self.self_origin.into();
-        match (before, after) {
-            (None, Some(new)) => self.emit(el, origin, RouteOp::Add { net, route: new }),
-            (Some(old), None) => self.emit(el, origin, RouteOp::Delete { net, old }),
-            (Some(old), Some(new)) if old != new => {
-                self.emit(el, origin, RouteOp::Replace { net, old, new })
-            }
-            _ => {}
+        if let Some(op) = RouteOp::diff(net, before, after) {
+            self.emit(el, self.self_origin.into(), op);
         }
     }
 }

@@ -13,16 +13,19 @@ use xorp_net::{Addr, AsNum, HeapSize, PathAttributes, Prefix, ProtocolId};
 use xorp_policy::{FilterBank, PolicyTarget};
 use xorp_profiler::tracing::{self as xtrace, SpanRecorder};
 use xorp_profiler::{points, Metrics, PointHandle, Profiler};
-use xorp_stages::{stage_ref, CacheStage, DumpStage, FnStage, OriginId, RouteOp, Stage, StageRef};
+use xorp_stages::{
+    stage_ref, CacheStage, DumpSource, DumpStage, FnStage, OriginId, RouteOp, Stage, StageRef,
+    TableSource,
+};
 
 use crate::aggregation::AggregationStage;
 use crate::damping::{DampingConfig, DampingStage};
 use crate::decision::DecisionStage;
-use crate::deletion::{DeletionStage, DeletionTableSource};
+use crate::deletion::DeletionStage;
 use crate::fanout::{dump_transform, FanoutQueue, ReaderId};
 use crate::filter::FilterStage;
 use crate::nexthop::{NexthopResolver, NexthopService, RangeCache};
-use crate::peer_in::{PeerIn, PeerTableSource};
+use crate::peer_in::PeerIn;
 use crate::peer_out::{PeerOut, UpdateWriter};
 use crate::{BgpRoute, PeerId};
 
@@ -267,7 +270,7 @@ where
             }
             if !branch.peer_in.borrow().is_empty() {
                 total += branch.peer_in.borrow().len();
-                dump.add_source(Box::new(PeerTableSource::new(branch.peer_in.clone())));
+                dump.add_source(Box::new(TableSource::new(branch.peer_in.clone())));
             }
             // Routes parked in this branch's deletion stages are still
             // visible upstream until drained — walk them too, or the dump
@@ -276,7 +279,7 @@ where
             for del in branch.deletions.borrow().iter() {
                 if del.borrow().pending_count() > 0 {
                     total += del.borrow().pending_count();
-                    dump.add_source(Box::new(DeletionTableSource::new(del.clone())));
+                    dump.add_source(Box::new(TableSource::new(del.clone())));
                 }
             }
         }
@@ -323,6 +326,17 @@ where
         NexthopResolver::attach(&resolver);
         import.borrow_mut().set_downstream(resolver.clone());
         resolver.borrow_mut().set_upstream(import.clone());
+        let deletions: Deletions<A> = Rc::new(RefCell::new(VecDeque::new()));
+        let (table, draining) = (peer_in.clone(), deletions.clone());
+        resolver.borrow_mut().set_sources(move || {
+            let del = draining.borrow();
+            let dels = del
+                .iter()
+                .map(|d| Box::new(TableSource::new(d.clone())) as _);
+            let mut sources: Vec<Box<dyn DumpSource<A>>> = dels.collect();
+            sources.push(Box::new(TableSource::new(table.clone())));
+            sources
+        });
         resolver.borrow_mut().set_downstream(self.decision.clone());
 
         let damping = cfg.damping.map(|dc| {
@@ -387,7 +401,7 @@ where
                 export,
                 out_cache,
                 peer_out,
-                deletions: Rc::new(RefCell::new(VecDeque::new())),
+                deletions,
                 damping_timer,
                 fixed_head,
                 established: false,
@@ -460,7 +474,7 @@ where
         // dump still streaming walks them via the deletion stage instead.
         self.fanout
             .borrow_mut()
-            .extend_dumps(|| Box::new(DeletionTableSource::new(del.clone())));
+            .extend_dumps(|| Box::new(TableSource::new(del.clone())));
 
         // Splice it in directly after the PeerIn (Figure 6), and splice it
         // out again once drained.
@@ -685,7 +699,7 @@ where
     }
 
     /// Heap bytes attributable to BGP's structures: the PeerIn tables
-    /// (where routes live), each resolver's per-nexthop prefix sets, each
+    /// (where routes live), each resolver's per-nexthop entries, each
     /// PeerOut's unflushed batch (it keeps no per-route state), and the
     /// fanout's queue and transient dump state.  Compared against the
     /// paper's "120 MB for BGP".  Not charged: routes parked in deletion

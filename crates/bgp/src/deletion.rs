@@ -20,8 +20,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use xorp_event::{EventLoop, SliceResult};
-use xorp_net::{Addr, IterHandle, PatriciaTrie, Prefix};
-use xorp_stages::{DumpSource, OriginId, RouteOp, Stage, StageRef};
+use xorp_net::{Addr, PatriciaTrie, Prefix};
+use xorp_stages::{OriginId, RouteOp, Stage, StageRef, TrieTable};
 
 use crate::{BgpRoute, PeerId};
 
@@ -79,29 +79,6 @@ impl<A: Addr> DeletionStage<A> {
         self.drained
     }
 
-    // ---- safe-iterator access for background dumps (§5.3) --------------
-    //
-    // Routes parked here are still visible upstream until the drain gets
-    // to them, so a dump toward a newly attached reader must enumerate
-    // them too — the drain's own per-slice cursor and the add-intercept
-    // both delete nodes around a parked dump handle via the zombie
-    // protocol.
-
-    /// Open a dump cursor over the not-yet-drained routes.
-    pub fn dump_handle(&mut self) -> IterHandle {
-        self.pending.iter_handle()
-    }
-
-    /// Advance a dump cursor; `None` once the table is exhausted.
-    pub fn dump_next(&mut self, h: &mut IterHandle) -> Option<Prefix<A>> {
-        self.pending.iter_next(h).map(|(net, _)| net)
-    }
-
-    /// Release a dump cursor.
-    pub fn dump_release(&mut self, h: IterHandle) {
-        self.pending.iter_release(h)
-    }
-
     /// Start the background drain.  `me` must be the shared handle this
     /// stage lives in (the task re-enters through it).
     pub fn start(el: &mut EventLoop, me: Rc<RefCell<DeletionStage<A>>>) {
@@ -154,6 +131,23 @@ impl<A: Addr> DeletionStage<A> {
     }
 }
 
+/// Routes parked here are still visible upstream until the drain gets to
+/// them, so a dump toward a newly attached reader — or a resolver's walk —
+/// must enumerate them too.  When a peering drops mid-dump, the dying
+/// peer's routes leave its PeerIn (stranding any cursor walking it), and a
+/// cursor over this table keeps them enumerable: the dump announces them,
+/// and the drain's later delete forwards as a consistent delete-after-add.
+/// The drain's own cursor and the add-intercept delete nodes around a
+/// parked cursor via the zombie protocol.
+impl<A: Addr> TrieTable for DeletionStage<A> {
+    type Addr = A;
+    type Route = BgpRoute<A>;
+
+    fn trie(&mut self) -> &mut PatriciaTrie<A, BgpRoute<A>> {
+        &mut self.pending
+    }
+}
+
 impl<A: Addr> Stage<A, BgpRoute<A>> for DeletionStage<A> {
     fn name(&self) -> String {
         format!("deletion[{}]", self.peer.0)
@@ -197,48 +191,6 @@ impl<A: Addr> Stage<A, BgpRoute<A>> for DeletionStage<A> {
 
     fn set_downstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
         DeletionStage::set_downstream(self, s);
-    }
-}
-
-/// Dump source over a deletion stage's not-yet-drained table.
-///
-/// When a peering drops mid-dump, the dying peer's routes move out of its
-/// PeerIn (invalidating any `PeerTableSource` walking it) but remain
-/// visible upstream until the drain deletes them.  Handing every in-flight
-/// dump one of these keeps those routes enumerable: the dump announces
-/// them to the new reader, and the drain's later delete then forwards as a
-/// consistent delete-after-add instead of a delete out of nowhere.
-pub struct DeletionTableSource<A: Addr> {
-    stage: Rc<RefCell<DeletionStage<A>>>,
-    handle: Option<IterHandle>,
-}
-
-impl<A: Addr> DeletionTableSource<A> {
-    pub fn new(stage: Rc<RefCell<DeletionStage<A>>>) -> Self {
-        let handle = Some(stage.borrow_mut().dump_handle());
-        DeletionTableSource { stage, handle }
-    }
-}
-
-impl<A: Addr> DumpSource<A> for DeletionTableSource<A> {
-    fn next_prefix(&mut self) -> Option<Prefix<A>> {
-        let h = self.handle.as_mut()?;
-        if let Some(net) = self.stage.borrow_mut().dump_next(h) {
-            return Some(net);
-        }
-        let h = self.handle.take().expect("handle present: checked above");
-        self.stage.borrow_mut().dump_release(h);
-        None
-    }
-}
-
-impl<A: Addr> Drop for DeletionTableSource<A> {
-    fn drop(&mut self) {
-        if let Some(h) = self.handle.take() {
-            if let Ok(mut s) = self.stage.try_borrow_mut() {
-                s.dump_release(h);
-            }
-        }
     }
 }
 

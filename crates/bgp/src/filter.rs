@@ -80,11 +80,6 @@ where
         }
     }
 
-    /// Prefixes awaiting reconciliation.
-    pub fn transition_pending(&self) -> usize {
-        self.transition.len()
-    }
-
     /// Reconcile up to `max` prefixes against the current upstream state,
     /// emitting the deltas the bank swap implies.  Returns `true` when the
     /// transition is complete.  Run from a background task (§5.1.2).

@@ -48,7 +48,7 @@ pub use aggregation::AggregationStage;
 pub use bgp::{BgpConfig, BgpProcess, PeerConfig};
 pub use damping::{DampingConfig, DampingStage};
 pub use decision::DecisionStage;
-pub use deletion::{DeletionStage, DeletionTableSource};
+pub use deletion::DeletionStage;
 pub use fanout::{FanoutQueue, ReaderId};
 pub use filter::FilterStage;
 pub use fsm::{FsmAction, FsmEvent, FsmState, PeerFsm};

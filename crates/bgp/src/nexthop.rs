@@ -19,15 +19,18 @@
 //! falls in a range another peering already learned resolves at once
 //! instead of parking its routes for a round trip.
 //!
-//! The stage stores no route ("routes are stored only in the Peer In
-//! stages"), only state **per nexthop**: the answer its routes were last
-//! sent downstream under, whether a query is out, and the prefixes using
-//! it.  A route's downstream form is the route its op carries, annotated
-//! from its nexthop's entry.  When an answer changes an entry, the stage
-//! walks its prefixes, fetching each route with one `lookup_route` through
-//! the import filter, as its own `lookup_route` does.  An invalidation
-//! keeps each nexthop's last answer until the fresh one arrives, for the
-//! routes it has and for any that arrive meanwhile.
+//! The stage stores nothing per route ("routes are stored only in the Peer
+//! In stages"), only state **per nexthop**, in a [`NexthopIndex`]: the
+//! answer its routes were last sent downstream under, whether a query is
+//! out, and how many routes name it.  A route's downstream form is the
+//! route its op carries, annotated from its nexthop's entry.  When answers
+//! move, the stage walks the peering's tables once — the PeerIn and any
+//! draining deletion stage, through the cursors a background dump uses —
+//! fetching each route with one `lookup_route` through the import filter,
+//! as its own `lookup_route` does, so the nexthop it compares is the
+//! post-policy one.  An invalidation keeps each nexthop's last answer until
+//! the fresh one arrives, for the routes it has and for any that arrive
+//! meanwhile.
 //!
 //! That relay trusts upstream to hold what this stage has been sent, so
 //! the stage handles each op as it arrives: every stage above it forwards
@@ -36,13 +39,13 @@
 //! stage's borrow and a service may answer at once.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::{Rc, Weak};
 
 use xorp_event::EventLoop;
-use xorp_net::{Addr, HeapSize, Prefix};
+use xorp_net::{Addr, HeapSize, NexthopIndex, Prefix};
 use xorp_profiler::tracing::{self as xtrace, TraceContext};
-use xorp_stages::{OriginId, RouteOp, Stage, StageRef};
+use xorp_stages::{DumpSource, OriginId, RouteOp, Stage, StageRef};
 
 use crate::{BgpRoute, PeerId};
 
@@ -103,9 +106,20 @@ impl<A: Addr> RangeCache<A> {
         self.map.insert(valid.bits(), (valid, metric));
     }
 
-    /// Remove every cached range overlapping `range` (invalidation).
+    /// Remove every cached range overlapping `range` (invalidation).  The
+    /// cached ranges never overlap one another, so those overlapping
+    /// `range` are the ones starting inside it plus at most one starting
+    /// before it that contains it: one ordered range scan.
     pub fn remove_overlapping(&mut self, range: &Prefix<A>) {
-        self.map.retain(|_, (p, _)| !p.overlaps(range));
+        let (first, last) = (range.bits(), range.last_addr().to_aligned_bits());
+        while let Some((&key, _)) = self.map.range(first..=last).next() {
+            self.map.remove(&key);
+        }
+        if let Some((&key, (cached, _))) = self.map.range(..first).next_back() {
+            if cached.contains(range) {
+                self.map.remove(&key);
+            }
+        }
     }
 
     /// Number of cached ranges.
@@ -131,20 +145,22 @@ fn annotate<A: Addr>(answer: Answer, mut route: BgpRoute<A>) -> Option<BgpRoute<
 }
 
 /// The state shared by every route of one peering naming one nexthop.
-struct Nexthop<A: Addr> {
+#[derive(Clone, Copy)]
+struct Nexthop {
     /// What this nexthop's routes were last sent downstream under.
     answer: Answer,
     /// `Some` while a query is out; `Some(true)` once an invalidation of
     /// its range has run since it was sent: the answer may have been worked
     /// out before that change, so it is asked again, not cached.
     query: Option<bool>,
-    /// Prefixes whose route uses this nexthop.
-    nets: BTreeSet<Prefix<A>>,
 }
 
-/// One route's form downstream before and after a change, and the trace
-/// context it was parked under.
-type Diff<A> = (Prefix<A>, [Option<BgpRoute<A>>; 2], Option<TraceContext>);
+/// The change a walk sends downstream for one route, and the trace context
+/// the route was parked under.
+type Diff<A> = (RouteOp<A, BgpRoute<A>>, Option<TraceContext>);
+
+/// Fresh cursors over every table holding a peering's routes.
+type TableSources<A> = Box<dyn Fn() -> Vec<Box<dyn DumpSource<A>>>>;
 
 /// The per-peer nexthop resolver stage.
 pub struct NexthopResolver<A: Addr> {
@@ -152,13 +168,15 @@ pub struct NexthopResolver<A: Addr> {
     service: Rc<dyn NexthopService<A>>,
     /// The process-wide answer cache, shared with every other resolver.
     cache: Rc<RefCell<RangeCache<A>>>,
-    /// Ordered, so the nexthops inside a range are one range scan.  An
-    /// entry lives while it has prefixes or a query is out.
-    nexthops: BTreeMap<A, Nexthop<A>>,
+    /// An entry lives while routes name it or a query is out.
+    nexthops: NexthopIndex<A, Nexthop>,
     /// The ambient trace context of each sampled route still waiting.
     traces: BTreeMap<Prefix<A>, TraceContext>,
     /// The import filter: where routes are fetched from.
     upstream: Option<StageRef<A, BgpRoute<A>>>,
+    /// Where the routes upstream holds are enumerated from when answers
+    /// move.
+    sources: Option<TableSources<A>>,
     downstream: Option<StageRef<A, BgpRoute<A>>>,
     /// Weak self-handle for async callbacks; set by [`NexthopResolver::attach`].
     me: Option<Weak<RefCell<NexthopResolver<A>>>>,
@@ -176,9 +194,10 @@ impl<A: Addr> NexthopResolver<A> {
             peer,
             service,
             cache,
-            nexthops: BTreeMap::new(),
+            nexthops: NexthopIndex::default(),
             traces: BTreeMap::new(),
             upstream: None,
+            sources: None,
             downstream: None,
             me: None,
         }
@@ -201,20 +220,22 @@ impl<A: Addr> NexthopResolver<A> {
         self.upstream = Some(s);
     }
 
+    /// Name the tables upstream's routes live in: `sources` opens a cursor
+    /// over each (the PeerIn and every draining deletion stage), so a walk
+    /// visits every prefix upstream can answer for.
+    pub fn set_sources(&mut self, sources: impl Fn() -> Vec<Box<dyn DumpSource<A>>> + 'static) {
+        self.sources = Some(Box::new(sources));
+    }
+
     /// Routes currently queued waiting for answers.
     pub fn waiting_count(&self) -> usize {
-        self.count(None)
+        self.nexthops.routes_where(|n| n.answer.is_none())
     }
 
     /// Routes withheld because their nexthop is unreachable (not counting
     /// those whose nexthop is of the other address family).
     pub fn unreachable_count(&self) -> usize {
-        self.count(Some(None))
-    }
-
-    fn count(&self, answer: Answer) -> usize {
-        let with = self.nexthops.values().filter(|n| n.answer == answer);
-        with.map(|n| n.nets.len()).sum()
+        self.nexthops.routes_where(|n| n.answer == Some(None))
     }
 
     /// Cached answer ranges.
@@ -222,60 +243,59 @@ impl<A: Addr> NexthopResolver<A> {
         self.cache.borrow().len()
     }
 
-    /// Record that `net`'s route uses `nh`, making the nexthop's entry
-    /// from the shared cache if it is new.  Returns the answer the route
-    /// takes, and whether a query must go out for `nh`.
-    fn index(&mut self, net: Prefix<A>, nh: A) -> (Answer, bool) {
+    /// Count a route naming `nh`, making the nexthop's entry from the
+    /// shared cache if it is new.  Returns the answer the route takes, and
+    /// whether a query must go out for `nh`.
+    fn index(&mut self, nh: A) -> (Answer, bool) {
         let cache = &self.cache;
         let mut ask = false;
-        let entry = self.nexthops.entry(nh).or_insert_with(|| {
+        let entry = self.nexthops.add_route(nh, || {
             let answer = cache.borrow().lookup(nh);
             ask = answer.is_none();
             Nexthop {
                 answer,
                 query: ask.then_some(false),
-                nets: BTreeSet::new(),
             }
         });
-        entry.nets.insert(net);
         (entry.answer, ask)
     }
 
-    /// Forget that `route` (for `net`) uses its nexthop.  Returns the form
-    /// downstream was sent.
-    fn unindex(&mut self, net: Prefix<A>, route: BgpRoute<A>) -> Option<BgpRoute<A>> {
+    /// Uncount `route`.  Returns the form downstream was sent.
+    fn unindex(&mut self, route: BgpRoute<A>) -> Option<BgpRoute<A>> {
         let nh = A::from_ipaddr(route.nexthop())?;
-        let entry = self.nexthops.get_mut(&nh)?;
-        entry.nets.remove(&net);
-        let sent = annotate(entry.answer, route);
-        self.prune(nh);
+        let sent = annotate(self.nexthops.remove_route(&nh)?.answer, route);
+        self.nexthops.prune(&nh, |n| n.query.is_none());
         sent
     }
 
-    /// Drop `nh`'s entry once nothing needs it.
-    fn prune(&mut self, nh: A) {
-        let idle = |n: &Nexthop<A>| n.nets.is_empty() && n.query.is_none();
-        if self.nexthops.get(&nh).is_some_and(idle) {
-            self.nexthops.remove(&nh);
-        }
-    }
-
-    /// Record `now` as `nh`'s answer.  If it moved, walk the nexthop's
-    /// prefixes, fetching each route upstream, and collect the changes.
-    fn settle(&mut self, nh: A, now: Answer, diffs: &mut Vec<Diff<A>>) {
-        let (Some(entry), Some(upstream)) = (self.nexthops.get_mut(&nh), &self.upstream) else {
-            return;
+    /// Walk the peering's tables once, collecting the change downstream
+    /// sees for every route whose nexthop's answer moved from
+    /// `moved[nexthop]`.
+    fn walk(&mut self, moved: &BTreeMap<A, Answer>) -> Vec<Diff<A>> {
+        let mut diffs = Vec::new();
+        let (Some(upstream), Some(sources)) = (&self.upstream, &self.sources) else {
+            return diffs;
         };
-        let was = std::mem::replace(&mut entry.answer, now);
-        if was == now {
-            return;
-        }
-        for net in &entry.nets {
-            if let Some(route) = upstream.borrow().lookup_route(net) {
-                let forms = [annotate(was, route.clone()), annotate(now, route)];
-                diffs.push((*net, forms, self.traces.remove(net)));
+        for mut source in sources() {
+            while let Some(net) = source.next_prefix() {
+                let Some(route) = upstream.borrow().lookup_route(&net) else {
+                    continue;
+                };
+                let Some(nh) = A::from_ipaddr(route.nexthop()) else {
+                    continue;
+                };
+                let (Some(&was), Some(entry)) = (moved.get(&nh), self.nexthops.get(&nh)) else {
+                    continue;
+                };
+                let (before, after) = (
+                    annotate(was, route.clone()),
+                    annotate(entry.state.answer, route),
+                );
+                let trace = self.traces.remove(&net);
+                diffs.extend(RouteOp::diff(net, before, after).map(|op| (op, trace)));
             }
         }
+        diffs
     }
 
     /// Send the query for `nh`; its answer comes back to `on_answer`.
@@ -293,13 +313,14 @@ impl<A: Addr> NexthopResolver<A> {
         );
     }
 
-    /// The asynchronous answer to the query for `asked` arrived: cache it
-    /// and settle every nexthop it covers.  If an invalidation of `asked`
-    /// ran while the query was out, the answer may predate the change it
-    /// reported, and the RIB has dropped that registration, so a cached
-    /// copy would never be invalidated: it is dropped instead, and `asked`
-    /// settles from a fresher answer another query has cached meanwhile,
-    /// or is asked again while a route still needs it.
+    /// The asynchronous answer to the query for `asked` arrived: cache it,
+    /// record the answer of every nexthop it covers, and walk the routes of
+    /// those whose answer moved.  If an invalidation of `asked` ran while
+    /// the query was out, the answer may predate the change it reported,
+    /// and the RIB has dropped that registration, so a cached copy would
+    /// never be invalidated: it is dropped instead, and `asked` settles
+    /// from a fresher answer another query has cached meanwhile, or is
+    /// asked again while a route still needs it.
     pub fn on_answer(
         el: &mut EventLoop,
         me: &Rc<RefCell<NexthopResolver<A>>>,
@@ -308,37 +329,48 @@ impl<A: Addr> NexthopResolver<A> {
     ) {
         let (diffs, requery, downstream, origin) = {
             let mut s = me.borrow_mut();
-            let stale = s.nexthops.get_mut(&asked).and_then(|n| n.query.take()) == Some(true);
+            let s = &mut *s;
+            let stale = s
+                .nexthops
+                .get_mut(&asked)
+                .and_then(|n| n.state.query.take())
+                == Some(true);
             let covered = if stale {
                 Prefix::host(asked)
             } else {
                 s.cache.borrow_mut().insert(ans.valid, ans.metric);
                 ans.valid
             };
-            let inside = s.nexthops.range(covered.first_addr()..=covered.last_addr());
-            let inside: Vec<A> = inside.map(|(nh, _)| *nh).collect();
-            let (mut diffs, mut requery) = (Vec::new(), false);
-            for nh in inside {
+            let (mut moved, mut requery) = (BTreeMap::new(), false);
+            for (nh, n) in s.nexthops.range_mut(&covered) {
                 let cached = s.cache.borrow().lookup(nh);
                 if cached.is_some() {
-                    s.settle(nh, cached, &mut diffs);
-                } else if let Some(n) = s.nexthops.get_mut(&nh).filter(|n| !n.nets.is_empty()) {
+                    let was = std::mem::replace(&mut n.state.answer, cached);
+                    if was != cached && n.routes > 0 {
+                        moved.insert(nh, was);
+                    }
+                } else if n.routes > 0 {
                     // Only a stale answer leaves its nexthop uncovered.
-                    (n.query, requery) = (Some(false), true);
+                    (n.state.query, requery) = (Some(false), true);
                 }
             }
-            s.prune(asked);
+            s.nexthops.prune(&asked, |n| n.query.is_none());
+            let diffs = if moved.is_empty() {
+                Vec::new()
+            } else {
+                s.walk(&moved)
+            };
             (diffs, requery, s.downstream.clone(), s.peer.into())
         };
         if requery {
             Self::ask(el, me, asked);
         }
         if let Some(d) = downstream {
-            for (net, [before, after], trace) in diffs {
+            for (op, trace) in diffs {
                 // The answer callback runs with no ambient context; a
                 // parked sampled route remembered the one it arrived under.
                 let prev = xtrace::set_current(trace);
-                emit_diff(el, &d, origin, net, before, after);
+                d.borrow_mut().route_op(el, origin, op);
                 xtrace::set_current(prev);
             }
             // The answer is a batch boundary: the routes it released were
@@ -359,12 +391,12 @@ impl<A: Addr> NexthopResolver<A> {
             let mut s = me.borrow_mut();
             s.cache.borrow_mut().remove_overlapping(&range);
             let mut asks = Vec::new();
-            for (nh, n) in s.nexthops.range_mut(range.first_addr()..=range.last_addr()) {
-                match &mut n.query {
+            for (nh, n) in s.nexthops.range_mut(&range) {
+                match &mut n.state.query {
                     Some(stale) => *stale = true,
                     None => {
-                        n.query = Some(false);
-                        asks.push(*nh);
+                        n.state.query = Some(false);
+                        asks.push(nh);
                     }
                 }
             }
@@ -377,31 +409,12 @@ impl<A: Addr> NexthopResolver<A> {
 }
 
 impl<A: Addr> HeapSize for NexthopResolver<A> {
-    /// The per-nexthop entries and prefix sets, and the parked routes'
-    /// trace contexts.  The shared answer cache is not charged.
+    /// The per-nexthop entries and the parked routes' trace contexts.  The
+    /// shared answer cache is not charged.
     fn heap_size(&self) -> usize {
-        let entry = std::mem::size_of::<(A, Nexthop<A>)>();
         let trace = std::mem::size_of::<(Prefix<A>, TraceContext)>();
-        let sets: usize = self.nexthops.values().map(|n| n.nets.heap_size()).sum();
-        self.nexthops.len() * entry + sets + self.traces.len() * trace
+        self.nexthops.heap_size() + self.traces.len() * trace
     }
-}
-
-fn emit_diff<A: Addr>(
-    el: &mut EventLoop,
-    d: &StageRef<A, BgpRoute<A>>,
-    origin: OriginId,
-    net: Prefix<A>,
-    before: Option<BgpRoute<A>>,
-    after: Option<BgpRoute<A>>,
-) {
-    let op = match (before, after) {
-        (None, Some(route)) => RouteOp::Add { net, route },
-        (Some(old), None) => RouteOp::Delete { net, old },
-        (Some(old), Some(new)) if old != new => RouteOp::Replace { net, old, new },
-        _ => return,
-    };
-    d.borrow_mut().route_op(el, origin, op);
 }
 
 impl<A: Addr> Stage<A, BgpRoute<A>> for NexthopResolver<A> {
@@ -409,29 +422,25 @@ impl<A: Addr> Stage<A, BgpRoute<A>> for NexthopResolver<A> {
         format!("nexthop-resolver[{}]", self.peer.0)
     }
 
-    /// Re-index `op`'s prefix and send downstream the change in its form.
+    /// Recount `op`'s nexthops and send downstream the change in its form.
     fn route_op(&mut self, el: &mut EventLoop, origin: OriginId, op: RouteOp<A, BgpRoute<A>>) {
         let net = op.net();
-        let (old, new) = match op {
-            RouteOp::Add { route, .. } => (None, Some(route)),
-            RouteOp::Replace { old, new, .. } => (Some(old), Some(new)),
-            RouteOp::Delete { old, .. } => (Some(old), None),
-        };
-        let before = old.and_then(|r| self.unindex(net, r));
+        let (old, new) = op.into_routes();
+        let before = old.and_then(|r| self.unindex(r));
         self.traces.remove(&net);
         let mut ask = None;
         // A nexthop of the other family never resolves: withheld.
         let after = new.and_then(|r| {
             let nh = A::from_ipaddr(r.nexthop())?;
-            let (answer, new_query) = self.index(net, nh);
+            let (answer, new_query) = self.index(nh);
             ask = new_query.then_some(nh);
             if let (None, Some(trace)) = (answer, xtrace::current()) {
                 self.traces.insert(net, trace);
             }
             annotate(answer, r)
         });
-        if let Some(d) = &self.downstream {
-            emit_diff(el, d, origin, net, before, after);
+        if let (Some(d), Some(op)) = (&self.downstream, RouteOp::diff(net, before, after)) {
+            d.borrow_mut().route_op(el, origin, op);
         }
         // The caller holds this stage's borrow and a service may answer at
         // once, so the query goes out from a deferred event.
@@ -446,7 +455,7 @@ impl<A: Addr> Stage<A, BgpRoute<A>> for NexthopResolver<A> {
     fn lookup_route(&self, net: &Prefix<A>) -> Option<BgpRoute<A>> {
         let route = self.upstream.as_ref()?.borrow().lookup_route(net)?;
         let nh = A::from_ipaddr(route.nexthop())?;
-        annotate(self.nexthops.get(&nh)?.answer, route)
+        annotate(self.nexthops.get(&nh)?.state.answer, route)
     }
 
     fn push(&mut self, el: &mut EventLoop) {
@@ -465,7 +474,7 @@ mod tests {
     use super::*;
     use std::net::{IpAddr, Ipv4Addr};
     use xorp_net::{AsPath, PathAttributes, ProtocolId};
-    use xorp_stages::{stage_ref, CacheStage, SinkStage};
+    use xorp_stages::{stage_ref, CacheStage, SinkStage, VecSource};
 
     type R = BgpRoute<Ipv4Addr>;
 
@@ -573,6 +582,18 @@ mod tests {
         }
     }
 
+    /// A cursor over the upstream table's prefixes, as the PeerIn's would
+    /// be.
+    fn table_sources(
+        upstream: &Rc<RefCell<SinkStage<Ipv4Addr, R>>>,
+    ) -> impl Fn() -> Vec<Box<dyn DumpSource<Ipv4Addr>>> {
+        let upstream = upstream.clone();
+        move || {
+            let nets = upstream.borrow().table.keys().copied().collect::<Vec<_>>();
+            vec![Box::new(VecSource::new(nets)) as Box<dyn DumpSource<Ipv4Addr>>]
+        }
+    }
+
     fn rig(entries: &[(&str, Option<u32>)]) -> Rig {
         let el = EventLoop::new_virtual();
         let service = TestService::new(entries);
@@ -584,6 +605,7 @@ mod tests {
         NexthopResolver::attach(&resolver);
         let upstream = stage_ref(SinkStage::new());
         resolver.borrow_mut().set_upstream(upstream.clone());
+        resolver.borrow_mut().set_sources(table_sources(&upstream));
         let cache = stage_ref(CacheStage::new("nh-out"));
         let sink = stage_ref(SinkStage::new());
         cache.borrow_mut().set_downstream(sink.clone());

@@ -5,8 +5,8 @@
 //! alternative routes via calls upstream through the pipeline."
 
 use xorp_event::EventLoop;
-use xorp_net::{Addr, IterHandle, PatriciaTrie, Prefix};
-use xorp_stages::{OriginId, RouteOp, Stage, StageRef};
+use xorp_net::{Addr, PatriciaTrie, Prefix};
+use xorp_stages::{OriginId, RouteOp, Stage, StageRef, TrieTable};
 
 use crate::{BgpRoute, PeerId};
 
@@ -19,7 +19,8 @@ pub struct PeerIn<A: Addr> {
     downstream: Option<StageRef<A, BgpRoute<A>>>,
     /// Bumped whenever the table object is swapped out ([`take_table`]):
     /// safe-iterator handles are only valid against the table that issued
-    /// them, so dump cursors record the epoch and stop if it moves on.
+    /// them, so dump cursors ([`TrieTable::epoch`]) record the epoch and
+    /// stop if it moves on.
     ///
     /// [`take_table`]: PeerIn::take_table
     epoch: u64,
@@ -128,30 +129,6 @@ impl<A: Addr> PeerIn<A> {
         self.routes.iter()
     }
 
-    /// Current table epoch (see the `epoch` field).
-    pub fn table_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Open a safe-iterator cursor over this peer's table for a
-    /// background dump walk.  The handle is only valid while
-    /// [`table_epoch`] stays what it was at creation.
-    ///
-    /// [`table_epoch`]: PeerIn::table_epoch
-    pub fn dump_handle(&mut self) -> IterHandle {
-        self.routes.iter_handle()
-    }
-
-    /// Advance a dump cursor, returning the next stored prefix.
-    pub fn dump_next(&mut self, h: &mut IterHandle) -> Option<Prefix<A>> {
-        self.routes.iter_next(h).map(|(net, _)| net)
-    }
-
-    /// Release a dump cursor, freeing any zombie trie node it pinned.
-    pub fn dump_release(&mut self, h: IterHandle) {
-        self.routes.iter_release(h);
-    }
-
     fn emit(&mut self, el: &mut EventLoop, op: RouteOp<A, BgpRoute<A>>) {
         if let Some(d) = &self.downstream {
             d.borrow_mut().route_op(el, self.peer.into(), op);
@@ -159,62 +136,16 @@ impl<A: Addr> PeerIn<A> {
     }
 }
 
-/// A [`DumpSource`] walking one peer's table with a safe iterator handle
-/// (§5.3).  If the table object is swapped out underneath the walk (the
-/// peering flapped and [`PeerIn::take_table`] handed the table to a
-/// deletion stage), the handle would be stale — the epoch check detects
-/// that and the source reports itself exhausted instead of touching freed
-/// nodes.  A stale handle is dropped *without* release: its pinned zombie
-/// nodes belong to the old table and die with it.
-///
-/// [`DumpSource`]: xorp_stages::DumpSource
-pub struct PeerTableSource<A: Addr> {
-    peer_in: std::rc::Rc<std::cell::RefCell<PeerIn<A>>>,
-    handle: Option<IterHandle>,
-    epoch: u64,
-}
+impl<A: Addr> TrieTable for PeerIn<A> {
+    type Addr = A;
+    type Route = BgpRoute<A>;
 
-impl<A: Addr> PeerTableSource<A> {
-    /// Open a dump cursor over `peer_in`'s current table.
-    pub fn new(peer_in: std::rc::Rc<std::cell::RefCell<PeerIn<A>>>) -> Self {
-        let (handle, epoch) = {
-            let mut pi = peer_in.borrow_mut();
-            (pi.dump_handle(), pi.table_epoch())
-        };
-        PeerTableSource {
-            peer_in,
-            handle: Some(handle),
-            epoch,
-        }
+    fn trie(&mut self) -> &mut PatriciaTrie<A, BgpRoute<A>> {
+        &mut self.routes
     }
-}
 
-impl<A: Addr> xorp_stages::DumpSource<A> for PeerTableSource<A> {
-    fn next_prefix(&mut self) -> Option<Prefix<A>> {
-        let h = self.handle.as_mut()?;
-        let mut pi = self.peer_in.borrow_mut();
-        if pi.table_epoch() != self.epoch {
-            self.handle = None; // stale: drop without releasing
-            return None;
-        }
-        let next = pi.dump_next(h);
-        if next.is_none() {
-            let h = self.handle.take().expect("handle checked above");
-            pi.dump_release(h);
-        }
-        next
-    }
-}
-
-impl<A: Addr> Drop for PeerTableSource<A> {
-    fn drop(&mut self) {
-        if let Some(h) = self.handle.take() {
-            if let Ok(mut pi) = self.peer_in.try_borrow_mut() {
-                if pi.table_epoch() == self.epoch {
-                    pi.dump_release(h);
-                }
-            }
-        }
+    fn epoch(&self) -> u64 {
+        self.epoch
     }
 }
 

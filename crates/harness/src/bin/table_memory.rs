@@ -136,22 +136,21 @@ fn main() {
         fea.route_count4()
     );
     // Likewise the BGP row: the peer tables hold the one copy of each
-    // route; the resolvers index them by nexthop.
+    // route; the resolvers keep one entry per nexthop.
     let peer_mb = bgp.peer_table_bytes() as f64 / 1e6;
     println!(
         "bgp = peer tables {:.1} MB + resolver indexes and fanout {:.1} MB \
-         (per-nexthop prefix sets; {:.0} B/route)",
+         (per-nexthop entries, nothing per route; {:.0} B/route)",
         peer_mb,
         bgp_mb - peer_mb,
         (bgp_mb - peer_mb) * 1e6 / bgp.route_count() as f64
     );
-    // The RIB row is everything that grows with the table: the origin
-    // tables (the only copy of each route) plus what the stages below
-    // them index it with.
+    // The RIB row: the origin tables (the only copy of each route) plus
+    // what the stages below them keep, none of it per external route.
     let origin_mb = rib.origin_bytes() as f64 / 1e6;
     println!(
         "rib = origin tables {:.1} MB + stage indexes {:.1} MB \
-         (ExtInt internal mirror and per-nexthop prefix sets, Register prefix set; \
+         (ExtInt internal mirror and per-nexthop entries, Register registrations; \
          {:.0} B/route)",
         origin_mb,
         rib_mb - origin_mb,

@@ -14,6 +14,8 @@
 //! * [`PatriciaTrie`] — a binary radix trie over prefixes with *safe
 //!   iterators*: iterators that remain valid while background tasks pause
 //!   and the trie is mutated underneath them (§5.3).
+//! * [`NexthopIndex`] — per-nexthop answers with a route count, for the
+//!   layers that annotate routes they do not store.
 //! * [`HeapSize`] — byte accounting used to reproduce the paper's memory
 //!   footprint claims (§5).
 //! * [`FxHashMap`] / [`FxHashSet`] — hash collections for keys the program
@@ -25,6 +27,7 @@ pub mod attrs;
 pub mod error;
 pub mod fxhash;
 pub mod heapsize;
+pub mod nexthop;
 pub mod patricia;
 pub mod prefix;
 pub mod route;
@@ -35,6 +38,7 @@ pub use attrs::{AttrBlocks, Community, MedMetric, Origin, PathAttributes};
 pub use error::NetError;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use heapsize::{release_drained, HeapSize};
+pub use nexthop::{NexthopEntry, NexthopIndex};
 pub use patricia::{IterHandle, PatriciaTrie};
 pub use prefix::{Ipv4Net, Ipv6Net, Prefix};
 pub use route::{route_table_bytes, AdminDistance, ProtocolId, RouteEntry};

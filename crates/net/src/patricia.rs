@@ -694,15 +694,6 @@ impl<A: Addr, T> PatriciaTrie<A, T> {
         self.leave(h.cur);
     }
 
-    /// The prefix a safe iterator currently rests on, if any.
-    pub fn iter_position(&self, h: &IterHandle) -> Option<Prefix<A>> {
-        if h.cur == NIL {
-            None
-        } else {
-            Some(self.link(h.cur).prefix)
-        }
-    }
-
     // ----- borrow-based iteration ---------------------------------------
 
     /// Iterate all routes in (bits, length) order.  Requires no concurrent

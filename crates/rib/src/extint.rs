@@ -16,16 +16,17 @@
 //!
 //! # What the stage stores
 //!
-//! No external route.  Whether and how an external route resolves depends
-//! only on its nexthop address, and a full BGP table has a handful of
-//! nexthops, so the resolution state is kept **per nexthop**: the egress
-//! interface currently recorded for it (`via`) and the set of external
-//! prefixes using it.  An external route's downstream form is the route
-//! carried by the op itself, annotated with its nexthop's recorded `via`;
-//! when an internal change moves a nexthop's `via`, the stage walks that
-//! nexthop's prefixes and fetches each original with an exact
-//! `lookup_route` on the external side upstream — "routes are stored only
-//! in the origin stages".
+//! Nothing per external route.  Whether and how an external route
+//! resolves depends only on its nexthop address, and a full BGP table has
+//! a handful of nexthops, so the resolution state is kept **per nexthop**
+//! in a [`NexthopIndex`]: the egress interface currently recorded for it
+//! (`via`) and how many external routes name it.  An external route's
+//! downstream form is the route carried by the op itself, annotated with
+//! its nexthop's recorded `via`.  When internal changes move some
+//! nexthops' `via`, the stage walks the external origin tables once,
+//! fetching each prefix's route with an exact `lookup_route` on the
+//! external side upstream and re-sending those whose nexthop moved —
+//! "routes are stored only in the origin stages".
 //!
 //! The one table it does keep is `int_mirror`, a copy of the internal
 //! side.  It is O(IGP routes), not O(BGP routes), and it is the *merged*
@@ -33,30 +34,21 @@
 //! has: resolving a nexthop needs longest-match, and the stage contract's
 //! `lookup_route` is exact-match only.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use xorp_event::EventLoop;
-use xorp_net::{Addr, FxHashSet, HeapSize, PatriciaTrie, Prefix};
+use xorp_net::{Addr, FxHashSet, HeapSize, NexthopIndex, PatriciaTrie, Prefix};
 use xorp_stages::{OriginId, RouteOp, Stage, StageRef};
 
+use crate::origin::OriginTable;
 use crate::{better, RibRoute};
 
 /// How a resolvable nexthop is reached: the covering internal route's
 /// `ifname` (which that route may itself lack).
 type Via = Option<Arc<str>>;
-
-/// Resolution state shared by every external route naming one nexthop.
-struct Nexthop<A: Addr> {
-    /// The annotation downstream currently holds for this nexthop's
-    /// routes; `None` while no internal route covers the address and the
-    /// routes are held back.  Changed only by [`ExtIntStage::reresolve`],
-    /// so it stays what downstream was sent while internal changes sit
-    /// deferred in a batch.
-    via: Option<Via>,
-    /// External prefixes using this nexthop.
-    nets: BTreeSet<Prefix<A>>,
-}
 
 /// `route` as downstream sees it under a nexthop's `via`, or `None` while
 /// held back.
@@ -78,18 +70,22 @@ fn resolve<A: Addr>(
 
 /// The external/internal composition stage.
 pub struct ExtIntStage<A: Addr> {
+    /// Origin ids of the external side; every other origin is internal.
     ext_origins: FxHashSet<OriginId>,
-    int_origins: FxHashSet<OriginId>,
     /// The merged internal side, for longest-match nexthop resolution and
     /// same-prefix arbitration.
     int_mirror: PatriciaTrie<A, RibRoute<A>>,
-    /// Per-nexthop resolution state; ordered, so the nexthops inside a
-    /// changed internal prefix are one range scan.  (An ordered map also
-    /// needs no defence against peer-chosen addresses crafted to collide.)
-    nexthops: BTreeMap<A, Nexthop<A>>,
+    /// Per-nexthop resolution: the annotation downstream currently holds
+    /// for the nexthop's routes, `None` while no internal route covers the
+    /// address and the routes are held back.  Changed only by
+    /// [`ExtIntStage::reresolve`], so it stays what downstream was sent
+    /// while internal changes sit deferred in a batch.
+    nexthops: NexthopIndex<A, Option<Via>>,
     /// Head of the external chain: where original external routes are
     /// fetched from on re-resolution and lookup.
     ext_upstream: Option<StageRef<A, RibRoute<A>>>,
+    /// The external origin tables, walked when a nexthop's `via` moves.
+    ext_tables: Vec<Rc<RefCell<OriginTable<A>>>>,
     downstream: Option<StageRef<A, RibRoute<A>>>,
     /// Origin id used for messages this stage originates itself
     /// (resolution-driven announcements/withdrawals).
@@ -115,41 +111,16 @@ fn arbitrate<A: Addr>(int: Option<&RibRoute<A>>, ext: Option<RibRoute<A>>) -> Op
     }
 }
 
-/// Send downstream whatever delta moves its state for `net` from `before`
-/// to `after`.
-fn emit_diff<A: Addr>(
-    downstream: &Option<StageRef<A, RibRoute<A>>>,
-    el: &mut EventLoop,
-    origin: OriginId,
-    net: Prefix<A>,
-    before: Option<RibRoute<A>>,
-    after: Option<RibRoute<A>>,
-) {
-    let op = match (before, after) {
-        (None, Some(route)) => RouteOp::Add { net, route },
-        (Some(old), None) => RouteOp::Delete { net, old },
-        (Some(old), Some(new)) if old != new => RouteOp::Replace { net, old, new },
-        _ => return,
-    };
-    if let Some(d) = downstream {
-        d.borrow_mut().route_op(el, origin, op);
-    }
-}
-
 impl<A: Addr> ExtIntStage<A> {
-    /// Build with the origin-id sets of each side.  `self_origin` tags
+    /// Build with no external table yet.  `self_origin` tags
     /// resolution-driven messages.
-    pub fn new(
-        ext_origins: impl IntoIterator<Item = OriginId>,
-        int_origins: impl IntoIterator<Item = OriginId>,
-        self_origin: OriginId,
-    ) -> Self {
+    pub fn new(self_origin: OriginId) -> Self {
         ExtIntStage {
-            ext_origins: ext_origins.into_iter().collect(),
-            int_origins: int_origins.into_iter().collect(),
+            ext_origins: FxHashSet::default(),
             int_mirror: PatriciaTrie::new(),
-            nexthops: BTreeMap::new(),
+            nexthops: NexthopIndex::default(),
             ext_upstream: None,
+            ext_tables: Vec::new(),
             downstream: None,
             self_origin,
             deferred: None,
@@ -182,24 +153,18 @@ impl<A: Addr> ExtIntStage<A> {
         self.ext_upstream = Some(s);
     }
 
-    /// Register a late-added origin id.
-    pub fn add_origin(&mut self, external: bool, origin: OriginId) {
-        if external {
-            self.ext_origins.insert(origin);
-        } else {
-            self.int_origins.insert(origin);
-        }
+    /// Add an external origin table: its routes arrive on the external
+    /// side, and re-resolution walks it.
+    pub fn add_ext_table(&mut self, table: Rc<RefCell<OriginTable<A>>>) {
+        self.ext_origins.insert(table.borrow().origin());
+        self.ext_tables.push(table);
     }
 
     /// Number of external routes currently held back as unresolvable.
     /// (A route whose nexthop is of the other address family can never
     /// resolve; it is dropped here, not indexed and not counted.)
     pub fn unresolved_count(&self) -> usize {
-        self.nexthops
-            .values()
-            .filter(|n| n.via.is_none())
-            .map(|n| n.nets.len())
-            .sum()
+        self.nexthops.routes_where(Option::is_none)
     }
 
     /// Longest-matches performed against the internal side so far.
@@ -207,29 +172,23 @@ impl<A: Addr> ExtIntStage<A> {
         self.nexthop_lookups
     }
 
-    /// Record that `route` (for `net`) uses its nexthop, resolving the
-    /// nexthop if it is new.  Returns the route's downstream form.
-    fn index(&mut self, net: Prefix<A>, route: RibRoute<A>) -> Option<RibRoute<A>> {
+    /// Count `route` against its nexthop, resolving the nexthop if it is
+    /// new.  Returns the route's downstream form.
+    fn index(&mut self, route: RibRoute<A>) -> Option<RibRoute<A>> {
         let nh = A::from_ipaddr(route.nexthop())?;
-        let entry = self.nexthops.entry(nh).or_insert_with(|| Nexthop {
-            via: resolve(&self.int_mirror, &mut self.nexthop_lookups, nh),
-            nets: BTreeSet::new(),
-        });
-        entry.nets.insert(net);
-        annotate(&entry.via, route)
+        let (int_mirror, lookups) = (&self.int_mirror, &mut self.nexthop_lookups);
+        let via = self
+            .nexthops
+            .add_route(nh, || resolve(int_mirror, lookups, nh));
+        annotate(via, route)
     }
 
-    /// Forget that `route` (for `net`) uses its nexthop.  Returns the form
-    /// downstream was sent — annotated with the *recorded* `via`, not a
-    /// fresh resolution.
-    fn unindex(&mut self, net: Prefix<A>, route: RibRoute<A>) -> Option<RibRoute<A>> {
+    /// Uncount `route`.  Returns the form downstream was sent — annotated
+    /// with the *recorded* `via`, not a fresh resolution.
+    fn unindex(&mut self, route: RibRoute<A>) -> Option<RibRoute<A>> {
         let nh = A::from_ipaddr(route.nexthop())?;
-        let entry = self.nexthops.get_mut(&nh)?;
-        entry.nets.remove(&net);
-        let sent = annotate(&entry.via, route);
-        if entry.nets.is_empty() {
-            self.nexthops.remove(&nh);
-        }
+        let sent = annotate(self.nexthops.remove_route(&nh)?, route);
+        self.nexthops.prune(&nh, |_| true);
         sent
     }
 
@@ -237,21 +196,20 @@ impl<A: Addr> ExtIntStage<A> {
     fn ext_route(&self, net: &Prefix<A>) -> Option<RibRoute<A>> {
         let route = self.ext_upstream.as_ref()?.borrow().lookup_route(net)?;
         let nh = A::from_ipaddr(route.nexthop())?;
-        annotate(&self.nexthops.get(&nh)?.via, route)
+        annotate(&self.nexthops.get(&nh)?.state, route)
     }
 
     fn handle_ext(&mut self, el: &mut EventLoop, origin: OriginId, op: RouteOp<A, RibRoute<A>>) {
         let net = op.net();
-        let (old, new) = match op {
-            RouteOp::Add { route, .. } => (None, Some(route)),
-            RouteOp::Replace { old, new, .. } => (Some(old), Some(new)),
-            RouteOp::Delete { old, .. } => (Some(old), None),
-        };
-        let old = old.and_then(|r| self.unindex(net, r));
-        let new = new.and_then(|r| self.index(net, r));
+        let (old, new) = op.into_routes();
+        let old = old.and_then(|r| self.unindex(r));
+        let new = new.and_then(|r| self.index(r));
         let int = self.int_mirror.get(&net);
-        let (before, after) = (arbitrate(int, old), arbitrate(int, new));
-        emit_diff(&self.downstream, el, origin, net, before, after);
+        self.emit(
+            el,
+            origin,
+            RouteOp::diff(net, arbitrate(int, old), arbitrate(int, new)),
+        );
     }
 
     fn handle_int(&mut self, el: &mut EventLoop, origin: OriginId, op: RouteOp<A, RibRoute<A>>) {
@@ -267,7 +225,7 @@ impl<A: Addr> ExtIntStage<A> {
             }
         }
         let after = arbitrate(self.int_mirror.get(&net), ext);
-        emit_diff(&self.downstream, el, origin, net, before, after);
+        self.emit(el, origin, RouteOp::diff(net, before, after));
 
         // Nexthops inside the changed internal prefix may now resolve
         // differently.  In batch mode just record the prefix; the
@@ -281,34 +239,71 @@ impl<A: Addr> ExtIntStage<A> {
     }
 
     /// Re-resolve every nexthop inside any of the `changed` internal
-    /// prefixes, once each, in address order.  Where the answer moved,
-    /// record it and walk that nexthop's external routes (in prefix
-    /// order), emitting the state delta downstream.
+    /// prefixes, once each.  Where answers moved, record them and walk the
+    /// external origin tables once, emitting the state delta of every
+    /// route whose nexthop moved.
     fn reresolve(&mut self, el: &mut EventLoop, changed: impl IntoIterator<Item = Prefix<A>>) {
         let mut affected = BTreeSet::new();
         for net in changed {
-            let inside = self.nexthops.range(net.first_addr()..=net.last_addr());
-            affected.extend(inside.map(|(nh, _)| *nh));
+            affected.extend(self.nexthops.range_mut(&net).map(|(nh, _)| nh));
         }
+        let mut moved = BTreeMap::new();
         for nh in affected {
             let now = resolve(&self.int_mirror, &mut self.nexthop_lookups, nh);
-            let (Some(entry), Some(upstream)) = (self.nexthops.get_mut(&nh), &self.ext_upstream)
-            else {
+            let Some(entry) = self.nexthops.get_mut(&nh) else {
                 continue;
             };
-            if entry.via == now {
-                continue;
+            if entry.state != now {
+                moved.insert(nh, std::mem::replace(&mut entry.state, now));
             }
-            let was = std::mem::replace(&mut entry.via, now);
-            for net in &entry.nets {
-                let Some(route) = upstream.borrow().lookup_route(net) else {
+        }
+        if moved.is_empty() {
+            return;
+        }
+        for op in self.walk(&moved) {
+            self.emit(el, self.self_origin, Some(op));
+        }
+    }
+
+    /// One pass over the external origin tables, handling each prefix
+    /// once: the change downstream sees for every route whose nexthop's
+    /// `via` moved from `moved[nexthop]`.
+    fn walk(&self, moved: &BTreeMap<A, Option<Via>>) -> Vec<RouteOp<A, RibRoute<A>>> {
+        let mut diffs = Vec::new();
+        let Some(upstream) = &self.ext_upstream else {
+            return diffs;
+        };
+        for (i, table) in self.ext_tables.iter().enumerate() {
+            let earlier = &self.ext_tables[..i];
+            for (net, _) in table.borrow().routes().iter() {
+                if earlier
+                    .iter()
+                    .any(|t| t.borrow().routes().contains_key(&net))
+                {
+                    continue;
+                }
+                let Some(route) = upstream.borrow().lookup_route(&net) else {
                     continue;
                 };
-                let int = self.int_mirror.get(net);
-                let before = arbitrate(int, annotate(&was, route.clone()));
-                let after = arbitrate(int, annotate(&entry.via, route));
-                emit_diff(&self.downstream, el, self.self_origin, *net, before, after);
+                let Some(nh) = A::from_ipaddr(route.nexthop()) else {
+                    continue;
+                };
+                let (Some(was), Some(entry)) = (moved.get(&nh), self.nexthops.get(&nh)) else {
+                    continue;
+                };
+                let int = self.int_mirror.get(&net);
+                let before = arbitrate(int, annotate(was, route.clone()));
+                let after = arbitrate(int, annotate(&entry.state, route));
+                diffs.extend(RouteOp::diff(net, before, after));
             }
+        }
+        diffs
+    }
+
+    /// Send `op`, if any, downstream.
+    fn emit(&self, el: &mut EventLoop, origin: OriginId, op: Option<RouteOp<A, RibRoute<A>>>) {
+        if let (Some(d), Some(op)) = (&self.downstream, op) {
+            d.borrow_mut().route_op(el, origin, op);
         }
     }
 
@@ -326,13 +321,7 @@ impl<A: Addr> HeapSize for ExtIntStage<A> {
     /// The internal mirror plus the nexthop index: everything this stage
     /// holds that grows with the table.
     fn heap_size(&self) -> usize {
-        let entry = std::mem::size_of::<(A, Nexthop<A>)>();
-        self.int_mirror.heap_size()
-            + self
-                .nexthops
-                .values()
-                .map(|n| entry + n.nets.heap_size())
-                .sum::<usize>()
+        self.int_mirror.heap_size() + self.nexthops.heap_size()
     }
 }
 
@@ -345,10 +334,6 @@ impl<A: Addr> Stage<A, RibRoute<A>> for ExtIntStage<A> {
         if self.ext_origins.contains(&origin) {
             self.handle_ext(el, origin, op);
         } else {
-            debug_assert!(
-                self.int_origins.contains(&origin),
-                "extint: unknown origin {origin:?}"
-            );
             self.handle_int(el, origin, op);
         }
     }
@@ -436,12 +421,13 @@ mod tests {
 
     fn rig() -> Rig {
         let el = EventLoop::new_virtual();
-        let stage = stage_ref(ExtIntStage::new([EXT], [INT], SELF));
+        let stage = stage_ref(ExtIntStage::new(SELF));
         let ext_table = stage_ref(OriginTable::new(ProtocolId::Ebgp, EXT));
         let int_table = stage_ref(OriginTable::new(ProtocolId::Static, INT));
         ext_table.borrow_mut().set_downstream(stage.clone());
         int_table.borrow_mut().set_downstream(stage.clone());
         stage.borrow_mut().set_ext_upstream(ext_table.clone());
+        stage.borrow_mut().add_ext_table(ext_table.clone());
         let cache = stage_ref(CacheStage::new("extint-out"));
         let sink = stage_ref(Sink::new());
         stage.borrow_mut().set_downstream(cache.clone());

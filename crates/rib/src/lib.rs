@@ -23,13 +23,14 @@
 //!   decision-making, which we prefer").
 //! * [`ExtIntStage`] — composes external (EGP) routes with internal (IGP)
 //!   routes.  Resolution state is per *nexthop* (its egress interface and
-//!   the prefixes using it), not per route; the one table it keeps is the
-//!   merged internal side, O(IGP routes), for longest-match resolution.
+//!   a count of the routes naming it), not per route; the one table it
+//!   keeps is the merged internal side, O(IGP routes), for longest-match
+//!   resolution.
 //! * [`RedistStage`] — programmable policy filters redistributing a route
 //!   subset to other protocols (§5.2, §8.3).
 //! * [`RegisterStage`] — interest registration with
 //!   largest-enclosing-non-overlaid-subnet answers (§5.2.1, Figure 8),
-//!   computed over a payload-free trie of the final table's prefixes.
+//!   computed from the origin tables and the arbitrated view above it.
 //!
 //! [`Rib`] wires the network together and is the façade a RIB "process"
 //! exposes over XRLs.
@@ -43,9 +44,9 @@ pub mod rib;
 
 pub use extint::ExtIntStage;
 pub use merge::MergeStage;
-pub use origin::{OriginTable, OriginTableSource};
+pub use origin::OriginTable;
 pub use redist::{RedistStage, RedistWatcher};
-pub use register::{covering_answer, RegisterAnswer, RegisterStage};
+pub use register::{covering_answer, PrefixView, RegisterAnswer, RegisterStage};
 pub use rib::{BatchOp, Rib};
 
 use xorp_net::Addr;

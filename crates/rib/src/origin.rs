@@ -1,12 +1,10 @@
 //! Origin tables: the stages where routes are actually stored (§5.2).
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::rc::Rc;
 
 use xorp_event::EventLoop;
-use xorp_net::{Addr, IterHandle, PatriciaTrie, Prefix, ProtocolId};
-use xorp_stages::{DumpSource, OriginId, RouteOp, Stage, StageRef};
+use xorp_net::{Addr, PatriciaTrie, Prefix, ProtocolId};
+use xorp_stages::{OriginId, RouteOp, Stage, StageRef, TrieTable};
 
 use crate::RibRoute;
 
@@ -107,9 +105,9 @@ impl<A: Addr> OriginTable<A> {
         }
     }
 
-    /// Iterate the stored routes.
-    pub fn iter(&self) -> impl Iterator<Item = (Prefix<A>, &RibRoute<A>)> {
-        self.routes.iter()
+    /// The stored routes, for the stages that walk or search them.
+    pub fn routes(&self) -> &PatriciaTrie<A, RibRoute<A>> {
+        &self.routes
     }
 
     /// Graceful restart, phase 1: mark every stored route stale.  Nothing
@@ -136,24 +134,6 @@ impl<A: Addr> OriginTable<A> {
         nets.len()
     }
 
-    /// Open a safe-iterator walk over the stored prefixes (§5.3 background
-    /// dumps).  The table may be freely mutated between
-    /// [`OriginTable::dump_next`] calls — deleted nodes linger as zombies
-    /// until the handle moves on or is released.
-    pub fn dump_handle(&mut self) -> IterHandle {
-        self.routes.iter_handle()
-    }
-
-    /// Advance a dump walk; `None` when exhausted.
-    pub fn dump_next(&mut self, h: &mut IterHandle) -> Option<Prefix<A>> {
-        self.routes.iter_next(h).map(|(n, _)| n)
-    }
-
-    /// Release a dump handle, freeing any zombie node it pinned.
-    pub fn dump_release(&mut self, h: IterHandle) {
-        self.routes.iter_release(h)
-    }
-
     /// Heap bytes attributable to this table (memory-accounting).  Each
     /// distinct attribute block is charged once, however many of the
     /// table's routes share it.
@@ -165,6 +145,18 @@ impl<A: Addr> OriginTable<A> {
         if let Some(d) = &self.downstream {
             d.borrow_mut().route_op(el, self.origin, op);
         }
+    }
+}
+
+/// Background dumps (§5.3) walk the stored prefixes.  Origin tables are
+/// never swapped out wholesale, so a cursor stays valid across arbitrary
+/// add/delete churn.
+impl<A: Addr> TrieTable for OriginTable<A> {
+    type Addr = A;
+    type Route = RibRoute<A>;
+
+    fn trie(&mut self) -> &mut PatriciaTrie<A, RibRoute<A>> {
+        &mut self.routes
     }
 }
 
@@ -198,46 +190,6 @@ impl<A: Addr> Stage<A, RibRoute<A>> for OriginTable<A> {
 
     fn set_downstream(&mut self, s: StageRef<A, RibRoute<A>>) {
         OriginTable::set_downstream(self, s);
-    }
-}
-
-/// A [`DumpSource`] walking one origin table via its safe iterator.  Unlike
-/// the BGP peer tables, origin tables are never swapped out wholesale, so no
-/// epoch check is needed — the handle stays valid across arbitrary
-/// add/delete churn.
-pub struct OriginTableSource<A: Addr> {
-    table: Rc<RefCell<OriginTable<A>>>,
-    handle: Option<IterHandle>,
-}
-
-impl<A: Addr> OriginTableSource<A> {
-    /// Open a walk over `table`.
-    pub fn new(table: Rc<RefCell<OriginTable<A>>>) -> Self {
-        let handle = Some(table.borrow_mut().dump_handle());
-        OriginTableSource { table, handle }
-    }
-}
-
-impl<A: Addr> DumpSource<A> for OriginTableSource<A> {
-    fn next_prefix(&mut self) -> Option<Prefix<A>> {
-        let h = self.handle.as_mut()?;
-        if let Some(net) = self.table.borrow_mut().dump_next(h) {
-            return Some(net);
-        }
-        // Exhausted: release eagerly so the trie drops any zombie node.
-        let h = self.handle.take().expect("handle present: checked above");
-        self.table.borrow_mut().dump_release(h);
-        None
-    }
-}
-
-impl<A: Addr> Drop for OriginTableSource<A> {
-    fn drop(&mut self) {
-        if let Some(h) = self.handle.take() {
-            if let Ok(mut t) = self.table.try_borrow_mut() {
-                t.dump_release(h);
-            }
-        }
     }
 }
 

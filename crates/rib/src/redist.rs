@@ -133,11 +133,8 @@ where
     }
 
     fn route_op(&mut self, el: &mut EventLoop, _origin: OriginId, op: RedistOp<A>) {
-        let (net, old, new) = match op {
-            RouteOp::Add { net, route } => (net, None, Some(route)),
-            RouteOp::Replace { net, old, new } => (net, Some(old), Some(new)),
-            RouteOp::Delete { net, old } => (net, Some(old), None),
-        };
+        let net = op.net();
+        let (old, new) = op.into_routes();
         // What the watcher holds is the old route, filtered.
         let old = old.and_then(|r| self.filter(r));
         let new = new.and_then(|r| self.filter(r));

@@ -13,12 +13,16 @@
 //! client a "cache invalidated" message for that subnet; the client
 //! re-queries.
 //!
-//! Figure 8 is a question about which prefixes exist, not about their
-//! routes, so the stage keeps only the *geometry* of the final table: a
-//! payload-free trie of its prefixes.  The route that goes with a matched
-//! prefix is fetched by one exact `lookup_route` upstream, where the
-//! origin tables hold it.
+//! Figure 8 is a question about which prefixes the final table holds, and
+//! the stage answers it without a table of its own.  A prefix is in the
+//! final table iff some origin table holds it and the arbitrated view
+//! upstream — ExtInt's, which is what downstream was sent — returns a
+//! route for it.  [`covering_answer`] narrows over any [`PrefixView`]; the
+//! stage's view draws candidate prefixes from the origin tables and asks
+//! upstream which of them are final.  The stage stores nothing per route:
+//! its route count is a counter over the stream it forwards.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -26,6 +30,7 @@ use xorp_event::EventLoop;
 use xorp_net::{Addr, HeapSize, PatriciaTrie, Prefix};
 use xorp_stages::{OriginId, RouteOp, Stage, StageRef};
 
+use crate::origin::OriginTable;
 use crate::RibRoute;
 
 /// The answer to an interest registration.
@@ -42,36 +47,93 @@ pub struct RegisterAnswer<A: Addr> {
 /// Callback invoked when a handed-out range is invalidated.
 pub type InvalidationCb<A> = Rc<dyn Fn(&mut EventLoop, u32, Prefix<A>)>;
 
-/// Compute the Figure 8 answer against a route table: the longest-match
-/// route for `addr` plus the largest enclosing non-overlaid subnet.
-pub fn covering_answer<A: Addr, T: Clone>(
-    trie: &PatriciaTrie<A, T>,
+/// A route table as the Figure 8 answer reads it.
+pub trait PrefixView<A: Addr> {
+    /// What a match yields.
+    type Route;
+
+    /// The most specific prefix in the table containing `addr`, with its
+    /// route.
+    fn longest_match(&self, addr: A) -> Option<(Prefix<A>, Self::Route)>;
+
+    /// True if the table holds a prefix at or below `range` other than
+    /// `except`.
+    fn holds_within(&self, range: &Prefix<A>, except: Option<Prefix<A>>) -> bool;
+}
+
+impl<A: Addr, T: Clone> PrefixView<A> for PatriciaTrie<A, T> {
+    type Route = T;
+
+    fn longest_match(&self, addr: A) -> Option<(Prefix<A>, T)> {
+        PatriciaTrie::longest_match(self, addr).map(|(net, t)| (net, t.clone()))
+    }
+
+    fn holds_within(&self, range: &Prefix<A>, except: Option<Prefix<A>>) -> bool {
+        self.iter_subtree(range).any(|(net, _)| Some(net) != except)
+    }
+}
+
+/// Compute the Figure 8 answer against a table: the longest-match route
+/// for `addr` plus the largest enclosing non-overlaid subnet.  For an
+/// unrouted address that is the largest subnet around it holding no route
+/// at all.
+#[allow(clippy::type_complexity)]
+pub fn covering_answer<A: Addr, V: PrefixView<A>>(
+    table: &V,
     addr: A,
-) -> (Option<(Prefix<A>, T)>, Prefix<A>) {
-    match trie.longest_match(addr) {
-        Some((rnet, val)) => {
-            let matched = Some((rnet, val.clone()));
-            // Narrow from the matched route toward the address until no
-            // more-specific route overlays the range.
-            let mut s = rnet;
-            while trie.iter_subtree(&s).any(|(p, _)| p != rnet) {
-                debug_assert!(s.len() < A::BITS);
-                let bit = Prefix::<A>::host(addr).bit(s.len());
-                s = s.child(bit).expect("narrowing below host route");
+) -> (Option<(Prefix<A>, V::Route)>, Prefix<A>) {
+    let matched = table.longest_match(addr);
+    let net = matched.as_ref().map(|(net, _)| *net);
+    // Narrow from the match toward the address until nothing else
+    // overlays the range.
+    let mut s = net.unwrap_or_else(Prefix::default_route);
+    while table.holds_within(&s, net) {
+        debug_assert!(s.len() < A::BITS);
+        let bit = Prefix::<A>::host(addr).bit(s.len());
+        s = s.child(bit).expect("narrowing below host route");
+    }
+    (matched, s)
+}
+
+/// The final table: the origin tables' prefixes that the arbitrated view
+/// upstream holds a route for.
+struct FinalTable<'a, A: Addr> {
+    origins: &'a [Rc<RefCell<OriginTable<A>>>],
+    upstream: &'a StageRef<A, RibRoute<A>>,
+}
+
+impl<A: Addr> PrefixView<A> for FinalTable<'_, A> {
+    type Route = RibRoute<A>;
+
+    /// Each origin table's matches, longest first, until upstream holds
+    /// one.
+    fn longest_match(&self, addr: A) -> Option<(Prefix<A>, RibRoute<A>)> {
+        let upstream = self.upstream.borrow();
+        let tables: Vec<_> = self.origins.iter().map(|t| t.borrow()).collect();
+        let mut next: Vec<_> = tables
+            .iter()
+            .map(|t| t.routes().longest_match(addr).map(|(net, _)| net))
+            .collect();
+        while let Some(net) = next.iter().flatten().max_by_key(|net| net.len()).copied() {
+            if let Some(route) = upstream.lookup_route(&net) {
+                return Some((net, route));
             }
-            (matched, s)
-        }
-        None => {
-            // Unrouted address: the valid range is the largest subnet
-            // around it containing no route at all.
-            let mut s = Prefix::<A>::default_route();
-            while trie.iter_subtree(&s).next().is_some() {
-                debug_assert!(s.len() < A::BITS);
-                let bit = Prefix::<A>::host(addr).bit(s.len());
-                s = s.child(bit).expect("narrowing below host route");
+            for (t, n) in tables.iter().zip(&mut next) {
+                if *n == Some(net) {
+                    *n = t.routes().best_covering(&net).map(|(net, _)| net);
+                }
             }
-            (None, s)
         }
+        None
+    }
+
+    fn holds_within(&self, range: &Prefix<A>, except: Option<Prefix<A>>) -> bool {
+        let upstream = self.upstream.borrow();
+        self.origins.iter().any(|t| {
+            let t = t.borrow();
+            let mut inside = t.routes().iter_subtree(range);
+            inside.any(|(net, _)| Some(net) != except && upstream.lookup_route(&net).is_some())
+        })
     }
 }
 
@@ -83,26 +145,24 @@ struct Registration<A: Addr> {
 /// Pass-through stage answering interest registrations and longest-match
 /// queries against the final table.
 pub struct RegisterStage<A: Addr> {
-    /// The prefixes of the final table, nothing else.
-    prefixes: PatriciaTrie<A, ()>,
-    upstream: Option<StageRef<A, RibRoute<A>>>,
+    /// Every origin table: where the final table's prefixes are found.
+    origins: Vec<Rc<RefCell<OriginTable<A>>>>,
+    /// Routes in the final table: adds less deletes forwarded.
+    route_count: usize,
+    /// Where routes are fetched from: the arbitrated view above.
+    upstream: StageRef<A, RibRoute<A>>,
     downstream: Option<StageRef<A, RibRoute<A>>>,
     registrations: Vec<Registration<A>>,
     invalidation_cbs: HashMap<u32, InvalidationCb<A>>,
 }
 
-impl<A: Addr> Default for RegisterStage<A> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<A: Addr> RegisterStage<A> {
-    /// An empty register stage.
-    pub fn new() -> Self {
+    /// An empty register stage fetching routes from `upstream`.
+    pub fn new(upstream: StageRef<A, RibRoute<A>>) -> Self {
         RegisterStage {
-            prefixes: PatriciaTrie::new(),
-            upstream: None,
+            origins: Vec::new(),
+            route_count: 0,
+            upstream,
             downstream: None,
             registrations: Vec::new(),
             invalidation_cbs: HashMap::new(),
@@ -114,9 +174,9 @@ impl<A: Addr> RegisterStage<A> {
         self.downstream = Some(s);
     }
 
-    /// Plumb the upstream neighbor (where routes are fetched from).
-    pub fn set_upstream(&mut self, s: StageRef<A, RibRoute<A>>) {
-        self.upstream = Some(s);
+    /// Add an origin table to those queries search for prefixes.
+    pub fn add_origin(&mut self, table: Rc<RefCell<OriginTable<A>>>) {
+        self.origins.push(table);
     }
 
     /// Install the invalidation callback for a client.
@@ -124,15 +184,22 @@ impl<A: Addr> RegisterStage<A> {
         self.invalidation_cbs.insert(client, cb);
     }
 
+    fn final_table(&self) -> FinalTable<'_, A> {
+        FinalTable {
+            origins: &self.origins,
+            upstream: &self.upstream,
+        }
+    }
+
     /// Register interest in `addr` for `client`.  Returns the matched
     /// route and the range the answer covers; the registration stays
     /// active until invalidated or dropped.
     pub fn register_interest(&mut self, client: u32, addr: A) -> RegisterAnswer<A> {
-        let (matched, valid) = covering_answer(&self.prefixes, addr);
+        let (matched, valid) = covering_answer(&self.final_table(), addr);
         self.registrations.push(Registration { client, valid });
         RegisterAnswer {
             valid,
-            route: matched.and_then(|(net, ())| self.lookup_route(&net)),
+            route: matched.map(|(_, route)| route),
         }
     }
 
@@ -152,13 +219,12 @@ impl<A: Addr> RegisterStage<A> {
     /// Longest-match query against the final table — the RIB's general
     /// route query, used for reverse-path lookups etc.
     pub fn longest_match(&self, addr: A) -> Option<(Prefix<A>, RibRoute<A>)> {
-        let (net, ()) = self.prefixes.longest_match(addr)?;
-        Some((net, self.lookup_route(&net)?))
+        self.final_table().longest_match(addr)
     }
 
     /// Number of routes in the final table.
     pub fn route_count(&self) -> usize {
-        self.prefixes.len()
+        self.route_count
     }
 
     fn invalidate_overlapping(&mut self, el: &mut EventLoop, net: Prefix<A>) {
@@ -181,9 +247,9 @@ impl<A: Addr> RegisterStage<A> {
 }
 
 impl<A: Addr> HeapSize for RegisterStage<A> {
-    /// The prefix set; registrations are per client, not per route.
+    /// The registrations, which are per client, not per route.
     fn heap_size(&self) -> usize {
-        self.prefixes.heap_size()
+        self.registrations.capacity() * std::mem::size_of::<Registration<A>>()
     }
 }
 
@@ -194,15 +260,10 @@ impl<A: Addr> Stage<A, RibRoute<A>> for RegisterStage<A> {
 
     fn route_op(&mut self, el: &mut EventLoop, origin: OriginId, op: RouteOp<A, RibRoute<A>>) {
         let net = op.net();
-        // A replace leaves the set of prefixes as it was.
         match &op {
-            RouteOp::Add { .. } => {
-                self.prefixes.insert(net, ());
-            }
+            RouteOp::Add { .. } => self.route_count += 1,
             RouteOp::Replace { .. } => {}
-            RouteOp::Delete { .. } => {
-                self.prefixes.remove(&net);
-            }
+            RouteOp::Delete { .. } => self.route_count -= 1,
         }
         // "Should the situation change at any later stage, the RIB will
         // send a 'cache invalidated' message for the relevant subnet."
@@ -213,7 +274,7 @@ impl<A: Addr> Stage<A, RibRoute<A>> for RegisterStage<A> {
     }
 
     fn lookup_route(&self, net: &Prefix<A>) -> Option<RibRoute<A>> {
-        self.upstream.as_ref()?.borrow().lookup_route(net)
+        self.upstream.borrow().lookup_route(net)
     }
 
     fn push(&mut self, el: &mut EventLoop) {
@@ -345,9 +406,9 @@ mod tests {
         Rc<RefCell<RegisterStage<Ipv4Addr>>>,
     ) {
         let origin = stage_ref(OriginTable::new(ProtocolId::Static, OriginId(0)));
-        let stage = stage_ref(RegisterStage::new());
+        let stage = stage_ref(RegisterStage::new(origin.clone()));
         origin.borrow_mut().set_downstream(stage.clone());
-        stage.borrow_mut().set_upstream(origin.clone());
+        stage.borrow_mut().add_origin(origin.clone());
         (origin, stage)
     }
 
@@ -421,15 +482,22 @@ mod tests {
         assert!(stage.borrow().longest_match(a("10.1.1.1")).is_none());
     }
 
-    /// The stage stores prefixes, not routes: a reintroduced payload (a
-    /// per-route copy of the table) fails here.
+    /// The stage stores nothing per route: a thousand routes later it
+    /// holds what it held empty.  A reintroduced table of its own (a
+    /// prefix trie, a per-route copy) fails here.
     #[test]
     fn memory_budget_register_payload_is_empty() {
-        fn payload_size<A: Addr, T>(_: &PatriciaTrie<A, T>) -> usize {
-            std::mem::size_of::<T>()
+        let mut el = EventLoop::new_virtual();
+        let (origin, stage) = fed_stage();
+        let empty = stage.borrow().heap_size();
+        for i in 0..1000u32 {
+            let net = Prefix::new(Ipv4Addr::from((10 << 24) | (i << 8)), 24).unwrap();
+            origin
+                .borrow_mut()
+                .add_route(&mut el, route(&net.to_string()));
         }
-        let stage: RegisterStage<Ipv4Addr> = RegisterStage::new();
-        assert_eq!(payload_size(&stage.prefixes), 0);
+        assert_eq!(stage.borrow().route_count(), 1000);
+        assert_eq!(stage.borrow().heap_size(), empty);
     }
 
     /// A replace keeps the prefix; the fetched route is the new one.

@@ -8,11 +8,13 @@ use xorp_event::EventLoop;
 use xorp_net::{Addr, FxHashMap, HeapSize, Prefix, ProtocolId, RouteEntry};
 use xorp_policy::PolicyTarget;
 use xorp_profiler::{Counter, Histogram, Metrics};
-use xorp_stages::{stage_ref, CacheStage, DumpSource, FnStage, OriginId, RouteOp, Stage};
+use xorp_stages::{
+    stage_ref, CacheStage, DumpSource, FnStage, OriginId, RouteOp, Stage, TableSource,
+};
 
 use crate::extint::ExtIntStage;
 use crate::merge::MergeStage;
-use crate::origin::{OriginTable, OriginTableSource};
+use crate::origin::OriginTable;
 use crate::redist::{RedistStage, RedistWatcher};
 use crate::register::{InvalidationCb, RegisterAnswer, RegisterStage};
 use crate::{is_external, RibRoute, RibStageRef};
@@ -84,9 +86,8 @@ where
     /// is spliced after the ExtInt stage — the paper's debugging
     /// configuration ("not intended for normal production use").
     pub fn new(consistency_checking: bool) -> Self {
-        let extint = stage_ref(ExtIntStage::new([], [], EXTINT_SELF_ORIGIN));
+        let extint = stage_ref(ExtIntStage::new(EXTINT_SELF_ORIGIN));
         let redist = stage_ref(RedistStage::new());
-        let register = stage_ref(RegisterStage::new());
 
         let cache = if consistency_checking {
             let c = stage_ref(CacheStage::new("rib-extint-out"));
@@ -99,8 +100,8 @@ where
             None
         };
         redist.borrow_mut().set_upstream(extint.clone());
+        let register = stage_ref(RegisterStage::new(redist.clone()));
         redist.borrow_mut().set_downstream(register.clone());
-        register.borrow_mut().set_upstream(redist.clone());
 
         Rib {
             origins: FxHashMap::default(),
@@ -146,7 +147,6 @@ where
         self.next_origin += 1;
         let origin = stage_ref(OriginTable::new(proto, oid));
         let external = is_external(proto);
-        self.extint.borrow_mut().add_origin(external, oid);
 
         let chain = if external {
             &mut self.ext_chain
@@ -180,8 +180,11 @@ where
             // The stage fetches original external routes from whatever
             // now heads that side.
             let head = chain.head.clone().expect("head set just above");
-            self.extint.borrow_mut().set_ext_upstream(head);
+            let mut extint = self.extint.borrow_mut();
+            extint.set_ext_upstream(head);
+            extint.add_ext_table(origin.clone());
         }
+        self.register.borrow_mut().add_origin(origin.clone());
         self.origins.insert(proto, origin);
     }
 
@@ -344,7 +347,7 @@ where
             .origins
             .values()
             .filter(|o| !o.borrow().is_empty())
-            .map(|o| Box::new(OriginTableSource::new(o.clone())) as Box<dyn DumpSource<A>>)
+            .map(|o| Box::new(TableSource::new(o.clone())) as Box<dyn DumpSource<A>>)
             .collect();
         self.redist.borrow_mut().add_watcher_dumped(el, w, sources);
     }
@@ -390,13 +393,13 @@ where
             .unwrap_or_default()
     }
 
-    /// Total heap bytes of every structure the RIB holds that grows with
-    /// the table: the origin tables (the only place routes are stored),
-    /// the ExtInt stage's internal mirror and per-nexthop index, the
-    /// Register stage's prefix set, and what redistribution watchers hold
-    /// (parked ops and an in-flight dump's sync set; no per-route state).
-    /// This is the number compared against the paper's "60 MB for the
-    /// RIB".
+    /// Total heap bytes of every structure the RIB holds: the origin
+    /// tables (the only place routes are stored, and the only structure
+    /// that grows with the external table), the ExtInt stage's internal
+    /// mirror (O(IGP routes)) and per-nexthop index, the Register stage's
+    /// interest registrations, and what redistribution watchers hold
+    /// (parked ops and an in-flight dump's sync set).  This is the number
+    /// compared against the paper's "60 MB for the RIB".
     pub fn memory_bytes(&self) -> usize {
         self.origin_bytes()
             + self.extint.borrow().heap_size()
@@ -1042,14 +1045,13 @@ mod tests {
         assert_eq!(held(&rib), 0);
     }
 
-    /// What the RIB holds beyond its origin tables is an index, not a copy
-    /// of the table: a prefix set plus a per-nexthop prefix set.  A
-    /// reintroduced per-route copy (a `RibRoute` is 64 bytes before its
-    /// trie node or map entry) cannot fit under this bound, which leaves
-    /// room for `Vec` capacity doubling in the prefix trie.  The bound is
-    /// on the growth from 10,000 to 20,000 routes, so a fixed cost — a
-    /// trie's 256 KiB jump index, in tries of any size — is not charged
-    /// per route.
+    /// The RIB keeps nothing per route beyond its origin tables: the
+    /// stages below hold per-nexthop and per-client state only.  A
+    /// reintroduced per-route structure — a per-nexthop prefix set, a
+    /// prefix trie in the Register stage, a copy of the table — costs at
+    /// least a map entry per route and cannot fit under this bound.  The
+    /// bound is on the growth from 10,000 to 20,000 routes, so a fixed cost
+    /// is not charged per route.
     #[test]
     fn memory_budget_beyond_origin_tables() {
         const ROUTES: u32 = 20_000;
@@ -1081,6 +1083,6 @@ mod tests {
             beyond(&rib),
             rib.origin_bytes() / ROUTES as usize
         );
-        assert!(per_route <= 120, "{per_route} B/route beyond origin tables");
+        assert!(per_route <= 4, "{per_route} B/route beyond origin tables");
     }
 }

@@ -8,10 +8,14 @@
 //!   reported route, and ranges are maximal;
 //! * seeded churn over two internal and two external protocols whose
 //!   nexthops gain and lose resolution, fed per-route and through
-//!   `apply_batch`, ends in the table a flat model predicts.
+//!   `apply_batch`, ends in the table a flat model predicts;
+//! * the Figure 8 queries, which keep no table of their own, answer as a
+//!   trie rebuilt from the RIB's output stream does.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::net::{IpAddr, Ipv4Addr};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -347,5 +351,122 @@ fn seeded_churn_matches_model_per_route_and_batched() {
             }
         }
         el.run_until_idle();
+    }
+}
+
+// ----- Figure 8 against a model of the output stream -------------------------
+
+/// Prefixes several protocols share: 10.0.0.0/16 is offered by static,
+/// EBGP and IBGP alike, and nested prefixes make the answers narrow.
+const FIG8_NETS: [&str; 9] = [
+    "10.0.0.0/16",
+    "10.0.0.0/8",
+    "10.0.128.0/17",
+    "10.0.1.0/24",
+    "10.1.0.0/16",
+    "192.168.0.0/16",
+    "192.168.1.0/24",
+    "172.16.0.0/12",
+    "198.51.100.0/24",
+];
+
+/// External nexthops; no internal prefix above covers 203.0.113.1, so
+/// routes naming it never resolve.
+const FIG8_NEXTHOPS: [Ipv4Addr; 4] = [
+    Ipv4Addr::new(192, 168, 1, 1),
+    Ipv4Addr::new(192, 168, 200, 1),
+    Ipv4Addr::new(172, 16, 0, 1),
+    Ipv4Addr::new(203, 0, 113, 1),
+];
+
+const FIG8_PROTOS: [ProtocolId; 4] = [
+    ProtocolId::Static,
+    ProtocolId::Rip,
+    ProtocolId::Ebgp,
+    ProtocolId::Ibgp,
+];
+
+fn fig8_op(rng: &mut StdRng) -> BatchOp<Ipv4Addr> {
+    let proto = FIG8_PROTOS[rng.gen_range(0..4usize)];
+    let net: Net = FIG8_NETS[rng.gen_range(0..FIG8_NETS.len())]
+        .parse()
+        .unwrap();
+    if rng.gen_bool(0.3) {
+        return BatchOp::Delete { proto, net };
+    }
+    let external = xorp_rib::is_external(proto);
+    let nexthop = if external {
+        FIG8_NEXTHOPS[rng.gen_range(0..4usize)]
+    } else {
+        Ipv4Addr::UNSPECIFIED
+    };
+    let attrs = Arc::new(PathAttributes::new(IpAddr::V4(nexthop)));
+    let mut r = RouteEntry::new(net, attrs, rng.gen_range(0..3u32), proto);
+    if !external {
+        r.ifname = Some(format!("{proto}:{net}").into());
+    }
+    BatchOp::Add(r)
+}
+
+/// `register_interest`, `longest_match` and `route_count` answer from the
+/// origin tables and the arbitrated view; they must equal what a trie
+/// rebuilt from the RIB's own output stream gives, at every batch
+/// boundary.  Batches mix internal and external operations, so IGP changes
+/// land inside an open batch and move nexthops mid-batch.
+#[test]
+fn register_answers_match_a_model_of_the_output() {
+    for seed in 0..100u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut el = EventLoop::new_virtual();
+        let mut rib: Rib<Ipv4Addr> = Rib::new(true);
+        let model = Rc::new(RefCell::new(
+            PatriciaTrie::<Ipv4Addr, RouteEntry<Ipv4Addr>>::new(),
+        ));
+        let m = model.clone();
+        rib.set_output(move |_el, _origin, op| {
+            let net = op.net();
+            match op.into_routes() {
+                (_, Some(route)) => m.borrow_mut().insert(net, route),
+                (_, None) => m.borrow_mut().remove(&net),
+            };
+        });
+        let probes: Vec<Ipv4Addr> = FIG8_NEXTHOPS
+            .iter()
+            .copied()
+            .chain(
+                FIG8_NETS
+                    .iter()
+                    .map(|n| n.parse::<Net>().unwrap().first_addr()),
+            )
+            .chain(["10.0.0.1", "10.0.200.1", "10.200.0.1", "8.8.8.8"].map(|a| a.parse().unwrap()))
+            .collect();
+        for batch in 0..40 {
+            let ops = (0..rng.gen_range(1..10))
+                .map(|_| fig8_op(&mut rng))
+                .collect();
+            rib.apply_batch(&mut el, ops);
+            let what = format!("seed {seed} batch {batch}");
+            assert!(rib.consistency_violations().is_empty(), "{what}");
+            let model = model.borrow();
+            assert_eq!(rib.route_count(), model.len(), "{what}: route count");
+            let random = (0..4).map(|_| Ipv4Addr::from(rng.gen::<u32>()));
+            for addr in probes.iter().copied().chain(random) {
+                let want = model.longest_match(addr).map(|(net, r)| (net, r.clone()));
+                assert_eq!(
+                    rib.longest_match(addr),
+                    want,
+                    "{what}: longest match {addr}"
+                );
+                let (matched, valid) = covering_answer(&*model, addr);
+                let got = rib.register_interest(7, addr);
+                assert_eq!(got.valid, valid, "{what}: range for {addr}");
+                assert_eq!(
+                    got.route,
+                    matched.map(|(_, r)| r),
+                    "{what}: route for {addr}"
+                );
+                assert!(rib.deregister_interest(7, &got.valid));
+            }
+        }
     }
 }

@@ -35,7 +35,7 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use xorp_event::{EventLoop, SliceResult};
-use xorp_net::{Addr, HeapSize, Prefix};
+use xorp_net::{Addr, HeapSize, IterHandle, PatriciaTrie, Prefix};
 
 use crate::{OriginId, RouteOp, Stage, StageRef};
 
@@ -64,6 +64,81 @@ impl<A: Addr> VecSource<A> {
 impl<A: Addr> DumpSource<A> for VecSource<A> {
     fn next_prefix(&mut self) -> Option<Prefix<A>> {
         self.0.pop_front()
+    }
+}
+
+/// A stage whose routes live in one trie a dump can walk (§5.3).
+pub trait TrieTable {
+    /// The address family.
+    type Addr: Addr;
+    /// The stored route type.
+    type Route;
+
+    /// The trie holding the stage's routes, for [`TableSource`]'s cursor
+    /// (a safe iterator needs `&mut`).  A write through it would bypass
+    /// the stage's downstream messages.
+    fn trie(&mut self) -> &mut PatriciaTrie<Self::Addr, Self::Route>;
+
+    /// Bumped whenever the trie is swapped out wholesale, stranding any
+    /// handle into the old one.
+    fn epoch(&self) -> u64 {
+        0
+    }
+}
+
+/// A [`DumpSource`] walking a [`TrieTable`] with a safe iterator handle
+/// (§5.3): the table may be freely mutated between steps, deleted nodes
+/// lingering as zombies until the handle moves on.  If the trie is swapped
+/// out underneath the walk (a BGP peering flapped and its table went to a
+/// deletion stage), the epoch check reports the source exhausted instead
+/// of touching freed nodes, and the stale handle is dropped without
+/// release: its pinned nodes belong to the old trie and die with it.
+pub struct TableSource<T: TrieTable> {
+    table: Rc<RefCell<T>>,
+    handle: Option<IterHandle>,
+    epoch: u64,
+}
+
+impl<T: TrieTable> TableSource<T> {
+    /// Open a walk over `table`'s current trie.
+    pub fn new(table: Rc<RefCell<T>>) -> Self {
+        let (handle, epoch) = {
+            let mut t = table.borrow_mut();
+            (t.trie().iter_handle(), t.epoch())
+        };
+        TableSource {
+            table,
+            handle: Some(handle),
+            epoch,
+        }
+    }
+}
+
+impl<T: TrieTable> DumpSource<T::Addr> for TableSource<T> {
+    fn next_prefix(&mut self) -> Option<Prefix<T::Addr>> {
+        let h = self.handle.as_mut()?;
+        let mut t = self.table.borrow_mut();
+        if t.epoch() != self.epoch {
+            self.handle = None;
+            return None;
+        }
+        let next = t.trie().iter_next(h).map(|(net, _)| net);
+        if next.is_none() {
+            // Exhausted: release eagerly so the trie drops any zombie node.
+            let h = self.handle.take().expect("handle checked above");
+            t.trie().iter_release(h);
+        }
+        next
+    }
+}
+
+impl<T: TrieTable> Drop for TableSource<T> {
+    fn drop(&mut self) {
+        if let (Some(h), Ok(mut t)) = (self.handle.take(), self.table.try_borrow_mut()) {
+            if t.epoch() == self.epoch {
+                t.trie().iter_release(h);
+            }
+        }
     }
 }
 

@@ -35,7 +35,7 @@ pub mod cache;
 pub mod dump;
 
 pub use cache::{CacheStage, ConsistencyViolation};
-pub use dump::{DumpSource, DumpStage, VecSource, DUMP_SLICE_SIZE};
+pub use dump::{DumpSource, DumpStage, TableSource, TrieTable, VecSource, DUMP_SLICE_SIZE};
 
 /// Identifies the source of a route at the head of a pipeline: a BGP
 /// peering index, a RIB origin-table index, etc.  Stages pass it through so
@@ -108,6 +108,28 @@ impl<A: Addr, R> RouteOp<A, R> {
         match self {
             RouteOp::Add { .. } => None,
             RouteOp::Replace { old, .. } | RouteOp::Delete { old, .. } => Some(old),
+        }
+    }
+
+    /// The routes in effect before and after this operation.
+    pub fn into_routes(self) -> (Option<R>, Option<R>) {
+        match self {
+            RouteOp::Add { route, .. } => (None, Some(route)),
+            RouteOp::Replace { old, new, .. } => (Some(old), Some(new)),
+            RouteOp::Delete { old, .. } => (Some(old), None),
+        }
+    }
+}
+
+impl<A: Addr, R: PartialEq> RouteOp<A, R> {
+    /// The operation that moves a holder of `before` for `net` to `after`,
+    /// or `None` when the two agree.
+    pub fn diff(net: Prefix<A>, before: Option<R>, after: Option<R>) -> Option<Self> {
+        match (before, after) {
+            (None, Some(route)) => Some(RouteOp::Add { net, route }),
+            (Some(old), None) => Some(RouteOp::Delete { net, old }),
+            (Some(old), Some(new)) if old != new => Some(RouteOp::Replace { net, old, new }),
+            _ => None,
         }
     }
 }
