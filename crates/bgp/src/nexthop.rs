@@ -28,9 +28,11 @@
 //! draining deletion stage, through the cursors a background dump uses —
 //! fetching each route with one `lookup_route` through the import filter,
 //! as its own `lookup_route` does, so the nexthop it compares is the
-//! post-policy one.  An invalidation keeps each nexthop's last answer until
-//! the fresh one arrives, for the routes it has and for any that arrive
-//! meanwhile.
+//! post-policy one.  The walk visits the whole table however few routes
+//! name the moved nexthops, so loading a peering whose K nexthops are
+//! answered one event each walks it K times.  An invalidation keeps each
+//! nexthop's last answer until the fresh one arrives, for the routes it
+//! has and for any that arrive meanwhile.
 //!
 //! That relay trusts upstream to hold what this stage has been sent, so
 //! the stage handles each op as it arrives: every stage above it forwards

@@ -25,7 +25,11 @@ fn default_router_holds_a_window_of_xrls_not_a_table() {
         ..Default::default()
     });
 
-    for batch in table.chunks(64) {
+    // BGP takes each UPDATE in one event, so an UPDATE four times the
+    // 512-XRL window leaves at least three windows waiting in the fanout
+    // however fast the RIB drains.  With 64-route UPDATEs the backlog
+    // depended on the BGP thread outrunning the RIB's.
+    for batch in table.chunks(2048) {
         router.feed_backbone(1, batch);
     }
     assert!(

@@ -33,18 +33,25 @@
 //! longest-match view of the internal side that no single origin table
 //! has: resolving a nexthop needs longest-match, and the stage contract's
 //! `lookup_route` is exact-match only.
+//!
+//! What the stage sends downstream is the final table, and the stage is
+//! the [`PrefixView`] the Register stage answers Figure 8 from.  Internal
+//! prefixes are all final; external ones are all final while no route is
+//! held back, and none is while none resolves.  Only in between are a
+//! range's external prefixes checked one by one, up to the first final one.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
 use xorp_event::EventLoop;
-use xorp_net::{Addr, FxHashSet, HeapSize, NexthopIndex, PatriciaTrie, Prefix};
+use xorp_net::{Addr, HeapSize, NexthopIndex, PatriciaTrie, Prefix};
 use xorp_stages::{OriginId, RouteOp, Stage, StageRef};
 
 use crate::origin::OriginTable;
-use crate::{better, RibRoute};
+use crate::register::PrefixView;
+use crate::{better, is_external, RibRoute};
 
 /// How a resolvable nexthop is reached: the covering internal route's
 /// `ifname` (which that route may itself lack).
@@ -70,8 +77,6 @@ fn resolve<A: Addr>(
 
 /// The external/internal composition stage.
 pub struct ExtIntStage<A: Addr> {
-    /// Origin ids of the external side; every other origin is internal.
-    ext_origins: FxHashSet<OriginId>,
     /// The merged internal side, for longest-match nexthop resolution and
     /// same-prefix arbitration.
     int_mirror: PatriciaTrie<A, RibRoute<A>>,
@@ -81,11 +86,17 @@ pub struct ExtIntStage<A: Addr> {
     /// [`ExtIntStage::reresolve`], so it stays what downstream was sent
     /// while internal changes sit deferred in a batch.
     nexthops: NexthopIndex<A, Option<Via>>,
+    /// External routes whose nexthop is of the other address family, which
+    /// never resolve and are not in `nexthops`.
+    foreign: usize,
     /// Head of the external chain: where original external routes are
     /// fetched from on re-resolution and lookup.
     ext_upstream: Option<StageRef<A, RibRoute<A>>>,
-    /// The external origin tables, walked when a nexthop's `via` moves.
-    ext_tables: Vec<Rc<RefCell<OriginTable<A>>>>,
+    /// The external origin tables by id, walked when a nexthop's `via`
+    /// moves and searched by the final-table queries.
+    ext_tables: Vec<(OriginId, Rc<RefCell<OriginTable<A>>>)>,
+    /// The internal origin tables' ids (a debug check on each op's origin).
+    int_origins: Vec<OriginId>,
     downstream: Option<StageRef<A, RibRoute<A>>>,
     /// Origin id used for messages this stage originates itself
     /// (resolution-driven announcements/withdrawals).
@@ -99,6 +110,8 @@ pub struct ExtIntStage<A: Addr> {
     /// per new nexthop and one per nexthop per re-resolution, never one
     /// per route).
     nexthop_lookups: u64,
+    /// External prefixes final-table queries checked one by one.
+    pub(crate) final_checks: Cell<u64>,
 }
 
 /// The route downstream should see for a prefix given each side's
@@ -116,15 +129,17 @@ impl<A: Addr> ExtIntStage<A> {
     /// resolution-driven messages.
     pub fn new(self_origin: OriginId) -> Self {
         ExtIntStage {
-            ext_origins: FxHashSet::default(),
             int_mirror: PatriciaTrie::new(),
             nexthops: NexthopIndex::default(),
+            foreign: 0,
             ext_upstream: None,
             ext_tables: Vec::new(),
+            int_origins: Vec::new(),
             downstream: None,
             self_origin,
             deferred: None,
             nexthop_lookups: 0,
+            final_checks: Cell::new(0),
         }
     }
 
@@ -153,16 +168,19 @@ impl<A: Addr> ExtIntStage<A> {
         self.ext_upstream = Some(s);
     }
 
-    /// Add an external origin table: its routes arrive on the external
-    /// side, and re-resolution walks it.
-    pub fn add_ext_table(&mut self, table: Rc<RefCell<OriginTable<A>>>) {
-        self.ext_origins.insert(table.borrow().origin());
-        self.ext_tables.push(table);
+    /// Add an origin table, on the side its protocol belongs to.
+    pub fn add_table(&mut self, table: Rc<RefCell<OriginTable<A>>>) {
+        let origin = table.borrow().origin();
+        if is_external(table.borrow().protocol()) {
+            self.ext_tables.push((origin, table));
+        } else {
+            self.int_origins.push(origin);
+        }
     }
 
     /// Number of external routes currently held back as unresolvable.
     /// (A route whose nexthop is of the other address family can never
-    /// resolve; it is dropped here, not indexed and not counted.)
+    /// resolve; it is dropped here and not counted.)
     pub fn unresolved_count(&self) -> usize {
         self.nexthops.routes_where(Option::is_none)
     }
@@ -175,7 +193,10 @@ impl<A: Addr> ExtIntStage<A> {
     /// Count `route` against its nexthop, resolving the nexthop if it is
     /// new.  Returns the route's downstream form.
     fn index(&mut self, route: RibRoute<A>) -> Option<RibRoute<A>> {
-        let nh = A::from_ipaddr(route.nexthop())?;
+        let Some(nh) = A::from_ipaddr(route.nexthop()) else {
+            self.foreign += 1;
+            return None;
+        };
         let (int_mirror, lookups) = (&self.int_mirror, &mut self.nexthop_lookups);
         let via = self
             .nexthops
@@ -186,7 +207,10 @@ impl<A: Addr> ExtIntStage<A> {
     /// Uncount `route`.  Returns the form downstream was sent — annotated
     /// with the *recorded* `via`, not a fresh resolution.
     fn unindex(&mut self, route: RibRoute<A>) -> Option<RibRoute<A>> {
-        let nh = A::from_ipaddr(route.nexthop())?;
+        let Some(nh) = A::from_ipaddr(route.nexthop()) else {
+            self.foreign -= 1;
+            return None;
+        };
         let sent = annotate(self.nexthops.remove_route(&nh)?, route);
         self.nexthops.prune(&nh, |_| true);
         sent
@@ -273,12 +297,12 @@ impl<A: Addr> ExtIntStage<A> {
         let Some(upstream) = &self.ext_upstream else {
             return diffs;
         };
-        for (i, table) in self.ext_tables.iter().enumerate() {
+        for (i, (_, table)) in self.ext_tables.iter().enumerate() {
             let earlier = &self.ext_tables[..i];
             for (net, _) in table.borrow().routes().iter() {
                 if earlier
                     .iter()
-                    .any(|t| t.borrow().routes().contains_key(&net))
+                    .any(|(_, t)| t.borrow().routes().contains_key(&net))
                 {
                     continue;
                 }
@@ -317,6 +341,58 @@ impl<A: Addr> ExtIntStage<A> {
     }
 }
 
+impl<A: Addr> PrefixView<A> for ExtIntStage<A> {
+    type Route = RibRoute<A>;
+
+    /// Each side's matches, longest first, until one is final.
+    fn longest_match(&self, addr: A) -> Option<(Prefix<A>, RibRoute<A>)> {
+        let int = self.int_mirror.longest_match(addr).map(|(net, _)| net);
+        let tables: Vec<_> = self.ext_tables.iter().map(|(_, t)| t.borrow()).collect();
+        let mut next: Vec<_> = tables
+            .iter()
+            .map(|t| t.routes().longest_match(addr).map(|(net, _)| net))
+            .collect();
+        while let Some(net) = next
+            .iter()
+            .chain([&int])
+            .flatten()
+            .max_by_key(|n| n.len())
+            .copied()
+        {
+            if let Some(route) = self.lookup_route(&net) {
+                return Some((net, route));
+            }
+            for (t, n) in tables.iter().zip(&mut next) {
+                if *n == Some(net) {
+                    *n = t.routes().best_covering(&net).map(|(net, _)| net);
+                }
+            }
+        }
+        None
+    }
+
+    fn holds_within(&self, range: &Prefix<A>, except: Option<Prefix<A>>) -> bool {
+        let other = |net: &Prefix<A>| Some(*net) != except;
+        // External prefixes are all final, none is, or those that resolve.
+        let all_final = self.unresolved_count() + self.foreign == 0;
+        let is_final = |net: &Prefix<A>| {
+            all_final || {
+                self.final_checks.set(self.final_checks.get() + 1);
+                self.ext_route(net).is_some()
+            }
+        };
+        self.int_mirror
+            .iter_subtree(range)
+            .any(|(net, _)| other(&net))
+            || (self.nexthops.routes_where(Option::is_some) > 0
+                && self.ext_tables.iter().any(|(_, t)| {
+                    let t = t.borrow();
+                    let mut inside = t.routes().iter_subtree(range);
+                    inside.any(|(net, _)| other(&net) && is_final(&net))
+                }))
+    }
+}
+
 impl<A: Addr> HeapSize for ExtIntStage<A> {
     /// The internal mirror plus the nexthop index: everything this stage
     /// holds that grows with the table.
@@ -331,9 +407,13 @@ impl<A: Addr> Stage<A, RibRoute<A>> for ExtIntStage<A> {
     }
 
     fn route_op(&mut self, el: &mut EventLoop, origin: OriginId, op: RouteOp<A, RibRoute<A>>) {
-        if self.ext_origins.contains(&origin) {
+        if self.ext_tables.iter().any(|(o, _)| *o == origin) {
             self.handle_ext(el, origin, op);
         } else {
+            debug_assert!(
+                self.int_origins.contains(&origin),
+                "op from {origin:?}, which is not an origin table of this stage"
+            );
             self.handle_int(el, origin, op);
         }
     }
@@ -427,7 +507,8 @@ mod tests {
         ext_table.borrow_mut().set_downstream(stage.clone());
         int_table.borrow_mut().set_downstream(stage.clone());
         stage.borrow_mut().set_ext_upstream(ext_table.clone());
-        stage.borrow_mut().add_ext_table(ext_table.clone());
+        stage.borrow_mut().add_table(ext_table.clone());
+        stage.borrow_mut().add_table(int_table.clone());
         let cache = stage_ref(CacheStage::new("extint-out"));
         let sink = stage_ref(Sink::new());
         stage.borrow_mut().set_downstream(cache.clone());
@@ -601,6 +682,17 @@ mod tests {
             .borrow()
             .lookup_route(&"10.0.0.0/8".parse().unwrap())
             .is_some());
+    }
+
+    /// An op from an origin the stage was never given is a wiring error,
+    /// not an internal route.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not an origin table of this stage")]
+    fn op_from_an_unknown_origin_is_refused() {
+        let mut r = rig();
+        let op = add(int_route("192.168.0.0/16", "0.0.0.0", "eth0"));
+        r.stage.borrow_mut().route_op(&mut r.el, OriginId(77), op);
     }
 
     // ----- per-nexthop resolution ----------------------------------------

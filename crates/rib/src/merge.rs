@@ -56,21 +56,6 @@ impl<A: Addr> MergeStage<A> {
         self.downstream = Some(s);
     }
 
-    /// All origin ids feeding this stage (for chaining merges).
-    pub fn origins(&self) -> impl Iterator<Item = OriginId> + '_ {
-        self.a_origins.iter().chain(self.b_origins.iter()).copied()
-    }
-
-    /// Register a new origin id on an existing side (used when an origin
-    /// table is added upstream of side A after construction).
-    pub fn add_origin(&mut self, side_a: bool, origin: OriginId) {
-        if side_a {
-            self.a_origins.insert(origin);
-        } else {
-            self.b_origins.insert(origin);
-        }
-    }
-
     fn emit(&self, el: &mut EventLoop, origin: OriginId, op: RouteOp<A, RibRoute<A>>) {
         if let Some(d) = &self.downstream {
             d.borrow_mut().route_op(el, origin, op);

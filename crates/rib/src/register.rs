@@ -14,13 +14,13 @@
 //! re-queries.
 //!
 //! Figure 8 is a question about which prefixes the final table holds, and
-//! the stage answers it without a table of its own.  A prefix is in the
-//! final table iff some origin table holds it and the arbitrated view
-//! upstream — ExtInt's, which is what downstream was sent — returns a
-//! route for it.  [`covering_answer`] narrows over any [`PrefixView`]; the
-//! stage's view draws candidate prefixes from the origin tables and asks
-//! upstream which of them are final.  The stage stores nothing per route:
-//! its route count is a counter over the stream it forwards.
+//! the stage answers it without a table of its own.  The final table is
+//! the ExtInt stage's arbitrated view — what downstream was sent — and
+//! that stage is a [`PrefixView`]: it draws candidate prefixes from its
+//! internal mirror and the external origin tables, and knows which of
+//! them are final.  [`covering_answer`] narrows over any view.  The stage
+//! stores nothing per route: its route count is a counter over the stream
+//! it forwards.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -30,7 +30,7 @@ use xorp_event::EventLoop;
 use xorp_net::{Addr, HeapSize, PatriciaTrie, Prefix};
 use xorp_stages::{OriginId, RouteOp, Stage, StageRef};
 
-use crate::origin::OriginTable;
+use crate::extint::ExtIntStage;
 use crate::RibRoute;
 
 /// The answer to an interest registration.
@@ -95,48 +95,6 @@ pub fn covering_answer<A: Addr, V: PrefixView<A>>(
     (matched, s)
 }
 
-/// The final table: the origin tables' prefixes that the arbitrated view
-/// upstream holds a route for.
-struct FinalTable<'a, A: Addr> {
-    origins: &'a [Rc<RefCell<OriginTable<A>>>],
-    upstream: &'a StageRef<A, RibRoute<A>>,
-}
-
-impl<A: Addr> PrefixView<A> for FinalTable<'_, A> {
-    type Route = RibRoute<A>;
-
-    /// Each origin table's matches, longest first, until upstream holds
-    /// one.
-    fn longest_match(&self, addr: A) -> Option<(Prefix<A>, RibRoute<A>)> {
-        let upstream = self.upstream.borrow();
-        let tables: Vec<_> = self.origins.iter().map(|t| t.borrow()).collect();
-        let mut next: Vec<_> = tables
-            .iter()
-            .map(|t| t.routes().longest_match(addr).map(|(net, _)| net))
-            .collect();
-        while let Some(net) = next.iter().flatten().max_by_key(|net| net.len()).copied() {
-            if let Some(route) = upstream.lookup_route(&net) {
-                return Some((net, route));
-            }
-            for (t, n) in tables.iter().zip(&mut next) {
-                if *n == Some(net) {
-                    *n = t.routes().best_covering(&net).map(|(net, _)| net);
-                }
-            }
-        }
-        None
-    }
-
-    fn holds_within(&self, range: &Prefix<A>, except: Option<Prefix<A>>) -> bool {
-        let upstream = self.upstream.borrow();
-        self.origins.iter().any(|t| {
-            let t = t.borrow();
-            let mut inside = t.routes().iter_subtree(range);
-            inside.any(|(net, _)| Some(net) != except && upstream.lookup_route(&net).is_some())
-        })
-    }
-}
-
 struct Registration<A: Addr> {
     client: u32,
     valid: Prefix<A>,
@@ -145,24 +103,21 @@ struct Registration<A: Addr> {
 /// Pass-through stage answering interest registrations and longest-match
 /// queries against the final table.
 pub struct RegisterStage<A: Addr> {
-    /// Every origin table: where the final table's prefixes are found.
-    origins: Vec<Rc<RefCell<OriginTable<A>>>>,
     /// Routes in the final table: adds less deletes forwarded.
     route_count: usize,
-    /// Where routes are fetched from: the arbitrated view above.
-    upstream: StageRef<A, RibRoute<A>>,
+    /// The final table, which routes are fetched from and queries ask.
+    extint: Rc<RefCell<ExtIntStage<A>>>,
     downstream: Option<StageRef<A, RibRoute<A>>>,
     registrations: Vec<Registration<A>>,
     invalidation_cbs: HashMap<u32, InvalidationCb<A>>,
 }
 
 impl<A: Addr> RegisterStage<A> {
-    /// An empty register stage fetching routes from `upstream`.
-    pub fn new(upstream: StageRef<A, RibRoute<A>>) -> Self {
+    /// An empty register stage answering from `extint`'s final table.
+    pub fn new(extint: Rc<RefCell<ExtIntStage<A>>>) -> Self {
         RegisterStage {
-            origins: Vec::new(),
             route_count: 0,
-            upstream,
+            extint,
             downstream: None,
             registrations: Vec::new(),
             invalidation_cbs: HashMap::new(),
@@ -174,28 +129,16 @@ impl<A: Addr> RegisterStage<A> {
         self.downstream = Some(s);
     }
 
-    /// Add an origin table to those queries search for prefixes.
-    pub fn add_origin(&mut self, table: Rc<RefCell<OriginTable<A>>>) {
-        self.origins.push(table);
-    }
-
     /// Install the invalidation callback for a client.
     pub fn set_invalidation_cb(&mut self, client: u32, cb: InvalidationCb<A>) {
         self.invalidation_cbs.insert(client, cb);
-    }
-
-    fn final_table(&self) -> FinalTable<'_, A> {
-        FinalTable {
-            origins: &self.origins,
-            upstream: &self.upstream,
-        }
     }
 
     /// Register interest in `addr` for `client`.  Returns the matched
     /// route and the range the answer covers; the registration stays
     /// active until invalidated or dropped.
     pub fn register_interest(&mut self, client: u32, addr: A) -> RegisterAnswer<A> {
-        let (matched, valid) = covering_answer(&self.final_table(), addr);
+        let (matched, valid) = covering_answer(&*self.extint.borrow(), addr);
         self.registrations.push(Registration { client, valid });
         RegisterAnswer {
             valid,
@@ -219,7 +162,7 @@ impl<A: Addr> RegisterStage<A> {
     /// Longest-match query against the final table — the RIB's general
     /// route query, used for reverse-path lookups etc.
     pub fn longest_match(&self, addr: A) -> Option<(Prefix<A>, RibRoute<A>)> {
-        self.final_table().longest_match(addr)
+        PrefixView::longest_match(&*self.extint.borrow(), addr)
     }
 
     /// Number of routes in the final table.
@@ -274,7 +217,7 @@ impl<A: Addr> Stage<A, RibRoute<A>> for RegisterStage<A> {
     }
 
     fn lookup_route(&self, net: &Prefix<A>) -> Option<RibRoute<A>> {
-        self.upstream.borrow().lookup_route(net)
+        self.extint.borrow().lookup_route(net)
     }
 
     fn push(&mut self, el: &mut EventLoop) {
@@ -398,17 +341,19 @@ mod tests {
         }
     }
 
-    /// A register stage fed by an origin table — which is also where it
-    /// fetches routes from, since it holds none itself.
+    /// A register stage fed by an origin table through an ExtInt stage —
+    /// which is where it fetches routes from, since it holds none itself.
     #[allow(clippy::type_complexity)]
     fn fed_stage() -> (
         Rc<RefCell<OriginTable<Ipv4Addr>>>,
         Rc<RefCell<RegisterStage<Ipv4Addr>>>,
     ) {
-        let origin = stage_ref(OriginTable::new(ProtocolId::Static, OriginId(0)));
-        let stage = stage_ref(RegisterStage::new(origin.clone()));
-        origin.borrow_mut().set_downstream(stage.clone());
-        stage.borrow_mut().add_origin(origin.clone());
+        let origin = stage_ref(OriginTable::new(ProtocolId::Static, OriginId(1)));
+        let extint = stage_ref(ExtIntStage::new(OriginId(0)));
+        extint.borrow_mut().add_table(origin.clone());
+        origin.borrow_mut().set_downstream(extint.clone());
+        let stage = stage_ref(RegisterStage::new(extint.clone()));
+        extint.borrow_mut().set_downstream(stage.clone());
         (origin, stage)
     }
 

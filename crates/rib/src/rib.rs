@@ -100,7 +100,7 @@ where
             None
         };
         redist.borrow_mut().set_upstream(extint.clone());
-        let register = stage_ref(RegisterStage::new(redist.clone()));
+        let register = stage_ref(RegisterStage::new(extint.clone()));
         redist.borrow_mut().set_downstream(register.clone());
 
         Rib {
@@ -180,11 +180,9 @@ where
             // The stage fetches original external routes from whatever
             // now heads that side.
             let head = chain.head.clone().expect("head set just above");
-            let mut extint = self.extint.borrow_mut();
-            extint.set_ext_upstream(head);
-            extint.add_ext_table(origin.clone());
+            self.extint.borrow_mut().set_ext_upstream(head);
         }
-        self.register.borrow_mut().add_origin(origin.clone());
+        self.extint.borrow_mut().add_table(origin.clone());
         self.origins.insert(proto, origin);
     }
 
@@ -1043,6 +1041,78 @@ mod tests {
         assert!(held(&rib) > 0, "the walk's sync set is charged");
         el.run_until_idle();
         assert_eq!(held(&rib), 0);
+    }
+
+    /// A Figure 8 query on a large external table costs trie steps, not a
+    /// scan of that table, both while every external route resolves and
+    /// while none does, which is where an IGP withdrawal leaves a peering
+    /// whose routes share one nexthop.  Only while some resolve and some do
+    /// not are external prefixes checked one by one, at most once per
+    /// narrowing step each.
+    #[test]
+    fn figure8_queries_scan_external_routes_only_while_resolution_is_mixed() {
+        const ROUTES: u32 = 5_000;
+        let mut el = EventLoop::new_virtual();
+        let mut rib: Rib<Ipv4Addr> = Rib::new(true);
+        let igp = route("192.168.0.0/16", "0.0.0.0", ProtocolId::Connected);
+        rib.add_route(&mut el, igp.clone());
+        for i in 0..ROUTES {
+            let net = Prefix::new(Ipv4Addr::from((10 << 24) | (i << 8)), 24).unwrap();
+            rib.add_route(
+                &mut el,
+                route(&net.to_string(), "192.168.1.1", ProtocolId::Ebgp),
+            );
+        }
+        let checks = |rib: &Rib<Ipv4Addr>| rib.extint.borrow().final_checks.get();
+        let ask = |rib: &mut Rib<Ipv4Addr>, addr: &str| {
+            let ans = rib.register_interest(1, a(addr));
+            (ans.route.map(|r| r.net), ans.valid)
+        };
+
+        // Every external route resolves.
+        assert_eq!(
+            ask(&mut rib, "192.168.1.1"),
+            (Some(p("192.168.0.0/16")), p("192.168.0.0/16"))
+        );
+        assert_eq!(ask(&mut rib, "10.200.0.1"), (None, p("10.128.0.0/9")));
+        assert_eq!(checks(&rib), 0);
+
+        // The IGP route goes: every external route is held back.
+        rib.delete_route(&mut el, ProtocolId::Connected, igp.net);
+        assert_eq!(rib.unresolved_count(), ROUTES as usize);
+        assert_eq!(ask(&mut rib, "192.168.1.1"), (None, p("0.0.0.0/0")));
+        assert_eq!(ask(&mut rib, "10.0.0.1"), (None, p("0.0.0.0/0")));
+        assert_eq!(checks(&rib), 0);
+
+        // One external route resolves through another nexthop: the held
+        // routes sharing its ranges are checked one by one.
+        rib.add_route(
+            &mut el,
+            route("172.16.0.0/12", "0.0.0.0", ProtocolId::Static),
+        );
+        rib.add_route(&mut el, route("20.0.0.0/8", "172.16.0.1", ProtocolId::Ebgp));
+        assert_eq!(ask(&mut rib, "10.200.0.1"), (None, p("0.0.0.0/4")));
+        let mixed = checks(&rib);
+        println!("mixed resolution: {mixed} checks for one query over {ROUTES} held routes");
+        assert!(
+            (1..=32 * (ROUTES as u64 + 1)).contains(&mixed),
+            "{mixed} checks"
+        );
+
+        // Resolved again, plus a route whose nexthop is of the other
+        // family and never resolves: a scan stops at the first final
+        // prefix.
+        rib.add_route(&mut el, igp);
+        let mut foreign = route("30.0.0.0/8", "0.0.0.0", ProtocolId::Ebgp);
+        foreign.attrs = Arc::new(PathAttributes::new("2001:db8::1".parse().unwrap()));
+        rib.add_route(&mut el, foreign);
+        assert_eq!(ask(&mut rib, "10.200.0.1"), (None, p("10.128.0.0/9")));
+        assert!(
+            checks(&rib) - mixed <= 32,
+            "{} checks",
+            checks(&rib) - mixed
+        );
+        assert!(rib.consistency_violations().is_empty());
     }
 
     /// The RIB keeps nothing per route beyond its origin tables: the

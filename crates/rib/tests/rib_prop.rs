@@ -371,12 +371,14 @@ const FIG8_NETS: [&str; 9] = [
 ];
 
 /// External nexthops; no internal prefix above covers 203.0.113.1, so
-/// routes naming it never resolve.
-const FIG8_NEXTHOPS: [Ipv4Addr; 4] = [
-    Ipv4Addr::new(192, 168, 1, 1),
-    Ipv4Addr::new(192, 168, 200, 1),
-    Ipv4Addr::new(172, 16, 0, 1),
-    Ipv4Addr::new(203, 0, 113, 1),
+/// routes naming it never resolve, and routes naming an IPv6 nexthop
+/// never resolve in an IPv4 RIB.
+const FIG8_NEXTHOPS: [IpAddr; 5] = [
+    IpAddr::V4(Ipv4Addr::new(192, 168, 1, 1)),
+    IpAddr::V4(Ipv4Addr::new(192, 168, 200, 1)),
+    IpAddr::V4(Ipv4Addr::new(172, 16, 0, 1)),
+    IpAddr::V4(Ipv4Addr::new(203, 0, 113, 1)),
+    IpAddr::V6(std::net::Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 1)),
 ];
 
 const FIG8_PROTOS: [ProtocolId; 4] = [
@@ -396,11 +398,11 @@ fn fig8_op(rng: &mut StdRng) -> BatchOp<Ipv4Addr> {
     }
     let external = xorp_rib::is_external(proto);
     let nexthop = if external {
-        FIG8_NEXTHOPS[rng.gen_range(0..4usize)]
+        FIG8_NEXTHOPS[rng.gen_range(0..FIG8_NEXTHOPS.len())]
     } else {
-        Ipv4Addr::UNSPECIFIED
+        IpAddr::V4(Ipv4Addr::UNSPECIFIED)
     };
-    let attrs = Arc::new(PathAttributes::new(IpAddr::V4(nexthop)));
+    let attrs = Arc::new(PathAttributes::new(nexthop));
     let mut r = RouteEntry::new(net, attrs, rng.gen_range(0..3u32), proto);
     if !external {
         r.ifname = Some(format!("{proto}:{net}").into());
@@ -432,7 +434,10 @@ fn register_answers_match_a_model_of_the_output() {
         });
         let probes: Vec<Ipv4Addr> = FIG8_NEXTHOPS
             .iter()
-            .copied()
+            .filter_map(|nh| match nh {
+                IpAddr::V4(nh) => Some(*nh),
+                IpAddr::V6(_) => None,
+            })
             .chain(
                 FIG8_NETS
                     .iter()
