@@ -165,6 +165,9 @@ pub struct EventLoop {
     /// items: the next turn tries `rx` first.
     completion_ran_last: bool,
     local: VecDeque<LocalEvent>,
+    /// Work that waits for the loop's input to drain (see
+    /// [`EventLoop::defer_idle`]).
+    idle: VecDeque<LocalEvent>,
     background: VecDeque<BackgroundTask>,
     cancelled_bg: HashSet<u64>,
     stopped: bool,
@@ -261,6 +264,7 @@ impl EventLoop {
             completion: Lane::default(),
             completion_ran_last: false,
             local: VecDeque::new(),
+            idle: VecDeque::new(),
             background: VecDeque::new(),
             cancelled_bg: HashSet::new(),
             stopped: false,
@@ -359,9 +363,23 @@ impl EventLoop {
 
     // ----- scheduling ----------------------------------------------------
 
-    /// Post an event to run after all currently queued events.
+    /// Queue `f` on the local lane.  Local work runs ahead of every
+    /// cross-thread lane, in the order it was deferred: after the current
+    /// event and any local work queued before it, but *before* priority,
+    /// completion and bulk events already waiting.  Use
+    /// [`EventLoop::defer_idle`] for work that should wait for those.
     pub fn defer<F: FnOnce(&mut EventLoop) + 'static>(&mut self, f: F) {
         self.local.push_back(Box::new(f));
+    }
+
+    /// Queue `f` on the idle lane: it runs once the loop's input is
+    /// drained — the local, priority, completion and bulk lanes all empty
+    /// and no timer due — and before any background slice.  Idle items
+    /// run one per turn in the order they were queued, so work one of
+    /// them defers runs before the next.  A coalescer arms its flush here:
+    /// everything the queued input adds shares the one flush.
+    pub fn defer_idle<F: FnOnce(&mut EventLoop) + 'static>(&mut self, f: F) {
+        self.idle.push_back(Box::new(f));
     }
 
     /// Run `f` once at absolute loop time `t` (immediately if `t` is past).
@@ -454,16 +472,16 @@ impl EventLoop {
 
     // ----- running -------------------------------------------------------
 
-    /// Process at most one pending item (event, due timer, or background
-    /// slice).  Returns `true` if anything ran.  Never blocks and never
-    /// advances virtual time.
+    /// Process at most one pending item (event, due timer, idle item or
+    /// background slice).  Returns `true` if anything ran.  Never blocks
+    /// and never advances virtual time.
     ///
     /// Lane order: deferred local events, then the priority lane, then the
     /// completion and bulk lanes alternating while both hold work (one
     /// item each, completion first unless it ran last), then due timers,
-    /// then background slices.  Arrival order holds within each lane; an
-    /// item of either of the two alternating lanes may run before one the
-    /// other lane received earlier.
+    /// then idle items, then background slices.  Arrival order holds
+    /// within each lane; an item of either of the two alternating lanes
+    /// may run before one the other lane received earlier.
     pub fn run_one(&mut self) -> bool {
         // Local (deferred) events first: they were queued by callbacks that
         // ran before anything currently in the remote queue was accepted.
@@ -495,6 +513,12 @@ impl EventLoop {
             return true;
         }
         if self.fire_due_timer() {
+            return true;
+        }
+        // The input is drained: work that waited for it runs now, ahead
+        // of background slices, which yield to anything that arrives.
+        if let Some(f) = self.idle.pop_front() {
+            f(self);
             return true;
         }
         self.run_background_slice()
@@ -574,9 +598,10 @@ impl EventLoop {
         None
     }
 
-    /// Run until there is nothing runnable *right now*: queues empty, no
-    /// due timers, no background tasks.  Future timers are left pending.
-    /// Virtual time does not advance.  Returns the number of items run.
+    /// Run until there is nothing runnable *right now*: queues empty (the
+    /// idle lane included), no due timers, no background tasks.  Future
+    /// timers are left pending.  Virtual time does not advance.  Returns
+    /// the number of items run.
     pub fn run_until_idle(&mut self) -> usize {
         let mut n = 0;
         while !self.stopped && self.run_one() {
@@ -996,6 +1021,96 @@ mod tests {
         el.run_until_idle();
         // The event pre-empts the second slice.
         assert_eq!(*log.borrow(), vec!["bg1", "event", "bg2"]);
+    }
+
+    #[test]
+    fn idle_work_waits_for_every_lane_and_a_due_timer() {
+        let (mut el, log) = logged_loop();
+        let sender = el.sender();
+        el.defer_idle(logs("idle"));
+        el.after(Duration::from_secs(1), logs("later"));
+        el.at(el.now(), logs("t"));
+        let again = sender.clone();
+        sender.post(move |el| {
+            logs("b0")(el);
+            // Input that arrives while the loop drains holds idle work too.
+            again.post(logs("b1"));
+        });
+        sender.post_completion(logs("c"));
+        sender.post_priority(logs("p"));
+        el.defer(logs("l"));
+        el.run_until_idle();
+        assert_eq!(*log.borrow(), ["l", "p", "c", "b0", "b1", "t", "idle"]);
+        // A timer not yet due does not hold idle work back.
+        el.run_until(Time::from_secs(2));
+        assert_eq!(log.borrow().last().map(String::as_str), Some("later"));
+    }
+
+    #[test]
+    fn idle_work_runs_before_a_background_slice() {
+        let (mut el, log) = logged_loop();
+        let mut slices = 0;
+        el.spawn_background(move |el| {
+            slices += 1;
+            logs(format!("bg{slices}"))(el);
+            if slices == 1 {
+                // Idle work queued by a slice runs before the next one.
+                el.defer_idle(logs("idle1"));
+                SliceResult::Continue
+            } else {
+                SliceResult::Done
+            }
+        });
+        el.defer_idle(logs("idle0"));
+        el.run_until_idle();
+        assert_eq!(*log.borrow(), ["idle0", "bg1", "idle1", "bg2"]);
+    }
+
+    #[test]
+    fn work_an_idle_item_defers_runs_before_the_next_idle_item() {
+        let (mut el, log) = logged_loop();
+        let sender = el.sender();
+        el.defer_idle(move |el| {
+            logs("i0")(el);
+            sender.post(logs("b"));
+            el.defer(logs("d"));
+        });
+        el.defer_idle(logs("i1"));
+        el.run_until_idle();
+        assert_eq!(*log.borrow(), ["i0", "d", "b", "i1"]);
+    }
+
+    #[test]
+    fn run_until_idle_drains_the_idle_lane() {
+        fn chain(n: u32) -> impl FnOnce(&mut EventLoop) {
+            move |el| {
+                logs(format!("i{n}"))(el);
+                if n < 3 {
+                    el.defer_idle(chain(n + 1));
+                }
+            }
+        }
+        let (mut el, log) = logged_loop();
+        el.defer_idle(chain(0));
+        assert_eq!(el.run_until_idle(), 4);
+        assert_eq!(*log.borrow(), ["i0", "i1", "i2", "i3"]);
+        assert!(!el.run_one(), "idle work left behind");
+    }
+
+    #[test]
+    fn a_real_loop_runs_idle_work_before_it_blocks() {
+        let mut el = EventLoop::new();
+        let sender = el.sender();
+        let poster = std::thread::spawn(move || {
+            sender.post(|el| el.defer_idle(|el| el.stop()));
+        });
+        // Nothing else would wake the loop for a minute: only idle work
+        // run before the loop blocks again ends it sooner.
+        let t0 = Instant::now();
+        el.run_for(Duration::from_secs(60));
+        poster.join().unwrap();
+        assert!(el.is_stopped());
+        assert!(t0.elapsed() < Duration::from_secs(20), "{:?}", t0.elapsed());
     }
 
     #[test]

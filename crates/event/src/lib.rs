@@ -5,7 +5,10 @@
 //! and every event is processed to completion.  Tasks too large for one
 //! event — withdrawing 100,000+ routes when a peering drops — run as
 //! **background tasks**: cooperative slices executed only when no events are
-//! pending (§4, §5.1.2).
+//! pending (§4, §5.1.2).  Work that should wait for the input already
+//! queued — a coalescer's flush — goes on the **idle lane**
+//! ([`EventLoop::defer_idle`]): it runs once every input lane is empty and
+//! no timer is due, ahead of background slices.
 //!
 //! Differences from the paper's C++/SFS loop, and why they don't matter:
 //!

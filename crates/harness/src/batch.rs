@@ -7,13 +7,20 @@
 //! `add_routes` / `delete_routes` frames, flushing when
 //!
 //! - the buffer reaches `batch_size` rows (size-based flush), or
-//! - the event loop goes idle (a deferred flush runs after all currently
-//!   queued events), so a *single* route still leaves in the same loop
-//!   iteration and keeps the Fig-10 latency shape.
+//! - the loop has drained its input: the flush waits on the loop's idle
+//!   lane ([`EventLoop::defer_idle`]) until no local, priority,
+//!   completion or bulk event is queued and no timer is due.
+//!
+//! So `batch_size` is a cap: input that queued up while the loop was busy
+//! leaves in frames that hold `batch_size` rows, and a *single* route
+//! still leaves before the loop next blocks, with no timer, which keeps
+//! the Fig-10 latency shape.
 //!
 //! Ordering is preserved: rows are buffered in arrival order and a flush
 //! emits one frame per run of consecutive same-direction rows, so an
 //! add/delete/add sequence can never be reordered into delete/add/add.
+//! An XRL a later event sends on another method can overtake rows still
+//! held for the frame, as one sent later in the same event always could.
 //!
 //! Each op's row is encoded as it is buffered, straight into its run's
 //! list bytes ([`BulkRouteSink::write_row`]): a frame's rows are never an
@@ -123,7 +130,8 @@ struct Inner {
     /// the run the next row of the same direction joins.
     closed: Vec<(bool, WireList)>,
     open: ListWriter,
-    /// A flush is already deferred — don't stack another one per row.
+    /// A flush already waits on the idle lane — don't stack another one
+    /// per row.
     scheduled: bool,
     /// Backpressure gate: while closed (`true`), flushes hold and rows
     /// accumulate; reopening flushes immediately.
@@ -163,7 +171,7 @@ impl RouteBatcher {
     }
 
     /// Buffer one op's row; flush if the batch is full, otherwise make
-    /// sure a flush is deferred to loop idle.
+    /// sure a flush waits for the loop to drain its input.
     pub fn push(&self, el: &mut EventLoop, op: &WireOp) {
         let add = !matches!(op, RouteOp::Delete { .. });
         let (full, arm) = {
@@ -193,7 +201,7 @@ impl RouteBatcher {
             self.flush(el);
         } else if arm {
             let me = self.clone();
-            el.defer(move |el| me.flush(el));
+            el.defer_idle(move |el| me.flush(el));
         }
     }
 

@@ -132,6 +132,7 @@ fn main() {
                 "bgp.fanout.queue_len",
                 "rib.xrl.pending",
                 "rib.batch_size",
+                "fea.batch_size",
                 "fea.event.bulk_depth",
                 "bgp.event.completion_depth",
             ] {

@@ -40,7 +40,7 @@ use xorp_fea::{test_iface, Fea};
 use xorp_net::{AttrBlocks, Ipv4Net, PathAttributes, ProtocolId};
 use xorp_policy::FilterBank;
 use xorp_profiler::tracing::{self as xtrace, ActiveSpan, SpanRecorder, TraceContext, Tracer};
-use xorp_profiler::{points, Metrics, PointHandle, Profiler};
+use xorp_profiler::{points, Histogram, Metrics, PointHandle, Profiler};
 use xorp_rib::{BatchOp, RedistWatcher, Rib};
 use xorp_rtrmgr::{FlightReport, SupervisedState, Supervisor, SupervisorConfig, SupervisorVerdict};
 use xorp_xrl::keepalive;
@@ -139,9 +139,9 @@ pub struct RouterOptions {
     /// `None` keeps the PR-1 behaviour (death flushes immediately).
     pub supervision: Option<SupervisorConfig>,
     /// Batch up to this many routes into one `add_routes`/`delete_routes`
-    /// XRL on the BGP→RIB and RIB→FEA hops; partial batches flush on
-    /// event-loop idle.  `1` (the default) keeps the per-route
-    /// `add_route`/`delete_route` path verbatim.
+    /// XRL on the BGP→RIB and RIB→FEA hops; partial batches flush once
+    /// the sender's loop has drained its input.  `1` (the default) keeps
+    /// the per-route `add_route`/`delete_route` path verbatim.
     pub batch_size: usize,
     /// Bounds on every process's per-lane XRL send queue: crossing the
     /// high watermark pauses the congested pipeline reader (Xoff) until
@@ -258,6 +258,8 @@ struct FeaServer {
     fea: Rc<RefCell<Fea>>,
     fea_in: PointHandle,
     recorder: SpanRecorder,
+    /// `fea.batch_size`: rows per `add_routes`/`delete_routes` frame.
+    batch_size: Histogram,
 }
 
 impl FeaServer {
@@ -269,11 +271,11 @@ impl FeaServer {
         }
     }
 
-    fn install(&self, r: RouteRow<'_>) {
-        self.fea_in.record(|| format!("add {}", r.net));
-        let ifname = Some(r.ifname).filter(|n| !n.is_empty()).unwrap_or("eth0");
+    fn install(&self, net: Ipv4Net, nexthop: Ipv4Addr, ifname: &str, metric: u32) {
+        self.fea_in.record(|| format!("add {net}"));
+        let ifname = Some(ifname).filter(|n| !n.is_empty()).unwrap_or("eth0");
         let mut fea = self.fea.borrow_mut();
-        fea.install4(r.net, IpAddr::V4(r.nexthop), ifname, r.metric); // stamps KERNEL
+        fea.install4(net, IpAddr::V4(nexthop), ifname, metric); // stamps KERNEL
     }
 }
 
@@ -288,13 +290,7 @@ impl xrl_ifaces::fea::Server for FeaServer {
         responder: TypedResponder<()>,
     ) {
         self.trace_arrival();
-        self.install(RouteRow {
-            net,
-            nexthop,
-            ifname: &ifname,
-            metric,
-            proto: ProtocolId::Ebgp,
-        });
+        self.install(net, nexthop, &ifname, metric);
         responder.ok(el, ());
     }
 
@@ -312,9 +308,10 @@ impl xrl_ifaces::fea::Server for FeaServer {
             Err(e) => return responder.fail(el, e),
         };
         self.trace_arrival();
-        for &row in &rows {
-            self.install(row);
+        for r in &rows {
+            self.install(r.net, r.nexthop, r.ifname, r.metric);
         }
+        self.batch_size.observe(rows.len() as u64);
         responder.ok(el, (rows.len() as u32,));
     }
 
@@ -332,6 +329,7 @@ impl xrl_ifaces::fea::Server for FeaServer {
             self.fea_in.record(|| format!("del {net}"));
             self.fea.borrow_mut().delete_route4(net);
         }
+        self.batch_size.observe(rows.len() as u64);
         responder.ok(el, (rows.len() as u32,));
     }
 
@@ -752,6 +750,7 @@ impl MultiProcessRouter {
                     fea,
                     fea_in: w.profiler.point(points::FEA_IN),
                     recorder: w.tracer.recorder("fea"),
+                    batch_size: w.metrics.histogram("batch_size"),
                 },
             );
         });

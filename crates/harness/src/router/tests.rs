@@ -198,3 +198,60 @@ fn a_row_with_an_unknown_protocol_rejects_its_frame() {
     );
     assert!(rib.borrow().lookup_exact(&net(1)).is_some());
 }
+
+/// `(count, sum)` of a histogram in the router's registry.
+fn histogram(router: &MultiProcessRouter, name: &str) -> (u64, u64) {
+    match router.metrics.get(name) {
+        Some(xorp_profiler::MetricValue::Histogram(h)) => (h.count, h.sum),
+        other => panic!("{name}: {other:?}"),
+    }
+}
+
+/// At batch 256 a full-table load fills its frames on both hops.  The
+/// UPDATEs queue behind an event that holds the BGP loop, so BGP meets
+/// them all as queued input however the threads are scheduled: its
+/// frames leave full, and each one the RIB applies sends the FEA a full
+/// frame in turn.  A flush after every event would send one 64-route
+/// UPDATE per frame.
+#[test]
+fn a_queued_table_fills_the_frames_of_both_hops() {
+    const ROUTES: usize = 20_000;
+    const TIMEOUT: Duration = Duration::from_secs(120);
+    let router = MultiProcessRouter::new(RouterOptions {
+        batch_size: 256,
+        ..Default::default()
+    });
+    assert!(router.wait_for(TIMEOUT, || router.fea_route_count() == 1));
+    let before = ["rib.batch_size", "fea.batch_size"].map(|h| histogram(&router, h));
+
+    let (release, held) = std::sync::mpsc::channel::<()>();
+    let bgp = router.bgp.lock().as_ref().map(|bgp| {
+        bgp.post(move |_el| {
+            let _ = held.recv();
+        })
+    });
+    assert_eq!(bgp, Some(true));
+    let table = crate::backbone_table(&crate::WorkloadConfig {
+        routes: ROUTES,
+        ..Default::default()
+    });
+    for batch in table.chunks(64) {
+        router.feed_backbone(1, batch);
+    }
+    release.send(()).unwrap();
+    assert!(
+        router.wait_for(TIMEOUT, || router.fea_route_count() == ROUTES + 1),
+        "fea={} rib={}",
+        router.fea_route_count(),
+        router.rib_route_count()
+    );
+
+    for (name, (count, sum)) in ["rib.batch_size", "fea.batch_size"].into_iter().zip(before) {
+        let (frames, rows) = histogram(&router, name);
+        let (frames, rows) = (frames - count, rows - sum);
+        assert_eq!(rows, ROUTES as u64, "{name}");
+        let mean = rows as f64 / frames as f64;
+        assert!(mean >= 0.9 * 256.0, "{name}: {mean:.1} rows per frame");
+    }
+    router.stop();
+}

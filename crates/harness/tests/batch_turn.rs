@@ -1,14 +1,14 @@
 //! A hop's route output against raw listeners, so every frame it sends is
 //! visible byte for byte.
 //!
-//! `RouteBatcher`'s idle flush against the TCP family's frame batches: the
-//! flush is deferred work, and deferred work runs after the whole batch of
-//! frames a reader thread posted, not between two of them.  Two things
-//! must hold: a lone route still leaves in the turn that produced it, and
-//! routes that arrived together leave together.  The process under test
-//! sits in the middle, on a virtual clock: raw frames written to its
-//! listener each push one row into a batcher, whose sink is a raw listener
-//! registered as the `rib`.
+//! `RouteBatcher`'s flush waits on the loop's idle lane: it runs once the
+//! loop has drained its input, so rows pushed by every event queued
+//! behind the first leave together, up to `batch_size` rows a frame.  Two
+//! things must hold: a lone route still leaves before the loop blocks,
+//! and routes that arrived together leave together.  The process under
+//! test sits in the middle, on a virtual clock: raw frames written to its
+//! listener each push one row into a batcher, whose sink is a raw
+//! listener registered as the `rib`.
 //!
 //! `RouteOutput` at batch 1: each op leaves at once as the hop's per-route
 //! frame, no gate holds it, and only the RIB hop's deletions name the
@@ -51,7 +51,7 @@ fn read_add_routes(wire: &mut TcpStream) -> usize {
 }
 
 #[test]
-fn idle_flush_keeps_a_lone_route_in_its_turn_and_coalesces_a_frame_batch() {
+fn idle_flush_lets_queued_events_run_first_and_coalesces_a_frame_batch() {
     let finder = Finder::new();
     let rib = TcpListener::bind(("127.0.0.1", 0)).unwrap();
     let rib_at = Endpoint::Tcp(rib.local_addr().unwrap());
@@ -63,11 +63,7 @@ fn idle_flush_keeps_a_lone_route_in_its_turn_and_coalesces_a_frame_batch() {
     let addr = router.enable_tcp().unwrap();
     router.set_metrics(&metrics);
     router.register_target("mid", "mid-0", true).unwrap();
-    let batcher = RouteBatcher::new(
-        BulkRouteSink::Rib(xrl_ifaces::rib::Client::new(&router, "rib")),
-        256,
-        Profiler::new().point(points::SENT_TO_RIB),
-    );
+    let batcher = rib_batcher(&router);
     let b = batcher.clone();
     router.add_handler("mid-0", "mid/1.0/push", move |el, args, responder| {
         let i = args.get_u32("i").unwrap();
@@ -106,40 +102,43 @@ fn idle_flush_keeps_a_lone_route_in_its_turn_and_coalesces_a_frame_batch() {
         }
     };
 
-    // A lone route.  The event queued right behind its frame must find
-    // everything the route caused already written: the batcher's frame
-    // left in the frame's own turn.  The clock is virtual and is never
-    // advanced, so no timer had a hand in it.
+    // A lone route.  The event queued right behind its frame runs before
+    // the flush and finds the row still held; the frame is written before
+    // the loop has nothing left to run, i.e. before a real loop would
+    // block.  The clock is virtual and is never advanced, so no timer had
+    // a hand in it.
     feed.write_all(&push(1)).unwrap();
     decoded(1);
-    let written_by_next_event = Arc::new(Mutex::new(None));
-    let (seen, m) = (written_by_next_event.clone(), metrics.clone());
-    assert!(el.sender().post(move |_el| {
-        *seen.lock().unwrap() = Some(histogram(&m, "xrl.frames_per_write"));
+    let seen_by_next_event = Arc::new(Mutex::new(None));
+    let (seen, m, b) = (seen_by_next_event.clone(), metrics.clone(), batcher.clone());
+    el.set_slot(b);
+    assert!(el.sender().post(move |el| {
+        let held = el.slot::<RouteBatcher>().unwrap().pending_count();
+        *seen.lock().unwrap() = Some((held, histogram(&m, "xrl.frames_per_write")));
     }));
     el.run_until_idle();
-    let written = histogram(&metrics, "xrl.frames_per_write");
-    assert_eq!(*written_by_next_event.lock().unwrap(), Some(written));
+    let (held, (writes, frames)) = seen_by_next_event.lock().unwrap().unwrap();
+    assert_eq!(
+        held, 1,
+        "the row left before the event queued behind it ran"
+    );
+    assert_eq!(
+        histogram(&metrics, "xrl.frames_per_write"),
+        (writes + 1, frames + 1),
+        "the frame was not written before the loop ran dry"
+    );
     let (mut wire, _) = rib.accept().unwrap();
     wire.set_read_timeout(Some(TIMEOUT)).unwrap();
     assert_eq!(read_add_routes(&mut wire), 1);
     assert_eq!(batcher.pending_count(), 0);
 
     // Three routes in one write: the reader posts them as one batch, the
-    // deferred flush runs after all three, and they leave as one frame
-    // per frame-carrying read (one, unless the kernel split the write).
-    let batches = |m: &Metrics| match m.get("xrl.frames_per_read") {
-        Some(MetricValue::Histogram(h)) => h.count - h.buckets[0],
-        other => panic!("xrl.frames_per_read: {other:?}"),
-    };
-    let batches_before = batches(&metrics);
+    // idle flush runs after all three, and they leave as one frame.
     let three: Vec<u8> = (2..5).flat_map(|i| push(i).to_vec()).collect();
     feed.write_all(&three).unwrap();
     decoded(4);
     el.run_until_idle();
-    let frames_out = batches(&metrics) - batches_before;
-    let rows: usize = (0..frames_out).map(|_| read_add_routes(&mut wire)).sum();
-    assert_eq!(rows, 3);
+    assert_eq!(read_add_routes(&mut wire), 3);
     assert_eq!(batcher.pending_count(), 0);
 }
 
@@ -313,4 +312,85 @@ fn batch_one_gate_holds_no_route_back() {
     el.run_until_idle();
     let (path, _, _) = request(&mut accept(&fea));
     assert_eq!(path, "fea/1.0/add_route");
+}
+
+/// A batcher at batch size 256 toward the `rib` class.
+fn rib_batcher(router: &XrlRouter) -> RouteBatcher {
+    RouteBatcher::new(
+        BulkRouteSink::Rib(xrl_ifaces::rib::Client::new(router, "rib")),
+        256,
+        Profiler::new().point(points::SENT_TO_RIB),
+    )
+}
+
+/// Every `add_routes` request on the wire until `rows` rows have arrived:
+/// the rows each frame carried.
+fn frames_of(wire: &mut TcpStream, rows: usize) -> Vec<usize> {
+    let mut frames = Vec::new();
+    while frames.iter().sum::<usize>() < rows {
+        frames.push(read_add_routes(wire));
+    }
+    frames
+}
+
+/// Rows pushed by several events queued on the loop leave as one frame:
+/// the flush waits until the last of them has run.
+#[test]
+fn rows_pushed_by_several_queued_events_leave_as_one_frame() {
+    let finder = Finder::new();
+    let rib = raw_target(&finder, "rib");
+    let (mut el, router) = sender(&finder);
+    el.set_slot(rib_batcher(&router));
+    let input = el.sender();
+    for i in 1..=3 {
+        input.post(move |el| {
+            let batcher = el.slot::<RouteBatcher>().unwrap().clone();
+            batcher.push(el, &add(&format!("10.0.{i}.0/24")));
+        });
+    }
+    el.run_until_idle();
+    assert_eq!(router.pending_len(), 1, "one frame per event");
+    assert_eq!(frames_of(&mut accept(&rib), 3), [3]);
+}
+
+/// `batch_size` is a cap: 257 rows in one turn leave as a full frame,
+/// sent by the push that filled it, and a frame of the one left over.
+#[test]
+fn rows_past_the_cap_leave_as_a_full_frame_and_the_rest() {
+    let finder = Finder::new();
+    let rib = raw_target(&finder, "rib");
+    let (mut el, router) = sender(&finder);
+    let batcher = rib_batcher(&router);
+    for i in 0..257u32 {
+        batcher.push(&mut el, &add(&format!("10.{}.{}.0/24", i / 256, i % 256)));
+    }
+    assert_eq!(
+        router.pending_len(),
+        1,
+        "the full frame waited for the flush"
+    );
+    assert_eq!(batcher.pending_count(), 1);
+    el.run_until_idle();
+    assert_eq!(frames_of(&mut accept(&rib), 257), [256, 1]);
+}
+
+/// A closed gate (the destination lane is in Xoff) holds rows through
+/// the idle flush; reopening it ships them at once.
+#[test]
+fn a_closed_gate_holds_rows_until_it_reopens() {
+    let finder = Finder::new();
+    let rib = raw_target(&finder, "rib");
+    let (mut el, router) = sender(&finder);
+    let batcher = rib_batcher(&router);
+    batcher.set_gate(&mut el, true);
+    for i in 1..=3 {
+        batcher.push(&mut el, &add(&format!("10.0.{i}.0/24")));
+    }
+    el.run_until_idle();
+    assert_eq!(batcher.pending_count(), 3);
+    assert_eq!(router.pending_len(), 0, "a closed gate let a frame out");
+    batcher.set_gate(&mut el, false);
+    assert_eq!(batcher.pending_count(), 0);
+    el.run_until_idle();
+    assert_eq!(frames_of(&mut accept(&rib), 3), [3]);
 }

@@ -150,6 +150,7 @@ fn profile_target_serves_records_and_metrics_over_xrl() {
         "bgp.event.completion_depth",
         "rib.xrl.pending",
         "rib.batch_size",
+        "fea.batch_size",
         "fea.event.bulk_depth",
     ] {
         assert!(

@@ -52,11 +52,14 @@
 //! frame-at-a-time writer: the out-buffer is the byte stream, flushed in
 //! order.
 //!
-//! **Ordering note for deferred work.**  A handler's `el.defer` runs
-//! after the whole frame batch it arrived in, not between two frames of
-//! it.  Idle-flush coalescers (the harness `RouteBatcher`) thus see up to
-//! a batch of frames before their deferred flush fires — still within the
-//! same turn.
+//! **Ordering note for deferred work.**  A frame batch is one loop event,
+//! so a handler's `el.defer` (the local lane) runs after the whole batch
+//! it arrived in, not between two frames of it — but before any event
+//! still queued behind the batch.  The write flush above is such local
+//! work, so replies leave per turn.  Work queued with `el.defer_idle`
+//! waits longer: it runs once the loop has drained every queued event.
+//! The harness `RouteBatcher` arms its flush there, so its frames gather
+//! the rows of every batch that queued up while the loop was busy.
 //!
 //! A failed flush marks the connection dead and hands it to
 //! `XrlRouter::connection_closed`, the same path a reader thread's EOF
