@@ -23,18 +23,27 @@
 //! # Layout
 //!
 //! Nodes live in an arena with a free list, so handles are stable indices,
-//! not pointers.  One index names a node in three parallel arrays:
+//! not pointers.  One index names a node in two parallel arrays, and routes
+//! live in a third array of their own:
 //!
 //! - `nodes: Vec<Link<A>>`, the only array a descent reads: the prefix, a
-//!   `has_route` bit and the two child indices — 16 bytes for IPv4, 28 for
-//!   IPv6.
-//! - `meta: Vec<Meta>`: the parent index, the §5.3 iterator refcount (the
-//!   paper's "spare bits" live here, beside the node rather than in it) and
-//!   a generation counter that catches stale handles in debug builds.
-//!   Cleanup, iteration and the climb below read it.
-//! - `payload: Vec<Option<T>>`: the routes, read once a descent has found
-//!   its node.  `has_route` always equals `payload[i].is_some()`; both are
-//!   written in one place, `set_payload`.
+//!   flags byte and the two child indices — 16 bytes for IPv4, 28 for IPv6.
+//!   The flags are `ROUTE` (the node holds a route) and `PINNED` (a safe
+//!   iterator rests on it), so `remove` and `cleanup` decide from the link
+//!   alone.
+//! - `meta: Vec<Meta>`, 8 bytes: the parent index and the node's route
+//!   slot (`NIL` for a junction or a zombie).  Cleanup, iteration, the climb
+//!   below and every read of a route go through it.
+//! - `routes: Vec<Option<T>>`, indexed by slot, with a free list of
+//!   vacated slots: sized by the peak route count, not the node count, so
+//!   a junction (about 0.6 per route in a backbone table) costs no payload.
+//!   `set_payload` is the one writer of `ROUTE`, the slot and the routes.
+//!
+//! The §5.3 refcount sits in `pins`, a short list of `(node, count)`
+//! entries read only for a node whose `PINNED` bit is set: few handles
+//! exist at once (deletion stages and dumps), so no node pays for one.  A
+//! per-node generation that catches stale handles is kept in debug builds
+//! only.
 //!
 //! # The /16 jump index
 //!
@@ -78,37 +87,47 @@ use crate::heapsize::HeapSize;
 use crate::prefix::Prefix;
 
 type NodeIdx = u32;
-const NIL: NodeIdx = u32::MAX;
+/// An index into the route array.
+type Slot = u32;
+/// No node, or no route slot.
+const NIL: u32 = u32::MAX;
 /// The `/0` node: always arena slot 0, never freed.
 const ROOT: NodeIdx = 0;
 
 /// Address bits the jump index covers: one slot per /16 block.
 const JUMP_BITS: u8 = 16;
 
+/// `Link::flags`: the node holds a route.
+const ROUTE: u8 = 1;
+/// `Link::flags`: at least one safe iterator rests on the node, and `pins`
+/// holds its count.
+const PINNED: u8 = 2;
+
 /// The part of a node every descent reads.
 #[derive(Clone, Copy)]
 struct Link<A: Addr> {
     prefix: Prefix<A>,
-    /// Equals `payload[i].is_some()`, so a descent never reads the payload
-    /// array.
-    has_route: bool,
+    /// `ROUTE` and `PINNED`.
+    flags: u8,
     children: [NodeIdx; 2],
 }
 
 impl<A: Addr> Link<A> {
+    fn has_route(&self) -> bool {
+        self.flags & ROUTE != 0
+    }
+
     fn child_count(&self) -> u8 {
         (self.children[0] != NIL) as u8 + (self.children[1] != NIL) as u8
     }
 }
 
-/// The part of a node only cleanup, iteration and upward climbs read.
+/// The part of a node only cleanup, iteration, upward climbs and route
+/// reads use.
 struct Meta {
     parent: NodeIdx,
-    /// Number of safe iterators currently resting on this node — the
-    /// paper's "spare bits" reference count.
-    iter_refs: u32,
-    /// Arena generation, bumped on free; detects stale handles.
-    generation: u32,
+    /// This node's index in the route array; `NIL` unless `ROUTE` is set.
+    slot: Slot,
 }
 
 /// A detached, mutation-safe cursor over a [`PatriciaTrie`].
@@ -116,11 +135,13 @@ struct Meta {
 /// Obtain with [`PatriciaTrie::iter_handle`], advance with
 /// [`PatriciaTrie::iter_next`], and release with
 /// [`PatriciaTrie::iter_release`] (dropping the handle without releasing it
-/// leaks the refcount and pins one node's memory — harmless but untidy; the
-/// trie's `Drop` does not care).
+/// leaks the pin and one node's memory — harmless but untidy; the trie's
+/// `Drop` does not care).
 #[derive(Debug)]
 pub struct IterHandle {
     cur: NodeIdx,
+    /// The generation of `cur` when the handle came to rest on it.
+    #[cfg(debug_assertions)]
     generation: u32,
     /// False until the first `iter_next`.
     started: bool,
@@ -135,12 +156,17 @@ pub struct IterHandle {
 pub struct PatriciaTrie<A: Addr, T> {
     nodes: Vec<Link<A>>,
     meta: Vec<Meta>,
-    payload: Vec<Option<T>>,
     free: Vec<NodeIdx>,
+    routes: Vec<Option<T>>,
+    free_slots: Vec<Slot>,
+    /// `(node, count)` for every `PINNED` node: the §5.3 iterator refcount.
+    pins: Vec<(NodeIdx, u32)>,
+    /// Per-node arena generation, bumped on free; detects stale handles.
+    #[cfg(debug_assertions)]
+    generation: Vec<u32>,
     /// The /16 jump index; empty until the first node of length ≤ 16 other
     /// than the root.
     jump: Vec<NodeIdx>,
-    len: usize,
 }
 
 impl<A: Addr, T> Default for PatriciaTrie<A, T> {
@@ -155,35 +181,38 @@ impl<A: Addr, T> PatriciaTrie<A, T> {
         PatriciaTrie {
             nodes: vec![Link {
                 prefix: Prefix::default_route(),
-                has_route: false,
+                flags: 0,
                 children: [NIL, NIL],
             }],
             meta: vec![Meta {
                 parent: NIL,
-                iter_refs: 0,
-                generation: 0,
+                slot: NIL,
             }],
-            payload: vec![None],
             free: Vec::new(),
+            routes: Vec::new(),
+            free_slots: Vec::new(),
+            pins: Vec::new(),
+            #[cfg(debug_assertions)]
+            generation: vec![0],
             jump: Vec::new(),
-            len: 0,
         }
     }
 
     /// Number of stored routes (zombie nodes awaiting unlink don't count).
     pub fn len(&self) -> usize {
-        self.len
+        self.routes.len() - self.free_slots.len()
     }
 
     /// True if no routes are stored.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Number of live nodes — routes, payload-less junctions and zombies,
-    /// i.e. arena slots not on the free list.  Each costs one slot in the
-    /// link array and one in each side array; `heap_size` charges the
-    /// arrays' capacity, the free list and the jump index.
+    /// i.e. arena slots not on the free list.  Each costs one `Link` and
+    /// one `Meta`; only a node holding a route also owns a route slot.
+    /// `heap_size` charges the arrays' capacity, both free lists, the pin
+    /// list and the jump index.
     pub fn node_count(&self) -> usize {
         self.nodes.len() - self.free.len()
     }
@@ -204,14 +233,49 @@ impl<A: Addr, T> PatriciaTrie<A, T> {
         &mut self.meta[i as usize]
     }
 
+    /// Node `i`'s route slot, if it holds a route.
+    fn slot_of(&self, i: NodeIdx) -> Option<usize> {
+        let slot = self.meta(i).slot;
+        (slot != NIL).then_some(slot as usize)
+    }
+
+    /// Node `i`'s route, if it holds one.
+    fn route(&self, i: NodeIdx) -> Option<&T> {
+        self.routes[self.slot_of(i)?].as_ref()
+    }
+
     /// Store or clear node `i`'s route, returning the old one: the one
-    /// writer of `payload` and `has_route`, which must agree.
+    /// writer of `ROUTE`, `Meta::slot` and the route array, which must
+    /// agree.  A node gains a slot with its first route and gives it back
+    /// with its last.
     fn set_payload(&mut self, i: NodeIdx, value: Option<T>) -> Option<T> {
-        let link = &mut self.nodes[i as usize];
-        let slot = &mut self.payload[i as usize];
-        debug_assert_eq!(link.has_route, slot.is_some());
-        link.has_route = value.is_some();
-        std::mem::replace(slot, value)
+        let slot = self.meta(i).slot;
+        debug_assert_eq!(self.link(i).has_route(), slot != NIL);
+        match (slot, value) {
+            (NIL, None) => None,
+            (NIL, Some(v)) => {
+                let slot = match self.free_slots.pop() {
+                    Some(s) => {
+                        self.routes[s as usize] = Some(v);
+                        s
+                    }
+                    None => {
+                        self.routes.push(Some(v));
+                        (self.routes.len() - 1) as Slot
+                    }
+                };
+                self.meta_mut(i).slot = slot;
+                self.link_mut(i).flags |= ROUTE;
+                None
+            }
+            (s, Some(v)) => self.routes[s as usize].replace(v),
+            (s, None) => {
+                self.meta_mut(i).slot = NIL;
+                self.link_mut(i).flags &= !ROUTE;
+                self.free_slots.push(s);
+                self.routes[s as usize].take()
+            }
+        }
     }
 
     /// The jump slot of the /16 block holding `p`'s first address.
@@ -249,23 +313,19 @@ impl<A: Addr, T> PatriciaTrie<A, T> {
     fn alloc(&mut self, prefix: Prefix<A>, parent: NodeIdx, payload: Option<T>) -> NodeIdx {
         let link = Link {
             prefix,
-            has_route: false,
+            flags: 0,
             children: [NIL, NIL],
         };
+        let meta = Meta { parent, slot: NIL };
         let i = if let Some(i) = self.free.pop() {
             *self.link_mut(i) = link;
-            let m = self.meta_mut(i);
-            m.parent = parent;
-            m.iter_refs = 0;
+            *self.meta_mut(i) = meta;
             i
         } else {
             self.nodes.push(link);
-            self.meta.push(Meta {
-                parent,
-                iter_refs: 0,
-                generation: 0,
-            });
-            self.payload.push(None);
+            self.meta.push(meta);
+            #[cfg(debug_assertions)]
+            self.generation.push(0);
             (self.nodes.len() - 1) as NodeIdx
         };
         self.set_payload(i, payload);
@@ -281,15 +341,21 @@ impl<A: Addr, T> PatriciaTrie<A, T> {
 
     fn dealloc(&mut self, i: NodeIdx) {
         debug_assert_ne!(i, ROOT);
-        debug_assert_eq!(self.meta(i).iter_refs, 0);
-        debug_assert!(!self.link(i).has_route);
+        debug_assert_eq!(
+            self.link(i).flags,
+            0,
+            "freeing a node with a route or a pin"
+        );
         let prefix = self.link(i).prefix;
         if prefix.len() <= JUMP_BITS {
             let parent = self.meta(i).parent;
             self.repoint(&prefix, i, parent);
         }
-        let m = self.meta_mut(i);
-        m.generation = m.generation.wrapping_add(1);
+        #[cfg(debug_assertions)]
+        {
+            let g = &mut self.generation[i as usize];
+            *g = g.wrapping_add(1);
+        }
         self.free.push(i);
     }
 
@@ -306,18 +372,13 @@ impl<A: Addr, T> PatriciaTrie<A, T> {
             let cur_prefix = cur_link.prefix;
             debug_assert!(cur_prefix.contains(&net));
             if cur_prefix == net {
-                let old = self.set_payload(cur, Some(value));
-                if old.is_none() {
-                    self.len += 1;
-                }
-                return old;
+                return self.set_payload(cur, Some(value));
             }
             let slot = Self::slot(&cur_prefix, &net);
             let child = cur_link.children[slot];
             if child == NIL {
                 let leaf = self.alloc(net, cur, Some(value));
                 self.link_mut(cur).children[slot] = leaf;
-                self.len += 1;
                 return None;
             }
             let child_prefix = self.link(child).prefix;
@@ -332,7 +393,6 @@ impl<A: Addr, T> PatriciaTrie<A, T> {
                 self.link_mut(mid).children[child_slot] = child;
                 self.meta_mut(child).parent = mid;
                 self.link_mut(cur).children[slot] = mid;
-                self.len += 1;
                 return None;
             }
             // Diverge: split with a payload-less junction at the common
@@ -348,7 +408,6 @@ impl<A: Addr, T> PatriciaTrie<A, T> {
             self.link_mut(junction).children[child_slot] = child;
             self.meta_mut(child).parent = junction;
             self.link_mut(cur).children[slot] = junction;
-            self.len += 1;
             return None;
         }
     }
@@ -380,15 +439,14 @@ impl<A: Addr, T> PatriciaTrie<A, T> {
         if i == NIL {
             return None;
         }
-        let prefix = self.link(i).prefix;
-        self.payload[i as usize].as_ref().map(|t| (prefix, t))
+        self.route(i).map(|t| (self.link(i).prefix, t))
     }
 
     /// The nearest strict ancestor of `i` that holds a route, or `NIL`.
     fn route_above(&self, mut i: NodeIdx) -> NodeIdx {
         loop {
             i = self.meta(i).parent;
-            if i == NIL || self.link(i).has_route {
+            if i == NIL || self.link(i).has_route() {
                 return i;
             }
         }
@@ -396,14 +454,13 @@ impl<A: Addr, T> PatriciaTrie<A, T> {
 
     /// Exact-match lookup.
     pub fn get(&self, net: &Prefix<A>) -> Option<&T> {
-        self.find_node(net)
-            .and_then(|i| self.payload[i as usize].as_ref())
+        self.find_node(net).and_then(|i| self.route(i))
     }
 
     /// Exact-match mutable lookup.
     pub fn get_mut(&mut self, net: &Prefix<A>) -> Option<&mut T> {
-        self.find_node(net)
-            .and_then(|i| self.payload[i as usize].as_mut())
+        let slot = self.slot_of(self.find_node(net)?)?;
+        self.routes[slot].as_mut()
     }
 
     /// True if a route exists exactly at `net`.
@@ -423,7 +480,7 @@ impl<A: Addr, T> PatriciaTrie<A, T> {
             if !link.prefix.contains(&host) {
                 break;
             }
-            if link.has_route {
+            if link.has_route() {
                 best = cur;
             }
             if link.prefix.len() >= A::BITS {
@@ -454,7 +511,7 @@ impl<A: Addr, T> PatriciaTrie<A, T> {
             if !(link.prefix.contains(net) && link.prefix.len() < net.len()) {
                 break;
             }
-            if link.has_route {
+            if link.has_route() {
                 best = cur;
             }
             let child = link.children[Self::slot(&link.prefix, net)];
@@ -477,28 +534,24 @@ impl<A: Addr, T> PatriciaTrie<A, T> {
     pub fn remove(&mut self, net: &Prefix<A>) -> Option<T> {
         let idx = self.find_node(net)?;
         let old = self.set_payload(idx, None)?;
-        self.len -= 1;
-        if self.meta(idx).iter_refs == 0 {
-            self.cleanup(idx);
-        }
+        self.cleanup(idx);
         Some(old)
     }
 
     /// Physically unlink `idx` if it is structurally unnecessary: no
-    /// payload, no iterators, fewer than two children, not the root.
-    /// Cascades upward, since removing a leaf can leave its parent
-    /// spliceable.  The only caller of `dealloc`.
+    /// route, no pin, fewer than two children, not the root.  Cascades
+    /// upward, since removing a leaf can leave its parent spliceable.  The
+    /// only caller of `dealloc`.
     fn cleanup(&mut self, mut idx: NodeIdx) {
         loop {
             if idx == ROOT {
                 return;
             }
             let link = *self.link(idx);
-            let meta = self.meta(idx);
-            if link.has_route || meta.iter_refs > 0 {
+            if link.flags != 0 {
                 return;
             }
-            let parent = meta.parent;
+            let parent = self.meta(idx).parent;
             match link.child_count() {
                 2 => return,
                 1 => {
@@ -569,7 +622,7 @@ impl<A: Addr, T> PatriciaTrie<A, T> {
         if !inclusive {
             n = self.next_structural(n);
         }
-        while n != NIL && !self.link(n).has_route {
+        while n != NIL && !self.link(n).has_route() {
             n = self.next_structural(n);
         }
         n
@@ -601,6 +654,7 @@ impl<A: Addr, T> PatriciaTrie<A, T> {
     pub fn iter_handle(&mut self) -> IterHandle {
         IterHandle {
             cur: NIL,
+            #[cfg(debug_assertions)]
             generation: 0,
             started: false,
         }
@@ -612,33 +666,59 @@ impl<A: Addr, T> PatriciaTrie<A, T> {
     /// with the subtree check themselves or use ordinary subtree iteration.
     pub fn iter_handle_from(&mut self, net: &Prefix<A>) -> IterHandle {
         let target = self.next_payload(self.subtree_top(net), true);
-        if target == NIL {
-            IterHandle {
-                cur: NIL,
-                generation: 0,
-                started: true, // exhausted, do not restart from the root
-            }
+        let mut h = self.iter_handle();
+        // With nothing at or below `net` the handle starts exhausted rather
+        // than restarting from the root.
+        h.started = target == NIL;
+        self.rest(&mut h, target);
+        h
+    }
+
+    /// Move `h` onto node `n` (`NIL` for past the end), pinning `n`.  The
+    /// caller then releases the node `h` rested on before.
+    fn rest(&mut self, h: &mut IterHandle, n: NodeIdx) {
+        h.cur = n;
+        if n == NIL {
+            return;
+        }
+        #[cfg(debug_assertions)]
+        {
+            h.generation = self.generation[n as usize];
+        }
+        let link = self.link_mut(n);
+        if link.flags & PINNED == 0 {
+            link.flags |= PINNED;
+            self.pins.push((n, 1));
         } else {
-            let m = self.meta_mut(target);
-            m.iter_refs += 1;
-            IterHandle {
-                cur: target,
-                generation: m.generation,
-                started: false,
-            }
+            let k = self.pin_of(n);
+            self.pins[k].1 += 1;
         }
     }
 
+    /// Where node `n`'s count sits in `pins`; `n` must be `PINNED`.
+    fn pin_of(&self, n: NodeIdx) -> usize {
+        debug_assert!(
+            self.link(n).flags & PINNED != 0,
+            "iterator refcount underflow"
+        );
+        self.pins
+            .iter()
+            .position(|&(node, _)| node == n)
+            .expect("a pinned node has a pin entry")
+    }
+
+    /// One iterator leaves node `idx`.  The last one to leave unpins it
+    /// and, if its route was deleted meanwhile, performs the deferred
+    /// deletion (§5.3).
     fn leave(&mut self, idx: NodeIdx) {
         if idx == NIL {
             return;
         }
-        let m = &mut self.meta[idx as usize];
-        debug_assert!(m.iter_refs > 0, "iterator refcount underflow");
-        m.iter_refs -= 1;
-        // Last iterator leaving a previously-deleted node performs the
-        // deferred deletion (§5.3).
-        if m.iter_refs == 0 && !self.nodes[idx as usize].has_route {
+        let k = self.pin_of(idx);
+        self.pins[k].1 -= 1;
+        if self.pins[k].1 == 0 {
+            self.pins.swap_remove(k);
+            self.link_mut(idx).flags &= !PINNED;
             self.cleanup(idx);
         }
     }
@@ -656,9 +736,9 @@ impl<A: Addr, T> PatriciaTrie<A, T> {
             h.started = true;
             self.next_payload(ROOT, true)
         } else {
-            debug_assert_eq!(
-                self.meta(h.cur).generation,
-                h.generation,
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                self.generation[h.cur as usize], h.generation,
                 "stale iterator handle"
             );
             if !h.started {
@@ -666,7 +746,7 @@ impl<A: Addr, T> PatriciaTrie<A, T> {
                 // payload node; yield it without advancing.
                 h.started = true;
                 let cur = h.cur;
-                if self.link(cur).has_route {
+                if self.link(cur).has_route() {
                     return self.route_at(cur);
                 }
                 self.next_payload(cur, false)
@@ -676,15 +756,8 @@ impl<A: Addr, T> PatriciaTrie<A, T> {
         };
 
         let old = h.cur;
-        if next != NIL {
-            let m = self.meta_mut(next);
-            m.iter_refs += 1;
-            h.generation = m.generation;
-        }
-        h.cur = next;
-        if old != NIL {
-            self.leave(old);
-        }
+        self.rest(h, next);
+        self.leave(old);
         self.route_at(next)
     }
 
@@ -790,14 +863,21 @@ impl<A: Addr, T: fmt::Debug> fmt::Debug for PatriciaTrie<A, T> {
 }
 
 impl<A: Addr, T: HeapSize> HeapSize for PatriciaTrie<A, T> {
-    /// The link array, both side arrays and the free list at capacity, the
-    /// jump index once allocated, and each route's own heap.
+    /// The link and `Meta` arrays (one entry per node), the route array
+    /// (one slot per peak route) and each route's own heap, both free
+    /// lists and the pin list, all at capacity, and the jump index once
+    /// allocated.  Debug builds add the generation array.
     fn heap_size(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<Link<A>>()
+        let bytes = self.nodes.capacity() * std::mem::size_of::<Link<A>>()
             + self.meta.capacity() * std::mem::size_of::<Meta>()
-            + self.payload.heap_size()
+            + self.routes.heap_size()
             + self.free.heap_size()
-            + self.jump.heap_size()
+            + self.free_slots.heap_size()
+            + self.pins.capacity() * std::mem::size_of::<(NodeIdx, u32)>()
+            + self.jump.heap_size();
+        #[cfg(debug_assertions)]
+        let bytes = bytes + self.generation.heap_size();
+        bytes
     }
 }
 
@@ -907,7 +987,7 @@ mod tests {
         t.insert(p("10.1.128.0/24"), 124);
         let start = t.start(&Prefix::host(a("10.1.64.1")));
         assert_eq!(t.link(start).prefix, p("10.1.0.0/16"));
-        assert!(!t.link(start).has_route);
+        assert!(!t.link(start).has_route());
         assert_eq!(t.longest_match(a("10.1.64.1")), Some((p("10.0.0.0/8"), &8)));
         assert_eq!(
             t.best_covering(&p("10.1.64.0/24")),
@@ -1243,5 +1323,101 @@ mod tests {
         let mut t = Trie::new();
         t.insert(p("10.0.0.0/8"), 7);
         assert!(t.heap_size() > 0);
+    }
+
+    /// The side entry every node pays holds a parent and a route slot.
+    #[test]
+    fn meta_is_8_bytes() {
+        assert_eq!(std::mem::size_of::<Meta>(), 8);
+    }
+
+    /// Two diverging prefixes make a root, a junction and two leaves, but
+    /// only the leaves own a route slot.
+    #[test]
+    fn junctions_own_no_route_slot() {
+        let mut t = Trie::new();
+        t.insert(p("10.64.0.0/16"), 1);
+        t.insert(p("10.128.0.0/16"), 2);
+        assert_eq!(t.node_count(), 4);
+        assert_eq!(t.routes.len(), 2);
+        let junction = t.find_node(&p("10.0.0.0/8")).unwrap();
+        assert_eq!(t.meta(junction).slot, NIL);
+        assert_eq!(t.meta(ROOT).slot, NIL);
+    }
+
+    /// Withdrawn routes hand their slots back, and a reload takes them
+    /// again: the route array stays at its first peak.
+    #[test]
+    fn route_slots_are_reused() {
+        let nets: Vec<_> = (0..1_000u32)
+            .map(|i| Prefix::new(Ipv4Addr::from(0x0a00_0000 | i << 8), 24).unwrap())
+            .collect();
+        let mut t = Trie::new();
+        for (i, net) in nets.iter().enumerate() {
+            t.insert(*net, i as u32);
+        }
+        let (peak, capacity) = (t.routes.len(), t.routes.capacity());
+        assert_eq!(peak, 1_000);
+        for net in &nets {
+            t.remove(net);
+        }
+        assert!(t.is_empty());
+        assert_eq!(t.free_slots.len(), peak);
+        for (i, net) in nets.iter().enumerate().rev() {
+            t.insert(*net, i as u32 + 1);
+        }
+        assert_eq!(t.len(), 1_000);
+        assert_eq!(t.routes.len(), peak);
+        assert_eq!(t.routes.capacity(), capacity);
+        assert!(t.free_slots.is_empty());
+        assert_eq!(t.get(&nets[7]), Some(&8));
+    }
+
+    /// Two handles on one node share one pin entry; the node stays PINNED
+    /// until the second leaves, which then reclaims the zombie.
+    #[test]
+    fn pin_clears_when_the_last_of_two_handles_leaves() {
+        let mut t = Trie::new();
+        t.insert(p("10.0.0.0/8"), 0);
+        t.insert(p("20.0.0.0/8"), 0);
+        let node = t.find_node(&p("10.0.0.0/8")).unwrap();
+        let pinned = |t: &Trie| t.link(node).flags & PINNED != 0;
+        let mut h1 = t.iter_handle();
+        let mut h2 = t.iter_handle();
+        t.iter_next(&mut h1);
+        assert!(pinned(&t));
+        t.iter_next(&mut h2);
+        assert_eq!(t.pins, vec![(node, 2)]);
+        t.remove(&p("10.0.0.0/8"));
+        assert_eq!(t.meta(node).slot, NIL);
+        assert_eq!(t.node_count(), 4, "the zombie stays linked");
+        t.iter_release(h1);
+        assert!(pinned(&t));
+        assert_eq!(t.pins, vec![(node, 1)]);
+        t.iter_next(&mut h2);
+        assert!(!pinned(&t));
+        assert_eq!(t.node_count(), 2, "the last leaver reclaimed the zombie");
+        assert!(t.find_node(&p("10.0.0.0/8")).is_none());
+        t.iter_release(h2);
+        assert!(t.pins.is_empty());
+        assert_eq!(t.keys(), vec![p("20.0.0.0/8")]);
+    }
+
+    /// A handle whose node was freed and reused trips the generation check
+    /// (debug builds keep the generations).  The handle here comes from a
+    /// second trie whose node 1 has been freed once.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "stale iterator handle")]
+    fn recycled_node_trips_the_stale_handle_check() {
+        let mut other = Trie::new();
+        other.insert(p("10.0.0.0/8"), 0);
+        other.remove(&p("10.0.0.0/8"));
+        other.insert(p("20.0.0.0/8"), 0);
+        let mut h = other.iter_handle_from(&p("20.0.0.0/8"));
+        assert_eq!(h.cur, 1);
+        let mut t = Trie::new();
+        t.insert(p("30.0.0.0/8"), 0);
+        t.iter_next(&mut h);
     }
 }

@@ -287,3 +287,145 @@ proptest! {
         prop_assert_eq!(s.parse::<Net>().unwrap(), p1);
     }
 }
+
+/// One step of the multi-iterator model test.  Indices pick a stored route
+/// or a live handle modulo the current count.
+#[derive(Debug, Clone)]
+enum IterOp {
+    /// Insert at a drawn prefix (a replace when it is already stored).
+    Insert(Net, u32),
+    /// Insert over the `n`th stored route: a replace.
+    Replace(usize, u32),
+    /// Write through `get_mut` at the `n`th stored route.
+    Write(usize, u32),
+    /// Remove a drawn prefix, stored or not.
+    Remove(Net),
+    /// Remove the route handle `k` rests on, leaving a zombie behind it.
+    RemoveUnder(usize),
+    /// Open another handle, up to three.
+    Open,
+    Advance(usize),
+    Release(usize),
+}
+
+fn arb_iter_op<S: Strategy<Value = Net> + 'static>(
+    prefix: impl Fn() -> S,
+) -> impl Strategy<Value = IterOp> {
+    prop_oneof![
+        3 => (prefix(), any::<u32>()).prop_map(|(p, v)| IterOp::Insert(p, v)),
+        1 => (any::<usize>(), any::<u32>()).prop_map(|(n, v)| IterOp::Replace(n, v)),
+        1 => (any::<usize>(), any::<u32>()).prop_map(|(n, v)| IterOp::Write(n, v)),
+        2 => prefix().prop_map(IterOp::Remove),
+        2 => any::<usize>().prop_map(IterOp::RemoveUnder),
+        1 => Just(IterOp::Open),
+        5 => any::<usize>().prop_map(IterOp::Advance),
+        1 => any::<usize>().prop_map(IterOp::Release),
+    ]
+}
+
+/// Where a safe handle stands, in model terms.
+#[derive(Debug, Clone, Copy)]
+enum Cursor {
+    Fresh,
+    At(Net),
+    Done,
+}
+
+/// Up to three safe handles advance and release among inserts, replaces,
+/// removes and `get_mut` writes.  Every advance yields exactly the model's
+/// first route after the handle's last one (its first route if fresh, and
+/// nothing ever again once exhausted), with the model's value; handles that
+/// share a node, and the last of them to leave a deleted one, keep the
+/// trie equal to the model.  Once every handle is released and the trie
+/// cleared, only the root remains.
+fn check_handles_match_model(initial: BTreeMap<Net, u32>, ops: Vec<IterOp>) {
+    let mut trie = trie_of(&initial);
+    let mut model = initial;
+    let mut handles: Vec<(xorp_net::IterHandle, Cursor)> = Vec::new();
+    let nth =
+        |model: &BTreeMap<Net, u32>, n: usize| model.keys().nth(n % model.len().max(1)).copied();
+
+    for op in ops {
+        match op {
+            IterOp::Insert(p, v) => {
+                assert_eq!(trie.insert(p, v), model.insert(p, v));
+            }
+            IterOp::Replace(n, v) => {
+                if let Some(p) = nth(&model, n) {
+                    assert_eq!(trie.insert(p, v), model.insert(p, v));
+                }
+            }
+            IterOp::Write(n, v) => {
+                if let Some(p) = nth(&model, n) {
+                    *trie.get_mut(&p).expect("stored route is writable") = v;
+                    model.insert(p, v);
+                }
+            }
+            IterOp::Remove(p) => {
+                assert_eq!(trie.remove(&p), model.remove(&p));
+            }
+            IterOp::RemoveUnder(k) => {
+                if let Some(&(_, Cursor::At(p))) = handles.get(k % handles.len().max(1)) {
+                    assert_eq!(trie.remove(&p), model.remove(&p));
+                }
+            }
+            IterOp::Open => {
+                if handles.len() < 3 {
+                    handles.push((trie.iter_handle(), Cursor::Fresh));
+                }
+            }
+            IterOp::Advance(k) => {
+                if handles.is_empty() {
+                    continue;
+                }
+                let live = handles.len();
+                let (h, cursor) = &mut handles[k % live];
+                let want = match *cursor {
+                    Cursor::Fresh => model.iter().next(),
+                    Cursor::At(last) => model
+                        .range((std::ops::Bound::Excluded(last), std::ops::Bound::Unbounded))
+                        .next(),
+                    Cursor::Done => None,
+                }
+                .map(|(p, v)| (*p, *v));
+                let got = trie.iter_next(h).map(|(p, v)| (p, *v));
+                assert_eq!(got, want, "handle {k} from {cursor:?}");
+                *cursor = got.map_or(Cursor::Done, |(p, _)| Cursor::At(p));
+            }
+            IterOp::Release(k) => {
+                if !handles.is_empty() {
+                    let (h, _) = handles.remove(k % handles.len());
+                    trie.iter_release(h);
+                }
+            }
+        }
+        assert_eq!(trie.len(), model.len());
+    }
+    for (h, _) in handles {
+        trie.iter_release(h);
+    }
+    assert_eq!(items(&trie), model_items(&model));
+    trie.clear();
+    assert_eq!(trie.node_count(), 1);
+    assert_eq!(trie.len(), 0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn safe_handles_match_model(
+        initial in proptest::collection::btree_map(arb_prefix(), any::<u32>(), 0..40),
+        ops in proptest::collection::vec(arb_iter_op(arb_prefix), 1..200),
+    ) {
+        check_handles_match_model(initial, ops);
+    }
+
+    #[test]
+    fn safe_handles_match_model_in_shared_blocks(
+        initial in proptest::collection::btree_map(clustered_prefix(), any::<u32>(), 0..40),
+        ops in proptest::collection::vec(arb_iter_op(clustered_prefix), 1..200),
+    ) {
+        check_handles_match_model(initial, ops);
+    }
+}
