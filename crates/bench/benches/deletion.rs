@@ -11,17 +11,17 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use xorp_bench::bench_routes;
-use xorp_bgp::{DeletionStage, PeerId};
+use xorp_bgp::{DeletionStage, PeerId, PeerTable};
 use xorp_event::EventLoop;
-use xorp_net::PatriciaTrie;
+use xorp_net::ProtocolId;
 use xorp_stages::{stage_ref, OriginId, RouteOp, SinkStage, Stage};
 
 const N: u32 = 50_000;
 
-fn table() -> PatriciaTrie<Ipv4Addr, xorp_bgp::BgpRoute<Ipv4Addr>> {
-    let mut t = PatriciaTrie::new();
+fn table() -> PeerTable<Ipv4Addr> {
+    let mut t = PeerTable::new(PeerId(1), ProtocolId::Ebgp);
     for r in bench_routes(N) {
-        t.insert(r.net, r);
+        t.insert(r.net, r.attrs);
     }
     t
 }
@@ -37,7 +37,7 @@ fn bench_deletion(c: &mut Criterion) {
             |t| {
                 let mut el = EventLoop::new_virtual();
                 let sink = stage_ref(SinkStage::new());
-                let del = stage_ref(DeletionStage::new(PeerId(1), t));
+                let del = stage_ref(DeletionStage::new(t));
                 del.borrow_mut().set_downstream(sink.clone());
                 DeletionStage::start(&mut el, del);
                 el.run_until_idle();
@@ -57,7 +57,7 @@ fn bench_deletion(c: &mut Criterion) {
                 let mut el = EventLoop::new_virtual();
                 let sink = stage_ref(SinkStage::new());
                 // One giant event handler, as a monolithic design would.
-                let nets: Vec<_> = t.iter().map(|(n, _)| n).collect();
+                let nets: Vec<_> = t.iter().map(|r| r.net).collect();
                 for net in nets {
                     let old = t.remove(&net).unwrap();
                     sink.borrow_mut()
@@ -76,7 +76,7 @@ fn bench_deletion(c: &mut Criterion) {
     // The latency story: longest uninterrupted stall of the event loop.
     let mut el = EventLoop::new_virtual();
     let sink = stage_ref(SinkStage::new());
-    let del = stage_ref(DeletionStage::new(PeerId(1), table()));
+    let del = stage_ref(DeletionStage::new(table()));
     del.borrow_mut().set_downstream(sink.clone());
     DeletionStage::start(&mut el, del);
     let mut max_slice = Duration::ZERO;
@@ -90,7 +90,7 @@ fn bench_deletion(c: &mut Criterion) {
     let t0 = Instant::now();
     {
         let mut t = table();
-        let nets: Vec<_> = t.iter().map(|(n, _)| n).collect();
+        let nets: Vec<_> = t.iter().map(|r| r.net).collect();
         for net in nets {
             t.remove(&net);
         }

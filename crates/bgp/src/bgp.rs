@@ -314,9 +314,14 @@ where
     ) {
         let ebgp = cfg.peer_as != self.config.local_as;
         let peer = cfg.id;
+        let proto = if ebgp {
+            ProtocolId::Ebgp
+        } else {
+            ProtocolId::Ibgp
+        };
 
         // ---- input branch: PeerIn → [Damping] → ImportFilter → Resolver
-        let peer_in = stage_ref(PeerIn::new(peer, self.config.local_as));
+        let peer_in = stage_ref(PeerIn::new(peer, proto, self.config.local_as));
         let import = stage_ref(FilterStage::new(format!("import[{}]", peer.0), cfg.import));
         let resolver = stage_ref(NexthopResolver::new(
             peer,
@@ -466,7 +471,7 @@ where
             return; // nothing to withdraw
         }
         let table = branch.peer_in.borrow_mut().take_table();
-        let del = stage_ref(DeletionStage::new(peer, table));
+        let del = stage_ref(DeletionStage::new(table));
 
         // The handover just invalidated any in-flight dump's source over
         // this peer's table (its iterator epoch is stale).  Those routes
@@ -562,7 +567,8 @@ where
     }
 
     /// Inject a locally originated route (network statement /
-    /// redistribution into BGP).  Uses a synthetic "peer 0"-style source.
+    /// redistribution into BGP) into `peer`'s table, which stores it as
+    /// that peering's route with `route.attrs`.
     pub fn originate(&mut self, el: &mut EventLoop, peer: PeerId, route: BgpRoute<A>) {
         if let Some(branch) = self.peers.get(&peer) {
             branch.peer_in.borrow_mut().announce(el, route);
@@ -585,7 +591,7 @@ where
                 .peer_in
                 .borrow()
                 .iter()
-                .map(|(net, r)| (net, import.apply(r)))
+                .map(|r| (r.net, import.apply(&r)))
                 .collect()
         };
         branch.import.borrow_mut().set_bank(new_bank);

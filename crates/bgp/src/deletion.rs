@@ -18,20 +18,21 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use xorp_event::{EventLoop, SliceResult};
-use xorp_net::{Addr, PatriciaTrie, Prefix};
+use xorp_net::{Addr, PathAttributes, PatriciaTrie, Prefix};
 use xorp_stages::{OriginId, RouteOp, Stage, StageRef, TrieTable};
 
-use crate::{BgpRoute, PeerId};
+use crate::peer_in::PeerTable;
+use crate::BgpRoute;
 
 /// Routes deleted per background slice.
 pub const SLICE_SIZE: usize = 64;
 
 /// A background deletion stage draining one defunct peer table.
 pub struct DeletionStage<A: Addr> {
-    peer: PeerId,
-    pending: PatriciaTrie<A, BgpRoute<A>>,
+    pending: PeerTable<A>,
     downstream: Option<StageRef<A, BgpRoute<A>>>,
     upstream: Option<StageRef<A, BgpRoute<A>>>,
     /// Invoked once drained, so the owner can splice this stage out.
@@ -42,9 +43,8 @@ pub struct DeletionStage<A: Addr> {
 
 impl<A: Addr> DeletionStage<A> {
     /// Take ownership of a defunct peer table.
-    pub fn new(peer: PeerId, table: PatriciaTrie<A, BgpRoute<A>>) -> Self {
+    pub fn new(table: PeerTable<A>) -> Self {
         DeletionStage {
-            peer,
             pending: table,
             downstream: None,
             upstream: None,
@@ -87,28 +87,28 @@ impl<A: Addr> DeletionStage<A> {
             // across downstream calls.
             let (ops, downstream, done) = {
                 let mut stage = me.borrow_mut();
-                let mut ops = Vec::with_capacity(SLICE_SIZE);
-                let mut h = stage.pending.iter_handle();
-                for _ in 0..SLICE_SIZE {
-                    match stage.pending.iter_next(&mut h) {
-                        Some((net, route)) => ops.push((net, route.clone())),
+                let mut nets = Vec::with_capacity(SLICE_SIZE);
+                let trie = stage.pending.trie();
+                let mut h = trie.iter_handle();
+                while nets.len() < SLICE_SIZE {
+                    match trie.iter_next(&mut h) {
+                        Some((net, _)) => nets.push(net),
                         None => break,
                     }
                 }
-                stage.pending.iter_release(h);
-                for (net, _) in &ops {
-                    stage.pending.remove(net);
-                }
+                trie.iter_release(h);
+                let ops: Vec<_> = nets
+                    .into_iter()
+                    .filter_map(|net| Some((net, stage.pending.remove(&net)?)))
+                    .collect();
                 let done = stage.pending.is_empty();
                 (ops, stage.downstream.clone(), done)
             };
             if let Some(d) = downstream {
+                let origin: OriginId = me.borrow().pending.peer().into();
                 for (net, old) in ops {
-                    d.borrow_mut().route_op(
-                        el,
-                        me.borrow().peer.into(),
-                        RouteOp::Delete { net, old },
-                    );
+                    d.borrow_mut()
+                        .route_op(el, origin, RouteOp::Delete { net, old });
                 }
                 if done {
                     d.borrow_mut().push(el);
@@ -141,16 +141,16 @@ impl<A: Addr> DeletionStage<A> {
 /// parked cursor via the zombie protocol.
 impl<A: Addr> TrieTable for DeletionStage<A> {
     type Addr = A;
-    type Route = BgpRoute<A>;
+    type Route = Arc<PathAttributes>;
 
-    fn trie(&mut self) -> &mut PatriciaTrie<A, BgpRoute<A>> {
-        &mut self.pending
+    fn trie(&mut self) -> &mut PatriciaTrie<A, Arc<PathAttributes>> {
+        self.pending.trie()
     }
 }
 
 impl<A: Addr> Stage<A, BgpRoute<A>> for DeletionStage<A> {
     fn name(&self) -> String {
-        format!("deletion[{}]", self.peer.0)
+        format!("deletion[{}]", self.pending.peer().0)
     }
 
     fn route_op(&mut self, el: &mut EventLoop, origin: OriginId, op: RouteOp<A, BgpRoute<A>>) {
@@ -162,8 +162,11 @@ impl<A: Addr> Stage<A, BgpRoute<A>> for DeletionStage<A> {
         let net = op.net();
         if let Some(old) = self.pending.remove(&net) {
             if let Some(d) = &self.downstream {
-                d.borrow_mut()
-                    .route_op(el, self.peer.into(), RouteOp::Delete { net, old });
+                d.borrow_mut().route_op(
+                    el,
+                    self.pending.peer().into(),
+                    RouteOp::Delete { net, old },
+                );
             }
         }
         if let Some(d) = &self.downstream {
@@ -176,7 +179,7 @@ impl<A: Addr> Stage<A, BgpRoute<A>> for DeletionStage<A> {
         // until after the deletion stage has sent a delete_route message
         // downstream."
         if let Some(r) = self.pending.get(net) {
-            return Some(r.clone());
+            return Some(r);
         }
         self.upstream
             .as_ref()
@@ -198,8 +201,9 @@ impl<A: Addr> Stage<A, BgpRoute<A>> for DeletionStage<A> {
 mod tests {
     use super::*;
     use crate::peer_in::PeerIn;
+    use crate::PeerId;
     use std::net::{IpAddr, Ipv4Addr};
-    use xorp_net::{AsNum, AsPath, PathAttributes, ProtocolId};
+    use xorp_net::{AsNum, AsPath, ProtocolId};
     use xorp_stages::{stage_ref, CacheStage, SinkStage};
 
     fn route(net: &str) -> BgpRoute<Ipv4Addr> {
@@ -221,7 +225,7 @@ mod tests {
         Rc<RefCell<SinkStage<Ipv4Addr, BgpRoute<Ipv4Addr>>>>,
     ) {
         let mut el = EventLoop::new_virtual();
-        let peer_in = stage_ref(PeerIn::new(PeerId(1), AsNum(65000)));
+        let peer_in = stage_ref(PeerIn::new(PeerId(1), ProtocolId::Ebgp, AsNum(65000)));
         let cache = stage_ref(CacheStage::new("del-test"));
         let sink = stage_ref(SinkStage::new());
         cache.borrow_mut().set_downstream(sink.clone());
@@ -233,7 +237,7 @@ mod tests {
         }
         // Peering goes down: splice the deletion stage in.
         let table = peer_in.borrow_mut().take_table();
-        let del = stage_ref(DeletionStage::new(PeerId(1), table));
+        let del = stage_ref(DeletionStage::new(table));
         del.borrow_mut().set_downstream(cache.clone());
         del.borrow_mut().set_upstream(peer_in.clone());
         peer_in.borrow_mut().set_downstream(del.clone());
@@ -302,7 +306,7 @@ mod tests {
         // Flap twice quickly: two deletion stages, disjoint route sets,
         // consistent downstream stream.
         let mut el = EventLoop::new_virtual();
-        let peer_in = stage_ref(PeerIn::new(PeerId(1), AsNum(65000)));
+        let peer_in = stage_ref(PeerIn::new(PeerId(1), ProtocolId::Ebgp, AsNum(65000)));
         let cache = stage_ref(CacheStage::<Ipv4Addr, BgpRoute<Ipv4Addr>>::new("flap2"));
         let sink = stage_ref(SinkStage::new());
         cache.borrow_mut().set_downstream(sink.clone());
@@ -315,7 +319,7 @@ mod tests {
         }
         // First flap.
         let t1 = peer_in.borrow_mut().take_table();
-        let d1 = stage_ref(DeletionStage::new(PeerId(1), t1));
+        let d1 = stage_ref(DeletionStage::new(t1));
         d1.borrow_mut().set_downstream(cache.clone());
         d1.borrow_mut().set_upstream(peer_in.clone());
         peer_in.borrow_mut().set_downstream(d1.clone());
@@ -330,7 +334,7 @@ mod tests {
         // ...then flaps again before d1 finished.
         let t2 = peer_in.borrow_mut().take_table();
         assert_eq!(t2.len(), 40);
-        let d2 = stage_ref(DeletionStage::new(PeerId(1), t2));
+        let d2 = stage_ref(DeletionStage::new(t2));
         // d2 goes directly after PeerIn, upstream of d1.
         d2.borrow_mut().set_downstream(d1.clone());
         d2.borrow_mut().set_upstream(peer_in.clone());

@@ -54,7 +54,7 @@ pub use filter::FilterStage;
 pub use fsm::{FsmAction, FsmEvent, FsmState, PeerFsm};
 pub use msg::{BgpMessage, NotificationCode, OpenMessage, UpdateMessage};
 pub use nexthop::{NexthopResolver, NexthopService, RibNexthopAnswer};
-pub use peer_in::PeerIn;
+pub use peer_in::{PeerIn, PeerTable};
 pub use peer_out::PeerOut;
 pub use session::{Session, SessionConfig, SessionHandler, SessionTransport};
 

@@ -4,18 +4,110 @@
 //! This in turn means that the Decision Process must be able to look up
 //! alternative routes via calls upstream through the pipeline."
 
+use std::sync::Arc;
+
 use xorp_event::EventLoop;
-use xorp_net::{Addr, PatriciaTrie, Prefix};
+use xorp_net::{Addr, AdminDistance, PathAttributes, PatriciaTrie, Prefix, ProtocolId};
 use xorp_stages::{OriginId, RouteOp, Stage, StageRef, TrieTable};
 
 use crate::{BgpRoute, PeerId};
 
+/// One peering's routes as stored: the trie holds each prefix, the table
+/// what every route of the peering shares, and a slot only what varies
+/// per route, the attribute block.
+///
+/// A stored route is the peering's: its source is the peer, its protocol
+/// EBGP or IBGP with that protocol's admin distance, its metric 0 (the
+/// nexthop resolver annotates the IGP metric downstream) and it names no
+/// interface.  [`PeerIn`] fills a table; at a peering flap the whole table
+/// goes to a [`DeletionStage`](crate::DeletionStage), which rebuilds every
+/// route it drains from the same constants.
+pub struct PeerTable<A: Addr> {
+    peer: PeerId,
+    proto: ProtocolId,
+    routes: PatriciaTrie<A, Arc<PathAttributes>>,
+}
+
+impl<A: Addr> PeerTable<A> {
+    /// An empty table for `peer`'s routes of protocol `proto`.
+    pub fn new(peer: PeerId, proto: ProtocolId) -> Self {
+        PeerTable {
+            peer,
+            proto,
+            routes: PatriciaTrie::new(),
+        }
+    }
+
+    /// The peering these routes came from.
+    pub fn peer(&self) -> PeerId {
+        self.peer
+    }
+
+    /// The route for `net` carrying `attrs`, as the pipeline carries it.
+    fn route(&self, net: Prefix<A>, attrs: Arc<PathAttributes>) -> BgpRoute<A> {
+        BgpRoute {
+            net,
+            attrs,
+            metric: 0,
+            proto: self.proto,
+            admin_distance: AdminDistance::default_for(self.proto),
+            ifname: None,
+            source: Some(self.peer.0),
+        }
+    }
+
+    /// The stored route for `net`.
+    pub fn get(&self, net: &Prefix<A>) -> Option<BgpRoute<A>> {
+        let attrs = self.routes.get(net)?;
+        Some(self.route(*net, attrs.clone()))
+    }
+
+    /// Store `attrs` as the route for `net`; returns the route it replaced.
+    pub fn insert(&mut self, net: Prefix<A>, attrs: Arc<PathAttributes>) -> Option<BgpRoute<A>> {
+        let old = self.routes.insert(net, attrs)?;
+        Some(self.route(net, old))
+    }
+
+    /// Remove and return the route for `net`.
+    pub fn remove(&mut self, net: &Prefix<A>) -> Option<BgpRoute<A>> {
+        let old = self.routes.remove(net)?;
+        Some(self.route(*net, old))
+    }
+
+    /// Number of stored routes.
+    pub fn len(&self) -> usize {
+        self.routes.len()
+    }
+
+    /// True when empty.
+    pub fn is_empty(&self) -> bool {
+        self.routes.is_empty()
+    }
+
+    /// The stored routes, in prefix order.
+    pub fn iter(&self) -> impl Iterator<Item = BgpRoute<A>> + '_ {
+        self.routes
+            .iter()
+            .map(|(net, attrs)| self.route(net, attrs.clone()))
+    }
+
+    /// Heap bytes of the table.  The routes of one UPDATE share one
+    /// attribute block, and the table charges each block once.
+    pub fn memory_bytes(&self) -> usize {
+        xorp_net::route_table_bytes(&self.routes)
+    }
+
+    /// The trie, for a safe-iterator cursor.
+    pub(crate) fn trie(&mut self) -> &mut PatriciaTrie<A, Arc<PathAttributes>> {
+        &mut self.routes
+    }
+}
+
 /// Per-peer route store at the head of a BGP pipeline branch.
 pub struct PeerIn<A: Addr> {
-    peer: PeerId,
     /// Our AS, for loop detection.
     local_as: xorp_net::AsNum,
-    routes: PatriciaTrie<A, BgpRoute<A>>,
+    routes: PeerTable<A>,
     downstream: Option<StageRef<A, BgpRoute<A>>>,
     /// Bumped whenever the table object is swapped out ([`take_table`]):
     /// safe-iterator handles are only valid against the table that issued
@@ -29,12 +121,12 @@ pub struct PeerIn<A: Addr> {
 }
 
 impl<A: Addr> PeerIn<A> {
-    /// A PeerIn for `peer`, performing loop detection against `local_as`.
-    pub fn new(peer: PeerId, local_as: xorp_net::AsNum) -> Self {
+    /// A PeerIn for `peer`'s routes of protocol `proto` (EBGP or IBGP),
+    /// performing loop detection against `local_as`.
+    pub fn new(peer: PeerId, proto: ProtocolId, local_as: xorp_net::AsNum) -> Self {
         PeerIn {
-            peer,
             local_as,
-            routes: PatriciaTrie::new(),
+            routes: PeerTable::new(peer, proto),
             downstream: None,
             epoch: 0,
             loops_detected: 0,
@@ -43,7 +135,7 @@ impl<A: Addr> PeerIn<A> {
 
     /// This branch's peer.
     pub fn peer(&self) -> PeerId {
-        self.peer
+        self.routes.peer
     }
 
     /// Plumb the downstream neighbor.
@@ -61,15 +153,16 @@ impl<A: Addr> PeerIn<A> {
         self.routes.is_empty()
     }
 
-    /// Heap bytes of this peer's table.  The routes of one UPDATE share
-    /// one attribute block, and the table charges each block once.
+    /// Heap bytes of this peer's table.
     pub fn memory_bytes(&self) -> usize {
-        xorp_net::route_table_bytes(&self.routes)
+        self.routes.memory_bytes()
     }
 
     /// Ingest an announcement from the wire.  Returns false if the route
-    /// was dropped (AS loop).
-    pub fn announce(&mut self, el: &mut EventLoop, mut route: BgpRoute<A>) -> bool {
+    /// was dropped (AS loop).  The route is stored, and sent downstream,
+    /// as this peering's route for `route.net` with `route.attrs`: see
+    /// [`PeerTable`] for the fields the peering fixes.
+    pub fn announce(&mut self, el: &mut EventLoop, route: BgpRoute<A>) -> bool {
         // Loop detection: our AS already in the path means the route has
         // been through us.
         if route.attrs.as_path.contains(self.local_as) {
@@ -79,17 +172,12 @@ impl<A: Addr> PeerIn<A> {
             self.withdraw(el, route.net);
             return false;
         }
-        route.source = Some(self.peer.0);
         let net = route.net;
-        let old = self.routes.insert(net, route.clone());
-        let op = match old {
-            Some(old) if old == route => return true,
-            Some(old) => RouteOp::Replace {
-                net,
-                old,
-                new: route,
-            },
-            None => RouteOp::Add { net, route },
+        let new = self.routes.route(net, route.attrs.clone());
+        let op = match self.routes.insert(net, route.attrs) {
+            Some(old) if old == new => return true,
+            Some(old) => RouteOp::Replace { net, old, new },
+            None => RouteOp::Add { net, route: new },
         };
         self.emit(el, op);
         true
@@ -119,29 +207,30 @@ impl<A: Addr> PeerIn<A> {
     /// table is replaced with a fresh empty one — "the Peer In ... is
     /// immediately ready for the peering to come back up" — and the old
     /// table is returned for a deletion stage to drain.
-    pub fn take_table(&mut self) -> PatriciaTrie<A, BgpRoute<A>> {
+    pub fn take_table(&mut self) -> PeerTable<A> {
         self.epoch += 1;
-        std::mem::replace(&mut self.routes, PatriciaTrie::new())
+        let fresh = PeerTable::new(self.routes.peer, self.routes.proto);
+        std::mem::replace(&mut self.routes, fresh)
     }
 
     /// Iterate stored routes (for refiltering / replay).
-    pub fn iter(&self) -> impl Iterator<Item = (Prefix<A>, &BgpRoute<A>)> {
+    pub fn iter(&self) -> impl Iterator<Item = BgpRoute<A>> + '_ {
         self.routes.iter()
     }
 
     fn emit(&mut self, el: &mut EventLoop, op: RouteOp<A, BgpRoute<A>>) {
         if let Some(d) = &self.downstream {
-            d.borrow_mut().route_op(el, self.peer.into(), op);
+            d.borrow_mut().route_op(el, self.routes.peer.into(), op);
         }
     }
 }
 
 impl<A: Addr> TrieTable for PeerIn<A> {
     type Addr = A;
-    type Route = BgpRoute<A>;
+    type Route = Arc<PathAttributes>;
 
-    fn trie(&mut self) -> &mut PatriciaTrie<A, BgpRoute<A>> {
-        &mut self.routes
+    fn trie(&mut self) -> &mut PatriciaTrie<A, Arc<PathAttributes>> {
+        self.routes.trie()
     }
 
     fn epoch(&self) -> u64 {
@@ -151,7 +240,7 @@ impl<A: Addr> TrieTable for PeerIn<A> {
 
 impl<A: Addr> Stage<A, BgpRoute<A>> for PeerIn<A> {
     fn name(&self) -> String {
-        format!("peer-in[{}]", self.peer.0)
+        format!("peer-in[{}]", self.routes.peer.0)
     }
 
     fn route_op(&mut self, el: &mut EventLoop, _origin: OriginId, op: RouteOp<A, BgpRoute<A>>) {
@@ -167,7 +256,7 @@ impl<A: Addr> Stage<A, BgpRoute<A>> for PeerIn<A> {
     }
 
     fn lookup_route(&self, net: &Prefix<A>) -> Option<BgpRoute<A>> {
-        self.routes.get(net).cloned()
+        self.routes.get(net)
     }
 
     fn push(&mut self, el: &mut EventLoop) {
@@ -199,7 +288,7 @@ mod tests {
         std::rc::Rc<std::cell::RefCell<SinkStage<Ipv4Addr, BgpRoute<Ipv4Addr>>>>,
     ) {
         let el = EventLoop::new_virtual();
-        let mut pi = PeerIn::new(PeerId(1), AsNum(65000));
+        let mut pi = PeerIn::new(PeerId(1), ProtocolId::Ebgp, AsNum(65000));
         let sink = stage_ref(SinkStage::new());
         pi.set_downstream(sink.clone());
         (el, pi, sink)

@@ -20,7 +20,9 @@
 //! `peering_up` (a background dump supplies the table) and every delete
 //! names what a prior add announced, which the optional cache stage in
 //! front of it checks.  What it does keep is a count of announced
-//! prefixes and the unflushed batch.
+//! prefixes, the unflushed batch, and the export block built for the last
+//! input block: the routes of one UPDATE share one block, so they share
+//! one export block too.
 
 use std::collections::BTreeMap;
 use std::net::IpAddr;
@@ -71,6 +73,10 @@ pub struct PeerOut<A: Addr> {
     /// `writer` one at a time.
     batch_writer: Option<(BatchUpdateWriter<A>, usize)>,
     pending: Vec<UpdateOut<A>>,
+    /// The last input block [`PeerOut::transform`] specialized, and the
+    /// block it built.  Holding the input keeps its address from being
+    /// reused, so pointer equality identifies it.
+    last_export: Option<(Arc<PathAttributes>, Arc<PathAttributes>)>,
 }
 
 impl<A: Addr> PeerOut<A> {
@@ -92,6 +98,7 @@ impl<A: Addr> PeerOut<A> {
             updates_sent: 0,
             batch_writer: None,
             pending: Vec::new(),
+            last_export: None,
         }
     }
 
@@ -146,6 +153,7 @@ impl<A: Addr> PeerOut<A> {
     pub fn reset(&mut self) {
         self.announced = 0;
         self.pending.clear();
+        self.last_export = None;
     }
 
     /// Does `route` cross this session at all?  The verdict half of
@@ -162,11 +170,25 @@ impl<A: Addr> PeerOut<A> {
     }
 
     /// Apply the outbound transform; `None` means "do not advertise".
-    pub fn transform(&self, route: &BgpRoute<A>) -> Option<Arc<PathAttributes>> {
+    /// Routes carrying the input block of the previous call get the block
+    /// that call built.
+    pub fn transform(&mut self, route: &BgpRoute<A>) -> Option<Arc<PathAttributes>> {
         if !self.advertises(route) {
             return None;
         }
-        let mut attrs = (*route.attrs).clone();
+        if let Some((input, export)) = &self.last_export {
+            if Arc::ptr_eq(input, &route.attrs) {
+                return Some(export.clone());
+            }
+        }
+        let export = self.export_attrs(&route.attrs);
+        self.last_export = Some((route.attrs.clone(), export.clone()));
+        Some(export)
+    }
+
+    /// The block this session sends for a route carrying `attrs`.
+    fn export_attrs(&self, attrs: &PathAttributes) -> Arc<PathAttributes> {
+        let mut attrs = attrs.clone();
         if self.ebgp_session {
             attrs.as_path = attrs.as_path.prepend(self.local_as);
             attrs.nexthop = self.local_addr;
@@ -176,7 +198,7 @@ impl<A: Addr> PeerOut<A> {
             // IBGP: ensure LOCAL_PREF present.
             attrs.local_pref = Some(attrs.effective_local_pref());
         }
-        Some(Arc::new(attrs))
+        Arc::new(attrs)
     }
 }
 

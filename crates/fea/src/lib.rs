@@ -43,8 +43,9 @@ pub struct FibEntry<A: Addr> {
     pub metric: u32,
 }
 
-/// One installed forwarding entry.  Its interface name is the interface
-/// table's own, shared by every route out of that interface.
+/// One installed forwarding entry, as a lookup hands it out.  Its
+/// interface name is the interface table's own, shared by every route out
+/// of that interface.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FibRoute<A: Addr> {
     /// Destination subnet.
@@ -57,8 +58,17 @@ pub struct FibRoute<A: Addr> {
     pub metric: u32,
 }
 
-impl<A: Addr> HeapSize for FibRoute<A> {
-    /// Nothing: the name belongs to the interface table.
+/// What the FIB stores per route: the trie holds the prefix, and the
+/// interface is named by its index in the FEA's interface table.  12
+/// bytes for IPv4, 16 as the trie's `Option` slot.
+#[derive(Debug, Clone, Copy)]
+struct FibSlot<A: Addr> {
+    nexthop: A,
+    iface: u32,
+    metric: u32,
+}
+
+impl<A: Addr> HeapSize for FibSlot<A> {
     fn heap_size(&self) -> usize {
         0
     }
@@ -72,10 +82,14 @@ pub type PacketRx = Rc<dyn Fn(&mut EventLoop, &str, IpAddr, &[u8])>;
 
 /// The simulated forwarding engine.
 pub struct Fea {
-    /// Keyed by the one copy of each name that FIB routes share.
-    interfaces: HashMap<Arc<str>, Interface>,
-    fib4: PatriciaTrie<std::net::Ipv4Addr, FibRoute<std::net::Ipv4Addr>>,
-    fib6: PatriciaTrie<std::net::Ipv6Addr, FibRoute<std::net::Ipv6Addr>>,
+    /// Interfaces in the order first configured, each with the one copy
+    /// of its name that looked-up routes share.  None is ever removed, so
+    /// the index a FIB slot holds stays valid.
+    interfaces: Vec<(Arc<str>, Interface)>,
+    /// Each interface's index by name.
+    iface_index: HashMap<Arc<str>, u32>,
+    fib4: PatriciaTrie<std::net::Ipv4Addr, FibSlot<std::net::Ipv4Addr>>,
+    fib6: PatriciaTrie<std::net::Ipv6Addr, FibSlot<std::net::Ipv6Addr>>,
     kernel_point: Option<PointHandle>,
     /// The harness wire: where sent packets go.
     wire: Option<PacketTx>,
@@ -97,7 +111,8 @@ impl Fea {
     /// An empty forwarding engine with no interfaces.
     pub fn new() -> Fea {
         Fea {
-            interfaces: HashMap::new(),
+            interfaces: Vec::new(),
+            iface_index: HashMap::new(),
             fib4: PatriciaTrie::new(),
             fib6: PatriciaTrie::new(),
             kernel_point: None,
@@ -124,24 +139,36 @@ impl Fea {
 
     /// Create or reconfigure an interface.
     pub fn configure_interface(&mut self, cfg: IfaceConfig) -> &Interface {
-        let name: Arc<str> = cfg.name.as_str().into();
-        // Reconfiguring keeps the existing key, which routes already share.
-        self.interfaces.insert(name.clone(), Interface::new(cfg));
-        &self.interfaces[&name]
+        let iface = Interface::new(cfg);
+        let i = match self.iface_index.get(iface.name.as_str()) {
+            // Reconfiguring keeps the index routes already hold.
+            Some(&i) => {
+                self.interfaces[i as usize].1 = iface;
+                i
+            }
+            None => {
+                let name: Arc<str> = iface.name.as_str().into();
+                let i = u32::try_from(self.interfaces.len()).expect("fewer than 2^32 interfaces");
+                self.iface_index.insert(name.clone(), i);
+                self.interfaces.push((name, iface));
+                i
+            }
+        };
+        &self.interfaces[i as usize].1
     }
 
     /// Bring an interface up or down.  Downing an interface flushes FIB
     /// entries through it.
     pub fn set_interface_enabled(&mut self, name: &str, enabled: bool) -> bool {
-        let Some(iface) = self.interfaces.get_mut(name) else {
+        let Some(&i) = self.iface_index.get(name) else {
             return false;
         };
-        iface.enabled = enabled;
+        self.interfaces[i as usize].1.enabled = enabled;
         if !enabled {
             let dead4: Vec<Ipv4Net> = self
                 .fib4
                 .iter()
-                .filter(|(_, e)| &*e.ifname == name)
+                .filter(|(_, s)| s.iface == i)
                 .map(|(n, _)| n)
                 .collect();
             for net in dead4 {
@@ -151,7 +178,7 @@ impl Fea {
             let dead6: Vec<Prefix<std::net::Ipv6Addr>> = self
                 .fib6
                 .iter()
-                .filter(|(_, e)| &*e.ifname == name)
+                .filter(|(_, s)| s.iface == i)
                 .map(|(n, _)| n)
                 .collect();
             for net in dead6 {
@@ -164,49 +191,55 @@ impl Fea {
 
     /// Look up an interface.
     pub fn interface(&self, name: &str) -> Option<&Interface> {
-        self.interfaces.get(name)
+        let &i = self.iface_index.get(name)?;
+        Some(&self.interfaces[i as usize].1)
     }
 
     /// All interfaces, sorted by name.
     pub fn interfaces(&self) -> Vec<&Interface> {
-        let mut v: Vec<&Interface> = self.interfaces.values().collect();
+        let mut v: Vec<&Interface> = self.interfaces.iter().map(|(_, i)| i).collect();
         v.sort_by(|a, b| a.name.cmp(&b.name));
         v
     }
 
     // ---- FIB (the "kernel" boundary) ---------------------------------------
 
-    /// The installed form of a route out of `ifname`, holding the
-    /// interface's own name, or `None` when that interface is unknown or
-    /// down.
-    fn route<A: Addr>(
-        &self,
-        net: Prefix<A>,
-        nexthop: IpAddr,
-        ifname: &str,
-        metric: u32,
-    ) -> Option<FibRoute<A>> {
-        let (ifname, iface) = self.interfaces.get_key_value(ifname)?;
-        iface.enabled.then(|| FibRoute {
-            net,
+    /// The stored form of a route out of `ifname`, or `None` when that
+    /// interface is unknown or down, or `nexthop` is of the other family.
+    fn slot<A: Addr>(&self, nexthop: IpAddr, ifname: &str, metric: u32) -> Option<FibSlot<A>> {
+        let &iface = self.iface_index.get(ifname)?;
+        let nexthop = A::from_ipaddr(nexthop)?;
+        let enabled = self.interfaces[iface as usize].1.enabled;
+        enabled.then_some(FibSlot {
             nexthop,
-            ifname: ifname.clone(),
+            iface,
             metric,
         })
     }
 
+    /// The route stored for `net` as `slot`, holding the interface
+    /// table's own name.
+    fn route<A: Addr>(&self, net: Prefix<A>, slot: &FibSlot<A>) -> FibRoute<A> {
+        FibRoute {
+            net,
+            nexthop: slot.nexthop.to_ipaddr(),
+            ifname: self.interfaces[slot.iface as usize].0.clone(),
+            metric: slot.metric,
+        }
+    }
+
     /// Install (or replace) an IPv4 route out of the interface named
-    /// `ifname` — the §8.2 "entering the kernel" moment.  The name is only
-    /// looked up: the route shares the interface table's copy.
+    /// `ifname` — the §8.2 "entering the kernel" moment.  Refused when the
+    /// interface is unknown or down, or `nexthop` is not IPv4.
     pub fn install4(&mut self, net: Ipv4Net, nexthop: IpAddr, ifname: &str, metric: u32) -> bool {
-        let Some(route) = self.route(net, nexthop, ifname, metric) else {
+        let Some(slot) = self.slot(nexthop, ifname, metric) else {
             return false;
         };
         if let Some(h) = &self.kernel_point {
-            h.record(|| format!("add {}", route.net));
+            h.record(|| format!("add {net}"));
         }
         self.installs += 1;
-        self.fib4.insert(route.net, route);
+        self.fib4.insert(net, slot);
         true
     }
 
@@ -227,16 +260,16 @@ impl Fea {
         removed
     }
 
-    /// Install an IPv6 route.
+    /// Install an IPv6 route; refused as [`Fea::install4`] refuses.
     pub fn add_route6(&mut self, entry: FibEntry<std::net::Ipv6Addr>) -> bool {
-        let Some(route) = self.route(entry.net, entry.nexthop, &entry.ifname, entry.metric) else {
+        let Some(slot) = self.slot(entry.nexthop, &entry.ifname, entry.metric) else {
             return false;
         };
         if let Some(h) = &self.kernel_point {
-            h.record(|| format!("add {}", route.net));
+            h.record(|| format!("add {}", entry.net));
         }
         self.installs += 1;
-        self.fib6.insert(route.net, route);
+        self.fib6.insert(entry.net, slot);
         true
     }
 
@@ -250,13 +283,15 @@ impl Fea {
     }
 
     /// Forwarding decision: longest-prefix match.
-    pub fn lookup4(&self, dst: std::net::Ipv4Addr) -> Option<&FibRoute<std::net::Ipv4Addr>> {
-        self.fib4.longest_match(dst).map(|(_, e)| e)
+    pub fn lookup4(&self, dst: std::net::Ipv4Addr) -> Option<FibRoute<std::net::Ipv4Addr>> {
+        let (net, slot) = self.fib4.longest_match(dst)?;
+        Some(self.route(net, slot))
     }
 
     /// IPv6 forwarding decision.
-    pub fn lookup6(&self, dst: std::net::Ipv6Addr) -> Option<&FibRoute<std::net::Ipv6Addr>> {
-        self.fib6.longest_match(dst).map(|(_, e)| e)
+    pub fn lookup6(&self, dst: std::net::Ipv6Addr) -> Option<FibRoute<std::net::Ipv6Addr>> {
+        let (net, slot) = self.fib6.longest_match(dst)?;
+        Some(self.route(net, slot))
     }
 
     /// Routes installed (v4).
@@ -292,7 +327,7 @@ impl Fea {
         dst: IpAddr,
         payload: &[u8],
     ) -> bool {
-        if !self.interfaces.get(ifname).is_some_and(|i| i.enabled) {
+        if !self.interface(ifname).is_some_and(|i| i.enabled) {
             return false;
         }
         if let Some(wire) = &self.wire {
@@ -312,7 +347,7 @@ impl Fea {
         src: IpAddr,
         payload: &[u8],
     ) -> bool {
-        if !self.interfaces.get(ifname).is_some_and(|i| i.enabled) {
+        if !self.interface(ifname).is_some_and(|i| i.enabled) {
             return false;
         }
         if let Some(rx) = self.receivers.get(proto) {
@@ -406,9 +441,10 @@ mod tests {
         }
     }
 
-    /// Every route out of an interface holds the interface table's own
-    /// name; an unknown or disabled interface is still refused, and
-    /// disabling one still flushes its routes in both families.
+    /// Every route out of an interface holds the interface's index, and a
+    /// lookup hands out the interface table's own name; an unknown or
+    /// disabled interface is still refused, and disabling one still
+    /// flushes its routes in both families.
     #[test]
     fn routes_share_their_interface_name_and_leave_with_it() {
         let mut f = fea();
@@ -418,11 +454,13 @@ mod tests {
         assert!(f.add_route4(entry("11.0.0.0/8", "eth1")));
         assert!(f.add_route6(entry6("2001:db8::/32", "eth0")));
         assert!(f.add_route6(entry6("2001:db9::/32", "eth1")));
-        // Reconfiguring the interface keeps the name routes hold.
+        // Reconfiguring the interface keeps the index routes hold.
         f.configure_interface(test_iface("eth0", "10.0.0.2", 24));
-        let (name, _) = f.interfaces.get_key_value("eth0").unwrap();
-        let eth0 = |ifname: &Arc<str>| Arc::ptr_eq(ifname, name);
-        assert_eq!(f.fib4.iter().filter(|(_, r)| eth0(&r.ifname)).count(), 4);
+        let index = f.iface_index["eth0"];
+        assert_eq!(f.fib4.iter().filter(|(_, s)| s.iface == index).count(), 4);
+        let name = f.interfaces[index as usize].0.clone();
+        let eth0 = |ifname: &Arc<str>| Arc::ptr_eq(ifname, &name);
+        assert!(eth0(&f.lookup4(Ipv4Addr::new(10, 3, 0, 1)).unwrap().ifname));
         assert!(eth0(
             &f.lookup6("2001:db8::1".parse().unwrap()).unwrap().ifname
         ));
@@ -437,6 +475,33 @@ mod tests {
         let v6 = f.lookup6("2001:db9::1".parse().unwrap()).unwrap();
         assert_eq!(&*v6.ifname, "eth1");
         assert_eq!(f.removals, 5);
+    }
+
+    /// A route is refused when its nexthop is of the other family, as it
+    /// is through an unknown interface, and an accepted one reads back as
+    /// it was installed.
+    #[test]
+    fn a_nexthop_of_the_other_family_is_refused() {
+        let mut f = fea();
+        let mut v4 = entry("10.0.0.0/8", "eth0");
+        v4.nexthop = "2001:db8::1".parse().unwrap();
+        assert!(!f.add_route4(v4));
+        let mut v6 = entry6("2001:db8::/32", "eth0");
+        v6.nexthop = "10.0.0.254".parse().unwrap();
+        assert!(!f.add_route6(v6));
+        assert_eq!((f.route_count4(), f.installs), (0, 0));
+
+        let e = entry("10.0.0.0/8", "eth1");
+        assert!(f.add_route4(e.clone()));
+        let got = f.lookup4(Ipv4Addr::new(10, 9, 9, 9)).unwrap();
+        let got = (got.net, got.nexthop, got.ifname.to_string(), got.metric);
+        assert_eq!(got, (e.net, e.nexthop, e.ifname, e.metric));
+    }
+
+    /// The route array holds `Option<FibSlot>`: 16 bytes for IPv4.
+    #[test]
+    fn an_ipv4_slot_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Option<FibSlot<Ipv4Addr>>>(), 16);
     }
 
     #[test]

@@ -172,9 +172,11 @@ fn main() {
     );
     println!(
         "\nThe paper's point — that a full table's memory cost 'is simply not\n\
-         a problem on any recent hardware' — holds a fortiori: shared\n\
-         attribute blocks (Arc; one per UPDATE in BGP, one per nexthop in\n\
-         the RIB) and one interface name per interface in the FIB keep the\n\
-         Rust tables well under the 2004 C++ numbers."
+         a problem on any recent hardware' — holds a fortiori: each table\n\
+         stores only what varies per route (BGP an attribute block, the\n\
+         RIB block, metric and interface index, the FIB nexthop, interface\n\
+         index and metric), and the blocks are shared (Arc; one per UPDATE in\n\
+         BGP, one per nexthop in the RIB), which keeps the Rust tables well\n\
+         under the 2004 C++ numbers."
     );
 }

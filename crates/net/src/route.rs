@@ -158,16 +158,32 @@ impl<A: Addr> HeapSize for RouteEntry<A> {
     }
 }
 
-/// Heap bytes of a table of routes under the one accounting rule for
-/// shared blocks: each route is charged its own heap, and each distinct
-/// attribute block once per table, counted by pointer, however many routes
-/// hold a handle to it.
-pub fn route_table_bytes<A: Addr>(routes: &PatriciaTrie<A, RouteEntry<A>>) -> usize {
+/// A stored route's handle to its attribute block: the one part of a
+/// route slot that several routes share.
+pub trait SharesAttrs: HeapSize {
+    /// The shared block.
+    fn attrs(&self) -> &Arc<PathAttributes>;
+}
+
+impl SharesAttrs for Arc<PathAttributes> {
+    fn attrs(&self) -> &Arc<PathAttributes> {
+        self
+    }
+}
+
+/// Heap bytes of a route table under the one accounting rule for shared
+/// blocks: the trie with each stored slot's own heap, and each distinct
+/// attribute block once per table, counted by pointer, however many
+/// slots hold a handle to it.  The slot is whatever the table stores per
+/// route: the bare block in BGP's PeerIn; block, metric and interface
+/// index in the RIB's origin tables.
+pub fn route_table_bytes<A: Addr, S: SharesAttrs>(routes: &PatriciaTrie<A, S>) -> usize {
     let mut blocks = BTreeSet::new();
     let repeats: usize = routes
         .iter()
-        .filter(|(_, r)| !blocks.insert(Arc::as_ptr(&r.attrs)))
-        .map(|(_, r)| r.attrs.heap_size())
+        .map(|(_, s)| s.attrs())
+        .filter(|attrs| !blocks.insert(Arc::as_ptr(attrs)))
+        .map(|attrs| attrs.heap_size())
         .sum();
     routes.heap_size() - repeats
 }
@@ -230,14 +246,8 @@ mod tests {
         let (mut sharing, mut copying) = (PatriciaTrie::new(), PatriciaTrie::new());
         for net in ["10.0.0.0/8", "11.0.0.0/8", "12.0.0.0/8"] {
             let own = route(net);
-            copying.insert(own.net, own.clone());
-            sharing.insert(
-                own.net,
-                RouteEntry {
-                    attrs: shared.clone(),
-                    ..own
-                },
-            );
+            copying.insert(own.net, own.attrs);
+            sharing.insert(own.net, shared.clone());
         }
         let block = shared.heap_size();
         assert_eq!(route_table_bytes(&copying), copying.heap_size());

@@ -1,22 +1,131 @@
 //! Origin tables: the stages where routes are actually stored (§5.2).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use xorp_event::EventLoop;
-use xorp_net::{Addr, PatriciaTrie, Prefix, ProtocolId};
+use xorp_net::{
+    Addr, AdminDistance, HeapSize, PathAttributes, PatriciaTrie, Prefix, ProtocolId, SharesAttrs,
+};
 use xorp_stages::{OriginId, RouteOp, Stage, StageRef, TrieTable};
 
 use crate::RibRoute;
+
+/// What an origin table stores per route: the part that varies from
+/// route to route, in 16 bytes.  The trie holds the prefix and the table
+/// the protocol, its admin distance and the interface names.
+#[derive(Debug)]
+pub struct OriginSlot {
+    /// Shared attribute block (one per nexthop for routes read off the
+    /// wire).
+    attrs: Arc<PathAttributes>,
+    /// Protocol metric.
+    metric: u32,
+    /// The interface the route points out of: an index into the table's
+    /// [`IfNames`], 0 for none.
+    iface: u32,
+}
+
+/// The name is the table's, charged there.
+impl HeapSize for OriginSlot {
+    fn heap_size(&self) -> usize {
+        self.attrs.heap_size()
+    }
+}
+
+impl SharesAttrs for OriginSlot {
+    fn attrs(&self) -> &Arc<PathAttributes> {
+        &self.attrs
+    }
+}
+
+/// The interface names an origin table's routes point out of, each kept
+/// once with the number of routes naming it.  A slot holds a name's
+/// position plus one.  A name leaves with the last route naming it, and
+/// its position is reused, so the table holds only names in use however
+/// many a client has sent.  The index is ordered because the names are
+/// client-chosen.
+#[derive(Default)]
+struct IfNames {
+    names: Vec<Option<(Arc<str>, usize)>>,
+    index: BTreeMap<Arc<str>, u32>,
+    free: Vec<u32>,
+}
+
+impl IfNames {
+    /// The slot index for `name`, counting one more route naming it.
+    fn acquire(&mut self, name: Option<Arc<str>>) -> u32 {
+        let Some(name) = name else {
+            return 0;
+        };
+        if let Some(&i) = self.index.get(&name) {
+            self.entry(i).1 += 1;
+            return i;
+        }
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.names[i as usize - 1] = Some((name.clone(), 1));
+                i
+            }
+            None => {
+                self.names.push(Some((name.clone(), 1)));
+                u32::try_from(self.names.len()).expect("fewer than 2^32 names in use")
+            }
+        };
+        self.index.insert(name, i);
+        i
+    }
+
+    /// One route fewer names slot index `i`.
+    fn release(&mut self, i: u32) {
+        if i == 0 {
+            return;
+        }
+        let routes = &mut self.entry(i).1;
+        *routes -= 1;
+        if *routes == 0 {
+            let (name, _) = self.names[i as usize - 1].take().expect("entry found it");
+            self.index.remove(&name);
+            self.free.push(i);
+        }
+    }
+
+    /// The name slot index `i` stands for.
+    fn get(&self, i: u32) -> Option<Arc<str>> {
+        let i = i.checked_sub(1)? as usize;
+        let (name, _) = self.names[i].as_ref().expect("a slot names a name in use");
+        Some(name.clone())
+    }
+
+    fn entry(&mut self, i: u32) -> &mut (Arc<str>, usize) {
+        self.names[i as usize - 1]
+            .as_mut()
+            .expect("a slot names a name in use")
+    }
+}
+
+impl HeapSize for IfNames {
+    fn heap_size(&self) -> usize {
+        let names: usize = self.index.keys().map(|name| name.len()).sum();
+        names
+            + self.names.capacity() * std::mem::size_of::<Option<(Arc<str>, usize)>>()
+            + self.index.len() * std::mem::size_of::<(Arc<str>, u32)>()
+            + self.free.capacity() * std::mem::size_of::<u32>()
+    }
+}
 
 /// A per-protocol route store at the head of the RIB's stage network.
 ///
 /// Protocols feed routes in via [`OriginTable::add_route`] /
 /// [`OriginTable::delete_route`]; deltas flow downstream as consistent
-/// add/replace/delete messages.
+/// add/replace/delete messages.  A route is stored as an [`OriginSlot`]
+/// and handed out rebuilt with the table's protocol, admin distance and
+/// interface name; it names no source.
 pub struct OriginTable<A: Addr> {
     proto: ProtocolId,
     origin: OriginId,
-    routes: PatriciaTrie<A, RibRoute<A>>,
+    routes: PatriciaTrie<A, OriginSlot>,
+    names: IfNames,
     /// Graceful-restart bookkeeping: prefixes whose contributing process
     /// died under supervision.  They stay installed downstream; any
     /// re-learned route clears its mark, and [`OriginTable::sweep_stale`]
@@ -32,6 +141,7 @@ impl<A: Addr> OriginTable<A> {
             proto,
             origin,
             routes: PatriciaTrie::new(),
+            names: IfNames::default(),
             stale: BTreeSet::new(),
             downstream: None,
         }
@@ -62,22 +172,51 @@ impl<A: Addr> OriginTable<A> {
         self.routes.is_empty()
     }
 
+    /// The route stored for `net` as `slot`, as the stages carry it.
+    fn route(&self, net: Prefix<A>, slot: &OriginSlot) -> RibRoute<A> {
+        RibRoute {
+            net,
+            attrs: slot.attrs.clone(),
+            metric: slot.metric,
+            proto: self.proto,
+            admin_distance: AdminDistance::default_for(self.proto),
+            ifname: self.names.get(slot.iface),
+            source: None,
+        }
+    }
+
+    /// The route a slot just taken out of the trie held; its interface
+    /// name loses a route.
+    fn take(&mut self, net: Prefix<A>, slot: OriginSlot) -> RibRoute<A> {
+        let route = self.route(net, &slot);
+        self.names.release(slot.iface);
+        route
+    }
+
     /// Install (or replace) a route.  Emits `Add` or `Replace` downstream.
     pub fn add_route(&mut self, el: &mut EventLoop, route: RibRoute<A>) {
         debug_assert_eq!(route.proto, self.proto, "route fed to wrong origin table");
+        debug_assert_eq!(
+            (route.admin_distance, route.source),
+            (AdminDistance::default_for(self.proto), None),
+            "a route the table cannot store"
+        );
         let net = route.net;
         // A re-learned route refreshes its grace mark even when the route
         // itself is byte-identical (the common graceful-restart case).
         self.stale.remove(&net);
-        let old = self.routes.insert(net, route.clone());
+        let slot = OriginSlot {
+            attrs: route.attrs,
+            metric: route.metric,
+            iface: self.names.acquire(route.ifname),
+        };
+        let new = self.route(net, &slot);
+        let old = self.routes.insert(net, slot);
+        let old = old.map(|old| self.take(net, old));
         let op = match old {
-            Some(old) if old == route => return, // no-op update
-            Some(old) => RouteOp::Replace {
-                net,
-                old,
-                new: route,
-            },
-            None => RouteOp::Add { net, route },
+            Some(old) if old == new => return, // no-op update
+            Some(old) => RouteOp::Replace { net, old, new },
+            None => RouteOp::Add { net, route: new },
         };
         self.emit(el, op);
     }
@@ -87,6 +226,7 @@ impl<A: Addr> OriginTable<A> {
     pub fn delete_route(&mut self, el: &mut EventLoop, net: Prefix<A>) -> Option<RibRoute<A>> {
         self.stale.remove(&net);
         let old = self.routes.remove(&net)?;
+        let old = self.take(net, old);
         self.emit(
             el,
             RouteOp::Delete {
@@ -105,8 +245,9 @@ impl<A: Addr> OriginTable<A> {
         }
     }
 
-    /// The stored routes, for the stages that walk or search them.
-    pub fn routes(&self) -> &PatriciaTrie<A, RibRoute<A>> {
+    /// The stored routes, for the stages that walk or search their
+    /// prefixes.
+    pub fn routes(&self) -> &PatriciaTrie<A, OriginSlot> {
         &self.routes
     }
 
@@ -138,7 +279,7 @@ impl<A: Addr> OriginTable<A> {
     /// distinct attribute block is charged once, however many of the
     /// table's routes share it.
     pub fn memory_bytes(&self) -> usize {
-        xorp_net::route_table_bytes(&self.routes)
+        xorp_net::route_table_bytes(&self.routes) + self.names.heap_size()
     }
 
     fn emit(&mut self, el: &mut EventLoop, op: RouteOp<A, RibRoute<A>>) {
@@ -153,9 +294,9 @@ impl<A: Addr> OriginTable<A> {
 /// add/delete churn.
 impl<A: Addr> TrieTable for OriginTable<A> {
     type Addr = A;
-    type Route = RibRoute<A>;
+    type Route = OriginSlot;
 
-    fn trie(&mut self) -> &mut PatriciaTrie<A, RibRoute<A>> {
+    fn trie(&mut self) -> &mut PatriciaTrie<A, OriginSlot> {
         &mut self.routes
     }
 }
@@ -179,7 +320,7 @@ impl<A: Addr> Stage<A, RibRoute<A>> for OriginTable<A> {
     }
 
     fn lookup_route(&self, net: &Prefix<A>) -> Option<RibRoute<A>> {
-        self.routes.get(net).cloned()
+        Some(self.route(*net, self.routes.get(net)?))
     }
 
     fn push(&mut self, el: &mut EventLoop) {
@@ -325,6 +466,36 @@ mod tests {
         t.delete_route(&mut el, "10.0.0.0/16".parse().unwrap());
         assert_eq!(t.stale_count(), 0);
         assert_eq!(t.sweep_stale(&mut el), 0);
+    }
+
+    /// The route array holds `Option<OriginSlot>`: 16 bytes.
+    #[test]
+    fn a_slot_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Option<OriginSlot>>(), 16);
+    }
+
+    /// A name is kept while a route names it, once however many do, and
+    /// its position goes to the next new name once the last one leaves.
+    #[test]
+    fn interface_names_leave_with_their_last_route() {
+        let mut el = EventLoop::new_virtual();
+        let (mut t, _sink) = table();
+        let via = |net: &str, ifname: &str| RibRoute {
+            ifname: Some(ifname.into()),
+            ..route(net, "192.0.2.1")
+        };
+        t.add_route(&mut el, via("10.0.0.0/16", "eth0"));
+        t.add_route(&mut el, via("10.1.0.0/16", "eth0"));
+        t.add_route(&mut el, via("10.2.0.0/16", "eth1"));
+        assert_eq!(t.names.index.len(), 2);
+        t.add_route(&mut el, via("10.2.0.0/16", "eth0")); // replace
+        assert_eq!(t.names.index.len(), 1);
+        t.add_route(&mut el, via("10.3.0.0/16", "eth2"));
+        assert_eq!(t.names.names.len(), 2, "eth2 took eth1's position");
+        t.delete_route(&mut el, "10.3.0.0/16".parse().unwrap());
+        t.clear(&mut el);
+        assert!(t.names.index.is_empty());
+        assert!(t.names.names.iter().all(Option::is_none));
     }
 
     #[test]

@@ -171,6 +171,11 @@ impl<A: Addr> RegisterStage<A> {
     }
 
     fn invalidate_overlapping(&mut self, el: &mut EventLoop, net: Prefix<A>) {
+        // Most route ops overlap no handed-out range: a read-only scan
+        // settles those before the retain and its list of fired ranges.
+        if !self.registrations.iter().any(|r| r.valid.overlaps(&net)) {
+            return;
+        }
         let mut fired: Vec<(u32, Prefix<A>)> = Vec::new();
         self.registrations.retain(|r| {
             if r.valid.overlaps(&net) {
