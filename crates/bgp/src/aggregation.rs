@@ -68,18 +68,6 @@ impl<A: xorp_net::Addr> AggregationStage<A> {
         }
     }
 
-    /// Plumb the downstream neighbor.
-    pub fn set_downstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
-        self.downstream = Some(s);
-    }
-
-    /// Plumb the upstream neighbor: `lookup_route` relays to it for every
-    /// prefix this stage passes through untouched, so downstream stages
-    /// (background dumps in particular) see the whole table through us.
-    pub fn set_upstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
-        self.upstream = Some(s);
-    }
-
     /// Number of live contributors for an aggregate (diagnostics).
     pub fn contributor_count(&self, net: &Prefix<A>) -> usize {
         self.aggregates.get(net).map_or(0, |a| a.contributors.len())
@@ -201,7 +189,14 @@ impl<A: xorp_net::Addr> Stage<A, BgpRoute<A>> for AggregationStage<A> {
     }
 
     fn set_downstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
-        AggregationStage::set_downstream(self, s);
+        self.downstream = Some(s);
+    }
+
+    /// Plumb the upstream neighbor: `lookup_route` relays to it for every
+    /// prefix this stage passes through untouched, so downstream stages
+    /// (background dumps in particular) see the whole table through us.
+    fn set_upstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
+        self.upstream = Some(s);
     }
 }
 

@@ -93,8 +93,6 @@ where
     peer_in: Rc<RefCell<PeerIn<A>>>,
     deletions: Deletions<A>,
     fixed_head: StageRef<A, BgpRoute<A>>,
-    /// The stage below the chain whose lookups relay up into it, if any.
-    lookup_tail: Option<Rc<RefCell<FilterStage<A>>>>,
 }
 
 impl<A: Addr> DeletionChain<A>
@@ -113,9 +111,7 @@ where
             upper = del.clone();
         }
         upper.borrow_mut().set_downstream(self.fixed_head.clone());
-        if let Some(tail) = &self.lookup_tail {
-            tail.borrow_mut().set_upstream(upper);
-        }
+        self.fixed_head.borrow_mut().set_upstream(upper);
     }
 }
 
@@ -123,9 +119,8 @@ struct PeerBranch<A: Addr> {
     ebgp: bool,
     peer_as: AsNum,
     peer_in: Rc<RefCell<PeerIn<A>>>,
-    /// Held so damping state survives and sweeps can reach it; pipeline
-    /// traffic reaches the stage through `fixed_head`.
-    #[allow(dead_code)]
+    /// The damping stage, if any: the fixed head, whose penalties
+    /// `memory_bytes` charges.
     damping: Option<Rc<RefCell<DampingStage<A>>>>,
     import: Rc<RefCell<FilterStage<A>>>,
     resolver: Rc<RefCell<NexthopResolver<A>>>,
@@ -140,6 +135,20 @@ struct PeerBranch<A: Addr> {
     /// Head of the fixed chain the deletion stages splice in front of.
     fixed_head: StageRef<A, BgpRoute<A>>,
     established: bool,
+}
+
+impl<A: Addr> PeerBranch<A>
+where
+    BgpRoute<A>: PolicyTarget,
+{
+    /// The branch's deletion chain, for (re-)plumbing.
+    fn chain(&self) -> DeletionChain<A> {
+        DeletionChain {
+            peer_in: self.peer_in.clone(),
+            deletions: self.deletions.clone(),
+            fixed_head: self.fixed_head.clone(),
+        }
+    }
 }
 
 /// The assembled BGP process (one per address family).
@@ -347,17 +356,13 @@ where
         let damping = cfg.damping.map(|dc| {
             let d = stage_ref(DampingStage::new(peer, dc));
             d.borrow_mut().set_downstream(import.clone());
+            import.borrow_mut().set_upstream(d.clone());
             d
         });
         let fixed_head: StageRef<A, BgpRoute<A>> = match &damping {
             Some(d) => d.clone(),
             None => import.clone(),
         };
-        peer_in.borrow_mut().set_downstream(fixed_head.clone());
-        import.borrow_mut().set_upstream(match &damping {
-            Some(d) => d.clone(),
-            None => peer_in.clone(),
-        });
         self.decision
             .borrow_mut()
             .add_branch(peer, resolver.clone());
@@ -394,24 +399,23 @@ where
             po
         });
 
-        self.peers.insert(
-            peer,
-            PeerBranch {
-                ebgp,
-                peer_as: cfg.peer_as,
-                peer_in,
-                damping,
-                import,
-                resolver,
-                export,
-                out_cache,
-                peer_out,
-                deletions,
-                damping_timer,
-                fixed_head,
-                established: false,
-            },
-        );
+        let branch = PeerBranch {
+            ebgp,
+            peer_as: cfg.peer_as,
+            peer_in,
+            damping,
+            import,
+            resolver,
+            export,
+            out_cache,
+            peer_out,
+            deletions,
+            damping_timer,
+            fixed_head,
+            established: false,
+        };
+        branch.chain().plumb();
+        self.peers.insert(peer, branch);
     }
 
     /// Tear a peering's pipelines down entirely (configuration removal).
@@ -484,14 +488,7 @@ where
         // Splice it in directly after the PeerIn (Figure 6), and splice it
         // out again once drained.
         branch.deletions.borrow_mut().push_front(del.clone());
-        let chain = DeletionChain {
-            peer_in: branch.peer_in.clone(),
-            deletions: branch.deletions.clone(),
-            fixed_head: branch.fixed_head.clone(),
-            // With damping, the fixed head answers lookups from what it
-            // forwarded; without, the import filter relays them.
-            lookup_tail: branch.damping.is_none().then(|| branch.import.clone()),
-        };
+        let chain = branch.chain();
         chain.plumb();
         let del_weak = Rc::downgrade(&del);
         del.borrow_mut().on_drained(move |_el| {
@@ -583,16 +580,24 @@ where
         let Some(branch) = self.peers.get(&peer) else {
             return;
         };
-        // Record, per prefix, what the old bank produced (= downstream
-        // view), then swap banks and reconcile as a background task.
-        let prev_views: Vec<(Prefix<A>, Option<BgpRoute<A>>)> = {
+        // Record, per prefix upstream holds, the view downstream holds,
+        // then swap banks and reconcile as a background task.  A lookup
+        // through the import filter answers that view: it honours a
+        // transition still pending, routes waiting in a drain, and
+        // suppression by damping.
+        let prev_views = {
             let import = branch.import.borrow();
-            branch
+            let view = |net: Prefix<A>| (net, import.lookup_route(&net));
+            let mut views: Vec<_> = branch
                 .peer_in
                 .borrow()
                 .iter()
-                .map(|r| (r.net, import.apply(&r)))
-                .collect()
+                .map(|r| view(r.net))
+                .collect();
+            for del in branch.deletions.borrow().iter() {
+                views.extend(del.borrow().pending_nets().map(view));
+            }
+            views
         };
         branch.import.borrow_mut().set_bank(new_bank);
         branch.import.borrow_mut().begin_transition(prev_views);
@@ -706,17 +711,19 @@ where
 
     /// Heap bytes attributable to BGP's structures: the PeerIn tables
     /// (where routes live), each resolver's per-nexthop entries, each
-    /// PeerOut's unflushed batch (it keeps no per-route state), and the
-    /// fanout's queue and transient dump state.  Compared against the
-    /// paper's "120 MB for BGP".  Not charged: routes parked in deletion
-    /// stages, and the shared nexthop answer cache (one entry per answered
-    /// range).
+    /// damping stage's penalties (one per prefix that flapped, until it
+    /// decays; no routes), each PeerOut's unflushed batch (it keeps no
+    /// per-route state), and the fanout's queue and transient dump state.
+    /// Compared against the paper's "120 MB for BGP".  Not charged: routes
+    /// parked in deletion stages, and the shared nexthop answer cache (one
+    /// entry per answered range).
     pub fn memory_bytes(&self) -> usize {
         let branches: usize = self
             .peers
             .values()
             .map(|b| {
                 b.resolver.borrow().heap_size()
+                    + b.damping.as_ref().map_or(0, |d| d.borrow().heap_size())
                     + b.peer_out.as_ref().map_or(0, |po| po.borrow().heap_size())
             })
             .sum();

@@ -8,16 +8,27 @@
 //!
 //! Standard RFC 2439-style mechanics: each flap (withdrawal) adds a fixed
 //! penalty; the penalty decays exponentially with a configurable half
-//! life; beyond the suppress threshold a prefix's announcements are
-//! withheld; once decay brings the penalty under the reuse threshold, the
-//! held route is released.  Decay is computed lazily from loop time, plus
-//! a periodic sweep releases suppressed routes whose penalty has decayed.
+//! life; a withdrawal that lifts it to the suppress threshold suppresses
+//! the prefix, whose announcements are then withheld; once decay brings
+//! the penalty under the reuse threshold, the prefix is released.  Decay
+//! is computed lazily from loop time, plus a periodic sweep releases
+//! suppressed prefixes whose penalty has decayed.
+//!
+//! The stage stores no routes ("routes are stored only in the Peer In
+//! stages", §5.1), only the penalties of prefixes that flapped.
+//! Downstream holds upstream's route for every prefix that is not
+//! suppressed and nothing for one that is, so the stage forwards what is
+//! not suppressed unchanged, answers `lookup_route` by relaying upstream
+//! (`None` while suppressed), and releases a prefix by looking its route
+//! up upstream.  Forwarding unchanged means an identical re-announcement
+//! (a replace whose old and new routes are equal) passes through rather
+//! than being swallowed.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 use xorp_event::{EventLoop, Time};
-use xorp_net::{Addr, Prefix};
+use xorp_net::{Addr, HeapSize, Prefix};
 use xorp_stages::{OriginId, RouteOp, Stage, StageRef};
 
 use crate::{BgpRoute, PeerId};
@@ -49,22 +60,36 @@ impl Default for DampingConfig {
     }
 }
 
-struct DampState<A: Addr> {
+/// A flapped prefix's penalty, as of `stamped`.
+struct DampState {
     penalty: f64,
     stamped: Time,
     suppressed: bool,
-    /// The latest announcement withheld while suppressed.
-    held: Option<BgpRoute<A>>,
 }
 
-/// The per-peer damping stage (sits just after PeerIn).
+impl DampState {
+    /// Decay the penalty to `now` and stamp it there.
+    fn restamp(&mut self, now: Time, half_life: Duration) {
+        self.penalty = decay(self.penalty, self.stamped, now, half_life);
+        self.stamped = now;
+    }
+}
+
+impl HeapSize for DampState {
+    fn heap_size(&self) -> usize {
+        0
+    }
+}
+
+/// The per-peer damping stage (sits between the PeerIn, with any
+/// draining deletion stages, and the import filters).
 pub struct DampingStage<A: Addr> {
     peer: PeerId,
     config: DampingConfig,
-    state: BTreeMap<Prefix<A>, DampState<A>>,
-    /// What downstream currently sees (needed for consistent
-    /// suppress/release deltas and lookups).
-    visible: BTreeMap<Prefix<A>, BgpRoute<A>>,
+    /// Prefixes that flapped, from their first withdrawal until their
+    /// penalty has decayed away.
+    state: BTreeMap<Prefix<A>, DampState>,
+    upstream: Option<StageRef<A, BgpRoute<A>>>,
     downstream: Option<StageRef<A, BgpRoute<A>>>,
 }
 
@@ -75,14 +100,9 @@ impl<A: Addr> DampingStage<A> {
             peer,
             config,
             state: BTreeMap::new(),
-            visible: BTreeMap::new(),
+            upstream: None,
             downstream: None,
         }
-    }
-
-    /// Plumb the downstream neighbor.
-    pub fn set_downstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
-        self.downstream = Some(s);
     }
 
     /// Number of currently suppressed prefixes.
@@ -98,19 +118,6 @@ impl<A: Addr> DampingStage<A> {
             .unwrap_or(0.0)
     }
 
-    fn bump(&mut self, net: Prefix<A>, now: Time) -> &mut DampState<A> {
-        let cfg = self.config;
-        let entry = self.state.entry(net).or_insert(DampState {
-            penalty: 0.0,
-            stamped: now,
-            suppressed: false,
-            held: None,
-        });
-        entry.penalty = decay(entry.penalty, entry.stamped, now, cfg.half_life);
-        entry.stamped = now;
-        entry
-    }
-
     fn emit(&self, el: &mut EventLoop, origin: OriginId, op: RouteOp<A, BgpRoute<A>>) {
         if let Some(d) = &self.downstream {
             d.borrow_mut().route_op(el, origin, op);
@@ -118,28 +125,33 @@ impl<A: Addr> DampingStage<A> {
     }
 
     /// Periodic sweep: release suppressed prefixes whose penalty decayed
-    /// below the reuse threshold.  Call from a timer (the façade arms it).
+    /// below the reuse threshold, announcing upstream's route for each.
+    /// Call from a timer (the façade arms it).
     pub fn sweep(&mut self, el: &mut EventLoop) {
         let now = el.now();
         let cfg = self.config;
-        let mut releases = Vec::new();
+        let mut released = Vec::new();
         for (net, s) in self.state.iter_mut() {
-            s.penalty = decay(s.penalty, s.stamped, now, cfg.half_life);
-            s.stamped = now;
+            s.restamp(now, cfg.half_life);
             if s.suppressed && s.penalty < cfg.reuse_threshold {
                 s.suppressed = false;
-                if let Some(route) = s.held.take() {
-                    releases.push((*net, route));
-                }
+                released.push(*net);
             }
         }
         // Forget fully-decayed clean entries.
-        self.state
-            .retain(|_, s| s.suppressed || s.held.is_some() || s.penalty > 1.0);
-        for (net, route) in releases {
-            self.visible.insert(net, route.clone());
-            self.emit(el, self.peer.into(), RouteOp::Add { net, route });
+        self.state.retain(|_, s| s.suppressed || s.penalty > 1.0);
+        for net in released {
+            if let Some(route) = self.lookup_route(&net) {
+                self.emit(el, self.peer.into(), RouteOp::Add { net, route });
+            }
         }
+    }
+}
+
+/// Penalties of the prefixes that flapped; no routes.
+impl<A: Addr> HeapSize for DampingStage<A> {
+    fn heap_size(&self) -> usize {
+        self.state.heap_size()
     }
 }
 
@@ -161,51 +173,46 @@ impl<A: Addr> Stage<A, BgpRoute<A>> for DampingStage<A> {
         let cfg = self.config;
         let net = op.net();
         match op {
-            RouteOp::Add { route, .. } | RouteOp::Replace { new: route, .. } => {
-                let entry = self.bump(net, now);
-                if entry.suppressed {
-                    if entry.penalty < cfg.reuse_threshold {
-                        // Decayed under reuse: release immediately.
-                        entry.suppressed = false;
-                        entry.held = None;
-                    } else {
-                        entry.held = Some(route);
+            RouteOp::Add { .. } | RouteOp::Replace { .. } => {
+                if let Some(s) = self.state.get_mut(&net) {
+                    s.restamp(now, cfg.half_life);
+                    if s.suppressed {
+                        if s.penalty >= cfg.reuse_threshold {
+                            return; // withheld; upstream keeps the route
+                        }
+                        // Decayed under reuse: release now.  Downstream
+                        // holds nothing for the prefix, so this is an add.
+                        s.suppressed = false;
+                        let (_, route) = op.into_routes();
+                        let route = route.expect("an add or replace carries a route");
+                        self.emit(el, origin, RouteOp::Add { net, route });
                         return;
                     }
                 }
-                // Forward, preserving add/replace shape against what
-                // downstream actually has.
-                let old = self.visible.insert(net, route.clone());
-                match old {
-                    Some(old) if old != route => self.emit(
-                        el,
-                        origin,
-                        RouteOp::Replace {
-                            net,
-                            old,
-                            new: route,
-                        },
-                    ),
-                    Some(_) => {}
-                    None => self.emit(el, origin, RouteOp::Add { net, route }),
-                }
+                self.emit(el, origin, op);
             }
             RouteOp::Delete { .. } => {
-                let entry = self.bump(net, now);
-                entry.penalty = (entry.penalty + cfg.flap_penalty).min(cfg.max_penalty);
-                entry.held = None;
-                if entry.penalty >= cfg.suppress_threshold {
-                    entry.suppressed = true;
+                let s = self.state.entry(net).or_insert(DampState {
+                    penalty: 0.0,
+                    stamped: now,
+                    suppressed: false,
+                });
+                s.restamp(now, cfg.half_life);
+                s.penalty = (s.penalty + cfg.flap_penalty).min(cfg.max_penalty);
+                if s.suppressed {
+                    return; // downstream holds nothing to delete
                 }
-                if let Some(old) = self.visible.remove(&net) {
-                    self.emit(el, origin, RouteOp::Delete { net, old });
-                }
+                s.suppressed = s.penalty >= cfg.suppress_threshold;
+                self.emit(el, origin, op);
             }
         }
     }
 
     fn lookup_route(&self, net: &Prefix<A>) -> Option<BgpRoute<A>> {
-        self.visible.get(net).cloned()
+        if self.state.get(net).is_some_and(|s| s.suppressed) {
+            return None;
+        }
+        self.upstream.as_ref()?.borrow().lookup_route(net)
     }
 
     fn push(&mut self, el: &mut EventLoop) {
@@ -215,7 +222,11 @@ impl<A: Addr> Stage<A, BgpRoute<A>> for DampingStage<A> {
     }
 
     fn set_downstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
-        DampingStage::set_downstream(self, s);
+        self.downstream = Some(s);
+    }
+
+    fn set_upstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
+        self.upstream = Some(s);
     }
 }
 
@@ -246,6 +257,9 @@ mod tests {
 
     struct Rig {
         el: EventLoop,
+        /// The table upstream: it holds what was announced, and the stage
+        /// looks routes up in it.
+        table: std::rc::Rc<std::cell::RefCell<SinkStage<Ipv4Addr, R>>>,
         stage: DampingStage<Ipv4Addr>,
         cache: std::rc::Rc<std::cell::RefCell<CacheStage<Ipv4Addr, R>>>,
         sink: std::rc::Rc<std::cell::RefCell<SinkStage<Ipv4Addr, R>>>,
@@ -253,13 +267,16 @@ mod tests {
 
     fn rig() -> Rig {
         let el = EventLoop::new_virtual();
+        let table = stage_ref(SinkStage::new());
         let mut stage = DampingStage::new(PeerId(1), cfg());
         let cache = stage_ref(CacheStage::new("damp-out"));
         let sink = stage_ref(SinkStage::new());
         cache.borrow_mut().set_downstream(sink.clone());
         stage.set_downstream(cache.clone());
+        stage.set_upstream(table.clone());
         Rig {
             el,
+            table,
             stage,
             cache,
             sink,
@@ -267,25 +284,25 @@ mod tests {
     }
 
     impl Rig {
+        /// Apply `op` to the upstream table, then send it on to the stage.
+        fn send(&mut self, op: RouteOp<Ipv4Addr, R>) {
+            self.table
+                .borrow_mut()
+                .route_op(&mut self.el, OriginId(1), op.clone());
+            self.stage.route_op(&mut self.el, OriginId(1), op);
+        }
+
         fn announce(&mut self, net: &str) {
             let r = route(net);
-            self.stage.route_op(
-                &mut self.el,
-                OriginId(1),
-                RouteOp::Add {
-                    net: r.net,
-                    route: r,
-                },
-            );
+            self.send(RouteOp::Add {
+                net: r.net,
+                route: r,
+            });
         }
 
         fn withdraw(&mut self, net: &str) {
             let r = route(net);
-            self.stage.route_op(
-                &mut self.el,
-                OriginId(1),
-                RouteOp::Delete { net: r.net, old: r },
-            );
+            self.send(RouteOp::Delete { net: r.net, old: r });
         }
 
         fn flap(&mut self, net: &str) {

@@ -42,11 +42,6 @@ impl<A: Addr> DecisionStage<A> {
         }
     }
 
-    /// Plumb the downstream neighbor (the fanout queue).
-    pub fn set_downstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
-        self.downstream = Some(s);
-    }
-
     /// Register a peer branch (its topmost stage, for alternative
     /// lookups).
     pub fn add_branch(&mut self, peer: PeerId, head: StageRef<A, BgpRoute<A>>) {
@@ -162,7 +157,7 @@ impl<A: Addr> Stage<A, BgpRoute<A>> for DecisionStage<A> {
     }
 
     fn set_downstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
-        DecisionStage::set_downstream(self, s);
+        self.downstream = Some(s);
     }
 }
 

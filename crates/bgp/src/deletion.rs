@@ -53,17 +53,6 @@ impl<A: Addr> DeletionStage<A> {
         }
     }
 
-    /// Plumb the downstream neighbor.
-    pub fn set_downstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
-        self.downstream = Some(s);
-    }
-
-    /// Plumb the upstream neighbor (lookup relay for prefixes we don't
-    /// hold).
-    pub fn set_upstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
-        self.upstream = Some(s);
-    }
-
     /// Set the unplumb callback.
     pub fn on_drained(&mut self, f: impl FnOnce(&mut EventLoop) + 'static) {
         self.on_drained = Some(Box::new(f));
@@ -72,6 +61,11 @@ impl<A: Addr> DeletionStage<A> {
     /// Routes still awaiting deletion.
     pub fn pending_count(&self) -> usize {
         self.pending.len()
+    }
+
+    /// The prefixes of the routes still awaiting deletion.
+    pub(crate) fn pending_nets(&self) -> impl Iterator<Item = Prefix<A>> + '_ {
+        self.pending.iter().map(|r| r.net)
     }
 
     /// True once everything is withdrawn downstream.
@@ -193,7 +187,13 @@ impl<A: Addr> Stage<A, BgpRoute<A>> for DeletionStage<A> {
     }
 
     fn set_downstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
-        DeletionStage::set_downstream(self, s);
+        self.downstream = Some(s);
+    }
+
+    /// Plumb the upstream neighbor (lookup relay for prefixes we don't
+    /// hold).
+    fn set_upstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
+        self.upstream = Some(s);
     }
 }
 

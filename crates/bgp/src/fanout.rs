@@ -162,11 +162,6 @@ impl<A: Addr> FanoutQueue<A> {
         }
     }
 
-    /// Plumb the upstream neighbor, the relay target for `lookup_route`.
-    pub fn set_upstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
-        self.upstream = Some(s);
-    }
-
     /// The upstream neighbor (dump stages look routes up through it).
     pub fn upstream(&self) -> Option<StageRef<A, BgpRoute<A>>> {
         self.upstream.clone()
@@ -537,6 +532,11 @@ impl<A: Addr> Stage<A, BgpRoute<A>> for FanoutQueue<A> {
                 reader.target().borrow_mut().push(el);
             }
         }
+    }
+
+    /// The relay target for `lookup_route`.
+    fn set_upstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
+        self.upstream = Some(s);
     }
 }
 

@@ -48,16 +48,6 @@ where
         }
     }
 
-    /// Plumb the downstream neighbor.
-    pub fn set_downstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
-        self.downstream = Some(s);
-    }
-
-    /// Plumb the upstream neighbor (lookup relay).
-    pub fn set_upstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
-        self.upstream = Some(s);
-    }
-
     /// Swap in a new filter bank.  The caller is responsible for
     /// re-filtering existing routes (§5.1.2 does this with a background
     /// stage; [`crate::BgpProcess::refilter_peer`] provides it).
@@ -215,7 +205,12 @@ where
     }
 
     fn set_downstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
-        FilterStage::set_downstream(self, s);
+        self.downstream = Some(s);
+    }
+
+    /// Plumb the upstream neighbor (lookup relay).
+    fn set_upstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
+        self.upstream = Some(s);
     }
 }
 

@@ -11,21 +11,26 @@
 //! extensions):
 //!
 //! ```text
-//! PeerIn ─[DeletionStage*]─ Damping ─ ImportFilters ─ NexthopResolver ─┐
-//! PeerIn ─[DeletionStage*]─ Damping ─ ImportFilters ─ NexthopResolver ─┼─ Decision
-//!                                                                      │     │
-//!                     ┌────────────────────────────── FanoutQueue ─────┘─────┘
-//!                     ├─ ExportFilters ─ [Cache] ─ PeerOut → UPDATEs to peer
-//!                     ├─ ExportFilters ─ [Cache] ─ PeerOut → UPDATEs to peer
-//!                     └─→ best routes to the RIB
+//! PeerIn ─[DeletionStage*]─ [Damping] ─ ImportFilters ─ NexthopResolver ─┐
+//! PeerIn ─[DeletionStage*]─ [Damping] ─ ImportFilters ─ NexthopResolver ─┼─ Decision
+//!                                                                        │     │
+//!                       ┌─────────────────────────────── FanoutQueue ────┘─────┘
+//!                       ├─ ExportFilters ─ [Cache] ─ PeerOut → UPDATEs to peer
+//!                       ├─ ExportFilters ─ [Cache] ─ PeerOut → UPDATEs to peer
+//!                       └─→ best routes to the RIB
 //! ```
 //!
 //! `DeletionStage*` are the *dynamic* stages of §5.1.2: spliced in when a
 //! peering goes down, draining >100k routes as a cooperative background
 //! task while the PeerIn is immediately ready for the peering to return.
+//! A splice re-plumbs both neighbours of the chain (`set_downstream` above
+//! it, `set_upstream` below), so the first fixed stage — the optional
+//! damping stage, or the import filters — relays lookups into the drain.
 //!
-//! Routes are stored only in PeerIn stages; the Decision Process looks up
-//! alternatives "via calls upstream through the pipeline".  The
+//! Routes are stored only in PeerIn stages (and, while they drain, in
+//! deletion stages); damping keeps only the penalties of prefixes that
+//! flapped.  The Decision Process looks up alternatives "via calls
+//! upstream through the pipeline".  The
 //! NexthopResolver talks asynchronously to the RIB (§5.1.1) through the
 //! [`nexthop::NexthopService`] abstraction and caches answers over the
 //! non-overlapping ranges of §5.2.1.
@@ -46,7 +51,7 @@ pub mod session;
 
 pub use aggregation::AggregationStage;
 pub use bgp::{BgpConfig, BgpProcess, PeerConfig};
-pub use damping::{DampingConfig, DampingStage};
+pub use damping::DampingConfig;
 pub use decision::DecisionStage;
 pub use deletion::DeletionStage;
 pub use fanout::{FanoutQueue, ReaderId};

@@ -212,16 +212,6 @@ impl<A: Addr> NexthopResolver<A> {
         me.borrow_mut().me = Some(Rc::downgrade(me));
     }
 
-    /// Plumb the downstream neighbor.
-    pub fn set_downstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
-        self.downstream = Some(s);
-    }
-
-    /// Plumb the upstream neighbor, the import filter routes come from.
-    pub fn set_upstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
-        self.upstream = Some(s);
-    }
-
     /// Name the tables upstream's routes live in: `sources` opens a cursor
     /// over each (the PeerIn and every draining deletion stage), so a walk
     /// visits every prefix upstream can answer for.
@@ -467,7 +457,12 @@ impl<A: Addr> Stage<A, BgpRoute<A>> for NexthopResolver<A> {
     }
 
     fn set_downstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
-        NexthopResolver::set_downstream(self, s);
+        self.downstream = Some(s);
+    }
+
+    /// Plumb the upstream neighbor, the import filter routes come from.
+    fn set_upstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
+        self.upstream = Some(s);
     }
 }
 

@@ -138,11 +138,6 @@ impl<A: Addr> PeerIn<A> {
         self.routes.peer
     }
 
-    /// Plumb the downstream neighbor.
-    pub fn set_downstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
-        self.downstream = Some(s);
-    }
-
     /// Number of stored routes.
     pub fn len(&self) -> usize {
         self.routes.len()
@@ -264,7 +259,7 @@ impl<A: Addr> Stage<A, BgpRoute<A>> for PeerIn<A> {
     }
 
     fn set_downstream(&mut self, s: StageRef<A, BgpRoute<A>>) {
-        PeerIn::set_downstream(self, s);
+        self.downstream = Some(s);
     }
 }
 

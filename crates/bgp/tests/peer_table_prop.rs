@@ -29,7 +29,7 @@ use proptest::prelude::*;
 use xorp_bgp::{BgpRoute, DeletionStage, PeerId, PeerIn};
 use xorp_event::EventLoop;
 use xorp_net::{AsNum, AsPath, PathAttributes, Prefix, ProtocolId};
-use xorp_stages::{stage_ref, DumpSource, SinkStage, StageRef, TableSource};
+use xorp_stages::{stage_ref, DumpSource, SinkStage, Stage, StageRef, TableSource};
 
 type Net = Prefix<Ipv4Addr>;
 type R = BgpRoute<Ipv4Addr>;

@@ -681,3 +681,86 @@ fn memory_budget_beyond_peer_tables() {
     );
     assert!(per_route <= 4, "{per_route} B/route beyond peer tables");
 }
+
+fn reject_10_8() -> FilterBank {
+    let mut bank = FilterBank::accept_by_default();
+    bank.push_source(
+        "strict",
+        "if network within 10.0.0.0/8 then reject; endif accept;",
+    )
+    .unwrap();
+    bank
+}
+
+/// A refilter while the peering's old table drains: the routes waiting in
+/// the deletion stage are still downstream, so the transition records
+/// them too, and the drain's delete of a route the new policy rejects
+/// still withdraws what the old policy let through.
+#[test]
+fn refilter_during_a_drain_withdraws_what_the_old_policy_let_through() {
+    let mut r = router(&[(1, 65001), (2, 65002)]);
+    r.recv(
+        1,
+        update("192.168.1.1", &[65001], &["10.0.0.0/8", "172.16.0.0/16"]),
+    );
+    r.bgp.peering_down(&mut r.el, PeerId(1));
+    r.bgp.refilter_peer(&mut r.el, PeerId(1), reject_10_8());
+    r.el.run_until_idle();
+    assert!(r.rib.borrow().is_empty(), "{:?}", r.rib.borrow().keys());
+    r.assert_consistent();
+}
+
+/// Two refilters before the first reconciles: downstream still holds the
+/// first policy's old view, and the second must record that view, not
+/// the first refilter's new bank's.
+#[test]
+fn a_second_refilter_keeps_the_view_downstream_holds() {
+    let mut r = router(&[(1, 65001), (2, 65002)]);
+    r.recv(
+        1,
+        update("192.168.1.1", &[65001], &["10.0.0.0/8", "172.16.0.0/16"]),
+    );
+    r.bgp.refilter_peer(&mut r.el, PeerId(1), reject_10_8());
+    r.bgp.refilter_peer(&mut r.el, PeerId(1), reject_10_8());
+    r.el.run_until_idle();
+    assert!(!r.rib_has("10.0.0.0/8"));
+    assert!(r.rib_has("172.16.0.0/16"));
+    r.assert_consistent();
+}
+
+/// A suppressed prefix is absent downstream, so a refilter records it as
+/// absent and leaves it suppressed; the sweep later releases it under
+/// the new policy.
+#[test]
+fn refilter_leaves_a_suppressed_prefix_suppressed() {
+    let mut r = router(&[(2, 65002)]);
+    let mut cfg = PeerConfig::simple(PeerId(1), AsNum(65001));
+    cfg.damping = Some(xorp_bgp::DampingConfig {
+        flap_penalty: 1000.0,
+        suppress_threshold: 2000.0,
+        reuse_threshold: 750.0,
+        half_life: std::time::Duration::from_secs(60),
+        max_penalty: 16000.0,
+    });
+    r.bgp.add_peer(&mut r.el, cfg, None);
+    r.bgp.peering_up(&mut r.el, PeerId(1));
+    for _ in 0..2 {
+        r.recv(1, update("192.168.1.1", &[65001], &["10.0.0.0/8"]));
+        r.recv(1, withdraw(&["10.0.0.0/8"]));
+    }
+    r.recv(1, update("192.168.1.1", &[65001], &["10.0.0.0/8"]));
+    let net: Net = "10.0.0.0/8".parse().unwrap();
+
+    let mut bank = FilterBank::accept_by_default();
+    bank.push_source("tag", "add-tag 9; accept;").unwrap();
+    r.bgp.refilter_peer(&mut r.el, PeerId(1), bank);
+    r.el.run_until_idle();
+    assert!(!r.rib_has("10.0.0.0/8"));
+    assert_eq!(r.bgp.best_route(&net), None);
+    r.assert_consistent();
+
+    r.el.run_until(xorp_event::Time::from_secs(180));
+    assert_eq!(r.rib.borrow()[&net].attrs.tags, vec![9]);
+    assert_eq!(r.bgp.best_route(&net).as_ref(), r.rib.borrow().get(&net));
+    r.assert_consistent();
+}

@@ -19,6 +19,8 @@
 //! Ordering is preserved: rows are buffered in arrival order and a flush
 //! emits one frame per run of consecutive same-direction rows, so an
 //! add/delete/add sequence can never be reordered into delete/add/add.
+//! A run also closes at `batch_size` rows, so no frame carries more, even
+//! when a closed gate has let the buffer grow past it.
 //! An XRL a later event sends on another method can overtake rows still
 //! held for the frame, as one sent later in the same event always could.
 //!
@@ -153,7 +155,8 @@ impl RouteBatcher {
         RouteBatcher {
             inner: Rc::new(RefCell::new(Inner {
                 sink,
-                batch_size: batch_size.max(1),
+                // One frame counts at most MAX_ITEMS rows.
+                batch_size: batch_size.clamp(1, MAX_ITEMS),
                 sent_point,
                 pending: Vec::new(),
                 closed: Vec::new(),
@@ -178,9 +181,9 @@ impl RouteBatcher {
             let mut b = self.inner.borrow_mut();
             let b = &mut *b;
             // A row turning the direction closes the open run, as does a
-            // run at the most rows one frame can count.
+            // full run.
             if let Some(last) = b.pending.last() {
-                if last.add != add || b.open.len() == MAX_ITEMS {
+                if last.add != add || b.open.len() == b.batch_size {
                     b.closed.push((last.add, b.open.take()));
                 }
             }

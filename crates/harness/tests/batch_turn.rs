@@ -375,7 +375,8 @@ fn rows_past_the_cap_leave_as_a_full_frame_and_the_rest() {
 }
 
 /// A closed gate (the destination lane is in Xoff) holds rows through
-/// the idle flush; reopening it ships them at once.
+/// the idle flush; reopening it ships them at once, in frames of at most
+/// `batch_size` rows however many it held.
 #[test]
 fn a_closed_gate_holds_rows_until_it_reopens() {
     let finder = Finder::new();
@@ -392,5 +393,16 @@ fn a_closed_gate_holds_rows_until_it_reopens() {
     batcher.set_gate(&mut el, false);
     assert_eq!(batcher.pending_count(), 0);
     el.run_until_idle();
-    assert_eq!(frames_of(&mut accept(&rib), 3), [3]);
+    let mut wire = accept(&rib);
+    assert_eq!(frames_of(&mut wire, 3), [3]);
+
+    batcher.set_gate(&mut el, true);
+    for i in 0..600 {
+        batcher.push(&mut el, &add(&format!("10.1.{}.{}/32", i / 256, i % 256)));
+    }
+    el.run_until_idle();
+    assert_eq!(batcher.pending_count(), 600);
+    batcher.set_gate(&mut el, false);
+    el.run_until_idle();
+    assert_eq!(frames_of(&mut wire, 600), [256, 256, 88]);
 }

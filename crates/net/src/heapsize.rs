@@ -71,21 +71,35 @@ impl<T: HeapSize> HeapSize for std::sync::Arc<T> {
     }
 }
 
+/// The nodes of a standard B-tree holding `len` entries of `entry` bytes.
+/// The B-tree does not expose its nodes, so this is a model of it: leaves
+/// of 11 entries plus a 16-byte header, charged as two-thirds full (where
+/// random insertion settles; in-order insertion leaves them half full),
+/// and one internal node of twelve child pointers per seven leaves.
+fn btree_node_bytes(len: usize, entry: usize) -> usize {
+    const KEYS: usize = 11;
+    const FILL: usize = KEYS * 2 / 3;
+    let leaf = KEYS * entry + 16;
+    let leaves = len.div_ceil(FILL);
+    let internal = leaves / FILL;
+    leaves * leaf + internal * (leaf + (KEYS + 1) * std::mem::size_of::<usize>())
+}
+
 impl<T: HeapSize> HeapSize for std::collections::BTreeSet<T> {
-    /// The standard B-tree does not expose its nodes, so this is a model
-    /// of it: leaves of 11 keys plus a 16-byte header, charged as
-    /// two-thirds full (where random insertion settles; in-order insertion
-    /// leaves them half full), and one internal node of twelve child
-    /// pointers per seven leaves.
     fn heap_size(&self) -> usize {
-        const KEYS: usize = 11;
-        const FILL: usize = KEYS * 2 / 3;
-        let leaf = KEYS * std::mem::size_of::<T>() + 16;
-        let leaves = self.len().div_ceil(FILL);
-        let internal = leaves / FILL;
-        leaves * leaf
-            + internal * (leaf + (KEYS + 1) * std::mem::size_of::<usize>())
+        btree_node_bytes(self.len(), std::mem::size_of::<T>())
             + self.iter().map(HeapSize::heap_size).sum::<usize>()
+    }
+}
+
+impl<K: HeapSize, V: HeapSize> HeapSize for std::collections::BTreeMap<K, V> {
+    fn heap_size(&self) -> usize {
+        let entry = std::mem::size_of::<K>() + std::mem::size_of::<V>();
+        btree_node_bytes(self.len(), entry)
+            + self
+                .iter()
+                .map(|(k, v)| k.heap_size() + v.heap_size())
+                .sum::<usize>()
     }
 }
 

@@ -157,11 +157,6 @@ impl<A: Addr> ExtIntStage<A> {
         self.deferred.as_ref().map(|d| d.len()).unwrap_or(0)
     }
 
-    /// Plumb the downstream neighbor.
-    pub fn set_downstream(&mut self, s: StageRef<A, RibRoute<A>>) {
-        self.downstream = Some(s);
-    }
-
     /// Plumb the head of the external chain (re-plumbed whenever a merge
     /// is spliced above this stage on that side).
     pub fn set_ext_upstream(&mut self, s: StageRef<A, RibRoute<A>>) {
@@ -430,7 +425,7 @@ impl<A: Addr> Stage<A, RibRoute<A>> for ExtIntStage<A> {
     }
 
     fn set_downstream(&mut self, s: StageRef<A, RibRoute<A>>) {
-        ExtIntStage::set_downstream(self, s);
+        self.downstream = Some(s);
     }
 }
 

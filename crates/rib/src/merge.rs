@@ -51,11 +51,6 @@ impl<A: Addr> MergeStage<A> {
         }
     }
 
-    /// Plumb the downstream neighbor.
-    pub fn set_downstream(&mut self, s: StageRef<A, RibRoute<A>>) {
-        self.downstream = Some(s);
-    }
-
     fn emit(&self, el: &mut EventLoop, origin: OriginId, op: RouteOp<A, RibRoute<A>>) {
         if let Some(d) = &self.downstream {
             d.borrow_mut().route_op(el, origin, op);
@@ -180,7 +175,7 @@ impl<A: Addr> Stage<A, RibRoute<A>> for MergeStage<A> {
     }
 
     fn set_downstream(&mut self, s: StageRef<A, RibRoute<A>>) {
-        MergeStage::set_downstream(self, s);
+        self.downstream = Some(s);
     }
 }
 

@@ -157,11 +157,6 @@ impl<A: Addr> OriginTable<A> {
         self.origin
     }
 
-    /// Plumb the downstream neighbor.
-    pub fn set_downstream(&mut self, s: StageRef<A, RibRoute<A>>) {
-        self.downstream = Some(s);
-    }
-
     /// Number of stored routes.
     pub fn len(&self) -> usize {
         self.routes.len()
@@ -330,7 +325,7 @@ impl<A: Addr> Stage<A, RibRoute<A>> for OriginTable<A> {
     }
 
     fn set_downstream(&mut self, s: StageRef<A, RibRoute<A>>) {
-        OriginTable::set_downstream(self, s);
+        self.downstream = Some(s);
     }
 }
 

@@ -195,16 +195,6 @@ where
         }
     }
 
-    /// Plumb the downstream neighbor.
-    pub fn set_downstream(&mut self, s: StageRef<A, RibRoute<A>>) {
-        self.downstream = Some(s);
-    }
-
-    /// Plumb the upstream neighbor (lookup relay).
-    pub fn set_upstream(&mut self, s: StageRef<A, RibRoute<A>>) {
-        self.upstream = Some(s);
-    }
-
     /// Add a watcher.  Existing routes are not replayed, and the watcher
     /// must not be told of their later changes either: call this before
     /// routes flow (XORP's behaviour), or use
@@ -367,7 +357,12 @@ where
     }
 
     fn set_downstream(&mut self, s: StageRef<A, RibRoute<A>>) {
-        RedistStage::set_downstream(self, s);
+        self.downstream = Some(s);
+    }
+
+    /// Plumb the upstream neighbor (lookup relay).
+    fn set_upstream(&mut self, s: StageRef<A, RibRoute<A>>) {
+        self.upstream = Some(s);
     }
 }
 

@@ -124,11 +124,6 @@ impl<A: Addr> RegisterStage<A> {
         }
     }
 
-    /// Plumb the downstream neighbor.
-    pub fn set_downstream(&mut self, s: StageRef<A, RibRoute<A>>) {
-        self.downstream = Some(s);
-    }
-
     /// Install the invalidation callback for a client.
     pub fn set_invalidation_cb(&mut self, client: u32, cb: InvalidationCb<A>) {
         self.invalidation_cbs.insert(client, cb);
@@ -232,7 +227,7 @@ impl<A: Addr> Stage<A, RibRoute<A>> for RegisterStage<A> {
     }
 
     fn set_downstream(&mut self, s: StageRef<A, RibRoute<A>>) {
-        RegisterStage::set_downstream(self, s);
+        self.downstream = Some(s);
     }
 }
 

@@ -52,16 +52,6 @@ impl<A: Addr, R: Clone + PartialEq> CacheStage<A, R> {
         }
     }
 
-    /// Plumb the downstream neighbor.
-    pub fn set_downstream(&mut self, s: StageRef<A, R>) {
-        self.downstream = Some(s);
-    }
-
-    /// Plumb the upstream neighbor (needed only to relay lookups).
-    pub fn set_upstream(&mut self, s: StageRef<A, R>) {
-        self.upstream = Some(s);
-    }
-
     /// Panic on violation instead of recording (CI configuration).
     pub fn panic_on_violation(&mut self, yes: bool) {
         self.panic_on_violation = yes;
@@ -164,7 +154,12 @@ impl<A: Addr, R: Clone + PartialEq> Stage<A, R> for CacheStage<A, R> {
     }
 
     fn set_downstream(&mut self, s: StageRef<A, R>) {
-        CacheStage::set_downstream(self, s);
+        self.downstream = Some(s);
+    }
+
+    /// Plumb the upstream neighbor (needed only to relay lookups).
+    fn set_upstream(&mut self, s: StageRef<A, R>) {
+        self.upstream = Some(s);
     }
 }
 

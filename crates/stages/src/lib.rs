@@ -168,6 +168,16 @@ pub trait Stage<A: Addr, R: Clone> {
         let _ = s;
         panic!("stage {} does not support downstream plumbing", self.name());
     }
+
+    /// Re-plumb this stage's upstream neighbor, the stage its
+    /// `lookup_route` relays to.  A splice above a stage re-plumbs it
+    /// here, as a splice below re-plumbs `set_downstream`.  Stages that
+    /// answer every lookup themselves need no neighbor; the default
+    /// refuses loudly.
+    fn set_upstream(&mut self, s: StageRef<A, R>) {
+        let _ = s;
+        panic!("stage {} does not support upstream plumbing", self.name());
+    }
 }
 
 /// A terminal stage that hands every operation to a closure — the bridge
