@@ -79,15 +79,6 @@ impl EventDrivenModel {
             log: Rc::new(RefCell::new(Vec::new())),
         }
     }
-
-    /// Custom event-driven model.
-    pub fn with_processing(name: &'static str, processing: Duration) -> Self {
-        EventDrivenModel {
-            name,
-            processing,
-            log: Rc::new(RefCell::new(Vec::new())),
-        }
-    }
 }
 
 impl RouterModel for EventDrivenModel {

@@ -8,7 +8,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use xorp_event::{EventLoop, SliceResult, TimerHandle};
+use xorp_event::{EventLoop, SliceResult};
 use xorp_net::{Addr, AsNum, HeapSize, PathAttributes, Prefix, ProtocolId};
 use xorp_policy::{FilterBank, PolicyTarget};
 use xorp_profiler::tracing::{self as xtrace, SpanRecorder};
@@ -130,8 +130,6 @@ struct PeerBranch<A: Addr> {
     peer_out: Option<Rc<RefCell<PeerOut<A>>>>,
     /// Active deletion stages, in order from the PeerIn outward.
     deletions: Deletions<A>,
-    /// Periodic damping sweep, if damping is enabled.
-    damping_timer: Option<TimerHandle>,
     /// Head of the fixed chain the deletion stages splice in front of.
     fixed_head: StageRef<A, BgpRoute<A>>,
     established: bool,
@@ -368,12 +366,12 @@ where
             .add_branch(peer, resolver.clone());
 
         // Damping needs periodic sweeps.
-        let damping_timer = damping.as_ref().map(|d| {
+        if let Some(d) = &damping {
             let d = d.clone();
             el.every(self.damping_sweep, move |el| {
                 d.borrow_mut().sweep(el);
-            })
-        });
+            });
+        }
 
         // ---- output branch: ExportFilter → [Cache] → PeerOut
         let export = stage_ref(FilterStage::new(format!("export[{}]", peer.0), cfg.export));
@@ -410,25 +408,11 @@ where
             out_cache,
             peer_out,
             deletions,
-            damping_timer,
             fixed_head,
             established: false,
         };
         branch.chain().plumb();
         self.peers.insert(peer, branch);
-    }
-
-    /// Tear a peering's pipelines down entirely (configuration removal).
-    pub fn remove_peer(&mut self, el: &mut EventLoop, peer: PeerId) {
-        self.peering_down(el, peer);
-        // Drain synchronously: the branch is going away.
-        el.run_until_idle();
-        if let Some(branch) = self.peers.remove(&peer) {
-            self.decision.borrow_mut().remove_branch(peer);
-            if let Some(h) = branch.damping_timer {
-                el.cancel(h);
-            }
-        }
     }
 
     /// The peering reached Established: plumb its reader into the fanout

@@ -311,11 +311,6 @@ impl Fea {
         self.receivers.insert(proto.to_string(), rx);
     }
 
-    /// Remove a protocol's receiver.
-    pub fn unregister_receiver(&mut self, proto: &str) {
-        self.receivers.remove(proto);
-    }
-
     /// A protocol asks the FEA to send a packet.  Fails (returns false) if
     /// the interface is down or unknown — the sandboxed protocol never
     /// touches a socket itself.

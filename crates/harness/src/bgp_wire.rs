@@ -39,11 +39,6 @@ impl WireSessions {
         el.slot::<WireSessions>()
             .and_then(|w| w.sessions.get(&id).cloned())
     }
-
-    /// Public lookup (diagnostics, tests).
-    pub fn session_for(&self, id: u32) -> Option<Rc<std::cell::RefCell<Session>>> {
-        self.sessions.get(&id).cloned()
-    }
 }
 
 /// A TCP transport for one session.
@@ -78,22 +73,23 @@ impl TcpTransport {
             connect_to: None,
         })
     }
+}
 
-    fn adopt(&self, stream: TcpStream) {
-        let _ = stream.set_nodelay(true);
-        let read = stream.try_clone().expect("clone stream");
-        *self.write.lock().unwrap() = Some(stream);
-        // Post on_connected BEFORE spawning the reader: posted events are
-        // FIFO, so no received byte can overtake the connection event (an
-        // OPEN arriving before TcpConnected would be dropped by the FSM).
-        let id = self.id;
-        self.sender.post(move |el| {
-            if let Some(s) = WireSessions::get(el, id) {
-                Session::on_connected(el, &s);
-            }
-        });
-        spawn_reader(self.id, read, self.sender.clone());
-    }
+/// Make `stream` session `id`'s connection: it becomes the write half,
+/// and a reader thread feeds the session.  `on_connected` is posted
+/// BEFORE the reader spawns: posted events are FIFO, so no received byte
+/// can overtake the connection event (an OPEN arriving before
+/// TcpConnected would be dropped by the FSM).
+fn adopt(stream: TcpStream, write: &Mutex<Option<TcpStream>>, sender: &EventSender, id: u32) {
+    let _ = stream.set_nodelay(true);
+    let read = stream.try_clone().expect("clone stream");
+    *write.lock().unwrap() = Some(stream);
+    sender.post(move |el| {
+        if let Some(s) = WireSessions::get(el, id) {
+            Session::on_connected(el, &s);
+        }
+    });
+    spawn_reader(id, read, sender.clone());
 }
 
 fn spawn_reader(id: u32, mut stream: TcpStream, sender: EventSender) {
@@ -143,18 +139,7 @@ impl SessionTransport for TcpTransport {
         std::thread::Builder::new()
             .name(format!("bgp-wire-connect-{id}"))
             .spawn(move || match TcpStream::connect(addr) {
-                Ok(stream) => {
-                    let _ = stream.set_nodelay(true);
-                    let read = stream.try_clone().expect("clone stream");
-                    *write.lock().unwrap() = Some(stream);
-                    // on_connected first, reader second: see adopt().
-                    sender.post(move |el| {
-                        if let Some(s) = WireSessions::get(el, id) {
-                            Session::on_connected(el, &s);
-                        }
-                    });
-                    spawn_reader(id, read, sender.clone());
-                }
+                Ok(stream) => adopt(stream, &write, &sender, id),
                 Err(_) => {
                     sender.post(move |el| {
                         if let Some(s) = WireSessions::get(el, id) {
@@ -189,22 +174,8 @@ pub fn accept_one(listener: TcpListener, transport: &Rc<TcpTransport>) {
         .name(format!("bgp-wire-accept-{id}"))
         .spawn(move || {
             if let Ok((stream, _peer)) = listener.accept() {
-                let _ = stream.set_nodelay(true);
-                let read = stream.try_clone().expect("clone stream");
-                *write.lock().unwrap() = Some(stream);
-                // on_connected first, reader second: see adopt().
-                sender.post(move |el| {
-                    if let Some(s) = WireSessions::get(el, id) {
-                        Session::on_connected(el, &s);
-                    }
-                });
-                spawn_reader(id, read, sender.clone());
+                adopt(stream, &write, &sender, id);
             }
         })
         .expect("spawn accept thread");
-}
-
-/// Convenience used by examples/tests: `adopt` an already-connected pair.
-pub fn adopt_stream(transport: &Rc<TcpTransport>, stream: TcpStream) {
-    transport.adopt(stream);
 }

@@ -350,11 +350,6 @@ where
         self.redist.borrow_mut().add_watcher_dumped(el, w, sources);
     }
 
-    /// Remove a redistribution watcher.
-    pub fn remove_redist_watcher(&mut self, name: &str) -> bool {
-        self.redist.borrow_mut().remove_watcher(name)
-    }
-
     /// Flow control for a redistribution watcher (XRL backpressure):
     /// `ready = false` parks deliveries in the watcher's backlog,
     /// `ready = true` replays them in order — re-checking the flow cell

@@ -169,7 +169,6 @@ pub struct DumpStage<A: Addr, R: Clone> {
     done: bool,
     suspended: bool,
     task_live: bool,
-    slice_size: usize,
 }
 
 impl<A: Addr, R: Clone> DumpStage<A, R> {
@@ -188,7 +187,6 @@ impl<A: Addr, R: Clone> DumpStage<A, R> {
             done: false,
             suspended: false,
             task_live: false,
-            slice_size: DUMP_SLICE_SIZE,
         }
     }
 
@@ -219,19 +217,9 @@ impl<A: Addr, R: Clone> DumpStage<A, R> {
         self.on_done = Some(Box::new(f));
     }
 
-    /// Override the per-slice prefix budget (default [`DUMP_SLICE_SIZE`]).
-    pub fn set_slice_size(&mut self, n: usize) {
-        self.slice_size = n.max(1);
-    }
-
     /// True once the walk has completed (or the dump was aborted).
     pub fn is_done(&self) -> bool {
         self.done
-    }
-
-    /// True while the reader is paused and the walk is parked.
-    pub fn is_suspended(&self) -> bool {
-        self.suspended
     }
 
     /// Prefixes delivered so far (dump + live first contacts).
@@ -316,8 +304,8 @@ impl<A: Addr, R: Clone> DumpStage<A, R> {
             // releasing it.
             let (ops, downstream, done) = {
                 let mut s = me.borrow_mut();
-                let mut ops = Vec::with_capacity(s.slice_size);
-                while ops.len() < s.slice_size {
+                let mut ops = Vec::with_capacity(DUMP_SLICE_SIZE);
+                while ops.len() < DUMP_SLICE_SIZE {
                     let net = loop {
                         match s.sources.first_mut() {
                             None => break None,

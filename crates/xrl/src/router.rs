@@ -6,6 +6,12 @@
 //! caches outgoing XRLs, moves frames over the enabled protocol families,
 //! and correlates responses back to caller callbacks.
 //!
+//! The families themselves — listener, connections, socket, UDP's one
+//! request in flight per peer — live behind [`crate::transport`]'s
+//! `Families`.  The router picks an endpoint (a `Via`), asks for the
+//! transport toward it, and writes frames to that one `Remote` value; it
+//! never names a socket.
+//!
 //! All dispatch happens on the loop thread; reader threads only post
 //! decoded frames.  The router is a cheap `Rc` handle, stored in the loop's
 //! type slot so cross-thread closures can find it.
@@ -47,8 +53,9 @@
 //! # Overload control
 //!
 //! Every router bounds, per transport lane, what it holds for requests in
-//! flight: the `pending` map entries (and, for UDP, the unpipelined
-//! per-peer queues) charged to the lane, under its [`QueuePolicy`]
+//! flight: the `pending` map entries charged to the lane — which cover
+//! the requests a UDP peer's unpipelined slot keeps parked — under its
+//! [`QueuePolicy`]
 //! ([`QueuePolicy::default`] unless [`XrlRouter::set_overload_policy`]
 //! retunes it).  Crossing the high watermark emits a per-lane
 //! [`CongestionSignal::Xoff`] through the callback installed with
@@ -63,9 +70,9 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
-use std::net::{SocketAddr, TcpStream, UdpSocket};
+use std::net::SocketAddr;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -78,10 +85,7 @@ use crate::error::XrlError;
 use crate::fault::{FaultAction, FaultConfig, FaultPlan};
 use crate::finder::{Endpoint, Finder, LifetimeEvent, ResolveEntry};
 use crate::marshal::{check_counts, Frame};
-use crate::transport::{
-    flush_dirty, spawn_tcp_listener, spawn_tcp_reader, spawn_udp, SharedTcpMetrics, TcpConn,
-    TcpMetrics, Transport, UdpTransport,
-};
+use crate::transport::{Families, Remote, Transport, Via};
 use crate::xrl::Xrl;
 use crate::XrlResult;
 
@@ -212,17 +216,6 @@ impl RetryPolicy {
     }
 }
 
-/// How a reply travels back to the caller.
-pub(crate) enum ReplyPath {
-    /// Caller is on this same loop; complete through the local router.
-    Local,
-    /// Buffer a response frame on the connection the request arrived on.
-    Tcp(Arc<TcpConn>),
-    /// Send a response datagram from the receiver's bound socket to where
-    /// the request came from.
-    Udp(UdpTransport),
-}
-
 /// Capability to answer one in-flight XRL.  Handlers may reply immediately
 /// or stash the responder and reply later — the asynchronous messaging the
 /// paper's event-driven design requires (§6).
@@ -232,7 +225,9 @@ pub struct Responder {
     /// `(sender, seq)` of the remote request this answers, for the
     /// receiver-side dedup cache.  `None` for local dispatch.
     origin: Option<(u64, u64)>,
-    path: ReplyPath,
+    /// The transport the request arrived on; `None` when the caller is on
+    /// this same loop and completes through the local router.
+    path: Option<Remote>,
     /// The request arrived priority-marked; the reply is marked too, so
     /// the probe's round trip jumps receive queues in both directions.
     priority: bool,
@@ -268,8 +263,8 @@ impl Responder {
             }
         }
         match path {
-            ReplyPath::Local => router.complete(el, seq, result),
-            remote => router.write_response(el, &remote, seq, result, priority),
+            None => router.complete(el, seq, result),
+            Some(remote) => router.write_response(el, &remote, seq, result, priority),
         }
     }
 
@@ -277,15 +272,6 @@ impl Responder {
     pub fn ok(self, el: &mut EventLoop) {
         self.reply(el, Ok(XrlArgs::new()));
     }
-}
-
-/// Which transport an outgoing request used (for failure handling and UDP
-/// flow control).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Via {
-    Intra,
-    Tcp(SocketAddr),
-    Udp(SocketAddr),
 }
 
 /// One request awaiting its response.
@@ -298,19 +284,16 @@ struct Pending {
     timer: Option<TimerHandle>,
     /// Retransmission copy of the request frame (remote vias only).
     frame: Option<Frame>,
-    /// The TCP connection the request was last written to: when that
-    /// connection dies, this is how [`XrlRouter::connection_closed`] finds
-    /// the requests that died with it (and not ones already moved to its
+    /// The transport the request was last written to: when a connection
+    /// dies, this is how [`XrlRouter::connection_closed`] finds the
+    /// requests that died with it (and not ones already moved to its
     /// replacement).
-    conn: Option<Arc<TcpConn>>,
+    remote: Option<Remote>,
     /// Lane this entry is charged against in the overload accounting:
     /// every remote data-priority send.  Priority and intra sends are
     /// never charged.  `Rc<str>` so interned senders share one precomputed
     /// label per lane instead of allocating a fresh `String` per route.
     counted_lane: Option<Rc<str>>,
-    /// Sent via [`XrlRouter::send_priority`]: over UDP it never owned the
-    /// unpipelined per-peer slot, so completion must not pump the queue.
-    priority: bool,
 }
 
 /// Per-lane overload accounting.
@@ -369,25 +352,6 @@ struct Target {
     by_path: HashMap<String, u32>,
 }
 
-#[derive(Default)]
-struct UdpPeerQueue {
-    in_flight: bool,
-    queue: VecDeque<Frame>,
-}
-
-struct TcpState {
-    listen_addr: Option<SocketAddr>,
-    stop: Arc<AtomicBool>,
-    conns: HashMap<SocketAddr, Arc<TcpConn>>,
-}
-
-struct UdpState {
-    socket: Arc<UdpSocket>,
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    queues: HashMap<SocketAddr, UdpPeerQueue>,
-}
-
 struct RouterInner {
     router_id: u64,
     finder: Finder,
@@ -409,8 +373,7 @@ struct RouterInner {
     /// Never emit wire-v2 frames and never advertise signatures: this
     /// router behaves like a pre-v2 peer.  For mixed-version testing.
     wire_v1_only: bool,
-    tcp: Option<TcpState>,
-    udp: Option<UdpState>,
+    families: Families,
     fault: Option<FaultPlan>,
     retry: Option<RetryPolicy>,
     /// Per-lane queue bounds.
@@ -438,9 +401,6 @@ struct RouterInner {
     shut_down: bool,
     /// Observability hooks, attached by [`XrlRouter::set_metrics`].
     metrics: Option<XrlMetrics>,
-    /// The TCP family's per-syscall histograms, shared with its listener
-    /// and reader threads (which start before a registry is attached).
-    tcp_metrics: SharedTcpMetrics,
 }
 
 /// The router's registry handles.
@@ -580,15 +540,23 @@ impl RouterInner {
                 attempt: 1,
                 timer: None,
                 frame: None,
-                conn: None,
+                remote: None,
                 counted_lane,
-                priority,
             },
         );
         if let Some(m) = &self.metrics {
             m.pending.set(self.pending.len() as i64);
         }
         Ok((seq, xoff))
+    }
+
+    /// Drop the resolve-cache entries `keep` refuses and move the cache
+    /// generation.  Every [`InternedCall`] then re-resolves — they hold no
+    /// registry to invalidate one class in — which hits the still-warm
+    /// cache for whatever was kept.
+    fn invalidate_routes(&mut self, keep: impl Fn(&ResolveEntry) -> bool) {
+        self.resolve_cache.retain(|_, e| keep(e));
+        self.cache_generation += 1;
     }
 }
 
@@ -608,6 +576,7 @@ impl XrlRouter {
         let router_id = NEXT_ROUTER_ID.fetch_add(1, Ordering::SeqCst);
         let sender = el.sender();
         finder.add_cache_holder(router_id, sender.clone());
+        let families = Families::new(sender.clone());
         let router = XrlRouter {
             inner: Rc::new(RefCell::new(RouterInner {
                 router_id,
@@ -620,8 +589,7 @@ impl XrlRouter {
                 resolve_cache: HashMap::new(),
                 cache_generation: 1,
                 wire_v1_only: false,
-                tcp: None,
-                udp: None,
+                families,
                 fault: None,
                 retry: None,
                 overload: QueuePolicy::default(),
@@ -634,7 +602,6 @@ impl XrlRouter {
                 lifetime_cbs: Vec::new(),
                 shut_down: false,
                 metrics: None,
-                tcp_metrics: SharedTcpMetrics::default(),
             })),
         };
         el.set_slot::<XrlRouter>(router.clone());
@@ -663,10 +630,7 @@ impl XrlRouter {
     /// routers apart.
     pub fn set_metrics(&self, metrics: &Metrics) {
         let mut inner = self.inner.borrow_mut();
-        let _ = inner.tcp_metrics.set(TcpMetrics {
-            frames_per_read: metrics.histogram("xrl.frames_per_read"),
-            frames_per_write: metrics.histogram("xrl.frames_per_write"),
-        });
+        inner.families.set_metrics(metrics);
         inner.metrics = Some(XrlMetrics {
             pending: metrics.gauge("xrl.pending"),
             lane_depth: metrics.gauge("xrl.lane_depth"),
@@ -758,25 +722,14 @@ impl XrlRouter {
                 std::mem::size_of::<Pending>() + p.frame.as_ref().map_or(0, |f| f.approx_wire_len())
             })
             .sum();
-        let parked: usize = inner
-            .udp
-            .iter()
-            .flat_map(|u| u.queues.values())
-            .flat_map(|q| q.queue.iter())
-            .map(|f| f.approx_wire_len())
-            .sum();
+        let parked: usize = inner.families.parked().map(|f| f.approx_wire_len()).sum();
         pending + parked
     }
 
     /// Total frames parked in UDP per-peer queues awaiting their slot
     /// (diagnostic; the dead-peer eviction test watches this drain).
     pub fn udp_queue_depth(&self) -> usize {
-        self.inner
-            .borrow()
-            .udp
-            .as_ref()
-            .map(|u| u.queues.values().map(|q| q.queue.len()).sum())
-            .unwrap_or(0)
+        self.inner.borrow().families.parked().count()
     }
 
     /// The transport lane an Auto-preference send to `target`/`path` would
@@ -784,21 +737,29 @@ impl XrlRouter {
     /// no queue and are never congested).  Lets a producer map a
     /// [`CongestionSignal`]'s lane label back to the consumer it feeds.
     pub fn lane_of(&self, target: &str, path: &str) -> Option<String> {
-        let entry = self.resolve_cached(target, path).ok()?;
-        let (_, lane) = self.choose(&entry, TransportPref::Auto).ok()?;
-        lane.map(|l| l.to_string())
+        let route = self.route(target, path, TransportPref::Auto, None).ok()?;
+        route.lane.map(|l| l.to_string())
     }
 
-    /// Pick the endpoint `pref` allows among `entry`'s, with its lane label
-    /// (`None` for intra dispatch).  `Auto` takes intra dispatch when the
-    /// target is co-located, else TCP, else UDP; the forced preferences
-    /// take their own family or nothing.
-    fn choose(
+    /// Resolve `target`/`path` through the cache and pick the endpoint
+    /// `pref` allows, with its lane label.  `Auto` takes intra dispatch
+    /// when the target is co-located, else TCP, else UDP; the forced
+    /// preferences take their own family or nothing.  `sig_hash` is the
+    /// caller's signature hash, if it has one: the route carries the
+    /// target's method id — positional wire-v2 frames — only when the
+    /// target advertised the same hash.
+    fn route(
         &self,
-        entry: &ResolveEntry,
+        target: &str,
+        path: &str,
         pref: TransportPref,
-    ) -> Result<(Via, Option<Rc<str>>), XrlError> {
-        let my_id = self.inner.borrow().router_id;
+        sig_hash: Option<u64>,
+    ) -> Result<InternedCached, XrlError> {
+        let entry = self.resolve_cached(target, path)?;
+        let (my_id, v1_only) = {
+            let inner = self.inner.borrow();
+            (inner.router_id, inner.wire_v1_only)
+        };
         let (mut intra, mut tcp, mut udp) = (false, None, None);
         for ep in &entry.endpoints {
             match ep {
@@ -821,12 +782,14 @@ impl XrlRouter {
                 entry.instance
             ))
         })?;
-        let lane = match via {
-            Via::Intra => None,
-            Via::Tcp(a) => Some(Rc::from(format!("tcp:{a}"))),
-            Via::Udp(a) => Some(Rc::from(format!("udp:{a}"))),
-        };
-        Ok((via, lane))
+        let negotiated = !v1_only && sig_hash.is_some() && entry.sig_hash == sig_hash;
+        Ok(InternedCached {
+            instance: entry.instance,
+            key: entry.key,
+            via,
+            lane: via.lane(),
+            method_id: entry.method_id.filter(|_| negotiated),
+        })
     }
 
     /// Admit one request and register it as pending: the one place a send
@@ -899,41 +862,12 @@ impl XrlRouter {
 
     /// Enable the TCP protocol family; returns the listening address.
     pub fn enable_tcp(&self) -> Result<SocketAddr, XrlError> {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(t) = &inner.tcp {
-            return Ok(t.listen_addr.expect("listener up"));
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let addr = spawn_tcp_listener(
-            inner.sender.clone(),
-            stop.clone(),
-            inner.tcp_metrics.clone(),
-        )
-        .map_err(|e| XrlError::Transport(format!("tcp listen: {e}")))?;
-        inner.tcp = Some(TcpState {
-            listen_addr: Some(addr),
-            stop,
-            conns: HashMap::new(),
-        });
-        Ok(addr)
+        self.inner.borrow_mut().families.enable_tcp()
     }
 
     /// Enable the UDP protocol family; returns the bound address.
     pub fn enable_udp(&self) -> Result<SocketAddr, XrlError> {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(u) = &inner.udp {
-            return Ok(u.local_addr);
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let (socket, addr) = spawn_udp(inner.sender.clone(), stop.clone())
-            .map_err(|e| XrlError::Transport(format!("udp bind: {e}")))?;
-        inner.udp = Some(UdpState {
-            socket,
-            local_addr: addr,
-            stop,
-            queues: HashMap::new(),
-        });
-        Ok(addr)
+        self.inner.borrow_mut().families.enable_udp()
     }
 
     // ----- targets and handlers ---------------------------------------------
@@ -941,16 +875,12 @@ impl XrlRouter {
     /// The endpoints a registration should advertise right now.
     fn current_endpoints(&self) -> Vec<Endpoint> {
         let inner = self.inner.borrow();
-        let mut eps = vec![Endpoint::Intra {
+        let intra = Endpoint::Intra {
             router_id: inner.router_id,
-        }];
-        if let Some(t) = &inner.tcp {
-            eps.push(Endpoint::Tcp(t.listen_addr.expect("listener up")));
-        }
-        if let Some(u) = &inner.udp {
-            eps.push(Endpoint::Udp(u.local_addr));
-        }
-        eps
+        };
+        std::iter::once(intra)
+            .chain(inner.families.endpoints())
+            .collect()
     }
 
     /// Register a component instance of `class` with the Finder,
@@ -1048,7 +978,7 @@ impl XrlRouter {
     pub fn set_wire_v1_only(&self, v1_only: bool) {
         let mut inner = self.inner.borrow_mut();
         inner.wire_v1_only = v1_only;
-        inner.cache_generation += 1;
+        inner.invalidate_routes(|_| true);
     }
 
     // ----- finder liveness --------------------------------------------------
@@ -1124,9 +1054,7 @@ impl XrlRouter {
         }
         if repaired {
             // Everyone's endpoints may have changed across the restart.
-            let mut inner = self.inner.borrow_mut();
-            inner.resolve_cache.clear();
-            inner.cache_generation += 1;
+            self.flush_resolve_cache();
         }
     }
 
@@ -1164,17 +1092,7 @@ impl XrlRouter {
         cb: ResponseCb,
     ) {
         let path = xrl.path.dotted();
-        let route = self.resolve_cached(xrl.target(), &path).and_then(|entry| {
-            let (via, lane) = self.choose(&entry, pref)?;
-            Ok(InternedCached {
-                instance: entry.instance,
-                key: entry.key,
-                via,
-                lane,
-                method_id: None,
-            })
-        });
-        match route {
+        match self.route(xrl.target(), &path, pref, None) {
             Ok(route) => self.send_routed(el, route, path, xrl.args, priority, cb),
             Err(e) => cb(el, Err(e)),
         }
@@ -1226,19 +1144,8 @@ impl XrlRouter {
         let inner = &call.inner;
         let generation = self.inner.borrow().cache_generation;
         if inner.generation.get() != generation || inner.cached.borrow().is_none() {
-            let route = self.resolve_cached(&inner.target, &inner.path);
-            match route.and_then(|entry| {
-                let (via, lane) = self.choose(&entry, TransportPref::Auto)?;
-                let v1_only = self.inner.borrow().wire_v1_only;
-                let negotiated = !v1_only && entry.sig_hash == Some(inner.sig_hash);
-                Ok(InternedCached {
-                    instance: entry.instance,
-                    key: entry.key,
-                    via,
-                    lane,
-                    method_id: entry.method_id.filter(|_| negotiated),
-                })
-            }) {
+            let sig_hash = Some(inner.sig_hash);
+            match self.route(&inner.target, &inner.path, TransportPref::Auto, sig_hash) {
                 Ok(route) => *inner.cached.borrow_mut() = Some(route),
                 Err(e) => return cb(el, Err(e)),
             }
@@ -1296,27 +1203,17 @@ impl XrlRouter {
             return;
         };
         let sender = self.router_id();
-        let (Via::Tcp(addr) | Via::Udp(addr)) = via else {
+        if via == Via::Intra {
             // Same loop: defer so the dispatch is its own event, exactly
             // like a frame arriving from a transport.
             let router = self.clone();
             el.defer(move |el| {
                 router.dispatch(
-                    el,
-                    seq,
-                    sender,
-                    &instance,
-                    key,
-                    &path,
-                    args,
-                    method_id,
-                    ReplyPath::Local,
-                    priority,
-                    trace,
+                    el, seq, sender, &instance, key, &path, args, method_id, None, priority, trace,
                 );
             });
             return;
-        };
+        }
         let frame = Frame::Request {
             seq,
             sender,
@@ -1328,15 +1225,15 @@ impl XrlRouter {
             priority,
             trace,
         };
-        // Only a TCP failure has a cached connection to evict.
-        let tcp = matches!(via, Via::Tcp(_)).then_some(addr);
-        let written = match tcp {
-            Some(addr) => self.tcp_send(el, seq, addr, &frame),
-            None => self.udp_send_or_queue(el, addr, frame.clone(), priority),
-        };
-        match written {
-            Ok(()) => self.arm_retry(el, seq, frame),
-            Err(e) => self.write_failed(el, seq, tcp, frame, e),
+        // A parked request is written, and its retry armed, once its UDP
+        // peer's request in flight completes.
+        let now = self
+            .inner
+            .borrow_mut()
+            .families
+            .park(via, seq, frame, priority);
+        if let Some(frame) = now {
+            self.send_request(el, seq, via, frame);
         }
     }
 
@@ -1374,10 +1271,10 @@ impl XrlRouter {
     /// A dropped frame reports `Ok`: silent loss is precisely the failure
     /// mode being modelled, and the retry machinery (not the caller) is
     /// responsible for noticing.
-    fn transport_write<T: Transport>(
+    fn transport_write(
         &self,
         el: &mut EventLoop,
-        transport: &T,
+        transport: &Remote,
         frame: &Frame,
     ) -> Result<(), XrlError> {
         let decided = {
@@ -1428,13 +1325,13 @@ impl XrlRouter {
         result
     }
 
-    /// Write the response to request `seq` back along `path`.  A lost
+    /// Write the response to request `seq` back on `remote`.  A lost
     /// response is the requester's retry machinery's to notice; a reply
     /// the wire cannot count goes back as the [`XrlError::BadArgs`] it is.
     fn write_response(
         &self,
         el: &mut EventLoop,
-        path: &ReplyPath,
+        remote: &Remote,
         seq: u64,
         result: XrlResult,
         priority: bool,
@@ -1444,101 +1341,37 @@ impl XrlRouter {
             result: result.and_then(|args| check_counts(&args).map(|()| args)),
             priority,
         };
-        let _ = match path {
-            ReplyPath::Local => Ok(()),
-            ReplyPath::Tcp(conn) => self.transport_write(el, conn, &frame),
-            ReplyPath::Udp(peer) => self.transport_write(el, peer, &frame),
-        };
+        let _ = self.transport_write(el, remote, &frame);
     }
 
-    /// Write request `seq`'s frame on the connection to `addr`, recording
-    /// the connection in the pending entry first: a frame lost with the
-    /// connection's out-buffer must be found by `connection_closed`.
-    fn tcp_send(
-        &self,
-        el: &mut EventLoop,
-        seq: u64,
-        addr: SocketAddr,
-        frame: &Frame,
-    ) -> Result<(), XrlError> {
-        let conn = self.tcp_conn(addr)?;
-        if let Some(p) = self.inner.borrow_mut().pending.get_mut(&seq) {
-            p.conn = Some(conn.clone());
-        }
-        self.transport_write(el, &conn, frame)
-    }
-
-    /// Reuse or establish the TCP connection to `addr`.
-    fn tcp_conn(&self, addr: SocketAddr) -> Result<Arc<TcpConn>, XrlError> {
-        let existing = {
-            let inner = self.inner.borrow();
-            let tcp = inner
-                .tcp
-                .as_ref()
-                .ok_or_else(|| XrlError::Transport("tcp family not enabled".into()))?;
-            tcp.conns.get(&addr).cloned()
-        };
-        match existing {
-            Some(s) => Ok(s),
-            None => {
-                let raw = TcpStream::connect(addr)
-                    .map_err(|e| XrlError::Transport(format!("connect {addr}: {e}")))?;
-                let _ = raw.set_nodelay(true);
-                let mut inner = self.inner.borrow_mut();
-                let conn = spawn_tcp_reader(raw, inner.sender.clone(), inner.tcp_metrics.clone());
-                inner
-                    .tcp
-                    .as_mut()
-                    .expect("tcp enabled")
-                    .conns
-                    .insert(addr, conn.clone());
-                Ok(conn)
-            }
-        }
-    }
-
-    /// The UDP family's shared socket.
-    fn udp_socket(&self) -> Result<Arc<UdpSocket>, XrlError> {
-        let inner = self.inner.borrow();
-        let udp = inner.udp.as_ref();
-        udp.map(|u| u.socket.clone())
-            .ok_or_else(|| XrlError::Transport("udp family not enabled".into()))
-    }
-
-    /// UDP is deliberately unpipelined (§8.1): at most one outstanding
-    /// request per peer; later requests queue until the response arrives.
-    /// Priority frames skip the queue discipline entirely — a keepalive
-    /// must not wait behind a saturated data queue.
-    fn udp_send_or_queue(
-        &self,
-        el: &mut EventLoop,
-        addr: SocketAddr,
-        frame: Frame,
-        priority: bool,
-    ) -> Result<(), XrlError> {
-        let socket = {
+    /// Write request `seq`'s frame toward `via` and arm its retry: the one
+    /// path for a first send, a retransmission and a parked request's
+    /// turn.  The pending entry records the transport, so a frame lost
+    /// with a connection's out-buffer is found by `connection_closed`.  A
+    /// failed write evicts the connection (the next send reconnects); with
+    /// a retry policy it is then just another lost frame, and without one
+    /// the caller sees the transport error.
+    fn send_request(&self, el: &mut EventLoop, seq: u64, via: Via, frame: Frame) {
+        let connected = self.inner.borrow_mut().families.connect(via);
+        let written = connected.and_then(|remote| {
+            let written = self.transport_write(el, &remote, &frame);
             let mut inner = self.inner.borrow_mut();
-            let udp = inner
-                .udp
-                .as_mut()
-                .ok_or_else(|| XrlError::Transport("udp family not enabled".into()))?;
-            if priority {
-                udp.socket.clone()
-            } else {
-                let q = udp.queues.entry(addr).or_default();
-                if q.in_flight {
-                    q.queue.push_back(frame);
-                    return Ok(());
-                }
-                q.in_flight = true;
-                udp.socket.clone()
+            if written.is_err() {
+                inner.families.evict(&remote);
             }
-        };
-        self.transport_write(el, &UdpTransport { socket, peer: addr }, &frame)
+            if let Some(p) = inner.pending.get_mut(&seq) {
+                p.remote = Some(remote);
+            }
+            written
+        });
+        match written {
+            Err(e) if self.inner.borrow().retry.is_none() => self.complete(el, seq, Err(e)),
+            _ => self.arm_retry(el, seq, frame),
+        }
     }
 
-    /// Arm the timeout for a just-sent (or just-queued) remote request,
-    /// remembering the frame for retransmission.  No-op without a policy.
+    /// Arm the timeout for a just-sent remote request, remembering the
+    /// frame for retransmission.  No-op without a policy.
     fn arm_retry(&self, el: &mut EventLoop, seq: u64, frame: Frame) {
         let Some(policy) = self.inner.borrow().retry else {
             return;
@@ -1572,7 +1405,9 @@ impl XrlRouter {
 
     /// A request's timeout fired: retransmit with the *same* sequence
     /// number (so a late response to any copy still correlates, and the
-    /// receiver can dedup), or give up with [`XrlError::Timeout`].
+    /// receiver can dedup), or give up with [`XrlError::Timeout`].  Only a
+    /// request that was written has a timer, so a UDP retransmission goes
+    /// straight out: the peer's slot is this request's, or it is priority.
     fn on_timeout(&self, el: &mut EventLoop, seq: u64) {
         let Some(policy) = self.inner.borrow().retry else {
             return;
@@ -1587,173 +1422,79 @@ impl XrlRouter {
                 (p.via, None)
             } else {
                 p.attempt += 1;
-                (p.via, Some(p.frame.clone()))
+                (p.via, Some(p.frame.take()))
             }
         };
         match retry {
             None => {
-                // Budget spent: for UDP this declares the peer dead, which
-                // also evicts its parked queue and fails everything else
-                // outstanding toward it (including this request).
-                if let Via::Udp(peer) = via {
-                    self.udp_peer_dead(el, peer);
-                } else {
-                    self.fail_pending(el, seq, XrlError::Timeout);
+                // Budget spent.  For a UDP peer this declares it dead,
+                // failing everything outstanding toward it (this request
+                // included).
+                let victims: Vec<u64> = {
+                    let mut inner = self.inner.borrow_mut();
+                    if inner.families.peer_dead(via) {
+                        let toward = inner.pending.iter().filter(|(_, p)| p.via == via);
+                        toward.map(|(s, _)| *s).collect()
+                    } else {
+                        vec![seq]
+                    }
+                };
+                for seq in victims {
+                    self.complete(el, seq, Err(XrlError::Timeout));
                 }
             }
             Some(Some(frame)) => {
-                {
-                    let inner = self.inner.borrow();
-                    if let Some(m) = &inner.metrics {
-                        m.retransmit.inc();
-                    }
+                if let Some(m) = &self.inner.borrow().metrics {
+                    m.retransmit.inc();
                 }
-                let written = match via {
-                    Via::Intra => Ok(()),
-                    Via::Tcp(addr) => self.tcp_send(el, seq, addr, &frame),
-                    // Retransmit directly: the in-flight slot for this
-                    // peer is already ours.
-                    Via::Udp(peer) => self.udp_socket().and_then(|socket| {
-                        self.transport_write(el, &UdpTransport { socket, peer }, &frame)
-                    }),
-                };
-                match written {
-                    Ok(()) => self.arm_timeout(el, seq, policy),
-                    Err(_) => {
-                        // The write itself failed (dead socket, refused
-                        // connect): treat it like a lost frame — evict any
-                        // dead cached connection and keep backing off until
-                        // the attempt budget is spent.
-                        if let Via::Tcp(addr) = via {
-                            if let Some(tcp) = self.inner.borrow_mut().tcp.as_mut() {
-                                tcp.conns.remove(&addr);
-                            }
-                        }
-                        self.arm_timeout(el, seq, policy);
-                    }
-                }
+                self.send_request(el, seq, via, frame);
             }
-            Some(None) => self.fail_pending(el, seq, XrlError::Timeout),
-        }
-    }
-
-    /// A send for `seq` failed at the transport layer (dead socket,
-    /// refused connect).  With a retry policy the failure is just another
-    /// form of frame loss: evict the dead cached connection and let the
-    /// armed timeout retransmit over a fresh one.  Without a policy the
-    /// caller sees the transport error directly.
-    fn write_failed(
-        &self,
-        el: &mut EventLoop,
-        seq: u64,
-        addr: Option<SocketAddr>,
-        frame: Frame,
-        err: XrlError,
-    ) {
-        if let Some(addr) = addr {
-            if let Some(tcp) = self.inner.borrow_mut().tcp.as_mut() {
-                tcp.conns.remove(&addr);
-            }
-        }
-        if self.inner.borrow().retry.is_some() {
-            self.arm_retry(el, seq, frame);
-        } else {
-            self.fail_pending(el, seq, err);
-        }
-    }
-
-    /// Fail one pending request, releasing its timer, UDP slot and
-    /// overload charge.
-    fn fail_pending(&self, el: &mut EventLoop, seq: u64, err: XrlError) {
-        let entry = {
-            let mut inner = self.inner.borrow_mut();
-            let entry = inner.pending.remove(&seq);
-            if entry.is_some() {
-                if let Some(m) = &inner.metrics {
-                    m.pending.set(inner.pending.len() as i64);
-                }
-            }
-            entry
-        };
-        let Some(p) = entry else {
-            return;
-        };
-        if let Some(t) = p.timer {
-            el.cancel(t);
-        }
-        if let Some(lane) = &p.counted_lane {
-            self.note_lane_dequeue(el, lane);
-        }
-        if let Via::Udp(peer) = p.via {
-            if !p.priority {
-                self.udp_pump(el, peer);
-            }
-        }
-        (p.cb)(el, Err(err));
-    }
-
-    /// A UDP peer exhausted a request's whole retry budget: declare it
-    /// dead.  Its parked per-peer queue is evicted (those frames would
-    /// otherwise persist until process exit) and every request outstanding
-    /// toward it fails now instead of serially burning its own budget.
-    fn udp_peer_dead(&self, el: &mut EventLoop, peer: SocketAddr) {
-        let victims: Vec<u64> = {
-            let mut inner = self.inner.borrow_mut();
-            if let Some(udp) = inner.udp.as_mut() {
-                udp.queues.remove(&peer);
-            }
-            inner
-                .pending
-                .iter()
-                .filter(|(_, p)| p.via == Via::Udp(peer))
-                .map(|(s, _)| *s)
-                .collect()
-        };
-        // The queue entry is gone, so the fail path's udp_pump finds
-        // nothing to send toward the dead peer.
-        for seq in victims {
-            self.fail_pending(el, seq, XrlError::Timeout);
+            Some(None) => self.complete(el, seq, Err(XrlError::Timeout)),
         }
     }
 
     // ----- incoming ----------------------------------------------------------
 
-    /// Entry point for single frames posted by transport reader threads
-    /// (UDP datagrams, TCP priority frames).
-    pub(crate) fn incoming_frame(el: &mut EventLoop, frame: Frame, reply: ReplyPath) {
-        if let Some(router) = el.slot::<XrlRouter>().cloned() {
-            router.handle_frame(el, frame, reply);
-        }
-    }
-
-    /// Entry point for a TCP reader's batch of frames: one loop event
-    /// that runs every frame to completion, in arrival order, exactly as
-    /// if each had been posted alone.
-    pub(crate) fn incoming_batch(el: &mut EventLoop, frames: Vec<Frame>, conn: Arc<TcpConn>) {
-        if let Some(router) = el.slot::<XrlRouter>().cloned() {
-            for frame in frames {
-                router.handle_frame(el, frame, ReplyPath::Tcp(conn.clone()));
+    /// Entry point for the frames a transport reader thread posts: a TCP
+    /// reader's batch, or one datagram or priority frame.  One loop event
+    /// runs every frame to completion, in arrival order, exactly as if each
+    /// had been posted alone; requests are answered on `remote`.
+    pub(crate) fn incoming(
+        el: &mut EventLoop,
+        frames: impl IntoIterator<Item = Frame>,
+        remote: Remote,
+    ) {
+        let Some(router) = el.slot::<XrlRouter>().cloned() else {
+            return;
+        };
+        for frame in frames {
+            match frame {
+                Frame::Request {
+                    seq,
+                    sender,
+                    target,
+                    key,
+                    path,
+                    args,
+                    method_id,
+                    priority,
+                    trace,
+                } => router.dispatch(
+                    el,
+                    seq,
+                    sender,
+                    &target,
+                    key,
+                    &path,
+                    args,
+                    method_id,
+                    Some(remote.clone()),
+                    priority,
+                    trace,
+                ),
+                Frame::Response { seq, result, .. } => router.complete(el, seq, result),
+                Frame::Kill { .. } => el.stop(),
             }
-        }
-    }
-
-    fn handle_frame(&self, el: &mut EventLoop, frame: Frame, reply: ReplyPath) {
-        match frame {
-            Frame::Request {
-                seq,
-                sender,
-                target,
-                key,
-                path,
-                args,
-                method_id,
-                priority,
-                trace,
-            } => self.dispatch(
-                el, seq, sender, &target, key, &path, args, method_id, reply, priority, trace,
-            ),
-            Frame::Response { seq, result, .. } => self.complete(el, seq, result),
-            Frame::Kill { .. } => el.stop(),
         }
     }
 
@@ -1775,19 +1516,18 @@ impl XrlRouter {
         path: &str,
         mut args: XrlArgs,
         method_id: Option<u32>,
-        reply: ReplyPath,
+        reply: Option<Remote>,
         priority: bool,
         trace: Option<TraceContext>,
     ) {
         // Only a request that can arrive twice takes a (sender, seq)
         // identity: a datagram (the network duplicates those by itself) or
         // one whose sender marked it as possibly retransmitted.
-        let origin = match reply {
-            ReplyPath::Local => None,
-            ReplyPath::Udp(_) => Some((sender_id, seq)),
-            ReplyPath::Tcp(_) => (seq & SEQ_MAY_RECUR != 0).then_some((sender_id, seq)),
+        let origin = match &reply {
+            Some(r) if r.is_datagram() || seq & SEQ_MAY_RECUR != 0 => Some((sender_id, seq)),
+            _ => None,
         };
-        if let Some(dedup_key) = origin {
+        if let (Some(dedup_key), Some(remote)) = (origin, &reply) {
             let now = el.now();
             let cached = {
                 let mut inner = self.inner.borrow_mut();
@@ -1824,7 +1564,7 @@ impl XrlRouter {
             if let Some(result) = cached {
                 // Retransmission of an already-answered request: replay the
                 // cached response, don't re-run the handler.
-                self.write_response(el, &reply, seq, result, priority);
+                self.write_response(el, remote, seq, result, priority);
                 return;
             }
         }
@@ -1904,94 +1644,56 @@ impl XrlRouter {
         if let Some(lane) = &p.counted_lane {
             self.note_lane_dequeue(el, lane);
         }
-        // UDP flow control: the response frees the peer's slot (priority
-        // frames never held it).
-        if let Via::Udp(peer) = p.via {
-            if !p.priority {
-                self.udp_pump(el, peer);
-            }
+        // UDP flow control: a request that held its peer's slot passes it
+        // to the next one parked there.
+        let next = self.inner.borrow_mut().families.release(p.via, seq);
+        if let Some((next, frame)) = next {
+            self.send_request(el, next, p.via, frame);
         }
         (p.cb)(el, result);
-    }
-
-    /// Send the next queued UDP request to `peer`, if any.
-    fn udp_pump(&self, el: &mut EventLoop, peer: SocketAddr) {
-        let (socket, frame) = {
-            let mut inner = self.inner.borrow_mut();
-            let Some(udp) = inner.udp.as_mut() else {
-                return;
-            };
-            let socket = udp.socket.clone();
-            let Some(q) = udp.queues.get_mut(&peer) else {
-                return;
-            };
-            match q.queue.pop_front() {
-                Some(f) => {
-                    q.in_flight = true;
-                    (socket, f)
-                }
-                None => {
-                    q.in_flight = false;
-                    return;
-                }
-            }
-        };
-        let _ = self.transport_write(el, &UdpTransport { socket, peer }, &frame);
     }
 
     /// Deliver a kill-family signal to `target` (§6.3's "kill protocol
     /// family, which is capable of sending just one message type — a UNIX
     /// signal — to components within a host").  The receiving loop stops.
     pub fn send_kill(&self, el: &mut EventLoop, target: &str, signal: u32) -> Result<(), XrlError> {
-        let entry = self.resolve_cached(target, "!kill")?;
-        let kill = Frame::Kill { signal };
-        match self.choose(&entry, TransportPref::Auto)?.0 {
-            Via::Intra => {
-                el.defer(|el| el.stop());
-                Ok(())
-            }
-            Via::Tcp(addr) => {
-                let conn = self.tcp_conn(addr)?;
-                self.transport_write(el, &conn, &kill)
-            }
-            Via::Udp(peer) => {
-                let socket = self.udp_socket()?;
-                self.transport_write(el, &UdpTransport { socket, peer }, &kill)
-            }
+        let via = self.route(target, "!kill", TransportPref::Auto, None)?.via;
+        if via == Via::Intra {
+            el.defer(|el| el.stop());
+            return Ok(());
         }
+        let remote = self.inner.borrow_mut().families.connect(via)?;
+        self.transport_write(el, &remote, &Frame::Kill { signal })
     }
 
     /// A TCP connection died: retry requests in flight on it (when a
     /// [`RetryPolicy`] allows — reconnecting transparently), else fail
     /// them.  Reached from the connection's reader thread (EOF, reset) and
     /// from a failed flush; whichever comes second finds nothing to do.
-    pub(crate) fn connection_closed(el: &mut EventLoop, conn: &Arc<TcpConn>) {
+    pub(crate) fn connection_closed(el: &mut EventLoop, conn: &Remote) {
         let router = match el.slot::<XrlRouter>() {
             Some(r) => r.clone(),
             None => return,
         };
         let (affected, retry_enabled) = {
             let mut inner = router.inner.borrow_mut();
-            let retry_enabled = inner.retry.is_some();
-            if let Some(tcp) = inner.tcp.as_mut() {
-                // Evict it, unless a send already did and reconnected.
-                tcp.conns.retain(|_, c| !Arc::ptr_eq(c, conn));
-            }
+            inner.families.evict(conn);
             let affected: Vec<(u64, bool)> = inner
                 .pending
                 .iter()
-                .filter(|(_, p)| p.conn.as_ref().is_some_and(|c| Arc::ptr_eq(c, conn)))
+                .filter(|(_, p)| p.remote.as_ref() == Some(conn))
                 .map(|(seq, p)| (*seq, p.frame.is_some()))
                 .collect();
-            (affected, retry_enabled)
+            (affected, inner.retry.is_some())
         };
         for (seq, has_frame) in affected {
             if retry_enabled && has_frame {
                 // The dead connection is already evicted; each request's
                 // armed backoff timer will retransmit over a fresh one
-                // (`tcp_conn` reconnects on demand).  Retransmitting the
-                // whole herd *here* would roll the fault dice for every
-                // pending request at once and cascade.
+                // (`Families::connect` reconnects on demand).
+                // Retransmitting the whole herd *here* would roll the
+                // fault dice for every pending request at once and
+                // cascade.
                 let unarmed = router
                     .inner
                     .borrow()
@@ -2004,7 +1706,7 @@ impl XrlRouter {
                     }
                 }
             } else {
-                router.fail_pending(el, seq, XrlError::TargetDied);
+                router.complete(el, seq, Err(XrlError::TargetDied));
             }
         }
     }
@@ -2062,23 +1764,14 @@ impl XrlRouter {
     /// Drop every cache entry (posted by the Finder on ACL change).
     pub(crate) fn flush_cache_on(el: &mut EventLoop) {
         if let Some(r) = el.slot::<XrlRouter>() {
-            let r = r.clone();
-            let mut inner = r.inner.borrow_mut();
-            inner.resolve_cache.clear();
-            inner.cache_generation += 1;
+            r.flush_resolve_cache();
         }
     }
 
     /// Drop cache entries for a class (posted by the Finder on change).
     pub(crate) fn invalidate_cache_on(el: &mut EventLoop, class: &str) {
         if let Some(r) = el.slot::<XrlRouter>() {
-            let r = r.clone();
-            let mut inner = r.inner.borrow_mut();
-            inner.resolve_cache.retain(|_, e| e.class != class);
-            // Interned calls can't be invalidated per class (they hold no
-            // registry); moving the generation makes every one re-resolve,
-            // which hits the still-warm resolve cache for other classes.
-            inner.cache_generation += 1;
+            r.inner.borrow_mut().invalidate_routes(|e| e.class != class);
         }
     }
 
@@ -2089,9 +1782,7 @@ impl XrlRouter {
 
     /// Drop every resolve-cache entry (test/diagnostic).
     pub fn flush_resolve_cache(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.resolve_cache.clear();
-        inner.cache_generation += 1;
+        self.inner.borrow_mut().invalidate_routes(|_| false);
     }
 
     /// Number of remembered request identities in the receiver-side dedup
@@ -2137,27 +1828,9 @@ impl XrlRouter {
         // Fail callers waiting on us.
         let pending: Vec<u64> = self.inner.borrow().pending.keys().copied().collect();
         for seq in pending {
-            self.fail_pending(el, seq, XrlError::TargetDied);
+            self.complete(el, seq, Err(XrlError::TargetDied));
         }
-
-        // Frames buffered by the final turn (a reply sent just before the
-        // loop stopped) leave before the sockets close.
-        flush_dirty(el);
-
-        // Stop transports.  The accept thread polls its stop flag, so no
-        // wake-up connection is needed.
-        let mut inner = self.inner.borrow_mut();
-        if let Some(tcp) = inner.tcp.take() {
-            tcp.stop.store(true, Ordering::SeqCst);
-            for conn in tcp.conns.values() {
-                conn.close();
-            }
-        }
-        if let Some(udp) = inner.udp.take() {
-            udp.stop.store(true, Ordering::SeqCst);
-            // Wake the reader with a runt datagram so it sees the flag.
-            let _ = udp.socket.send_to(&[0u8; 1], udp.local_addr);
-        }
+        self.inner.borrow_mut().families.shutdown(el);
     }
 }
 

@@ -5,6 +5,18 @@
 //! the IPC mechanism itself; dispatch and correlation live in
 //! [`crate::router`].
 //!
+//! # What the router may ask
+//!
+//! Every piece of per-family state a router keeps lives in one
+//! [`Families`] value: the TCP listener and connection cache, the UDP
+//! socket, and the per-peer queues that keep UDP unpipelined (§8.1).  The
+//! router names endpoints by [`Via`] and writes to one [`Remote`] value — a
+//! connection or a datagram peer, matched per frame with no dynamic
+//! dispatch — and asks its `Families` for nothing else than to enable a
+//! family, advertise its endpoints, connect a `Via`, park a UDP request
+//! behind its peer's request in flight, release that slot, evict a failed
+//! connection or dead peer, and tear everything down.
+//!
 //! The paper's loop multiplexes sockets with `select(2)`.  We keep the
 //! router loop single-threaded and give each socket a dedicated reader
 //! thread that posts decoded frames into the loop — same run-to-completion
@@ -67,22 +79,25 @@
 //! with `TargetDied` or are left to their armed retry timers.
 
 use std::borrow::Cow;
+use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 use xorp_event::{EventLoop, EventSender};
-use xorp_profiler::Histogram;
+use xorp_profiler::{Histogram, Metrics};
 
 use crate::error::XrlError;
+use crate::finder::Endpoint;
 use crate::marshal::{Frame, FrameDecoder};
-use crate::router::{ReplyPath, XrlRouter};
+use crate::router::XrlRouter;
 
 /// Largest UDP frame we will send; keeps datagrams under the loopback MTU.
-pub(crate) const MAX_UDP_FRAME: usize = 60_000;
+const MAX_UDP_FRAME: usize = 60_000;
 
 /// Bytes a TCP reader asks the kernel for per `read`.
 const READ_BUF_BYTES: usize = 64 * 1024;
@@ -104,12 +119,12 @@ const ACCEPT_POLL: std::time::Duration = std::time::Duration::from_millis(2);
 /// syscall, so the histograms show the batch an operator is actually
 /// getting.  Late-bound because listeners (and their readers) start before
 /// [`XrlRouter::set_metrics`] hands the router a registry.
-pub(crate) struct TcpMetrics {
-    pub frames_per_read: Histogram,
-    pub frames_per_write: Histogram,
+struct TcpMetrics {
+    frames_per_read: Histogram,
+    frames_per_write: Histogram,
 }
 
-pub(crate) type SharedTcpMetrics = Arc<OnceLock<TcpMetrics>>;
+type SharedTcpMetrics = Arc<OnceLock<TcpMetrics>>;
 
 /// Start a TCP listener on an ephemeral localhost port.  Each accepted
 /// connection gets a reader thread that posts its frames to `sender`'s
@@ -121,7 +136,7 @@ pub(crate) type SharedTcpMetrics = Arc<OnceLock<TcpMetrics>>;
 /// `incoming()` yielded).  Transient accept errors — e.g. `ECONNABORTED`
 /// when a peer resets between arrival and accept — no longer kill the
 /// accept loop.
-pub(crate) fn spawn_tcp_listener(
+fn spawn_tcp_listener(
     sender: EventSender,
     stop: Arc<AtomicBool>,
     metrics: SharedTcpMetrics,
@@ -160,7 +175,7 @@ pub(crate) fn spawn_tcp_listener(
 
 /// Spawn the per-connection reader.  The connection is read by this thread
 /// and written (through the returned [`TcpConn`]) by the loop thread.
-pub(crate) fn spawn_tcp_reader(
+fn spawn_tcp_reader(
     stream: TcpStream,
     sender: EventSender,
     metrics: SharedTcpMetrics,
@@ -181,7 +196,7 @@ pub(crate) fn spawn_tcp_reader(
             // Tell the loop so pending callbacks can fail over.  On the
             // completion lane, behind every response this reader posted:
             // a request that was answered never fails `TargetDied`.
-            sender.post_completion(move |el| XrlRouter::connection_closed(el, &conn));
+            sender.post_completion(move |el| XrlRouter::connection_closed(el, &Remote::Tcp(conn)));
         })
         .expect("spawn tcp reader");
     conn
@@ -199,8 +214,8 @@ fn post_decoded(decoder: &mut FrameDecoder, conn: &Arc<TcpConn>, sender: &EventS
     let mut requests = Vec::new();
     let post_batch = |batch: &mut Vec<Frame>, completion: bool| {
         let frames = std::mem::take(batch);
-        let conn = conn.clone();
-        let run = move |el: &mut EventLoop| XrlRouter::incoming_batch(el, frames, conn);
+        let conn = Remote::Tcp(conn.clone());
+        let run = move |el: &mut EventLoop| XrlRouter::incoming(el, frames, conn);
         if completion {
             sender.post_completion(run)
         } else {
@@ -223,8 +238,8 @@ fn post_decoded(decoder: &mut FrameDecoder, conn: &Arc<TcpConn>, sender: &EventS
         decoded += 1;
         let posted = match frame {
             Ok(frame) if frame.is_priority() => {
-                let reply = ReplyPath::Tcp(conn.clone());
-                sender.post_priority(move |el| XrlRouter::incoming_frame(el, frame, reply))
+                let conn = Remote::Tcp(conn.clone());
+                sender.post_priority(move |el| XrlRouter::incoming(el, [frame], conn))
             }
             Ok(frame) => {
                 let completion = matches!(frame, Frame::Response { .. });
@@ -253,9 +268,9 @@ fn post_decoded(decoder: &mut FrameDecoder, conn: &Arc<TcpConn>, sender: &EventS
 struct DirtyConns(Vec<Arc<TcpConn>>);
 
 /// Write out every connection buffered during this turn.  Runs as the
-/// turn's deferred flush, and from [`XrlRouter::shutdown`] so frames
+/// turn's deferred flush, and from [`Families::shutdown`] so frames
 /// buffered by the final turn leave before the sockets close.
-pub(crate) fn flush_dirty(el: &mut EventLoop) {
+fn flush_dirty(el: &mut EventLoop) {
     let dirty = match el.slot_mut::<DirtyConns>() {
         Some(d) => std::mem::take(&mut d.0),
         None => return,
@@ -328,21 +343,15 @@ impl TcpConn {
             failed
         };
         if failed {
-            let conn = self.clone();
+            let conn = Remote::Tcp(self.clone());
             el.defer(move |el| XrlRouter::connection_closed(el, &conn));
         }
-    }
-
-    /// Close both directions without flushing: the router is going away
-    /// and has already flushed.
-    pub(crate) fn close(&self) {
-        let _ = self.stream.shutdown(Shutdown::Both);
     }
 }
 
 /// Bind a UDP socket on an ephemeral localhost port and spawn its reader
 /// thread.  Returns (socket, bound address).
-pub(crate) fn spawn_udp(
+fn spawn_udp(
     sender: EventSender,
     stop: Arc<AtomicBool>,
 ) -> std::io::Result<(Arc<UdpSocket>, SocketAddr)> {
@@ -372,14 +381,13 @@ pub(crate) fn spawn_udp(
                 let body = Bytes::from(buf[4..n].to_vec());
                 match Frame::decode(body) {
                     Ok(frame) => {
-                        let reply = ReplyPath::Udp(UdpTransport {
+                        let reply = Remote::Udp(UdpTransport {
                             socket: reader.clone(),
                             peer,
                         });
                         let priority = frame.is_priority();
                         let completion = matches!(frame, Frame::Response { .. });
-                        let run =
-                            move |el: &mut EventLoop| XrlRouter::incoming_frame(el, frame, reply);
+                        let run = move |el: &mut EventLoop| XrlRouter::incoming(el, [frame], reply);
                         let posted = if priority {
                             sender.post_priority(run)
                         } else if completion {
@@ -399,29 +407,11 @@ pub(crate) fn spawn_udp(
     Ok((socket, addr))
 }
 
-/// Send one encoded frame as a datagram.
-pub(crate) fn udp_write(
-    socket: &UdpSocket,
-    peer: SocketAddr,
-    frame: &Frame,
-) -> Result<(), XrlError> {
-    let bytes = frame.encode();
-    if bytes.len() > MAX_UDP_FRAME {
-        return Err(XrlError::Transport(format!(
-            "frame too large for UDP: {} bytes",
-            bytes.len()
-        )));
-    }
-    socket
-        .send_to(&bytes, peer)
-        .map_err(|e| XrlError::Transport(format!("udp send: {e}")))?;
-    Ok(())
-}
-
 // ----- the common transport abstraction ------------------------------------
 
 /// A frame-writing endpoint: one TCP connection or one UDP peer.  The
-/// router writes every outgoing frame through this trait, which is where
+/// router writes every outgoing frame through this trait (as a
+/// [`Remote`], which picks the family by `match`), which is where
 /// the fault-injection layer (see [`crate::fault`]) taps the stream —
 /// faults apply uniformly to every protocol family, per frame, before any
 /// buffering.  Handles are cheap clones of shared state; nothing is built
@@ -494,7 +484,7 @@ impl Transport for Arc<TcpConn> {
         self.flush(el);
         let _ = self.stream.shutdown(Shutdown::Write);
         if !std::mem::replace(&mut self.out.lock().dead, true) {
-            let conn = self.clone();
+            let conn = Remote::Tcp(self.clone());
             el.defer(move |el| XrlRouter::connection_closed(el, &conn));
         }
     }
@@ -503,16 +493,326 @@ impl Transport for Arc<TcpConn> {
 /// One UDP peer reached through a shared socket.
 #[derive(Clone)]
 pub(crate) struct UdpTransport {
-    pub socket: Arc<UdpSocket>,
-    pub peer: SocketAddr,
+    socket: Arc<UdpSocket>,
+    peer: SocketAddr,
 }
 
 impl Transport for UdpTransport {
+    /// One datagram: the length header and body, as on a stream.
     fn send_frame(&self, _el: &mut EventLoop, frame: &Frame) -> Result<(), XrlError> {
-        udp_write(&self.socket, self.peer, frame)
+        let bytes = frame.encode();
+        if bytes.len() > MAX_UDP_FRAME {
+            return Err(XrlError::Transport(format!(
+                "frame too large for UDP: {} bytes",
+                bytes.len()
+            )));
+        }
+        self.socket
+            .send_to(&bytes, self.peer)
+            .map_err(|e| XrlError::Transport(format!("udp send: {e}")))?;
+        Ok(())
     }
 
     fn lane(&self) -> Cow<'_, str> {
         Cow::Owned(format!("udp:{}", self.peer))
+    }
+}
+
+/// The one remote-transport value: what a request is written to and what a
+/// reply travels back on.  A `match` per frame picks the family; nothing is
+/// boxed.
+#[derive(Clone)]
+pub(crate) enum Remote {
+    /// One established connection.
+    Tcp(Arc<TcpConn>),
+    /// A peer reached through this router's (or, for a reply, the
+    /// receiving router's) bound socket.
+    Udp(UdpTransport),
+}
+
+impl Remote {
+    /// Whether frames from this peer are datagrams, which the network may
+    /// deliver twice: every request that arrives this way takes a dedup
+    /// identity.
+    pub(crate) fn is_datagram(&self) -> bool {
+        matches!(self, Remote::Udp(_))
+    }
+}
+
+/// Identity, not contents: the same connection, or the same socket and
+/// peer.  This is how a dead connection finds the requests written to it.
+impl PartialEq for Remote {
+    fn eq(&self, other: &Remote) -> bool {
+        match (self, other) {
+            (Remote::Tcp(a), Remote::Tcp(b)) => Arc::ptr_eq(a, b),
+            (Remote::Udp(a), Remote::Udp(b)) => {
+                Arc::ptr_eq(&a.socket, &b.socket) && a.peer == b.peer
+            }
+            _ => false,
+        }
+    }
+}
+
+impl Transport for Remote {
+    fn send_frame(&self, el: &mut EventLoop, frame: &Frame) -> Result<(), XrlError> {
+        match self {
+            Remote::Tcp(conn) => conn.send_frame(el, frame),
+            Remote::Udp(peer) => peer.send_frame(el, frame),
+        }
+    }
+
+    fn lane(&self) -> Cow<'_, str> {
+        match self {
+            Remote::Tcp(conn) => conn.lane(),
+            Remote::Udp(peer) => peer.lane(),
+        }
+    }
+
+    fn sever(&self, el: &mut EventLoop) {
+        match self {
+            Remote::Tcp(conn) => conn.sever(el),
+            Remote::Udp(peer) => peer.sever(el),
+        }
+    }
+}
+
+// ----- the families one router owns ----------------------------------------
+
+/// Which endpoint an outgoing request was sent through: the router's
+/// choice among the ones its target advertised.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Via {
+    /// Direct dispatch on the caller's own loop.
+    Intra,
+    Tcp(SocketAddr),
+    Udp(SocketAddr),
+}
+
+impl Via {
+    /// The overload lane a request on this endpoint is charged to
+    /// (`tcp:127.0.0.1:5000`); `None` for intra dispatch, which has no
+    /// queue.
+    pub(crate) fn lane(self) -> Option<Rc<str>> {
+        match self {
+            Via::Intra => None,
+            Via::Tcp(a) => Some(Rc::from(format!("tcp:{a}"))),
+            Via::Udp(a) => Some(Rc::from(format!("udp:{a}"))),
+        }
+    }
+}
+
+/// Every protocol family one router has enabled, with all the state a
+/// family keeps per peer.  The router reaches a peer only through it.
+pub(crate) struct Families {
+    sender: EventSender,
+    tcp: Option<TcpFamily>,
+    udp: Option<UdpFamily>,
+    /// Shared with the TCP listener and reader threads.
+    metrics: SharedTcpMetrics,
+}
+
+struct TcpFamily {
+    listen_addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    /// Outgoing connections by peer, reused by every send toward it.
+    conns: HashMap<SocketAddr, Arc<TcpConn>>,
+}
+
+struct UdpFamily {
+    socket: Arc<UdpSocket>,
+    local_addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    peers: HashMap<SocketAddr, UdpSlot>,
+}
+
+/// UDP is deliberately unpipelined (§8.1): at most one data request in
+/// flight per peer, the rest parked in order until its response arrives.
+#[derive(Default)]
+struct UdpSlot {
+    /// The request that holds the slot.
+    in_flight: Option<u64>,
+    parked: VecDeque<(u64, Frame)>,
+}
+
+impl Families {
+    pub(crate) fn new(sender: EventSender) -> Families {
+        Families {
+            sender,
+            tcp: None,
+            udp: None,
+            metrics: SharedTcpMetrics::default(),
+        }
+    }
+
+    /// Report the TCP family's frames per syscall (`xrl.frames_per_read`,
+    /// `xrl.frames_per_write`) to `metrics`; the first registry keeps them.
+    pub(crate) fn set_metrics(&self, metrics: &Metrics) {
+        let _ = self.metrics.set(TcpMetrics {
+            frames_per_read: metrics.histogram("xrl.frames_per_read"),
+            frames_per_write: metrics.histogram("xrl.frames_per_write"),
+        });
+    }
+
+    /// Start the TCP listener, once; returns its address.
+    pub(crate) fn enable_tcp(&mut self) -> Result<SocketAddr, XrlError> {
+        if let Some(t) = &self.tcp {
+            return Ok(t.listen_addr);
+        }
+        let stop = Arc::new(AtomicBool::new(false));
+        let listen_addr =
+            spawn_tcp_listener(self.sender.clone(), stop.clone(), self.metrics.clone())
+                .map_err(|e| XrlError::Transport(format!("tcp listen: {e}")))?;
+        self.tcp = Some(TcpFamily {
+            listen_addr,
+            stop,
+            conns: HashMap::new(),
+        });
+        Ok(listen_addr)
+    }
+
+    /// Bind the UDP socket, once; returns its address.
+    pub(crate) fn enable_udp(&mut self) -> Result<SocketAddr, XrlError> {
+        if let Some(u) = &self.udp {
+            return Ok(u.local_addr);
+        }
+        let stop = Arc::new(AtomicBool::new(false));
+        let (socket, local_addr) = spawn_udp(self.sender.clone(), stop.clone())
+            .map_err(|e| XrlError::Transport(format!("udp bind: {e}")))?;
+        self.udp = Some(UdpFamily {
+            socket,
+            local_addr,
+            stop,
+            peers: HashMap::new(),
+        });
+        Ok(local_addr)
+    }
+
+    /// The endpoints of the enabled families, for a registration to
+    /// advertise.
+    pub(crate) fn endpoints(&self) -> impl Iterator<Item = Endpoint> + '_ {
+        let tcp = self.tcp.as_ref().map(|t| Endpoint::Tcp(t.listen_addr));
+        tcp.into_iter()
+            .chain(self.udp.as_ref().map(|u| Endpoint::Udp(u.local_addr)))
+    }
+
+    /// The transport toward `via`: the cached connection to a TCP peer (or
+    /// a new one, which is then cached), or the UDP socket addressed to
+    /// the peer.
+    pub(crate) fn connect(&mut self, via: Via) -> Result<Remote, XrlError> {
+        let disabled = |family| XrlError::Transport(format!("{family} family not enabled"));
+        match via {
+            Via::Intra => Err(XrlError::Transport(
+                "intra dispatch has no transport".into(),
+            )),
+            Via::Tcp(addr) => {
+                let tcp = self.tcp.as_mut().ok_or_else(|| disabled("tcp"))?;
+                if let Some(conn) = tcp.conns.get(&addr) {
+                    return Ok(Remote::Tcp(conn.clone()));
+                }
+                let raw = TcpStream::connect(addr)
+                    .map_err(|e| XrlError::Transport(format!("connect {addr}: {e}")))?;
+                let _ = raw.set_nodelay(true);
+                let conn = spawn_tcp_reader(raw, self.sender.clone(), self.metrics.clone());
+                tcp.conns.insert(addr, conn.clone());
+                Ok(Remote::Tcp(conn))
+            }
+            Via::Udp(peer) => {
+                let udp = self.udp.as_ref().ok_or_else(|| disabled("udp"))?;
+                Ok(Remote::Udp(UdpTransport {
+                    socket: udp.socket.clone(),
+                    peer,
+                }))
+            }
+        }
+    }
+
+    /// Park request `seq` if it must wait: a UDP data request finding its
+    /// peer's slot taken is parked behind it, in order, and `None` comes
+    /// back.  Otherwise the frame comes back to be written now, and a UDP
+    /// data request holds the slot from here.  Priority requests never
+    /// wait for the slot — a keepalive must not queue behind a saturated
+    /// data queue — and never hold it.
+    pub(crate) fn park(
+        &mut self,
+        via: Via,
+        seq: u64,
+        frame: Frame,
+        priority: bool,
+    ) -> Option<Frame> {
+        let (Via::Udp(peer), false, Some(udp)) = (via, priority, self.udp.as_mut()) else {
+            return Some(frame);
+        };
+        let slot = udp.peers.entry(peer).or_default();
+        if slot.in_flight.is_some() {
+            slot.parked.push_back((seq, frame));
+            return None;
+        }
+        slot.in_flight = Some(seq);
+        Some(frame)
+    }
+
+    /// Request `seq` toward `via` has finished.  If it held its UDP peer's
+    /// slot, the slot passes to the next parked request, which comes back
+    /// to be written now.
+    pub(crate) fn release(&mut self, via: Via, seq: u64) -> Option<(u64, Frame)> {
+        let Via::Udp(peer) = via else {
+            return None;
+        };
+        let slot = self.udp.as_mut()?.peers.get_mut(&peer)?;
+        if slot.in_flight != Some(seq) {
+            return None;
+        }
+        let next = slot.parked.pop_front();
+        slot.in_flight = next.as_ref().map(|(seq, _)| *seq);
+        next
+    }
+
+    /// Forget a connection that failed, unless a send already replaced
+    /// it: the next send toward its peer connects afresh.  A datagram peer
+    /// keeps nothing to forget.
+    pub(crate) fn evict(&mut self, remote: &Remote) {
+        if let (Remote::Tcp(conn), Some(tcp)) = (remote, self.tcp.as_mut()) {
+            tcp.conns.retain(|_, c| !Arc::ptr_eq(c, conn));
+        }
+    }
+
+    /// A request toward `via` spent its whole retry budget.  A UDP peer is
+    /// then dead: its parked frames are dropped (they would otherwise wait
+    /// until process exit), and `true` says every request outstanding
+    /// toward it should fail now instead of serially burning its own
+    /// budget.  A TCP peer's other requests keep their budgets.
+    pub(crate) fn peer_dead(&mut self, via: Via) -> bool {
+        let Via::Udp(peer) = via else {
+            return false;
+        };
+        if let Some(udp) = self.udp.as_mut() {
+            udp.peers.remove(&peer);
+        }
+        true
+    }
+
+    /// Frames parked behind a UDP peer's request in flight.
+    pub(crate) fn parked(&self) -> impl Iterator<Item = &Frame> + '_ {
+        let peers = self.udp.iter().flat_map(|u| u.peers.values());
+        peers.flat_map(|p| p.parked.iter().map(|(_, frame)| frame))
+    }
+
+    /// Write out what the final turn buffered (a reply sent just before
+    /// the loop stopped), then stop every family.  The accept thread polls
+    /// its stop flag, so no wake-up connection is needed; the UDP reader
+    /// is woken by a runt datagram to itself.
+    pub(crate) fn shutdown(&mut self, el: &mut EventLoop) {
+        flush_dirty(el);
+        if let Some(tcp) = self.tcp.take() {
+            tcp.stop.store(true, Ordering::SeqCst);
+            for conn in tcp.conns.values() {
+                // Both directions, without flushing: that was done above.
+                let _ = conn.stream.shutdown(Shutdown::Both);
+            }
+        }
+        if let Some(udp) = self.udp.take() {
+            udp.stop.store(true, Ordering::SeqCst);
+            let _ = udp.socket.send_to(&[0u8; 1], udp.local_addr);
+        }
     }
 }

@@ -1,6 +1,6 @@
-//! Failure-path tests: two routers exchanging XRLs over TCP while a seeded
-//! [`FaultPlan`] drops, duplicates, delays and severs frames underneath
-//! them.  The property under test is the §4/§6 robustness story — every
+//! Failure-path tests: two routers exchanging XRLs over TCP (the lossy
+//! exchange over UDP too) while a seeded [`FaultPlan`] drops, duplicates,
+//! delays and severs frames underneath them.  The property under test is the §4/§6 robustness story — every
 //! request completes *exactly once* (no double-dispatch at the receiver, no
 //! hang at the sender), or fails crisply with [`XrlError::Timeout`].
 //!
@@ -36,19 +36,27 @@ struct Exchange {
 /// receiver; both routers share `config` (their decision streams still
 /// differ because the lane labels differ).
 fn run_exchange(config: FaultConfig, retry: RetryPolicy, n: u32, timeout: Duration) -> Exchange {
-    run_exchange_linger(config, retry, n, timeout, Duration::ZERO)
+    run_exchange_linger(
+        config,
+        retry,
+        n,
+        timeout,
+        Duration::ZERO,
+        TransportPref::Tcp,
+    )
 }
 
-/// [`run_exchange`], then keep both loops running for `linger` after the
-/// last response — long enough for maximally-delayed duplicate frames to
-/// reach the receiver, so `dispatch_counts` reflects any late
-/// re-dispatch.
+/// [`run_exchange`] over the family `pref` names (UDP sends one request
+/// at a time), then keep both loops running for `linger` after the last
+/// response — long enough for maximally-delayed duplicate frames to reach
+/// the receiver, so `dispatch_counts` reflects any late re-dispatch.
 fn run_exchange_linger(
     config: FaultConfig,
     retry: RetryPolicy,
     n: u32,
     timeout: Duration,
     linger: Duration,
+    pref: TransportPref,
 ) -> Exchange {
     let class = format!("fe{}", NEXT_CLASS.fetch_add(1, Ordering::SeqCst));
     let instance = format!("{class}-0");
@@ -68,6 +76,7 @@ fn run_exchange_linger(
             let router = XrlRouter::new(&mut el, finder);
             router.set_fault_plan(config); // responses are lossy too
             router.enable_tcp().unwrap();
+            router.enable_udp().unwrap();
             router.register_target(&class, &instance, true).unwrap();
             router.add_fn(&instance, &format!("{class}/1.0/echo"), move |_el, args| {
                 let i = args.get_u32("i")?;
@@ -92,6 +101,7 @@ fn run_exchange_linger(
         ..QueuePolicy::default()
     });
     router.enable_tcp().unwrap();
+    router.enable_udp().unwrap();
     router
         .register_target("fault-sender", &format!("{class}-sender"), true)
         .unwrap();
@@ -105,7 +115,7 @@ fn run_exchange_linger(
         router.send_pref(
             &mut el,
             xrl,
-            TransportPref::Tcp,
+            pref,
             Box::new(move |_el, result| {
                 let r = result.and_then(|args| args.get_u32("i"));
                 res_tx.send((i, r)).unwrap();
@@ -167,30 +177,36 @@ fn assert_exactly_once(ex: &Exchange, n: u32) {
     }
 }
 
-/// The ISSUE acceptance bar: 1000 XRLs at 5% drop + 5% duplicate + 5%
-/// delay (reordering), every request completes exactly once.
+/// The acceptance bar: 1000 XRLs at 5% drop + 5% duplicate + 5% delay
+/// (reordering), every request completes exactly once — over TCP, where
+/// only a request marked `SEQ_MAY_RECUR` takes a dedup identity, and over
+/// UDP, where every datagram does and retransmission holds the peer's one
+/// slot.
 #[test]
 fn thousand_xrls_at_5_percent_loss_exactly_once() {
-    let config = FaultConfig::lossy(0xFA117, 0.05);
-    let retry = RetryPolicy {
-        max_attempts: 8,
-        base_timeout: Duration::from_millis(50),
-        max_timeout: Duration::from_secs(1),
-    };
-    let n = 1000;
-    let ex = run_exchange(config, retry, n, Duration::from_secs(60));
-    assert_exactly_once(&ex, n);
-    // The run must actually have been lossy, or the test proves nothing.
-    assert!(
-        ex.sender_report.contains("Drop"),
-        "expected drops in the trace:\n{}",
-        ex.sender_report
-    );
-    assert!(
-        ex.sender_report.contains("Duplicate"),
-        "expected duplicates in the trace:\n{}",
-        ex.sender_report
-    );
+    for pref in [TransportPref::Tcp, TransportPref::Udp] {
+        let config = FaultConfig::lossy(0xFA117, 0.05);
+        let retry = RetryPolicy {
+            max_attempts: 8,
+            base_timeout: Duration::from_millis(50),
+            max_timeout: Duration::from_secs(1),
+        };
+        let n = 1000;
+        let timeout = Duration::from_secs(60);
+        let ex = run_exchange_linger(config, retry, n, timeout, Duration::ZERO, pref);
+        assert_exactly_once(&ex, n);
+        // The run must actually have been lossy, or the test proves nothing.
+        assert!(
+            ex.sender_report.contains("Drop"),
+            "{pref:?}: expected drops in the trace:\n{}",
+            ex.sender_report
+        );
+        assert!(
+            ex.sender_report.contains("Duplicate"),
+            "{pref:?}: expected duplicates in the trace:\n{}",
+            ex.sender_report
+        );
+    }
 }
 
 /// Connections severed mid-stream: the sender must transparently
@@ -281,6 +297,7 @@ fn flooded_dedup_cache_never_redispatches_delayed_duplicates() {
         n,
         Duration::from_secs(120),
         max_delay + Duration::from_millis(200),
+        TransportPref::Tcp,
     );
     assert_exactly_once(&ex, n);
     assert!(

@@ -93,6 +93,16 @@ fn release_stash(receiver: &EventSender) {
     });
 }
 
+/// How many `hold` requests the receiver is holding unanswered.
+fn held_count(receiver: &EventSender) -> usize {
+    let (tx, rx) = mpsc::channel();
+    receiver.post(move |el| {
+        let held = el.slot::<Stash>().map_or(0, |s| s.held.borrow().len());
+        tx.send(held).unwrap();
+    });
+    rx.recv().unwrap()
+}
+
 fn hold_xrl(class: &str) -> Xrl {
     format!("finder://{class}/{class}/1.0/hold")
         .parse()
@@ -459,6 +469,60 @@ fn priority_probe_skips_saturated_udp_queue() {
     release_stash(&receiver);
     run_until(&mut el, "drain", || results.borrow().len() == 5);
     assert_eq!(router.udp_queue_depth(), 0);
+
+    receiver.stop();
+    rthread.join().unwrap();
+}
+
+/// A parked UDP request's retry timer starts when its turn comes, not when
+/// it is parked.  With a retry policy, the requests behind a stalled one
+/// stay parked while it retransmits; they used to time out in the queue,
+/// jump the peer's one-in-flight slot, and later go out a second time when
+/// the slot reached them.
+#[test]
+fn parked_udp_requests_keep_their_place_under_retry() {
+    let class = format!("ovl{}", NEXT_CLASS.fetch_add(1, Ordering::SeqCst));
+    let finder = Finder::new();
+    let (receiver, rthread) = spawn_stashing_receiver(finder.clone(), &class, true);
+
+    let mut el = EventLoop::new();
+    let router = XrlRouter::new(&mut el, finder);
+    router.enable_udp().unwrap();
+    router
+        .register_target("ovl-sender", &format!("{class}-sender"), true)
+        .unwrap();
+    router.set_retry_policy(Some(RetryPolicy {
+        max_attempts: 50,
+        base_timeout: Duration::from_millis(20),
+        max_timeout: Duration::from_millis(40),
+    }));
+
+    let results: Rc<RefCell<Vec<XrlResult>>> = Rc::new(RefCell::new(Vec::new()));
+    for _ in 0..3 {
+        let r = results.clone();
+        router.send_pref(
+            &mut el,
+            hold_xrl(&class),
+            TransportPref::Udp,
+            Box::new(move |_el, res| r.borrow_mut().push(res)),
+        );
+    }
+    assert_eq!(router.udp_queue_depth(), 2);
+
+    // Several retry periods: the first request retransmits, the others wait.
+    el.run_for(Duration::from_millis(120));
+    assert_eq!(
+        held_count(&receiver),
+        1,
+        "only the request holding the slot reached the receiver"
+    );
+    assert_eq!(router.udp_queue_depth(), 2);
+
+    release_stash(&receiver);
+    run_until(&mut el, "drain", || results.borrow().len() == 3);
+    assert!(results.borrow().iter().all(|r| r.is_ok()));
+    assert_eq!(router.udp_queue_depth(), 0);
+    assert_eq!(router.pending_len(), 0);
 
     receiver.stop();
     rthread.join().unwrap();
