@@ -590,7 +590,7 @@ where
         el.spawn_background(move |el| {
             if import
                 .borrow_mut()
-                .transition_slice(el, origin, crate::deletion::SLICE_SIZE)
+                .transition_slice(el, origin, xorp_stages::SLICE_SIZE)
             {
                 SliceResult::Done
             } else {

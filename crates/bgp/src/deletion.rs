@@ -22,13 +22,10 @@ use std::sync::Arc;
 
 use xorp_event::{EventLoop, SliceResult};
 use xorp_net::{Addr, PathAttributes, PatriciaTrie, Prefix};
-use xorp_stages::{OriginId, RouteOp, Stage, StageRef, TrieTable};
+use xorp_stages::{OriginId, RouteOp, Stage, StageRef, TrieTable, SLICE_SIZE};
 
 use crate::peer_in::PeerTable;
 use crate::BgpRoute;
-
-/// Routes deleted per background slice.
-pub const SLICE_SIZE: usize = 64;
 
 /// A background deletion stage draining one defunct peer table.
 pub struct DeletionStage<A: Addr> {

@@ -271,7 +271,7 @@ fn a_delete_names_its_protocol_on_the_rib_hop_only() {
     el.run_until_idle();
 
     let names =
-        |args: &XrlArgs| -> Vec<String> { args.atoms().iter().map(|a| a.name.clone()).collect() };
+        |args: &XrlArgs| -> Vec<String> { args.iter().map(|(name, _)| name.to_string()).collect() };
     let row_len = |args: &XrlArgs| match &args.get_list("routes").unwrap()[0] {
         AtomValue::List(row) => row.len(),
         other => panic!("a row that is not a list: {other:?}"),

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use xorp_harness::xrl_ifaces;
 use xorp_net::{Ipv4Net, PathAttributes, ProtocolId, RouteEntry};
 use xorp_xrl::marshal::Frame;
-use xorp_xrl::{AtomValue, ListWriter, WireList, XrlArgs};
+use xorp_xrl::{ListWriter, WireList, XrlArgs};
 
 struct Counting;
 
@@ -83,7 +83,7 @@ fn carry(
         }
     }
     let mut args = XrlArgs::new();
-    args.push_value(AtomValue::Wire(rows.take()));
+    args.push_arg(&rows.take());
     Frame::Request {
         seq: 1,
         sender: 2,
@@ -96,10 +96,10 @@ fn carry(
         trace: None,
     }
     .encode_into(wire);
-    let Ok(Frame::Request { mut args, .. }) = Frame::decode_slice(&wire[4..]) else {
+    let Ok(Frame::Request { args, .. }) = Frame::decode_slice(&wire[4..]) else {
         panic!("the frame did not decode");
     };
-    let list: WireList = args.take_arg(0, "routes").unwrap();
+    let list: WireList = args.get_arg(0, "routes").unwrap();
     let read = if add {
         xrl_ifaces::read_add_rows(&list).unwrap().len()
     } else {

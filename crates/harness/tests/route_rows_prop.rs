@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use xorp_harness::xrl_ifaces::{self, RouteWire};
 use xorp_net::{Ipv4Net, PathAttributes, ProtocolId, RouteEntry};
 use xorp_xrl::marshal::Frame;
-use xorp_xrl::{AtomValue, ListWriter, WireList, XrlArgs, XrlError};
+use xorp_xrl::{AtomCodec, AtomValue, ListWriter, WireList, XrlArgs, XrlError};
 
 /// One row's route.
 #[derive(Debug, Clone)]
@@ -168,9 +168,9 @@ fn tree(rows: &[Row], layout: Layout) -> Vec<AtomValue> {
 
 /// A v2 request carrying `rows` as its one argument; `frame(..).encode()`
 /// puts the list's items at [`ITEMS_AT`].
-fn frame(rows: AtomValue) -> Frame {
+fn frame(rows: &impl AtomCodec) -> Frame {
     let mut args = XrlArgs::new();
-    args.push_value(rows);
+    args.push_arg(rows);
     Frame::Request {
         seq: 1,
         sender: 2,
@@ -241,10 +241,10 @@ fn delete_outcome(rows: Result<Vec<(Ipv4Net, ProtocolId)>, XrlError>) -> Outcome
 
 /// The in-place reader on a frame body: decode, take the list, read rows.
 fn in_place(body: &[u8], layout: Layout) -> Outcome {
-    let Ok(Frame::Request { mut args, .. }) = Frame::decode_slice(body) else {
+    let Ok(Frame::Request { args, .. }) = Frame::decode_slice(body) else {
         return None;
     };
-    let rows: WireList = args.take_arg(0, "routes").ok()?;
+    let rows: WireList = args.get_arg(0, "routes").ok()?;
     match layout {
         Layout::Add => add_outcome(
             xrl_ifaces::read_add_rows(&rows).map(|r| r.iter().map(|r| r.to_wire()).collect()),
@@ -302,8 +302,8 @@ proptest! {
         layout in layout(),
         damage in damage(),
     ) {
-        let written = frame(AtomValue::Wire(write(&rows, layout))).encode().to_vec();
-        let by_tree = frame(AtomValue::List(tree(&rows, layout))).encode().to_vec();
+        let written = frame(&write(&rows, layout)).encode().to_vec();
+        let by_tree = frame(&tree(&rows, layout)).encode().to_vec();
         prop_assert_eq!(&written, &by_tree, "writer and tree encodings differ");
 
         let mut bytes = written;

@@ -39,8 +39,9 @@ use xorp_net::{Addr, HeapSize, IterHandle, PatriciaTrie, Prefix};
 
 use crate::{OriginId, RouteOp, Stage, StageRef};
 
-/// Prefixes dumped per background slice (mirrors the deletion-stage slice).
-pub const DUMP_SLICE_SIZE: usize = 64;
+/// Routes one background slice visits: a dump's prefixes, a deletion
+/// stage's routes, a refilter's reconciled prefixes.
+pub const SLICE_SIZE: usize = 64;
 
 /// A cursor over the prefixes a dump must visit.  Implementations wrap the
 /// safe iterator handles of the origin tables; `Drop` must release any
@@ -304,8 +305,8 @@ impl<A: Addr, R: Clone> DumpStage<A, R> {
             // releasing it.
             let (ops, downstream, done) = {
                 let mut s = me.borrow_mut();
-                let mut ops = Vec::with_capacity(DUMP_SLICE_SIZE);
-                while ops.len() < DUMP_SLICE_SIZE {
+                let mut ops = Vec::with_capacity(SLICE_SIZE);
+                while ops.len() < SLICE_SIZE {
                     let net = loop {
                         match s.sources.first_mut() {
                             None => break None,
@@ -492,9 +493,9 @@ mod tests {
         let (mut el, _up, dump, _cache, reader) = rig(200);
         DumpStage::start(&mut el, dump.clone());
         el.run_one();
-        assert_eq!(reader.borrow().table.len(), DUMP_SLICE_SIZE);
+        assert_eq!(reader.borrow().table.len(), SLICE_SIZE);
         el.run_one();
-        assert_eq!(reader.borrow().table.len(), 2 * DUMP_SLICE_SIZE);
+        assert_eq!(reader.borrow().table.len(), 2 * SLICE_SIZE);
         assert!(!dump.borrow().is_done());
     }
 

@@ -35,7 +35,7 @@ pub mod cache;
 pub mod dump;
 
 pub use cache::{CacheStage, ConsistencyViolation};
-pub use dump::{DumpSource, DumpStage, TableSource, TrieTable, VecSource, DUMP_SLICE_SIZE};
+pub use dump::{DumpSource, DumpStage, TableSource, TrieTable, VecSource, SLICE_SIZE};
 
 /// Identifies the source of a route at the head of a pipeline: a BGP
 /// peering index, a RIB origin-table index, etc.  Stages pass it through so

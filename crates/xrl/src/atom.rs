@@ -4,38 +4,46 @@
 //! XORP, including network addresses, numbers, strings, booleans, binary
 //! arrays, and lists of these primitives." (§6.1)
 //!
-//! An atom renders textually as `name:type=value` (e.g. `as:u32=1777`) with
-//! percent-escaping for reserved characters, and has a compact binary
-//! encoding used by the TCP/UDP transports ([`crate::marshal`]).
+//! An argument block, [`XrlArgs`], holds its atoms in their compact binary
+//! encoding ([`crate::wire`]) from the stub that writes them to the
+//! handler that reads them: the bytes a frame carries are the block's
+//! own.  An atom also renders textually as `name:type=value` (e.g.
+//! `as:u32=1777`) with percent-escaping for reserved characters;
+//! [`AtomValue`] and [`XrlAtom`] are that value form — what a textual XRL
+//! parses to and what a caller building arguments by hand pushes.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 
+use bytes::BufMut;
 use xorp_net::{Ipv4Net, Ipv6Net, Mac};
 
 use crate::error::XrlError;
-use crate::wire::WireList;
+use crate::wire::{AtomCodec, AtomReader, AtomRef, ListWriter, MAX_ITEMS};
 
-/// The type tag of an atom.
+/// The type tag of an atom; its discriminant is the atom's type code on
+/// the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum AtomType {
-    I32,
-    U32,
-    I64,
-    U64,
-    Bool,
+    I32 = 1,
+    U32 = 2,
+    I64 = 3,
+    U64 = 4,
+    Bool = 5,
     /// Text string (`txt`).
-    Text,
-    Ipv4,
-    Ipv6,
-    Ipv4Net,
-    Ipv6Net,
-    Mac,
+    Text = 6,
+    Ipv4 = 7,
+    Ipv6 = 8,
+    Ipv4Net = 9,
+    Ipv6Net = 10,
+    Mac = 11,
     /// Opaque byte array, base64-free hex in textual form.
-    Binary,
+    Binary = 12,
     /// Homogeneous-or-not list of atoms (values only, no names).
-    List,
+    List = 13,
 }
 
 impl AtomType {
@@ -80,7 +88,7 @@ impl AtomType {
 }
 
 /// A typed value.
-#[derive(Debug, Clone, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AtomValue {
     I32(i32),
     U32(u32),
@@ -95,76 +103,11 @@ pub enum AtomValue {
     Mac(Mac),
     Binary(Vec<u8>),
     List(Vec<AtomValue>),
-    /// A list left in wire form, as decoded frames carry every list: the
-    /// same atom as the tree its bytes encode.
-    Wire(WireList),
 }
 
-impl PartialEq for AtomValue {
-    fn eq(&self, other: &Self) -> bool {
-        use AtomValue::*;
-        match (self, other) {
-            (I32(a), I32(b)) => a == b,
-            (U32(a), U32(b)) => a == b,
-            (I64(a), I64(b)) => a == b,
-            (U64(a), U64(b)) => a == b,
-            (Bool(a), Bool(b)) => a == b,
-            (Text(a), Text(b)) => a == b,
-            (Ipv4(a), Ipv4(b)) => a == b,
-            (Ipv6(a), Ipv6(b)) => a == b,
-            (Ipv4Net(a), Ipv4Net(b)) => a == b,
-            (Ipv6Net(a), Ipv6Net(b)) => a == b,
-            (Mac(a), Mac(b)) => a == b,
-            (Binary(a), Binary(b)) => a == b,
-            (List(a), List(b)) => a == b,
-            (Wire(a), Wire(b)) => a == b || a.to_atoms().ok() == b.to_atoms().ok(),
-            (Wire(w), List(items)) | (List(items), Wire(w)) => {
-                w.to_atoms().is_ok_and(|t| t == *items)
-            }
-            _ => false,
-        }
-    }
-}
-
+// `atom_type` and the binary form are spelled out per variant beside the
+// grammar, in `crate::wire`.
 impl AtomValue {
-    /// The value's type tag.
-    pub fn atom_type(&self) -> AtomType {
-        match self {
-            AtomValue::I32(_) => AtomType::I32,
-            AtomValue::U32(_) => AtomType::U32,
-            AtomValue::I64(_) => AtomType::I64,
-            AtomValue::U64(_) => AtomType::U64,
-            AtomValue::Bool(_) => AtomType::Bool,
-            AtomValue::Text(_) => AtomType::Text,
-            AtomValue::Ipv4(_) => AtomType::Ipv4,
-            AtomValue::Ipv6(_) => AtomType::Ipv6,
-            AtomValue::Ipv4Net(_) => AtomType::Ipv4Net,
-            AtomValue::Ipv6Net(_) => AtomType::Ipv6Net,
-            AtomValue::Mac(_) => AtomType::Mac,
-            AtomValue::Binary(_) => AtomType::Binary,
-            AtomValue::List(_) | AtomValue::Wire(_) => AtomType::List,
-        }
-    }
-
-    /// Approximate wire size of this value in the binary frame format
-    /// (type byte + payload), without encoding.  Used by overload
-    /// instrumentation to estimate queue memory cheaply.
-    pub fn approx_wire_len(&self) -> usize {
-        1 + match self {
-            AtomValue::I32(_) | AtomValue::U32(_) | AtomValue::Ipv4(_) => 4,
-            AtomValue::I64(_) | AtomValue::U64(_) => 8,
-            AtomValue::Bool(_) => 1,
-            AtomValue::Text(s) => 4 + s.len(),
-            AtomValue::Ipv6(_) => 16,
-            AtomValue::Ipv4Net(_) => 5,
-            AtomValue::Ipv6Net(_) => 17,
-            AtomValue::Mac(_) => 6,
-            AtomValue::Binary(b) => 4 + b.len(),
-            AtomValue::List(items) => 2 + items.iter().map(|v| v.approx_wire_len()).sum::<usize>(),
-            AtomValue::Wire(list) => list.wire_len() - 1,
-        }
-    }
-
     /// Render the value (without name/type) in textual XRL form, escaped.
     pub fn render(&self) -> String {
         match self {
@@ -181,7 +124,6 @@ impl AtomValue {
             AtomValue::Mac(v) => escape(&v.to_string()),
             AtomValue::Binary(v) => v.iter().map(|b| format!("{b:02x}")).collect(),
             AtomValue::List(v) => render_list(v),
-            AtomValue::Wire(list) => render_list(&list.to_atoms().unwrap_or_default()),
         }
     }
 
@@ -278,39 +220,52 @@ impl fmt::Display for XrlAtom {
     }
 }
 
-/// An ordered list of named atoms, with typed accessors.
+/// An argument block: its atoms in the binary grammar of [`crate::wire`],
+/// back to back, and their count — the bytes a frame carries, written by
+/// the stub and read in place by the handler's dispatch.
 ///
-/// Arguments decoded from a wire-v2 (positional) frame have empty names;
-/// [`XrlArgs::get_arg`] reads them by index.  `context` carries the method
-/// path being decoded so accessor errors can name the call they belong to —
-/// it is metadata, not an argument, and is excluded from equality.
-#[derive(Debug, Clone, Default)]
+/// A block is laid out one of the two ways a frame carries arguments:
+/// positionally (`(u8 type | value)*`, a v2 request) or named
+/// (`(str name | u8 type | value)*`, a v1 request and every response).
+/// An unnamed atom in a named block has an empty name, and the first
+/// named atom pushed onto a positional block relabels it.  A frame that
+/// needs the other layout gets it by one copy walk.  `context` carries the
+/// method path being decoded so accessor errors can name the call they
+/// belong to — it is metadata, not an argument, and is excluded from
+/// equality.
+#[derive(Clone, Default)]
 pub struct XrlArgs {
-    atoms: Vec<XrlAtom>,
+    atoms: ListWriter,
+    /// Each atom is preceded by its name.
+    named: bool,
     /// Method path this argument block belongs to, for error attribution.
     context: Option<Arc<str>>,
 }
 
 impl PartialEq for XrlArgs {
     fn eq(&self, other: &Self) -> bool {
-        self.atoms == other.atoms
+        self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
 impl Eq for XrlArgs {}
 
+impl fmt::Debug for XrlArgs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "XrlArgs({})", self.render())
+    }
+}
+
 macro_rules! typed_accessors {
-    ($get:ident, $add:ident, $variant:ident, $ty:ty) => {
+    ($get:ident, $add:ident, $ty:ty) => {
         /// Fetch a required argument of this type by name.
         pub fn $get(&self, name: &str) -> Result<$ty, XrlError> {
-            let value = self.find(name).ok_or_else(|| self.missing(name))?;
-            <$ty as AtomCodec>::from_atom(value)
-                .ok_or_else(|| self.mismatch::<$ty>(name, value.atom_type()))
+            self.pick(None, name)
         }
 
         /// Append an argument of this type (builder style).
         pub fn $add(mut self, name: &str, v: $ty) -> Self {
-            self.push(XrlAtom::new(name, AtomValue::$variant(v)));
+            self.put(name, |w| v.write(w));
             self
         }
     };
@@ -322,9 +277,14 @@ impl XrlArgs {
         XrlArgs::default()
     }
 
-    /// The atoms in order.
-    pub fn atoms(&self) -> &[XrlAtom] {
-        &self.atoms
+    /// No arguments yet, in the named or positional layout, and room for
+    /// `bytes` bytes of them.
+    pub(crate) fn with_capacity(named: bool, bytes: usize) -> XrlArgs {
+        XrlArgs {
+            atoms: ListWriter::with_capacity(bytes),
+            named,
+            context: None,
+        }
     }
 
     /// Attach the method path being decoded; accessor errors will carry it.
@@ -355,115 +315,184 @@ impl XrlArgs {
         self.atoms.is_empty()
     }
 
-    /// Approximate wire size of the argument block (count + named values),
-    /// without encoding.
-    pub fn approx_wire_len(&self) -> usize {
-        2 + self
-            .atoms
-            .iter()
-            .map(|a| 2 + a.name.len() + a.value.approx_wire_len())
-            .sum::<usize>()
-    }
-
     /// Append an atom.
     pub fn push(&mut self, atom: XrlAtom) {
-        self.atoms.push(atom);
+        self.put(&atom.name, |w| {
+            w.value(&atom.value);
+        });
     }
 
     /// Append an unnamed (positional) value.  Wire-v2 frames carry their
     /// arguments this way; [`XrlArgs::get_arg`] reads them back by index.
     pub fn push_value(&mut self, value: AtomValue) {
-        self.atoms.push(XrlAtom {
-            name: String::new(),
-            value,
+        self.put("", |w| {
+            w.value(&value);
         });
     }
 
-    /// Label unnamed atoms with `names`, by position.  Used when a
-    /// positionally-built argument block must fall back to the v1 named
-    /// encoding for a peer without signature negotiation.  Atoms that
-    /// already carry a name, and positions past `names`, are left alone.
-    pub fn label_names(&mut self, names: &[&'static str]) {
-        for (a, n) in self.atoms.iter_mut().zip(names) {
-            if a.name.is_empty() {
-                a.name = (*n).to_string();
+    /// Append an unnamed (positional) argument of a native type.
+    pub fn push_arg<T: AtomCodec>(&mut self, v: &T) {
+        self.put("", |w| v.write(w));
+    }
+
+    /// Append the one atom `write` writes, named `name` (`""`: unnamed).
+    pub(crate) fn put(&mut self, name: &str, write: impl FnOnce(&mut ListWriter)) {
+        if !self.named && !name.is_empty() {
+            *self = std::mem::take(self).into_layout(true, &[]);
+        }
+        if self.named {
+            self.atoms.name(name);
+        }
+        write(&mut self.atoms);
+    }
+
+    /// The block in the named or positional layout: one read and rewrite
+    /// that labels unnamed atoms by position from `names` (empty past its
+    /// end), or drops every name.  A positional block goes out on a v1
+    /// frame this way.
+    pub(crate) fn into_layout(self, named: bool, names: &[&str]) -> XrlArgs {
+        if self.named == named {
+            return self;
+        }
+        let labels: usize = names.iter().map(|n| 2 + n.len()).sum();
+        let mut atoms = ListWriter::with_capacity(self.atoms.buf.len() + labels);
+        for (i, (_, _, bytes)) in self.entries().enumerate() {
+            if named {
+                atoms.name(names.get(i).copied().unwrap_or(""));
             }
+            atoms.buf.put_slice(bytes);
+        }
+        atoms.count = self.atoms.count;
+        XrlArgs {
+            atoms,
+            named,
+            context: self.context,
         }
     }
 
-    /// Find a value by name.
-    pub fn find(&self, name: &str) -> Option<&AtomValue> {
-        self.atoms.iter().find(|a| a.name == name).map(|a| &a.value)
-    }
-
-    /// Where argument `idx`/`name` sits.  Positional fast path first: if
-    /// the atom at `idx` is unnamed (a wire-v2 frame) it is the one;
-    /// otherwise the lookup falls back to by-name search so the same
-    /// generated decoder accepts named v1 frames from old peers.
-    fn position(&self, idx: usize, name: &str) -> Option<usize> {
-        match self.atoms.get(idx) {
-            Some(a) if a.name.is_empty() => Some(idx),
-            _ => self.atoms.iter().position(|a| a.name == name),
+    /// The block in the layout a frame needs.  Only a block built for
+    /// another frame — a positional reply, named arguments on a v2
+    /// request — is copied to get it.
+    fn laid_out(&self, named: bool) -> Cow<'_, XrlArgs> {
+        match self.named == named || self.is_empty() {
+            true => Cow::Borrowed(self),
+            false => Cow::Owned(self.clone().into_layout(named, &[])),
         }
     }
 
-    fn missing(&self, name: &str) -> XrlError {
-        XrlError::BadArgs(format!("{}missing argument {name}", self.ctx_prefix()))
+    /// Refuse a block the wire cannot count: more than [`MAX_ITEMS`]
+    /// atoms, or a list or name that outgrew its 16-bit count (the block
+    /// counts them as they are written).  Sent anyway, it would decode as a
+    /// shorter one.  The send core checks every request and reply before it
+    /// is charged or encoded.
+    pub(crate) fn counted(&self) -> Result<(), XrlError> {
+        match self.len() {
+            0..=MAX_ITEMS => Ok(()),
+            _ => Err(XrlError::BadArgs(format!(
+                "argument block exceeds the wire's {MAX_ITEMS}-item count"
+            ))),
+        }
     }
 
-    fn mismatch<T: AtomCodec>(&self, name: &str, got: AtomType) -> XrlError {
-        XrlError::BadArgs(format!(
-            "{}{name}: expected {}, got {}",
-            self.ctx_prefix(),
-            T::TYPE.tag(),
-            got.tag()
-        ))
+    /// Append the block, count first, in the named or positional layout.
+    pub(crate) fn put_into(&self, buf: &mut impl BufMut, named: bool) {
+        let args = self.laid_out(named);
+        buf.put_u16(args.len() as u16);
+        buf.put_slice(&args.atoms.buf);
+    }
+
+    /// Bytes [`XrlArgs::put_into`] appends.
+    pub(crate) fn wire_len(&self, named: bool) -> usize {
+        2 + self.laid_out(named).atoms.buf.len()
+    }
+
+    /// Check the block at the front of `buf` — count first, in the named or
+    /// positional layout — and copy it out.  Every read a handler makes of
+    /// it later is of checked bytes.
+    pub(crate) fn decode(buf: &mut &[u8], named: bool) -> Result<XrlArgs, XrlError> {
+        let mut r = AtomReader::new(buf);
+        let count = r.count()?;
+        let start = r.rest();
+        for _ in 0..count {
+            if named {
+                r.name()?;
+            }
+            r.read()?;
+        }
+        let atoms = &start[..start.len() - r.rest().len()];
+        *buf = r.rest();
+        Ok(XrlArgs {
+            atoms: ListWriter {
+                buf: atoms.to_vec(),
+                count: count.into(),
+            },
+            named,
+            context: None,
+        })
+    }
+
+    fn entries(&self) -> Entries<'_> {
+        Entries {
+            r: AtomReader::new(&self.atoms.buf),
+            named: self.named,
+        }
+    }
+
+    /// The atoms in order, each with its name (`""` when unnamed).
+    pub fn iter(&self) -> impl Iterator<Item = (&str, AtomRef<'_>)> {
+        self.entries().map(|(name, atom, _)| (name, atom))
+    }
+
+    /// A cursor reading the arguments in declaration order.
+    pub(crate) fn reader(&self) -> ArgReader<'_> {
+        ArgReader {
+            args: self,
+            entries: self.entries(),
+        }
+    }
+
+    /// Argument `name` as a `T`: `here`, the atom in its position, when
+    /// that is unnamed or named `name`, and otherwise the atom named
+    /// `name` — so the same generated decoder accepts named v1 blocks from
+    /// old peers, in any order.
+    fn pick<T: AtomCodec>(
+        &self,
+        here: Option<(&str, AtomRef<'_>)>,
+        name: &str,
+    ) -> Result<T, XrlError> {
+        let atom = match here {
+            Some((n, atom)) if n.is_empty() || n == name => Some(atom),
+            _ => self.iter().find(|(n, _)| *n == name).map(|(_, atom)| atom),
+        };
+        let Some(atom) = atom else {
+            let ctx = self.ctx_prefix();
+            return Err(XrlError::BadArgs(format!("{ctx}missing argument {name}")));
+        };
+        T::read(atom).ok_or_else(|| {
+            let (ctx, want, got) = (self.ctx_prefix(), T::TYPE.tag(), atom.atom_type().tag());
+            XrlError::BadArgs(format!("{ctx}{name}: expected {want}, got {got}"))
+        })
     }
 
     /// Fetch argument `idx`/`name` as a native type: the unnamed atom at
     /// `idx`, or else the atom named `name`.
     pub fn get_arg<T: AtomCodec>(&self, idx: usize, name: &str) -> Result<T, XrlError> {
-        let at = self.position(idx, name).ok_or_else(|| self.missing(name))?;
-        let value = &self.atoms[at].value;
-        T::from_atom(value).ok_or_else(|| self.mismatch::<T>(name, value.atom_type()))
+        self.pick(self.iter().nth(idx), name)
     }
 
-    /// Like [`XrlArgs::get_arg`] but `None` (not an error) when the
-    /// argument is absent.  Generated stubs use it for trailing optional
-    /// arguments.
-    pub fn get_arg_opt<T: AtomCodec>(&self, idx: usize, name: &str) -> Result<Option<T>, XrlError> {
-        match self.position(idx, name) {
-            Some(_) => self.get_arg(idx, name).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    /// Like [`XrlArgs::get_arg`], but moves the value out of the block
-    /// instead of copying it: generated dispatch reads each argument once.
-    /// On a type mismatch the value stays where it was.
-    pub fn take_arg<T: AtomCodec>(&mut self, idx: usize, name: &str) -> Result<T, XrlError> {
-        let at = self.position(idx, name).ok_or_else(|| self.missing(name))?;
-        let value = std::mem::replace(&mut self.atoms[at].value, AtomValue::Bool(false));
-        T::take_atom(value).map_err(|value| {
-            let err = self.mismatch::<T>(name, value.atom_type());
-            self.atoms[at].value = value;
-            err
-        })
-    }
-
-    typed_accessors!(get_i32, add_i32, I32, i32);
-    typed_accessors!(get_u32, add_u32, U32, u32);
-    typed_accessors!(get_i64, add_i64, I64, i64);
-    typed_accessors!(get_u64, add_u64, U64, u64);
-    typed_accessors!(get_bool, add_bool, Bool, bool);
-    typed_accessors!(get_text, add_text, Text, String);
-    typed_accessors!(get_ipv4, add_ipv4, Ipv4, Ipv4Addr);
-    typed_accessors!(get_ipv6, add_ipv6, Ipv6, Ipv6Addr);
-    typed_accessors!(get_ipv4net, add_ipv4net, Ipv4Net, Ipv4Net);
-    typed_accessors!(get_ipv6net, add_ipv6net, Ipv6Net, Ipv6Net);
-    typed_accessors!(get_mac, add_mac, Mac, Mac);
-    typed_accessors!(get_binary, add_binary, Binary, Vec<u8>);
-    typed_accessors!(get_list, add_list, List, Vec<AtomValue>);
+    typed_accessors!(get_i32, add_i32, i32);
+    typed_accessors!(get_u32, add_u32, u32);
+    typed_accessors!(get_i64, add_i64, i64);
+    typed_accessors!(get_u64, add_u64, u64);
+    typed_accessors!(get_bool, add_bool, bool);
+    typed_accessors!(get_text, add_text, String);
+    typed_accessors!(get_ipv4, add_ipv4, Ipv4Addr);
+    typed_accessors!(get_ipv6, add_ipv6, Ipv6Addr);
+    typed_accessors!(get_ipv4net, add_ipv4net, Ipv4Net);
+    typed_accessors!(get_ipv6net, add_ipv6net, Ipv6Net);
+    typed_accessors!(get_mac, add_mac, Mac);
+    typed_accessors!(get_binary, add_binary, Vec<u8>);
+    typed_accessors!(get_list, add_list, Vec<AtomValue>);
 
     /// Convenience: text accessor taking &str.
     pub fn add_str(self, name: &str, v: &str) -> Self {
@@ -472,7 +501,10 @@ impl XrlArgs {
 
     /// Render in textual XRL form: `a:u32=1&b:txt=hi`.
     pub fn render(&self) -> String {
-        let parts: Vec<String> = self.atoms.iter().map(|a| a.to_string()).collect();
+        let parts: Vec<String> = self
+            .iter()
+            .filter_map(|(name, atom)| Some(XrlAtom::new(name, atom.to_value().ok()?).to_string()))
+            .collect();
         parts.join("&")
     }
 
@@ -500,108 +532,52 @@ impl XrlArgs {
 
 impl FromIterator<XrlAtom> for XrlArgs {
     fn from_iter<I: IntoIterator<Item = XrlAtom>>(iter: I) -> Self {
-        XrlArgs {
-            atoms: iter.into_iter().collect(),
-            context: None,
+        let mut args = XrlArgs::new();
+        for atom in iter {
+            args.push(atom);
         }
+        args
     }
 }
 
-/// Conversion between native Rust types and [`AtomValue`]s.  The typed
-/// stubs generated by [`crate::xrl_interface!`] use this to encode
-/// arguments and decode replies without naming atom variants by hand.
-pub trait AtomCodec: Sized {
-    /// The wire type this native type maps to.
-    const TYPE: AtomType;
-    /// Encode into an atom value.
-    fn into_atom(self) -> AtomValue;
-    /// Decode from an atom value; `None` on a type mismatch.
-    fn from_atom(value: &AtomValue) -> Option<Self>;
-    /// Decode by value, moving a string, buffer or list out instead of
-    /// copying it; the value comes back on a type mismatch.
-    fn take_atom(value: AtomValue) -> Result<Self, AtomValue>;
+/// A block's atoms in order, each with its name (`""` when unnamed) and
+/// its bytes.  Iteration ends with the bytes, or at bytes that do not
+/// read — which no block holds: the grammar's writer wrote it, or
+/// [`XrlArgs::decode`] checked it.
+struct Entries<'a> {
+    r: AtomReader<'a>,
+    named: bool,
 }
 
-macro_rules! atom_codec {
-    ($ty:ty, $variant:ident) => {
-        impl AtomCodec for $ty {
-            const TYPE: AtomType = AtomType::$variant;
-            fn into_atom(self) -> AtomValue {
-                AtomValue::$variant(self)
-            }
-            fn from_atom(value: &AtomValue) -> Option<Self> {
-                match value {
-                    AtomValue::$variant(v) => Some(v.clone()),
-                    _ => None,
-                }
-            }
-            fn take_atom(value: AtomValue) -> Result<Self, AtomValue> {
-                match value {
-                    AtomValue::$variant(v) => Ok(v),
-                    other => Err(other),
-                }
-            }
-        }
-    };
-}
+impl<'a> Iterator for Entries<'a> {
+    type Item = (&'a str, AtomRef<'a>, &'a [u8]);
 
-atom_codec!(i32, I32);
-atom_codec!(u32, U32);
-atom_codec!(i64, I64);
-atom_codec!(u64, U64);
-atom_codec!(bool, Bool);
-atom_codec!(String, Text);
-atom_codec!(Ipv4Addr, Ipv4);
-atom_codec!(Ipv6Addr, Ipv6);
-atom_codec!(Ipv4Net, Ipv4Net);
-atom_codec!(Ipv6Net, Ipv6Net);
-atom_codec!(Mac, Mac);
-atom_codec!(Vec<u8>, Binary);
-
-/// A list as a tree: a list that arrived in wire form is materialized.
-impl AtomCodec for Vec<AtomValue> {
-    const TYPE: AtomType = AtomType::List;
-    fn into_atom(self) -> AtomValue {
-        AtomValue::List(self)
-    }
-    fn from_atom(value: &AtomValue) -> Option<Self> {
-        match value {
-            AtomValue::List(v) => Some(v.clone()),
-            AtomValue::Wire(w) => w.to_atoms().ok(),
-            _ => None,
+    fn next(&mut self) -> Option<Self::Item> {
+        let r = &mut self.r;
+        if r.rest().is_empty() {
+            return None;
         }
-    }
-    fn take_atom(value: AtomValue) -> Result<Self, AtomValue> {
-        match value {
-            AtomValue::List(v) => Ok(v),
-            AtomValue::Wire(w) => w.to_atoms().map_err(|_| AtomValue::Wire(w)),
-            other => Err(other),
-        }
+        let name = if self.named { r.name().ok()? } else { "" };
+        let at = r.rest();
+        let atom = r.read().ok()?;
+        Some((name, atom, &at[..at.len() - r.rest().len()]))
     }
 }
 
-/// A list in wire form: a tree-form list (a textual XRL, hand-built
-/// arguments) is encoded once.
-impl AtomCodec for WireList {
-    const TYPE: AtomType = AtomType::List;
-    fn into_atom(self) -> AtomValue {
-        AtomValue::Wire(self)
-    }
-    fn from_atom(value: &AtomValue) -> Option<Self> {
-        match value {
-            AtomValue::Wire(w) => Some(w.clone()),
-            AtomValue::List(items) => WireList::from_atoms(items).ok(),
-            _ => None,
-        }
-    }
-    fn take_atom(value: AtomValue) -> Result<Self, AtomValue> {
-        match value {
-            AtomValue::Wire(w) => Ok(w),
-            AtomValue::List(items) => {
-                WireList::from_atoms(&items).map_err(|_| AtomValue::List(items))
-            }
-            other => Err(other),
-        }
+/// Reads a block's arguments in declaration order with one cursor, as
+/// generated dispatch does: the atom under the cursor is the argument when
+/// it is unnamed or carries the argument's name, and otherwise a named
+/// block is searched by name.
+pub(crate) struct ArgReader<'a> {
+    args: &'a XrlArgs,
+    entries: Entries<'a>,
+}
+
+impl ArgReader<'_> {
+    /// The next argument, declared as `name`, as a `T`.
+    pub(crate) fn arg<T: AtomCodec>(&mut self, name: &str) -> Result<T, XrlError> {
+        let here = self.entries.next().map(|(n, atom, _)| (n, atom));
+        self.args.pick(here, name)
     }
 }
 
@@ -786,16 +762,17 @@ mod tests {
         assert_eq!(named.get_arg::<String>(1, "ifname").unwrap(), "eth0");
         // Missing entirely.
         assert!(named.get_arg::<u32>(5, "absent").is_err());
-        assert_eq!(named.get_arg_opt::<u32>(5, "absent").unwrap(), None);
-        assert_eq!(named.get_arg_opt::<u32>(0, "metric").unwrap(), Some(9));
     }
 
     #[test]
     fn atom_codec_roundtrip() {
         fn rt<T: AtomCodec + Clone + PartialEq + std::fmt::Debug>(v: T) {
-            let atom = v.clone().into_atom();
+            let mut w = ListWriter::default();
+            v.write(&mut w);
+            assert_eq!(w.buf.len(), v.wire_len());
+            let atom = AtomReader::new(&w.buf).read().unwrap();
             assert_eq!(atom.atom_type(), T::TYPE);
-            assert_eq!(T::from_atom(&atom).unwrap(), v);
+            assert_eq!(T::read(atom).unwrap(), v);
         }
         rt(-5i32);
         rt(7u32);
@@ -808,6 +785,6 @@ mod tests {
         rt("10.0.0.0/8".parse::<Ipv4Net>().unwrap());
         rt(vec![0xde, 0xad]);
         rt(vec![AtomValue::U32(1), AtomValue::Bool(false)]);
-        assert!(u32::from_atom(&AtomValue::Bool(true)).is_none());
+        assert!(u32::read(AtomRef::Bool(true)).is_none());
     }
 }

@@ -15,12 +15,19 @@
 //! ([`sig_hash`]) that negotiates the positional wire-v2 encoding (see
 //! [`crate::marshal`]) and the interned call sites that keep the
 //! per-route path off the string allocator.
+//!
+//! Arguments and return values cross as one [`RetTuple`]: the stub
+//! writes its arguments straight into an argument block, sized once,
+//! and the dispatch wrapper reads them back in declaration order with one
+//! cursor over the block — no argument is built into, or decoded out of,
+//! an atom tree on the way.
 
 use std::marker::PhantomData;
 
-use crate::atom::{AtomCodec, AtomType, XrlArgs, XrlAtom};
+use crate::atom::{AtomType, XrlArgs};
 use crate::error::XrlError;
 use crate::router::Responder;
+use crate::wire::AtomCodec;
 use xorp_event::EventLoop;
 
 /// Deterministic FNV-1a hash of a method signature: name, then each
@@ -54,14 +61,18 @@ pub fn sig_hash(method: &str, args: &[(&str, AtomType)], rets: &[(&str, AtomType
     h
 }
 
-/// A tuple of native return values, convertible to and from an
-/// [`XrlArgs`] block.  Implemented for tuples of [`AtomCodec`] types up
-/// to arity 5; the `(T,)` trailing-comma form is a real tuple even at
-/// arity 1, and `()` covers methods that return nothing.
+/// A tuple of native values — a method's return values, or its
+/// arguments — written to and read from an [`XrlArgs`] block.
+/// Implemented for tuples of [`AtomCodec`] types up to arity 5; the `(T,)`
+/// trailing-comma form is a real tuple even at arity 1, and `()` covers
+/// methods that take or return nothing.
 pub trait RetTuple: Sized + 'static {
-    /// Encode, either positionally (wire-v2 reply) or named.
+    /// Write the values into one block, allocated once at its exact size:
+    /// positionally (a request) or named by `names`, empty past its end
+    /// (a reply; a wire-v2 reply names nothing).
     fn into_args(self, names: &'static [&'static str], positional: bool) -> XrlArgs;
-    /// Decode by position with named fallback, like argument decoding.
+    /// Read the values in order with one cursor over `args`, falling back
+    /// to `names` for a named block's out-of-order atoms.
     fn from_args(args: &XrlArgs, names: &'static [&'static str]) -> Result<Self, XrlError>;
 }
 
@@ -69,20 +80,19 @@ macro_rules! ret_tuple {
     ($($t:ident : $idx:tt),*) => {
         impl<$($t: AtomCodec + 'static),*> RetTuple for ($($t,)*) {
             fn into_args(self, names: &'static [&'static str], positional: bool) -> XrlArgs {
-                let mut args = XrlArgs::new();
-                let _ = (names, positional, &mut args);
-                $(
-                    if positional {
-                        args.push_value(self.$idx.into_atom());
-                    } else {
-                        args.push(XrlAtom::new(names[$idx], self.$idx.into_atom()));
-                    }
-                )*
+                #[allow(unused_variables)]
+                let name = |i: usize| (!positional).then(|| names.get(i).copied().unwrap_or(""));
+                let bytes = 0 $(+ self.$idx.wire_len() + name($idx).map_or(0, |n| 2 + n.len()))*;
+                #[allow(unused_mut)]
+                let mut args = XrlArgs::with_capacity(!positional, bytes);
+                $( args.put(name($idx).unwrap_or(""), |w| self.$idx.write(w)); )*
                 args
             }
             fn from_args(args: &XrlArgs, names: &'static [&'static str]) -> Result<Self, XrlError> {
-                let _ = (args, names);
-                Ok(($(args.get_arg::<$t>($idx, names[$idx])?,)*))
+                #[allow(unused_mut, unused_variables)]
+                let mut r = args.reader();
+                let _ = names;
+                Ok(($(r.arg::<$t>(names[$idx])?,)*))
             }
         }
     };
@@ -118,9 +128,12 @@ impl<R: RetTuple> TypedResponder<R> {
 
     /// Reply with the method's return values.
     pub fn ok(self, el: &mut EventLoop, vals: R) {
-        let positional = self.responder.wire_v2();
-        self.responder
-            .reply(el, Ok(vals.into_args(self.ret_names, positional)));
+        let names = if self.responder.wire_v2() {
+            &[]
+        } else {
+            self.ret_names
+        };
+        self.responder.reply(el, Ok(vals.into_args(names, false)));
     }
 
     /// Reply with an error.
@@ -172,8 +185,8 @@ impl<R: RetTuple> TypedResponder<R> {
 ///   ([`crate::XrlRouter::add_handler_signed`]), which advertises the
 ///   signature to the Finder and decodes arguments (rejecting mistyped or
 ///   missing ones with the method path in the error) before the trait
-///   method runs.  Each argument is moved out of the request's block,
-///   not copied.
+///   method runs.  Arguments are read in place, in declaration order, by
+///   one cursor over the request's block.
 ///
 /// A stub that compiles cannot misname, mistype, or omit an argument: the
 /// declaration is the single source of truth for the client, the server,
@@ -256,9 +269,10 @@ macro_rules! xrl_interface {
                 }
 
                 $(
-                    /// Generated typed call: encodes arguments
-                    /// positionally, sends through the interned call
-                    /// site, and decodes the reply into native types.
+                    /// Generated typed call: writes the arguments
+                    /// positionally into one block, sends it through the
+                    /// interned call site, and decodes the reply into
+                    /// native types.
                     #[allow(clippy::too_many_arguments)]
                     pub fn $mname(
                         &self,
@@ -269,22 +283,15 @@ macro_rules! xrl_interface {
                             Result<($($($rty,)*)?), __sup::XrlError>,
                         ) + 'static,
                     ) {
-                        #[allow(unused_mut)]
-                        let mut args = __sup::XrlArgs::new();
-                        $( args.push_value(__sup::AtomCodec::into_atom($aname)); )*
                         self.router.send_interned(
                             el,
                             &self.$mname,
-                            args,
+                            __sup::RetTuple::into_args(($($aname,)*), $mname.1, true),
                             self.priority,
                             Box::new(move |el, result| {
-                                let decoded = result.and_then(|args| {
-                                    <($($($rty,)*)?) as __sup::RetTuple>::from_args(
-                                        &args,
-                                        $mname.2,
-                                    )
-                                });
-                                cb(el, decoded);
+                                cb(el, result.and_then(|args| {
+                                    __sup::RetTuple::from_args(&args, $mname.2)
+                                }));
                             }),
                         );
                     }
@@ -334,25 +341,11 @@ macro_rules! xrl_interface {
                             $mname.0,
                             sig_of(stringify!($mname)),
                             move |el, args, responder| {
-                                let _ = &args;
                                 let responder = __sup::TypedResponder::new(responder, $mname.2);
-                                #[allow(unused_mut, unused_variables)]
-                                let mut idx = 0usize;
-                                $(
-                                    let $aname: $aty =
-                                        match args.take_arg(idx, stringify!($aname)) {
-                                            Ok(v) => v,
-                                            Err(e) => {
-                                                responder.fail(el, e);
-                                                return;
-                                            }
-                                        };
-                                    #[allow(unused_assignments)]
-                                    {
-                                        idx += 1;
-                                    }
-                                )*
-                                s.$mname(el, $($aname,)* responder);
+                                match <($($aty,)*) as __sup::RetTuple>::from_args(args, $mname.1) {
+                                    Ok(($($aname,)*)) => s.$mname(el, $($aname,)* responder),
+                                    Err(e) => responder.fail(el, e),
+                                }
                             },
                         );
                     }

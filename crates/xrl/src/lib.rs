@@ -40,7 +40,7 @@ pub mod transport;
 pub mod wire;
 pub mod xrl;
 
-pub use atom::{AtomCodec, AtomType, AtomValue, XrlArgs, XrlAtom};
+pub use atom::{AtomType, AtomValue, XrlArgs, XrlAtom};
 pub use error::XrlError;
 pub use fault::{FaultAction, FaultConfig, FaultEvent, FaultPlan};
 pub use finder::{Finder, LifetimeEvent, ResolveEntry};
@@ -49,7 +49,7 @@ pub use router::{
     CongestionSignal, InternedCall, QueuePolicy, Responder, ResponseCb, RetryPolicy, TransportPref,
     XrlRouter, SEQ_MAY_RECUR,
 };
-pub use wire::{AtomReader, AtomRef, ListWriter, WireList};
+pub use wire::{AtomCodec, AtomReader, AtomRef, ListWriter, WireList};
 pub use xrl::{Xrl, XrlPath};
 
 /// Result of an XRL dispatch: the response atoms or a transport/dispatch
@@ -61,10 +61,10 @@ pub type XrlResult = Result<XrlArgs, XrlError>;
 /// imported.  Not part of the public API.
 #[doc(hidden)]
 pub mod idl_support {
-    pub use crate::atom::{AtomCodec, AtomType, AtomValue, XrlArgs, XrlAtom};
     pub use crate::error::XrlError;
     pub use crate::idl::{sig_hash, RetTuple, TypedResponder};
-    pub use crate::router::{InternedCall, Responder, XrlRouter};
+    pub use crate::router::{InternedCall, XrlRouter};
+    pub use crate::wire::AtomCodec;
     pub use std::rc::Rc;
     pub use xorp_event::EventLoop;
 }

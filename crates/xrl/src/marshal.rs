@@ -28,10 +28,12 @@
 //! Senders fall back to v1 named frames for peers that never advertised a
 //! signature — mixed-version interop is transparent.
 //!
-//! Atoms are read by [`crate::wire::AtomReader`], the grammar's one
-//! reader, and a decoded frame keeps each list argument in wire form
-//! ([`crate::wire::WireList`]): checked as it is read, copied once, never
-//! built into a tree unless a consumer asks for one.
+//! A frame's `args` is an [`XrlArgs`] block: the atoms in exactly this
+//! grammar, so encoding copies the block's bytes after its count, and
+//! decoding checks them once with [`crate::wire::AtomReader`] and copies
+//! them out once.  A block built in the other layout — a positional reply,
+//! a named block on a v2 request — is rewritten by one walk as it is
+//! encoded.
 //!
 //! The trace bit exists only on the v2 kind byte: a sampled route's
 //! [`TraceContext`] rides the frame as a fixed 12-byte trailer after the
@@ -42,9 +44,9 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use xorp_profiler::tracing::TraceContext;
 
-use crate::atom::{AtomValue, XrlArgs, XrlAtom};
+use crate::atom::XrlArgs;
 use crate::error::XrlError;
-use crate::wire::{fits, put_value, AtomReader, MAX_ITEMS};
+use crate::wire::AtomReader;
 
 /// A decoded frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,86 +133,10 @@ fn put_str(buf: &mut impl BufMut, s: &str) {
 }
 
 fn get_str(buf: &mut &[u8]) -> Result<String, XrlError> {
-    if buf.remaining() < 2 {
-        return Err(XrlError::BadFrame("truncated string length".into()));
-    }
-    let len = buf.get_u16() as usize;
-    if buf.remaining() < len {
-        return Err(XrlError::BadFrame("truncated string".into()));
-    }
-    let (s, rest) = buf.split_at(len);
-    *buf = rest;
-    String::from_utf8(s.to_vec()).map_err(|_| XrlError::BadFrame("non-UTF8 string".into()))
-}
-
-/// Read one top-level atom off `buf`.  Lists stay in wire form.
-fn get_value(buf: &mut &[u8]) -> Result<AtomValue, XrlError> {
     let mut r = AtomReader::new(buf);
-    let value = r.read()?.to_value();
+    let s = r.name()?.to_owned();
     *buf = r.rest();
-    Ok(value)
-}
-
-/// Reject an argument block the wire cannot count: more than `u16::MAX`
-/// atoms, list items at any depth, or bytes in an atom name.  The encoder
-/// writes those counts as `u16`, so a longer block would not fail — it
-/// would decode as a shorter one.  The send core checks every request and
-/// reply before it is charged or encoded.
-pub(crate) fn check_counts(args: &XrlArgs) -> Result<(), XrlError> {
-    const MAX: usize = MAX_ITEMS;
-    let atoms = args.atoms();
-    if atoms.len() <= MAX && atoms.iter().all(|a| a.name.len() <= MAX && fits(&a.value)) {
-        Ok(())
-    } else {
-        Err(XrlError::BadArgs(format!(
-            "argument block exceeds the wire's {MAX}-item count"
-        )))
-    }
-}
-
-fn put_args(buf: &mut impl BufMut, args: &XrlArgs) {
-    buf.put_u16(args.len() as u16);
-    for atom in args.atoms() {
-        put_str(buf, &atom.name);
-        put_value(buf, &atom.value);
-    }
-}
-
-fn get_args(buf: &mut &[u8]) -> Result<XrlArgs, XrlError> {
-    if buf.remaining() < 2 {
-        return Err(XrlError::BadFrame("truncated arg count".into()));
-    }
-    let count = buf.get_u16() as usize;
-    let mut args = XrlArgs::new();
-    for _ in 0..count {
-        let name = get_str(buf)?;
-        let value = get_value(buf)?;
-        args.push(XrlAtom::new(name, value));
-    }
-    Ok(args)
-}
-
-/// Encode an argument block positionally: values only, no names.  Any
-/// names the atoms carry are dropped — the signature both sides agreed on
-/// at negotiation time defines the order.
-fn put_args_positional(buf: &mut impl BufMut, args: &XrlArgs) {
-    buf.put_u16(args.len() as u16);
-    for atom in args.atoms() {
-        put_value(buf, &atom.value);
-    }
-}
-
-/// Decode a positional argument block into unnamed atoms.
-fn get_args_positional(buf: &mut &[u8]) -> Result<XrlArgs, XrlError> {
-    if buf.remaining() < 2 {
-        return Err(XrlError::BadFrame("truncated arg count".into()));
-    }
-    let count = buf.get_u16() as usize;
-    let mut args = XrlArgs::new();
-    for _ in 0..count {
-        args.push_value(get_value(buf)?);
-    }
-    Ok(args)
+    Ok(s)
 }
 
 impl Frame {
@@ -222,10 +148,9 @@ impl Frame {
         }
     }
 
-    /// Approximate encoded size (including the length header), without
-    /// encoding.  Overload instrumentation uses this to estimate the
-    /// memory held by queued and retained frames.
-    pub fn approx_wire_len(&self) -> usize {
+    /// Encoded size, length header included, without encoding: the
+    /// memory a queued or retained frame holds.
+    pub fn wire_len(&self) -> usize {
         5 + match self {
             Frame::Request {
                 target,
@@ -235,25 +160,18 @@ impl Frame {
                 trace,
                 ..
             } => {
-                let method = match method_id {
-                    // v2: fixed 4-byte id, and names are dropped from the
-                    // arg block (approx_wire_len counts 2 + name.len per
-                    // atom; positional atoms from push_value have empty
-                    // names so the estimate stays close).
-                    Some(_) => 4,
-                    None => 2 + path.len(),
+                let method = match (method_id, trace) {
+                    (Some(_), Some(_)) => 4 + 12, // id and trace trailer
+                    (Some(_), None) => 4,
+                    (None, _) => 2 + path.len(),
                 };
-                let trailer = match (method_id, trace) {
-                    (Some(_), Some(_)) => 12,
-                    _ => 0,
-                };
-                16 + 2 + target.len() + 16 + method + args.approx_wire_len() + trailer
+                16 + 2 + target.len() + 16 + method + args.wire_len(method_id.is_none())
             }
             Frame::Response { result, .. } => {
                 8 + 1
                     + match result {
-                        Ok(args) => 2 + args.approx_wire_len(),
-                        Err(e) => 2 + e.to_string().len() + 2,
+                        Ok(args) => 2 + args.wire_len(true),
+                        Err(e) => 2 + fit_str(&e.to_string()).len() + 2,
                     }
             }
             Frame::Kill { .. } => 4,
@@ -308,7 +226,7 @@ impl Frame {
                     put_str(body, target);
                     body.put_slice(key);
                     body.put_u32(*id);
-                    put_args_positional(body, args);
+                    args.put_into(body, false);
                     if let Some(t) = trace {
                         body.put_u64(t.trace_id);
                         body.put_u32(t.parent_span);
@@ -321,7 +239,7 @@ impl Frame {
                     put_str(body, target);
                     body.put_slice(key);
                     put_str(body, path);
-                    put_args(body, args);
+                    args.put_into(body, true);
                 }
             },
             Frame::Response {
@@ -335,12 +253,12 @@ impl Frame {
                     Ok(args) => {
                         body.put_u8(0);
                         put_str(body, "");
-                        put_args(body, args);
+                        args.put_into(body, true);
                     }
                     Err(e) => {
                         body.put_u8(e.code());
                         put_str(body, fit_str(&e.to_string()));
-                        put_args(body, &XrlArgs::new());
+                        body.put_u16(0); // no arguments
                     }
                 }
             }
@@ -383,7 +301,7 @@ impl Frame {
                 let mut key = [0u8; 16];
                 buf.copy_to_slice(&mut key);
                 let path = get_str(buf)?;
-                let args = get_args(buf)?;
+                let args = XrlArgs::decode(buf, true)?;
                 Frame::Request {
                     seq,
                     sender,
@@ -409,7 +327,7 @@ impl Frame {
                 let mut key = [0u8; 16];
                 buf.copy_to_slice(&mut key);
                 let method_id = buf.get_u32();
-                let args = get_args_positional(buf)?;
+                let args = XrlArgs::decode(buf, false)?;
                 let trace = if kind_v2 == KIND_REQUEST_V2_TRACED {
                     if buf.remaining() < 12 {
                         return Err(XrlError::BadFrame("truncated trace trailer".into()));
@@ -440,7 +358,7 @@ impl Frame {
                 let seq = buf.get_u64();
                 let code = buf.get_u8();
                 let msg = get_str(buf)?;
-                let args = get_args(buf)?;
+                let args = XrlArgs::decode(buf, true)?;
                 let result = if code == 0 {
                     Ok(args)
                 } else {
@@ -591,6 +509,7 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atom::AtomValue;
 
     fn roundtrip(f: Frame) {
         let encoded = f.encode();
@@ -833,20 +752,36 @@ mod tests {
     }
 
     /// The largest list the 16-bit count can describe comes back whole;
-    /// one item more is refused by the count check the send core runs.
+    /// one item more is refused by the count check the send core runs,
+    /// before the request is charged.
     #[test]
     fn list_at_the_count_limit_roundtrips_exactly() {
+        use crate::{Finder, Xrl, XrlResult, XrlRouter};
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        use xorp_event::EventLoop;
+
         let list = |n| XrlArgs::new().add_list("rows", vec![AtomValue::U32(7); n]);
         roundtrip(Frame::Response {
             seq: 1,
             result: Ok(list(65_535)),
             priority: false,
         });
-        assert!(check_counts(&list(65_535)).is_ok());
-        assert!(matches!(
-            check_counts(&list(65_536)),
-            Err(XrlError::BadArgs(_))
-        ));
+        let mut el = EventLoop::new_virtual();
+        let router = XrlRouter::new(&mut el, Finder::new());
+        router.register_target("echo", "echo-0", true).unwrap();
+        router.add_fn("echo-0", "echo/1.0/rows", |_el, args| Ok(args.clone()));
+        let got: Rc<RefCell<Vec<XrlResult>>> = Rc::default();
+        for n in [65_535, 65_536] {
+            let g = got.clone();
+            let xrl = Xrl::generic("echo", "echo", "1.0", "rows", list(n));
+            router.send(&mut el, xrl, Box::new(move |_, r| g.borrow_mut().push(r)));
+        }
+        assert!(matches!(got.borrow()[..], [Err(XrlError::BadArgs(_))]));
+        assert_eq!(router.pending_len(), 1, "only the countable request");
+        el.run_until_idle();
+        let echoed = got.borrow()[1].as_ref().unwrap().get_list("rows").unwrap();
+        assert_eq!(echoed, vec![AtomValue::U32(7); 65_535]);
     }
 
     /// A body is exactly one frame: a byte left over is a wrapped count or
@@ -1046,6 +981,45 @@ mod tests {
     fn traced_frames_report_trailer_in_approx_len() {
         let plain = v2_add_route();
         let hot = traced(v2_add_route());
-        assert_eq!(hot.approx_wire_len(), plain.approx_wire_len() + 12);
+        assert_eq!(hot.wire_len(), plain.wire_len() + 12);
+        for f in [plain, hot] {
+            assert_eq!(f.wire_len(), f.encode().len());
+        }
+    }
+
+    /// A frame's length is exact whichever layout its block was built in:
+    /// a positional reply and a named block on a v2 request are rewritten
+    /// as they are encoded, and counted as written.
+    #[test]
+    fn wire_len_is_exact_in_either_layout() {
+        let Frame::Request {
+            args: positional, ..
+        } = v2_add_route()
+        else {
+            unreachable!()
+        };
+        let named = XrlArgs::new().add_u32("metric", 5).add_str("proto", "ebgp");
+        let mut frames = vec![Frame::Kill { signal: 15 }];
+        for args in [positional, named] {
+            let mut v2 = v2_add_route();
+            if let Frame::Request { args: a, .. } = &mut v2 {
+                *a = args.clone();
+            }
+            frames.push(v2);
+            frames.push(Frame::Response {
+                seq: 1,
+                result: Ok(args),
+                priority: false,
+            });
+        }
+        frames.push(Frame::Response {
+            seq: 2,
+            result: Err(XrlError::BadArgs("no".into())),
+            priority: false,
+        });
+        for f in frames {
+            assert_eq!(f.wire_len(), f.encode().len(), "{f:?}");
+            assert!(Frame::decode_slice(&f.encode()[4..]).is_ok(), "{f:?}");
+        }
     }
 }

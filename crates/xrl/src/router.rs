@@ -84,7 +84,7 @@ use crate::atom::XrlArgs;
 use crate::error::XrlError;
 use crate::fault::{FaultAction, FaultConfig, FaultPlan};
 use crate::finder::{Endpoint, Finder, LifetimeEvent, ResolveEntry};
-use crate::marshal::{check_counts, Frame};
+use crate::marshal::Frame;
 use crate::transport::{Families, Remote, Transport, Via};
 use crate::xrl::Xrl;
 use crate::XrlResult;
@@ -93,8 +93,8 @@ use crate::XrlResult;
 /// arrives.
 pub type ResponseCb = Box<dyn FnOnce(&mut EventLoop, XrlResult)>;
 
-/// Handler for an incoming XRL method; generated decoders move arguments out.
-pub type Handler = Rc<dyn Fn(&mut EventLoop, &mut XrlArgs, Responder)>;
+/// Handler for an incoming XRL method; generated decoders read arguments in place.
+pub type Handler = Rc<dyn Fn(&mut EventLoop, &XrlArgs, Responder)>;
 
 /// Transport preference for an outgoing XRL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -718,11 +718,9 @@ impl XrlRouter {
         let pending: usize = inner
             .pending
             .values()
-            .map(|p| {
-                std::mem::size_of::<Pending>() + p.frame.as_ref().map_or(0, |f| f.approx_wire_len())
-            })
+            .map(|p| std::mem::size_of::<Pending>() + p.frame.as_ref().map_or(0, |f| f.wire_len()))
             .sum();
-        let parked: usize = inner.families.parked().map(|f| f.approx_wire_len()).sum();
+        let parked: usize = inner.families.parked().map(|f| f.wire_len()).sum();
         pending + parked
     }
 
@@ -909,7 +907,7 @@ impl XrlRouter {
     /// Attach a handler for `iface/version/method` on a registered target.
     pub fn add_handler<F>(&self, instance: &str, path: &str, f: F)
     where
-        F: Fn(&mut EventLoop, &mut XrlArgs, Responder) + 'static,
+        F: Fn(&mut EventLoop, &XrlArgs, Responder) + 'static,
     {
         self.add_handler_inner(instance, path, Rc::new(f), None);
     }
@@ -920,7 +918,7 @@ impl XrlRouter {
     /// the same signature can switch to positional wire-v2 frames.
     pub fn add_handler_signed<F>(&self, instance: &str, path: &str, sig_hash: u64, f: F)
     where
-        F: Fn(&mut EventLoop, &mut XrlArgs, Responder) + 'static,
+        F: Fn(&mut EventLoop, &XrlArgs, Responder) + 'static,
     {
         self.add_handler_inner(instance, path, Rc::new(f), Some(sig_hash));
     }
@@ -1128,15 +1126,14 @@ impl XrlRouter {
     /// cache flush) the per-route cost is one generation check and one
     /// clone of the cached route — no path rendering, no
     /// `(String, String)` resolve-cache key, no lane label `format!`.
-    /// `args` is positional (built with [`XrlArgs::push_value`] in
-    /// signature order); when wire v2 was not negotiated with the resolved
-    /// peer the atoms are labeled from `arg_names` and the frame goes out
-    /// as v1 named.
+    /// `args` is positional (written in signature order); when wire v2 was
+    /// not negotiated with the resolved peer the block is relabelled from
+    /// `arg_names` and the frame goes out as v1 named.
     pub fn send_interned(
         &self,
         el: &mut EventLoop,
         call: &InternedCall,
-        mut args: XrlArgs,
+        args: XrlArgs,
         priority: bool,
         cb: ResponseCb,
     ) {
@@ -1157,12 +1154,9 @@ impl XrlRouter {
         // v1 fallback: the peer never advertised our signature, so label
         // the positional atoms with their names before the frame leaves.
         // A v2 request is found by its method id and carries no path.
-        let path = match route.method_id {
-            Some(_) => String::new(),
-            None => {
-                args.label_names(inner.arg_names);
-                inner.path.clone()
-            }
+        let (path, args) = match route.method_id {
+            Some(_) => (String::new(), args),
+            None => (inner.path.clone(), args.into_layout(true, inner.arg_names)),
         };
         self.send_routed(el, route, path, args, priority, cb);
     }
@@ -1180,7 +1174,7 @@ impl XrlRouter {
         priority: bool,
         cb: ResponseCb,
     ) {
-        if let Err(e) = check_counts(&args) {
+        if let Err(e) = args.counted() {
             return cb(el, Err(e));
         }
         let InternedCached {
@@ -1338,7 +1332,7 @@ impl XrlRouter {
     ) {
         let frame = Frame::Response {
             seq,
-            result: result.and_then(|args| check_counts(&args).map(|()| args)),
+            result: result.and_then(|args| args.counted().map(|()| args)),
             priority,
         };
         let _ = self.transport_write(el, remote, &frame);
@@ -1614,7 +1608,7 @@ impl XrlRouter {
                 // inherits the caller's causality, then the previous
                 // ambient context is restored.
                 let prev = xtrace::set_current(trace);
-                h(el, &mut args, responder);
+                h(el, &args, responder);
                 xtrace::set_current(prev);
             }
             Err(e) => responder.reply(el, Err(e)),
@@ -1825,8 +1819,12 @@ impl XrlRouter {
         }
         finder.remove_cache_holder(router_id);
 
-        // Fail callers waiting on us.
-        let pending: Vec<u64> = self.inner.borrow().pending.keys().copied().collect();
+        // Fail callers waiting on us; no request parked behind a UDP peer
+        // may take the slot each failure frees and reach the wire.
+        let mut inner = self.inner.borrow_mut();
+        inner.families.drop_parked();
+        let pending: Vec<u64> = inner.pending.keys().copied().collect();
+        drop(inner);
         for seq in pending {
             self.complete(el, seq, Err(XrlError::TargetDied));
         }

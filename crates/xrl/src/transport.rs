@@ -791,6 +791,12 @@ impl Families {
         true
     }
 
+    /// Forget every UDP peer's slot and the frames parked behind it: the
+    /// router is shutting down, and none of them may reach the wire.
+    pub(crate) fn drop_parked(&mut self) {
+        self.udp.iter_mut().for_each(|udp| udp.peers.clear());
+    }
+
     /// Frames parked behind a UDP peer's request in flight.
     pub(crate) fn parked(&self) -> impl Iterator<Item = &Frame> + '_ {
         let peers = self.udp.iter().flat_map(|u| u.peers.values());

@@ -1,20 +1,23 @@
-//! Atoms in wire form: the binary atom grammar of [`crate::marshal`]'s
-//! frames, read in place and written without a tree.
+//! The binary atom grammar: the one writer and the one reader of every
+//! atom an XRL frame carries.
 //!
 //! Every atom is `u8 type | value` (the table in [`crate::marshal`]).
-//! [`AtomReader`] is the grammar's one reader: a cursor that yields each
+//! [`ListWriter`] appends atoms to bytes one typed item at a time — a
+//! nested list in place, its count patched once its items are in — and
+//! counts them as it goes.  [`AtomReader`] is a cursor that yields each
 //! atom as an [`AtomRef`] borrowed from the bytes.  Each read makes every
 //! check the grammar requires — a known type code, lengths that fit,
 //! UTF-8 text, a prefix length the family allows, bounded list nesting —
 //! and allocates nothing.  A list read this way is checked and stays
 //! bytes.
 //!
-//! Decoding a frame keeps every list argument as a [`WireList`]: one
-//! reference-counted byte slice and its item count.  It becomes a tree of
-//! [`AtomValue`]s only when something asks for one (textual rendering, a
-//! typed `Vec<AtomValue>` argument).  [`ListWriter`] is the other
-//! direction: it appends typed items straight into a list's bytes, so the
-//! sender of a large list — a batched route frame — builds no tree either.
+//! The pair serves every block of atoms there is: an XRL's argument block
+//! ([`crate::XrlArgs`]), written by the client stub and read by the
+//! server's dispatch, and the lists inside it — a batched route frame's
+//! rows ([`WireList`]) among them.  [`AtomCodec`] maps a native type onto
+//! the grammar: it writes one atom and reads one back from an
+//! [`AtomRef`], so no argument passes through an [`AtomValue`] on its way
+//! from stub to handler.
 
 use std::fmt::{self, Write as _};
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -35,77 +38,8 @@ const MAX_LIST_DEPTH: u32 = 16;
 /// counts them in 16 bits.
 pub const MAX_ITEMS: usize = u16::MAX as usize;
 
-const TEXT: u8 = 6;
-const LIST: u8 = 13;
-
-fn type_code(t: AtomType) -> u8 {
-    match t {
-        AtomType::I32 => 1,
-        AtomType::U32 => 2,
-        AtomType::I64 => 3,
-        AtomType::U64 => 4,
-        AtomType::Bool => 5,
-        AtomType::Text => TEXT,
-        AtomType::Ipv4 => 7,
-        AtomType::Ipv6 => 8,
-        AtomType::Ipv4Net => 9,
-        AtomType::Ipv6Net => 10,
-        AtomType::Mac => 11,
-        AtomType::Binary => 12,
-        AtomType::List => LIST,
-    }
-}
-
-/// Append one atom, type byte first.
-pub(crate) fn put_value(buf: &mut impl BufMut, v: &AtomValue) {
-    buf.put_u8(type_code(v.atom_type()));
-    match v {
-        AtomValue::I32(x) => buf.put_i32(*x),
-        AtomValue::U32(x) => buf.put_u32(*x),
-        AtomValue::I64(x) => buf.put_i64(*x),
-        AtomValue::U64(x) => buf.put_u64(*x),
-        AtomValue::Bool(x) => buf.put_u8(*x as u8),
-        AtomValue::Text(x) => {
-            buf.put_u32(x.len() as u32);
-            buf.put_slice(x.as_bytes());
-        }
-        AtomValue::Ipv4(x) => buf.put_slice(&x.octets()),
-        AtomValue::Ipv6(x) => buf.put_slice(&x.octets()),
-        AtomValue::Ipv4Net(x) => {
-            buf.put_slice(&x.addr().octets());
-            buf.put_u8(x.len());
-        }
-        AtomValue::Ipv6Net(x) => {
-            buf.put_slice(&x.addr().octets());
-            buf.put_u8(x.len());
-        }
-        AtomValue::Mac(x) => buf.put_slice(&x.0),
-        AtomValue::Binary(x) => {
-            buf.put_u32(x.len() as u32);
-            buf.put_slice(x);
-        }
-        AtomValue::List(items) => {
-            buf.put_u16(items.len() as u16);
-            for item in items {
-                put_value(buf, item);
-            }
-        }
-        AtomValue::Wire(list) => {
-            buf.put_u16(list.count);
-            buf.put_slice(&list.items);
-        }
-    }
-}
-
-/// Whether every list in `v` fits the wire's 16-bit item count.  A longer
-/// one would not fail to encode — it would decode as a shorter one.
-pub(crate) fn fits(v: &AtomValue) -> bool {
-    match v {
-        AtomValue::List(items) => items.len() <= MAX_ITEMS && items.iter().all(fits),
-        // Counted in 16 bits when it was read or written.
-        _ => true,
-    }
-}
+const TEXT: u8 = AtomType::Text as u8;
+const LIST: u8 = AtomType::List as u8;
 
 /// One atom read in place: scalars by value, text and binary borrowed
 /// from the bytes, a list as its checked items.
@@ -127,28 +61,11 @@ pub enum AtomRef<'a> {
     List(u16, &'a [u8]),
 }
 
-impl AtomRef<'_> {
-    /// The owned atom.  A list stays in wire form: one copy of its bytes.
-    pub(crate) fn to_value(self) -> AtomValue {
-        match self {
-            AtomRef::I32(v) => AtomValue::I32(v),
-            AtomRef::U32(v) => AtomValue::U32(v),
-            AtomRef::I64(v) => AtomValue::I64(v),
-            AtomRef::U64(v) => AtomValue::U64(v),
-            AtomRef::Bool(v) => AtomValue::Bool(v),
-            AtomRef::Text(v) => AtomValue::Text(v.to_owned()),
-            AtomRef::Ipv4(v) => AtomValue::Ipv4(v),
-            AtomRef::Ipv6(v) => AtomValue::Ipv6(v),
-            AtomRef::Ipv4Net(v) => AtomValue::Ipv4Net(v),
-            AtomRef::Ipv6Net(v) => AtomValue::Ipv6Net(v),
-            AtomRef::Mac(v) => AtomValue::Mac(v),
-            AtomRef::Binary(v) => AtomValue::Binary(v.to_vec()),
-            AtomRef::List(count, items) => AtomValue::Wire(WireList {
-                count,
-                items: items.into(),
-            }),
-        }
-    }
+/// The values `count` atoms laid back to back in `items` encode, nested
+/// lists as trees too.
+fn tree(count: u16, items: &[u8]) -> Result<Vec<AtomValue>, XrlError> {
+    let mut r = AtomReader::new(items);
+    (0..count).map(|_| r.read()?.to_value()).collect()
 }
 
 fn truncated() -> XrlError {
@@ -200,6 +117,19 @@ impl<'a> AtomReader<'a> {
         self.take(len)
     }
 
+    /// A `u16` count: the atoms of an argument block.
+    pub(crate) fn count(&mut self) -> Result<u16, XrlError> {
+        Ok(u16::from_be_bytes(self.array()?))
+    }
+
+    /// A `str` field (`u16 len | UTF-8`): a frame's target or path, or an
+    /// atom's name in a named argument block.
+    pub(crate) fn name(&mut self) -> Result<&'a str, XrlError> {
+        let len = self.count()?.into();
+        std::str::from_utf8(self.take(len)?)
+            .map_err(|_| XrlError::BadFrame("non-UTF8 string".into()))
+    }
+
     /// Read the next atom.  A list is checked item by item, at any depth,
     /// and handed back as bytes.
     pub fn read(&mut self) -> Result<AtomRef<'a>, XrlError> {
@@ -234,7 +164,7 @@ impl<'a> AtomReader<'a> {
                         "list nesting exceeds {MAX_LIST_DEPTH}"
                     )));
                 }
-                let count = u16::from_be_bytes(self.array()?);
+                let count = self.count()?;
                 let start = self.buf;
                 let mut items = AtomReader {
                     buf: start,
@@ -255,7 +185,7 @@ impl<'a> AtomReader<'a> {
     /// items next without walking them twice.
     pub fn enter_list(&mut self) -> Result<u16, XrlError> {
         match self.array()? {
-            [LIST] => Ok(u16::from_be_bytes(self.array()?)),
+            [LIST] => self.count(),
             [other] => Err(XrlError::BadFrame(format!(
                 "expected a list, read type code {other}"
             ))),
@@ -275,14 +205,14 @@ impl WireList {
     /// Encode a tree of atoms — the form a textual XRL or hand-built
     /// arguments bring a list in.
     pub fn from_atoms(items: &[AtomValue]) -> Result<WireList, XrlError> {
-        if items.len() > MAX_ITEMS || !items.iter().all(fits) {
-            return Err(XrlError::BadArgs(format!(
-                "list exceeds the wire's {MAX_ITEMS}-item count"
-            )));
-        }
         let mut w = ListWriter::default();
         for item in items {
             w.value(item);
+        }
+        if w.len() > MAX_ITEMS {
+            return Err(XrlError::BadArgs(format!(
+                "list exceeds the wire's {MAX_ITEMS}-item count"
+            )));
         }
         Ok(w.take())
     }
@@ -297,11 +227,6 @@ impl WireList {
         self.count == 0
     }
 
-    /// Bytes the list occupies inside a frame (type byte and count too).
-    pub(crate) fn wire_len(&self) -> usize {
-        3 + self.items.len()
-    }
-
     /// A cursor over the items.
     pub fn reader(&self) -> AtomReader<'_> {
         AtomReader {
@@ -312,20 +237,7 @@ impl WireList {
 
     /// The tree of atoms these bytes encode (nested lists as trees too).
     pub fn to_atoms(&self) -> Result<Vec<AtomValue>, XrlError> {
-        fn tree(mut r: AtomReader<'_>, count: u16) -> Result<Vec<AtomValue>, XrlError> {
-            let depth = r.depth + 1;
-            (0..count)
-                .map(|_| {
-                    Ok(match r.read()? {
-                        AtomRef::List(n, buf) => {
-                            AtomValue::List(tree(AtomReader { buf, depth }, n)?)
-                        }
-                        atom => atom.to_value(),
-                    })
-                })
-                .collect()
-        }
-        tree(self.reader(), self.count)
+        tree(self.count, &self.items)
     }
 }
 
@@ -338,15 +250,17 @@ impl fmt::Debug for WireList {
     }
 }
 
-/// Appends a list's items straight into wire bytes, one typed item at a
-/// time; a nested list is written in place and its count patched once its
-/// items are in.  [`ListWriter::take`] copies the list out and keeps the
-/// buffer, so a writer reused frame after frame allocates only the lists
-/// it hands out.
-#[derive(Debug, Default)]
+/// Appends atoms straight into wire bytes, one typed item at a time; a
+/// nested list is written in place and its count patched once its items
+/// are in.  An argument block is written with one, and so is a list:
+/// [`ListWriter::take`] copies the list out and keeps the buffer, so a
+/// writer reused frame after frame allocates only the lists it hands out.
+#[derive(Debug, Default, Clone)]
 pub struct ListWriter {
-    buf: Vec<u8>,
-    count: usize,
+    pub(crate) buf: Vec<u8>,
+    /// Items written.  `usize::MAX` once a nested list or a name outgrew
+    /// its 16-bit count: such bytes must never be sent.
+    pub(crate) count: usize,
 }
 
 /// Text sink writing UTF-8 straight into a list's bytes.
@@ -359,7 +273,21 @@ impl fmt::Write for Utf8Sink<'_> {
     }
 }
 
+/// A `u32`-length-prefixed byte string: a text or binary atom's value.
+fn put_sized(buf: &mut Vec<u8>, bytes: &[u8]) {
+    buf.put_u32(bytes.len() as u32);
+    buf.put_slice(bytes);
+}
+
 impl ListWriter {
+    /// An empty writer with room for `bytes` bytes.
+    pub(crate) fn with_capacity(bytes: usize) -> ListWriter {
+        ListWriter {
+            buf: Vec::with_capacity(bytes),
+            count: 0,
+        }
+    }
+
     /// Items written since the last [`ListWriter::take`].
     pub fn len(&self) -> usize {
         self.count
@@ -372,36 +300,47 @@ impl ListWriter {
 
     /// Start an item: count it and write its type byte.
     fn item(&mut self, code: u8) -> &mut Vec<u8> {
-        self.count += 1;
+        self.count = self.count.saturating_add(1);
         self.buf.put_u8(code);
         &mut self.buf
     }
 
+    /// Write a `str` field, uncounted: an atom's name in a named argument
+    /// block.  A name longer than the field holds is written empty and
+    /// leaves the bytes uncountable.
+    pub(crate) fn name(&mut self, name: &str) {
+        let name = match u16::try_from(name.len()) {
+            Ok(_) => name,
+            Err(_) => {
+                self.count = usize::MAX;
+                ""
+            }
+        };
+        self.buf.put_u16(name.len() as u16);
+        self.buf.put_slice(name.as_bytes());
+    }
+
     /// Append a `u32`.
     pub fn u32(&mut self, v: u32) -> &mut Self {
-        self.item(2).put_u32(v);
+        v.write(self);
         self
     }
 
     /// Append an IPv4 address.
     pub fn ipv4(&mut self, v: Ipv4Addr) -> &mut Self {
-        self.item(7).put_slice(&v.octets());
+        v.write(self);
         self
     }
 
     /// Append an IPv4 prefix.
     pub fn ipv4net(&mut self, v: Ipv4Net) -> &mut Self {
-        let buf = self.item(9);
-        buf.put_slice(&v.addr().octets());
-        buf.put_u8(v.len());
+        v.write(self);
         self
     }
 
     /// Append text.
     pub fn text(&mut self, v: &str) -> &mut Self {
-        let buf = self.item(TEXT);
-        buf.put_u32(v.len() as u32);
-        buf.put_slice(v.as_bytes());
+        put_sized(self.item(TEXT), v.as_bytes());
         self
     }
 
@@ -418,17 +357,8 @@ impl ListWriter {
         self
     }
 
-    /// Append any atom.
-    pub(crate) fn value(&mut self, v: &AtomValue) -> &mut Self {
-        self.count += 1;
-        put_value(&mut self.buf, v);
-        self
-    }
-
-    /// Append a nested list whose items `items` writes.
-    ///
-    /// # Panics
-    /// If `items` writes more than [`MAX_ITEMS`] items.
+    /// Append a nested list whose items `items` writes.  More than
+    /// [`MAX_ITEMS`] of them leave the bytes uncountable.
     pub fn list(&mut self, items: impl FnOnce(&mut ListWriter)) -> &mut Self {
         let at = self.item(LIST).len();
         self.buf.put_u16(0);
@@ -438,8 +368,10 @@ impl ListWriter {
         };
         items(&mut inner);
         self.buf = inner.buf;
-        let count = u16::try_from(inner.count).expect("a nested list holds at most MAX_ITEMS");
-        self.buf[at..at + 2].copy_from_slice(&count.to_be_bytes());
+        match u16::try_from(inner.count) {
+            Ok(count) => self.buf[at..at + 2].copy_from_slice(&count.to_be_bytes()),
+            Err(_) => self.count = usize::MAX,
+        }
         self
     }
 
@@ -447,8 +379,8 @@ impl ListWriter {
     /// buffer's capacity.
     ///
     /// # Panics
-    /// If more than [`MAX_ITEMS`] items were written: a sender splits its
-    /// lists at that size.
+    /// If more than [`MAX_ITEMS`] items were written, at any depth: a
+    /// sender splits its lists at that size.
     pub fn take(&mut self) -> WireList {
         let count = u16::try_from(self.count).expect("a list holds at most MAX_ITEMS");
         let list = WireList {
@@ -461,15 +393,173 @@ impl ListWriter {
     }
 }
 
+/// A native type's mapping onto the atom grammar.  Generated stubs write
+/// their arguments with it and generated dispatch reads them back, both
+/// in place in the argument block.
+pub trait AtomCodec: Sized {
+    /// The atom type this native type maps to.
+    const TYPE: AtomType;
+    /// Bytes the atom takes, type byte included.
+    fn wire_len(&self) -> usize;
+    /// Append the value to `w` as one item.
+    fn write(&self, w: &mut ListWriter);
+    /// The value `atom` holds; `None` when it holds another type.
+    fn read(atom: AtomRef<'_>) -> Option<Self>;
+}
+
+macro_rules! atom_codec {
+    ($ty:ty, $variant:ident, |$v:ident, $b:ident| $len:expr, $put:expr) => {
+        impl AtomCodec for $ty {
+            const TYPE: AtomType = AtomType::$variant;
+            fn wire_len(&self) -> usize {
+                #[allow(unused_variables)]
+                let $v = self;
+                1 + $len
+            }
+            fn write(&self, w: &mut ListWriter) {
+                let ($v, $b) = (self, w.item(Self::TYPE as u8));
+                $put;
+            }
+            fn read(atom: AtomRef<'_>) -> Option<Self> {
+                match atom {
+                    AtomRef::$variant(a) => Some(a.into()),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+/// An address and its prefix length: a prefix atom's value.
+fn put_prefix(buf: &mut Vec<u8>, addr: &[u8], len: u8) {
+    buf.put_slice(addr);
+    buf.put_u8(len);
+}
+
+atom_codec!(i32, I32, |v, b| 4, b.put_i32(*v));
+atom_codec!(u32, U32, |v, b| 4, b.put_u32(*v));
+atom_codec!(i64, I64, |v, b| 8, b.put_i64(*v));
+atom_codec!(u64, U64, |v, b| 8, b.put_u64(*v));
+atom_codec!(bool, Bool, |v, b| 1, b.put_u8(u8::from(*v)));
+atom_codec!(String, Text, |v, b| 4 + v.len(), put_sized(b, v.as_bytes()));
+atom_codec!(Ipv4Addr, Ipv4, |v, b| 4, b.put_slice(&v.octets()));
+atom_codec!(Ipv6Addr, Ipv6, |v, b| 16, b.put_slice(&v.octets()));
+atom_codec!(
+    Ipv4Net,
+    Ipv4Net,
+    |v, b| 5,
+    put_prefix(b, &v.addr().octets(), v.len())
+);
+atom_codec!(
+    Ipv6Net,
+    Ipv6Net,
+    |v, b| 17,
+    put_prefix(b, &v.addr().octets(), v.len())
+);
+atom_codec!(Mac, Mac, |v, b| 6, b.put_slice(&v.0));
+atom_codec!(Vec<u8>, Binary, |v, b| 4 + v.len(), put_sized(b, v));
+
+/// A list in wire form: reading one copies its checked bytes out once.
+impl AtomCodec for WireList {
+    const TYPE: AtomType = AtomType::List;
+    fn wire_len(&self) -> usize {
+        3 + self.items.len()
+    }
+    fn write(&self, w: &mut ListWriter) {
+        let buf = w.item(LIST);
+        buf.put_u16(self.count);
+        buf.put_slice(&self.items);
+    }
+    fn read(atom: AtomRef<'_>) -> Option<Self> {
+        match atom {
+            AtomRef::List(count, items) => Some(WireList {
+                count,
+                items: items.into(),
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// A list as a tree of values, for callers that build lists by hand.
+impl AtomCodec for Vec<AtomValue> {
+    const TYPE: AtomType = AtomType::List;
+    fn wire_len(&self) -> usize {
+        3 + self.iter().map(AtomValue::wire_len).sum::<usize>()
+    }
+    fn write(&self, w: &mut ListWriter) {
+        w.list(|w| {
+            for item in self {
+                w.value(item);
+            }
+        });
+    }
+    fn read(atom: AtomRef<'_>) -> Option<Self> {
+        match atom {
+            AtomRef::List(count, items) => tree(count, items).ok(),
+            _ => None,
+        }
+    }
+}
+
+/// The glue between the value form and the grammar, spelled out once
+/// per scalar variant; a list is each arm's exception.
+macro_rules! scalar_variants {
+    ($($v:ident),*) => {
+        impl AtomValue {
+            /// The value's type tag.
+            pub fn atom_type(&self) -> AtomType {
+                match self {
+                    $(AtomValue::$v(_) => AtomType::$v,)*
+                    AtomValue::List(_) => AtomType::List,
+                }
+            }
+
+            /// Bytes the atom takes, type byte included.
+            fn wire_len(&self) -> usize {
+                match self {
+                    $(AtomValue::$v(v) => v.wire_len(),)*
+                    AtomValue::List(items) => items.wire_len(),
+                }
+            }
+        }
+
+        impl ListWriter {
+            /// Append any atom.
+            pub(crate) fn value(&mut self, value: &AtomValue) -> &mut Self {
+                match value {
+                    $(AtomValue::$v(v) => v.write(self),)*
+                    AtomValue::List(items) => items.write(self),
+                }
+                self
+            }
+        }
+
+        impl AtomRef<'_> {
+            /// The atom's type.
+            pub(crate) fn atom_type(&self) -> AtomType {
+                match self {
+                    $(AtomRef::$v(_) => AtomType::$v,)*
+                    AtomRef::List(..) => AtomType::List,
+                }
+            }
+
+            /// The owned value; a list becomes a tree of values.
+            pub(crate) fn to_value(self) -> Result<AtomValue, XrlError> {
+                Ok(match self {
+                    $(AtomRef::$v(v) => AtomValue::$v(v.into()),)*
+                    AtomRef::List(count, items) => AtomValue::List(tree(count, items)?),
+                })
+            }
+        }
+    };
+}
+
+scalar_variants!(I32, U32, I64, U64, Bool, Text, Ipv4, Ipv6, Ipv4Net, Ipv6Net, Mac, Binary);
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn encode(v: &AtomValue) -> Vec<u8> {
-        let mut buf = Vec::new();
-        put_value(&mut buf, v);
-        buf
-    }
 
     #[test]
     fn writer_bytes_equal_the_tree_encoding() {
@@ -494,10 +584,6 @@ mod tests {
             ]),
             AtomValue::Bool(true),
         ];
-        assert_eq!(
-            encode(&AtomValue::Wire(list.clone())),
-            encode(&AtomValue::List(tree.clone()))
-        );
         assert_eq!(list.to_atoms().unwrap(), tree);
         assert_eq!(WireList::from_atoms(&tree).unwrap(), list);
         assert!(w.is_empty(), "take leaves the writer empty");

@@ -527,3 +527,58 @@ fn parked_udp_requests_keep_their_place_under_retry() {
     receiver.stop();
     rthread.join().unwrap();
 }
+
+/// Shutdown fails every pending request, and no request parked behind a
+/// UDP peer may reach the wire on the way: failing the one in flight frees
+/// its peer's slot, which must not hand the slot — and a write — to the
+/// next parked one.
+#[test]
+fn shutdown_sends_no_parked_udp_request() {
+    let class = format!("ovl{}", NEXT_CLASS.fetch_add(1, Ordering::SeqCst));
+    let finder = Finder::new();
+    let (receiver, rthread) = spawn_stashing_receiver(finder.clone(), &class, true);
+
+    let mut el = EventLoop::new();
+    let router = XrlRouter::new(&mut el, finder);
+    router.enable_udp().unwrap();
+    router
+        .register_target("ovl-sender", &format!("{class}-sender"), true)
+        .unwrap();
+
+    let results: Rc<RefCell<Vec<XrlResult>>> = Rc::new(RefCell::new(Vec::new()));
+    for _ in 0..5 {
+        let r = results.clone();
+        router.send_pref(
+            &mut el,
+            hold_xrl(&class),
+            TransportPref::Udp,
+            Box::new(move |_el, res| r.borrow_mut().push(res)),
+        );
+    }
+    assert_eq!(router.udp_queue_depth(), 4);
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while held_count(&receiver) < 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "timed out waiting for the first hold"
+        );
+        el.run_for(Duration::from_millis(1));
+    }
+
+    router.shutdown(&mut el);
+    assert_eq!(results.borrow().len(), 5, "every request failed");
+    assert!(results
+        .borrow()
+        .iter()
+        .all(|r| matches!(r, Err(XrlError::TargetDied))));
+    // Give a datagram written at shutdown time to arrive.
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(
+        held_count(&receiver),
+        1,
+        "a request parked at shutdown reached the receiver"
+    );
+
+    receiver.stop();
+    rthread.join().unwrap();
+}
