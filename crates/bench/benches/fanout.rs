@@ -48,7 +48,10 @@ fn bench_fanout(c: &mut Criterion) {
                     fanout.add_reader(ReaderId::Peer(PeerId(p)), stage_ref(SinkStage::new()));
                 }
                 for p in 0..SLOW {
-                    fanout.pause(ReaderId::Peer(PeerId(p)));
+                    fanout
+                        .reader_flow(ReaderId::Peer(PeerId(p)))
+                        .unwrap()
+                        .set(false);
                 }
                 for op in ops {
                     fanout.route_op(&mut el, OriginId(99), op);

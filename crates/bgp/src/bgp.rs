@@ -599,31 +599,25 @@ where
         });
     }
 
-    /// Fanout flow control: pause/resume a slow peer's reader.
-    pub fn set_peer_flow(&mut self, el: &mut EventLoop, peer: PeerId, ready: bool) {
-        self.set_reader_flow(el, ReaderId::Peer(peer), ready);
-    }
-
-    /// Fanout flow control over *any* reader — peers and the RIB output
-    /// alike.  This is where an XRL `Xoff` lands: the congested lane's
-    /// reader stops pulling best-path deliveries (its queue entries park,
-    /// its in-flight background dump suspends between slices) while every
-    /// other reader keeps flowing.  `Xon` resumes it, replaying the parked
-    /// entries and rescheduling the dump.
+    /// Fanout flow control over any reader, peers and the RIB output
+    /// alike: the producer's one pause/resume call.  `ready = false`
+    /// closes the reader's flow cell (its queue entries park, its dump
+    /// parks before the next slice) while every other reader keeps
+    /// flowing; `ready = true` reopens it, replays the parked entries and
+    /// restarts the dump.
     pub fn set_reader_flow(&mut self, el: &mut EventLoop, id: ReaderId, ready: bool) {
         if ready {
             self.fanout.borrow_mut().resume(el, id);
-        } else {
-            self.fanout.borrow_mut().pause(id);
+        } else if let Some(flow) = self.reader_flow(id) {
+            flow.set(false);
         }
     }
 
-    /// Attach a synchronous flow gate to a fanout reader (see
-    /// [`FanoutQueue::set_reader_gate`]): an `Xoff` raised by a delivery
-    /// halts the drain mid-backlog, where `set_reader_flow` — which must
-    /// be deferred out of the send path — would only land after it.
-    pub fn set_reader_gate(&mut self, id: ReaderId, gate: Rc<std::cell::Cell<bool>>) {
-        self.fanout.borrow_mut().set_reader_gate(id, gate);
+    /// A fanout reader's flow cell ([`FanoutQueue::reader_flow`]).  An
+    /// XRL `Xoff` closes it from inside the send path, so a delivery that
+    /// congests the lane halts the drain at the next entry.
+    pub fn reader_flow(&self, id: ReaderId) -> Option<Rc<std::cell::Cell<bool>>> {
+        self.fanout.borrow().reader_flow(id)
     }
 
     /// An invalidation from the RIB's register stage: forward to every

@@ -8,11 +8,17 @@
 //! been specialized.  The Fanout Queue module then maintains a single route
 //! change queue, with n readers (one for each peer) referencing it."
 //!
-//! Readers can be *paused* (a slow peer exerting backpressure); their
-//! cursor falls behind, and entries are garbage-collected only once every
-//! reader has consumed them — one copy of each change, however many slow
-//! peers there are.  The ablation bench compares this against naive
-//! per-peer queues.
+//! Each reader owns one *flow cell* (`Rc<Cell<bool>>`, created with the
+//! reader, [`FanoutQueue::reader_flow`]), the one record of whether its
+//! consumer can take more.  Closing it (a slow peer, an XRL lane in Xoff)
+//! stops deliveries between entries, even mid-drain, and parks the
+//! reader's background dump before its next slice; the harness hands the
+//! same cell to the hop's `RouteBatcher`, which stops between frames.
+//! [`FanoutQueue::resume`] reopens it, replays the backlog and restarts
+//! the dump.  A closed reader's cursor falls behind, and entries are
+//! garbage-collected only once every reader has consumed them — one copy
+//! of each change, however many slow peers there are.  The ablation bench
+//! compares this against naive per-peer queues.
 //!
 //! The fanout stores **no route table of its own** — "routes are stored
 //! only in the origin stages" (§5.1), so `lookup_route` relays upstream and
@@ -53,12 +59,8 @@ struct Reader<A: Addr> {
     dump: Option<DumpRef<A>>,
     /// Queue sequence this reader will consume next.
     cursor: u64,
-    paused: bool,
-    /// Synchronous flow gate (XRL backpressure): an Xoff handler flips
-    /// this to `false` *during* a pump — the drain loop re-checks it per
-    /// entry and stops immediately, where the asynchronous `pause` could
-    /// only take effect after the whole backlog had been delivered.
-    gate: Option<Rc<Cell<bool>>>,
+    /// The reader's flow cell: deliveries stop while it reads `false`.
+    flow: Rc<Cell<bool>>,
 }
 
 impl<A: Addr> Reader<A> {
@@ -67,10 +69,6 @@ impl<A: Addr> Reader<A> {
             Some(d) if !d.borrow().is_done() => d.clone() as StageRef<A, BgpRoute<A>>,
             _ => self.branch.clone(),
         }
-    }
-
-    fn gated_off(&self) -> bool {
-        self.gate.as_ref().is_some_and(|g| !g.get())
     }
 }
 
@@ -186,20 +184,16 @@ impl<A: Addr> FanoutQueue<A> {
                 branch,
                 dump: None,
                 cursor,
-                paused: false,
-                gate: None,
+                flow: Rc::new(Cell::new(true)),
             },
         );
     }
 
-    /// Attach a shared flow gate to a reader.  While the gate reads
-    /// `false`, pumps stop delivering to this reader between entries —
-    /// checked synchronously, so a congestion signal raised by a delivery
-    /// halts the drain mid-backlog instead of after it.
-    pub fn set_reader_gate(&mut self, id: ReaderId, gate: Rc<Cell<bool>>) {
-        if let Some(r) = self.readers.get_mut(&id) {
-            r.gate = Some(gate);
-        }
+    /// A reader's flow cell.  Closing it stops deliveries to the reader
+    /// at the next entry — a congestion signal raised by a delivery halts
+    /// the drain mid-backlog — and parks its dump before the next slice.
+    pub fn reader_flow(&self, id: ReaderId) -> Option<Rc<Cell<bool>>> {
+        self.readers.get(&id).map(|r| r.flow.clone())
     }
 
     /// Splice a background dump in front of an existing reader and start
@@ -213,9 +207,7 @@ impl<A: Addr> FanoutQueue<A> {
             old.borrow_mut().abort();
         }
         dump.borrow_mut().set_downstream(reader.branch.clone());
-        if reader.paused {
-            dump.borrow_mut().suspend();
-        }
+        dump.borrow_mut().set_flow(reader.flow.clone());
         reader.dump = Some(dump.clone());
         DumpStage::start(el, dump);
         self.note_metrics();
@@ -261,34 +253,19 @@ impl<A: Addr> FanoutQueue<A> {
         self.note_metrics();
     }
 
-    /// Pause a reader (slow peer): entries queue up for it and any
-    /// in-flight dump parks.
-    pub fn pause(&mut self, id: ReaderId) {
-        if let Some(r) = self.readers.get_mut(&id) {
-            r.paused = true;
-            if let Some(dump) = &r.dump {
-                dump.borrow_mut().suspend();
-            }
-        }
-    }
-
-    /// Resume a paused reader, draining its backlog and un-parking any
-    /// in-flight dump.
+    /// Reopen a reader's flow cell, drain its backlog and restart any
+    /// parked dump.  A delivery that closes the cell again stops the
+    /// drain there, and the restarted dump parks before its first slice.
     pub fn resume(&mut self, el: &mut EventLoop, id: ReaderId) {
-        let dump = {
-            let Some(r) = self.readers.get_mut(&id) else {
-                return;
-            };
-            r.paused = false;
-            r.dump.clone()
+        let Some(r) = self.readers.get(&id) else {
+            return;
         };
+        r.flow.set(true);
+        let dump = r.dump.clone();
         self.pump(el);
         if let Some(dump) = dump {
-            if !dump.borrow().is_done() {
-                DumpStage::resume(el, dump);
-            }
+            DumpStage::start(el, dump);
         }
-        self.note_metrics();
     }
 
     /// Entries currently queued (bounded by the slowest reader).
@@ -302,8 +279,8 @@ impl<A: Addr> FanoutQueue<A> {
         self.best_routes
     }
 
-    /// Deliver queued entries to every unpaused reader, then collect
-    /// entries all readers have consumed.
+    /// Deliver queued entries to every open reader, then collect entries
+    /// all readers have consumed.
     pub fn pump(&mut self, el: &mut EventLoop) {
         if self.unpumped > 0 {
             if let Some(m) = &self.metrics {
@@ -356,8 +333,7 @@ fn origin_of<A: Addr>(route: &BgpRoute<A>) -> OriginId {
 }
 
 /// Deliver `queue`'s entries from `reader`'s cursor on, each under the
-/// trace context it was pushed with, until the reader's gate closes.  A
-/// paused or gated-off reader gets nothing.
+/// trace context it was pushed with, while the reader's flow cell is open.
 fn deliver<A: Addr>(
     el: &mut EventLoop,
     id: ReaderId,
@@ -365,14 +341,14 @@ fn deliver<A: Addr>(
     queue: &VecDeque<(u64, RouteOp<A, BgpRoute<A>>)>,
     trace_by_seq: &HashMap<u64, TraceContext>,
 ) {
-    if reader.paused || reader.gated_off() {
+    if !reader.flow.get() {
         return;
     }
     let target = reader.target();
     // Jump straight to this reader's position: seqs are contiguous
     // (ascending by one, trimmed only at the front), so the cursor maps to
     // an index.  Scanning from the front instead would cost O(backlog)
-    // per delivery once a gated reader pins the queue.
+    // per delivery once a closed reader pins the queue.
     let start = queue.front().map_or(0, |(front, _)| {
         reader.cursor.saturating_sub(*front) as usize
     });
@@ -396,7 +372,7 @@ fn deliver<A: Addr>(
         reader.cursor = *seq + 1;
         // A delivery may have congested this reader's lane; stop pulling
         // immediately, leaving the rest queued here.
-        if reader.gated_off() {
+        if !reader.flow.get() {
             break;
         }
     }
@@ -496,7 +472,7 @@ impl<A: Addr> Stage<A, BgpRoute<A>> for FanoutQueue<A> {
         self.next_seq += 1;
         // A sampled route arrives under its UPDATE's ambient context;
         // remember it so deliveries (possibly deferred by coalescing or
-        // a gated reader) re-establish the same context.
+        // a closed reader) re-establish the same context.
         if let Some(ctx) = xtrace::current() {
             self.trace_by_seq.insert(seq, ctx);
         }
@@ -528,7 +504,7 @@ impl<A: Addr> Stage<A, BgpRoute<A>> for FanoutQueue<A> {
             self.pump(el);
         }
         for reader in self.readers.values() {
-            if !reader.paused {
+            if reader.flow.get() {
                 reader.target().borrow_mut().push(el);
             }
         }
@@ -592,6 +568,28 @@ mod tests {
         outs: HashMap<ReaderId, std::rc::Rc<std::cell::RefCell<Sink>>>,
     }
 
+    /// Forwards to an inner sink, closing `gate` at the `trip`-th op
+    /// (an XRL send crossing its high watermark).
+    struct Tripwire {
+        inner: Sink,
+        gate: Rc<Cell<bool>>,
+        trip: usize,
+    }
+    impl Stage<Ipv4Addr, R> for Tripwire {
+        fn name(&self) -> String {
+            "tripwire".into()
+        }
+        fn route_op(&mut self, el: &mut EventLoop, origin: OriginId, op: RouteOp<Ipv4Addr, R>) {
+            self.inner.route_op(el, origin, op);
+            if self.inner.log.len() == self.trip {
+                self.gate.set(false);
+            }
+        }
+        fn lookup_route(&self, net: &Prefix<Ipv4Addr>) -> Option<R> {
+            self.inner.lookup_route(net)
+        }
+    }
+
     fn rig(peers: &[u32]) -> Rig {
         let mut rig = Rig {
             el: EventLoop::new_virtual(),
@@ -628,6 +626,10 @@ mod tests {
 
         fn table_len(&self, id: ReaderId) -> usize {
             self.outs[&id].borrow().table.len()
+        }
+
+        fn flow(&self, id: ReaderId) -> Rc<Cell<bool>> {
+            self.fanout.borrow().reader_flow(id).unwrap()
         }
 
         /// Attach `id` as a brand-new reader fed by a background dump of
@@ -667,43 +669,20 @@ mod tests {
     /// flowing, and re-opening the gate lets a pump finish the backlog.
     #[test]
     fn flow_gate_halts_drain_mid_backlog() {
-        /// Forwards to an inner sink, closing `gate` at the `trip`-th op
-        /// (an XRL send crossing its high watermark).
-        struct Tripwire {
-            inner: Sink,
-            gate: Rc<Cell<bool>>,
-            trip: usize,
-        }
-        impl Stage<Ipv4Addr, R> for Tripwire {
-            fn name(&self) -> String {
-                "tripwire".into()
-            }
-            fn route_op(&mut self, el: &mut EventLoop, origin: OriginId, op: RouteOp<Ipv4Addr, R>) {
-                self.inner.route_op(el, origin, op);
-                if self.inner.log.len() == self.trip {
-                    self.gate.set(false);
-                }
-            }
-            fn lookup_route(&self, net: &Prefix<Ipv4Addr>) -> Option<R> {
-                self.inner.lookup_route(net)
-            }
-        }
-
         let mut rig = rig(&[1]);
-        let gate = Rc::new(Cell::new(true));
         let tripwire = stage_ref(Tripwire {
             inner: Sink::new(),
-            gate: gate.clone(),
+            gate: Rc::new(Cell::new(true)),
             trip: 3,
         });
-        {
-            let mut f = rig.fanout.borrow_mut();
-            f.add_reader(ReaderId::Peer(PeerId(2)), tripwire.clone());
-            f.set_reader_gate(ReaderId::Peer(PeerId(2)), gate.clone());
-            // Build a backlog while the gate is closed, then reopen it so
-            // the next pump drains — and trips the gate again mid-drain.
-            gate.set(false);
-        }
+        rig.fanout
+            .borrow_mut()
+            .add_reader(ReaderId::Peer(PeerId(2)), tripwire.clone());
+        let gate = rig.flow(ReaderId::Peer(PeerId(2)));
+        tripwire.borrow_mut().gate = gate.clone();
+        // Build a backlog while the gate is closed, then reopen it so the
+        // next pump drains — and trips the gate again mid-drain.
+        gate.set(false);
         for i in 0..10u8 {
             rig.send(add(route(&format!("10.{i}.0.0/16"), 1)));
         }
@@ -724,10 +703,62 @@ mod tests {
         assert_eq!(rig.fanout.borrow().queue_len(), 0);
     }
 
+    /// A dump's before-slice flush that closes the reader's flow cell
+    /// parks the dump before its slice: the slice's lookups would run
+    /// ahead of an op still queued for the reader, and the reader would
+    /// hear of that prefix twice.
+    #[test]
+    fn flow_gate_closed_by_the_dump_flush_parks_the_slice() {
+        let mut rig = rig(&[1, 2]);
+        for i in 0..100u8 {
+            rig.send(add(route(&format!("10.{i}.0.0/16"), 1)));
+        }
+        rig.fanout.borrow_mut().set_coalesce(64);
+        let id = ReaderId::Peer(PeerId(9));
+        let tripwire = stage_ref(Tripwire {
+            inner: Sink::new(),
+            gate: Rc::new(Cell::new(true)),
+            trip: 1,
+        });
+        rig.fanout.borrow_mut().add_reader(id, tripwire.clone());
+        tripwire.borrow_mut().gate = rig.flow(id);
+        let mut dump = DumpStage::new("test", rig.upstream.clone() as StageRef<Ipv4Addr, R>);
+        dump.add_source(Box::new(VecSource::new(rig.upstream.borrow().nets())));
+        dump.set_transform(dump_transform(id));
+        let f = Rc::downgrade(&rig.fanout);
+        dump.set_before_slice(move |el| {
+            if let Some(f) = f.upgrade() {
+                f.borrow_mut().pump_reader(el, id);
+            }
+        });
+        let f = rig.fanout.clone();
+        assert!(f.borrow_mut().attach_dump(&mut rig.el, id, stage_ref(dump)));
+        // Two live ops wait in the coalescer: the first one delivered
+        // closes the cell, leaving a replace of a prefix the first slice
+        // visits still queued.
+        rig.send(add(route("172.16.0.0/12", 1)));
+        let (old, new) = (route("10.0.0.0/16", 1), route("10.0.0.0/16", 2));
+        rig.send(RouteOp::Replace {
+            net: old.net,
+            old,
+            new,
+        });
+        rig.el.run_one();
+        assert_eq!(tripwire.borrow().inner.log.len(), 1, "the slice ran");
+        f.borrow_mut().resume(&mut rig.el, id);
+        rig.el.run_until_idle();
+        let t = tripwire.borrow();
+        assert_eq!(t.inner.table.len(), 101);
+        let net = "10.0.0.0/16".parse().unwrap();
+        assert_eq!(t.inner.table[&net].source, Some(2));
+        let touches = t.inner.log.iter().filter(|(_, op)| op.net() == net).count();
+        assert_eq!(touches, 1, "prefix delivered twice");
+    }
+
     #[test]
     fn paused_reader_queues_without_blocking_others() {
         let mut rig = rig(&[1, 2]);
-        rig.fanout.borrow_mut().pause(ReaderId::Peer(PeerId(2)));
+        rig.flow(ReaderId::Peer(PeerId(2))).set(false);
         for i in 0..10u8 {
             rig.send(add(route(&format!("10.{i}.0.0/16"), 1)));
         }
@@ -747,8 +778,8 @@ mod tests {
     #[test]
     fn queue_is_shared_not_per_reader() {
         let mut rig = rig(&[1, 2, 3]);
-        rig.fanout.borrow_mut().pause(ReaderId::Peer(PeerId(2)));
-        rig.fanout.borrow_mut().pause(ReaderId::Peer(PeerId(3)));
+        rig.flow(ReaderId::Peer(PeerId(2))).set(false);
+        rig.flow(ReaderId::Peer(PeerId(3))).set(false);
         for i in 0..100u8 {
             rig.send(add(route(&format!("10.{i}.0.0/16"), 1)));
         }
@@ -768,12 +799,12 @@ mod tests {
         let mut rig = rig(&[1]);
         let metrics = Metrics::new();
         let peer = ReaderId::Peer(PeerId(1));
-        let gate = Rc::new(Cell::new(false));
+        let gate = rig.flow(peer);
+        gate.set(false);
         {
             let mut f = rig.fanout.borrow_mut();
             f.set_metrics(&metrics);
             f.set_coalesce(100);
-            f.set_reader_gate(peer, gate.clone());
         }
         let check = |rig: &Rig, expect: usize| {
             let gauge = match metrics.get("fanout.queue_len") {
@@ -920,7 +951,7 @@ mod tests {
         }
         let late = rig.attach_dumped(ReaderId::Peer(PeerId(9)));
         rig.el.run_one();
-        rig.fanout.borrow_mut().pause(ReaderId::Peer(PeerId(9)));
+        rig.flow(ReaderId::Peer(PeerId(9))).set(false);
         // The parked walk exits rather than spinning run_until_idle.
         rig.el.run_until_idle();
         let parked = late.borrow().table.len();
@@ -942,7 +973,7 @@ mod tests {
     #[test]
     fn removing_dead_paused_reader_drains_queue() {
         let mut rig = rig(&[1, 2]);
-        rig.fanout.borrow_mut().pause(ReaderId::Peer(PeerId(2)));
+        rig.flow(ReaderId::Peer(PeerId(2))).set(false);
         for i in 0..50u8 {
             rig.send(add(route(&format!("10.{i}.0.0/16"), 1)));
         }
@@ -987,7 +1018,7 @@ mod tests {
     #[test]
     fn remove_reader_unblocks_gc() {
         let mut rig = rig(&[1, 2]);
-        rig.fanout.borrow_mut().pause(ReaderId::Peer(PeerId(2)));
+        rig.flow(ReaderId::Peer(PeerId(2))).set(false);
         for i in 0..5u8 {
             rig.send(add(route(&format!("10.{i}.0.0/16"), 1)));
         }
@@ -1008,10 +1039,8 @@ mod tests {
         let slot = std::mem::size_of::<(u64, RouteOp<Ipv4Addr, R>)>();
         let mut rig = rig(&[]);
         rig.fanout.borrow_mut().set_coalesce(64);
-        let gate = Rc::new(Cell::new(false));
-        rig.fanout
-            .borrow_mut()
-            .set_reader_gate(ReaderId::Rib, gate.clone());
+        let gate = rig.flow(ReaderId::Rib);
+        gate.set(false);
         let nets: Vec<String> = (0..50_000u32)
             .map(|i| format!("10.{}.{}.0/24", i >> 8, i & 255))
             .collect();

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use xorp_bgp::bgp::UpdateIn;
 use xorp_bgp::nexthop::{AnswerCb, NexthopService, RibNexthopAnswer};
 use xorp_bgp::peer_out::UpdateOut;
-use xorp_bgp::{BgpConfig, BgpProcess, PeerConfig, PeerId};
+use xorp_bgp::{BgpConfig, BgpProcess, PeerConfig, PeerId, ReaderId};
 use xorp_event::EventLoop;
 use xorp_net::{AsNum, AsPath, PathAttributes, Prefix, RouteEntry};
 use xorp_policy::FilterBank;
@@ -382,14 +382,16 @@ fn ibgp_vs_ebgp_semantics() {
 #[test]
 fn slow_peer_flow_control() {
     let mut r = router(&[(1, 65001), (2, 65002)]);
-    r.bgp.set_peer_flow(&mut r.el, PeerId(2), false);
+    r.bgp
+        .set_reader_flow(&mut r.el, ReaderId::Peer(PeerId(2)), false);
     let nets: Vec<String> = (0..30u8).map(|j| format!("10.3.{}.0/24", j)).collect();
     let refs: Vec<&str> = nets.iter().map(|s| s.as_str()).collect();
     r.recv(1, update("192.168.1.1", &[65001], &refs));
     // RIB saw everything; slow peer saw nothing yet.
     assert_eq!(r.rib.borrow().len(), 30);
     assert_eq!(r.sent_to(2), 0);
-    r.bgp.set_peer_flow(&mut r.el, PeerId(2), true);
+    r.bgp
+        .set_reader_flow(&mut r.el, ReaderId::Peer(PeerId(2)), true);
     r.el.run_until_idle();
     assert_eq!(r.sent_to(2), 30);
     r.assert_consistent();
@@ -435,7 +437,8 @@ fn aggregation_stage_in_the_full_pipeline() {
 #[test]
 fn killing_paused_peer_lets_queue_drain() {
     let mut r = router(&[(1, 65001), (2, 65002)]);
-    r.bgp.set_peer_flow(&mut r.el, PeerId(2), false);
+    r.bgp
+        .set_reader_flow(&mut r.el, ReaderId::Peer(PeerId(2)), false);
     let nets: Vec<String> = (0..40u8).map(|j| format!("10.4.{}.0/24", j)).collect();
     let refs: Vec<&str> = nets.iter().map(|s| s.as_str()).collect();
     r.recv(1, update("192.168.1.1", &[65001], &refs));

@@ -20,15 +20,22 @@
 //! emits one frame per run of consecutive same-direction rows, so an
 //! add/delete/add sequence can never be reordered into delete/add/add.
 //! A run also closes at `batch_size` rows, so no frame carries more, even
-//! when a closed gate has let the buffer grow past it.
+//! when a closed flow cell has let the buffer grow past it.
 //! An XRL a later event sends on another method can overtake rows still
 //! held for the frame, as one sent later in the same event always could.
+//!
+//! Backpressure: the batcher shares the hop's flow cell with the producer
+//! feeding it (the fanout reader or the redistribution watcher) and reads
+//! it before every frame.  While the destination lane is in Xoff no frame
+//! leaves, and a frame whose send re-congests the lane stops the flush
+//! there, the rest staying held until the next flush.
 //!
 //! Each op's row is encoded as it is buffered, straight into its run's
 //! list bytes ([`BulkRouteSink::write_row`]): a frame's rows are never an
 //! atom tree, and the writer keeps its buffer from frame to frame.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use xorp_event::EventLoop;
@@ -109,11 +116,18 @@ impl RouteOutput {
         }
     }
 
-    /// Close or open the batcher's backpressure gate.  Per-route output
-    /// has nothing to hold: the fanout or watcher upstream stops instead.
-    pub fn set_gate(&self, el: &mut EventLoop, closed: bool) {
+    /// Share the hop's flow cell with the batcher.  Per-route output has
+    /// nothing to hold: the fanout or watcher upstream stops instead.
+    pub fn set_flow(&self, flow: Rc<Cell<bool>>) {
         if let Some(batcher) = &self.batcher {
-            batcher.set_gate(el, closed);
+            batcher.set_flow(flow);
+        }
+    }
+
+    /// Ship what the batcher holds, while the flow cell stays open.
+    pub fn flush(&self, el: &mut EventLoop) {
+        if let Some(batcher) = &self.batcher {
+            batcher.flush(el);
         }
     }
 }
@@ -127,17 +141,17 @@ struct Inner {
     /// pre-resolved handle: dormant stamping costs one relaxed load.
     sent_point: PointHandle,
     /// Ops waiting for a flush, in arrival order.
-    pending: Vec<Row>,
+    pending: VecDeque<Row>,
     /// Their rows: the same-direction runs closed so far, then `open`,
     /// the run the next row of the same direction joins.
-    closed: Vec<(bool, WireList)>,
+    closed: VecDeque<(bool, WireList)>,
     open: ListWriter,
     /// A flush already waits on the idle lane — don't stack another one
     /// per row.
     scheduled: bool,
-    /// Backpressure gate: while closed (`true`), flushes hold and rows
-    /// accumulate; reopening flushes immediately.
-    gated: bool,
+    /// The hop's flow cell, read before every frame: while it reads
+    /// `false` rows accumulate.
+    flow: Rc<Cell<bool>>,
     /// Span recorder for the `batch` hop.  When set, a flushed frame
     /// rides the first traced row's context (the *carrier*) and every
     /// other traced row coalesced into it records a fan-in link.
@@ -158,11 +172,11 @@ impl RouteBatcher {
                 // One frame counts at most MAX_ITEMS rows.
                 batch_size: batch_size.clamp(1, MAX_ITEMS),
                 sent_point,
-                pending: Vec::new(),
-                closed: Vec::new(),
+                pending: VecDeque::new(),
+                closed: VecDeque::new(),
                 open: ListWriter::default(),
                 scheduled: false,
-                gated: false,
+                flow: Rc::new(Cell::new(true)),
                 tracer: None,
             })),
         }
@@ -182,13 +196,13 @@ impl RouteBatcher {
             let b = &mut *b;
             // A row turning the direction closes the open run, as does a
             // full run.
-            if let Some(last) = b.pending.last() {
+            if let Some(last) = b.pending.back() {
                 if last.add != add || b.open.len() == b.batch_size {
-                    b.closed.push((last.add, b.open.take()));
+                    b.closed.push_back((last.add, b.open.take()));
                 }
             }
             b.sink.write_row(&mut b.open, op);
-            b.pending.push(Row {
+            b.pending.push_back(Row {
                 add,
                 net: op.net(),
                 trace: xtrace::current(),
@@ -208,82 +222,68 @@ impl RouteBatcher {
         }
     }
 
-    /// Close or open the backpressure gate.  While closed, `flush` holds
-    /// rows in the buffer (the destination lane signalled Xoff); opening
-    /// the gate ships whatever accumulated.
-    pub fn set_gate(&self, el: &mut EventLoop, closed: bool) {
-        self.inner.borrow_mut().gated = closed;
-        if !closed {
-            self.flush(el);
-        }
+    /// Share the hop's flow cell (see [`RouteOutput::set_flow`]).
+    pub fn set_flow(&self, flow: Rc<Cell<bool>>) {
+        self.inner.borrow_mut().flow = flow;
     }
 
-    /// Ship everything buffered, one frame per same-direction run.
+    /// Ship what is buffered, one frame per same-direction run, while the
+    /// flow cell stays open: a send that closes it (the lane re-congested)
+    /// stops the flush before the next frame.
     pub fn flush(&self, el: &mut EventLoop) {
-        let (mut rows, runs, sink, sent_point, recorder) = {
-            let mut b = self.inner.borrow_mut();
-            let b = &mut *b;
-            b.scheduled = false;
-            let Some(last) = b.pending.last() else {
-                return;
-            };
-            if b.gated {
-                return;
-            }
-            b.closed.push((last.add, b.open.take()));
-            (
-                std::mem::take(&mut b.pending),
-                std::mem::take(&mut b.closed),
-                b.sink.clone(),
-                b.sent_point.clone(),
-                b.tracer.clone(),
-            )
-        };
-        let mut at = 0;
-        for (add, list) in runs {
-            let run = &rows[at..at + list.len()];
-            at += run.len();
-            // The first traced row carries the frame's context; the other
-            // traced rows coalesced into it record fan-in links so their
-            // traces keep causality instead of dead-ending at the merge.
-            let carrier = run.iter().find_map(|r| r.trace);
-            let mut span = None;
-            let prev = carrier.map(|ctx| {
-                let child = match &recorder {
-                    Some(t) => {
-                        for r in run.iter() {
-                            if let Some(c) = r.trace {
+        self.inner.borrow_mut().scheduled = false;
+        loop {
+            let (add, list, sink, span, prev) = {
+                let mut b = self.inner.borrow_mut();
+                let b = &mut *b;
+                if !b.flow.get() {
+                    return;
+                }
+                let (add, list) = match b.closed.pop_front() {
+                    Some(run) => run,
+                    None => match b.pending.back() {
+                        Some(last) => (last.add, b.open.take()),
+                        None => return,
+                    },
+                };
+                let n = list.len();
+                // The first traced row carries the frame's context; the
+                // other traced rows coalesced into it record fan-in links
+                // so their traces keep causality instead of dead-ending at
+                // the merge.
+                let carrier = b.pending.range(..n).find_map(|r| r.trace);
+                let mut span = None;
+                let prev = carrier.map(|ctx| {
+                    let child = match &b.tracer {
+                        Some(t) => {
+                            for c in b.pending.range(..n).filter_map(|r| r.trace) {
                                 if c.trace_id != ctx.trace_id {
                                     t.fan_in(c, ctx.trace_id);
                                 }
                             }
+                            let s = t.begin(ctx, "batch");
+                            let child = s.ctx;
+                            span = Some(s);
+                            child
                         }
-                        let s = t.begin(ctx, "batch");
-                        let child = s.ctx;
-                        span = Some(s);
-                        child
-                    }
-                    None => ctx,
-                };
-                xtrace::set_current(Some(child))
-            });
-            for row in run {
-                sent_point.record(|| op_payload(row.add, row.net));
-            }
+                        None => ctx,
+                    };
+                    xtrace::set_current(Some(child))
+                });
+                for row in b.pending.drain(..n) {
+                    b.sent_point.record(|| op_payload(row.add, row.net));
+                }
+                (add, list, b.sink.clone(), span, prev)
+            };
             sink.send(el, add, list);
             if let Some(p) = prev {
                 xtrace::set_current(p);
             }
-            if let (Some(s), Some(t)) = (span, &recorder) {
-                t.finish(s);
+            if let Some(s) = span {
+                if let Some(t) = &self.inner.borrow().tracer {
+                    t.finish(s);
+                }
             }
-        }
-        // Hand the buffer back for the next batch unless a send refilled
-        // the batcher meanwhile.
-        rows.clear();
-        let mut b = self.inner.borrow_mut();
-        if b.pending.is_empty() {
-            b.pending = rows;
         }
     }
 

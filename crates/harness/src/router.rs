@@ -572,32 +572,40 @@ fn spawn_process(
     })
 }
 
-/// Backpressure for one hop: when the lane to `target`'s route methods
-/// crosses a watermark, flip `flow` at once — on Xoff always, on Xon too
-/// when `sync_xon` — so an Xoff raised by a send stops the drain in
-/// progress at its next entry.  `then(el, ready)` runs deferred, because
-/// the signal fires inside the send path, which may already hold the
-/// process borrow.
-fn on_congestion(
+/// Backpressure for one hop, one rule for both.  The producer (a fanout
+/// reader, the `fea` watcher), its dump and `out`'s batcher read one
+/// `flow` cell.  The lane to `target`'s route methods flips it inside the
+/// send path: Xoff closes it, stopping a delivery, a dump slice or a
+/// frame at its next step.  Xon reopens it and defers one `resume` (the
+/// producer's backlog replay and dump restart) and then a flush of `out`:
+/// the signal may fire with the process borrowed.  The deferred step is
+/// skipped if an Xoff closed the cell meanwhile, so a stale Xon never
+/// reopens a congested lane.
+pub fn on_congestion(
     router: &XrlRouter,
     target: &'static str,
     flow: Rc<Cell<bool>>,
-    sync_xon: bool,
-    then: impl Fn(&mut EventLoop, bool) + 'static,
+    out: &RouteOutput,
+    resume: impl Fn(&mut EventLoop) + 'static,
 ) {
-    let lane_router = router.clone();
+    out.set_flow(flow.clone());
+    let (lane_router, out, resume) = (router.clone(), out.clone(), Rc::new(resume));
     let path = format!("{target}/1.0/add_route");
-    let then = Rc::new(then);
     router.set_congestion_cb(move |el, sig| {
         if lane_router.lane_of(target, &path).as_deref() != Some(sig.lane()) {
             return;
         }
         let ready = matches!(sig, CongestionSignal::Xon { .. });
-        if sync_xon || !ready {
-            flow.set(ready);
+        flow.set(ready);
+        if ready {
+            let (flow, out, resume) = (flow.clone(), out.clone(), resume.clone());
+            el.defer(move |el| {
+                if flow.get() {
+                    resume(el);
+                    out.flush(el);
+                }
+            });
         }
-        let then = then.clone();
-        el.defer(move |el| then(el, ready));
     });
 }
 
@@ -675,19 +683,14 @@ impl BgpFactory {
             let bgp = Rc::new(RefCell::new(bgp));
             el.set_slot(BgpSlot(bgp.clone()));
 
-            // Backpressure: when the lane to the RIB crosses its high
-            // watermark, stop pulling best-path deliveries out of the
-            // fanout (whose queue coalesces per prefix, so holdback
-            // memory is bounded by table size, not churn rate) and hold
-            // batched flushes; Xon ships what the output held, then
-            // resumes the reader.
-            let flow_gate = Rc::new(Cell::new(true));
-            bgp.borrow_mut()
-                .set_reader_gate(ReaderId::Rib, flow_gate.clone());
+            // Backpressure: a congested lane to the RIB closes the RIB
+            // reader's flow cell, and the backlog waits in the fanout
+            // queue, whose holdback is bounded by table size, not churn
+            // rate.
+            let flow = bgp.borrow().reader_flow(ReaderId::Rib);
             let b = bgp.clone();
-            on_congestion(router, "rib", flow_gate, true, move |el, ready| {
-                out.set_gate(el, !ready);
-                b.borrow_mut().set_reader_flow(el, ReaderId::Rib, ready);
+            on_congestion(router, "rib", flow.expect("RIB reader"), &out, move |el| {
+                b.borrow_mut().set_reader_flow(el, ReaderId::Rib, true);
             });
 
             xrl_ifaces::bgp::register(router, "bgp-0", BgpServer { bgp: bgp.clone() });
@@ -813,18 +816,12 @@ impl MultiProcessRouter {
                     Rc::new(move |el, op| fea_out.push(el, &op)),
                 ),
             );
-            // A congested FEA lane parks the redistribution stream.  The
-            // watcher's flow cell flips synchronously inside the send path
-            // (overshoot is bounded at the watermark); the backlog replay
-            // and then the batched-flush gate run deferred.
-            let flow = rib
-                .borrow()
-                .redist_watcher_flow("fea")
-                .expect("fea watcher just added");
+            // A congested FEA lane parks the redistribution stream in the
+            // watcher's backlog.
+            let flow = rib.borrow().redist_watcher_flow("fea");
             let r = rib.clone();
-            on_congestion(router, "fea", flow, false, move |el, ready| {
-                r.borrow_mut().set_redist_watcher_flow(el, "fea", ready);
-                out.set_gate(el, !ready);
+            on_congestion(router, "fea", flow.expect("fea watcher"), &out, move |el| {
+                r.borrow_mut().set_redist_watcher_flow(el, "fea", true);
             });
 
             // Pre-install the connected route BGP nexthops resolve via.

@@ -14,20 +14,28 @@
 //! frame, no gate holds it, and only the RIB hop's deletions name the
 //! protocol.
 
+use std::cell::{Cell, RefCell};
+use std::collections::{HashSet, VecDeque};
 use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, TcpListener, TcpStream};
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use xorp_event::EventLoop;
 use xorp_harness::batch::{RouteBatcher, RouteOutput};
+use xorp_harness::router::on_congestion;
 use xorp_harness::xrl_ifaces::{self, BulkRouteSink, WireOp};
-use xorp_net::{PathAttributes, ProtocolId, RouteEntry};
+use xorp_net::{Ipv4Net, PathAttributes, ProtocolId, RouteEntry};
+use xorp_policy::FilterBank;
 use xorp_profiler::{points, MetricValue, Metrics, Profiler};
+use xorp_rib::{RedistWatcher, Rib};
 use xorp_stages::RouteOp;
 use xorp_xrl::finder::Endpoint;
 use xorp_xrl::marshal::{read_frame, Frame};
-use xorp_xrl::{sig_hash, AtomType, AtomValue, Finder, XrlArgs, XrlRouter};
+use xorp_xrl::{
+    sig_hash, AtomType, AtomValue, CongestionSignal, Finder, QueuePolicy, XrlArgs, XrlRouter,
+};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -294,9 +302,9 @@ fn a_delete_names_its_protocol_on_the_rib_hop_only() {
     assert_eq!(row_len(&args), 1);
 }
 
-/// At batch 1 there is no buffer to gate: closing the gate holds nothing
-/// back, and the route leaves at once (the Xoff it answers stops the
-/// fanout or the redistribution watcher upstream instead).
+/// At batch 1 there is no buffer to hold: a closed flow cell holds
+/// nothing back, and the route leaves at once (the Xoff it answers stops
+/// the fanout or the redistribution watcher upstream instead).
 #[test]
 fn batch_one_gate_holds_no_route_back() {
     let finder = Finder::new();
@@ -306,7 +314,7 @@ fn batch_one_gate_holds_no_route_back() {
         BulkRouteSink::Fea(xrl_ifaces::fea::Client::new(&router, "fea")),
         1,
     );
-    out.set_gate(&mut el, true);
+    out.set_flow(Rc::new(Cell::new(false)));
     out.push(&mut el, &add("10.0.1.0/24"));
     assert_eq!(router.pending_len(), 1, "the gate held a per-route add");
     el.run_until_idle();
@@ -374,35 +382,212 @@ fn rows_past_the_cap_leave_as_a_full_frame_and_the_rest() {
     assert_eq!(frames_of(&mut accept(&rib), 257), [256, 1]);
 }
 
-/// A closed gate (the destination lane is in Xoff) holds rows through
-/// the idle flush; reopening it ships them at once, in frames of at most
-/// `batch_size` rows however many it held.
+/// A closed flow cell (the destination lane is in Xoff) holds rows
+/// through the idle flush; reopening it and flushing ships them at once,
+/// in frames of at most `batch_size` rows however many it held.
 #[test]
 fn a_closed_gate_holds_rows_until_it_reopens() {
     let finder = Finder::new();
     let rib = raw_target(&finder, "rib");
     let (mut el, router) = sender(&finder);
     let batcher = rib_batcher(&router);
-    batcher.set_gate(&mut el, true);
+    let flow = Rc::new(Cell::new(false));
+    batcher.set_flow(flow.clone());
     for i in 1..=3 {
         batcher.push(&mut el, &add(&format!("10.0.{i}.0/24")));
     }
     el.run_until_idle();
     assert_eq!(batcher.pending_count(), 3);
     assert_eq!(router.pending_len(), 0, "a closed gate let a frame out");
-    batcher.set_gate(&mut el, false);
+    flow.set(true);
+    batcher.flush(&mut el);
     assert_eq!(batcher.pending_count(), 0);
     el.run_until_idle();
     let mut wire = accept(&rib);
     assert_eq!(frames_of(&mut wire, 3), [3]);
 
-    batcher.set_gate(&mut el, true);
+    flow.set(false);
     for i in 0..600 {
         batcher.push(&mut el, &add(&format!("10.1.{}.{}/32", i / 256, i % 256)));
     }
     el.run_until_idle();
     assert_eq!(batcher.pending_count(), 600);
-    batcher.set_gate(&mut el, false);
+    flow.set(true);
+    batcher.flush(&mut el);
     el.run_until_idle();
     assert_eq!(frames_of(&mut wire, 600), [256, 256, 88]);
+}
+
+/// The nets of the next `add_routes` request on the wire, and its seq.
+fn add_routes_nets(wire: &mut TcpStream) -> (u64, Vec<Ipv4Net>) {
+    match Frame::decode(read_frame(wire).unwrap()).unwrap() {
+        Frame::Request { seq, args, .. } => {
+            let rows = args.get_list("routes").unwrap();
+            let nets = rows.iter().map(|row| match row {
+                AtomValue::List(row) => match row[0] {
+                    AtomValue::Ipv4Net(net) => net,
+                    ref other => panic!("a row led by {other:?}"),
+                },
+                other => panic!("a row that is not a list: {other:?}"),
+            });
+            (seq, nets.collect())
+        }
+        other => panic!("expected a request, read {other:?}"),
+    }
+}
+
+/// A frame whose send re-congests the lane stops the flush: of 600 held
+/// rows, reopening the flow cell ships one 256-row frame, and the rest
+/// leave after the next reopen, in order.
+#[test]
+fn a_frame_that_recloses_the_flow_cell_stops_the_flush() {
+    let finder = Finder::new();
+    let rib = raw_target(&finder, "rib");
+    let (mut el, router) = sender(&finder);
+    let batcher = rib_batcher(&router);
+    let flow = Rc::new(Cell::new(false));
+    batcher.set_flow(flow.clone());
+    // Every frame in flight crosses the high watermark: its send closes
+    // the cell, as the hop's congestion callback does on Xoff.
+    router.set_overload_policy(QueuePolicy {
+        high_watermark: 1,
+        low_watermark: 0,
+        hard_cap: 64,
+    });
+    let f = flow.clone();
+    router.set_congestion_cb(move |_el, sig| f.set(!matches!(sig, CongestionSignal::Xoff { .. })));
+    let nets: Vec<Ipv4Net> = (0..600)
+        .map(|i| format!("10.1.{}.{}/32", i / 256, i % 256).parse().unwrap())
+        .collect();
+    for net in &nets {
+        batcher.push(&mut el, &add(&net.to_string()));
+    }
+    el.run_until_idle();
+    assert_eq!(batcher.pending_count(), 600);
+
+    flow.set(true);
+    batcher.flush(&mut el);
+    el.run_until_idle();
+    assert!(!flow.get(), "the first frame's send closed the cell");
+    assert_eq!(router.pending_len(), 1, "one frame left");
+    assert_eq!(batcher.pending_count(), 600 - 256);
+
+    flow.set(true);
+    batcher.flush(&mut el);
+    el.run_until_idle();
+    assert_eq!(batcher.pending_count(), 0);
+    let mut wire = accept(&rib);
+    let mut frames = Vec::new();
+    let mut got = Vec::new();
+    while got.len() < nets.len() {
+        let (_, rows) = add_routes_nets(&mut wire);
+        frames.push(rows.len());
+        got.extend(rows);
+    }
+    assert_eq!(frames, [256, 256, 88]);
+    assert_eq!(got, nets, "rows left out of order");
+}
+
+/// The RIB hop's Xon replay: a `fea` redistribution watcher feeds a
+/// batch-64 output, wired as the router wires it, toward an FEA that
+/// answers only when the test releases its replies.  A backlog of forty
+/// frames' worth of routes builds while the lane is in Xoff; each release
+/// brings the lane to its low watermark, and the replay the Xon starts
+/// must stop between deliveries and between frames when its own sends
+/// re-congest the lane.  The lane never goes past its high watermark,
+/// nothing is shed, and the FEA ends with every route.
+#[test]
+fn rib_xon_replay_stops_at_the_watermark() {
+    const ROUTES: usize = 64 * 40;
+    let finder = Finder::new();
+    let fea = raw_target(&finder, "fea");
+    let (mut el, router) = sender(&finder);
+    let metrics = Metrics::new();
+    router.set_metrics(&metrics);
+    let policy = QueuePolicy {
+        high_watermark: 4,
+        low_watermark: 1,
+        hard_cap: 8,
+    };
+    router.set_overload_policy(policy);
+
+    let rib = Rc::new(RefCell::new(Rib::<Ipv4Addr>::new(false)));
+    let out = output(
+        BulkRouteSink::Fea(xrl_ifaces::fea::Client::new(&router, "fea")),
+        64,
+    );
+    let fea_out = out.clone();
+    rib.borrow_mut().add_redist_watcher(
+        &mut el,
+        RedistWatcher::new(
+            "fea",
+            None,
+            FilterBank::accept_by_default(),
+            Rc::new(move |el, op| fea_out.push(el, &op)),
+        ),
+    );
+    let flow = rib.borrow().redist_watcher_flow("fea").unwrap();
+    let r = rib.clone();
+    on_congestion(&router, "fea", flow, &out, move |el| {
+        r.borrow_mut().set_redist_watcher_flow(el, "fea", true);
+    });
+
+    for i in 0..ROUTES {
+        let net = format!("10.{}.{}.0/24", i / 256, i % 256).parse().unwrap();
+        let attrs = PathAttributes::new(IpAddr::V4(Ipv4Addr::new(192, 168, 1, 1)));
+        let mut route = RouteEntry::new(net, Arc::new(attrs), 1, ProtocolId::Static);
+        route.ifname = Some("eth0".into());
+        rib.borrow_mut().add_route(&mut el, route);
+    }
+    el.run_until_idle();
+    assert!(router.any_lane_congested());
+    assert!(rib.borrow().redist_watcher_backlog("fea") > 0);
+
+    let mut wire = accept(&fea);
+    let mut installed = HashSet::new();
+    let mut unanswered = VecDeque::new();
+    let (mut read, mut answered) = (0, 0);
+    for _ in 0..ROUTES {
+        // Read every frame the router has sent: with the loop idle, each
+        // is answered or still pending.
+        while read < answered + router.pending_len() {
+            let (seq, nets) = add_routes_nets(&mut wire);
+            unanswered.push_back(seq);
+            installed.extend(nets);
+            read += 1;
+        }
+        if installed.len() == ROUTES || unanswered.is_empty() {
+            break;
+        }
+        // Answer all but one: the lane drains to its low watermark, and
+        // the Xon lets the replay go on.  Once the lane is no longer
+        // congested, answer everything.
+        let keep = usize::from(router.any_lane_congested());
+        while unanswered.len() > keep {
+            let seq = unanswered.pop_front().unwrap();
+            let reply = Frame::Response {
+                seq,
+                result: Ok(XrlArgs::new()),
+                priority: false,
+            };
+            wire.write_all(&reply.encode()).unwrap();
+            answered += 1;
+        }
+        let deadline = Instant::now() + TIMEOUT;
+        while histogram(&metrics, "xrl.frames_per_read").1 != answered as u64 {
+            assert!(Instant::now() < deadline, "replies never decoded");
+            std::thread::yield_now();
+        }
+        el.run_until_idle();
+    }
+    let lane_depth = match metrics.get("xrl.lane_depth") {
+        Some(MetricValue::Gauge { max, .. }) => max,
+        other => panic!("xrl.lane_depth: {other:?}"),
+    };
+    assert!(
+        lane_depth <= policy.high_watermark as i64 + 1,
+        "lane depth reached {lane_depth}"
+    );
+    assert_eq!(router.shed_count(), 0);
+    assert_eq!(installed.len(), ROUTES);
 }

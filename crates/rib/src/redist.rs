@@ -23,6 +23,11 @@
 //! of it: the background dump that serves a BGP peer coming up (§5.3),
 //! with its transient sync set, which becomes a pass-through when the walk
 //! ends.
+//!
+//! Each watcher owns one *flow cell* ([`RedistStage::watcher_flow`]): while
+//! it is closed the watcher parks its ops in a backlog, its dump parks
+//! before the next slice, and the hop's `RouteBatcher`, handed the same
+//! cell, stops between frames.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -53,16 +58,12 @@ pub struct RedistWatcher<A: Addr> {
     pub policy: FilterBank,
     /// Where the filtered stream goes.
     pub sink: RedistSink<A>,
-    /// Flow control (XRL backpressure): while the cell reads `false`,
-    /// deliveries are parked in the backlog instead of hitting the sink,
-    /// and replayed in order on resume, each under the trace context it
-    /// was parked with (a sampled route must not lose its trace to a
-    /// congested lane).  Filtering runs either way; a parked op is already
-    /// the difference the watcher will see.  The cell is shared
-    /// ([`RedistStage::watcher_flow`]) so a congestion callback can flip
-    /// it synchronously from inside the send path — overshoot past an
-    /// Xoff is bounded at the watermark, exactly like a sender-side flow
-    /// gate.
+    /// The flow cell (XRL backpressure): while it reads `false`, or ops
+    /// are still parked, deliveries join the backlog instead of hitting
+    /// the sink, and replay in order on resume, each under the trace
+    /// context it was parked with (a sampled route must not lose its
+    /// trace to a congested lane).  Filtering runs either way; a parked op
+    /// is already the difference the watcher will see.
     flow: Rc<Cell<bool>>,
     backlog: VecDeque<(RedistOp<A>, Option<TraceContext>)>,
 }
@@ -144,7 +145,7 @@ where
             (Some(old), None) => RouteOp::Delete { net, old },
             (None, None) => return,
         };
-        if self.flow.get() {
+        if self.flow.get() && self.backlog.is_empty() {
             (self.sink)(el, op);
         } else {
             self.backlog.push_back((op, xtrace::current()));
@@ -210,8 +211,8 @@ where
     /// through the upstream stage, so the dump carries the *current*
     /// post-arbitration route, never a stale copy, and its intercept
     /// rules give the watcher each prefix at most once while live churn
-    /// overtakes the walk.  While the watcher is paused the walk is
-    /// suspended between slices.
+    /// overtakes the walk.  The dump reads the watcher's flow cell, so
+    /// while the watcher is paused the walk parks between slices.
     pub fn add_watcher_dumped(
         &mut self,
         el: &mut EventLoop,
@@ -228,6 +229,7 @@ where
             dump.add_source(src);
         }
         dump.passthrough(OriginId(0));
+        dump.set_flow(w.flow.clone());
         let dump = stage_ref(dump);
         self.insert(w, Some(dump.clone()));
         DumpStage::start(el, dump);
@@ -255,33 +257,30 @@ where
         self.watchers.remove(name).map(Self::abort).is_some()
     }
 
-    /// Flow control for one watcher (XRL backpressure): `ready = false`
-    /// parks deliveries in the watcher's backlog and suspends its dump;
-    /// `ready = true` replays the backlog in order, goes back to direct
-    /// delivery and resumes the dump.  Unknown names are ignored.
+    /// Flow control for one watcher (XRL backpressure), its one pause and
+    /// resume call: `ready = false` closes the flow cell, parking
+    /// deliveries in the backlog and the dump before its next slice;
+    /// `ready = true` reopens it, replays the backlog in order and
+    /// restarts the dump.  A replay that closes the cell again stops
+    /// there, and the dump parks before its first slice.  Unknown names
+    /// are ignored.
     pub fn set_watcher_flow(&mut self, el: &mut EventLoop, name: &str, ready: bool) {
         let Some(tap) = self.watchers.get(name) else {
             return;
         };
         if !ready {
             tap.watcher.borrow().flow.set(false);
-            if let Some(d) = &tap.dump {
-                d.borrow_mut().suspend();
-            }
             return;
         }
         RedistWatcher::resume(&tap.watcher, el);
-        // A replay that re-congested the lane leaves the walk parked.
-        let flowing = tap.watcher.borrow().flow.get();
-        if let Some(d) = tap.dump.as_ref().filter(|_| flowing) {
-            DumpStage::resume(el, d.clone());
+        if let Some(d) = &tap.dump {
+            DumpStage::start(el, d.clone());
         }
     }
 
-    /// The shared flow cell for one watcher.  A congestion callback flips
-    /// it to `false` synchronously on Xoff (parking takes effect before
-    /// the next delivery) and pairs that with a deferred
-    /// [`RedistStage::set_watcher_flow`] call for the replay on Xon.
+    /// One watcher's flow cell.  A congestion callback closes it
+    /// synchronously on Xoff, so parking takes effect before the next
+    /// delivery.
     pub fn watcher_flow(&self, name: &str) -> Option<Rc<Cell<bool>>> {
         self.watchers
             .get(name)

@@ -350,19 +350,18 @@ where
         self.redist.borrow_mut().add_watcher_dumped(el, w, sources);
     }
 
-    /// Flow control for a redistribution watcher (XRL backpressure):
-    /// `ready = false` parks deliveries in the watcher's backlog,
-    /// `ready = true` replays them in order — re-checking the flow cell
-    /// between sends, so a replay that re-congests its lane stops at the
-    /// watermark instead of shedding at the hard cap.
+    /// Flow control for a redistribution watcher (XRL backpressure), its
+    /// one pause/resume call: `ready = false` parks deliveries in the
+    /// watcher's backlog and its dump before the next slice, `ready =
+    /// true` replays them in order and restarts the dump — re-checking the
+    /// flow cell between sends, so a replay that re-congests its lane
+    /// stops at the watermark instead of shedding at the hard cap.
     pub fn set_redist_watcher_flow(&mut self, el: &mut EventLoop, name: &str, ready: bool) {
         self.redist.borrow_mut().set_watcher_flow(el, name, ready);
     }
 
-    /// The watcher's shared flow cell — flip it to `false` synchronously
-    /// from a congestion callback so parking takes effect before the next
-    /// delivery, then defer the [`Rib::set_redist_watcher_flow`] call that
-    /// replays the backlog on Xon.
+    /// The watcher's flow cell.  A congestion callback closes it
+    /// synchronously, so parking takes effect before the next delivery.
     pub fn redist_watcher_flow(&self, name: &str) -> Option<Rc<Cell<bool>>> {
         self.redist.borrow().watcher_flow(name)
     }

@@ -29,8 +29,12 @@
 //! The `synced` set this requires is transient — it lives only for the
 //! duration of the dump and is freed on completion, unlike the permanent
 //! full-table mirrors it replaces.
+//!
+//! A dump shares its reader's flow cell ([`DumpStage::set_flow`]) and reads
+//! it before every slice: while the reader's lane is in Xoff the walk
+//! parks, and [`DumpStage::start`] restarts it once the cell reopens.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
@@ -167,8 +171,10 @@ pub struct DumpStage<A: Addr, R: Clone> {
     /// Invoked once when the walk completes (not when aborted).
     #[allow(clippy::type_complexity)]
     on_done: Option<Box<dyn FnOnce(&mut EventLoop)>>,
+    /// The reader's flow cell, read before every slice: while it reads
+    /// `false` the walk is parked.
+    flow: Rc<Cell<bool>>,
     done: bool,
-    suspended: bool,
     task_live: bool,
 }
 
@@ -185,8 +191,8 @@ impl<A: Addr, R: Clone> DumpStage<A, R> {
             transform: Box::new(|_| None),
             before_slice: None,
             on_done: None,
+            flow: Rc::new(Cell::new(true)),
             done: false,
-            suspended: false,
             task_live: false,
         }
     }
@@ -228,27 +234,13 @@ impl<A: Addr, R: Clone> DumpStage<A, R> {
         self.synced.len()
     }
 
-    /// Park the walk: the background task exits at its next wake-up
-    /// instead of spinning.  Live ops still flow through the intercept.
-    pub fn suspend(&mut self) {
-        self.suspended = true;
-    }
-
-    /// Un-park the walk, restarting the background task if it already
-    /// exited.
-    pub fn resume(el: &mut EventLoop, me: Rc<RefCell<DumpStage<A, R>>>)
-    where
-        A: 'static,
-        R: 'static,
-    {
-        let restart = {
-            let mut s = me.borrow_mut();
-            s.suspended = false;
-            !s.task_live && !s.done
-        };
-        if restart {
-            DumpStage::start(el, me);
-        }
+    /// Share the reader's flow cell.  While it reads `false` the walk is
+    /// parked: the background task exits at its next wake-up instead of
+    /// spinning, and live ops still flow through the intercept.  Once the
+    /// cell reopens, [`DumpStage::start`] restarts the walk where it
+    /// stopped.
+    pub fn set_flow(&mut self, flow: Rc<Cell<bool>>) {
+        self.flow = flow;
     }
 
     /// Abandon the dump: drop the sources (releasing their iterator
@@ -261,8 +253,9 @@ impl<A: Addr, R: Clone> DumpStage<A, R> {
         self.synced.clear();
     }
 
-    /// Start the background walk.  `me` must be the shared handle this
-    /// stage lives in (the task re-enters through it).
+    /// Start the background walk, or restart a parked one.  `me` must be
+    /// the shared handle this stage lives in (the task re-enters through
+    /// it).  A no-op while the task is live or the walk is done.
     pub fn start(el: &mut EventLoop, me: Rc<RefCell<DumpStage<A, R>>>)
     where
         A: 'static,
@@ -276,19 +269,6 @@ impl<A: Addr, R: Clone> DumpStage<A, R> {
             s.task_live = true;
         }
         el.spawn_background(move |el| {
-            // Parked or aborted: exit rather than spin — a background task
-            // that always returns Continue would hang `run_until_idle`.
-            {
-                let mut s = me.borrow_mut();
-                if s.done {
-                    s.task_live = false;
-                    return SliceResult::Done;
-                }
-                if s.suspended {
-                    s.task_live = false;
-                    return SliceResult::Done;
-                }
-            }
             // Flush the reader's queued deliveries (etc.) with no borrow
             // of the stage held: the hook may re-enter route_op.
             // NB: take the hook in its own statement — an `if let` on the
@@ -299,6 +279,17 @@ impl<A: Addr, R: Clone> DumpStage<A, R> {
                 let mut s = me.borrow_mut();
                 if s.before_slice.is_none() {
                     s.before_slice = Some(hook);
+                }
+            }
+            // Parked or aborted: exit rather than spin — a background task
+            // that always returns Continue would hang `run_until_idle`.
+            // Checked after the hook: a flush the closed cell cut short
+            // leaves queued ops the slice's lookups would run ahead of.
+            {
+                let mut s = me.borrow_mut();
+                if s.done || !s.flow.get() {
+                    s.task_live = false;
+                    return SliceResult::Done;
                 }
             }
             // Collect one slice of adds under the borrow; emit after
@@ -568,15 +559,18 @@ mod tests {
     #[test]
     fn suspend_parks_without_spinning_and_resume_restarts() {
         let (mut el, _up, dump, _cache, reader) = rig(200);
+        let flow = Rc::new(Cell::new(true));
+        dump.borrow_mut().set_flow(flow.clone());
         DumpStage::start(&mut el, dump.clone());
         el.run_one();
-        dump.borrow_mut().suspend();
+        flow.set(false);
         // The parked task must exit, not spin: run_until_idle returns.
         el.run_until_idle();
         assert!(!dump.borrow().is_done());
         let parked = reader.borrow().table.len();
         assert!(parked < 200);
-        DumpStage::resume(&mut el, dump.clone());
+        flow.set(true);
+        DumpStage::start(&mut el, dump.clone());
         el.run_until_idle();
         assert!(dump.borrow().is_done());
         assert_eq!(reader.borrow().table.len(), 200);

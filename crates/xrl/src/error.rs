@@ -75,6 +75,26 @@ impl XrlError {
         }
     }
 
+    /// The text the variant carries, which is what the wire holds:
+    /// [`XrlError::from_code`] wraps it back into the variant, so a
+    /// decoded error equals the one sent.  A unit variant carries none.
+    pub(crate) fn payload(&self) -> &str {
+        match self {
+            XrlError::Parse(s)
+            | XrlError::BadArgs(s)
+            | XrlError::ResolveFailed(s)
+            | XrlError::AccessDenied(s)
+            | XrlError::NoSuchMethod(s)
+            | XrlError::Transport(s)
+            | XrlError::CommandFailed(s)
+            | XrlError::BadFrame(s) => s,
+            XrlError::BadMethodKey
+            | XrlError::TargetDied
+            | XrlError::Timeout
+            | XrlError::Overloaded => "",
+        }
+    }
+
     pub(crate) fn from_code(code: u8, msg: String) -> XrlError {
         match code {
             1 => XrlError::Parse(msg),

@@ -171,7 +171,7 @@ impl Frame {
                 8 + 1
                     + match result {
                         Ok(args) => 2 + args.wire_len(true),
-                        Err(e) => 2 + fit_str(&e.to_string()).len() + 2,
+                        Err(e) => 2 + fit_str(e.payload()).len() + 2,
                     }
             }
             Frame::Kill { .. } => 4,
@@ -257,7 +257,7 @@ impl Frame {
                     }
                     Err(e) => {
                         body.put_u8(e.code());
-                        put_str(body, fit_str(&e.to_string()));
+                        put_str(body, fit_str(e.payload()));
                         body.put_u16(0); // no arguments
                     }
                 }
@@ -1021,5 +1021,32 @@ mod tests {
             assert_eq!(f.wire_len(), f.encode().len(), "{f:?}");
             assert!(Frame::decode_slice(&f.encode()[4..]).is_ok(), "{f:?}");
         }
+    }
+
+    /// An error reply carries its variant's text, not its `Display`: a
+    /// `BadArgs` that crosses one hop decodes equal to the one sent, and
+    /// shows its prefix once.
+    #[test]
+    fn error_reply_roundtrips_with_one_prefix() {
+        let sent = XrlError::BadArgs("hostile/1.0/take: missing argument label".into());
+        let reply = Frame::Response {
+            seq: 7,
+            result: Err(sent.clone()),
+            priority: false,
+        };
+        let bytes = reply.encode();
+        assert_eq!(reply.wire_len(), bytes.len());
+        let Ok(Frame::Response {
+            result: Err(got), ..
+        }) = Frame::decode_slice(&bytes[4..])
+        else {
+            panic!("not an error reply");
+        };
+        assert_eq!(
+            got.to_string().matches("bad XRL arguments").count(),
+            1,
+            "{got}"
+        );
+        assert_eq!(got, sent);
     }
 }

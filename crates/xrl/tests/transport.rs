@@ -773,15 +773,15 @@ fn an_uncountable_reply_is_sent_as_bad_args() {
 }
 
 /// A request naming a target as long as the wire's `str` field allows
-/// draws an error whose text is longer still ("no such method: no such
-/// target: …").  The reply carries that text cut at a char boundary, so
-/// the receiver neither panics nor sends a string length that wrapped.
+/// draws an error whose text is longer still ("no such target: …").  The
+/// reply carries that text cut at a char boundary, so the receiver
+/// neither panics nor sends a string length that wrapped.
 #[test]
 fn a_target_at_the_wire_limit_gets_a_no_such_method_reply() {
     let mut rx = receiving();
-    // The two-byte 'é' straddles the field's last byte once the 32-byte
+    // The two-byte 'é' straddles the field's last byte once the 16-byte
     // prefix is in front of it.
-    let target = format!("{}é{}", "t".repeat(65_502), "t".repeat(20));
+    let target = format!("{}é{}", "t".repeat(65_518), "t".repeat(15));
     let request = Frame::Request {
         seq: 6,
         sender: 4242,
@@ -803,7 +803,7 @@ fn a_target_at_the_wire_limit_gets_a_no_such_method_reply() {
             ..
         } => {
             assert_eq!(msg.len(), 65_534, "cut before the 2-byte 'é'");
-            assert!(msg.starts_with("no such method: no such target: ttt"));
+            assert!(msg.starts_with("no such target: ttt"));
         }
         other => panic!("expected a NoSuchMethod response, read {other:?}"),
     }
