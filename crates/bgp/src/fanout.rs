@@ -13,7 +13,7 @@
 //! consumer can take more.  Closing it (a slow peer, an XRL lane in Xoff)
 //! stops deliveries between entries, even mid-drain, and parks the
 //! reader's background dump before its next slice; the harness hands the
-//! same cell to the hop's `RouteBatcher`, which stops between frames.
+//! same cell to the hop's `RouteOutput`, which stops between runs.
 //! [`FanoutQueue::resume`] reopens it, replays the backlog and restarts
 //! the dump.  A closed reader's cursor falls behind, and entries are
 //! garbage-collected only once every reader has consumed them — one copy

@@ -1,84 +1,97 @@
-//! A hop's route output, per-route or coalesced into vectorized frames.
+//! A hop's route output: one batcher at every batch size.
 //!
 //! A [`RouteOutput`] sits between a route-emitting stage (BGP's RIB
-//! output, the RIB's FEA output) and the XRL router.  At batch size 1 it
-//! sends each op at once as one `add_route` / `delete_route` call.  Above
-//! 1 it is a [`RouteBatcher`], which buffers rows and ships them as
-//! `add_routes` / `delete_routes` frames, flushing when
+//! output, the RIB's FEA output) and the XRL router.  It queues ops in
+//! arrival order and flushes when
 //!
-//! - the buffer reaches `batch_size` rows (size-based flush), or
+//! - the queue reaches `batch_size` ops (size-based flush), or
 //! - the loop has drained its input: the flush waits on the loop's idle
 //!   lane ([`EventLoop::defer_idle`]) until no local, priority,
 //!   completion or bulk event is queued and no timer is due.
 //!
-//! So `batch_size` is a cap: input that queued up while the loop was busy
-//! leaves in frames that hold `batch_size` rows, and a *single* route
-//! still leaves before the loop next blocks, with no timer, which keeps
-//! the Fig-10 latency shape.
+//! A flush ships the queue run by run, a run being the longest prefix of
+//! same-direction ops, capped at `batch_size`.  How a run leaves depends
+//! on its length alone ([`BulkRouteSink::send_run`]): a run of one op on
+//! the hop's per-route `add_route`/`delete_route`, a longer run as one
+//! `add_routes`/`delete_routes` frame.  So `batch_size` only caps a run:
+//! at 1 every op leaves in its push's turn, and above 1 input that
+//! queued up while the loop was busy leaves in frames of up to
+//! `batch_size` rows, while a *single* route still leaves before the loop
+//! next blocks, with no timer, which keeps the Fig-10 latency shape.
 //!
-//! Ordering is preserved: rows are buffered in arrival order and a flush
-//! emits one frame per run of consecutive same-direction rows, so an
+//! Ordering is preserved: runs leave in arrival order, so an
 //! add/delete/add sequence can never be reordered into delete/add/add.
-//! A run also closes at `batch_size` rows, so no frame carries more, even
-//! when a closed flow cell has let the buffer grow past it.
-//! An XRL a later event sends on another method can overtake rows still
-//! held for the frame, as one sent later in the same event always could.
+//! An XRL a later event sends on another method can overtake ops still
+//! queued, as one sent later in the same event always could.
 //!
-//! Backpressure: the batcher shares the hop's flow cell with the producer
+//! Backpressure: the output shares the hop's flow cell with the producer
 //! feeding it (the fanout reader or the redistribution watcher) and reads
-//! it before every frame.  While the destination lane is in Xoff no frame
-//! leaves, and a frame whose send re-congests the lane stops the flush
-//! there, the rest staying held until the next flush.
-//!
-//! Each op's row is encoded as it is buffered, straight into its run's
-//! list bytes ([`BulkRouteSink::write_row`]): a frame's rows are never an
-//! atom tree, and the writer keeps its buffer from frame to frame.
+//! it before every run, at every batch size.  While the destination lane
+//! is in Xoff nothing leaves, and a run whose send re-congests the lane
+//! stops the flush there, the rest staying queued until the next flush.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 use xorp_event::EventLoop;
-use xorp_net::Ipv4Net;
 use xorp_profiler::tracing::{self as xtrace, SpanRecorder, TraceContext};
 use xorp_profiler::PointHandle;
 use xorp_stages::RouteOp;
 use xorp_xrl::wire::MAX_ITEMS;
-use xorp_xrl::{ListWriter, WireList};
+use xorp_xrl::ListWriter;
 
 use crate::xrl_ifaces::{BulkRouteSink, WireOp};
 
-/// One buffered op: direction, prefix, and the ambient trace context at
-/// push time (sampled routes only).  Its row is already in its run's list.
-struct Row {
-    add: bool,
-    net: Ipv4Net,
-    trace: Option<TraceContext>,
+fn is_add(op: &WireOp) -> bool {
+    !matches!(op, RouteOp::Delete { .. })
 }
 
 /// The profiling payload of one route op (`add 10.0.1.0/24`).  Built only
 /// inside a profiling point's `record(|| ..)`, so a dormant point never
 /// pays for the `format!`.
-fn op_payload(add: bool, net: Ipv4Net) -> String {
-    format!("{} {net}", if add { "add" } else { "del" })
+fn op_payload(op: &WireOp) -> String {
+    format!("{} {}", if is_add(op) { "add" } else { "del" }, op.net())
 }
 
-/// One hop's route output: the single place the per-route or batched
-/// choice is made.
+/// One hop's route output.
 #[derive(Clone)]
-pub struct RouteOutput {
+pub struct RouteOutput(Rc<Shared>);
+
+struct Shared {
+    /// The hop's route methods (interned stubs of the destination
+    /// interface).
     sink: BulkRouteSink,
+    /// Cap on a run.  One frame counts at most [`MAX_ITEMS`] rows.
+    batch_size: usize,
     /// Stamped per op on entry (points 2 and 5).
     queued: PointHandle,
-    /// Stamped per op as it is sent (points 3 and 6).
+    /// Stamped per op as its run is sent (points 3 and 6).
     sent: PointHandle,
-    /// Present above batch size 1.
-    batcher: Option<RouteBatcher>,
+    /// Span recorder for the `batch` hop: a run rides its first traced
+    /// op's context (the *carrier*), and every other traced op in it
+    /// records a fan-in link.
+    tracer: SpanRecorder,
+    state: RefCell<State>,
+}
+
+struct State {
+    /// Ops waiting for a flush, in arrival order, each with the ambient
+    /// trace context at push time (sampled routes only).
+    ops: VecDeque<(WireOp, Option<TraceContext>)>,
+    /// Writes a frame's rows; it keeps its buffer from frame to frame.
+    rows: ListWriter,
+    /// A flush already waits on the idle lane — don't stack another one
+    /// per op.
+    scheduled: bool,
+    /// The hop's flow cell, read before every run: while it reads `false`
+    /// ops accumulate.
+    flow: Rc<Cell<bool>>,
 }
 
 impl RouteOutput {
-    /// An output over `sink`: per-route at `batch_size` 1, otherwise a
-    /// [`RouteBatcher`] whose frames record `batch` spans with `tracer`.
+    /// An output over `sink` whose runs hold at most `batch_size` ops and
+    /// record `batch` spans with `tracer`.
     pub fn new(
         sink: BulkRouteSink,
         batch_size: usize,
@@ -86,132 +99,31 @@ impl RouteOutput {
         sent: PointHandle,
         tracer: SpanRecorder,
     ) -> RouteOutput {
-        let batcher = (batch_size > 1).then(|| {
-            let b = RouteBatcher::new(sink.clone(), batch_size, sent.clone());
-            b.set_tracer(tracer);
-            b
-        });
-        RouteOutput {
+        RouteOutput(Rc::new(Shared {
             sink,
+            batch_size: batch_size.clamp(1, MAX_ITEMS),
             queued,
             sent,
-            batcher,
-        }
-    }
-
-    /// Send or buffer one op.  Per-route, the op leaves in this turn.
-    pub fn push(&self, el: &mut EventLoop, op: &WireOp) {
-        let net = op.net();
-        let add = !matches!(op, RouteOp::Delete { .. });
-        self.queued.record(|| op_payload(add, net));
-        match &self.batcher {
-            Some(batcher) => batcher.push(el, op),
-            None => {
-                // Stamp before the send: once the frame is on the wire the
-                // peer's reader thread may stamp its arrival point first,
-                // breaking pipeline monotonicity.
-                self.sent.record(|| op_payload(add, net));
-                self.sink.send_one(el, op);
-            }
-        }
-    }
-
-    /// Share the hop's flow cell with the batcher.  Per-route output has
-    /// nothing to hold: the fanout or watcher upstream stops instead.
-    pub fn set_flow(&self, flow: Rc<Cell<bool>>) {
-        if let Some(batcher) = &self.batcher {
-            batcher.set_flow(flow);
-        }
-    }
-
-    /// Ship what the batcher holds, while the flow cell stays open.
-    pub fn flush(&self, el: &mut EventLoop) {
-        if let Some(batcher) = &self.batcher {
-            batcher.flush(el);
-        }
-    }
-}
-
-struct Inner {
-    /// The typed `add_routes`/`delete_routes` pair frames are shipped
-    /// through (an interned stub of the destination interface).
-    sink: BulkRouteSink,
-    batch_size: usize,
-    /// Profiling point stamped per row when its frame is sent.  A
-    /// pre-resolved handle: dormant stamping costs one relaxed load.
-    sent_point: PointHandle,
-    /// Ops waiting for a flush, in arrival order.
-    pending: VecDeque<Row>,
-    /// Their rows: the same-direction runs closed so far, then `open`,
-    /// the run the next row of the same direction joins.
-    closed: VecDeque<(bool, WireList)>,
-    open: ListWriter,
-    /// A flush already waits on the idle lane — don't stack another one
-    /// per row.
-    scheduled: bool,
-    /// The hop's flow cell, read before every frame: while it reads
-    /// `false` rows accumulate.
-    flow: Rc<Cell<bool>>,
-    /// Span recorder for the `batch` hop.  When set, a flushed frame
-    /// rides the first traced row's context (the *carrier*) and every
-    /// other traced row coalesced into it records a fan-in link.
-    tracer: Option<SpanRecorder>,
-}
-
-/// Coalesces per-route ops into `add_routes`/`delete_routes` XRL frames.
-#[derive(Clone)]
-pub struct RouteBatcher {
-    inner: Rc<RefCell<Inner>>,
-}
-
-impl RouteBatcher {
-    pub fn new(sink: BulkRouteSink, batch_size: usize, sent_point: PointHandle) -> RouteBatcher {
-        RouteBatcher {
-            inner: Rc::new(RefCell::new(Inner {
-                sink,
-                // One frame counts at most MAX_ITEMS rows.
-                batch_size: batch_size.clamp(1, MAX_ITEMS),
-                sent_point,
-                pending: VecDeque::new(),
-                closed: VecDeque::new(),
-                open: ListWriter::default(),
+            tracer,
+            state: RefCell::new(State {
+                ops: VecDeque::new(),
+                rows: ListWriter::default(),
                 scheduled: false,
                 flow: Rc::new(Cell::new(true)),
-                tracer: None,
-            })),
-        }
+            }),
+        }))
     }
 
-    /// Attach the `batch` hop's span recorder.
-    pub fn set_tracer(&self, recorder: SpanRecorder) {
-        self.inner.borrow_mut().tracer = Some(recorder);
-    }
-
-    /// Buffer one op's row; flush if the batch is full, otherwise make
+    /// Queue one op; flush if a run's worth is queued, otherwise make
     /// sure a flush waits for the loop to drain its input.
-    pub fn push(&self, el: &mut EventLoop, op: &WireOp) {
-        let add = !matches!(op, RouteOp::Delete { .. });
+    pub fn push(&self, el: &mut EventLoop, op: WireOp) {
+        self.0.queued.record(|| op_payload(&op));
         let (full, arm) = {
-            let mut b = self.inner.borrow_mut();
-            let b = &mut *b;
-            // A row turning the direction closes the open run, as does a
-            // full run.
-            if let Some(last) = b.pending.back() {
-                if last.add != add || b.open.len() == b.batch_size {
-                    b.closed.push_back((last.add, b.open.take()));
-                }
-            }
-            b.sink.write_row(&mut b.open, op);
-            b.pending.push_back(Row {
-                add,
-                net: op.net(),
-                trace: xtrace::current(),
-            });
-            let full = b.pending.len() >= b.batch_size;
-            let arm = !full && !b.scheduled;
-            if arm {
-                b.scheduled = true;
-            }
+            let mut s = self.0.state.borrow_mut();
+            s.ops.push_back((op, xtrace::current()));
+            let full = s.ops.len() >= self.0.batch_size;
+            let arm = !full && !s.scheduled;
+            s.scheduled |= arm;
             (full, arm)
         };
         if full {
@@ -222,73 +134,60 @@ impl RouteBatcher {
         }
     }
 
-    /// Share the hop's flow cell (see [`RouteOutput::set_flow`]).
+    /// Share the hop's flow cell with the producer feeding this output.
     pub fn set_flow(&self, flow: Rc<Cell<bool>>) {
-        self.inner.borrow_mut().flow = flow;
+        self.0.state.borrow_mut().flow = flow;
     }
 
-    /// Ship what is buffered, one frame per same-direction run, while the
-    /// flow cell stays open: a send that closes it (the lane re-congested)
-    /// stops the flush before the next frame.
+    /// Ship what is queued, run by run, while the flow cell stays open: a
+    /// send that closes it (the lane re-congested) stops the flush before
+    /// the next run.  A send never re-enters the output (intra dispatch
+    /// is deferred, and congestion callbacks only flip the flow cell and
+    /// defer), so the state stays borrowed across it.
     pub fn flush(&self, el: &mut EventLoop) {
-        self.inner.borrow_mut().scheduled = false;
-        loop {
-            let (add, list, sink, span, prev) = {
-                let mut b = self.inner.borrow_mut();
-                let b = &mut *b;
-                if !b.flow.get() {
-                    return;
-                }
-                let (add, list) = match b.closed.pop_front() {
-                    Some(run) => run,
-                    None => match b.pending.back() {
-                        Some(last) => (last.add, b.open.take()),
-                        None => return,
-                    },
-                };
-                let n = list.len();
-                // The first traced row carries the frame's context; the
-                // other traced rows coalesced into it record fan-in links
-                // so their traces keep causality instead of dead-ending at
-                // the merge.
-                let carrier = b.pending.range(..n).find_map(|r| r.trace);
-                let mut span = None;
-                let prev = carrier.map(|ctx| {
-                    let child = match &b.tracer {
-                        Some(t) => {
-                            for c in b.pending.range(..n).filter_map(|r| r.trace) {
-                                if c.trace_id != ctx.trace_id {
-                                    t.fan_in(c, ctx.trace_id);
-                                }
-                            }
-                            let s = t.begin(ctx, "batch");
-                            let child = s.ctx;
-                            span = Some(s);
-                            child
-                        }
-                        None => ctx,
-                    };
-                    xtrace::set_current(Some(child))
-                });
-                for row in b.pending.drain(..n) {
-                    b.sent_point.record(|| op_payload(row.add, row.net));
-                }
-                (add, list, b.sink.clone(), span, prev)
+        let me = &*self.0;
+        let mut s = me.state.borrow_mut();
+        s.scheduled = false;
+        while s.flow.get() {
+            let Some((first, _)) = s.ops.front() else {
+                return;
             };
-            sink.send(el, add, list);
-            if let Some(p) = prev {
-                xtrace::set_current(p);
-            }
-            if let Some(s) = span {
-                if let Some(t) = &self.inner.borrow().tracer {
-                    t.finish(s);
+            let add = is_add(first);
+            let n = s
+                .ops
+                .iter()
+                .take(me.batch_size)
+                .take_while(|(op, _)| is_add(op) == add)
+                .count();
+            let traces = || s.ops.range(..n).filter_map(|(_, t)| *t);
+            // The first traced op carries the run's context; the other
+            // traced ops coalesced into it record fan-in links so their
+            // traces keep causality instead of dead-ending at the merge.
+            let span = traces().next().map(|ctx| {
+                for c in traces().filter(|c| c.trace_id != ctx.trace_id) {
+                    me.tracer.fan_in(c, ctx.trace_id);
                 }
+                let span = me.tracer.begin(ctx, "batch");
+                (xtrace::set_current(Some(span.ctx)), span)
+            });
+            let State { ops, rows, .. } = &mut *s;
+            let run = ops.drain(..n).map(|(op, _)| {
+                // Stamp before the send: once the frame is on the wire the
+                // peer's reader thread may stamp its arrival point first,
+                // breaking pipeline monotonicity.
+                me.sent.record(|| op_payload(&op));
+                op
+            });
+            me.sink.send_run(el, rows, run);
+            if let Some((prev, span)) = span {
+                xtrace::set_current(prev);
+                me.tracer.finish(span);
             }
         }
     }
 
-    /// Rows currently buffered (test observability).
+    /// Ops currently queued (test observability).
     pub fn pending_count(&self) -> usize {
-        self.inner.borrow().pending.len()
+        self.0.state.borrow().ops.len()
     }
 }

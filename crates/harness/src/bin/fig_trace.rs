@@ -1,7 +1,7 @@
 //! `fig-trace`: cross-process causal tracing under a route flood.
 //!
 //! Spawns the three-process router (BGP → RIB → FEA over real XRL
-//! transports) with batching on, samples 1-in-N UPDATEs at the BGP
+//! transports) at batch 64 by default, samples 1-in-N UPDATEs at the BGP
 //! ingress, and floods a synthetic backbone table.  Sampled UPDATEs root
 //! causal traces whose contexts ride the v2 wire as 12-byte trailers;
 //! every hop — `bgp_in`, `fanout`, `batch`, `rib`, `fea` — records a
@@ -100,10 +100,8 @@ fn main() {
     );
 
     // ---- end-to-end percentiles over complete traces ------------------
-    // At batch 1 the per-route path skips the batcher, so no `batch` hop.
     let full_chain: BTreeSet<String> = ["bgp_in", "fanout", "batch", "rib", "fea"]
         .iter()
-        .filter(|h| batch > 1 || **h != "batch")
         .map(|s| s.to_string())
         .collect();
     let mut e2e: Vec<u64> = Vec::new();

@@ -341,9 +341,7 @@ fn main() {
         );
     }
     let batch_size = parse_batch();
-    if batch_size > 1 {
-        println!("batched route pipeline on: batch-size={batch_size}");
-    }
+    println!("route runs capped at batch-size={batch_size}");
     let overload = parse_overload_flags(&args);
     if overload != QueuePolicy::default() {
         println!(

@@ -4,9 +4,9 @@
 //! Route flow and the eight profiling points:
 //!
 //! ```text
-//! apply_update ──[1 BGP_IN]── BGP pipeline ──[2 QUEUED_FOR_RIB]──
-//!   XRL rib/1.0/add_route ──[3 SENT_TO_RIB]──(tcp)──[4 RIB_IN]──
-//!   RIB stages ──[5 QUEUED_FOR_FEA]── XRL fea/1.0/add_route
+//! apply_update ──[1 BGP_IN]── BGP pipeline ──[2 QUEUED_FOR_RIB]── batch
+//!   ── XRL rib/1.0/add_route(s) ──[3 SENT_TO_RIB]──(tcp)──[4 RIB_IN]──
+//!   RIB stages ──[5 QUEUED_FOR_FEA]── batch ── XRL fea/1.0/add_route(s)
 //!   ──[6 SENT_TO_FEA]──(tcp)──[7 FEA_IN]── FIB insert [8 KERNEL]
 //! ```
 //!
@@ -138,10 +138,10 @@ pub struct RouterOptions {
     /// restart budget, and graceful-restart stale handling in the RIB.
     /// `None` keeps the PR-1 behaviour (death flushes immediately).
     pub supervision: Option<SupervisorConfig>,
-    /// Batch up to this many routes into one `add_routes`/`delete_routes`
-    /// XRL on the BGP→RIB and RIB→FEA hops; partial batches flush once
-    /// the sender's loop has drained its input.  `1` (the default) keeps
-    /// the per-route `add_route`/`delete_route` path verbatim.
+    /// Cap on a run of same-direction routes on the BGP→RIB and RIB→FEA
+    /// hops (default `1`).  A run of one leaves as `add_route`/
+    /// `delete_route`, a longer one as one `add_routes`/`delete_routes`
+    /// XRL; partial runs flush once the sender's loop has drained its input.
     pub batch_size: usize,
     /// Bounds on every process's per-lane XRL send queue: crossing the
     /// high watermark pauses the congested pipeline reader (Xoff) until
@@ -573,14 +573,14 @@ fn spawn_process(
 }
 
 /// Backpressure for one hop, one rule for both.  The producer (a fanout
-/// reader, the `fea` watcher), its dump and `out`'s batcher read one
-/// `flow` cell.  The lane to `target`'s route methods flips it inside the
-/// send path: Xoff closes it, stopping a delivery, a dump slice or a
-/// frame at its next step.  Xon reopens it and defers one `resume` (the
-/// producer's backlog replay and dump restart) and then a flush of `out`:
-/// the signal may fire with the process borrowed.  The deferred step is
-/// skipped if an Xoff closed the cell meanwhile, so a stale Xon never
-/// reopens a congested lane.
+/// reader, the `fea` watcher), its dump and `out` read one `flow` cell,
+/// at every batch size.  The lane to `target`'s route methods flips it
+/// inside the send path: Xoff closes it, stopping a delivery, a dump
+/// slice or a run at its next step.  Xon reopens it and defers one
+/// `resume` (the producer's backlog replay and dump restart) and then a
+/// flush of `out`: the signal may fire with the process borrowed.  The
+/// deferred step is skipped if an Xoff closed the cell meanwhile, so a
+/// stale Xon never reopens a congested lane.
 pub fn on_congestion(
     router: &XrlRouter,
     target: &'static str,
@@ -636,8 +636,8 @@ impl BgpFactory {
             bgp.set_metrics(&w.metrics);
 
             // Best routes → RIB over typed `rib/1.0` stubs (points 2 and
-            // 3).  The client interns every method once; per-route sends
-            // do no path hashing and negotiate the positional wire.  The
+            // 3).  The client interns every method once; sends do no
+            // path hashing and negotiate the positional wire.  The
             // fanout coalesces as many deliveries as one frame carries.
             let out = RouteOutput::new(
                 BulkRouteSink::Rib(rib),
@@ -654,7 +654,7 @@ impl BgpFactory {
             bgp.set_rib_output(el, move |el, _origin, op| {
                 let trace_prev = xtrace::current()
                     .map(|ctx| xtrace::set_current(Some(fanout_rec.instant(ctx, "fanout"))));
-                rib_out.push(el, &op);
+                rib_out.push(el, op);
                 if let Some(prev) = trace_prev {
                     xtrace::set_current(prev);
                 }
@@ -813,7 +813,7 @@ impl MultiProcessRouter {
                     "fea",
                     None,
                     FilterBank::accept_by_default(),
-                    Rc::new(move |el, op| fea_out.push(el, &op)),
+                    Rc::new(move |el, op| fea_out.push(el, op)),
                 ),
             );
             // A congested FEA lane parks the redistribution stream in the

@@ -288,9 +288,10 @@ pub fn decode_delete_rows(rows: &[AtomValue]) -> Result<Vec<(Ipv4Net, ProtocolId
 }
 
 /// One hop's route methods behind one handle: the single place that
-/// knows which methods each hop calls, per route and vectorized, and
-/// whether its deletions name the protocol (the RIB keys by it; the FEA
-/// does not), so [`crate::batch::RouteOutput`] works over either stub.
+/// knows how a run of ops leaves on each hop — a lone op on the per-route
+/// method, a longer run on the vectorized one — and whether its deletions
+/// name the protocol (the RIB keys by it; the FEA does not), so
+/// [`crate::batch::RouteOutput`] works over either stub.
 #[derive(Clone)]
 pub enum BulkRouteSink {
     /// BGP→RIB over `rib/1.0`.
@@ -303,12 +304,52 @@ pub enum BulkRouteSink {
 pub type WireOp = RouteOp<Ipv4Addr, RouteEntry<Ipv4Addr>>;
 
 impl BulkRouteSink {
-    /// Send one op as this hop's per-route `add_route`/`delete_route`.
-    pub fn send_one(&self, el: &mut EventLoop, op: &WireOp) {
-        let net = op.net();
+    /// Send one run of same-direction ops.  A run of one leaves as this
+    /// hop's `add_route`/`delete_route`; a longer run as one
+    /// `add_routes`/`delete_routes` frame whose rows are written into
+    /// `rows`, a writer kept from frame to frame.
+    pub fn send_run(
+        &self,
+        el: &mut EventLoop,
+        rows: &mut ListWriter,
+        mut run: impl ExactSizeIterator<Item = WireOp>,
+    ) {
+        if run.len() == 1 {
+            if let Some(op) = run.next() {
+                self.send_one(el, op);
+            }
+            return;
+        }
+        let mut add = true;
+        for op in run {
+            match op {
+                RouteOp::Add { net, route }
+                | RouteOp::Replace {
+                    net, new: route, ..
+                } => write_add_row(rows, net, &route),
+                RouteOp::Delete { net, old } => {
+                    add = false;
+                    let proto = matches!(self, Self::Rib(_)).then_some(old.proto);
+                    write_delete_row(rows, net, proto);
+                }
+            }
+        }
+        let rows = rows.take();
+        match (self, add) {
+            (Self::Rib(c), true) => c.add_routes(el, rows, |_el, _r| {}),
+            (Self::Rib(c), false) => c.delete_routes(el, rows, |_el, _r| {}),
+            (Self::Fea(c), true) => c.add_routes(el, rows, |_el, _r| {}),
+            (Self::Fea(c), false) => c.delete_routes(el, rows, |_el, _r| {}),
+        }
+    }
+
+    fn send_one(&self, el: &mut EventLoop, op: WireOp) {
         match op {
-            RouteOp::Add { route, .. } | RouteOp::Replace { new: route, .. } => {
-                let w = RouteWire::from_entry(net, route);
+            RouteOp::Add { net, route }
+            | RouteOp::Replace {
+                net, new: route, ..
+            } => {
+                let w = RouteWire::from_entry(net, &route);
                 match self {
                     Self::Rib(c) => c.add_route(
                         el,
@@ -324,35 +365,10 @@ impl BulkRouteSink {
                     }
                 }
             }
-            RouteOp::Delete { old, .. } => match self {
+            RouteOp::Delete { net, old } => match self {
                 Self::Rib(c) => c.delete_route(el, net, old.proto.name(), |_el, _r| {}),
                 Self::Fea(c) => c.delete_route(el, net, |_el, _r| {}),
             },
-        }
-    }
-
-    /// Append one op's row to a run of this hop's vectorized frames.
-    pub fn write_row(&self, rows: &mut ListWriter, op: &WireOp) {
-        match op {
-            RouteOp::Add { net, route }
-            | RouteOp::Replace {
-                net, new: route, ..
-            } => write_add_row(rows, *net, route),
-            RouteOp::Delete { net, old } => write_delete_row(
-                rows,
-                *net,
-                matches!(self, Self::Rib(_)).then_some(old.proto),
-            ),
-        }
-    }
-
-    /// Ship one same-direction run of rows.
-    pub fn send(&self, el: &mut EventLoop, add: bool, rows: WireList) {
-        match (self, add) {
-            (Self::Rib(c), true) => c.add_routes(el, rows, |_el, _r| {}),
-            (Self::Rib(c), false) => c.delete_routes(el, rows, |_el, _r| {}),
-            (Self::Fea(c), true) => c.add_routes(el, rows, |_el, _r| {}),
-            (Self::Fea(c), false) => c.delete_routes(el, rows, |_el, _r| {}),
         }
     }
 }

@@ -1,18 +1,20 @@
 //! A hop's route output against raw listeners, so every frame it sends is
 //! visible byte for byte.
 //!
-//! `RouteBatcher`'s flush waits on the loop's idle lane: it runs once the
+//! `RouteOutput`'s flush waits on the loop's idle lane: it runs once the
 //! loop has drained its input, so rows pushed by every event queued
 //! behind the first leave together, up to `batch_size` rows a frame.  Two
 //! things must hold: a lone route still leaves before the loop blocks,
 //! and routes that arrived together leave together.  The process under
 //! test sits in the middle, on a virtual clock: raw frames written to its
-//! listener each push one row into a batcher, whose sink is a raw
+//! listener each push one row into an output, whose sink is a raw
 //! listener registered as the `rib`.
 //!
-//! `RouteOutput` at batch 1: each op leaves at once as the hop's per-route
-//! frame, no gate holds it, and only the RIB hop's deletions name the
-//! protocol.
+//! How a run leaves depends on its length alone, at every batch size: a
+//! run of one op on the hop's per-route method, a longer run as one
+//! vectorized frame.  At batch 1 each op leaves in its push's turn, a
+//! closed flow cell holds it as it holds a row at any other size, and
+//! only the RIB hop's deletions name the protocol.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashSet, VecDeque};
@@ -23,7 +25,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use xorp_event::EventLoop;
-use xorp_harness::batch::{RouteBatcher, RouteOutput};
+use xorp_harness::batch::RouteOutput;
 use xorp_harness::router::on_congestion;
 use xorp_harness::xrl_ifaces::{self, BulkRouteSink, WireOp};
 use xorp_net::{Ipv4Net, PathAttributes, ProtocolId, RouteEntry};
@@ -75,7 +77,7 @@ fn idle_flush_lets_queued_events_run_first_and_coalesces_a_frame_batch() {
     let b = batcher.clone();
     router.add_handler("mid-0", "mid/1.0/push", move |el, args, responder| {
         let i = args.get_u32("i").unwrap();
-        b.push(el, &add(&format!("10.0.{i}.0/24")));
+        b.push(el, add(&format!("10.0.{i}.0/24")));
         responder.ok(el);
     });
     let key = finder
@@ -121,7 +123,7 @@ fn idle_flush_lets_queued_events_run_first_and_coalesces_a_frame_batch() {
     let (seen, m, b) = (seen_by_next_event.clone(), metrics.clone(), batcher.clone());
     el.set_slot(b);
     assert!(el.sender().post(move |el| {
-        let held = el.slot::<RouteBatcher>().unwrap().pending_count();
+        let held = el.slot::<RouteOutput>().unwrap().pending_count();
         *seen.lock().unwrap() = Some((held, histogram(&m, "xrl.frames_per_write")));
     }));
     el.run_until_idle();
@@ -137,7 +139,7 @@ fn idle_flush_lets_queued_events_run_first_and_coalesces_a_frame_batch() {
     );
     let (mut wire, _) = rib.accept().unwrap();
     wire.set_read_timeout(Some(TIMEOUT)).unwrap();
-    assert_eq!(read_add_routes(&mut wire), 1);
+    assert_eq!(request(&mut wire).0, "rib/1.0/add_route");
     assert_eq!(batcher.pending_count(), 0);
 
     // Three routes in one write: the reader posts them as one batch, the
@@ -250,7 +252,7 @@ fn batch_one_sends_a_pushed_add_in_its_turn_as_one_add_route() {
         1,
     );
 
-    out.push(&mut el, &add("10.0.1.0/24"));
+    out.push(&mut el, add("10.0.1.0/24"));
     assert_eq!(router.pending_len(), 1, "the add waited for a later turn");
     el.run_until_idle();
     let mut wire = accept(&rib);
@@ -270,11 +272,13 @@ fn a_delete_names_its_protocol_on_the_rib_hop_only() {
     let (mut el, router) = sender(&finder);
     let rib_client = xrl_ifaces::rib::Client::new(&router, "rib");
     let fea_client = xrl_ifaces::fea::Client::new(&router, "fea");
-    for batch_size in [1, 256] {
-        output(BulkRouteSink::Rib(rib_client.clone()), batch_size)
-            .push(&mut el, &delete("10.0.1.0/24"));
-        output(BulkRouteSink::Fea(fea_client.clone()), batch_size)
-            .push(&mut el, &delete("10.0.1.0/24"));
+    for (batch_size, deletes) in [(1, 1), (256, 2)] {
+        let rib_out = output(BulkRouteSink::Rib(rib_client.clone()), batch_size);
+        let fea_out = output(BulkRouteSink::Fea(fea_client.clone()), batch_size);
+        for i in 0..deletes {
+            rib_out.push(&mut el, delete(&format!("10.0.{i}.0/24")));
+            fea_out.push(&mut el, delete(&format!("10.0.{i}.0/24")));
+        }
     }
     el.run_until_idle();
 
@@ -302,32 +306,88 @@ fn a_delete_names_its_protocol_on_the_rib_hop_only() {
     assert_eq!(row_len(&args), 1);
 }
 
-/// At batch 1 there is no buffer to hold: a closed flow cell holds
-/// nothing back, and the route leaves at once (the Xoff it answers stops
-/// the fanout or the redistribution watcher upstream instead).
+/// At batch 256 a run is the longest same-direction prefix: pushed
+/// `add, add, delete` leave as one two-row `add_routes`, then the lone
+/// delete on the per-route `delete_route`, in push order.
 #[test]
-fn batch_one_gate_holds_no_route_back() {
+fn a_run_leaves_by_its_length_in_push_order() {
     let finder = Finder::new();
-    let fea = raw_target(&finder, "fea");
+    let rib = raw_target(&finder, "rib");
     let (mut el, router) = sender(&finder);
-    let out = output(
-        BulkRouteSink::Fea(xrl_ifaces::fea::Client::new(&router, "fea")),
-        1,
-    );
-    out.set_flow(Rc::new(Cell::new(false)));
-    out.push(&mut el, &add("10.0.1.0/24"));
-    assert_eq!(router.pending_len(), 1, "the gate held a per-route add");
+    let out = rib_output(&router, 256);
+    out.push(&mut el, add("10.0.1.0/24"));
+    out.push(&mut el, add("10.0.2.0/24"));
+    out.push(&mut el, delete("10.0.1.0/24"));
     el.run_until_idle();
-    let (path, _, _) = request(&mut accept(&fea));
-    assert_eq!(path, "fea/1.0/add_route");
+    let mut wire = accept(&rib);
+    let (path, _, args) = request(&mut wire);
+    assert_eq!(path, "rib/1.0/add_routes");
+    assert_eq!(args.get_list("routes").unwrap().len(), 2);
+    let (path, _, args) = request(&mut wire);
+    assert_eq!(path, "rib/1.0/delete_route");
+    assert_eq!(args.get_text("proto").unwrap(), "ebgp");
 }
 
-/// A batcher at batch size 256 toward the `rib` class.
-fn rib_batcher(router: &XrlRouter) -> RouteBatcher {
-    RouteBatcher::new(
+/// A lone row at batch 256 waits for the idle flush, and then leaves
+/// per route: the frame carries `add_route`'s interned method id, not
+/// `add_routes'`.
+#[test]
+fn a_lone_row_flushed_on_the_idle_lane_leaves_per_route() {
+    const ADD_ROUTE: u32 = 7;
+    const ADD_ROUTES: u32 = 9;
+    let finder = Finder::new();
+    let rib = raw_target(&finder, "rib");
+    let route_args = [
+        ("net", AtomType::Ipv4Net),
+        ("nexthop", AtomType::Ipv4),
+        ("ifname", AtomType::Text),
+        ("metric", AtomType::U32),
+        ("proto", AtomType::Text),
+    ];
+    let sigs = [
+        (
+            "add_route",
+            ADD_ROUTE,
+            sig_hash("add_route", &route_args, &[]),
+        ),
+        (
+            "add_routes",
+            ADD_ROUTES,
+            sig_hash(
+                "add_routes",
+                &[("routes", AtomType::List)],
+                &[("count", AtomType::U32)],
+            ),
+        ),
+    ];
+    for (method, id, sig) in sigs {
+        finder.advertise_sig("rib-0", &format!("rib/1.0/{method}"), id, sig);
+    }
+    let (mut el, router) = sender(&finder);
+    let out = rib_output(&router, 256);
+
+    out.push(&mut el, add("10.0.1.0/24"));
+    assert_eq!(
+        router.pending_len(),
+        0,
+        "the row left before the idle flush"
+    );
+    el.run_until_idle();
+    assert_eq!(router.pending_len(), 1);
+    let (_, method_id, args) = request(&mut accept(&rib));
+    assert_eq!(method_id, Some(ADD_ROUTE));
+    assert_eq!(args.len(), 5);
+}
+
+/// An output at batch size 256 toward the `rib` class.
+fn rib_batcher(router: &XrlRouter) -> RouteOutput {
+    rib_output(router, 256)
+}
+
+fn rib_output(router: &XrlRouter, batch_size: usize) -> RouteOutput {
+    output(
         BulkRouteSink::Rib(xrl_ifaces::rib::Client::new(router, "rib")),
-        256,
-        Profiler::new().point(points::SENT_TO_RIB),
+        batch_size,
     )
 }
 
@@ -341,6 +401,27 @@ fn frames_of(wire: &mut TcpStream, rows: usize) -> Vec<usize> {
     frames
 }
 
+/// Every `add_route` or `add_routes` request on the wire until `rows`
+/// rows have arrived: the ops each run carried, a per-route request
+/// counting one.  A vectorized frame of one row fails the test: a run of
+/// one leaves per route.
+fn runs_of(wire: &mut TcpStream, rows: usize) -> Vec<usize> {
+    let mut runs = Vec::new();
+    while runs.iter().sum::<usize>() < rows {
+        let (path, _, args) = request(wire);
+        runs.push(match path.as_str() {
+            "rib/1.0/add_route" => 1,
+            "rib/1.0/add_routes" => {
+                let n = args.get_list("routes").unwrap().len();
+                assert!(n > 1, "a run of one left as a frame");
+                n
+            }
+            other => panic!("expected a route add, read {other}"),
+        });
+    }
+    runs
+}
+
 /// Rows pushed by several events queued on the loop leave as one frame:
 /// the flush waits until the last of them has run.
 #[test]
@@ -352,8 +433,8 @@ fn rows_pushed_by_several_queued_events_leave_as_one_frame() {
     let input = el.sender();
     for i in 1..=3 {
         input.post(move |el| {
-            let batcher = el.slot::<RouteBatcher>().unwrap().clone();
-            batcher.push(el, &add(&format!("10.0.{i}.0/24")));
+            let batcher = el.slot::<RouteOutput>().unwrap().clone();
+            batcher.push(el, add(&format!("10.0.{i}.0/24")));
         });
     }
     el.run_until_idle();
@@ -362,7 +443,7 @@ fn rows_pushed_by_several_queued_events_leave_as_one_frame() {
 }
 
 /// `batch_size` is a cap: 257 rows in one turn leave as a full frame,
-/// sent by the push that filled it, and a frame of the one left over.
+/// sent by the push that filled it, and the one left over per route.
 #[test]
 fn rows_past_the_cap_leave_as_a_full_frame_and_the_rest() {
     let finder = Finder::new();
@@ -370,7 +451,7 @@ fn rows_past_the_cap_leave_as_a_full_frame_and_the_rest() {
     let (mut el, router) = sender(&finder);
     let batcher = rib_batcher(&router);
     for i in 0..257u32 {
-        batcher.push(&mut el, &add(&format!("10.{}.{}.0/24", i / 256, i % 256)));
+        batcher.push(&mut el, add(&format!("10.{}.{}.0/24", i / 256, i % 256)));
     }
     assert_eq!(
         router.pending_len(),
@@ -379,43 +460,49 @@ fn rows_past_the_cap_leave_as_a_full_frame_and_the_rest() {
     );
     assert_eq!(batcher.pending_count(), 1);
     el.run_until_idle();
-    assert_eq!(frames_of(&mut accept(&rib), 257), [256, 1]);
+    assert_eq!(runs_of(&mut accept(&rib), 257), [256, 1]);
 }
 
 /// A closed flow cell (the destination lane is in Xoff) holds rows
-/// through the idle flush; reopening it and flushing ships them at once,
-/// in frames of at most `batch_size` rows however many it held.
+/// through the idle flush, at every batch size; reopening it and flushing
+/// ships them at once, in runs of at most `batch_size` rows however many
+/// it held.
 #[test]
 fn a_closed_gate_holds_rows_until_it_reopens() {
-    let finder = Finder::new();
-    let rib = raw_target(&finder, "rib");
-    let (mut el, router) = sender(&finder);
-    let batcher = rib_batcher(&router);
-    let flow = Rc::new(Cell::new(false));
-    batcher.set_flow(flow.clone());
-    for i in 1..=3 {
-        batcher.push(&mut el, &add(&format!("10.0.{i}.0/24")));
-    }
-    el.run_until_idle();
-    assert_eq!(batcher.pending_count(), 3);
-    assert_eq!(router.pending_len(), 0, "a closed gate let a frame out");
-    flow.set(true);
-    batcher.flush(&mut el);
-    assert_eq!(batcher.pending_count(), 0);
-    el.run_until_idle();
-    let mut wire = accept(&rib);
-    assert_eq!(frames_of(&mut wire, 3), [3]);
+    for (batch_size, three, six_hundred) in [
+        (256, vec![3], vec![256, 256, 88]),
+        (1, vec![1; 3], vec![1; 600]),
+    ] {
+        let finder = Finder::new();
+        let rib = raw_target(&finder, "rib");
+        let (mut el, router) = sender(&finder);
+        let batcher = rib_output(&router, batch_size);
+        let flow = Rc::new(Cell::new(false));
+        batcher.set_flow(flow.clone());
+        for i in 1..=3 {
+            batcher.push(&mut el, add(&format!("10.0.{i}.0/24")));
+        }
+        el.run_until_idle();
+        assert_eq!(batcher.pending_count(), 3);
+        assert_eq!(router.pending_len(), 0, "a closed gate let a frame out");
+        flow.set(true);
+        batcher.flush(&mut el);
+        assert_eq!(batcher.pending_count(), 0);
+        el.run_until_idle();
+        let mut wire = accept(&rib);
+        assert_eq!(runs_of(&mut wire, 3), three);
 
-    flow.set(false);
-    for i in 0..600 {
-        batcher.push(&mut el, &add(&format!("10.1.{}.{}/32", i / 256, i % 256)));
+        flow.set(false);
+        for i in 0..600 {
+            batcher.push(&mut el, add(&format!("10.1.{}.{}/32", i / 256, i % 256)));
+        }
+        el.run_until_idle();
+        assert_eq!(batcher.pending_count(), 600);
+        flow.set(true);
+        batcher.flush(&mut el);
+        el.run_until_idle();
+        assert_eq!(runs_of(&mut wire, 600), six_hundred);
     }
-    el.run_until_idle();
-    assert_eq!(batcher.pending_count(), 600);
-    flow.set(true);
-    batcher.flush(&mut el);
-    el.run_until_idle();
-    assert_eq!(frames_of(&mut wire, 600), [256, 256, 88]);
 }
 
 /// The nets of the next `add_routes` request on the wire, and its seq.
@@ -460,7 +547,7 @@ fn a_frame_that_recloses_the_flow_cell_stops_the_flush() {
         .map(|i| format!("10.1.{}.{}/32", i / 256, i % 256).parse().unwrap())
         .collect();
     for net in &nets {
-        batcher.push(&mut el, &add(&net.to_string()));
+        batcher.push(&mut el, add(&net.to_string()));
     }
     el.run_until_idle();
     assert_eq!(batcher.pending_count(), 600);
@@ -523,7 +610,7 @@ fn rib_xon_replay_stops_at_the_watermark() {
             "fea",
             None,
             FilterBank::accept_by_default(),
-            Rc::new(move |el, op| fea_out.push(el, &op)),
+            Rc::new(move |el, op| fea_out.push(el, op)),
         ),
     );
     let flow = rib.borrow().redist_watcher_flow("fea").unwrap();

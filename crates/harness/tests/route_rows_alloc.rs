@@ -1,6 +1,7 @@
 //! A batched route frame costs allocations per frame, not per row.
 //!
-//! A counting global allocator watches one hop's codec end to end: the
+//! A counting global allocator watches one hop's codec end to end, on the
+//! test's own thread, so other threads of the process never count: the
 //! sender writes the frame's rows straight into a list (with a writer
 //! reused from frame to frame, as the batcher's is), the frame is
 //! encoded into an out-buffer that is also reused (as a TCP connection's
@@ -9,8 +10,8 @@
 //! direction.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::net::{IpAddr, Ipv4Addr};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use xorp_harness::xrl_ifaces;
 use xorp_net::{Ipv4Net, PathAttributes, ProtocolId, RouteEntry};
@@ -19,11 +20,23 @@ use xorp_xrl::{ListWriter, WireList, XrlArgs};
 
 struct Counting;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by this thread: the harness's own threads and
+    /// any other test's allocate too, and must not count.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -32,7 +45,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -73,7 +86,7 @@ fn carry(
     routes: &[RouteEntry<Ipv4Addr>],
 ) -> (usize, usize) {
     wire.clear();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for route in routes {
         if add {
             xrl_ifaces::write_add_row(rows, route.net, route);
@@ -106,7 +119,7 @@ fn carry(
         xrl_ifaces::read_delete_rows(&list).unwrap().len()
     };
     drop((args, list));
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, read)
+    (allocations() - before, read)
 }
 
 #[test]

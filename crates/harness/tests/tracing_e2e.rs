@@ -16,10 +16,17 @@ use xorp_xrl::QueuePolicy;
 
 /// The tentpole chain: a sampled UPDATE's trace must cover every hop
 /// from BGP ingress to FEA install, with monotone parent/child stamps.
+/// Every batch size has the `batch` hop, batch 1 included.
 #[test]
 fn sampled_update_traces_cover_the_full_chain() {
+    for batch_size in [8, 1] {
+        full_chain_at(batch_size);
+    }
+}
+
+fn full_chain_at(batch_size: usize) {
     let router = MultiProcessRouter::new(RouterOptions {
-        batch_size: 8,
+        batch_size,
         ..Default::default()
     });
     router.tracer.set_sampling(1);
@@ -64,7 +71,7 @@ fn sampled_update_traces_cover_the_full_chain() {
         .count();
     assert!(
         complete >= 1,
-        "no trace covered the full chain; hops seen: {:?}",
+        "batch {batch_size}: no trace covered the full chain; hops seen: {:?}",
         roots
             .iter()
             .map(|id| covered_hops(&views, *id))

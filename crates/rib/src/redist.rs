@@ -26,8 +26,8 @@
 //!
 //! Each watcher owns one *flow cell* ([`RedistStage::watcher_flow`]): while
 //! it is closed the watcher parks its ops in a backlog, its dump parks
-//! before the next slice, and the hop's `RouteBatcher`, handed the same
-//! cell, stops between frames.
+//! before the next slice, and the hop's `RouteOutput`, handed the same
+//! cell, stops between runs.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};

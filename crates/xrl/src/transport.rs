@@ -70,7 +70,7 @@
 //! still queued behind the batch.  The write flush above is such local
 //! work, so replies leave per turn.  Work queued with `el.defer_idle`
 //! waits longer: it runs once the loop has drained every queued event.
-//! The harness `RouteBatcher` arms its flush there, so its frames gather
+//! The harness `RouteOutput` arms its flush there, so its runs gather
 //! the rows of every batch that queued up while the loop was busy.
 //!
 //! A failed flush marks the connection dead and hands it to
