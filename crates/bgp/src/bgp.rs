@@ -2,14 +2,14 @@
 //! exposes the operations a BGP "process" serves.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::IpAddr;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
 use xorp_event::{EventLoop, SliceResult};
-use xorp_net::{Addr, AsNum, HeapSize, PathAttributes, Prefix, ProtocolId};
+use xorp_net::{Addr, AsNum, FxHashMap, HeapSize, PathAttributes, Prefix, ProtocolId};
 use xorp_policy::{FilterBank, PolicyTarget};
 use xorp_profiler::tracing::{self as xtrace, SpanRecorder};
 use xorp_profiler::{points, Metrics, PointHandle, Profiler};
@@ -161,7 +161,7 @@ where
     nexthop_cache: Rc<RefCell<RangeCache<A>>>,
     decision: Rc<RefCell<DecisionStage<A>>>,
     fanout: Rc<RefCell<FanoutQueue<A>>>,
-    peers: HashMap<PeerId, PeerBranch<A>>,
+    peers: FxHashMap<PeerId, PeerBranch<A>>,
     /// BGP_IN stamping handle: one relaxed load per route when the point
     /// is dormant; an armed stamp takes only this point's ring lock.
     bgp_in: Option<PointHandle>,
@@ -188,7 +188,7 @@ where
             nexthop_cache: Rc::new(RefCell::new(RangeCache::new())),
             decision,
             fanout,
-            peers: HashMap::new(),
+            peers: FxHashMap::default(),
             bgp_in: None,
             tracer: None,
             damping_sweep: Duration::from_secs(10),

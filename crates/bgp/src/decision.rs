@@ -12,10 +12,8 @@
 //! (Figure 5) is what makes this possible — by the time a route reaches
 //! here its IGP metric annotation is already present.
 
-use std::collections::HashMap;
-
 use xorp_event::EventLoop;
-use xorp_net::{Addr, Prefix};
+use xorp_net::{Addr, FxHashMap, Prefix};
 use xorp_stages::{OriginId, RouteOp, Stage, StageRef};
 
 use crate::{route_better, BgpRoute, PeerId};
@@ -23,7 +21,7 @@ use crate::{route_better, BgpRoute, PeerId};
 /// The stateless best-route arbiter across peer branches.
 pub struct DecisionStage<A: Addr> {
     /// Upstream branch heads (the nexthop resolvers), by peer.
-    branches: HashMap<PeerId, StageRef<A, BgpRoute<A>>>,
+    branches: FxHashMap<PeerId, StageRef<A, BgpRoute<A>>>,
     downstream: Option<StageRef<A, BgpRoute<A>>>,
 }
 
@@ -37,7 +35,7 @@ impl<A: Addr> DecisionStage<A> {
     /// An empty decision stage.
     pub fn new() -> Self {
         DecisionStage {
-            branches: HashMap::new(),
+            branches: FxHashMap::default(),
             downstream: None,
         }
     }
@@ -160,6 +158,10 @@ impl<A: Addr> Stage<A, BgpRoute<A>> for DecisionStage<A> {
         self.downstream = Some(s);
     }
 }
+
+// The unit tests key their rigs with std's map.
+#[cfg(test)]
+use std::collections::HashMap;
 
 #[cfg(test)]
 mod tests {

@@ -26,11 +26,11 @@
 //! [`DumpStage`] walking the origin tables (§5.3), never from a mirror.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use xorp_event::EventLoop;
-use xorp_net::{release_drained, Addr, HeapSize, Prefix};
+use xorp_net::{release_drained, Addr, FxHashMap, HeapSize, Prefix};
 use xorp_profiler::tracing::{self as xtrace, TraceContext};
 use xorp_profiler::{Gauge, Histogram, Metrics};
 use xorp_stages::{DumpStage, OriginId, RouteOp, Stage, StageRef};
@@ -76,7 +76,11 @@ impl<A: Addr> Reader<A> {
 pub struct FanoutQueue<A: Addr> {
     queue: VecDeque<(u64, RouteOp<A, BgpRoute<A>>)>,
     next_seq: u64,
-    readers: HashMap<ReaderId, Reader<A>>,
+    /// Walked in `ReaderId` order, the peers and then the RIB: at batch
+    /// 1 a full table loads faster when the RIB's op leaves after the
+    /// peers' exports than before them (EXPERIMENTS.md, "One lifecycle
+    /// for every process").
+    readers: BTreeMap<ReaderId, Reader<A>>,
     /// Upstream neighbor (decision or aggregation stage): the lookup
     /// relay target, per the stage contract.
     upstream: Option<StageRef<A, BgpRoute<A>>>,
@@ -94,7 +98,7 @@ pub struct FanoutQueue<A: Addr> {
     /// Trace contexts of sampled entries, keyed by queue seq.  Sparse:
     /// only sampled routes appear, so the untraced hot path pays one
     /// `is_empty` check per delivery.  Entries die with their seqs at GC.
-    trace_by_seq: HashMap<u64, TraceContext>,
+    trace_by_seq: FxHashMap<u64, TraceContext>,
     metrics: Option<FanoutMetrics>,
 }
 
@@ -122,13 +126,13 @@ impl<A: Addr> FanoutQueue<A> {
         FanoutQueue {
             queue: VecDeque::new(),
             next_seq: 0,
-            readers: HashMap::new(),
+            readers: BTreeMap::new(),
             upstream: None,
             best_routes: 0,
             max_queue_len: 0,
             coalesce: 1,
             unpumped: 0,
-            trace_by_seq: HashMap::new(),
+            trace_by_seq: FxHashMap::default(),
             metrics: None,
         }
     }
@@ -339,7 +343,7 @@ fn deliver<A: Addr>(
     id: ReaderId,
     reader: &mut Reader<A>,
     queue: &VecDeque<(u64, RouteOp<A, BgpRoute<A>>)>,
-    trace_by_seq: &HashMap<u64, TraceContext>,
+    trace_by_seq: &FxHashMap<u64, TraceContext>,
 ) {
     if !reader.flow.get() {
         return;
@@ -523,7 +527,7 @@ impl<A: Addr> HeapSize for FanoutQueue<A> {
     /// here — the structure holds no route table of its own.
     fn heap_size(&self) -> usize {
         self.queue.capacity() * std::mem::size_of::<(u64, RouteOp<A, BgpRoute<A>>)>()
-            + self.readers.capacity()
+            + self.readers.len()
                 * (std::mem::size_of::<ReaderId>() + std::mem::size_of::<Reader<A>>())
             + self
                 .readers
@@ -533,6 +537,10 @@ impl<A: Addr> HeapSize for FanoutQueue<A> {
                 .sum::<usize>()
     }
 }
+
+// The unit tests key their rigs with std's map.
+#[cfg(test)]
+use std::collections::HashMap;
 
 #[cfg(test)]
 mod tests {

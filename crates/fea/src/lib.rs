@@ -23,7 +23,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use xorp_event::EventLoop;
-use xorp_net::{Addr, HeapSize, Ipv4Net, Mac, PatriciaTrie, Prefix};
+use xorp_net::{Addr, HeapSize, Ipv4Net, Mac, PatriciaTrie, Prefix, StaleSet};
 use xorp_profiler::{points, PointHandle, Profiler};
 
 pub mod iface;
@@ -90,6 +90,8 @@ pub struct Fea {
     iface_index: HashMap<Arc<str>, u32>,
     fib4: PatriciaTrie<std::net::Ipv4Addr, FibSlot<std::net::Ipv4Addr>>,
     fib6: PatriciaTrie<std::net::Ipv6Addr, FibSlot<std::net::Ipv6Addr>>,
+    /// IPv4 routes a dead RIB installed, held until it re-sends them.
+    stale: StaleSet<std::net::Ipv4Addr>,
     kernel_point: Option<PointHandle>,
     /// The harness wire: where sent packets go.
     wire: Option<PacketTx>,
@@ -115,6 +117,7 @@ impl Fea {
             iface_index: HashMap::new(),
             fib4: PatriciaTrie::new(),
             fib6: PatriciaTrie::new(),
+            stale: StaleSet::default(),
             kernel_point: None,
             wire: None,
             receivers: HashMap::new(),
@@ -239,6 +242,7 @@ impl Fea {
             h.record(|| format!("add {net}"));
         }
         self.installs += 1;
+        self.stale.clear(&net);
         self.fib4.insert(net, slot);
         true
     }
@@ -253,11 +257,25 @@ impl Fea {
         if let Some(h) = &self.kernel_point {
             h.record(|| format!("del {net}"));
         }
+        self.stale.clear(net);
         let removed = self.fib4.remove(net).is_some();
         if removed {
             self.removals += 1;
         }
         removed
+    }
+
+    /// The RIB died: mark every IPv4 route stale, keeping it installed.
+    /// Returns how many were marked.
+    pub fn mark_stale(&mut self) -> usize {
+        self.stale.mark_all(&self.fib4)
+    }
+
+    /// Withdraw every IPv4 route still stale: the ones a restarted RIB did
+    /// not re-send.  Returns how many went.
+    pub fn sweep_stale(&mut self) -> usize {
+        let nets = self.stale.take();
+        nets.iter().filter(|net| self.delete_route4(net)).count()
     }
 
     /// Install an IPv6 route; refused as [`Fea::install4`] refuses.
@@ -565,6 +583,26 @@ mod tests {
         assert_eq!(names, vec!["eth0", "eth1"]);
         assert!(f.interface("eth0").unwrap().enabled);
         assert!(f.interface("eth9").is_none());
+    }
+
+    #[test]
+    fn stale_routes_go_unless_reinstalled() {
+        let mut fea = Fea::new();
+        fea.configure_interface(test_iface("eth0", "10.0.0.1", 24));
+        let nh: IpAddr = "10.0.0.2".parse().unwrap();
+        for net in ["10.1.0.0/16", "10.2.0.0/16", "10.3.0.0/16"] {
+            assert!(fea.install4(net.parse().unwrap(), nh, "eth0", 1));
+        }
+        assert_eq!(fea.mark_stale(), 3);
+        fea.install4("10.1.0.0/16".parse().unwrap(), nh, "eth0", 1);
+        fea.delete_route4(&"10.2.0.0/16".parse().unwrap());
+        assert_eq!(
+            fea.sweep_stale(),
+            1,
+            "only 10.3/16 was neither re-sent nor withdrawn"
+        );
+        assert_eq!(fea.route_count4(), 1);
+        assert_eq!(fea.sweep_stale(), 0);
     }
 
     #[test]

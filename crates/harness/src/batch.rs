@@ -186,6 +186,12 @@ impl RouteOutput {
         }
     }
 
+    /// Drop every queued op: the process they were bound for died, and
+    /// its successor re-learns the table by a dump.
+    pub fn clear(&self) {
+        self.0.state.borrow_mut().ops.clear();
+    }
+
     /// Ops currently queued (test observability).
     pub fn pending_count(&self) -> usize {
         self.0.state.borrow().ops.len()

@@ -27,10 +27,12 @@
 //!
 //! ## Supervision
 //!
-//! `--supervise` runs the rtrmgr keepalive prober against the BGP
-//! process: crashes are detected by missed-probe streaks, restarted with
-//! exponential backoff under a restart budget, and the RIB holds the dead
-//! process's routes *stale* for a grace period instead of flushing them
+//! `--supervise` runs the rtrmgr keepalive prober against every process
+//! (fea, rib, bgp): crashes are detected by missed-probe streaks and
+//! restarted with exponential backoff under a restart budget.  The
+//! process holding a dead one's routes (the RIB for BGP, the FEA for the
+//! RIB) keeps them *stale* for a grace period instead of flushing them,
+//! while the restarted process re-learns its state from its neighbours
 //! (see EXPERIMENTS.md §supervision):
 //!
 //! ```sh

@@ -10,19 +10,24 @@
 //!   ──[6 SENT_TO_FEA]──(tcp)──[7 FEA_IN]── FIB insert [8 KERNEL]
 //! ```
 //!
-//! ## Supervision
+//! ## Lifecycle
 //!
-//! With [`RouterOptions::supervision`] set, a fourth process — `rtrmgr` —
-//! probes the BGP process over XRL keepalives and restarts it when a
-//! streak of misses classifies a crash (§3.1 brought to production
-//! practice).  While BGP is down, the RIB holds its routes *stale* under
-//! the configured grace timer instead of flushing them; the respawned
-//! process re-learns its table (peers re-announce on session
-//! re-establishment, modeled by a replay log) and re-advertises, clearing
-//! the stale marks; the sweep then withdraws only what was never
-//! re-learned.  When the restart budget is spent, the component degrades
-//! and its routes are flushed immediately — permanent death gets the old
-//! §4.1 policy, as does every death when supervision is off.
+//! `fea`, `rib` and `bgp` are rows of one process table: a name, a setup
+//! function over the shared `Wiring`, and the live [`Process`].  The first
+//! spawn and every restart run the same function.  With
+//! [`RouterOptions::supervision`] set, a fourth process — `rtrmgr` —
+//! probes every row over XRL keepalives and respawns, in dependency
+//! order, a process whose streak of misses classifies a crash (§3.1
+//! brought to production practice).  A restarted process re-learns its
+//! state from its neighbours, each driven by a class watch on the dead
+//! one: for the FEA the RIB re-adds its `fea` watcher, whose dump refills
+//! the FIB; for the RIB, BGP re-asks every nexthop and re-advertises its
+//! best table; for BGP, the peer model feeds each peer's current
+//! announcements.  Meanwhile the process holding the dead one's routes
+//! (the FEA for the RIB, the RIB for BGP) keeps them *stale* under the
+//! grace timer and sweeps only what was never re-sent.  Without
+//! supervision the grace is zero: death flushes (§4.1).  A spent restart
+//! budget degrades the row, and its `flush` withdraws those routes at once.
 
 use std::cell::{Cell, RefCell};
 use std::net::{IpAddr, Ipv4Addr};
@@ -37,12 +42,12 @@ use xorp_bgp::nexthop::{AnswerCb, NexthopService, RibNexthopAnswer};
 use xorp_bgp::{BgpConfig, BgpProcess, PeerConfig, PeerId, ReaderId};
 use xorp_event::EventLoop;
 use xorp_fea::{test_iface, Fea};
-use xorp_net::{AttrBlocks, Ipv4Net, PathAttributes, ProtocolId};
+use xorp_net::{AttrBlocks, Ipv4Net, PathAttributes, Prefix, ProtocolId};
 use xorp_policy::FilterBank;
 use xorp_profiler::tracing::{self as xtrace, ActiveSpan, SpanRecorder, TraceContext, Tracer};
 use xorp_profiler::{points, Histogram, Metrics, PointHandle, Profiler};
 use xorp_rib::{BatchOp, RedistWatcher, Rib};
-use xorp_rtrmgr::{FlightReport, SupervisedState, Supervisor, SupervisorConfig, SupervisorVerdict};
+use xorp_rtrmgr::{FlightReport, SupervisedState, Supervisor, SupervisorConfig};
 use xorp_xrl::keepalive;
 use xorp_xrl::profile::add_profile_responder;
 use xorp_xrl::{
@@ -55,24 +60,15 @@ use crate::process::Process;
 use crate::workload::BackboneRoute;
 use crate::xrl_ifaces::{self, BulkRouteSink, RouteRow, RouteWire};
 
+mod lifecycle;
+use lifecycle::{process_table, row, spawn_rtrmgr, Flights, PeerModel, Processes};
+
 /// Loop-slot wrapper for the BGP process state.
 pub struct BgpSlot(pub Rc<RefCell<BgpProcess<Ipv4Addr>>>);
 /// Loop-slot wrapper for the RIB process state.
 pub struct RibSlot(pub Rc<RefCell<Rib<Ipv4Addr>>>);
 /// Loop-slot wrapper for the FEA process state.
 pub struct FeaSlot(pub Rc<RefCell<Fea>>);
-
-/// How long an injected-crash BGP process lives after registering: long
-/// enough to come all the way up (deterministic), short enough that every
-/// supervision cycle in the tests sees a real crash.
-const CRASH_DELAY: Duration = Duration::from_millis(5);
-
-/// The BGP process handle, shared between the router facade and the
-/// supervisor (which replaces it on restart).
-type SharedBgp = Arc<Mutex<Option<Process>>>;
-
-/// Peer announcements recorded for replay into a restarted BGP process.
-type ReplayLog = Arc<Mutex<Vec<(u32, UpdateIn<Ipv4Addr>)>>>;
 
 /// Per-peer policy knobs (sourced from the rtrmgr config in
 /// `xorp-router`), compiled once before any process spawns, so a bad
@@ -134,9 +130,11 @@ pub struct RouterOptions {
     /// Request timeout/retransmission policy.  Defaults on whenever `fault`
     /// is set (a lossy plan without retries just hangs callers).
     pub retry: Option<RetryPolicy>,
-    /// Supervise the BGP process: keepalive liveness, backoff restart,
-    /// restart budget, and graceful-restart stale handling in the RIB.
-    /// `None` keeps the PR-1 behaviour (death flushes immediately).
+    /// Supervise every process (fea, rib, bgp): keepalive liveness,
+    /// backoff restart under a restart budget, and graceful restart — a
+    /// dead process's routes stay installed, stale, for the grace period
+    /// while its successor re-learns.  `None`: nothing restarts, and a
+    /// death flushes its routes at once.
     pub supervision: Option<SupervisorConfig>,
     /// Cap on a run of same-direction routes on the BGP→RIB and RIB→FEA
     /// hops (default `1`).  A run of one leaves as `add_route`/
@@ -178,8 +176,8 @@ impl Default for RouterOptions {
     }
 }
 
-/// The assembled router: three supervised-able processes plus, when
-/// supervision is on, the `rtrmgr` prober.
+/// The assembled router: the process table plus, when supervision is on,
+/// the `rtrmgr` prober.
 pub struct MultiProcessRouter {
     /// Shared profiler (all eight §8.2 points).
     pub profiler: Profiler,
@@ -194,18 +192,15 @@ pub struct MultiProcessRouter {
     pub tracer: Tracer,
     /// The broker.
     pub finder: Finder,
-    bgp: SharedBgp,
-    _rib: Process,
-    _fea: Process,
+    /// `fea`, `rib` and `bgp`, in dependency order.
+    processes: Processes,
     /// The supervising rtrmgr process, when supervision is enabled.
     supervisor: Option<Process>,
     /// Supervision state shared with the rtrmgr process.
     sup_state: Option<Arc<Mutex<Supervisor>>>,
-    replay: ReplayLog,
-    crash_on_spawn: Arc<AtomicU32>,
+    peers: Arc<Mutex<PeerModel>>,
     restarts: Arc<AtomicU32>,
-    /// Post-mortems the supervisor captured at crash classification.
-    flights: Arc<Mutex<Vec<FlightReport>>>,
+    flights: Flights,
 }
 
 /// BGP's nexthop service backed by the RIB's interest-registration XRL
@@ -230,8 +225,7 @@ impl NexthopService<Ipv4Addr> for XrlNexthopService {
     }
 }
 
-/// The BGP process's `bgp/1.0` server (nexthop invalidation and the
-/// graceful-restart readvertisement trigger).
+/// The BGP process's `bgp/1.0` server: nexthop invalidation.
 struct BgpServer {
     bgp: Rc<RefCell<BgpProcess<Ipv4Addr>>>,
 }
@@ -240,15 +234,6 @@ impl xrl_ifaces::bgp::Server for BgpServer {
     fn invalidate(&self, el: &mut EventLoop, net: Ipv4Net, responder: TypedResponder<()>) {
         self.bgp.borrow_mut().invalidate_nexthops(el, net);
         responder.ok(el, ());
-    }
-
-    // Graceful-restart refresh on demand (e.g. after a RIB restart):
-    // schedule a background dump of the best table to the RIB reader.
-    // `count` is the number of stored routes the dump will visit — the
-    // walk itself proceeds in event-loop slices after this reply.
-    fn readvertise(&self, el: &mut EventLoop, responder: TypedResponder<(u32,)>) {
-        let n = self.bgp.borrow_mut().readvertise_rib(el);
-        responder.ok(el, (n as u32,));
     }
 }
 
@@ -335,6 +320,14 @@ impl xrl_ifaces::fea::Server for FeaServer {
 
     fn route_count(&self, el: &mut EventLoop, responder: TypedResponder<(u32,)>) {
         responder.ok(el, (self.fea.borrow().route_count4() as u32,));
+    }
+
+    // A degraded RIB's routes, which are all of them, go at once.
+    fn flush_routes(&self, el: &mut EventLoop, responder: TypedResponder<()>) {
+        let mut fea = self.fea.borrow_mut();
+        fea.mark_stale();
+        fea.sweep_stale();
+        responder.ok(el, ());
     }
 }
 
@@ -518,9 +511,9 @@ impl xrl_ifaces::rib::Server for RibServer {
 }
 
 /// What every process of the router shares: the broker, the three
-/// observability sinks, and the options.  `Clone + Send`, so the
-/// supervisor's respawn on the rtrmgr thread wires BGP exactly as the
-/// first spawn did.
+/// observability sinks, the options and the peer model.  `Clone + Send`,
+/// so a respawn on the rtrmgr thread wires a process exactly as the first
+/// spawn did.
 #[derive(Clone)]
 struct Wiring {
     finder: Finder,
@@ -531,6 +524,7 @@ struct Wiring {
     /// idempotent, so a respawned process reattaches to the same slots.
     metrics: Metrics,
     options: Arc<RouterOptions>,
+    peers: Arc<Mutex<PeerModel>>,
 }
 
 /// Spawn one router process.  The prologue every process shares runs
@@ -609,120 +603,264 @@ pub fn on_congestion(
     });
 }
 
-/// Everything needed to (re)spawn the BGP process — the supervisor's
-/// respawn action runs on the rtrmgr loop thread, so this is `Send + Sync`.
-#[derive(Clone)]
-struct BgpFactory {
-    wiring: Wiring,
-    replay: ReplayLog,
-    crash_on_spawn: Arc<AtomicU32>,
+/// §4.1 for the routes a dead `class` process installed here: `mark`
+/// keeps them installed, stale, and `sweep` withdraws what is still stale
+/// when the grace period ends — at once without supervision.
+fn on_death(
+    router: &XrlRouter,
+    w: &Wiring,
+    class: &str,
+    mark: impl Fn() -> usize + 'static,
+    sweep: impl Fn(&mut EventLoop) + 'static,
+) {
+    let grace = w.options.supervision.map(|cfg| cfg.grace_period);
+    let sweep = Rc::new(sweep);
+    router.watch_class(class, move |el, ev| {
+        if ev.up || mark() == 0 {
+            return;
+        }
+        let sweep = sweep.clone();
+        match grace {
+            Some(grace) => {
+                el.after(grace, move |el| sweep(el));
+            }
+            None => sweep(el),
+        }
+    });
 }
 
-impl BgpFactory {
-    fn spawn(&self) -> Process {
-        let (replay, crash_on_spawn) = (self.replay.clone(), self.crash_on_spawn.clone());
-        spawn_process("bgp", &self.wiring, move |el, router, w| {
-            let o = &w.options;
-            let config = BgpConfig {
-                local_as: xorp_net::AsNum(o.local_as),
-                router_id: "10.255.0.1".parse().unwrap(),
-                local_addr: IpAddr::V4("192.168.0.1".parse().unwrap()),
-                hold_time: 90,
-            };
-            let rib = xrl_ifaces::rib::Client::new(router, "rib");
-            let mut bgp = BgpProcess::new(config, Rc::new(XrlNexthopService(rib.clone())));
-            bgp.set_profiler(w.profiler.clone());
-            bgp.set_tracer(w.tracer.recorder("bgp"));
-            bgp.set_metrics(&w.metrics);
+fn setup_fea(el: &mut EventLoop, router: &XrlRouter, w: &Wiring) {
+    let mut fea = Fea::new();
+    fea.configure_interface(test_iface("eth0", "192.168.0.1", 16));
+    fea.set_profiler(w.profiler.clone());
+    let fea = Rc::new(RefCell::new(fea));
+    el.set_slot(FeaSlot(fea.clone()));
+    let (f, f2) = (fea.clone(), fea.clone());
+    on_death(
+        router,
+        w,
+        "rib",
+        move || f.borrow_mut().mark_stale(),
+        move |_el| _ = f2.borrow_mut().sweep_stale(),
+    );
+    xrl_ifaces::fea::register(
+        router,
+        "fea-0",
+        FeaServer {
+            fea,
+            fea_in: w.profiler.point(points::FEA_IN),
+            recorder: w.tracer.recorder("fea"),
+            batch_size: w.metrics.histogram("batch_size"),
+        },
+    );
+}
 
-            // Best routes → RIB over typed `rib/1.0` stubs (points 2 and
-            // 3).  The client interns every method once; sends do no
-            // path hashing and negotiate the positional wire.  The
-            // fanout coalesces as many deliveries as one frame carries.
-            let out = RouteOutput::new(
-                BulkRouteSink::Rib(rib),
-                o.batch_size,
-                w.profiler.point(points::QUEUED_FOR_RIB),
-                w.profiler.point(points::SENT_TO_RIB),
-                w.tracer.recorder("bgp"),
-            );
-            bgp.set_coalesce(o.batch_size);
-            // Fanout delivery re-establishes a sampled route's context;
-            // stamp the hop and thread the child context into the output.
-            let fanout_rec = w.tracer.recorder("bgp");
-            let rib_out = out.clone();
-            bgp.set_rib_output(el, move |el, _origin, op| {
-                let trace_prev = xtrace::current()
-                    .map(|ctx| xtrace::set_current(Some(fanout_rec.instant(ctx, "fanout"))));
-                rib_out.push(el, op);
-                if let Some(prev) = trace_prev {
-                    xtrace::set_current(prev);
-                }
-            });
+/// Feed the FEA through the RIB's `fea` redistribution watcher, so a
+/// congested FEA lane parks the stream in the watcher's backlog: without
+/// a consumer for the Xoff, the RIB would pump its own lane through the
+/// hard cap and silently shed installs.  A watcher added to a loaded RIB
+/// starts with a dump of its table.
+fn watch_fea(
+    el: &mut EventLoop,
+    router: &XrlRouter,
+    rib: &Rc<RefCell<Rib<Ipv4Addr>>>,
+    out: &RouteOutput,
+) {
+    let fea_out = out.clone();
+    let sink = Rc::new(move |el: &mut EventLoop, op| fea_out.push(el, op));
+    let accept = FilterBank::accept_by_default();
+    let watcher = RedistWatcher::new("fea", None, accept, sink);
+    rib.borrow_mut().add_redist_watcher(el, watcher);
+    let flow = rib.borrow().redist_watcher_flow("fea");
+    let r = rib.clone();
+    on_congestion(router, "fea", flow.expect("fea watcher"), out, move |el| {
+        r.borrow_mut().set_redist_watcher_flow(el, "fea", true);
+    });
+}
 
-            for &(id, asn) in &o.peers {
-                let mut cfg = PeerConfig::simple(PeerId(id), xorp_net::AsNum(asn));
-                cfg.consistency_check = o.consistency_check;
-                if let Some(policy) = o.peer_policies.get(&id) {
-                    if let Some(bank) = &policy.import {
-                        cfg.import = bank.clone();
-                    }
-                    if let Some(bank) = &policy.export {
-                        cfg.export = bank.clone();
-                    }
-                    if policy.damping {
-                        cfg.damping = Some(xorp_bgp::DampingConfig::default());
-                    }
-                }
-                bgp.add_peer(el, cfg, Some(Rc::new(|_el, _update| {})));
-                if !o.down_peers.contains(&id) {
-                    bgp.peering_up(el, PeerId(id));
-                }
+fn setup_rib(el: &mut EventLoop, router: &XrlRouter, w: &Wiring) {
+    let o = &w.options;
+    let rib = Rc::new(RefCell::new(Rib::<Ipv4Addr>::new(o.consistency_check)));
+    rib.borrow_mut().set_metrics(&w.metrics);
+    el.set_slot(RibSlot(rib.clone()));
+
+    // §4.1: "if a routing protocol dies, the RIB will deregister all
+    // the routes that protocol had registered".
+    let (r, r2) = (rib.clone(), rib.clone());
+    on_death(
+        router,
+        w,
+        "bgp",
+        move || r.borrow_mut().mark_protocol_stale(ProtocolId::Ebgp),
+        move |el| _ = r2.borrow_mut().sweep_stale(el, ProtocolId::Ebgp),
+    );
+
+    // Output: install into the FEA over XRLs (points 5 and 6).
+    let out = RouteOutput::new(
+        BulkRouteSink::Fea(xrl_ifaces::fea::Client::new(router, "fea")),
+        o.batch_size,
+        w.profiler.point(points::QUEUED_FOR_FEA),
+        w.profiler.point(points::SENT_TO_FEA),
+        w.tracer.recorder("rib"),
+    );
+    watch_fea(el, router, &rib, &out);
+    // A dead FEA's FIB died with it: drop its watcher and the ops
+    // queued for it.  A new FEA gets a new watcher, whose dump
+    // refills its FIB.
+    let r = rib.clone();
+    router.watch_class("fea", move |el, ev| {
+        if !ev.up {
+            r.borrow_mut().remove_redist_watcher("fea");
+            out.clear();
+        } else if r.borrow().redist_watcher_flow("fea").is_none() {
+            let router = el.slot::<XrlRouter>().expect("xrl router").clone();
+            watch_fea(el, &router, &r, &out);
+        }
+    });
+
+    // Pre-install the connected route BGP nexthops resolve via.
+    let mut blocks = AttrBlocks::default();
+    let connected = RouteWire {
+        net: "192.168.0.0/16".parse().unwrap(),
+        nexthop: Ipv4Addr::new(192, 168, 0, 1),
+        ifname: "eth0".into(),
+        metric: 1,
+        proto: ProtocolId::Connected,
+    };
+    rib.borrow_mut()
+        .add_route(el, connected.into_rib_route(&mut blocks));
+
+    // Invalidation: tell BGP its cached answers died (§5.2.1).
+    let bgp_client = xrl_ifaces::bgp::Client::new(router, "bgp");
+    rib.borrow_mut().set_invalidation_cb(
+        1, // client id for the BGP process
+        Rc::new(move |el, _client, valid| {
+            bgp_client.invalidate(el, valid, |_el, _r| {});
+        }),
+    );
+
+    // Busy-RIB model for the overload experiments: route XRLs are
+    // applied on arrival but acknowledged only after `delay`, so
+    // the sender sees a slow consumer and its lane backs up.
+    let delay = (o.rib_delay_ms > 0).then(|| Duration::from_millis(o.rib_delay_ms));
+    xrl_ifaces::rib::register(
+        router,
+        "rib-0",
+        RibServer {
+            rib,
+            rib_in: w.profiler.point(points::RIB_IN),
+            delay,
+            recorder: w.tracer.recorder("rib"),
+            blocks: RefCell::new(blocks),
+        },
+    );
+}
+
+fn setup_bgp(el: &mut EventLoop, router: &XrlRouter, w: &Wiring) {
+    let o = &w.options;
+    let config = BgpConfig {
+        local_as: xorp_net::AsNum(o.local_as),
+        router_id: "10.255.0.1".parse().unwrap(),
+        local_addr: IpAddr::V4("192.168.0.1".parse().unwrap()),
+        hold_time: 90,
+    };
+    let rib = xrl_ifaces::rib::Client::new(router, "rib");
+    let mut bgp = BgpProcess::new(config, Rc::new(XrlNexthopService(rib.clone())));
+    bgp.set_profiler(w.profiler.clone());
+    bgp.set_tracer(w.tracer.recorder("bgp"));
+    bgp.set_metrics(&w.metrics);
+
+    // Best routes → RIB over typed `rib/1.0` stubs (points 2 and
+    // 3).  The client interns every method once; sends do no
+    // path hashing and negotiate the positional wire.  The
+    // fanout coalesces as many deliveries as one frame carries.
+    let out = RouteOutput::new(
+        BulkRouteSink::Rib(rib),
+        o.batch_size,
+        w.profiler.point(points::QUEUED_FOR_RIB),
+        w.profiler.point(points::SENT_TO_RIB),
+        w.tracer.recorder("bgp"),
+    );
+    bgp.set_coalesce(o.batch_size);
+    // Fanout delivery re-establishes a sampled route's context;
+    // stamp the hop and thread the child context into the output.
+    let fanout_rec = w.tracer.recorder("bgp");
+    let rib_out = out.clone();
+    bgp.set_rib_output(el, move |el, _origin, op| {
+        let trace_prev = xtrace::current()
+            .map(|ctx| xtrace::set_current(Some(fanout_rec.instant(ctx, "fanout"))));
+        rib_out.push(el, op);
+        if let Some(prev) = trace_prev {
+            xtrace::set_current(prev);
+        }
+    });
+
+    for &(id, asn) in &o.peers {
+        let mut cfg = PeerConfig::simple(PeerId(id), xorp_net::AsNum(asn));
+        cfg.consistency_check = o.consistency_check;
+        if let Some(policy) = o.peer_policies.get(&id) {
+            if let Some(bank) = &policy.import {
+                cfg.import = bank.clone();
             }
-
-            let bgp = Rc::new(RefCell::new(bgp));
-            el.set_slot(BgpSlot(bgp.clone()));
-
-            // Backpressure: a congested lane to the RIB closes the RIB
-            // reader's flow cell, and the backlog waits in the fanout
-            // queue, whose holdback is bounded by table size, not churn
-            // rate.
-            let flow = bgp.borrow().reader_flow(ReaderId::Rib);
-            let b = bgp.clone();
-            on_congestion(router, "rib", flow.expect("RIB reader"), &out, move |el| {
-                b.borrow_mut().set_reader_flow(el, ReaderId::Rib, true);
-            });
-
-            xrl_ifaces::bgp::register(router, "bgp-0", BgpServer { bgp: bgp.clone() });
-
-            // A restarted BGP re-learns its table from its peers, which
-            // re-announce when the sessions re-establish; the harness
-            // models that with the recorded update log.  Replayed routes
-            // travel the normal pipeline to the RIB, clearing stale marks.
-            let log: Vec<(u32, UpdateIn<Ipv4Addr>)> = replay.lock().clone();
-            for (peer, update) in log {
-                bgp.borrow_mut().apply_update(el, PeerId(peer), update);
+            if let Some(bank) = &policy.export {
+                cfg.export = bank.clone();
             }
-
-            // Deterministic crash injection for the supervision tests: die
-            // shortly after coming all the way up.
-            if crash_on_spawn.load(Ordering::SeqCst) > 0 {
-                crash_on_spawn.fetch_sub(1, Ordering::SeqCst);
-                el.after(CRASH_DELAY, |el| el.stop());
+            if policy.damping {
+                cfg.damping = Some(xorp_bgp::DampingConfig::default());
             }
-        })
+        }
+        bgp.add_peer(el, cfg, Some(Rc::new(|_el, _update| {})));
     }
-}
+    let bgp = Rc::new(RefCell::new(bgp));
+    el.set_slot(BgpSlot(bgp.clone()));
 
-/// Read process state on its own loop: `f` runs against the loop's `S`
-/// slot.  The default value when the process or the slot is gone.
-fn read<S: 'static, R: Default + Send + 'static>(
-    process: Option<&Process>,
-    f: impl FnOnce(&S) -> R + Send + 'static,
-) -> R {
-    process
-        .and_then(|p| p.call(move |el| el.slot::<S>().map(f)).ok().flatten())
-        .unwrap_or_default()
+    // Backpressure: a congested lane to the RIB closes the RIB
+    // reader's flow cell, and the backlog waits in the fanout
+    // queue, whose holdback is bounded by table size, not churn
+    // rate.
+    let flow = bgp.borrow().reader_flow(ReaderId::Rib);
+    let b = bgp.clone();
+    on_congestion(router, "rib", flow.expect("RIB reader"), &out, move |el| {
+        b.borrow_mut().set_reader_flow(el, ReaderId::Rib, true);
+    });
+
+    // While the RIB is dead its reader parks in the fanout, and the ops
+    // queued for it go: a dead lane sends no Xoff to stop the stream, nor
+    // an Xon to restart it.  A new RIB starts empty and holds none of our
+    // nexthop interest: re-ask every nexthop, reopen the reader and
+    // re-advertise the best table.
+    let (b, lost) = (bgp.clone(), Cell::new(false));
+    router.watch_class("rib", move |el, ev| {
+        if !ev.up {
+            lost.set(true);
+            b.borrow_mut().set_reader_flow(el, ReaderId::Rib, false);
+            out.clear();
+        } else if lost.replace(false) {
+            let mut bgp = b.borrow_mut();
+            bgp.invalidate_nexthops(el, Prefix::default_route());
+            bgp.set_reader_flow(el, ReaderId::Rib, true);
+            bgp.readvertise_rib(el);
+            drop(bgp);
+            out.flush(el);
+        }
+    });
+
+    xrl_ifaces::bgp::register(router, "bgp-0", BgpServer { bgp: bgp.clone() });
+
+    // The peers that are up re-send what they announce when their
+    // sessions re-establish: the peer model replays that, through the
+    // backpressured pipeline.
+    let (up, updates) = {
+        let model = w.peers.lock();
+        (model.up.clone(), model.updates())
+    };
+    let mut bgp = bgp.borrow_mut();
+    for id in up {
+        bgp.peering_up(el, PeerId(id));
+    }
+    for (peer, update) in updates {
+        bgp.apply_update(el, PeerId(peer), update);
+    }
 }
 
 impl MultiProcessRouter {
@@ -731,274 +869,65 @@ impl MultiProcessRouter {
     /// that range resolve (the paper likewise keeps one route installed to
     /// stabilize RIB interactions).
     pub fn new(options: RouterOptions) -> MultiProcessRouter {
+        let down = &options.down_peers;
+        let up = options
+            .peers
+            .iter()
+            .map(|p| p.0)
+            .filter(|id| !down.contains(id));
+        let peers = PeerModel {
+            up: up.collect(),
+            ..Default::default()
+        };
         let wiring = Wiring {
             finder: Finder::new(),
             profiler: Profiler::new(),
             tracer: Tracer::new(),
             metrics: Metrics::new(),
             options: Arc::new(options),
+            peers: Arc::new(Mutex::new(peers)),
         };
-
-        // ---- FEA process ----------------------------------------------------
-        let fea = spawn_process("fea", &wiring, |el, router, w| {
-            let mut fea = Fea::new();
-            fea.configure_interface(test_iface("eth0", "192.168.0.1", 16));
-            fea.set_profiler(w.profiler.clone());
-            let fea = Rc::new(RefCell::new(fea));
-            el.set_slot(FeaSlot(fea.clone()));
-            xrl_ifaces::fea::register(
-                router,
-                "fea-0",
-                FeaServer {
-                    fea,
-                    fea_in: w.profiler.point(points::FEA_IN),
-                    recorder: w.tracer.recorder("fea"),
-                    batch_size: w.metrics.histogram("batch_size"),
-                },
-            );
-        });
-
-        // ---- RIB process ----------------------------------------------------
-        let rib = spawn_process("rib", &wiring, |el, router, w| {
-            let o = &w.options;
-            let rib = Rc::new(RefCell::new(Rib::<Ipv4Addr>::new(o.consistency_check)));
-            rib.borrow_mut().set_metrics(&w.metrics);
-            el.set_slot(RibSlot(rib.clone()));
-
-            // §4.1: "if a routing protocol dies, the RIB will deregister all
-            // the routes that protocol had registered" — driven by the
-            // Finder's lifetime events for the bgp class.  Under
-            // supervision the policy relaxes to graceful restart: mark the
-            // routes stale and give the restarted process `grace` to
-            // re-advertise before sweeping the remainder.
-            let grace = o.supervision.map(|cfg| cfg.grace_period);
-            let r = rib.clone();
-            router.watch_class("bgp", move |el, ev| {
-                if ev.up {
-                    return;
-                }
-                match grace {
-                    None => {
-                        r.borrow_mut().clear_protocol(el, ProtocolId::Ebgp);
-                    }
-                    Some(grace) => {
-                        if r.borrow_mut().mark_protocol_stale(ProtocolId::Ebgp) > 0 {
-                            let r2 = r.clone();
-                            el.after(grace, move |el| {
-                                r2.borrow_mut().sweep_stale(el, ProtocolId::Ebgp);
-                            });
-                        }
-                    }
-                }
-            });
-
-            // Output: install into the FEA over XRLs (points 5 and 6).
-            // The stream is delivered through a redistribution watcher
-            // rather than a bare output stage, so a congested FEA lane can
-            // park the excess in the watcher's backlog — without a
-            // consumer for the Xoff, the RIB would pump its own lane
-            // through the hard cap and silently shed installs, leaving
-            // the FIB permanently short of the RIB.
-            let out = RouteOutput::new(
-                BulkRouteSink::Fea(xrl_ifaces::fea::Client::new(router, "fea")),
-                o.batch_size,
-                w.profiler.point(points::QUEUED_FOR_FEA),
-                w.profiler.point(points::SENT_TO_FEA),
-                w.tracer.recorder("rib"),
-            );
-            let fea_out = out.clone();
-            rib.borrow_mut().add_redist_watcher(
-                el,
-                RedistWatcher::new(
-                    "fea",
-                    None,
-                    FilterBank::accept_by_default(),
-                    Rc::new(move |el, op| fea_out.push(el, op)),
-                ),
-            );
-            // A congested FEA lane parks the redistribution stream in the
-            // watcher's backlog.
-            let flow = rib.borrow().redist_watcher_flow("fea");
-            let r = rib.clone();
-            on_congestion(router, "fea", flow.expect("fea watcher"), &out, move |el| {
-                r.borrow_mut().set_redist_watcher_flow(el, "fea", true);
-            });
-
-            // Pre-install the connected route BGP nexthops resolve via.
-            let mut blocks = AttrBlocks::default();
-            let connected = RouteWire {
-                net: "192.168.0.0/16".parse().unwrap(),
-                nexthop: Ipv4Addr::new(192, 168, 0, 1),
-                ifname: "eth0".into(),
-                metric: 1,
-                proto: ProtocolId::Connected,
-            };
-            rib.borrow_mut()
-                .add_route(el, connected.into_rib_route(&mut blocks));
-
-            // Invalidation: tell BGP its cached answers died (§5.2.1).
-            let bgp_client = xrl_ifaces::bgp::Client::new(router, "bgp");
-            rib.borrow_mut().set_invalidation_cb(
-                1, // client id for the BGP process
-                Rc::new(move |el, _client, valid| {
-                    bgp_client.invalidate(el, valid, |_el, _r| {});
-                }),
-            );
-
-            // Busy-RIB model for the overload experiments: route XRLs are
-            // applied on arrival but acknowledged only after `delay`, so
-            // the sender sees a slow consumer and its lane backs up.
-            let delay = (o.rib_delay_ms > 0).then(|| Duration::from_millis(o.rib_delay_ms));
-            xrl_ifaces::rib::register(
-                router,
-                "rib-0",
-                RibServer {
-                    rib,
-                    rib_in: w.profiler.point(points::RIB_IN),
-                    delay,
-                    recorder: w.tracer.recorder("rib"),
-                    blocks: RefCell::new(blocks),
-                },
-            );
-        });
-
-        // ---- BGP process ----------------------------------------------------
-        let replay: ReplayLog = Arc::new(Mutex::new(Vec::new()));
-        let crash_on_spawn = Arc::new(AtomicU32::new(0));
-        let factory = BgpFactory {
-            wiring: wiring.clone(),
-            replay: replay.clone(),
-            crash_on_spawn: crash_on_spawn.clone(),
-        };
-        let bgp: SharedBgp = Arc::new(Mutex::new(Some(factory.spawn())));
-
-        // ---- supervisor (rtrmgr) process ------------------------------------
-        let restarts = Arc::new(AtomicU32::new(0));
-        let flights: Arc<Mutex<Vec<FlightReport>>> = Arc::new(Mutex::new(Vec::new()));
-        let sup_state = wiring.options.supervision.map(|cfg| {
-            let mut sup = Supervisor::new(cfg);
-            sup.manage("bgp");
-            sup.set_metrics(&wiring.metrics.scoped("rtrmgr"));
-            Arc::new(Mutex::new(sup))
-        });
-        let supervisor = sup_state.as_ref().map(|sup| {
-            let cfg = *sup.lock().config();
-            let sup = sup.clone();
-            let shared = bgp.clone();
-            let restarts = restarts.clone();
-            // The flight recorder reads the whole registry (unscoped): a
-            // post-mortem filters to the dead process's prefix itself.
-            let flight_metrics = wiring.metrics.clone();
-            let flights = flights.clone();
-            spawn_process("rtrmgr", &wiring, move |el, router, w| {
-                // Probes run on a short leash: a hung component must
-                // classify as a miss within roughly one keepalive
-                // interval, not wait out the data-plane retry policy.
-                router.set_retry_policy(Some(RetryPolicy {
-                    max_attempts: 2,
-                    base_timeout: (cfg.keepalive_interval / 4).max(Duration::from_millis(5)),
-                    max_timeout: (cfg.keepalive_interval / 2).max(Duration::from_millis(10)),
-                }));
-
-                // Probe round-trip latency, µs (§3.1 liveness telemetry).
-                let probe_latency = w.metrics.histogram("probe_latency_us");
-                let rib_client = xrl_ifaces::rib::Client::new(router, "rib");
-                let probe_router = router.clone();
-                let flight_tracer = w.tracer.clone();
-                el.every(cfg.keepalive_interval, move |el| {
-                    let now = Duration::from_nanos(el.now().as_nanos());
-                    // Respawns due now, in dependency order.  Only the BGP
-                    // process is supervised in this configuration.  (Bind
-                    // the list first: iterating `sup.lock().…` directly
-                    // would hold the guard across the body.)
-                    let due = sup.lock().due_restarts(now);
-                    for name in due {
-                        if name == "bgp" {
-                            // Drop the dead handle (joining its thread)
-                            // before the fresh instance re-registers.
-                            let dead = shared.lock().take();
-                            drop(dead);
-                            *shared.lock() = Some(factory.spawn());
-                            restarts.fetch_add(1, Ordering::SeqCst);
-                            sup.lock().restarted(&name);
-                        }
-                    }
-                    if sup.lock().should_probe("bgp") {
-                        let sup = sup.clone();
-                        let rib_client = rib_client.clone();
-                        let probe_latency = probe_latency.clone();
-                        let flights = flights.clone();
-                        let flight_tracer = flight_tracer.clone();
-                        let flight_metrics = flight_metrics.clone();
-                        let t0 = Instant::now();
-                        keepalive::probe_liveness(
-                            &probe_router,
-                            el,
-                            "bgp",
-                            move |el, alive, congested| {
-                                if alive {
-                                    probe_latency.observe(t0.elapsed().as_micros() as u64);
-                                }
-                                let now = Duration::from_nanos(el.now().as_nanos());
-                                let verdict = sup.lock().record_probe("bgp", alive, now);
-                                if alive {
-                                    // Busy-but-alive is not dead: congestion
-                                    // feeds the overload budget, which only
-                                    // escalates to Degraded when sustained past
-                                    // it.  No flush — the component is still
-                                    // serving its routes.
-                                    sup.lock().record_overload("bgp", congested, now);
-                                }
-                                // Flight recorder: crash classification is
-                                // the moment to snapshot what the dead
-                                // process was doing — its span ring and
-                                // metrics outlive it in the shared
-                                // registries.
-                                let reason = match &verdict {
-                                    SupervisorVerdict::RestartScheduled { .. } => {
-                                        "crash classified, restart scheduled"
-                                    }
-                                    SupervisorVerdict::Degraded => "restart budget spent, degraded",
-                                    SupervisorVerdict::None => return,
-                                };
-                                flights.lock().push(FlightReport::capture(
-                                    "bgp",
-                                    reason,
-                                    &flight_tracer,
-                                    &flight_metrics,
-                                ));
-                                if verdict == SupervisorVerdict::Degraded {
-                                    // Budget spent: permanent death.  Flush the
-                                    // protocol's routes now — the grace window
-                                    // no longer applies.
-                                    rib_client.flush_protocol(
-                                        el,
-                                        ProtocolId::Ebgp.name(),
-                                        |_el, _r| {},
-                                    );
-                                }
-                            },
-                        );
-                    }
-                });
-            })
-        });
+        let mut rows = process_table();
+        for row in &mut rows {
+            row.respawn(&wiring);
+        }
+        let processes: Processes = Arc::new(Mutex::new(rows));
+        let (restarts, flights) = (Arc::default(), Arc::default());
+        let rtrmgr = wiring
+            .options
+            .supervision
+            .map(|cfg| spawn_rtrmgr(cfg, &wiring, &processes, &restarts, &flights));
+        let (supervisor, sup_state) = rtrmgr.unzip();
 
         MultiProcessRouter {
             profiler: wiring.profiler,
             metrics: wiring.metrics,
             tracer: wiring.tracer,
             finder: wiring.finder,
-            bgp,
-            _rib: rib,
-            _fea: fea,
+            processes,
             supervisor,
             sup_state,
-            replay,
-            crash_on_spawn,
+            peers: wiring.peers,
             restarts,
             flights,
         }
+    }
+
+    /// Run `f` on the live `name` process, if there is one.
+    fn with<R>(&self, name: &str, f: impl FnOnce(&Process) -> R) -> Option<R> {
+        row(&mut self.processes.lock(), name)?.live.as_ref().map(f)
+    }
+
+    /// Read process state on its own loop: `f` runs against the `name`
+    /// loop's `S` slot.  The default value when the process or the slot is
+    /// gone.
+    fn read<S: 'static, R: Default + Send + 'static>(
+        &self,
+        name: &str,
+        f: impl FnOnce(&S) -> R + Send + 'static,
+    ) -> R {
+        let read = |p: &Process| p.call(move |el| el.slot::<S>().map(f)).ok().flatten();
+        self.with(name, read).flatten().unwrap_or_default()
     }
 
     /// Post-mortem flight reports the supervisor captured so far (crash
@@ -1007,21 +936,25 @@ impl MultiProcessRouter {
         self.flights.lock().clone()
     }
 
-    /// Kill the BGP process, as a fault test would: its router deregisters
-    /// from the Finder, whose death notification drives the RIB's §4.1
-    /// policy (flush, or mark-stale under supervision).  No-op if already
-    /// dead.
-    pub fn kill_bgp(&mut self) {
-        let dead = self.bgp.lock().take();
-        if let Some(bgp) = dead {
-            bgp.stop();
+    /// Kill a process (`fea`, `rib` or `bgp`), as a fault test would: its
+    /// router deregisters from the Finder, whose death notification drives
+    /// its neighbours' rules (module doc).  No-op if already dead.
+    pub fn kill(&self, name: &str) {
+        let dead = row(&mut self.processes.lock(), name).and_then(|m| m.live.take());
+        if let Some(process) = dead {
+            process.stop();
         }
     }
 
-    /// Whether the BGP process is currently running (a supervised restart
-    /// may have replaced the original — this reflects the live instance).
+    /// Whether a process is running (a supervised restart may have
+    /// replaced the original — this reflects the live instance).
+    pub fn alive(&self, name: &str) -> bool {
+        self.with(name, Process::is_alive).unwrap_or(false)
+    }
+
+    /// Whether the BGP process is running.
     pub fn bgp_alive(&self) -> bool {
-        self.bgp.lock().as_ref().is_some_and(|p| p.is_alive())
+        self.alive("bgp")
     }
 
     /// Supervised restarts performed so far.
@@ -1034,10 +967,18 @@ impl MultiProcessRouter {
         self.sup_state.as_ref().and_then(|s| s.lock().state(name))
     }
 
-    /// Make the next `n` BGP spawns crash shortly after coming up
+    /// Make the next `n` spawns of `name` crash shortly after coming up
     /// (deterministic crash-loop injection for supervision tests).
-    pub fn set_bgp_crash_on_spawn(&self, n: u32) {
-        self.crash_on_spawn.store(n, Ordering::SeqCst);
+    pub fn set_crash_on_spawn(&self, name: &str, n: u32) {
+        if let Some(row) = row(&mut self.processes.lock(), name) {
+            row.crashes = n;
+        }
+    }
+
+    /// Routes the peer model holds for a restarted BGP: one per announced
+    /// prefix per peer.
+    pub fn peer_model_routes(&self) -> usize {
+        self.peers.lock().routes.values().map(|r| r.len()).sum()
     }
 
     /// Simulate the Finder dying and restarting empty.  Each process's
@@ -1047,19 +988,18 @@ impl MultiProcessRouter {
     }
 
     /// Feed an UPDATE to a peer (runs on the BGP loop).  Under supervision
-    /// the update is also recorded for replay into a restarted process
-    /// (real peers re-announce when the session re-establishes).  Silently
+    /// the peer model records it too, for a restarted process.  Silently
     /// dropped while the process is down.
     pub fn apply_update(&self, peer: u32, update: UpdateIn<Ipv4Addr>) {
         if self.sup_state.is_some() {
-            self.replay.lock().push((peer, update.clone()));
+            self.peers.lock().record(peer, &update);
         }
-        if let Some(bgp) = self.bgp.lock().as_ref() {
+        self.with("bgp", |bgp| {
             bgp.post(move |el| {
                 let slot = el.slot::<BgpSlot>().expect("bgp slot").0.clone();
                 slot.borrow_mut().apply_update(el, PeerId(peer), update);
-            });
-        }
+            })
+        });
     }
 
     /// Feed a pre-generated backbone batch as one UPDATE.
@@ -1113,18 +1053,18 @@ impl MultiProcessRouter {
 
     /// Routes currently in the FEA's FIB (cross-thread query).
     pub fn fea_route_count(&self) -> usize {
-        read(Some(&self._fea), |s: &FeaSlot| s.0.borrow().route_count4())
+        self.read("fea", |s: &FeaSlot| s.0.borrow().route_count4())
     }
 
     /// Routes currently in the RIB's final table.
     pub fn rib_route_count(&self) -> usize {
-        read(Some(&self._rib), |s: &RibSlot| s.0.borrow().route_count())
+        self.read("rib", |s: &RibSlot| s.0.borrow().route_count())
     }
 
     /// FEA installs parked in the RIB's redistribution watcher while the
     /// RIB→FEA lane is congested (backpressure observability).
     pub fn rib_fea_backlog(&self) -> usize {
-        read(Some(&self._rib), |s: &RibSlot| {
+        self.read("rib", |s: &RibSlot| {
             s.0.borrow().redist_watcher_backlog("fea")
         })
     }
@@ -1132,7 +1072,7 @@ impl MultiProcessRouter {
     /// EBGP routes in the RIB still marked stale (graceful-restart
     /// observability).
     pub fn rib_stale_count(&self) -> usize {
-        read(Some(&self._rib), |s: &RibSlot| {
+        self.read("rib", |s: &RibSlot| {
             s.0.borrow().stale_count(ProtocolId::Ebgp)
         })
     }
@@ -1141,17 +1081,18 @@ impl MultiProcessRouter {
     /// peer's export feed starts with a §5.3 background dump of the
     /// existing table, interleaved with live churn.
     pub fn peering_up(&self, peer: u32) {
-        if let Some(bgp) = self.bgp.lock().as_ref() {
+        self.peers.lock().up.insert(peer);
+        self.with("bgp", |bgp| {
             bgp.post(move |el| {
                 let slot = el.slot::<BgpSlot>().expect("bgp slot").0.clone();
                 slot.borrow_mut().peering_up(el, PeerId(peer));
-            });
-        }
+            })
+        });
     }
 
     /// Is a background dump still walking toward `peer`'s export branch?
     pub fn bgp_dump_in_flight(&self, peer: u32) -> bool {
-        read(self.bgp.lock().as_ref(), move |s: &BgpSlot| {
+        self.read("bgp", move |s: &BgpSlot| {
             s.0.borrow().dump_in_flight(PeerId(peer))
         })
     }
@@ -1159,41 +1100,34 @@ impl MultiProcessRouter {
     /// Routes a peering has announced to its neighbor so far (dump
     /// progress observability).
     pub fn bgp_announced_count(&self, peer: u32) -> usize {
-        read(self.bgp.lock().as_ref(), move |s: &BgpSlot| {
+        self.read("bgp", move |s: &BgpSlot| {
             s.0.borrow().announced_count(PeerId(peer))
         })
     }
 
     /// BGP PeerIn route count across peers.
     pub fn bgp_route_count(&self) -> usize {
-        read(self.bgp.lock().as_ref(), |s: &BgpSlot| {
-            s.0.borrow().route_count()
-        })
+        self.read("bgp", |s: &BgpSlot| s.0.borrow().route_count())
     }
 
     /// Whether any lane on the BGP process's XRL router is currently
     /// above its high watermark (an Xoff is in force).
     pub fn bgp_congested(&self) -> bool {
-        read(self.bgp.lock().as_ref(), |r: &XrlRouter| {
-            r.any_lane_congested()
-        })
+        self.read("bgp", |r: &XrlRouter| r.any_lane_congested())
     }
 
     /// Heap bytes the fanout stage holds (its queue buffer by capacity,
     /// reader bookkeeping, in-flight dump state): what a drained backlog
     /// must have given back.
     pub fn bgp_fanout_memory_bytes(&self) -> usize {
-        read(self.bgp.lock().as_ref(), |s: &BgpSlot| {
-            s.0.borrow().fanout_memory_bytes()
-        })
+        self.read("bgp", |s: &BgpSlot| s.0.borrow().fanout_memory_bytes())
     }
 
     /// BGP process heap proxy: route storage, fanout holdback, and the
     /// XRL layer's retained frames (retransmission copies + UDP parking).
     pub fn bgp_memory_bytes(&self) -> usize {
-        let bgp = self.bgp.lock();
-        read(bgp.as_ref(), |s: &BgpSlot| s.0.borrow().memory_bytes())
-            + read(bgp.as_ref(), |r: &XrlRouter| r.retained_frame_bytes())
+        self.read("bgp", |s: &BgpSlot| s.0.borrow().memory_bytes())
+            + self.read("bgp", |r: &XrlRouter| r.retained_frame_bytes())
     }
 
     /// Round-trip a supervision keepalive to the BGP process over the
@@ -1201,26 +1135,26 @@ impl MultiProcessRouter {
     /// timeout or a dead process.
     pub fn probe_bgp_latency(&self, timeout: Duration) -> Option<Duration> {
         let (tx, rx) = std::sync::mpsc::channel();
-        self._rib.post(move |el| {
-            let router = el
-                .slot::<XrlRouter>()
-                .expect("xrl router on rib loop")
-                .clone();
-            let t0 = Instant::now();
-            keepalive::probe_liveness(&router, el, "bgp", move |_el, alive, _congested| {
-                if alive {
-                    let _ = tx.send(t0.elapsed());
-                }
-            });
+        self.with("rib", |rib| {
+            rib.post(move |el| {
+                let router = el
+                    .slot::<XrlRouter>()
+                    .expect("xrl router on rib loop")
+                    .clone();
+                let t0 = Instant::now();
+                keepalive::probe_liveness(&router, el, "bgp", move |_el, alive, _congested| {
+                    if alive {
+                        let _ = tx.send(t0.elapsed());
+                    }
+                });
+            })
         });
         rx.recv_timeout(timeout).ok()
     }
 
     /// Consistency violations from the RIB's cache stage, if enabled.
     pub fn rib_violations(&self) -> Vec<String> {
-        read(Some(&self._rib), |s: &RibSlot| {
-            s.0.borrow().consistency_violations()
-        })
+        self.read("rib", |s: &RibSlot| s.0.borrow().consistency_violations())
     }
 
     /// Spin until `pred()` or timeout; returns success.
@@ -1236,19 +1170,16 @@ impl MultiProcessRouter {
     }
 
     /// Shut the router down: the supervisor first (so it cannot restart
-    /// what we are stopping), then the protocols, then the
-    /// infrastructure — reverse dependency order, like
-    /// `RouterManager::shutdown`.
+    /// what we are stopping), then the processes in reverse dependency
+    /// order, like `RouterManager::shutdown`.
     pub fn stop(self) {
         if let Some(sup) = self.supervisor {
             sup.stop();
         }
-        let bgp = self.bgp.lock().take();
-        if let Some(bgp) = bgp {
-            bgp.stop();
+        let rows = std::mem::take(&mut *self.processes.lock());
+        for process in rows.into_iter().rev().filter_map(|m| m.live) {
+            process.stop();
         }
-        self._rib.stop();
-        self._fea.stop();
     }
 }
 

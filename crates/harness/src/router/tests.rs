@@ -225,7 +225,7 @@ fn a_queued_table_fills_the_frames_of_both_hops() {
     let before = ["rib.batch_size", "fea.batch_size"].map(|h| histogram(&router, h));
 
     let (release, held) = std::sync::mpsc::channel::<()>();
-    let bgp = router.bgp.lock().as_ref().map(|bgp| {
+    let bgp = router.with("bgp", |bgp| {
         bgp.post(move |_el| {
             let _ = held.recv();
         })

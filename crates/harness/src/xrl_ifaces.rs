@@ -44,22 +44,22 @@ xrl_interface! {
 
 xrl_interface! {
     /// The FEA's FIB surface.  The FEA keys its FIB purely by prefix, so
-    /// deletions carry no protocol.
+    /// deletions carry no protocol.  `flush_routes` withdraws a dead
+    /// RIB's routes at once (the supervisor's permanent-death action).
     pub interface fea("fea", "1.0") {
         fn add_route(net: Ipv4Net, nexthop: Ipv4Addr, ifname: String, metric: u32);
         fn delete_route(net: Ipv4Net);
         fn add_routes(routes: WireList) -> (count: u32);
         fn delete_routes(routes: WireList) -> (count: u32);
         fn route_count() -> (count: u32);
+        fn flush_routes();
     }
 }
 
 xrl_interface! {
-    /// BGP's session-facing surface: nexthop-cache invalidation (§5.2.1)
-    /// and the graceful-restart readvertisement trigger.
+    /// BGP's surface toward the RIB: nexthop-cache invalidation (§5.2.1).
     pub interface bgp("bgp", "1.0") {
         fn invalidate(net: Ipv4Net);
-        fn readvertise() -> (count: u32);
     }
 }
 

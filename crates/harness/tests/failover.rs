@@ -15,7 +15,7 @@ const REPAIR_WINDOW: Duration = Duration::from_secs(5);
 
 #[test]
 fn finder_restart_reregisters_and_bgp_death_withdraws_routes() {
-    let mut router = MultiProcessRouter::new(RouterOptions::default());
+    let router = MultiProcessRouter::new(RouterOptions::default());
     let nexthop = "192.168.1.1".parse().unwrap();
 
     // Converge three EBGP routes (plus the pre-installed connected route).
@@ -65,7 +65,7 @@ fn finder_restart_reregisters_and_bgp_death_withdraws_routes() {
 
     // BGP dies.  Its targets deregister; the Finder notifies the RIB's
     // watch on class "bgp"; the RIB flushes every EBGP route (§4.1).
-    router.kill_bgp();
+    router.kill("bgp");
     assert!(!router.bgp_alive());
     assert!(
         router.wait_for(REPAIR_WINDOW, || router.rib_route_count() == 1

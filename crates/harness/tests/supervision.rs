@@ -9,9 +9,9 @@
 //! Timings are generous multiples of the configured intervals so the
 //! tests stay deterministic on loaded CI machines.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use xorp_harness::figures::counter_value;
+use xorp_harness::figures::{counter_value, gauge_value};
 use xorp_harness::router::{MultiProcessRouter, RouterOptions};
 use xorp_harness::workload::{backbone_table, WorkloadConfig};
 use xorp_rtrmgr::{SupervisedState, SupervisorConfig};
@@ -75,14 +75,14 @@ fn supervised_bgp_death_preserves_routes_through_graceful_restart() {
     // Backoff long enough (300 ms) that the stale window is reliably
     // observable before the respawned process re-advertises; grace long
     // enough (3 s) that the sweep cannot fire before re-learning.
-    let mut router = supervised_router(test_supervision(300, 5, Duration::from_secs(3)));
+    let router = supervised_router(test_supervision(300, 5, Duration::from_secs(3)));
     converge_three_routes(&router);
     assert_eq!(
         router.supervisor_state("bgp"),
         Some(SupervisedState::Healthy)
     );
 
-    router.kill_bgp();
+    router.kill("bgp");
     assert!(!router.bgp_alive());
 
     // Death marks the EBGP routes stale — but nothing is withdrawn.
@@ -139,11 +139,11 @@ fn supervised_bgp_death_preserves_routes_through_graceful_restart() {
 /// protocol's routes immediately — the PR-1 behaviour is unchanged.
 #[test]
 fn unsupervised_bgp_death_still_flushes_immediately() {
-    let mut router = MultiProcessRouter::new(RouterOptions::default());
+    let router = MultiProcessRouter::new(RouterOptions::default());
     converge_three_routes(&router);
     assert_eq!(router.supervisor_state("bgp"), None);
 
-    router.kill_bgp();
+    router.kill("bgp");
     assert!(
         router.wait_for(Duration::from_secs(10), || router.rib_route_count() == 1
             && router.fea_route_count() == 1),
@@ -163,11 +163,11 @@ fn restart_budget_exhaustion_degrades_and_flushes() {
     // Budget of 2, and every respawn crashes right after coming up.  The
     // long grace period proves the flush comes from the Degraded verdict,
     // not from a sweep timer.
-    let mut router = supervised_router(test_supervision(50, 2, Duration::from_secs(60)));
+    let router = supervised_router(test_supervision(50, 2, Duration::from_secs(60)));
     converge_three_routes(&router);
 
-    router.set_bgp_crash_on_spawn(100);
-    router.kill_bgp();
+    router.set_crash_on_spawn("bgp", 100);
+    router.kill("bgp");
 
     assert!(
         router.wait_for(Duration::from_secs(20), || {
@@ -302,11 +302,11 @@ fn saturated_bgp_is_probed_alive_and_never_restarted() {
 /// Exercises cumulative backoff growth and replay across generations.
 #[test]
 fn repeated_kill_restart_cycles_recover_every_time() {
-    let mut router = supervised_router(test_supervision(50, 10, Duration::from_secs(30)));
+    let router = supervised_router(test_supervision(50, 10, Duration::from_secs(30)));
     converge_three_routes(&router);
 
     for cycle in 1..=3u32 {
-        router.kill_bgp();
+        router.kill("bgp");
         assert!(
             router.wait_for(Duration::from_secs(20), || router.supervised_restarts()
                 >= cycle
@@ -327,5 +327,287 @@ fn repeated_kill_restart_cycles_recover_every_time() {
         std::thread::sleep(Duration::from_millis(100));
     }
     assert_eq!(router.fea_route_count(), 4);
+    router.stop();
+}
+
+/// Wait until `name` is back (a restart past `restarts`), BGP's stale
+/// marks are gone, and the FIB and the RIB both hold `expected` routes
+/// with the pipeline idle.  Returns the time since `t0`.  The counts pass
+/// through `expected` while churn drains, so BGP must first have taken
+/// every UPDATE posted to it (a loop query queues behind them), and the
+/// state must hold twice, 50 ms apart.
+fn recover(
+    router: &MultiProcessRouter,
+    name: &str,
+    restarts: u32,
+    expected: usize,
+    t0: Instant,
+) -> Duration {
+    let idle = || {
+        ["bgp.fanout.queue_len", "bgp.xrl.pending", "rib.xrl.pending"]
+            .iter()
+            .all(|g| gauge_value(router, g) == 0)
+            && router.rib_fea_backlog() == 0
+    };
+    let whole = || {
+        router.supervised_restarts() > restarts
+            && router.alive(name)
+            && router.bgp_route_count() + 1 == expected
+            && router.rib_stale_count() == 0
+            && router.rib_route_count() == expected
+            && router.fea_route_count() == expected
+            && idle()
+    };
+    let mut settled = None;
+    let recovered = router.wait_for(Duration::from_secs(60), || {
+        if !whole() {
+            settled = None;
+            return false;
+        }
+        settled.get_or_insert_with(|| t0.elapsed());
+        std::thread::sleep(Duration::from_millis(50));
+        whole()
+    });
+    assert!(
+        recovered,
+        "{name} did not recover: restarts={} alive={} stale={} rib={} fea={} (want {expected}) \
+         fanout={} bgp.pending={} rib.pending={} backlog={}",
+        router.supervised_restarts(),
+        router.alive(name),
+        router.rib_stale_count(),
+        router.rib_route_count(),
+        router.fea_route_count(),
+        gauge_value(router, "bgp.fanout.queue_len"),
+        gauge_value(router, "bgp.xrl.pending"),
+        gauge_value(router, "rib.xrl.pending"),
+        router.rib_fea_backlog(),
+    );
+    settled.expect("recovered")
+}
+
+/// The end state every kill must reach: FIB == RIB == table + connected,
+/// no consistency violation, nothing shed.
+fn assert_whole(router: &MultiProcessRouter, expected: usize) {
+    assert_eq!(router.rib_route_count(), expected);
+    assert_eq!(router.fea_route_count(), expected);
+    assert_eq!(router.rib_violations(), Vec::<String>::new());
+    let shed = counter_value(router, "bgp.xrl.shed_total");
+    assert_eq!(shed, 0, "bgp shed {shed} frames");
+}
+
+/// Every process can die and come back, each re-learning its state from
+/// its neighbours: the FEA from the RIB's watcher dump, the RIB from
+/// BGP's re-advertisement (the FEA holding its routes stale meanwhile),
+/// BGP from the peer model (the RIB holding its routes stale).  Each is
+/// killed while a backbone table loads and again during churn, and the
+/// RIB once more while the BGP→RIB lane is in Xoff, whose closed flow
+/// cell must not park the re-advertisement.  Prints the time from each
+/// kill until FIB == RIB == table + connected.
+#[test]
+fn every_process_is_killed_and_restarted_under_load_churn_and_xoff() {
+    const ROUTES: usize = 2000;
+    let table = backbone_table(&WorkloadConfig {
+        routes: ROUTES,
+        ..Default::default()
+    });
+    let chunks: Vec<_> = table.chunks(64).collect();
+    let router_with = |options: RouterOptions| {
+        MultiProcessRouter::new(RouterOptions {
+            supervision: Some(test_supervision(50, 5, Duration::from_secs(30))),
+            consistency_check: true,
+            ..options
+        })
+    };
+    for name in ["fea", "rib", "bgp"] {
+        // Killed while the table loads.
+        let router = router_with(RouterOptions::default());
+        let mut t0 = Instant::now();
+        for (i, batch) in chunks.iter().enumerate() {
+            if i == chunks.len() / 2 {
+                t0 = Instant::now();
+                router.kill(name);
+            }
+            router.feed_backbone(1, batch);
+        }
+        let took = recover(&router, name, 0, ROUTES + 1, t0);
+        assert_whole(&router, ROUTES + 1);
+        println!(
+            "kill {name} (load): FIB == RIB after {} ms",
+            took.as_millis()
+        );
+        router.stop();
+
+        // Killed during churn: each round withdraws and re-announces every
+        // chunk in turn.
+        let router = router_with(RouterOptions::default());
+        for batch in &chunks {
+            router.feed_backbone(1, batch);
+        }
+        assert!(
+            router.wait_for(Duration::from_secs(30), || router.fea_route_count()
+                == ROUTES + 1),
+            "initial load did not converge: fea={}",
+            router.fea_route_count()
+        );
+        let mut t0 = Instant::now();
+        for round in 0..3 {
+            for (i, batch) in chunks.iter().enumerate() {
+                if round == 1 && i == chunks.len() / 2 {
+                    t0 = Instant::now();
+                    router.kill(name);
+                }
+                router.withdraw_backbone(1, batch);
+                router.feed_backbone(1, batch);
+            }
+        }
+        let took = recover(&router, name, 0, ROUTES + 1, t0);
+        assert_whole(&router, ROUTES + 1);
+        println!(
+            "kill {name} (churn): FIB == RIB after {} ms",
+            took.as_millis()
+        );
+        router.stop();
+    }
+
+    // Killed while the BGP→RIB lane is in Xoff: a slow RIB and tight
+    // watermarks, as in `saturated_bgp_is_probed_alive_and_never_restarted`.
+    let router = router_with(RouterOptions {
+        overload: QueuePolicy {
+            high_watermark: 16,
+            low_watermark: 4,
+            hard_cap: 1024,
+        },
+        rib_delay_ms: 2,
+        ..Default::default()
+    });
+    for batch in &chunks {
+        router.feed_backbone(1, batch);
+    }
+    assert!(
+        router.wait_for(Duration::from_secs(10), || router.bgp_congested()),
+        "the load never congested the BGP→RIB lane"
+    );
+    let t0 = Instant::now();
+    router.kill("rib");
+    let took = recover(&router, "rib", 0, ROUTES + 1, t0);
+    assert_whole(&router, ROUTES + 1);
+    println!("kill rib (xoff): FIB == RIB after {} ms", took.as_millis());
+    router.stop();
+}
+
+/// A dead RIB's routes stay in the FIB, stale, until the restarted RIB
+/// re-sends them: forwarding keeps every route while the RIB restarts.
+#[test]
+fn fib_holds_a_dead_ribs_routes_through_its_restart() {
+    // A 300 ms backoff keeps the RIB down for several probe intervals.
+    let router = supervised_router(test_supervision(300, 5, Duration::from_secs(30)));
+    converge_three_routes(&router);
+    router.kill("rib");
+    assert!(!router.alive("rib"));
+    for _ in 0..10 {
+        assert_eq!(
+            router.fea_route_count(),
+            4,
+            "a dead RIB's route left the FIB"
+        );
+        std::thread::sleep(Duration::from_millis(30));
+    }
+    recover(&router, "rib", 0, 4, Instant::now());
+    router.stop();
+}
+
+/// A RIB that spends its restart budget degrades, and its routes leave
+/// the FIB at once instead of waiting out the grace period.
+#[test]
+fn degraded_rib_flushes_the_fib() {
+    let router = supervised_router(test_supervision(50, 2, Duration::from_secs(60)));
+    converge_three_routes(&router);
+    router.set_crash_on_spawn("rib", 100);
+    router.kill("rib");
+    assert!(
+        router.wait_for(Duration::from_secs(20), || {
+            router.supervisor_state("rib") == Some(SupervisedState::Degraded)
+        }),
+        "budget exhaustion never degraded: state={:?}",
+        router.supervisor_state("rib")
+    );
+    assert!(
+        router.wait_for(Duration::from_secs(10), || router.fea_route_count() == 0),
+        "degraded flush never reached the FIB: fea={}",
+        router.fea_route_count()
+    );
+    router.stop();
+}
+
+/// A peer brought up after spawn is up again after a BGP restart: the
+/// peer model records it, and its export feed refills with a dump.
+#[test]
+fn restarted_bgp_brings_back_a_peer_raised_after_spawn() {
+    let router = MultiProcessRouter::new(RouterOptions {
+        supervision: Some(test_supervision(50, 5, Duration::from_secs(30))),
+        down_peers: vec![2],
+        ..Default::default()
+    });
+    converge_three_routes(&router);
+    router.peering_up(2);
+    assert!(
+        router.wait_for(Duration::from_secs(10), || router.bgp_announced_count(2)
+            == 3),
+        "peer 2 never got the table: {}",
+        router.bgp_announced_count(2)
+    );
+    router.kill("bgp");
+    assert!(
+        router.wait_for(Duration::from_secs(20), || router.supervised_restarts()
+            >= 1
+            && router.bgp_alive()
+            && router.bgp_announced_count(2) == 3),
+        "peer 2 is down after the restart: restarts={} alive={} announced={}",
+        router.supervised_restarts(),
+        router.bgp_alive(),
+        router.bgp_announced_count(2)
+    );
+    router.stop();
+}
+
+/// BGP's restart state is bounded by the table, not by churn: ten
+/// announce/withdraw rounds over a table leave the peer model one entry
+/// per prefix still announced, and the restarted router converges to the
+/// same counts.
+#[test]
+fn bgp_restart_state_is_bounded_by_the_table() {
+    const ROUTES: usize = 1000;
+    let router = supervised_router(test_supervision(50, 5, Duration::from_secs(30)));
+    let table = backbone_table(&WorkloadConfig {
+        routes: ROUTES,
+        ..Default::default()
+    });
+    for _ in 0..10 {
+        for batch in table.chunks(64) {
+            router.feed_backbone(1, batch);
+        }
+        for batch in table.chunks(64) {
+            router.withdraw_backbone(1, batch);
+        }
+    }
+    // End with three quarters of the table announced.
+    let kept = &table[..ROUTES * 3 / 4];
+    for batch in kept.chunks(64) {
+        router.feed_backbone(1, batch);
+    }
+    assert_eq!(router.peer_model_routes(), kept.len());
+    assert!(
+        router.wait_for(Duration::from_secs(30), || router.rib_route_count()
+            == kept.len() + 1
+            && router.fea_route_count() == kept.len() + 1),
+        "churn did not converge: rib={} fea={}",
+        router.rib_route_count(),
+        router.fea_route_count()
+    );
+
+    router.kill("bgp");
+    recover(&router, "bgp", 0, kept.len() + 1, Instant::now());
+    assert_eq!(router.bgp_route_count(), kept.len());
+    assert_eq!(router.peer_model_routes(), kept.len());
     router.stop();
 }

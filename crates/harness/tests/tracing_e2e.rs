@@ -171,7 +171,7 @@ fn traces_survive_congested_lanes() {
 /// shared registries, post-mortem.
 #[test]
 fn flight_recorder_snapshots_crashed_bgp() {
-    let mut router = MultiProcessRouter::new(RouterOptions {
+    let router = MultiProcessRouter::new(RouterOptions {
         supervision: Some(SupervisorConfig {
             keepalive_interval: Duration::from_millis(40),
             miss_threshold: 3,
@@ -197,7 +197,7 @@ fn flight_recorder_snapshots_crashed_bgp() {
     );
     assert!(router.flight_reports().is_empty(), "no crash yet");
 
-    router.kill_bgp();
+    router.kill("bgp");
     assert!(
         router.wait_for(Duration::from_secs(10), || {
             !router.flight_reports().is_empty()

@@ -41,4 +41,4 @@ pub use heapsize::{release_drained, HeapSize};
 pub use nexthop::{NexthopEntry, NexthopIndex};
 pub use patricia::{IterHandle, PatriciaTrie};
 pub use prefix::{Ipv4Net, Ipv6Net, Prefix};
-pub use route::{route_table_bytes, AdminDistance, ProtocolId, RouteEntry, SharesAttrs};
+pub use route::{route_table_bytes, AdminDistance, ProtocolId, RouteEntry, SharesAttrs, StaleSet};

@@ -188,6 +188,48 @@ pub fn route_table_bytes<A: Addr, S: SharesAttrs>(routes: &PatriciaTrie<A, S>) -
     routes.heap_size() - repeats
 }
 
+/// Graceful-restart marks over a route table (§4.1 relaxed): the prefixes
+/// a dead process installed.  They stay installed while marked; a
+/// re-learned or withdrawn route loses its mark, and whatever is still
+/// marked when the grace timer fires is withdrawn.
+#[derive(Debug, Clone)]
+pub struct StaleSet<A: Addr>(BTreeSet<Prefix<A>>);
+
+impl<A: Addr> Default for StaleSet<A> {
+    fn default() -> Self {
+        StaleSet(BTreeSet::new())
+    }
+}
+
+impl<A: Addr> StaleSet<A> {
+    /// Mark every route of `routes`, replacing earlier marks.  Returns
+    /// how many were marked.
+    pub fn mark_all<S>(&mut self, routes: &PatriciaTrie<A, S>) -> usize {
+        self.0 = routes.iter().map(|(net, _)| net).collect();
+        self.0.len()
+    }
+
+    /// `net` was re-learned or withdrawn: its mark goes.
+    pub fn clear(&mut self, net: &Prefix<A>) {
+        self.0.remove(net);
+    }
+
+    /// Routes still marked.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when nothing is marked.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The grace timer fired: every prefix still marked, marks cleared.
+    pub fn take(&mut self) -> Vec<Prefix<A>> {
+        std::mem::take(&mut self.0).into_iter().collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

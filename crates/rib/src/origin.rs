@@ -1,11 +1,12 @@
 //! Origin tables: the stages where routes are actually stored (§5.2).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use xorp_event::EventLoop;
 use xorp_net::{
     Addr, AdminDistance, HeapSize, PathAttributes, PatriciaTrie, Prefix, ProtocolId, SharesAttrs,
+    StaleSet,
 };
 use xorp_stages::{OriginId, RouteOp, Stage, StageRef, TrieTable};
 
@@ -126,11 +127,9 @@ pub struct OriginTable<A: Addr> {
     origin: OriginId,
     routes: PatriciaTrie<A, OriginSlot>,
     names: IfNames,
-    /// Graceful-restart bookkeeping: prefixes whose contributing process
-    /// died under supervision.  They stay installed downstream; any
-    /// re-learned route clears its mark, and [`OriginTable::sweep_stale`]
-    /// withdraws whatever is still marked when the grace timer fires.
-    stale: BTreeSet<Prefix<A>>,
+    /// Graceful-restart marks: prefixes whose contributing process died
+    /// under supervision ([`OriginTable::sweep_stale`] withdraws them).
+    stale: StaleSet<A>,
     downstream: Option<StageRef<A, RibRoute<A>>>,
 }
 
@@ -142,7 +141,7 @@ impl<A: Addr> OriginTable<A> {
             origin,
             routes: PatriciaTrie::new(),
             names: IfNames::default(),
-            stale: BTreeSet::new(),
+            stale: StaleSet::default(),
             downstream: None,
         }
     }
@@ -199,7 +198,7 @@ impl<A: Addr> OriginTable<A> {
         let net = route.net;
         // A re-learned route refreshes its grace mark even when the route
         // itself is byte-identical (the common graceful-restart case).
-        self.stale.remove(&net);
+        self.stale.clear(&net);
         let slot = OriginSlot {
             attrs: route.attrs,
             metric: route.metric,
@@ -219,7 +218,7 @@ impl<A: Addr> OriginTable<A> {
     /// Withdraw a route.  Emits `Delete` downstream; returns the withdrawn
     /// route.
     pub fn delete_route(&mut self, el: &mut EventLoop, net: Prefix<A>) -> Option<RibRoute<A>> {
-        self.stale.remove(&net);
+        self.stale.clear(&net);
         let old = self.routes.remove(&net)?;
         let old = self.take(net, old);
         self.emit(
@@ -250,8 +249,7 @@ impl<A: Addr> OriginTable<A> {
     /// is emitted downstream — forwarding continues on the dead process's
     /// last-known routes.  Returns how many routes were marked.
     pub fn mark_all_stale(&mut self) -> usize {
-        self.stale = self.routes.iter().map(|(n, _)| n).collect();
-        self.stale.len()
+        self.stale.mark_all(&self.routes)
     }
 
     /// Routes still marked stale.
@@ -263,9 +261,9 @@ impl<A: Addr> OriginTable<A> {
     /// route that was not re-learned, emitting a `Delete` per route.
     /// Returns how many were swept.
     pub fn sweep_stale(&mut self, el: &mut EventLoop) -> usize {
-        let nets: Vec<Prefix<A>> = std::mem::take(&mut self.stale).into_iter().collect();
-        for net in &nets {
-            self.delete_route(el, *net);
+        let nets = self.stale.take();
+        for &net in &nets {
+            self.delete_route(el, net);
         }
         nets.len()
     }

@@ -74,7 +74,8 @@ struct RibMetrics {
     /// `rib.batch_size` — operations per applied batch.
     batch_size: Histogram,
     /// `rib.stale_swept_total` — routes withdrawn by graceful-restart
-    /// sweeps (never re-advertised in time).
+    /// sweeps (never re-advertised in time; without supervision the
+    /// sweep follows the death at once).
     stale_swept: Counter,
 }
 
@@ -348,6 +349,12 @@ where
             .map(|o| Box::new(TableSource::new(o.clone())) as Box<dyn DumpSource<A>>)
             .collect();
         self.redist.borrow_mut().add_watcher_dumped(el, w, sources);
+    }
+
+    /// Drop a redistribution watcher, with its backlog and any dump still
+    /// walking toward it.
+    pub fn remove_redist_watcher(&mut self, name: &str) -> bool {
+        self.redist.borrow_mut().remove_watcher(name)
     }
 
     /// Flow control for a redistribution watcher (XRL backpressure), its

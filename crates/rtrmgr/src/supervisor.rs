@@ -104,6 +104,8 @@ pub enum SupervisorVerdict {
 struct Entry {
     rank: u32,
     state: SupervisedState,
+    /// Consecutive missed probes; an answer or a restart clears it.
+    misses: u32,
     restarts_used: u32,
     /// When the component first reported sustained congestion (cleared by
     /// the first uncongested report).
@@ -122,7 +124,7 @@ pub struct Supervisor {
 struct SupMetrics {
     /// `sup.probe_miss_total` — probes that came back dead.
     probe_miss: Counter,
-    /// `sup.miss_streak` — current consecutive-miss streak, worst
+    /// `sup.miss_streak` — current consecutive-miss streak of the worst
     /// component (gauge max shows how close the router came to a crash
     /// classification).
     miss_streak: Gauge,
@@ -168,6 +170,7 @@ impl Supervisor {
         self.entries.entry(name.to_string()).or_insert(Entry {
             rank: dependency_rank(name),
             state: SupervisedState::Healthy,
+            misses: 0,
             restarts_used: 0,
             congested_since: None,
         });
@@ -194,6 +197,15 @@ impl Supervisor {
 
     /// Feed in one probe outcome at time `now` (the caller's clock).
     pub fn record_probe(&mut self, name: &str, alive: bool, now: Duration) -> SupervisorVerdict {
+        let verdict = self.classify(name, alive, now);
+        if let Some(m) = &self.metrics {
+            let worst = self.entries.values().map(|e| e.misses).max().unwrap_or(0);
+            m.miss_streak.set(worst as i64);
+        }
+        verdict
+    }
+
+    fn classify(&mut self, name: &str, alive: bool, now: Duration) -> SupervisorVerdict {
         let config = self.config;
         let Some(entry) = self.entries.get_mut(name) else {
             return SupervisorVerdict::None;
@@ -202,9 +214,7 @@ impl Supervisor {
             // Recovery or steady state.
             (SupervisedState::Healthy, true) | (SupervisedState::Suspect(_), true) => {
                 entry.state = SupervisedState::Healthy;
-                if let Some(m) = &self.metrics {
-                    m.miss_streak.set(0);
-                }
+                entry.misses = 0;
                 SupervisorVerdict::None
             }
             // A late answer while a restart is pending or after degrading
@@ -214,13 +224,10 @@ impl Supervisor {
             }
             // A miss.
             (SupervisedState::Healthy, false) | (SupervisedState::Suspect(_), false) => {
-                let misses = match entry.state {
-                    SupervisedState::Suspect(n) => n + 1,
-                    _ => 1,
-                };
+                entry.misses += 1;
+                let misses = entry.misses;
                 if let Some(m) = &self.metrics {
                     m.probe_miss.inc();
-                    m.miss_streak.set(misses as i64);
                 }
                 if misses < config.miss_threshold {
                     entry.state = SupervisedState::Suspect(misses);
@@ -317,6 +324,7 @@ impl Supervisor {
     pub fn restarted(&mut self, name: &str) {
         if let Some(entry) = self.entries.get_mut(name) {
             entry.state = SupervisedState::Healthy;
+            entry.misses = 0;
             entry.congested_since = None;
         }
     }
@@ -399,6 +407,31 @@ mod tests {
             Some(MetricValue::Counter(n)) => assert_eq!(n, 1),
             other => panic!("degraded_total: {other:?}"),
         }
+    }
+
+    #[test]
+    fn miss_streak_gauge_shows_the_worst_component() {
+        use xorp_profiler::MetricValue;
+        let metrics = Metrics::new();
+        let mut s = Supervisor::new(config());
+        s.set_metrics(&metrics);
+        s.manage("bgp");
+        s.manage("rib");
+        s.record_probe("bgp", false, ms(0));
+        s.record_probe("bgp", false, ms(10));
+        // A healthy answer from another component leaves bgp's streak.
+        s.record_probe("rib", true, ms(10));
+        let streak = || match metrics.get("sup.miss_streak") {
+            Some(MetricValue::Gauge { value, .. }) => value,
+            other => panic!("miss_streak: {other:?}"),
+        };
+        assert_eq!(streak(), 2);
+        s.record_probe("rib", false, ms(20));
+        assert_eq!(streak(), 2);
+        s.record_probe("bgp", true, ms(20));
+        assert_eq!(streak(), 1, "rib's one miss is now the worst");
+        s.record_probe("rib", true, ms(30));
+        assert_eq!(streak(), 0);
     }
 
     #[test]

@@ -84,7 +84,7 @@ use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -126,9 +126,14 @@ struct TcpMetrics {
 
 type SharedTcpMetrics = Arc<OnceLock<TcpMetrics>>;
 
+/// Connections a listener accepted, for shutdown to close: a reader
+/// blocked on a peer that sends nothing more would otherwise keep the
+/// socket open, and the peer would wait on its requests forever.
+type Accepted = Arc<Mutex<Vec<Weak<TcpConn>>>>;
+
 /// Start a TCP listener on an ephemeral localhost port.  Each accepted
 /// connection gets a reader thread that posts its frames to `sender`'s
-/// loop.  Returns the bound address.
+/// loop, and is kept in `accepted`.  Returns the bound address.
 ///
 /// The listener runs nonblocking and polls `stop` between accepts, so
 /// shutdown never depends on one more connection arriving to unblock the
@@ -139,6 +144,7 @@ type SharedTcpMetrics = Arc<OnceLock<TcpMetrics>>;
 fn spawn_tcp_listener(
     sender: EventSender,
     stop: Arc<AtomicBool>,
+    accepted: Accepted,
     metrics: SharedTcpMetrics,
 ) -> std::io::Result<SocketAddr> {
     let listener = TcpListener::bind(("127.0.0.1", 0))?;
@@ -157,7 +163,10 @@ fn spawn_tcp_listener(
                     }
                     let _ = stream.set_nonblocking(false);
                     let _ = stream.set_nodelay(true);
-                    spawn_tcp_reader(stream, sender.clone(), metrics.clone());
+                    let conn = spawn_tcp_reader(stream, sender.clone(), metrics.clone());
+                    let mut accepted = accepted.lock();
+                    accepted.retain(|c| c.strong_count() > 0);
+                    accepted.push(Arc::downgrade(&conn));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(ACCEPT_POLL);
@@ -616,6 +625,7 @@ struct TcpFamily {
     stop: Arc<AtomicBool>,
     /// Outgoing connections by peer, reused by every send toward it.
     conns: HashMap<SocketAddr, Arc<TcpConn>>,
+    accepted: Accepted,
 }
 
 struct UdpFamily {
@@ -659,13 +669,15 @@ impl Families {
             return Ok(t.listen_addr);
         }
         let stop = Arc::new(AtomicBool::new(false));
-        let listen_addr =
-            spawn_tcp_listener(self.sender.clone(), stop.clone(), self.metrics.clone())
-                .map_err(|e| XrlError::Transport(format!("tcp listen: {e}")))?;
+        let accepted = Accepted::default();
+        let (sender, metrics) = (self.sender.clone(), self.metrics.clone());
+        let listen_addr = spawn_tcp_listener(sender, stop.clone(), accepted.clone(), metrics)
+            .map_err(|e| XrlError::Transport(format!("tcp listen: {e}")))?;
         self.tcp = Some(TcpFamily {
             listen_addr,
             stop,
             conns: HashMap::new(),
+            accepted,
         });
         Ok(listen_addr)
     }
@@ -811,7 +823,13 @@ impl Families {
         flush_dirty(el);
         if let Some(tcp) = self.tcp.take() {
             tcp.stop.store(true, Ordering::SeqCst);
-            for conn in tcp.conns.values() {
+            let accepted = tcp
+                .accepted
+                .lock()
+                .iter()
+                .filter_map(Weak::upgrade)
+                .collect();
+            for conn in tcp.conns.into_values().chain::<Vec<_>>(accepted) {
                 // Both directions, without flushing: that was done above.
                 let _ = conn.stream.shutdown(Shutdown::Both);
             }
