@@ -151,10 +151,9 @@ fn annotate<A: Addr>(answer: Answer, mut route: BgpRoute<A>) -> Option<BgpRoute<
 struct Nexthop {
     /// What this nexthop's routes were last sent downstream under.
     answer: Answer,
-    /// `Some` while a query is out; `Some(true)` once an invalidation of
-    /// its range has run since it was sent: the answer may have been worked
-    /// out before that change, so it is asked again, not cached.
-    query: Option<bool>,
+    /// The number of the query out for it, if one is.  An answer to any
+    /// other query was superseded by an invalidation and is dropped.
+    query: Option<u32>,
 }
 
 /// The change a walk sends downstream for one route, and the trace context
@@ -179,6 +178,8 @@ pub struct NexthopResolver<A: Addr> {
     /// Where the routes upstream holds are enumerated from when answers
     /// move.
     sources: Option<TableSources<A>>,
+    /// Queries sent so far: the last one's number.
+    queries: u32,
     downstream: Option<StageRef<A, BgpRoute<A>>>,
     /// Weak self-handle for async callbacks; set by [`NexthopResolver::attach`].
     me: Option<Weak<RefCell<NexthopResolver<A>>>>,
@@ -200,6 +201,7 @@ impl<A: Addr> NexthopResolver<A> {
             traces: BTreeMap::new(),
             upstream: None,
             sources: None,
+            queries: 0,
             downstream: None,
             me: None,
         }
@@ -246,7 +248,7 @@ impl<A: Addr> NexthopResolver<A> {
             ask = answer.is_none();
             Nexthop {
                 answer,
-                query: ask.then_some(false),
+                query: ask.then_some(0),
             }
         });
         (entry.answer, ask)
@@ -290,60 +292,60 @@ impl<A: Addr> NexthopResolver<A> {
         diffs
     }
 
-    /// Send the query for `nh`; its answer comes back to `on_answer`.
+    /// Send a query for `nh`, superseding any out; its answer comes back
+    /// to `on_answer`.  A service that gets no answer (a dead RIB) never
+    /// calls back: the nexthop keeps its last answer, and the next
+    /// invalidation of its range asks again.
     fn ask(el: &mut EventLoop, me: &Rc<RefCell<NexthopResolver<A>>>, nh: A) {
+        let (service, query) = {
+            let mut s = me.borrow_mut();
+            s.queries = s.queries.wrapping_add(1);
+            let query = s.queries;
+            if let Some(n) = s.nexthops.get_mut(&nh) {
+                n.state.query = Some(query);
+            }
+            (s.service.clone(), query)
+        };
         let weak = Rc::downgrade(me);
-        let service = me.borrow().service.clone();
         service.resolve_nexthop(
             el,
             nh,
             Box::new(move |el, ans| {
                 if let Some(rc) = weak.upgrade() {
-                    NexthopResolver::on_answer(el, &rc, nh, ans);
+                    NexthopResolver::on_answer(el, &rc, nh, query, ans);
                 }
             }),
         );
     }
 
-    /// The asynchronous answer to the query for `asked` arrived: cache it,
-    /// record the answer of every nexthop it covers, and walk the routes of
-    /// those whose answer moved.  If an invalidation of `asked` ran while
-    /// the query was out, the answer may predate the change it reported,
-    /// and the RIB has dropped that registration, so a cached copy would
-    /// never be invalidated: it is dropped instead, and `asked` settles
-    /// from a fresher answer another query has cached meanwhile, or is
-    /// asked again while a route still needs it.
+    /// The answer to query `query` for `asked` arrived: cache it, record
+    /// the answer of every nexthop it covers, and walk the routes of those
+    /// whose answer moved.  An answer to a query an invalidation has since
+    /// superseded may predate the change it reported, and the RIB has
+    /// dropped that registration, so a cached copy would never be
+    /// invalidated: it is dropped, and the superseding query answers.
     pub fn on_answer(
         el: &mut EventLoop,
         me: &Rc<RefCell<NexthopResolver<A>>>,
         asked: A,
+        query: u32,
         ans: RibNexthopAnswer<A>,
     ) {
-        let (diffs, requery, downstream, origin) = {
+        let (diffs, downstream, origin) = {
             let mut s = me.borrow_mut();
             let s = &mut *s;
-            let stale = s
-                .nexthops
-                .get_mut(&asked)
-                .and_then(|n| n.state.query.take())
-                == Some(true);
-            let covered = if stale {
-                Prefix::host(asked)
-            } else {
-                s.cache.borrow_mut().insert(ans.valid, ans.metric);
-                ans.valid
+            let entry = s.nexthops.get_mut(&asked);
+            let Some(n) = entry.filter(|n| n.state.query == Some(query)) else {
+                return;
             };
-            let (mut moved, mut requery) = (BTreeMap::new(), false);
-            for (nh, n) in s.nexthops.range_mut(&covered) {
+            n.state.query = None;
+            s.cache.borrow_mut().insert(ans.valid, ans.metric);
+            let mut moved = BTreeMap::new();
+            for (nh, n) in s.nexthops.range_mut(&ans.valid) {
                 let cached = s.cache.borrow().lookup(nh);
-                if cached.is_some() {
-                    let was = std::mem::replace(&mut n.state.answer, cached);
-                    if was != cached && n.routes > 0 {
-                        moved.insert(nh, was);
-                    }
-                } else if n.routes > 0 {
-                    // Only a stale answer leaves its nexthop uncovered.
-                    (n.state.query, requery) = (Some(false), true);
+                let was = std::mem::replace(&mut n.state.answer, cached);
+                if was != cached && n.routes > 0 {
+                    moved.insert(nh, was);
                 }
             }
             s.nexthops.prune(&asked, |n| n.query.is_none());
@@ -352,11 +354,8 @@ impl<A: Addr> NexthopResolver<A> {
             } else {
                 s.walk(&moved)
             };
-            (diffs, requery, s.downstream.clone(), s.peer.into())
+            (diffs, s.downstream.clone(), s.peer.into())
         };
-        if requery {
-            Self::ask(el, me, asked);
-        }
         if let Some(d) = downstream {
             for (op, trace) in diffs {
                 // The answer callback runs with no ambient context; a
@@ -373,26 +372,28 @@ impl<A: Addr> NexthopResolver<A> {
         }
     }
 
-    /// The RIB invalidated a handed-out range: evict it and re-query for
-    /// every nexthop inside.  Each keeps its last answer until the fresh
-    /// one arrives.  A query already out for a nexthop inside is marked
-    /// stale rather than sent twice: the loop may run this before an
-    /// answer the RIB worked out ahead of the change.
+    /// The RIB invalidated a handed-out range (or a new RIB came up, which
+    /// holds none of our interest): evict it and ask again for every
+    /// nexthop inside that routes name, superseding any query out — its
+    /// answer may predate the change, or never come.  Each keeps its last
+    /// answer until the fresh one arrives.  A nexthop no route names any
+    /// more is forgotten, with its query.
     pub fn invalidate(el: &mut EventLoop, me: &Rc<RefCell<NexthopResolver<A>>>, range: Prefix<A>) {
         let asks: Vec<A> = {
             let mut s = me.borrow_mut();
             s.cache.borrow_mut().remove_overlapping(&range);
-            let mut asks = Vec::new();
+            let mut inside = Vec::new();
             for (nh, n) in s.nexthops.range_mut(&range) {
-                match &mut n.state.query {
-                    Some(stale) => *stale = true,
-                    None => {
-                        n.state.query = Some(false);
-                        asks.push(nh);
-                    }
-                }
+                n.state.query = None;
+                inside.push((nh, n.routes > 0));
             }
-            asks
+            for (nh, _) in &inside {
+                s.nexthops.prune(nh, |n| n.query.is_none());
+            }
+            inside
+                .into_iter()
+                .filter_map(|(nh, named)| named.then_some(nh))
+                .collect()
         };
         for nh in asks {
             Self::ask(el, me, nh);
@@ -738,6 +739,29 @@ mod tests {
             r.sink.borrow().table[&"10.0.0.0/8".parse().unwrap()].metric,
             50
         );
+        assert!(r.cache.borrow().violations().is_empty());
+    }
+
+    /// A query the service never answers (its RIB died) leaves the route
+    /// on its last answer, and the next invalidation — the one a new RIB
+    /// brings — asks again instead of waiting on the lost query forever.
+    #[test]
+    fn an_unanswered_query_keeps_its_answer_and_is_asked_again() {
+        let range: Prefix<Ipv4Addr> = "192.168.0.0/16".parse().unwrap();
+        let net: Prefix<Ipv4Addr> = "10.0.0.0/8".parse().unwrap();
+        let mut r = rig(&[("192.168.0.0/16", Some(5))]);
+        r.send(add(route("10.0.0.0/8", "192.168.1.1")));
+        r.service.defer.set(true);
+        NexthopResolver::invalidate(&mut r.el, &r.resolver, range);
+        drop(r.service.take_answers()); // the RIB died with the query
+        assert_eq!(r.sink.borrow().table[&net].metric, 5);
+
+        r.service.answers.borrow_mut().insert(range, Some(7));
+        NexthopResolver::invalidate(&mut r.el, &r.resolver, range);
+        assert_eq!(r.service.parked.borrow().len(), 1, "asked again");
+        r.service.clone().release_all(&mut r.el);
+        assert_eq!(r.sink.borrow().table[&net].metric, 7);
+        assert_eq!(r.resolver.borrow().cache_len(), 1);
         assert!(r.cache.borrow().violations().is_empty());
     }
 

@@ -205,22 +205,17 @@ pub struct MultiProcessRouter {
 
 /// BGP's nexthop service backed by the RIB's interest-registration XRL
 /// (§5.1.1: "The Nexthop Resolver stages talk asynchronously to the RIB").
+/// A failed query (a dead RIB) is not an answer: the nexthop keeps its
+/// last one, and the invalidation BGP sends when a RIB comes up asks again.
 struct XrlNexthopService(xrl_ifaces::rib::Client);
 
 impl NexthopService<Ipv4Addr> for XrlNexthopService {
     fn resolve_nexthop(&self, el: &mut EventLoop, addr: Ipv4Addr, cb: AnswerCb<Ipv4Addr>) {
         self.0.register_interest(el, addr, move |el, result| {
-            let ans = match result {
-                Ok((valid, reachable, metric)) => RibNexthopAnswer {
-                    valid,
-                    metric: reachable.then_some(metric),
-                },
-                Err(_) => RibNexthopAnswer {
-                    valid: xorp_net::Prefix::host(addr),
-                    metric: None,
-                },
-            };
-            cb(el, ans);
+            if let Ok((valid, reachable, metric)) = result {
+                let metric = reachable.then_some(metric);
+                cb(el, RibNexthopAnswer { valid, metric });
+            }
         });
     }
 }

@@ -255,3 +255,26 @@ fn a_queued_table_fills_the_frames_of_both_hops() {
     }
     router.stop();
 }
+
+/// A nexthop query that fails is not an answer: with no RIB to ask, the
+/// service calls nothing back, so BGP keeps the nexthop's last answer
+/// instead of declaring it unreachable.  A RIB that is up still answers.
+#[test]
+fn a_failed_nexthop_query_is_not_an_answer() {
+    let mut el = EventLoop::new_virtual();
+    let (_rib, client) = rib_rig(&mut el);
+    let ask = |el: &mut EventLoop, service: &XrlNexthopService| {
+        let answer = Rc::new(RefCell::new(None));
+        let a = answer.clone();
+        let cb = Box::new(move |_el: &mut EventLoop, ans| *a.borrow_mut() = Some(ans));
+        service.resolve_nexthop(el, nexthop(0), cb);
+        el.run_until_idle();
+        answer.take()
+    };
+    let live = ask(&mut el, &XrlNexthopService(client)).and_then(|a| a.metric);
+    assert!(live.is_some(), "a live RIB did not answer");
+    let router = el.slot::<XrlRouter>().cloned().unwrap();
+    let dead = XrlNexthopService(xrl_ifaces::rib::Client::new(&router, "no-rib"));
+    let answer = ask(&mut el, &dead);
+    assert_eq!(answer, None, "a failed query answered");
+}

@@ -611,3 +611,48 @@ fn bgp_restart_state_is_bounded_by_the_table() {
     assert_eq!(router.peer_model_routes(), kept.len());
     router.stop();
 }
+
+/// A RIB restart withdraws nothing from BGP's peers.  The RIB dies while
+/// peer 1's table loads, and its first two replacements crash just after
+/// coming up, so nexthop queries BGP sends them can fail.  The resolver
+/// keeps a nexthop's last answer on a failed query instead of calling it
+/// unreachable, and asks again once a RIB that stays up is there, so a
+/// route peer 2 was sent stays exported throughout.
+#[test]
+fn a_rib_restart_withdraws_nothing_from_the_peers() {
+    const ROUTES: usize = 4000;
+    let table = backbone_table(&WorkloadConfig {
+        routes: ROUTES,
+        ..Default::default()
+    });
+    let chunks: Vec<_> = table.chunks(64).collect();
+    let router = supervised_router(test_supervision(50, 5, Duration::from_secs(30)));
+    router.set_crash_on_spawn("rib", 2);
+    let (mut most, mut fell) = (0, None);
+    let mut sample = |router: &MultiProcessRouter| {
+        let exported = router.bgp_announced_count(2);
+        if exported < most && fell.is_none() {
+            fell = Some((most, exported));
+        }
+        most = most.max(exported);
+    };
+    for (i, batch) in chunks.iter().enumerate() {
+        if i == chunks.len() / 2 {
+            router.kill("rib");
+        }
+        router.feed_backbone(1, batch);
+        sample(&router);
+    }
+    let whole = router.wait_for(Duration::from_secs(30), || {
+        sample(&router);
+        router.supervised_restarts() > 2
+            && router.rib_route_count() == ROUTES + 1
+            && router.bgp_announced_count(2) == ROUTES
+    });
+    assert!(whole, "the RIB did not come back whole");
+    assert_eq!(
+        fell, None,
+        "peer 2's export fell (from, to) while the RIB restarted"
+    );
+    router.stop();
+}

@@ -104,15 +104,16 @@ pub struct FaultEvent {
     pub action: FaultAction,
 }
 
-/// Per-lane deterministic RNG: SplitMix64.
+/// Per-lane deterministic RNG: SplitMix64.  The in-memory family cuts its
+/// byte streams with one too.
 #[derive(Debug, Clone)]
-struct Lane {
+pub(crate) struct Lane {
     state: u64,
     frames: u64,
 }
 
 impl Lane {
-    fn new(seed: u64, label: &str) -> Lane {
+    pub(crate) fn new(seed: u64, label: &str) -> Lane {
         // Fold the lane label into the seed (FNV-1a) so lanes differ but
         // stay reproducible.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -144,7 +145,8 @@ impl Lane {
         ((self.next_u64() >> 11) as f64 / (1u64 << 53) as f64) < p
     }
 
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
+    /// Uniform in `lo..=hi`.
+    pub(crate) fn range(&mut self, lo: u64, hi: u64) -> u64 {
         if hi <= lo {
             return lo;
         }

@@ -43,6 +43,9 @@ pub enum Endpoint {
     Tcp(SocketAddr),
     /// Unpipelined UDP transport.
     Udp(SocketAddr),
+    /// In-memory family: frames posted as stream bytes to another loop in
+    /// this process.  The id is the Finder's own numbering.
+    Mem(u64),
 }
 
 /// A resolved XRL target: where and how to reach a component, plus the
@@ -128,6 +131,9 @@ struct FinderInner {
     next_watch_id: u64,
     acl_enabled: bool,
     acl: Vec<AclRule>,
+    /// In-memory receiving points: endpoint id `n` posts to `mem[n - 1]`.
+    /// Numbered per Finder, so a run that replays names the same lanes.
+    mem: Vec<EventSender>,
 }
 
 /// The shared Finder.  Cheap to clone; all clones see the same broker.
@@ -312,6 +318,20 @@ impl Finder {
     }
 
     // ----- loop hooks ------------------------------------------------------
+
+    /// Open an in-memory receiving point on the loop `sender` posts to;
+    /// returns its endpoint id (1, 2, … in this Finder).
+    pub(crate) fn listen_mem(&self, sender: EventSender) -> u64 {
+        let mut inner = self.inner.lock();
+        inner.mem.push(sender);
+        inner.mem.len() as u64
+    }
+
+    /// The loop behind in-memory endpoint `id`.
+    pub(crate) fn mem_loop(&self, id: u64) -> Option<EventSender> {
+        let inner = self.inner.lock();
+        inner.mem.get((id as usize).wrapping_sub(1)).cloned()
+    }
 
     /// Register a router's loop for resolve-cache invalidation callbacks.
     pub(crate) fn add_cache_holder(&self, router_id: u64, sender: EventSender) {

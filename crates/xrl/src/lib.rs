@@ -20,7 +20,8 @@
 //! components — **TCP** (pipelined; the production default), **UDP**
 //! (deliberately unpipelined, reproducing the paper's Figure 9 contrast)
 //! and **intra-process** direct dispatch — plus the one-message **kill**
-//! family that delivers a signal.
+//! family that delivers a signal, and an **in-memory** family that moves
+//! stream bytes between loops of one process with no socket.
 //!
 //! The textual form is fully scriptable: [`script::call_xrl`] parses and
 //! dispatches a string, the equivalent of the paper's `call_xrl` program
@@ -28,6 +29,7 @@
 
 pub mod atom;
 pub mod error;
+mod exchange;
 pub mod fault;
 pub mod finder;
 pub mod idl;

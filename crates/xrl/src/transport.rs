@@ -7,15 +7,21 @@
 //!
 //! # What the router may ask
 //!
-//! Every piece of per-family state a router keeps lives in one
-//! [`Families`] value: the TCP listener and connection cache, the UDP
-//! socket, and the per-peer queues that keep UDP unpipelined (§8.1).  The
-//! router names endpoints by [`Via`] and writes to one [`Remote`] value — a
-//! connection or a datagram peer, matched per frame with no dynamic
-//! dispatch — and asks its `Families` for nothing else than to enable a
-//! family, advertise its endpoints, connect a `Via`, park a UDP request
-//! behind its peer's request in flight, release that slot, evict a failed
-//! connection or dead peer, and tear everything down.
+//! Every socket and connection a router keeps lives in one [`Families`]
+//! value: the TCP listener and connection cache, the UDP socket, and the
+//! in-memory family's links.  The router names endpoints by [`Via`] and
+//! writes to one [`Remote`] value — a connection, a datagram peer or an
+//! in-memory link, matched per frame with no dynamic dispatch — and asks
+//! its `Families` for nothing else than to enable a family, advertise its
+//! endpoints, connect a `Via`, evict a failed connection, and tear
+//! everything down.  What a request is waiting for (UDP's one request in
+//! flight per peer, §8.1, included) is the exchange core's
+//! ([`crate::exchange`]), not a family's.
+//!
+//! The in-memory family ([`MemPipe`]) moves the bytes a stream would carry
+//! to another loop of the same process, cut at seeded boundaries and
+//! reassembled by a [`FrameDecoder`].  With virtual-clock loops that a test
+//! steps, an exchange over it replays from its seeds.
 //!
 //! The paper's loop multiplexes sockets with `select(2)`.  We keep the
 //! router loop single-threaded and give each socket a dedicated reader
@@ -79,20 +85,20 @@
 //! with `TargetDied` or are left to their armed retry timers.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 use xorp_event::{EventLoop, EventSender};
 use xorp_profiler::{Histogram, Metrics};
 
 use crate::error::XrlError;
-use crate::finder::Endpoint;
+use crate::fault::Lane;
+use crate::finder::{Endpoint, Finder};
 use crate::marshal::{Frame, FrameDecoder};
 use crate::router::XrlRouter;
 
@@ -168,14 +174,9 @@ fn spawn_tcp_listener(
                     accepted.retain(|c| c.strong_count() > 0);
                     accepted.push(Arc::downgrade(&conn));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(_) => {
-                    // Transient (aborted handshake) or fatal; either way
-                    // check the flag and keep serving.
-                    std::thread::sleep(ACCEPT_POLL);
-                }
+                // Nothing pending, an aborted handshake, or fatal: either
+                // way check the flag and keep serving.
+                Err(_) => std::thread::sleep(ACCEPT_POLL),
             }
         })
         .expect("spawn accept thread");
@@ -196,12 +197,16 @@ fn spawn_tcp_reader(
         .name("xrl-tcp-read".into())
         .spawn(move || {
             let conn = reader_conn;
+            let (remote, metrics) = (Remote::Tcp(conn.clone()), conn.metrics.clone());
             let mut decoder = FrameDecoder::with_capacity(READ_BUF_BYTES);
             // A read error, end of stream or an oversized length header
             // all end the connection; so does the loop going away.
-            while matches!(decoder.fill(&mut read_half), Ok(n) if n > 0)
-                && post_decoded(&mut decoder, &conn, &sender)
-            {}
+            while matches!(decoder.fill(&mut read_half), Ok(n) if n > 0) {
+                let per_read = metrics.get().map(|m| &m.frames_per_read);
+                if !post_decoded(&mut decoder, &remote, &sender, per_read) {
+                    break;
+                }
+            }
             // Tell the loop so pending callbacks can fail over.  On the
             // completion lane, behind every response this reader posted:
             // a request that was answered never fails `TargetDied`.
@@ -215,16 +220,20 @@ fn spawn_tcp_reader(
 /// in events of at most `MAX_FRAME_BATCH` frames: responses on the
 /// completion lane, requests on the bulk lane, each in arrival order, and
 /// priority frames singly on the priority lane (this is where a keepalive
-/// passes a route-storm backlog).  Returns `false` when the stream is
-/// corrupt or the loop is gone.
-fn post_decoded(decoder: &mut FrameDecoder, conn: &Arc<TcpConn>, sender: &EventSender) -> bool {
+/// passes a route-storm backlog).  Requests are answered on `remote`.
+/// Returns `false` when the stream is corrupt or the loop is gone.
+fn post_decoded(
+    decoder: &mut FrameDecoder,
+    remote: &Remote,
+    sender: &EventSender,
+    frames_per_read: Option<&Histogram>,
+) -> bool {
     let mut decoded = 0u64;
     let mut responses = Vec::new();
     let mut requests = Vec::new();
     let post_batch = |batch: &mut Vec<Frame>, completion: bool| {
-        let frames = std::mem::take(batch);
-        let conn = Remote::Tcp(conn.clone());
-        let run = move |el: &mut EventLoop| XrlRouter::incoming(el, frames, conn);
+        let (frames, remote) = (std::mem::take(batch), remote.clone());
+        let run = move |el: &mut EventLoop| XrlRouter::incoming(el, frames, remote);
         if completion {
             sender.post_completion(run)
         } else {
@@ -247,8 +256,8 @@ fn post_decoded(decoder: &mut FrameDecoder, conn: &Arc<TcpConn>, sender: &EventS
         decoded += 1;
         let posted = match frame {
             Ok(frame) if frame.is_priority() => {
-                let conn = Remote::Tcp(conn.clone());
-                sender.post_priority(move |el| XrlRouter::incoming(el, [frame], conn))
+                let remote = remote.clone();
+                sender.post_priority(move |el| XrlRouter::incoming(el, [frame], remote))
             }
             Ok(frame) => {
                 let completion = matches!(frame, Frame::Response { .. });
@@ -266,8 +275,8 @@ fn post_decoded(decoder: &mut FrameDecoder, conn: &Arc<TcpConn>, sender: &EventS
             break false;
         }
     };
-    if let Some(m) = conn.metrics.get() {
-        m.frames_per_read.observe(decoded);
+    if let Some(h) = frames_per_read {
+        h.observe(decoded);
     }
     alive
 }
@@ -371,44 +380,22 @@ fn spawn_udp(
         .name(format!("xrl-udp-read-{}", addr.port()))
         .spawn(move || {
             let mut buf = vec![0u8; MAX_UDP_FRAME + 4];
-            loop {
-                let (n, peer) = match reader.recv_from(&mut buf) {
-                    Ok(x) => x,
-                    Err(_) => return,
-                };
+            let mut decoder = FrameDecoder::with_capacity(MAX_UDP_FRAME + 4);
+            while let Ok((n, peer)) = reader.recv_from(&mut buf) {
                 if stop.load(Ordering::SeqCst) {
                     return;
                 }
-                // Datagram = length header + body, same as the stream form.
-                if n < 4 {
+                // Datagram = length header + body, same as the stream form,
+                // and its frame is posted as a TCP reader posts one.
+                let header = buf[..n].first_chunk::<4>();
+                if header.map(|h| u32::from_be_bytes(*h) as usize + 4) != Some(n) {
                     continue;
                 }
-                let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-                if len + 4 != n {
-                    continue;
-                }
-                let body = Bytes::from(buf[4..n].to_vec());
-                match Frame::decode(body) {
-                    Ok(frame) => {
-                        let reply = Remote::Udp(UdpTransport {
-                            socket: reader.clone(),
-                            peer,
-                        });
-                        let priority = frame.is_priority();
-                        let completion = matches!(frame, Frame::Response { .. });
-                        let run = move |el: &mut EventLoop| XrlRouter::incoming(el, [frame], reply);
-                        let posted = if priority {
-                            sender.post_priority(run)
-                        } else if completion {
-                            sender.post_completion(run)
-                        } else {
-                            sender.post(run)
-                        };
-                        if !posted {
-                            return;
-                        }
-                    }
-                    Err(_) => continue,
+                let socket = reader.clone();
+                let reply = Remote::Udp(UdpTransport { socket, peer });
+                let _ = decoder.fill(&mut &buf[..n]);
+                if !post_decoded(&mut decoder, &reply, &sender, None) {
+                    return;
                 }
             }
         })
@@ -416,31 +403,12 @@ fn spawn_udp(
     Ok((socket, addr))
 }
 
-// ----- the common transport abstraction ------------------------------------
+// ----- the remote transports -----------------------------------------------
 
-/// A frame-writing endpoint: one TCP connection or one UDP peer.  The
-/// router writes every outgoing frame through this trait (as a
-/// [`Remote`], which picks the family by `match`), which is where
-/// the fault-injection layer (see [`crate::fault`]) taps the stream —
-/// faults apply uniformly to every protocol family, per frame, before any
-/// buffering.  Handles are cheap clones of shared state; nothing is built
-/// per frame.
-pub(crate) trait Transport: Clone + 'static {
-    /// Send one frame toward the peer: written now (UDP) or appended to
-    /// the connection's out-buffer for this turn's flush (TCP).
-    fn send_frame(&self, el: &mut EventLoop, frame: &Frame) -> Result<(), XrlError>;
-
-    /// Label for fault-lane selection and tracing (`tcp:127.0.0.1:5000`).
-    fn lane(&self) -> Cow<'_, str>;
-
-    /// Forcibly sever the underlying connection, if the family has one.
-    /// Used by the `Disconnect` fault action; UDP has no connection state,
-    /// so it is a no-op there.
-    fn sever(&self, _el: &mut EventLoop) {}
-}
-
-impl Transport for Arc<TcpConn> {
-    fn send_frame(&self, el: &mut EventLoop, frame: &Frame) -> Result<(), XrlError> {
+impl TcpConn {
+    /// Append one frame to the out-buffer for this turn's flush (at once
+    /// for a priority frame or a full buffer).
+    fn send_frame(self: &Arc<Self>, el: &mut EventLoop, frame: &Frame) -> Result<(), XrlError> {
         let (flush_now, newly_dirty) = {
             let mut out = self.out.lock();
             if out.dead {
@@ -475,10 +443,6 @@ impl Transport for Arc<TcpConn> {
         Ok(())
     }
 
-    fn lane(&self) -> Cow<'_, str> {
-        Cow::Borrowed(&self.lane)
-    }
-
     /// What was sent before the fault still reaches the wire, as it did
     /// when every frame was written on the spot.  Then this side stops
     /// sending: the write half closes (the peer sees the connection end),
@@ -489,7 +453,7 @@ impl Transport for Arc<TcpConn> {
     /// with the in-flight window (send rate × round-trip time), and the
     /// retry timers of everything lost together then fire together, into
     /// the next fault.
-    fn sever(&self, el: &mut EventLoop) {
+    fn sever(self: &Arc<Self>, el: &mut EventLoop) {
         self.flush(el);
         let _ = self.stream.shutdown(Shutdown::Write);
         if !std::mem::replace(&mut self.out.lock().dead, true) {
@@ -506,9 +470,9 @@ pub(crate) struct UdpTransport {
     peer: SocketAddr,
 }
 
-impl Transport for UdpTransport {
+impl UdpTransport {
     /// One datagram: the length header and body, as on a stream.
-    fn send_frame(&self, _el: &mut EventLoop, frame: &Frame) -> Result<(), XrlError> {
+    fn send_frame(&self, frame: &Frame) -> Result<(), XrlError> {
         let bytes = frame.encode();
         if bytes.len() > MAX_UDP_FRAME {
             return Err(XrlError::Transport(format!(
@@ -521,15 +485,75 @@ impl Transport for UdpTransport {
             .map_err(|e| XrlError::Transport(format!("udp send: {e}")))?;
         Ok(())
     }
+}
 
-    fn lane(&self) -> Cow<'_, str> {
-        Cow::Owned(format!("udp:{}", self.peer))
+/// One in-memory connection between two loops of this process.  Each
+/// direction carries the bytes a stream would, cut at seeded boundaries
+/// and reassembled by the receiving end's decoder, whose frames are posted
+/// to the receiving loop as a TCP reader posts them.  The link itself loses
+/// and reorders nothing; the fault plan at the router's chokepoint does.
+pub(crate) struct MemLink {
+    /// `ends[0]` delivers to the endpoint connected to, `ends[1]` back.
+    ends: [MemEnd; 2],
+}
+
+/// One direction of a [`MemLink`].
+struct MemEnd {
+    /// The receiving loop.
+    to: EventSender,
+    /// `mem:<receiving endpoint id>`, which also seeds the cuts.
+    lane: String,
+    /// The cut stream and the receiving end's reassembly buffer.
+    rx: Mutex<(Lane, FrameDecoder)>,
+}
+
+impl MemEnd {
+    /// The direction delivering to endpoint `id` on the loop `to` posts to.
+    fn new(to: EventSender, id: u64) -> MemEnd {
+        let lane = format!("mem:{id}");
+        let rx = Mutex::new((Lane::new(0, &lane), FrameDecoder::with_capacity(4096)));
+        MemEnd { to, lane, rx }
+    }
+}
+
+/// One direction of an in-memory link; its reply travels the other.
+#[derive(Clone)]
+pub(crate) struct MemPipe {
+    link: Arc<MemLink>,
+    end: usize,
+}
+
+impl MemPipe {
+    /// Feed the frame's bytes to the receiving end in seeded pieces.
+    fn send_frame(&self, frame: &Frame) -> Result<(), XrlError> {
+        let (link, end) = (self.link.clone(), 1 - self.end);
+        let (reply, to) = (
+            Remote::Mem(MemPipe { link, end }),
+            &self.link.ends[self.end],
+        );
+        let bytes = frame.encode();
+        let mut rest = &bytes[..];
+        let (cuts, decoder) = &mut *to.rx.lock();
+        while !rest.is_empty() {
+            let cut = cuts.range(1, rest.len() as u64) as usize;
+            let mut piece = &rest[..cut];
+            rest = &rest[cut..];
+            while !piece.is_empty() {
+                let fed = decoder.fill(&mut piece).is_ok();
+                if !fed || !post_decoded(decoder, &reply, &to.to, None) {
+                    return Err(XrlError::Transport("mem: the peer loop is gone".into()));
+                }
+            }
+        }
+        Ok(())
     }
 }
 
 /// The one remote-transport value: what a request is written to and what a
 /// reply travels back on.  A `match` per frame picks the family; nothing is
-/// boxed.
+/// boxed.  The router writes every outgoing frame through one, which is
+/// where the fault-injection layer (see [`crate::fault`]) taps the stream:
+/// faults apply uniformly to every family, per frame, before any buffering.
 #[derive(Clone)]
 pub(crate) enum Remote {
     /// One established connection.
@@ -537,15 +561,8 @@ pub(crate) enum Remote {
     /// A peer reached through this router's (or, for a reply, the
     /// receiving router's) bound socket.
     Udp(UdpTransport),
-}
-
-impl Remote {
-    /// Whether frames from this peer are datagrams, which the network may
-    /// deliver twice: every request that arrives this way takes a dedup
-    /// identity.
-    pub(crate) fn is_datagram(&self) -> bool {
-        matches!(self, Remote::Udp(_))
-    }
+    /// One direction of an in-memory link.
+    Mem(MemPipe),
 }
 
 /// Identity, not contents: the same connection, or the same socket and
@@ -557,30 +574,44 @@ impl PartialEq for Remote {
             (Remote::Udp(a), Remote::Udp(b)) => {
                 Arc::ptr_eq(&a.socket, &b.socket) && a.peer == b.peer
             }
+            (Remote::Mem(a), Remote::Mem(b)) => Arc::ptr_eq(&a.link, &b.link) && a.end == b.end,
             _ => false,
         }
     }
 }
 
-impl Transport for Remote {
-    fn send_frame(&self, el: &mut EventLoop, frame: &Frame) -> Result<(), XrlError> {
+impl Remote {
+    /// Whether frames from this peer are datagrams, which the network may
+    /// deliver twice: every request that arrives this way takes a dedup
+    /// identity.
+    pub(crate) fn is_datagram(&self) -> bool {
+        matches!(self, Remote::Udp(_))
+    }
+
+    /// Send one frame toward the peer: appended to the connection's
+    /// out-buffer (TCP), written now (UDP) or posted (in-memory).
+    pub(crate) fn send_frame(&self, el: &mut EventLoop, frame: &Frame) -> Result<(), XrlError> {
         match self {
             Remote::Tcp(conn) => conn.send_frame(el, frame),
-            Remote::Udp(peer) => peer.send_frame(el, frame),
+            Remote::Udp(peer) => peer.send_frame(frame),
+            Remote::Mem(pipe) => pipe.send_frame(frame),
         }
     }
 
-    fn lane(&self) -> Cow<'_, str> {
+    /// Label for fault-lane selection and tracing (`tcp:127.0.0.1:5000`).
+    pub(crate) fn lane(&self) -> Cow<'_, str> {
         match self {
-            Remote::Tcp(conn) => conn.lane(),
-            Remote::Udp(peer) => peer.lane(),
+            Remote::Tcp(conn) => Cow::Borrowed(&conn.lane),
+            Remote::Udp(peer) => Cow::Owned(format!("udp:{}", peer.peer)),
+            Remote::Mem(pipe) => Cow::Borrowed(&pipe.link.ends[pipe.end].lane),
         }
     }
 
-    fn sever(&self, el: &mut EventLoop) {
-        match self {
-            Remote::Tcp(conn) => conn.sever(el),
-            Remote::Udp(peer) => peer.sever(el),
+    /// Forcibly sever the connection, for the `Disconnect` fault action;
+    /// a datagram peer or an in-memory link has none to sever.
+    pub(crate) fn sever(&self, el: &mut EventLoop) {
+        if let Remote::Tcp(conn) = self {
+            conn.sever(el);
         }
     }
 }
@@ -589,12 +620,13 @@ impl Transport for Remote {
 
 /// Which endpoint an outgoing request was sent through: the router's
 /// choice among the ones its target advertised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Via {
     /// Direct dispatch on the caller's own loop.
     Intra,
     Tcp(SocketAddr),
     Udp(SocketAddr),
+    Mem(u64),
 }
 
 impl Via {
@@ -606,16 +638,20 @@ impl Via {
             Via::Intra => None,
             Via::Tcp(a) => Some(Rc::from(format!("tcp:{a}"))),
             Via::Udp(a) => Some(Rc::from(format!("udp:{a}"))),
+            Via::Mem(id) => Some(Rc::from(format!("mem:{id}"))),
         }
     }
 }
 
-/// Every protocol family one router has enabled, with all the state a
-/// family keeps per peer.  The router reaches a peer only through it.
+/// Every protocol family one router has enabled, with its sockets and
+/// connections.  The router reaches a peer only through it.
 pub(crate) struct Families {
     sender: EventSender,
+    /// Where in-memory endpoints are found.
+    finder: Finder,
     tcp: Option<TcpFamily>,
     udp: Option<UdpFamily>,
+    mem: Option<MemFamily>,
     /// Shared with the TCP listener and reader threads.
     metrics: SharedTcpMetrics,
 }
@@ -632,24 +668,23 @@ struct UdpFamily {
     socket: Arc<UdpSocket>,
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    peers: HashMap<SocketAddr, UdpSlot>,
 }
 
-/// UDP is deliberately unpipelined (§8.1): at most one data request in
-/// flight per peer, the rest parked in order until its response arrives.
-#[derive(Default)]
-struct UdpSlot {
-    /// The request that holds the slot.
-    in_flight: Option<u64>,
-    parked: VecDeque<(u64, Frame)>,
+struct MemFamily {
+    /// This router's in-memory endpoint id.
+    id: u64,
+    /// Outgoing links by peer endpoint id.
+    links: HashMap<u64, Arc<MemLink>>,
 }
 
 impl Families {
-    pub(crate) fn new(sender: EventSender) -> Families {
+    pub(crate) fn new(sender: EventSender, finder: Finder) -> Families {
         Families {
             sender,
+            finder,
             tcp: None,
             udp: None,
+            mem: None,
             metrics: SharedTcpMetrics::default(),
         }
     }
@@ -694,9 +729,18 @@ impl Families {
             socket,
             local_addr,
             stop,
-            peers: HashMap::new(),
         });
         Ok(local_addr)
+    }
+
+    /// Open the in-memory receiving point, once; returns its endpoint id.
+    pub(crate) fn enable_mem(&mut self) -> u64 {
+        let (finder, sender) = (&self.finder, &self.sender);
+        let mem = self.mem.get_or_insert_with(|| MemFamily {
+            id: finder.listen_mem(sender.clone()),
+            links: HashMap::new(),
+        });
+        mem.id
     }
 
     /// The endpoints of the enabled families, for a registration to
@@ -705,11 +749,12 @@ impl Families {
         let tcp = self.tcp.as_ref().map(|t| Endpoint::Tcp(t.listen_addr));
         tcp.into_iter()
             .chain(self.udp.as_ref().map(|u| Endpoint::Udp(u.local_addr)))
+            .chain(self.mem.as_ref().map(|m| Endpoint::Mem(m.id)))
     }
 
-    /// The transport toward `via`: the cached connection to a TCP peer (or
-    /// a new one, which is then cached), or the UDP socket addressed to
-    /// the peer.
+    /// The transport toward `via`: the cached connection or link to a TCP
+    /// or in-memory peer (or a new one, which is then cached), or the UDP
+    /// socket addressed to the peer.
     pub(crate) fn connect(&mut self, via: Via) -> Result<Remote, XrlError> {
         let disabled = |family| XrlError::Transport(format!("{family} family not enabled"));
         match via {
@@ -735,84 +780,32 @@ impl Families {
                     peer,
                 }))
             }
+            Via::Mem(peer) => {
+                let mem = self.mem.as_mut().ok_or_else(|| disabled("mem"))?;
+                if let Some(link) = mem.links.get(&peer) {
+                    let link = link.clone();
+                    return Ok(Remote::Mem(MemPipe { link, end: 0 }));
+                }
+                let to = self.finder.mem_loop(peer);
+                let to =
+                    to.ok_or_else(|| XrlError::Transport(format!("no mem endpoint {peer}")))?;
+                let back = MemEnd::new(self.sender.clone(), mem.id);
+                let link = Arc::new(MemLink {
+                    ends: [MemEnd::new(to, peer), back],
+                });
+                mem.links.insert(peer, link.clone());
+                Ok(Remote::Mem(MemPipe { link, end: 0 }))
+            }
         }
-    }
-
-    /// Park request `seq` if it must wait: a UDP data request finding its
-    /// peer's slot taken is parked behind it, in order, and `None` comes
-    /// back.  Otherwise the frame comes back to be written now, and a UDP
-    /// data request holds the slot from here.  Priority requests never
-    /// wait for the slot — a keepalive must not queue behind a saturated
-    /// data queue — and never hold it.
-    pub(crate) fn park(
-        &mut self,
-        via: Via,
-        seq: u64,
-        frame: Frame,
-        priority: bool,
-    ) -> Option<Frame> {
-        let (Via::Udp(peer), false, Some(udp)) = (via, priority, self.udp.as_mut()) else {
-            return Some(frame);
-        };
-        let slot = udp.peers.entry(peer).or_default();
-        if slot.in_flight.is_some() {
-            slot.parked.push_back((seq, frame));
-            return None;
-        }
-        slot.in_flight = Some(seq);
-        Some(frame)
-    }
-
-    /// Request `seq` toward `via` has finished.  If it held its UDP peer's
-    /// slot, the slot passes to the next parked request, which comes back
-    /// to be written now.
-    pub(crate) fn release(&mut self, via: Via, seq: u64) -> Option<(u64, Frame)> {
-        let Via::Udp(peer) = via else {
-            return None;
-        };
-        let slot = self.udp.as_mut()?.peers.get_mut(&peer)?;
-        if slot.in_flight != Some(seq) {
-            return None;
-        }
-        let next = slot.parked.pop_front();
-        slot.in_flight = next.as_ref().map(|(seq, _)| *seq);
-        next
     }
 
     /// Forget a connection that failed, unless a send already replaced
     /// it: the next send toward its peer connects afresh.  A datagram peer
-    /// keeps nothing to forget.
+    /// or an in-memory link keeps nothing to forget.
     pub(crate) fn evict(&mut self, remote: &Remote) {
         if let (Remote::Tcp(conn), Some(tcp)) = (remote, self.tcp.as_mut()) {
             tcp.conns.retain(|_, c| !Arc::ptr_eq(c, conn));
         }
-    }
-
-    /// A request toward `via` spent its whole retry budget.  A UDP peer is
-    /// then dead: its parked frames are dropped (they would otherwise wait
-    /// until process exit), and `true` says every request outstanding
-    /// toward it should fail now instead of serially burning its own
-    /// budget.  A TCP peer's other requests keep their budgets.
-    pub(crate) fn peer_dead(&mut self, via: Via) -> bool {
-        let Via::Udp(peer) = via else {
-            return false;
-        };
-        if let Some(udp) = self.udp.as_mut() {
-            udp.peers.remove(&peer);
-        }
-        true
-    }
-
-    /// Forget every UDP peer's slot and the frames parked behind it: the
-    /// router is shutting down, and none of them may reach the wire.
-    pub(crate) fn drop_parked(&mut self) {
-        self.udp.iter_mut().for_each(|udp| udp.peers.clear());
-    }
-
-    /// Frames parked behind a UDP peer's request in flight.
-    pub(crate) fn parked(&self) -> impl Iterator<Item = &Frame> + '_ {
-        let peers = self.udp.iter().flat_map(|u| u.peers.values());
-        peers.flat_map(|p| p.parked.iter().map(|(_, frame)| frame))
     }
 
     /// Write out what the final turn buffered (a reply sent just before
@@ -838,5 +831,6 @@ impl Families {
             udp.stop.store(true, Ordering::SeqCst);
             let _ = udp.socket.send_to(&[0u8; 1], udp.local_addr);
         }
+        self.mem = None;
     }
 }

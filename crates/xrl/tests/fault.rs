@@ -1,19 +1,27 @@
-//! Failure-path tests: two routers exchanging XRLs over TCP (the lossy
-//! exchange over UDP too) while a seeded [`FaultPlan`] drops, duplicates,
-//! delays and severs frames underneath them.  The property under test is the §4/§6 robustness story — every
+//! Failure-path tests: two routers exchanging XRLs while a seeded
+//! [`FaultPlan`] drops, duplicates, delays and severs frames underneath
+//! them.  The property under test is the §4/§6 robustness story — every
 //! request completes *exactly once* (no double-dispatch at the receiver, no
 //! hang at the sender), or fails crisply with [`XrlError::Timeout`].
+//!
+//! The lossy exchanges run over the in-memory family on two virtual-clock
+//! loops that the test steps together on its own thread, so a run is a
+//! function of its seeds: rerun, it replays the same fault trace and the
+//! same dispatch counts.  TCP and UDP keep one lossy smoke each on real
+//! sockets and threads, and connections are severed over TCP.
 //!
 //! Every test is seeded; a failure prints the fault plan's decision trace,
 //! so the run can be reproduced from the log alone.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use proptest::prelude::*;
-use xorp_event::{EventLoop, EventSender};
+use xorp_event::{EventLoop, EventSender, Time};
 use xorp_xrl::router::TransportPref;
 use xorp_xrl::{
     FaultConfig, FaultPlan, Finder, QueuePolicy, RetryPolicy, Xrl, XrlError, XrlRouter,
@@ -21,6 +29,9 @@ use xorp_xrl::{
 
 /// Distinct lane seeds per test so parallel tests never share streams.
 static NEXT_CLASS: AtomicU64 = AtomicU64::new(0);
+
+/// One request's result: the echoed id, or why it failed.
+type Outcome = Result<u32, XrlError>;
 
 /// Outcome of one lossy exchange.
 struct Exchange {
@@ -30,6 +41,95 @@ struct Exchange {
     dispatch_counts: HashMap<u32, u32>,
     /// The sender's fault trace (for failure artifacts).
     sender_report: String,
+    /// The receiver's fault trace (the in-memory runs keep it to compare
+    /// a rerun with).
+    receiver_report: String,
+}
+
+/// The echo method's XRL for request `i`.
+fn echo_xrl(class: &str, i: u32) -> Xrl {
+    format!("finder://{class}/{class}/1.0/echo?i:u32={i}")
+        .parse()
+        .unwrap()
+}
+
+/// Run `n` requests over the in-memory family from a faulty sender to a
+/// faulty echo receiver, each on a virtual-clock loop, both stepped 1 ms
+/// at a time on this thread until every request has its result (or ten
+/// virtual minutes pass), then for `linger` more.  Nothing here reads a
+/// wall clock or a socket, so the run replays from its seeds.
+fn run_mem_exchange(config: FaultConfig, retry: RetryPolicy, n: u32, linger: Duration) -> Exchange {
+    let class = "fm";
+    let instance = "fm-0";
+    let finder = Finder::new();
+    let counts: Rc<RefCell<HashMap<u32, u32>>> = Rc::default();
+
+    let mut receiver_el = EventLoop::new_virtual();
+    let receiver = XrlRouter::new(&mut receiver_el, finder.clone());
+    receiver.set_fault_plan(config.clone()); // responses are lossy too
+    receiver.enable_mem();
+    receiver.register_target(class, instance, true).unwrap();
+    let c = counts.clone();
+    receiver.add_fn(instance, &format!("{class}/1.0/echo"), move |_el, args| {
+        let i = args.get_u32("i")?;
+        *c.borrow_mut().entry(i).or_insert(0) += 1;
+        Ok(args.clone())
+    });
+
+    let mut el = EventLoop::new_virtual();
+    let router = XrlRouter::new(&mut el, finder);
+    router.set_fault_plan(config);
+    router.set_retry_policy(Some(retry));
+    router.set_overload_policy(QueuePolicy {
+        hard_cap: n as usize,
+        ..QueuePolicy::default()
+    });
+    router.enable_mem();
+    router
+        .register_target("fault-sender", "fm-sender", true)
+        .unwrap();
+
+    let results: Rc<RefCell<Vec<Option<Outcome>>>> = Rc::new(RefCell::new(vec![None; n as usize]));
+    for i in 0..n {
+        let results = results.clone();
+        let cb = move |_el: &mut EventLoop, result: xorp_xrl::XrlResult| {
+            results.borrow_mut()[i as usize] = Some(result.and_then(|a| a.get_u32("i")));
+        };
+        router.send_pref(
+            &mut el,
+            echo_xrl(class, i),
+            TransportPref::Mem,
+            Box::new(cb),
+        );
+    }
+    let tick = Duration::from_millis(1);
+    let step = |el: &mut EventLoop, receiver_el: &mut EventLoop| {
+        let t = el.now() + tick;
+        el.run_until(t);
+        receiver_el.run_until(t);
+    };
+    let deadline = Time::from_secs(600);
+    while results.borrow().iter().any(Option::is_none) && el.now() < deadline {
+        step(&mut el, &mut receiver_el);
+    }
+    let linger_until = el.now() + linger;
+    while el.now() < linger_until {
+        step(&mut el, &mut receiver_el);
+    }
+
+    let report = |r: &XrlRouter| r.fault_report().unwrap_or_else(|| "no fault plan".into());
+    let (sender_report, receiver_report) = (report(&router), report(&receiver));
+    router.shutdown(&mut el);
+    receiver.shutdown(&mut receiver_el);
+    let results = results.take().into_iter();
+    Exchange {
+        results: results
+            .map(|r| r.unwrap_or(Err(XrlError::Timeout)))
+            .collect(),
+        dispatch_counts: counts.take(),
+        sender_report,
+        receiver_report,
+    }
 }
 
 /// Run `n` pipelined TCP requests from a faulty sender to a faulty echo
@@ -108,9 +208,7 @@ fn run_exchange_linger(
 
     let (res_tx, res_rx) = mpsc::channel::<(u32, Result<u32, XrlError>)>();
     for i in 0..n {
-        let xrl: Xrl = format!("finder://{class}/{class}/1.0/echo?i:u32={i}")
-            .parse()
-            .unwrap();
+        let xrl = echo_xrl(&class, i);
         let res_tx = res_tx.clone();
         router.send_pref(
             &mut el,
@@ -155,6 +253,7 @@ fn run_exchange_linger(
         results,
         dispatch_counts,
         sender_report,
+        receiver_report: String::new(),
     }
 }
 
@@ -177,13 +276,53 @@ fn assert_exactly_once(ex: &Exchange, n: u32) {
     }
 }
 
+/// Assert that a run was lossy, or it proves nothing.
+fn assert_lossy(ex: &Exchange, what: &str) {
+    for action in ["Drop", "Duplicate"] {
+        assert!(
+            ex.sender_report.contains(action),
+            "{what}: expected {action} in the trace:\n{}",
+            ex.sender_report
+        );
+    }
+}
+
 /// The acceptance bar: 1000 XRLs at 5% drop + 5% duplicate + 5% delay
-/// (reordering), every request completes exactly once — over TCP, where
-/// only a request marked `SEQ_MAY_RECUR` takes a dedup identity, and over
-/// UDP, where every datagram does and retransmission holds the peer's one
-/// slot.
+/// (reordering), every request completes exactly once.  Over the
+/// in-memory family on virtual time, a rerun of the seed replays the same
+/// fault trace on both sides and the same dispatch counts.
 #[test]
 fn thousand_xrls_at_5_percent_loss_exactly_once() {
+    let config = FaultConfig::lossy(0xFA117, 0.05);
+    let retry = RetryPolicy {
+        max_attempts: 8,
+        base_timeout: Duration::from_millis(50),
+        max_timeout: Duration::from_secs(1),
+    };
+    let n = 1000;
+    let ex = run_mem_exchange(config.clone(), retry, n, Duration::ZERO);
+    assert_exactly_once(&ex, n);
+    assert_lossy(&ex, "mem");
+    let again = run_mem_exchange(config, retry, n, Duration::ZERO);
+    assert_eq!(
+        ex.sender_report, again.sender_report,
+        "the sender's faults replay"
+    );
+    assert_eq!(
+        ex.receiver_report, again.receiver_report,
+        "the receiver's faults replay"
+    );
+    assert_eq!(
+        ex.dispatch_counts, again.dispatch_counts,
+        "the dispatches replay"
+    );
+}
+
+/// One lossy exchange over each socket family: over TCP only a request
+/// marked `SEQ_MAY_RECUR` takes a dedup identity; over UDP every datagram
+/// does, and retransmission holds the peer's one slot.
+#[test]
+fn lossy_exchange_over_tcp_and_udp_exactly_once() {
     for pref in [TransportPref::Tcp, TransportPref::Udp] {
         let config = FaultConfig::lossy(0xFA117, 0.05);
         let retry = RetryPolicy {
@@ -191,21 +330,11 @@ fn thousand_xrls_at_5_percent_loss_exactly_once() {
             base_timeout: Duration::from_millis(50),
             max_timeout: Duration::from_secs(1),
         };
-        let n = 1000;
+        let n = 200;
         let timeout = Duration::from_secs(60);
         let ex = run_exchange_linger(config, retry, n, timeout, Duration::ZERO, pref);
         assert_exactly_once(&ex, n);
-        // The run must actually have been lossy, or the test proves nothing.
-        assert!(
-            ex.sender_report.contains("Drop"),
-            "{pref:?}: expected drops in the trace:\n{}",
-            ex.sender_report
-        );
-        assert!(
-            ex.sender_report.contains("Duplicate"),
-            "{pref:?}: expected duplicates in the trace:\n{}",
-            ex.sender_report
-        );
+        assert_lossy(&ex, &format!("{pref:?}"));
     }
 }
 
@@ -247,7 +376,7 @@ fn black_hole_times_out_instead_of_hanging() {
         max_timeout: Duration::from_millis(40),
     };
     let n = 5;
-    let ex = run_exchange(config, retry, n, Duration::from_secs(30));
+    let ex = run_mem_exchange(config, retry, n, Duration::ZERO);
     for i in 0..n {
         assert!(
             matches!(ex.results[i as usize], Err(XrlError::Timeout)),
@@ -291,14 +420,7 @@ fn flooded_dedup_cache_never_redispatches_delayed_duplicates() {
     assert!(retry.retransmission_window() > max_delay * 2);
 
     let n = 9000;
-    let ex = run_exchange_linger(
-        config,
-        retry,
-        n,
-        Duration::from_secs(120),
-        max_delay + Duration::from_millis(200),
-        TransportPref::Tcp,
-    );
+    let ex = run_mem_exchange(config, retry, n, max_delay + Duration::from_millis(200));
     assert_exactly_once(&ex, n);
     assert!(
         ex.sender_report.contains("Duplicate"),
@@ -357,7 +479,7 @@ proptest! {
             base_timeout: Duration::from_millis(25),
             max_timeout: Duration::from_millis(500),
         };
-        let ex = run_exchange(config, retry, n, Duration::from_secs(30));
+        let ex = run_mem_exchange(config, retry, n, Duration::ZERO);
         for i in 0..n {
             let got = &ex.results[i as usize];
             prop_assert!(
