@@ -25,16 +25,21 @@
 //! queued, as one sent later in the same event always could.
 //!
 //! Backpressure: the output shares the hop's flow cell with the producer
-//! feeding it (the fanout reader or the redistribution watcher) and reads
-//! it before every run, at every batch size.  While the destination lane
-//! is in Xoff nothing leaves, and a run whose send re-congests the lane
-//! stops the flush there, the rest staying queued until the next flush.
+//! feeding it (the fanout reader or the redistribution watcher's dump)
+//! and reads it before every run, at every batch size.  While the
+//! destination lane is in Xoff nothing leaves, and a run whose send
+//! re-congests the lane stops the flush there, the rest staying queued
+//! until the next flush.  On the RIB→FEA hop this queue is the one place
+//! a route waits out an Xoff, so it can hold a table's worth of ops: a
+//! flush and a [`RouteOutput::clear`] give a drained buffer back
+//! ([`release_drained`]).
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 use xorp_event::EventLoop;
+use xorp_net::{release_drained, HeapSize};
 use xorp_profiler::tracing::{self as xtrace, SpanRecorder, TraceContext};
 use xorp_profiler::PointHandle;
 use xorp_stages::RouteOp;
@@ -150,7 +155,7 @@ impl RouteOutput {
         s.scheduled = false;
         while s.flow.get() {
             let Some((first, _)) = s.ops.front() else {
-                return;
+                break;
             };
             let add = is_add(first);
             let n = s
@@ -184,16 +189,28 @@ impl RouteOutput {
                 me.tracer.finish(span);
             }
         }
+        release_drained(&mut s.ops);
     }
 
     /// Drop every queued op: the process they were bound for died, and
     /// its successor re-learns the table by a dump.
     pub fn clear(&self) {
-        self.0.state.borrow_mut().ops.clear();
+        let ops = &mut self.0.state.borrow_mut().ops;
+        ops.clear();
+        release_drained(ops);
     }
 
-    /// Ops currently queued (test observability).
+    /// Ops currently queued (backpressure observability).
     pub fn pending_count(&self) -> usize {
         self.0.state.borrow().ops.len()
+    }
+}
+
+impl HeapSize for RouteOutput {
+    /// The queue's buffer, by capacity: what a drained holdback must have
+    /// given back.
+    fn heap_size(&self) -> usize {
+        let slot = std::mem::size_of::<(WireOp, Option<TraceContext>)>();
+        self.0.state.borrow().ops.capacity() * slot
     }
 }

@@ -562,14 +562,14 @@ fn spawn_process(
 }
 
 /// Backpressure for one hop, one rule for both.  The producer (a fanout
-/// reader, the `fea` watcher), its dump and `out` read one `flow` cell,
-/// at every batch size.  The lane to `target`'s route methods flips it
-/// inside the send path: Xoff closes it, stopping a delivery, a dump
-/// slice or a run at its next step.  Xon reopens it and defers one
-/// `resume` (the producer's backlog replay and dump restart) and then a
-/// flush of `out`: the signal may fire with the process borrowed.  The
-/// deferred step is skipped if an Xoff closed the cell meanwhile, so a
-/// stale Xon never reopens a congested lane.
+/// reader, the `fea` watcher's dump) and `out` read one `flow` cell, at
+/// every batch size.  The lane to `target`'s route methods flips it
+/// inside the send path: Xoff closes it, stopping a fanout delivery, a
+/// dump slice or a run at its next step.  Xon reopens it and defers one
+/// `resume` (the producer's restart: the fanout replays the reader's
+/// parked entries, a parked dump walks on) and then a flush of `out`: the
+/// signal may fire with the process borrowed.  The deferred step is skipped if an Xoff closed the cell
+/// meanwhile, so a stale Xon never reopens a congested lane.
 pub fn on_congestion(
     router: &XrlRouter,
     target: &'static str,
@@ -650,11 +650,12 @@ fn setup_fea(el: &mut EventLoop, router: &XrlRouter, w: &Wiring) {
     );
 }
 
-/// Feed the FEA through the RIB's `fea` redistribution watcher, so a
-/// congested FEA lane parks the stream in the watcher's backlog: without
+/// Feed the FEA through the RIB's `fea` redistribution watcher into
+/// `out`, which holds the stream while the FEA lane is congested: without
 /// a consumer for the Xoff, the RIB would pump its own lane through the
 /// hard cap and silently shed installs.  A watcher added to a loaded RIB
-/// starts with a dump of its table.
+/// starts with a dump of its table, which the watcher's flow cell parks
+/// between slices.
 fn watch_fea(
     el: &mut EventLoop,
     router: &XrlRouter,
@@ -698,6 +699,7 @@ fn setup_rib(el: &mut EventLoop, router: &XrlRouter, w: &Wiring) {
         w.profiler.point(points::SENT_TO_FEA),
         w.tracer.recorder("rib"),
     );
+    el.set_slot(out.clone());
     watch_fea(el, router, &rib, &out);
     // A dead FEA's FIB died with it: drop its watcher and the ops
     // queued for it.  A new FEA gets a new watcher, whose dump
@@ -1056,12 +1058,10 @@ impl MultiProcessRouter {
         self.read("rib", |s: &RibSlot| s.0.borrow().route_count())
     }
 
-    /// FEA installs parked in the RIB's redistribution watcher while the
-    /// RIB→FEA lane is congested (backpressure observability).
+    /// FEA installs held in the RIB's output while the RIB→FEA lane is
+    /// congested (backpressure observability).
     pub fn rib_fea_backlog(&self) -> usize {
-        self.read("rib", |s: &RibSlot| {
-            s.0.borrow().redist_watcher_backlog("fea")
-        })
+        self.read("rib", |out: &RouteOutput| out.pending_count())
     }
 
     /// EBGP routes in the RIB still marked stale (graceful-restart

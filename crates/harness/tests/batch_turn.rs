@@ -15,6 +15,10 @@
 //! vectorized frame.  At batch 1 each op leaves in its push's turn, a
 //! closed flow cell holds it as it holds a row at any other size, and
 //! only the RIB hop's deletions name the protocol.
+//!
+//! On the RIB→FEA hop the output is the one place a route waits out an
+//! Xoff: a held op keeps its trace, a drained or cleared output gives its
+//! buffer back, and held live ops leave before the dump the Xon restarts.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashSet, VecDeque};
@@ -28,8 +32,9 @@ use xorp_event::EventLoop;
 use xorp_harness::batch::RouteOutput;
 use xorp_harness::router::on_congestion;
 use xorp_harness::xrl_ifaces::{self, BulkRouteSink, WireOp};
-use xorp_net::{Ipv4Net, PathAttributes, ProtocolId, RouteEntry};
+use xorp_net::{HeapSize, Ipv4Net, PathAttributes, ProtocolId, RouteEntry};
 use xorp_policy::FilterBank;
+use xorp_profiler::tracing::{self as xtrace, TraceContext, Tracer};
 use xorp_profiler::{points, MetricValue, Metrics, Profiler};
 use xorp_rib::{RedistWatcher, Rib};
 use xorp_stages::RouteOp;
@@ -628,7 +633,7 @@ fn rib_xon_replay_stops_at_the_watermark() {
     }
     el.run_until_idle();
     assert!(router.any_lane_congested());
-    assert!(rib.borrow().redist_watcher_backlog("fea") > 0);
+    assert!(out.pending_count() > 0);
 
     let mut wire = accept(&fea);
     let mut installed = HashSet::new();
@@ -677,4 +682,343 @@ fn rib_xon_replay_stops_at_the_watermark() {
     );
     assert_eq!(router.shed_count(), 0);
     assert_eq!(installed.len(), ROUTES);
+}
+
+/// The trace context of the next request on the wire (v2 frames carry
+/// it as a trailer).
+fn request_trace(wire: &mut TcpStream) -> Option<TraceContext> {
+    match Frame::decode(read_frame(wire).unwrap()).unwrap() {
+        Frame::Request { trace, .. } => trace,
+        other => panic!("expected a request, read {other:?}"),
+    }
+}
+
+/// A sampled op held while the flow cell is closed keeps its trace: after
+/// the reopen it leaves as its run's carrier, the frame's trace trailer
+/// naming its trace, or coalesced into a carrier's run with a fan-in link
+/// to it, at batch 1 and at batch 256.  Nothing leaks into the ambient
+/// context.
+#[test]
+fn a_held_sampled_op_keeps_its_trace_to_the_fea() {
+    let a = TraceContext {
+        trace_id: 7,
+        parent_span: 3,
+    };
+    let b = TraceContext {
+        trace_id: 9,
+        parent_span: 4,
+    };
+    for (batch_size, carriers, fan_ins) in [
+        (1, vec![None, Some(7), Some(9)], vec![]),
+        (256, vec![Some(7)], vec![(9, 7)]),
+    ] {
+        let finder = Finder::new();
+        let fea = raw_target(&finder, "fea");
+        let route_args = [
+            ("net", AtomType::Ipv4Net),
+            ("nexthop", AtomType::Ipv4),
+            ("ifname", AtomType::Text),
+            ("metric", AtomType::U32),
+        ];
+        let rows = [("routes", AtomType::List)];
+        let add_route = sig_hash("add_route", &route_args, &[]);
+        let add_routes = sig_hash("add_routes", &rows, &[("count", AtomType::U32)]);
+        finder.advertise_sig("fea-0", "fea/1.0/add_route", 1, add_route);
+        finder.advertise_sig("fea-0", "fea/1.0/add_routes", 2, add_routes);
+        let (mut el, router) = sender(&finder);
+        let tracer = Tracer::new();
+        let profiler = Profiler::new();
+        let out = RouteOutput::new(
+            BulkRouteSink::Fea(xrl_ifaces::fea::Client::new(&router, "fea")),
+            batch_size,
+            profiler.point(points::QUEUED_FOR_FEA),
+            profiler.point(points::SENT_TO_FEA),
+            tracer.recorder("rib"),
+        );
+        let flow = Rc::new(Cell::new(false));
+        out.set_flow(flow.clone());
+        for (net, ctx) in [
+            ("10.0.1.0/24", None),
+            ("10.0.2.0/24", Some(a)),
+            ("10.0.3.0/24", Some(b)),
+        ] {
+            let prev = xtrace::set_current(ctx);
+            out.push(&mut el, add(net));
+            xtrace::set_current(prev);
+        }
+        el.run_until_idle();
+        assert_eq!(out.pending_count(), 3, "batch {batch_size}");
+        assert_eq!(router.pending_len(), 0, "a closed cell let a frame out");
+
+        flow.set(true);
+        out.flush(&mut el);
+        el.run_until_idle();
+        assert_eq!(xtrace::current(), None);
+        let mut wire = accept(&fea);
+        let sent: Vec<Option<u64>> = carriers
+            .iter()
+            .map(|_| request_trace(&mut wire).map(|t| t.trace_id))
+            .collect();
+        assert_eq!(sent, carriers, "batch {batch_size}: frame traces");
+        let links: Vec<(u64, u64)> = tracer
+            .snapshot("rib")
+            .0
+            .iter()
+            .filter(|s| s.point == "fan_in")
+            .map(|s| (s.trace_id, s.link))
+            .collect();
+        assert_eq!(links, fan_ins, "batch {batch_size}: fan-in links");
+    }
+}
+
+/// An output that held a table's worth of ops gives its buffer back once
+/// a flush drains it, and once `clear` drops what it held: at most the
+/// 32 KiB a drained holdback may keep.
+#[test]
+fn a_drained_or_cleared_output_gives_its_buffer_back() {
+    const KEPT: usize = 32 * 1024;
+    let finder = Finder::new();
+    let _rib = raw_target(&finder, "rib");
+    let (mut el, router) = sender(&finder);
+    let out = rib_output(&router, 256);
+    let flow = Rc::new(Cell::new(false));
+    out.set_flow(flow.clone());
+    let hold = |el: &mut EventLoop| {
+        for i in 0..2_000u32 {
+            out.push(el, add(&format!("10.{}.{}.0/24", i / 256, i % 256)));
+        }
+        assert_eq!(out.pending_count(), 2_000);
+        assert!(out.heap_size() > KEPT, "{} B held", out.heap_size());
+    };
+
+    hold(&mut el);
+    flow.set(true);
+    out.flush(&mut el);
+    assert_eq!(out.pending_count(), 0);
+    assert!(
+        out.heap_size() <= KEPT,
+        "{} B after the drain",
+        out.heap_size()
+    );
+
+    flow.set(false);
+    hold(&mut el);
+    out.clear();
+    assert!(out.heap_size() <= KEPT, "{} B after clear", out.heap_size());
+}
+
+/// The ops of the next request on the FEA wire, `(add, net)` each, and
+/// the request's seq.
+fn fea_ops(wire: &mut TcpStream) -> (u64, Vec<(bool, Ipv4Net)>) {
+    let (seq, path, args) = match Frame::decode(read_frame(wire).unwrap()).unwrap() {
+        Frame::Request {
+            seq, path, args, ..
+        } => (seq, path, args),
+        other => panic!("expected a request, read {other:?}"),
+    };
+    let rows = |add: bool| -> Vec<(bool, Ipv4Net)> {
+        let rows = args.get_list("routes").unwrap();
+        rows.iter()
+            .map(|row| match row {
+                AtomValue::List(row) => match row[0] {
+                    AtomValue::Ipv4Net(net) => (add, net),
+                    ref other => panic!("a row led by {other:?}"),
+                },
+                other => panic!("a row that is not a list: {other:?}"),
+            })
+            .collect()
+    };
+    let ops = match path.as_str() {
+        "fea/1.0/add_route" => vec![(true, args.get_ipv4net("net").unwrap())],
+        "fea/1.0/delete_route" => vec![(false, args.get_ipv4net("net").unwrap())],
+        "fea/1.0/add_routes" => rows(true),
+        "fea/1.0/delete_routes" => rows(false),
+        other => panic!("expected a route op, read {other}"),
+    };
+    (seq, ops)
+}
+
+/// A static route toward `eth0`, as the RIB hands it to the FEA.
+fn rib_route(net: &str, metric: u32) -> RouteEntry<Ipv4Addr> {
+    let attrs = PathAttributes::new(IpAddr::V4(Ipv4Addr::new(192, 168, 1, 1)));
+    let mut route = RouteEntry::new(
+        net.parse().unwrap(),
+        Arc::new(attrs),
+        metric,
+        ProtocolId::Static,
+    );
+    route.ifname = Some("eth0".into());
+    route
+}
+
+/// The RIB→FEA hop wired as the router wires it: a `fea` watcher added to
+/// a loaded RIB dumps its table into a batch-32 output toward an FEA that
+/// answers only when the test does.  The dump congests the lane, and
+/// while it is in Xoff the output holds every op, the dump's and the live
+/// ones alike.  The Xon ships the held ops first, the live ones in the
+/// order they arrived; the dump it restarts carries on behind them and
+/// repeats no prefix, and the FEA ends with the RIB's table.
+#[test]
+fn held_live_ops_leave_before_the_restarted_dump_and_no_prefix_twice() {
+    const ROUTES: usize = 640;
+    let net = |i: usize| format!("10.{}.{}.0/24", i / 256, i % 256);
+    let finder = Finder::new();
+    let fea = raw_target(&finder, "fea");
+    let (mut el, router) = sender(&finder);
+    let metrics = Metrics::new();
+    router.set_metrics(&metrics);
+    router.set_overload_policy(QueuePolicy {
+        high_watermark: 2,
+        low_watermark: 1,
+        hard_cap: 8,
+    });
+    let rib = Rc::new(RefCell::new(Rib::<Ipv4Addr>::new(false)));
+    for i in 0..ROUTES {
+        rib.borrow_mut().add_route(&mut el, rib_route(&net(i), 1));
+    }
+
+    let out = output(
+        BulkRouteSink::Fea(xrl_ifaces::fea::Client::new(&router, "fea")),
+        32,
+    );
+    let fea_out = out.clone();
+    rib.borrow_mut().add_redist_watcher(
+        &mut el,
+        RedistWatcher::new(
+            "fea",
+            None,
+            FilterBank::accept_by_default(),
+            Rc::new(move |el, op| fea_out.push(el, op)),
+        ),
+    );
+    let flow = rib.borrow().redist_watcher_flow("fea").unwrap();
+    let r = rib.clone();
+    on_congestion(&router, "fea", flow.clone(), &out, move |el| {
+        r.borrow_mut().set_redist_watcher_flow(el, "fea", true);
+    });
+    el.run_until_idle();
+    assert!(!flow.get(), "the dump congested the lane");
+
+    let mut fea = FeaWire::new(accept(&fea));
+    fea.read_sent(&router);
+    let ahead = fea.ops.len() + out.pending_count();
+
+    // Live churn during the Xoff: two new prefixes, the delete of a
+    // prefix the dump already gave the FEA, a replace the dump has not
+    // reached (an add to the FEA) and a delete it has not reached (never
+    // told).
+    let mut rib_mut = rib.borrow_mut();
+    rib_mut.add_route(&mut el, rib_route("20.0.0.0/24", 1));
+    rib_mut.add_route(&mut el, rib_route("20.0.1.0/24", 1));
+    rib_mut.delete_route(&mut el, ProtocolId::Static, net(1).parse().unwrap());
+    rib_mut.add_route(&mut el, rib_route(&net(512), 2));
+    rib_mut.delete_route(&mut el, ProtocolId::Static, net(513).parse().unwrap());
+    drop(rib_mut);
+    let live: Vec<(bool, Ipv4Net)> = [
+        (true, "20.0.0.0/24".to_string()),
+        (true, "20.0.1.0/24".to_string()),
+        (false, net(1)),
+        (true, net(512)),
+    ]
+    .into_iter()
+    .map(|(add, n)| (add, n.parse().unwrap()))
+    .collect();
+    assert_eq!(out.pending_count() + fea.ops.len(), ahead + live.len());
+    assert_eq!(
+        router.pending_len(),
+        fea.unanswered.len(),
+        "Xoff let a frame out"
+    );
+
+    // Answer everything until a round sends nothing more.
+    loop {
+        fea.read_sent(&router);
+        if fea.unanswered.is_empty() {
+            break;
+        }
+        fea.answer_all(&metrics);
+        el.run_until_idle();
+    }
+    assert_eq!(router.shed_count(), 0);
+    assert_eq!(out.pending_count(), 0);
+
+    let ops = &fea.ops;
+    assert_eq!(
+        ops[ahead..ahead + live.len()],
+        live[..],
+        "live ops out of order"
+    );
+    let dumped_after = &ops[ahead + live.len()..];
+    assert!(!dumped_after.is_empty(), "the dump had nothing left");
+    assert!(dumped_after
+        .iter()
+        .all(|&(add, net)| add && !live.contains(&(add, net))));
+
+    let mut fib = HashSet::new();
+    for &(add, net) in ops {
+        if add {
+            assert!(fib.insert(net), "{net} added twice");
+        } else {
+            assert!(fib.remove(&net), "{net} deleted but never added");
+        }
+    }
+    let want: HashSet<Ipv4Net> = (0..ROUTES)
+        .filter(|&i| i != 1 && i != 513)
+        .map(net)
+        .chain(["20.0.0.0/24".into(), "20.0.1.0/24".into()])
+        .map(|n| n.parse().unwrap())
+        .collect();
+    assert_eq!(fib, want);
+}
+
+/// The FEA end of a raw `fea` lane: every op read so far, and the seqs of
+/// the requests not yet answered.
+struct FeaWire {
+    wire: TcpStream,
+    ops: Vec<(bool, Ipv4Net)>,
+    unanswered: VecDeque<u64>,
+    read: usize,
+    answered: usize,
+}
+
+impl FeaWire {
+    fn new(wire: TcpStream) -> FeaWire {
+        FeaWire {
+            wire,
+            ops: Vec::new(),
+            unanswered: VecDeque::new(),
+            read: 0,
+            answered: 0,
+        }
+    }
+
+    /// Read every request the router has sent: with the loop idle, each
+    /// is answered or still pending.
+    fn read_sent(&mut self, router: &XrlRouter) {
+        while self.read < self.answered + router.pending_len() {
+            let (seq, ops) = fea_ops(&mut self.wire);
+            self.unanswered.push_back(seq);
+            self.ops.extend(ops);
+            self.read += 1;
+        }
+    }
+
+    /// Answer every request read, and wait until the router has decoded
+    /// the replies.
+    fn answer_all(&mut self, metrics: &Metrics) {
+        for seq in self.unanswered.drain(..) {
+            let reply = Frame::Response {
+                seq,
+                result: Ok(XrlArgs::new()),
+                priority: false,
+            };
+            self.wire.write_all(&reply.encode()).unwrap();
+            self.answered += 1;
+        }
+        let deadline = Instant::now() + TIMEOUT;
+        while histogram(metrics, "xrl.frames_per_read").1 != self.answered as u64 {
+            assert!(Instant::now() < deadline, "replies never decoded");
+            std::thread::yield_now();
+        }
+    }
 }

@@ -24,19 +24,19 @@
 //! with its transient sync set, which becomes a pass-through when the walk
 //! ends.
 //!
-//! Each watcher owns one *flow cell* ([`RedistStage::watcher_flow`]): while
-//! it is closed the watcher parks its ops in a backlog, its dump parks
-//! before the next slice, and the hop's `RouteOutput`, handed the same
-//! cell, stops between runs.
+//! A watcher holds no ops either: it hands each filtered op straight to
+//! its sink.  Its *flow cell* ([`RedistStage::watcher_flow`]) parks its
+//! dump before the next slice while it is closed; the consumer behind the
+//! sink (the hop's `RouteOutput`, handed the same cell) is where ops wait
+//! out a congested lane.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use xorp_event::EventLoop;
-use xorp_net::{release_drained, Addr, HeapSize, Prefix, ProtocolId};
+use xorp_net::{Addr, HeapSize, Prefix, ProtocolId};
 use xorp_policy::{FilterBank, PolicyTarget};
-use xorp_profiler::tracing::{self as xtrace, TraceContext};
 use xorp_stages::{stage_ref, DumpSource, DumpStage, OriginId, RouteOp, Stage, StageRef};
 
 use crate::RibRoute;
@@ -58,14 +58,6 @@ pub struct RedistWatcher<A: Addr> {
     pub policy: FilterBank,
     /// Where the filtered stream goes.
     pub sink: RedistSink<A>,
-    /// The flow cell (XRL backpressure): while it reads `false`, or ops
-    /// are still parked, deliveries join the backlog instead of hitting
-    /// the sink, and replay in order on resume, each under the trace
-    /// context it was parked with (a sampled route must not lose its
-    /// trace to a congested lane).  Filtering runs either way; a parked op
-    /// is already the difference the watcher will see.
-    flow: Rc<Cell<bool>>,
-    backlog: VecDeque<(RedistOp<A>, Option<TraceContext>)>,
 }
 
 impl<A: Addr> RedistWatcher<A>
@@ -84,8 +76,6 @@ where
             from,
             policy,
             sink,
-            flow: Rc::new(Cell::new(true)),
-            backlog: VecDeque::new(),
         }
     }
 
@@ -96,32 +86,6 @@ where
             .as_ref()
             .map_or(true, |set| set.contains(&route.proto));
         (wanted && self.policy.filter(&mut route)).then_some(route)
-    }
-
-    /// Resume delivery and replay the backlog in order, each op under the
-    /// trace context it was parked with.  The flow cell is re-checked
-    /// between sends: a delivery can re-congest the lane it feeds, and the
-    /// congestion callback flips the cell synchronously — the remainder
-    /// stays parked at the watermark instead of blowing through the hard
-    /// cap.  No borrow of the watcher is held across a send.
-    fn resume(me: &RefCell<Self>, el: &mut EventLoop) {
-        me.borrow().flow.set(true);
-        loop {
-            let (sink, op, trace) = {
-                let mut w = me.borrow_mut();
-                if !w.flow.get() {
-                    return;
-                }
-                let Some((op, trace)) = w.backlog.pop_front() else {
-                    return;
-                };
-                release_drained(&mut w.backlog);
-                (w.sink.clone(), op, trace)
-            };
-            let prev = xtrace::set_current(trace);
-            sink(el, op);
-            xtrace::set_current(prev);
-        }
     }
 }
 
@@ -145,11 +109,7 @@ where
             (Some(old), None) => RouteOp::Delete { net, old },
             (None, None) => return,
         };
-        if self.flow.get() && self.backlog.is_empty() {
-            (self.sink)(el, op);
-        } else {
-            self.backlog.push_back((op, xtrace::current()));
-        }
+        (self.sink)(el, op);
     }
 
     fn lookup_route(&self, _net: &Prefix<A>) -> Option<RibRoute<A>> {
@@ -165,6 +125,9 @@ type WatcherDump<A> = Rc<RefCell<DumpStage<A, RibRoute<A>>>>;
 struct Tap<A: Addr> {
     watcher: Rc<RefCell<RedistWatcher<A>>>,
     dump: Option<WatcherDump<A>>,
+    /// The flow cell (XRL backpressure): while it reads `false` the dump
+    /// parks before its next slice.
+    flow: Rc<Cell<bool>>,
 }
 
 /// Transparent stage with policy-filtered taps.
@@ -229,7 +192,6 @@ where
             dump.add_source(src);
         }
         dump.passthrough(OriginId(0));
-        dump.set_flow(w.flow.clone());
         let dump = stage_ref(dump);
         self.insert(w, Some(dump.clone()));
         DumpStage::start(el, dump);
@@ -238,10 +200,18 @@ where
     fn insert(&mut self, w: RedistWatcher<A>, dump: Option<WatcherDump<A>>) {
         let name = w.name.clone();
         let watcher = stage_ref(w);
+        let flow = Rc::new(Cell::new(true));
         if let Some(d) = &dump {
-            d.borrow_mut().set_downstream(watcher.clone());
+            let mut d = d.borrow_mut();
+            d.set_flow(flow.clone());
+            d.set_downstream(watcher.clone());
         }
-        if let Some(old) = self.watchers.insert(name, Tap { watcher, dump }) {
+        let tap = Tap {
+            watcher,
+            dump,
+            flow,
+        };
+        if let Some(old) = self.watchers.insert(name, tap) {
             Self::abort(old);
         }
     }
@@ -257,41 +227,24 @@ where
         self.watchers.remove(name).map(Self::abort).is_some()
     }
 
-    /// Flow control for one watcher (XRL backpressure), its one pause and
-    /// resume call: `ready = false` closes the flow cell, parking
-    /// deliveries in the backlog and the dump before its next slice;
-    /// `ready = true` reopens it, replays the backlog in order and
-    /// restarts the dump.  A replay that closes the cell again stops
-    /// there, and the dump parks before its first slice.  Unknown names
-    /// are ignored.
+    /// Flow control for one watcher's dump (XRL backpressure):
+    /// `ready = false` closes the flow cell, parking the dump before its
+    /// next slice; `ready = true` reopens it and restarts a parked dump.
+    /// Live ops are never held here.  Unknown names are ignored.
     pub fn set_watcher_flow(&mut self, el: &mut EventLoop, name: &str, ready: bool) {
         let Some(tap) = self.watchers.get(name) else {
             return;
         };
-        if !ready {
-            tap.watcher.borrow().flow.set(false);
-            return;
-        }
-        RedistWatcher::resume(&tap.watcher, el);
-        if let Some(d) = &tap.dump {
+        tap.flow.set(ready);
+        if let Some(d) = tap.dump.as_ref().filter(|_| ready) {
             DumpStage::start(el, d.clone());
         }
     }
 
     /// One watcher's flow cell.  A congestion callback closes it
-    /// synchronously on Xoff, so parking takes effect before the next
-    /// delivery.
+    /// synchronously on Xoff, so the dump parks before its next slice.
     pub fn watcher_flow(&self, name: &str) -> Option<Rc<Cell<bool>>> {
-        self.watchers
-            .get(name)
-            .map(|t| t.watcher.borrow().flow.clone())
-    }
-
-    /// Parked deliveries for a paused watcher (diagnostic).
-    pub fn watcher_backlog(&self, name: &str) -> usize {
-        self.watchers
-            .get(name)
-            .map_or(0, |t| t.watcher.borrow().backlog.len())
+        self.watchers.get(name).map(|t| t.flow.clone())
     }
 
     /// Number of registered watchers.
@@ -313,17 +266,13 @@ where
 }
 
 impl<A: Addr> HeapSize for RedistStage<A> {
-    /// What the watchers hold: parked ops and an in-flight dump's sync
-    /// set.  Neither grows with the table once a watcher is flowing.
+    /// What the watchers hold: an in-flight dump's sync set, freed when
+    /// the walk ends.
     fn heap_size(&self) -> usize {
-        let slot = std::mem::size_of::<(RedistOp<A>, Option<TraceContext>)>();
         self.watchers
             .values()
-            .map(|t| {
-                let dump = t.dump.as_ref().filter(|d| !d.borrow().is_done());
-                t.watcher.borrow().backlog.capacity() * slot
-                    + dump.map_or(0, |d| d.borrow().heap_size())
-            })
+            .filter_map(|t| t.dump.as_ref().filter(|d| !d.borrow().is_done()))
+            .map(|d| d.borrow().heap_size())
             .sum()
     }
 }
@@ -535,104 +484,9 @@ mod tests {
     }
 
     #[test]
-    fn paused_watcher_parks_and_resume_replays_in_order() {
-        let mut el = EventLoop::new_virtual();
-        let mut stage = RedistStage::new();
-        let seen = collect_watcher(&mut stage, "w", None, FilterBank::accept_by_default());
-
-        stage.set_watcher_flow(&mut el, "w", false);
-        let r1 = route("10.0.0.0/8", ProtocolId::Rip, 1);
-        let r2 = route("20.0.0.0/8", ProtocolId::Rip, 1);
-        stage.route_op(&mut el, OriginId(0), add(r1.clone()));
-        stage.route_op(&mut el, OriginId(0), add(r2));
-        stage.route_op(
-            &mut el,
-            OriginId(0),
-            RouteOp::Delete {
-                net: r1.net,
-                old: r1,
-            },
-        );
-        assert!(seen.borrow().is_empty(), "paused watcher must not deliver");
-        assert_eq!(stage.watcher_backlog("w"), 3);
-
-        stage.set_watcher_flow(&mut el, "w", true);
-        assert_eq!(stage.watcher_backlog("w"), 0);
-        let seen = seen.borrow();
-        assert_eq!(seen.len(), 3);
-        assert!(matches!(seen[0], RouteOp::Add { .. }));
-        assert_eq!(seen[0].net(), "10.0.0.0/8".parse().unwrap());
-        assert!(matches!(seen[1], RouteOp::Add { .. }));
-        assert_eq!(seen[1].net(), "20.0.0.0/8".parse().unwrap());
-        assert!(matches!(seen[2], RouteOp::Delete { .. }));
-    }
-
-    /// A sampled route parked behind a congested lane keeps its trace:
-    /// the replay re-establishes the context each op was parked under,
-    /// and nothing leaks into the ops around it.
-    #[test]
-    fn parked_ops_replay_under_their_own_trace_context() {
-        let mut el = EventLoop::new_virtual();
-        let mut stage = RedistStage::new();
-        let contexts = Rc::new(RefCell::new(Vec::new()));
-        let c = contexts.clone();
-        stage.add_watcher(RedistWatcher::new(
-            "w",
-            None,
-            FilterBank::accept_by_default(),
-            Rc::new(move |_el, _op| c.borrow_mut().push(xtrace::current())),
-        ));
-        stage.set_watcher_flow(&mut el, "w", false);
-        let sampled = TraceContext {
-            trace_id: 7,
-            parent_span: 3,
-        };
-        for (net, ctx) in [
-            ("10.0.0.0/8", None),
-            ("20.0.0.0/8", Some(sampled)),
-            ("30.0.0.0/8", None),
-        ] {
-            let prev = xtrace::set_current(ctx);
-            stage.route_op(&mut el, OriginId(0), add(route(net, ProtocolId::Rip, 1)));
-            xtrace::set_current(prev);
-        }
-        stage.set_watcher_flow(&mut el, "w", true);
-        assert_eq!(*contexts.borrow(), [None, Some(sampled), None]);
-        assert_eq!(xtrace::current(), None);
-    }
-
-    /// One table-sized backlog does not stay resident: park 50,000 ops
-    /// behind a paused watcher, resume, and the buffer is given back — with
-    /// every op replayed in arrival order.
-    #[test]
-    fn drained_backlog_releases_its_buffer() {
-        let mut el = EventLoop::new_virtual();
-        let mut stage = RedistStage::new();
-        let seen = collect_watcher(&mut stage, "w", None, FilterBank::accept_by_default());
-        stage.set_watcher_flow(&mut el, "w", false);
-        let nets: Vec<String> = (0..50_000u32)
-            .map(|i| format!("10.{}.{}.0/24", i >> 8, i & 255))
-            .collect();
-        for net in &nets {
-            stage.route_op(&mut el, OriginId(0), add(route(net, ProtocolId::Rip, 1)));
-        }
-        let capacity =
-            |stage: &RedistStage<Ipv4Addr>| stage.watchers["w"].watcher.borrow().backlog.capacity();
-        assert!(capacity(&stage) >= 50_000);
-
-        stage.set_watcher_flow(&mut el, "w", true);
-        assert!(capacity(&stage) <= 2_048);
-        let seen = seen.borrow();
-        assert_eq!(seen.len(), nets.len());
-        assert!(seen.iter().zip(&nets).all(|(op, net)| {
-            matches!(op, RouteOp::Add { .. }) && op.net() == net.parse().unwrap()
-        }));
-    }
-
-    #[test]
     fn bookkeeping_stays_consistent_across_pause() {
-        // A replace arriving while paused is filtered as it arrives, so
-        // the post-resume stream carries the right op kinds.
+        // A replace arriving while paused is filtered and delivered as it
+        // arrives: pausing holds back the dump, never a live op.
         let mut el = EventLoop::new_virtual();
         let mut stage = RedistStage::new();
         let seen = collect_watcher(&mut stage, "w", None, FilterBank::accept_by_default());
@@ -661,8 +515,9 @@ mod tests {
         }
     }
 
-    /// A paused watcher's dump waits between slices instead of parking
-    /// the whole table in the backlog, and picks up again on resume.
+    /// A paused watcher's dump waits between slices instead of feeding
+    /// the whole table to a sink that cannot send it, and picks up again
+    /// on resume.
     #[test]
     fn paused_watcher_suspends_its_dump() {
         let mut el = EventLoop::new_virtual();
@@ -689,7 +544,6 @@ mod tests {
         stage.set_watcher_flow(&mut el, "w", false);
         el.run_until_idle();
         assert!(seen.borrow().is_empty());
-        assert_eq!(stage.watcher_backlog("w"), 0, "the walk waited");
         stage.set_watcher_flow(&mut el, "w", true);
         el.run_until_idle();
         assert_eq!(seen.borrow().len(), 200);

@@ -351,31 +351,25 @@ where
         self.redist.borrow_mut().add_watcher_dumped(el, w, sources);
     }
 
-    /// Drop a redistribution watcher, with its backlog and any dump still
-    /// walking toward it.
+    /// Drop a redistribution watcher, with any dump still walking toward
+    /// it.
     pub fn remove_redist_watcher(&mut self, name: &str) -> bool {
         self.redist.borrow_mut().remove_watcher(name)
     }
 
-    /// Flow control for a redistribution watcher (XRL backpressure), its
-    /// one pause/resume call: `ready = false` parks deliveries in the
-    /// watcher's backlog and its dump before the next slice, `ready =
-    /// true` replays them in order and restarts the dump — re-checking the
-    /// flow cell between sends, so a replay that re-congests its lane
-    /// stops at the watermark instead of shedding at the hard cap.
+    /// Flow control for a redistribution watcher's dump (XRL
+    /// backpressure): `ready = false` parks the dump before its next
+    /// slice, `ready = true` restarts it.  Live ops go straight to the
+    /// watcher's sink either way; holding them while the lane is
+    /// congested is the sink's job (the FEA hop's `RouteOutput`).
     pub fn set_redist_watcher_flow(&mut self, el: &mut EventLoop, name: &str, ready: bool) {
         self.redist.borrow_mut().set_watcher_flow(el, name, ready);
     }
 
     /// The watcher's flow cell.  A congestion callback closes it
-    /// synchronously, so parking takes effect before the next delivery.
+    /// synchronously, so the dump parks before its next slice.
     pub fn redist_watcher_flow(&self, name: &str) -> Option<Rc<Cell<bool>>> {
         self.redist.borrow().watcher_flow(name)
-    }
-
-    /// Parked deliveries held for a paused redistribution watcher.
-    pub fn redist_watcher_backlog(&self, name: &str) -> usize {
-        self.redist.borrow().watcher_backlog(name)
     }
 
     /// Consistency violations recorded by the optional cache stage.
@@ -396,8 +390,8 @@ where
     /// tables (the only place routes are stored, and the only structure
     /// that grows with the external table), the ExtInt stage's internal
     /// mirror (O(IGP routes)) and per-nexthop index, the Register stage's
-    /// interest registrations, and what redistribution watchers hold
-    /// (parked ops and an in-flight dump's sync set).  This is the number
+    /// interest registrations, and what redistribution watchers hold (an
+    /// in-flight dump's sync set).  This is the number
     /// compared against the paper's "60 MB for the RIB".
     pub fn memory_bytes(&self) -> usize {
         self.origin_bytes()

@@ -5,7 +5,7 @@
 //! hides the router's internal structure from the user, providing
 //! operators with unified management interfaces."
 //!
-//! Three pieces:
+//! Five pieces:
 //!
 //! * a hierarchical, curly-brace **configuration language** ([`parse`]) in
 //!   the XORP style;

@@ -51,9 +51,6 @@ pub enum ProcessState {
     Running,
     /// Last transition failed.
     Failed,
-    /// The supervisor's restart budget for this component is spent; it is
-    /// left down until an operator intervenes.
-    Degraded,
 }
 
 /// Why a commit failed.
@@ -275,47 +272,10 @@ impl RouterManager {
         names
     }
 
-    /// Supervised restart: bounce a component back up with its applied
-    /// configuration (the [`crate::supervisor::Supervisor`]'s respawn
-    /// action for manager-registered components).
-    pub fn restart(&mut self, name: &str) -> Result<(), String> {
-        let managed = self
-            .processes
-            .get_mut(name)
-            .ok_or_else(|| format!("no such component: {name}"))?;
-        let section = managed
-            .applied
-            .clone()
-            .ok_or_else(|| format!("{name} has no applied configuration"))?;
-        managed.process.stop();
-        match managed.process.start(&section) {
-            Ok(()) => {
-                managed.state = ProcessState::Running;
-                Ok(())
-            }
-            Err(e) => {
-                managed.state = ProcessState::Failed;
-                Err(e)
-            }
-        }
-    }
-
-    /// Circuit-breaker: mark a component permanently down (restart budget
-    /// spent).  Returns false if the name is unknown.
-    pub fn mark_degraded(&mut self, name: &str) -> bool {
-        match self.processes.get_mut(name) {
-            Some(managed) => {
-                managed.state = ProcessState::Degraded;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Stop everything (router shutdown), protocols first and
     /// infrastructure last — the reverse of start order.  Anything not
-    /// already `Stopped` is stopped, including `Failed`/`Degraded`
-    /// components that may hold half-running state.
+    /// already `Stopped` is stopped, including `Failed` components that
+    /// may hold half-running state.
     pub fn shutdown(&mut self) {
         for name in self.dependency_order().into_iter().rev() {
             let managed = self.processes.get_mut(&name).expect("registered component");
@@ -639,37 +599,6 @@ protocols { bgp { local-as: 65000
         let events = &log.borrow().events;
         assert!(events.contains(&"stop bgp".to_string()));
         assert!(events.contains(&"stop rip".to_string()));
-    }
-
-    #[test]
-    fn restart_bounces_a_component_with_its_applied_config() {
-        let (mut mgr, log) = manager_with(&["bgp", "rip"]);
-        mgr.commit(parse(BGP_RIP).unwrap()).unwrap();
-        log.borrow_mut().events.clear();
-
-        mgr.restart("bgp").unwrap();
-        assert_eq!(mgr.state("bgp"), Some(ProcessState::Running));
-        assert_eq!(
-            &log.borrow().events,
-            &vec!["stop bgp".to_string(), "start bgp (2 attrs)".to_string()]
-        );
-        // Unknown or never-started components refuse.
-        assert!(mgr.restart("ospf").is_err());
-        mgr.shutdown();
-        assert!(mgr.restart("bgp").is_err());
-    }
-
-    #[test]
-    fn mark_degraded_is_sticky_until_shutdown() {
-        let (mut mgr, log) = manager_with(&["bgp"]);
-        mgr.commit(parse(BGP_RIP).unwrap()).unwrap();
-        assert!(mgr.mark_degraded("bgp"));
-        assert_eq!(mgr.state("bgp"), Some(ProcessState::Degraded));
-        assert!(!mgr.mark_degraded("ospf"));
-        // Shutdown still stops it (it may hold half-running state).
-        log.borrow_mut().events.clear();
-        mgr.shutdown();
-        assert!(log.borrow().events.contains(&"stop bgp".to_string()));
     }
 
     #[test]
