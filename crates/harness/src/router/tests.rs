@@ -176,10 +176,10 @@ fn a_row_with_an_unknown_protocol_rejects_its_frame() {
     let mut rows = ListWriter::default();
     xrl_ifaces::write_add_row(&mut rows, net(2), &route(2, ProtocolId::Ebgp));
     rows.list(|row| {
-        row.ipv4net(net(3))
-            .ipv4(nexthop(3))
+        row.put(&net(3))
+            .put(&nexthop(3))
             .text("")
-            .u32(0)
+            .put(&0u32)
             .text("ebpg");
     });
     let r = reply(&mut el, |el, cb| client.add_routes(el, rows.take(), cb));
@@ -190,7 +190,7 @@ fn a_row_with_an_unknown_protocol_rejects_its_frame() {
 
     xrl_ifaces::write_delete_row(&mut rows, net(1), Some(ProtocolId::Ebgp));
     rows.list(|row| {
-        row.ipv4net(net(1)).text("ebpg");
+        row.put(&net(1)).text("ebpg");
     });
     let r = reply(&mut el, |el, cb| client.delete_routes(el, rows.take(), cb));
     assert!(

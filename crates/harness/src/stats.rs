@@ -15,7 +15,7 @@ use xorp_event::EventLoop;
 use xorp_profiler::tracing::Span;
 use xorp_profiler::{points, Drained, LatencyStats, PointInfo, Profiler, Record};
 use xorp_xrl::profile::{MetricRow, PageReply};
-use xorp_xrl::{AtomValue, XrlError};
+use xorp_xrl::{WireList, XrlError};
 
 /// The reply callback a generated client stub takes, boxed.
 pub type Reply<T> = Box<dyn FnOnce(&mut EventLoop, Result<T, XrlError>)>;
@@ -58,7 +58,7 @@ pub fn drain_pages<T>(
     what: &str,
     max: u32,
     mut fetch: impl FnMut(&mut EventLoop, u32, Reply<PageReply>),
-    decode: fn(&[AtomValue], u32, u64) -> Result<Drained<T>, XrlError>,
+    decode: fn(&WireList, u32, u64) -> Result<Drained<T>, XrlError>,
 ) -> Drained<T> {
     let mut all = Drained::default();
     loop {

@@ -15,16 +15,18 @@
 //! [`ListWriter`]), and a receiver reads the rows in place from the
 //! [`WireList`] the frame decoded to ([`read_add_rows`],
 //! [`read_delete_rows`]), interface names borrowed from the frame: no row
-//! becomes an atom tree, a `Vec` or a `String` on either side.  The tree
-//! helpers ([`add_row`], [`decode_add_rows`], …) run the same writer and
-//! reader, so there is one row grammar.
+//! becomes an atom tree, a `Vec` or a `String` on either side.  Both
+//! readers run the one transactional row reader, [`WireList::read_rows`]
+//! in `xorp_xrl::wire`, which `profile/1.0`'s replies are read with too.
+//! The tree helpers ([`add_row`], [`decode_add_rows`], …) run the same
+//! writer and reader, so there is one row grammar.
 
 use std::net::{IpAddr, Ipv4Addr};
 
 use xorp_event::EventLoop;
 use xorp_net::{AttrBlocks, Ipv4Net, ProtocolId, RouteEntry};
 use xorp_stages::RouteOp;
-use xorp_xrl::{xrl_interface, AtomReader, AtomRef, AtomValue, ListWriter, WireList, XrlError};
+use xorp_xrl::{xrl_interface, AtomRef, AtomValue, ListWriter, WireList, XrlError};
 
 xrl_interface! {
     /// The RIB's route surface: per-route and vectorized edits, nexthop
@@ -153,11 +155,8 @@ fn v4_nexthop(route: &RouteEntry<Ipv4Addr>) -> Ipv4Addr {
 /// a default: a mistyped `flush_protocol` must not wipe another
 /// protocol's routes.
 pub fn protocol(name: &str) -> Result<ProtocolId, XrlError> {
-    proto_of(name).map_err(XrlError::BadArgs)
-}
-
-fn proto_of(name: &str) -> Result<ProtocolId, String> {
-    ProtocolId::from_name(name).ok_or_else(|| format!("unknown protocol {name:?}"))
+    ProtocolId::from_name(name)
+        .ok_or_else(|| XrlError::BadArgs(format!("unknown protocol {name:?}")))
 }
 
 /// Append a route's row to a batched frame's list: `[net, nexthop,
@@ -165,10 +164,10 @@ fn proto_of(name: &str) -> Result<ProtocolId, String> {
 /// argument list.  FEA-side reading ignores the trailing `proto`.
 pub fn write_add_row(rows: &mut ListWriter, net: Ipv4Net, route: &RouteEntry<Ipv4Addr>) {
     rows.list(|row| {
-        row.ipv4net(net)
-            .ipv4(v4_nexthop(route))
+        row.put(&net)
+            .put(&v4_nexthop(route))
             .text(route.ifname.as_deref().unwrap_or(""))
-            .u32(route.metric)
+            .put(&route.metric)
             .text_display(route.proto);
     });
 }
@@ -177,7 +176,7 @@ pub fn write_add_row(rows: &mut ListWriter, net: Ipv4Net, route: &RouteEntry<Ipv
 /// keys by protocol (the RIB does, the FEA does not).
 pub fn write_delete_row(rows: &mut ListWriter, net: Ipv4Net, proto: Option<ProtocolId>) {
     rows.list(|row| {
-        row.ipv4net(net);
+        row.put(&net);
         if let Some(p) = proto {
             row.text_display(p);
         }
@@ -206,51 +205,25 @@ pub fn delete_row(net: Ipv4Net, proto: Option<ProtocolId>) -> Vec<AtomValue> {
     row_atoms(|rows| write_delete_row(rows, net, proto))
 }
 
-fn row_err(i: usize, what: &str) -> XrlError {
-    XrlError::BadArgs(format!("routes[{i}]: {what}"))
-}
-
-/// Read every row of `rows`, transactionally: the first bad row rejects
-/// the whole list, so a caller applies nothing from a frame it refuses.
-/// `row` reads one row's `arity` items off the cursor.
-fn read_rows<'a, T>(
-    rows: &'a WireList,
-    row: impl Fn(&mut AtomReader<'a>, u16) -> Result<T, String>,
-) -> Result<Vec<T>, XrlError> {
-    let mut r = rows.reader();
-    let mut out = Vec::with_capacity(rows.len());
-    for i in 0..rows.len() {
-        let arity = r
-            .enter_list()
-            .map_err(|_| row_err(i, "row is not a list"))?;
-        out.push(row(&mut r, arity).map_err(|what| row_err(i, &what))?);
-    }
-    Ok(out)
-}
-
-fn next<'a>(r: &mut AtomReader<'a>) -> Result<AtomRef<'a>, String> {
-    r.read().map_err(|e| e.to_string())
-}
-
 /// Read the `[net, nexthop, ifname, metric, proto]` rows of an
 /// `add_routes` frame in place.
 pub fn read_add_rows(rows: &WireList) -> Result<Vec<RouteRow<'_>>, XrlError> {
-    const SHAPE: &str = "expected [net, nexthop, ifname, metric, proto]";
-    read_rows(rows, |r, arity| {
+    let shape = || XrlError::BadArgs("expected [net, nexthop, ifname, metric, proto]".into());
+    rows.read_rows("routes", |r, arity| {
         if arity != 5 {
-            return Err(SHAPE.into());
+            return Err(shape());
         }
-        match [next(r)?, next(r)?, next(r)?, next(r)?, next(r)?] {
+        match [r.read()?, r.read()?, r.read()?, r.read()?, r.read()?] {
             [AtomRef::Ipv4Net(net), AtomRef::Ipv4(nexthop), AtomRef::Text(ifname), AtomRef::U32(metric), AtomRef::Text(proto)] => {
                 Ok(RouteRow {
                     net,
                     nexthop,
                     ifname,
                     metric,
-                    proto: proto_of(proto)?,
+                    proto: protocol(proto)?,
                 })
             }
-            _ => Err(SHAPE.into()),
+            _ => Err(shape()),
         }
     })
 }
@@ -258,17 +231,17 @@ pub fn read_add_rows(rows: &WireList) -> Result<Vec<RouteRow<'_>>, XrlError> {
 /// Read the `[net]` or `[net, proto]` rows of a `delete_routes` frame
 /// (a bare prefix names an EBGP route).
 pub fn read_delete_rows(rows: &WireList) -> Result<Vec<(Ipv4Net, ProtocolId)>, XrlError> {
-    const SHAPE: &str = "expected [net] or [net, proto]";
-    read_rows(rows, |r, arity| match arity {
-        1 => match next(r)? {
+    let shape = || XrlError::BadArgs("expected [net] or [net, proto]".into());
+    rows.read_rows("routes", |r, arity| match arity {
+        1 => match r.read()? {
             AtomRef::Ipv4Net(net) => Ok((net, ProtocolId::Ebgp)),
-            _ => Err(SHAPE.into()),
+            _ => Err(shape()),
         },
-        2 => match [next(r)?, next(r)?] {
-            [AtomRef::Ipv4Net(net), AtomRef::Text(proto)] => Ok((net, proto_of(proto)?)),
-            _ => Err(SHAPE.into()),
+        2 => match [r.read()?, r.read()?] {
+            [AtomRef::Ipv4Net(net), AtomRef::Text(proto)] => Ok((net, protocol(proto)?)),
+            _ => Err(shape()),
         },
-        _ => Err(SHAPE.into()),
+        _ => Err(shape()),
     })
 }
 
@@ -396,7 +369,7 @@ mod tests {
         let net: Ipv4Net = "10.0.0.0/8".parse().unwrap();
         let mut rows = ListWriter::default();
         write_delete_row(&mut rows, net, None);
-        rows.u32(2);
+        rows.put(&2u32);
         let rows = rows.take();
         for err in [
             read_delete_rows(&rows).unwrap_err(),

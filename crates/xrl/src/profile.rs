@@ -21,6 +21,11 @@
 //! `enable`/`disable` accept the pseudo-point `route_flow`, expanding to
 //! all eight §8.2 route-flow points.
 //!
+//! Rows travel as route rows do, as [`WireList`]s written with
+//! [`ListWriter::put`] and read in place by [`WireList::read_rows`] and
+//! [`AtomReader::next_as`]: a bad row rejects the whole reply, and the
+//! bytes are those of the atom trees older builds sent.
+//!
 //! `get_records` and `get_spans` **clear** what they return and serve at
 //! most [`MAX_RECORDS_PER_SLICE`] rows per call (the `remaining` count
 //! says whether to call again): a buffer that filled during a storm is
@@ -36,10 +41,10 @@ use xorp_event::EventLoop;
 use xorp_profiler::tracing::Span;
 use xorp_profiler::{points, Drained, Metrics, PointInfo, Profiler, Record, Tracer};
 
-use crate::atom::AtomValue;
 use crate::error::XrlError;
 use crate::idl::TypedResponder;
 use crate::router::XrlRouter;
+use crate::wire::{AtomReader, ListWriter, WireList, MAX_ITEMS};
 use crate::xrl_interface;
 
 /// Pseudo-point expanding to all eight §8.2 route-flow points.
@@ -51,19 +56,19 @@ pub const MAX_RECORDS_PER_SLICE: usize = 4096;
 
 xrl_interface! {
     /// The profiling/metrics observer surface.  Row-valued returns travel
-    /// as lists of lists; [`decode_points`], [`decode_records`] and
-    /// [`decode_metrics`] turn them back into native structs.
+    /// as lists of lists; [`decode_points`], [`decode_records`],
+    /// [`decode_metrics`] and [`decode_spans`] turn them into structs.
     pub interface profile("profile", "1.0") {
         fn enable(point: String) -> (ok: bool);
         fn disable(point: String) -> (ok: bool);
-        fn list() -> (points: Vec<AtomValue>);
+        fn list() -> (points: WireList);
         fn get_records(point: String, max: u32)
-            -> (records: Vec<AtomValue>, remaining: u32, dropped: u64);
-        fn get_metrics() -> (metrics: Vec<AtomValue>);
+            -> (records: WireList, remaining: u32, dropped: u64);
+        fn get_metrics() -> (metrics: WireList);
         // Appended after get_metrics: method ids are registration-order
         // indices, so new methods must go last to keep v2 ids stable.
         fn get_spans(process: String, max: u32)
-            -> (spans: Vec<AtomValue>, remaining: u32, dropped: u64);
+            -> (spans: WireList, remaining: u32, dropped: u64);
     }
 }
 
@@ -94,21 +99,14 @@ impl profile::Server for ProfileServer {
         responder.ok(el, (true,));
     }
 
-    fn list(&self, el: &mut EventLoop, responder: TypedResponder<(Vec<AtomValue>,)>) {
-        let rows = self
-            .profiler
-            .list()
-            .into_iter()
-            .map(|info| {
-                AtomValue::List(vec![
-                    AtomValue::Text(info.name),
-                    AtomValue::Bool(info.enabled),
-                    AtomValue::U64(info.len as u64),
-                    AtomValue::U64(info.dropped),
-                ])
-            })
-            .collect();
-        responder.ok(el, (rows,));
+    fn list(&self, el: &mut EventLoop, responder: TypedResponder<(WireList,)>) {
+        let points = rows(&self.profiler.list(), |row, p| {
+            row.text(&p.name)
+                .put(&p.enabled)
+                .put(&(p.len as u64))
+                .put(&p.dropped);
+        });
+        responder.ok(el, (points,));
     }
 
     fn get_records(
@@ -119,27 +117,20 @@ impl profile::Server for ProfileServer {
         responder: TypedResponder<PageReply>,
     ) {
         let d = self.profiler.drain(&point, slice_len(max));
-        let reply = page(d.items, d.remaining, d.dropped, |r| {
-            AtomValue::List(vec![AtomValue::U64(r.nanos), AtomValue::Text(r.payload)])
+        let records = rows(&d.items, |row, r| {
+            row.put(&r.nanos).text(&r.payload);
         });
-        responder.ok(el, reply);
+        responder.ok(el, (records, d.remaining as u32, d.dropped));
     }
 
-    fn get_metrics(&self, el: &mut EventLoop, responder: TypedResponder<(Vec<AtomValue>,)>) {
-        let rows = self
-            .metrics
-            .snapshot()
-            .into_iter()
-            .map(|s| {
-                AtomValue::List(vec![
-                    AtomValue::Text(s.name),
-                    AtomValue::Text(s.value.kind().to_string()),
-                    AtomValue::I64(s.value.primary()),
-                    AtomValue::Text(s.value.render()),
-                ])
-            })
-            .collect();
-        responder.ok(el, (rows,));
+    fn get_metrics(&self, el: &mut EventLoop, responder: TypedResponder<(WireList,)>) {
+        let metrics = rows(&self.metrics.snapshot(), |row, m| {
+            row.text(&m.name)
+                .text(m.value.kind())
+                .put(&m.value.primary())
+                .text(&m.value.render());
+        });
+        responder.ok(el, (metrics,));
     }
 
     fn get_spans(
@@ -150,20 +141,18 @@ impl profile::Server for ProfileServer {
         responder: TypedResponder<PageReply>,
     ) {
         let d = self.tracer.drain(&process, slice_len(max));
-        let reply = page(d.spans, d.remaining, d.dropped, |s| {
-            AtomValue::List(vec![
-                AtomValue::U64(s.trace_id),
-                AtomValue::U32(s.span_id),
-                AtomValue::U32(s.parent_span),
-                AtomValue::Text(s.process.to_string()),
-                AtomValue::Text(s.point),
-                AtomValue::U64(s.wall_us),
-                AtomValue::U64(s.start_ns),
-                AtomValue::U64(s.end_ns),
-                AtomValue::U64(s.link),
-            ])
+        let spans = rows(&d.spans, |row, s| {
+            row.put(&s.trace_id)
+                .put(&s.span_id)
+                .put(&s.parent_span)
+                .text(&s.process)
+                .text(&s.point)
+                .put(&s.wall_us)
+                .put(&s.start_ns)
+                .put(&s.end_ns)
+                .put(&s.link);
         });
-        responder.ok(el, reply);
+        responder.ok(el, (spans, d.remaining as u32, d.dropped));
     }
 }
 
@@ -175,20 +164,18 @@ fn slice_len(max: u32) -> usize {
 
 /// The parts of a `get_records`/`get_spans` reply: rows, `remaining`,
 /// `dropped`.
-pub type PageReply = (Vec<AtomValue>, u32, u64);
+pub type PageReply = (WireList, u32, u64);
 
-/// One drained ring page as reply parts.
-fn page<T>(
-    items: Vec<T>,
-    remaining: usize,
-    dropped: u64,
-    row: impl Fn(T) -> AtomValue,
-) -> PageReply {
-    (
-        items.into_iter().map(row).collect(),
-        remaining as u32,
-        dropped,
-    )
+/// A reply's rows, each written by `row`: at most [`MAX_ITEMS`], the most
+/// the wire counts.  A page holds fewer, and so do the metrics, all named
+/// in code; but `enable` makes a point of any name a caller sends, so a
+/// `list` past the cap is cut there.
+fn rows<T>(items: &[T], row: impl Fn(&mut ListWriter, &T)) -> WireList {
+    let mut w = ListWriter::default();
+    for item in items.iter().take(MAX_ITEMS) {
+        w.list(|w| row(w, item));
+    }
+    w.take()
 }
 
 /// Register the `profile/1.0` interface on a target instance, exporting
@@ -212,117 +199,78 @@ pub fn add_profile_responder(
     );
 }
 
-fn row<'a>(value: &'a AtomValue, what: &str) -> Result<&'a [AtomValue], XrlError> {
-    match value {
-        AtomValue::List(items) => Ok(items),
-        other => Err(XrlError::BadArgs(format!(
-            "{what}: row not a list: {other:?}"
-        ))),
-    }
-}
-
-fn row_text(row: &[AtomValue], i: usize, what: &str) -> Result<String, XrlError> {
-    match row.get(i) {
-        Some(AtomValue::Text(s)) => Ok(s.clone()),
-        other => Err(XrlError::BadArgs(format!(
-            "{what}[{i}]: not text: {other:?}"
-        ))),
-    }
-}
-
-fn row_u64(row: &[AtomValue], i: usize, what: &str) -> Result<u64, XrlError> {
-    match row.get(i) {
-        Some(AtomValue::U64(v)) => Ok(*v),
-        other => Err(XrlError::BadArgs(format!(
-            "{what}[{i}]: not u64: {other:?}"
-        ))),
-    }
-}
-
-fn row_u32(row: &[AtomValue], i: usize, what: &str) -> Result<u32, XrlError> {
-    match row.get(i) {
-        Some(AtomValue::U32(v)) => Ok(*v),
-        other => Err(XrlError::BadArgs(format!(
-            "{what}[{i}]: not u32: {other:?}"
-        ))),
-    }
+/// `rows`, each of exactly `width` items read by `item`.
+fn read<'a, T>(
+    rows: &'a WireList,
+    what: &str,
+    width: u16,
+    item: impl Fn(&mut AtomReader<'a>) -> Result<T, XrlError>,
+) -> Result<Vec<T>, XrlError> {
+    rows.read_rows(what, |r, n| match n == width {
+        true => item(r),
+        false => Err(XrlError::BadArgs(format!("{n} items, not {width}"))),
+    })
 }
 
 /// Decode a `list` reply's `points` rows into [`PointInfo`] values.
-pub fn decode_points(rows: &[AtomValue]) -> Result<Vec<PointInfo>, XrlError> {
-    rows.iter()
-        .map(|value| {
-            let row = row(value, "points")?;
-            let enabled = match row.get(1) {
-                Some(AtomValue::Bool(b)) => *b,
-                other => return Err(XrlError::BadArgs(format!("points[1]: not bool: {other:?}"))),
-            };
-            Ok(PointInfo {
-                name: row_text(row, 0, "points")?,
-                enabled,
-                len: row_u64(row, 2, "points")? as usize,
-                dropped: row_u64(row, 3, "points")?,
-            })
+pub fn decode_points(rows: &WireList) -> Result<Vec<PointInfo>, XrlError> {
+    read(rows, "points", 4, |r| {
+        Ok(PointInfo {
+            name: r.next_as()?,
+            enabled: r.next_as()?,
+            len: r.next_as::<u64>()? as usize,
+            dropped: r.next_as()?,
         })
-        .collect()
+    })
 }
 
-/// Decode one `get_records`/`get_spans` reply into the ring page the
-/// server drained, each row through `item`.
-fn decode_page<T>(
-    rows: &[AtomValue],
-    remaining: u32,
-    dropped: u64,
-    what: &str,
-    item: impl Fn(&[AtomValue]) -> Result<T, XrlError>,
-) -> Result<Drained<T>, XrlError> {
-    let items = rows
-        .iter()
-        .map(|value| item(row(value, what)?))
-        .collect::<Result<Vec<_>, XrlError>>()?;
-    Ok(Drained {
+/// One drained ring page, from a `get_records`/`get_spans` reply's parts.
+fn drained<T>(items: Vec<T>, remaining: u32, dropped: u64) -> Drained<T> {
+    Drained {
         items,
         remaining: remaining as usize,
         dropped,
-    })
+    }
 }
 
 /// Decode a `get_records` reply's parts.  Row layout: `[nanos:u64,
 /// payload:txt]`.
 pub fn decode_records(
-    rows: &[AtomValue],
+    rows: &WireList,
     remaining: u32,
     dropped: u64,
 ) -> Result<Drained<Record>, XrlError> {
-    decode_page(rows, remaining, dropped, "records", |row| {
+    let items = read(rows, "records", 2, |r| {
         Ok(Record {
-            nanos: row_u64(row, 0, "records")?,
-            payload: row_text(row, 1, "records")?,
+            nanos: r.next_as()?,
+            payload: r.next_as()?,
         })
-    })
+    })?;
+    Ok(drained(items, remaining, dropped))
 }
 
 /// Decode a `get_spans` reply's parts.  Row layout: `[trace_id:u64,
 /// span_id:u32, parent_span:u32, process:txt, point:txt, wall_us:u64,
 /// start_ns:u64, end_ns:u64, link:u64]`.
 pub fn decode_spans(
-    rows: &[AtomValue],
+    rows: &WireList,
     remaining: u32,
     dropped: u64,
 ) -> Result<Drained<Span>, XrlError> {
-    decode_page(rows, remaining, dropped, "spans", |row| {
+    let items = read(rows, "spans", 9, |r| {
         Ok(Span {
-            trace_id: row_u64(row, 0, "spans")?,
-            span_id: row_u32(row, 1, "spans")?,
-            parent_span: row_u32(row, 2, "spans")?,
-            process: row_text(row, 3, "spans")?.into(),
-            point: row_text(row, 4, "spans")?,
-            wall_us: row_u64(row, 5, "spans")?,
-            start_ns: row_u64(row, 6, "spans")?,
-            end_ns: row_u64(row, 7, "spans")?,
-            link: row_u64(row, 8, "spans")?,
+            trace_id: r.next_as()?,
+            span_id: r.next_as()?,
+            parent_span: r.next_as()?,
+            process: r.next_as::<String>()?.into(),
+            point: r.next_as()?,
+            wall_us: r.next_as()?,
+            start_ns: r.next_as()?,
+            end_ns: r.next_as()?,
+            link: r.next_as()?,
         })
-    })
+    })?;
+    Ok(drained(items, remaining, dropped))
 }
 
 /// One decoded `get_metrics` row.
@@ -338,22 +286,15 @@ pub struct MetricRow {
 }
 
 /// Decode a `get_metrics` reply's `metrics` rows.
-pub fn decode_metrics(rows: &[AtomValue]) -> Result<Vec<MetricRow>, XrlError> {
-    rows.iter()
-        .map(|value| {
-            let row = row(value, "metrics")?;
-            let primary = match row.get(2) {
-                Some(AtomValue::I64(v)) => *v,
-                other => return Err(XrlError::BadArgs(format!("metrics[2]: not i64: {other:?}"))),
-            };
-            Ok(MetricRow {
-                name: row_text(row, 0, "metrics")?,
-                kind: row_text(row, 1, "metrics")?,
-                primary,
-                detail: row_text(row, 3, "metrics")?,
-            })
+pub fn decode_metrics(rows: &WireList) -> Result<Vec<MetricRow>, XrlError> {
+    read(rows, "metrics", 4, |r| {
+        Ok(MetricRow {
+            name: r.next_as()?,
+            kind: r.next_as()?,
+            primary: r.next_as()?,
+            detail: r.next_as()?,
         })
-        .collect()
+    })
 }
 
 #[cfg(test)]
@@ -532,5 +473,175 @@ mod tests {
         // Unknown processes drain empty rather than erroring.
         let c = fetch(&mut el, 4);
         assert_eq!((c.items.len(), c.remaining), (0, 0));
+    }
+
+    /// One item of a row, written into the row's list.
+    type Item = fn(&mut ListWriter) -> &mut ListWriter;
+
+    /// A decoder under test, its reply's row name, a good row, and for
+    /// each position an item of a type the decoder must refuse there.
+    struct Case {
+        what: &'static str,
+        decode: fn(&WireList) -> Result<(), XrlError>,
+        good: Vec<Item>,
+        wrong: Vec<Item>,
+    }
+
+    fn cases() -> Vec<Case> {
+        vec![
+            Case {
+                what: "points",
+                decode: |l| decode_points(l).map(drop),
+                good: vec![
+                    |w| w.text("route_bgpin"),
+                    |w| w.put(&true),
+                    |w| w.put(&3u64),
+                    |w| w.put(&1u64),
+                ],
+                wrong: vec![
+                    |w| w.put(&b"route_bgpin".to_vec()),
+                    |w| w.put(&1u32),
+                    |w| w.put(&3u32),
+                    |w| w.put(&1i64),
+                ],
+            },
+            Case {
+                what: "records",
+                decode: |l| decode_records(l, 0, 0).map(drop),
+                good: vec![|w| w.put(&7u64), |w| w.text("add 10.0.0.0/8")],
+                wrong: vec![|w| w.put(&7u32), |w| w.put(&vec![0xffu8])],
+            },
+            Case {
+                what: "metrics",
+                decode: |l| decode_metrics(l).map(drop),
+                good: vec![
+                    |w| w.text("xrl.shed_total"),
+                    |w| w.text("counter"),
+                    |w| w.put(&7i64),
+                    |w| w.text("7"),
+                ],
+                wrong: vec![
+                    |w| w.put(&false),
+                    |w| w.put(&vec![1u8]),
+                    |w| w.put(&7u64),
+                    |w| w.put(&7i32),
+                ],
+            },
+            Case {
+                what: "spans",
+                decode: |l| decode_spans(l, 0, 0).map(drop),
+                good: vec![
+                    |w| w.put(&9u64),
+                    |w| w.put(&2u32),
+                    |w| w.put(&1u32),
+                    |w| w.text("bgp"),
+                    |w| w.text("bgp_in"),
+                    |w| w.put(&5u64),
+                    |w| w.put(&6u64),
+                    |w| w.put(&8u64),
+                    |w| w.put(&0u64),
+                ],
+                wrong: vec![
+                    |w| w.put(&9u32),
+                    |w| w.put(&2u64),
+                    |w| w.put(&1i32),
+                    |w| w.put(&3u64),
+                    |w| w.put(&true),
+                    |w| w.text("5"),
+                    |w| w.put(&6i64),
+                    |w| w.put(&8u32),
+                    |w| w.put(&vec![0u8]),
+                ],
+            },
+        ]
+    }
+
+    /// Append a row of `items`.
+    fn row<'a>(w: &'a mut ListWriter, items: &[Item]) -> &'a mut ListWriter {
+        w.list(|w| {
+            for item in items {
+                item(w);
+            }
+        })
+    }
+
+    /// A reply whose rows are `rows`.
+    fn reply(rows: &[Vec<Item>]) -> WireList {
+        let mut w = ListWriter::default();
+        for items in rows {
+            row(&mut w, items);
+        }
+        w.take()
+    }
+
+    /// `decode` refuses `rows` with `BadArgs` naming row `at`.
+    fn refused(case: &Case, rows: &WireList, at: usize, why: &str) {
+        let at = format!("{}[{at}]: ", case.what);
+        match (case.decode)(rows) {
+            Err(XrlError::BadArgs(m)) => assert!(m.starts_with(&at), "{why}: {m}"),
+            other => panic!("{at}{why}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn decoders_refuse_hostile_rows_whole() {
+        for case in cases() {
+            let good = &case.good;
+            (case.decode)(&reply(&[good.clone(), good.clone()])).expect("good rows");
+
+            // A short row before a good one: the arity check refuses it,
+            // so the good row's items are never read as the short row's.
+            let short = good[..good.len() - 1].to_vec();
+            refused(&case, &reply(&[short, good.clone()]), 0, "short row");
+            // A long row: its extra item would otherwise pass for row 1.
+            let mut long = good.clone();
+            long.push(good[0]);
+            refused(&case, &reply(&[long, good.clone()]), 0, "long row");
+
+            for (i, wrong) in case.wrong.iter().enumerate() {
+                let mut row = good.clone();
+                row[i] = *wrong;
+                refused(&case, &reply(&[good.clone(), row]), 1, "wrong type");
+            }
+
+            let mut w = ListWriter::default();
+            row(&mut w, good).put(&1u64);
+            refused(&case, &w.take(), 1, "not a list");
+
+            // Truncated anywhere, the row is refused, never read past.
+            let mut whole = ListWriter::default();
+            row(&mut whole, good);
+            for cut in 0..whole.buf.len() {
+                let mut w = whole.clone();
+                w.buf.truncate(cut);
+                refused(&case, &w.take(), 0, "truncated");
+            }
+        }
+    }
+
+    #[test]
+    fn a_list_reply_stops_at_the_wire_count() {
+        let mut el = EventLoop::new_virtual();
+        let router = XrlRouter::new(&mut el, Finder::new());
+        router.register_target("prof", "prof-0", true).unwrap();
+        let profiler = Profiler::new();
+        add_profile_responder(
+            &router,
+            "prof-0",
+            &profiler,
+            &Metrics::new(),
+            &Tracer::new(),
+        );
+        // `enable` makes a point of any name; more than one list holds.
+        for i in 0..=MAX_ITEMS {
+            profiler.enable(&format!("p{i}"));
+        }
+        let r = slot();
+        let s = r.clone();
+        profile::Client::new(&router, "prof").list(&mut el, move |_el, reply| {
+            *s.borrow_mut() = Some(reply);
+        });
+        let (rows,) = wait(&mut el, r).unwrap();
+        assert_eq!(decode_points(&rows).unwrap().len(), MAX_ITEMS);
     }
 }

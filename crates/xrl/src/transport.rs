@@ -146,7 +146,8 @@ type Accepted = Arc<Mutex<Vec<Weak<TcpConn>>>>;
 /// thread (the old blocking accept only observed `stop` *after*
 /// `incoming()` yielded).  Transient accept errors — e.g. `ECONNABORTED`
 /// when a peer resets between arrival and accept — no longer kill the
-/// accept loop.
+/// accept loop, and neither does a connection it cannot serve (no
+/// descriptor or thread left for its reader): that one is dropped.
 fn spawn_tcp_listener(
     sender: EventSender,
     stop: Arc<AtomicBool>,
@@ -169,7 +170,9 @@ fn spawn_tcp_listener(
                     }
                     let _ = stream.set_nonblocking(false);
                     let _ = stream.set_nodelay(true);
-                    let conn = spawn_tcp_reader(stream, sender.clone(), metrics.clone());
+                    let Ok(conn) = spawn_tcp_reader(stream, sender.clone(), metrics.clone()) else {
+                        continue;
+                    };
                     let mut accepted = accepted.lock();
                     accepted.retain(|c| c.strong_count() > 0);
                     accepted.push(Arc::downgrade(&conn));
@@ -178,19 +181,20 @@ fn spawn_tcp_listener(
                 // way check the flag and keep serving.
                 Err(_) => std::thread::sleep(ACCEPT_POLL),
             }
-        })
-        .expect("spawn accept thread");
+        })?;
     Ok(addr)
 }
 
 /// Spawn the per-connection reader.  The connection is read by this thread
 /// and written (through the returned [`TcpConn`]) by the loop thread.
+/// Fails, closing the stream, when the process has no descriptor left for
+/// the read half or no thread for the reader.
 fn spawn_tcp_reader(
     stream: TcpStream,
     sender: EventSender,
     metrics: SharedTcpMetrics,
-) -> Arc<TcpConn> {
-    let mut read_half = stream.try_clone().expect("clone tcp stream");
+) -> std::io::Result<Arc<TcpConn>> {
+    let mut read_half = stream.try_clone()?;
     let conn = Arc::new(TcpConn::new(stream, metrics));
     let reader_conn = conn.clone();
     std::thread::Builder::new()
@@ -211,9 +215,8 @@ fn spawn_tcp_reader(
             // completion lane, behind every response this reader posted:
             // a request that was answered never fails `TargetDied`.
             sender.post_completion(move |el| XrlRouter::connection_closed(el, &Remote::Tcp(conn)));
-        })
-        .expect("spawn tcp reader");
-    conn
+        })?;
+    Ok(conn)
 }
 
 /// Decode every complete frame `decoder` holds and post them to the loop
@@ -398,8 +401,7 @@ fn spawn_udp(
                     return;
                 }
             }
-        })
-        .expect("spawn udp reader");
+        })?;
     Ok((socket, addr))
 }
 
@@ -769,7 +771,8 @@ impl Families {
                 let raw = TcpStream::connect(addr)
                     .map_err(|e| XrlError::Transport(format!("connect {addr}: {e}")))?;
                 let _ = raw.set_nodelay(true);
-                let conn = spawn_tcp_reader(raw, self.sender.clone(), self.metrics.clone());
+                let conn = spawn_tcp_reader(raw, self.sender.clone(), self.metrics.clone())
+                    .map_err(|e| XrlError::Transport(format!("connect {addr}: {e}")))?;
                 tcp.conns.insert(addr, conn.clone());
                 Ok(Remote::Tcp(conn))
             }

@@ -18,6 +18,12 @@
 //! the grammar: it writes one atom and reads one back from an
 //! [`AtomRef`], so no argument passes through an [`AtomValue`] on its way
 //! from stub to handler.
+//!
+//! Rows — a list of lists, as batched route frames and `profile/1.0`
+//! replies carry them — have one writer and one reader too: a row is
+//! written with [`ListWriter::list`], its scalars with [`ListWriter::put`],
+//! and read in place by [`WireList::read_rows`], which rejects the whole
+//! list at its first bad row, item by item with [`AtomReader::next_as`].
 
 use std::fmt::{self, Write as _};
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -180,6 +186,19 @@ impl<'a> AtomReader<'a> {
         })
     }
 
+    /// Read the next atom as a `T`; an atom of another type is an error
+    /// naming both types.
+    pub fn next_as<T: AtomCodec>(&mut self) -> Result<T, XrlError> {
+        let atom = self.read()?;
+        T::read(atom).ok_or_else(|| {
+            XrlError::BadArgs(format!(
+                "expected {}, read {}",
+                T::TYPE.tag(),
+                atom.atom_type().tag()
+            ))
+        })
+    }
+
     /// Step into a list in place: read its type byte and count and leave
     /// the cursor on its first item, so a caller reads exactly `count`
     /// items next without walking them twice.
@@ -233,6 +252,27 @@ impl WireList {
             buf: &self.items,
             depth: 1,
         }
+    }
+
+    /// Read every item as a row, transactionally: the first bad row
+    /// rejects the whole list, `BadArgs` naming it `what[i]`, so a caller
+    /// applies nothing from a list it refuses.  `row` is handed the cursor
+    /// on the row's first item and the row's arity; it must read exactly
+    /// `arity` items or fail, so one row's items are never read as the
+    /// next row's.
+    pub fn read_rows<'a, T>(
+        &'a self,
+        what: &str,
+        mut row: impl FnMut(&mut AtomReader<'a>, u16) -> Result<T, XrlError>,
+    ) -> Result<Vec<T>, XrlError> {
+        let mut r = self.reader();
+        let mut out = Vec::with_capacity(self.len());
+        for i in 0..self.len() {
+            let fail = |e: &str| XrlError::BadArgs(format!("{what}[{i}]: {e}"));
+            let arity = r.enter_list().map_err(|_| fail("row is not a list"))?;
+            out.push(row(&mut r, arity).map_err(|e| fail(e.payload()))?);
+        }
+        Ok(out)
     }
 
     /// The tree of atoms these bytes encode (nested lists as trees too).
@@ -320,20 +360,8 @@ impl ListWriter {
         self.buf.put_slice(name.as_bytes());
     }
 
-    /// Append a `u32`.
-    pub fn u32(&mut self, v: u32) -> &mut Self {
-        v.write(self);
-        self
-    }
-
-    /// Append an IPv4 address.
-    pub fn ipv4(&mut self, v: Ipv4Addr) -> &mut Self {
-        v.write(self);
-        self
-    }
-
-    /// Append an IPv4 prefix.
-    pub fn ipv4net(&mut self, v: Ipv4Net) -> &mut Self {
+    /// Append a scalar, or any other value [`AtomCodec`] maps.
+    pub fn put<T: AtomCodec>(&mut self, v: &T) -> &mut Self {
         v.write(self);
         self
     }
@@ -566,10 +594,10 @@ mod tests {
         let net: Ipv4Net = "10.1.0.0/16".parse().unwrap();
         let mut w = ListWriter::default();
         w.list(|row| {
-            row.ipv4net(net)
-                .ipv4(Ipv4Addr::new(192, 0, 2, 1))
+            row.put(&net)
+                .put(&Ipv4Addr::new(192, 0, 2, 1))
                 .text("éth0")
-                .u32(7)
+                .put(&7u32)
                 .text_display(format_args!("proto{}", 9));
         })
         .value(&AtomValue::Bool(true));
@@ -608,7 +636,7 @@ mod tests {
     fn enter_list_leaves_the_cursor_on_the_first_item() {
         let mut w = ListWriter::default();
         w.list(|row| {
-            row.u32(1).u32(2);
+            row.put(&1u32).put(&2u32);
         });
         let list = w.take();
         let mut r = list.reader();
